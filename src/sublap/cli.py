@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -377,7 +377,7 @@ def _run_verify(suite, cfg):
                                  [float(v) for v in cfg.params["lam_fractions"]],
                                  [[tuple(side) for side in b] for b in cfg.params["boxes"]],
                                  float(cfg.params["h"]),
-                                 mu=cfg.params.get("mu"), seed=cfg.seed)
+                                 mu=cfg.params.get("mu"), tol=tol, seed=cfg.seed)
     elif suite == "prop4_2":
         grid = _build_grid_from(cfg.params)
         rep = vfy.verify_prop_4_2(family, grid, cfg.params["a"], cfg.params["b"],

@@ -10,7 +10,7 @@ regularized forms K + eps * K_euclid down to eps -> 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

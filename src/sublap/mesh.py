@@ -8,7 +8,6 @@ one-sided closure.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np

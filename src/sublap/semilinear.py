@@ -27,18 +27,20 @@ from .eigen import weighted_principal
 from .mesh import GridField, build_grid
 from .operators import assemble_diagonal, assemble_stiffness
 
-TOL_LIN = 1e-10          # inner CG tolerance for linear solves
+TOL_LIN = 1e-10          # relative residual bound of every shifted linear solve
 MAX_ITER_MONOTONE = 1000
 SUB_SLACK_FACTOR = 1e-8  # tau_sub = factor * ||K||_inf * ||u||_inf
+DIRECT_MAX_NNZ = 60_000  # factor K + cM at or below this many nonzeros, else warm CG
 
 
 @dataclass(eq=False)
 class SemilinearProblem:
     """H u = F(x, u) with Dirichlet data and a declared Lipschitz bound.
 
-    `reaction` maps (points (N, n), values (N,)) -> (N,).  `lipschitz`
-    must dominate |dF/du| over the working bracket; `validate_lipschitz`
-    spot-checks the declaration by sampled difference quotients.
+    `reaction` maps (interior points (N, n), interior values (N,)) -> (N,).
+    `lipschitz` must dominate |dF/du| over the working bracket;
+    `validate_lipschitz` spot-checks the declaration by sampled difference
+    quotients.
     """
 
     K: object                       # assembled stiffness SparseOperator
@@ -50,20 +52,16 @@ class SemilinearProblem:
     def grid(self):
         return self.K.grid
 
-    def boundary_vector(self):
-        g = self.grid
-        if isinstance(self.boundary_value, GridField):
-            return self.boundary_value.values[g.boundary_ids]
-        return np.full(g.n_boundary, float(self.boundary_value))
+    def validate_lipschitz(self, lo, hi, seed=0):
+        """Sampled check that `lipschitz` >= |dF/du| on the bracket range.
 
-    def validate_lipschitz(self, lo, hi, samples=1000, seed=0):
-        """Sampled check that `lipschitz` >= |dF/du| on the bracket range."""
+        Samples one random u in [lo, hi] at every interior node.
+        """
         rng = np.random.default_rng(seed)
         g = self.grid
-        ids = rng.integers(0, g.n_interior, size=samples)
-        pts = g.points[g.interior_ids[ids]]
+        pts = g.points[g.interior_ids]
         span = max(hi - lo, 1e-12)
-        u = rng.uniform(lo, hi, size=samples)
+        u = rng.uniform(lo, hi, size=g.n_interior)
         du = 1e-6 * span
         slope = np.abs(self.reaction(pts, u + du) - self.reaction(pts, u)) / du
         worst = float(slope.max())
@@ -99,35 +97,72 @@ class BracketSolveResult:
         }
 
 
+class ShiftedSolver:
+    """Solves (K + c M) u = M rhs with fixed Dirichlet data, many times.
+
+    A = K + c h^n I and the boundary lift are built once.  When nnz(A) is
+    at most DIRECT_MAX_NNZ, A is factored once by `splu` and every solve
+    is a pair of triangular solves.  Larger systems run CG warm-started
+    from the previous solution, because the fill of the factors, and with
+    it the time and memory of factoring, outgrows what CG saves.  Either
+    way a solution is returned only when ||A x - b|| <= tol ||b||.
+    """
+
+    def __init__(self, K, shift_c, boundary_value=0.0, tol=TOL_LIN):
+        if shift_c < 0:
+            raise ValueError("shift must be nonnegative")
+        g = K.grid
+        self.grid = g
+        self.tol = tol
+        self.weight = g.h ** g.n
+        self.A = K.mat + shift_c * self.weight * sp.identity(g.n_interior, format="csr")
+        if isinstance(boundary_value, GridField):
+            self.bvec = boundary_value.values[g.boundary_ids]
+        else:
+            self.bvec = np.full(g.n_boundary, float(boundary_value))
+        self.lift = np.zeros(g.n_interior)
+        if K.boundary is not None and g.n_boundary:
+            self.lift = K.boundary @ self.bvec
+        self.lu = None
+        if self.A.nnz <= DIRECT_MAX_NNZ:
+            self.lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        self.x = np.zeros(g.n_interior)
+
+    def solve(self, rhs):
+        """The GridField u: interior rows solve (K + cM) u = M rhs, trace = boundary value.
+
+        `rhs` holds interior values (length n_interior).
+        """
+        g = self.grid
+        b = self.weight * rhs - self.lift
+        nb = np.linalg.norm(b)
+        if nb == 0.0:
+            x = np.zeros(g.n_interior)
+        elif self.lu is not None:
+            x = self.lu.solve(b)
+            rel = float(np.linalg.norm(self.A @ x - b) / nb)
+            if not rel <= self.tol:
+                raise RuntimeError(f"direct linear solve residual {rel:.3e} above tol {self.tol:.3e}")
+        else:
+            x, info = spla.cg(self.A, b, x0=self.x, rtol=self.tol, atol=0.0,
+                              maxiter=max(4 * g.n_interior, 400))
+            if info != 0:
+                raise RuntimeError(f"CG stagnation in linear solve (info={info})")
+        self.x = x
+        vals = np.zeros(g.num_nodes)
+        vals[g.interior_ids] = x
+        vals[g.boundary_ids] = self.bvec
+        return GridField(g, vals)
+
+
 def linear_solve(K, shift_c, rhs, boundary_value=0.0, tol=TOL_LIN):
-    """Solve (K + c M) u = M rhs with imposed Dirichlet data, by CG.
+    """Solve (K + c M) u = M rhs once with imposed Dirichlet data.
 
     `rhs` is a GridField (interior values used); boundary_value is a scalar
     or GridField giving the Dirichlet trace of u.
     """
-    if shift_c < 0:
-        raise ValueError("shift must be nonnegative")
-    g = K.grid
-    w = g.h ** g.n
-    A = K.mat + shift_c * sp.identity(g.n_interior, format="csr") * w
-    if isinstance(boundary_value, GridField):
-        bvec = boundary_value.values[g.boundary_ids]
-    else:
-        bvec = np.full(g.n_boundary, float(boundary_value))
-    b = w * rhs.values[g.interior_ids]
-    if K.boundary is not None and g.n_boundary:
-        b = b - K.boundary @ bvec
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        x = np.zeros(g.n_interior)
-    else:
-        x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=max(4 * g.n_interior, 400))
-        if info != 0:
-            raise RuntimeError(f"CG stagnation in linear solve (info={info})")
-    vals = np.zeros(g.num_nodes)
-    vals[g.interior_ids] = x
-    vals[g.boundary_ids] = bvec
-    return GridField(g, vals)
+    return ShiftedSolver(K, shift_c, boundary_value, tol).solve(rhs.values[K.grid.interior_ids])
 
 
 def _residual(problem, u):
@@ -144,26 +179,18 @@ def sub_super_slack(K, u):
     return SUB_SLACK_FACTOR * K.inf_norm() * max(umax, 1.0)
 
 
-def check_subsolution(problem, u):
-    """K u <= M F(., u) + tau_sub at interior rows; returns (ok, worst, node)."""
+def check_sub_super(problem, u, sign):
+    """Discrete sub- (sign=+1) or supersolution (sign=-1) test at interior rows.
+
+    Checks sign * (K u - M F(., u)) <= tau_sub; returns (ok, worst, node).
+    """
     g = problem.grid
     w = g.h ** g.n
-    lhs = problem.K.apply(u)
-    rhs = w * problem.reaction(g.points[g.interior_ids], u.values[g.interior_ids])
-    slack = sub_super_slack(problem.K, u)
-    viol = lhs - rhs
+    defect = problem.K.apply(u) - w * problem.reaction(g.points[g.interior_ids],
+                                                       u.values[g.interior_ids])
+    viol = sign * defect
     worst = int(np.argmax(viol))
-    return bool(viol.max() <= slack), float(viol.max()), int(g.interior_ids[worst])
-
-
-def check_supersolution(problem, u):
-    g = problem.grid
-    w = g.h ** g.n
-    lhs = problem.K.apply(u)
-    rhs = w * problem.reaction(g.points[g.interior_ids], u.values[g.interior_ids])
     slack = sub_super_slack(problem.K, u)
-    viol = rhs - lhs
-    worst = int(np.argmax(viol))
     return bool(viol.max() <= slack), float(viol.max()), int(g.interior_ids[worst])
 
 
@@ -181,14 +208,16 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     problem.validate_lipschitz(float(lower.values[active].min()),
                                float(upper.values[active].max()))
     notes = []
-    ok_sub, v_sub, n_sub = check_subsolution(problem, lower)
+    ok_sub, v_sub, n_sub = check_sub_super(problem, lower, +1)
     if not ok_sub:
         notes.append(f"lower field fails the discrete subsolution check by {v_sub:.3e} at node {n_sub}")
-    ok_sup, v_sup, n_sup = check_supersolution(problem, upper)
+    ok_sup, v_sup, n_sup = check_sub_super(problem, upper, -1)
     if not ok_sup:
         notes.append(f"upper field fails the discrete supersolution check by {v_sup:.3e} at node {n_sup}")
 
     c = float(problem.lipschitz)
+    solver = ShiftedSolver(problem.K, c, problem.boundary_value)
+    pts = g.points[g.interior_ids]
     u = upper.copy()
     scale = max(float(np.abs(upper.values).max()), 1.0)
     mono_slack = 1e3 * TOL_LIN * scale
@@ -198,11 +227,8 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     residual = _residual(problem, u)
     it = 0
     for it in range(1, max_iter + 1):
-        pts = g.points[g.interior_ids]
         ui = u.values[g.interior_ids]
-        rhs_vals = np.zeros(g.num_nodes)
-        rhs_vals[g.interior_ids] = c * ui + problem.reaction(pts, ui)
-        u_next = linear_solve(problem.K, c, GridField(g, rhs_vals), problem.boundary_value)
+        u_next = solver.solve(c * ui + problem.reaction(pts, ui))
         inc = float((u_next.values - u.values)[active].max())
         max_inc = max(max_inc, inc)
         if inc > mono_slack:
@@ -249,14 +275,9 @@ def polynomial_reaction(coeff_fields):
     c_int = np.stack([c.values[grid.interior_ids] for c in coeff_fields])
 
     def F(pts, u):
-        if pts.shape[0] == c_int.shape[1]:
-            cs = c_int
-        else:
-            ids = [grid.nearest_node(x) for x in pts]
-            cs = np.stack([c.values[ids] for c in coeff_fields])
         out = np.zeros_like(u)
-        for k in range(cs.shape[0] - 1, -1, -1):
-            out = out * u + cs[k]
+        for k in range(c_int.shape[0] - 1, -1, -1):
+            out = out * u + c_int[k]
         return out
 
     return F
@@ -267,16 +288,9 @@ def logistic_reaction(a, b, mu, p):
     grid = a.grid
     a_int = a.values[grid.interior_ids]
     b_int = b.values[grid.interior_ids]
-    pts_key = grid.points[grid.interior_ids]
 
     def F(pts, u):
-        if pts.shape[0] == pts_key.shape[0]:
-            av, bv = a_int, b_int
-        else:  # sampled subsets (Lipschitz validation)
-            ids = [grid.nearest_node(x) for x in pts]
-            av = a.values[ids]
-            bv = b.values[ids]
-        return mu * u * (av - bv * np.abs(u) ** (p - 1.0))
+        return mu * u * (a_int - b_int * np.abs(u) ** (p - 1.0))
 
     return F
 
@@ -335,7 +349,7 @@ def logistic_solve(K, a, b, mu, p, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
     cand = 1.0
     for _ in range(60):
         low = phi * cand
-        ok, _, _ = check_subsolution(problem, low)
+        ok, _, _ = check_sub_super(problem, low, +1)
         if ok and float(low.values.max()) < Mcap:
             eps = cand
             break
@@ -466,13 +480,7 @@ def yamabe_reaction(kfield, Kfield, p):
     K_int = Kfield.values[grid.interior_ids]
 
     def F(pts, u):
-        if pts.shape[0] == k_int.shape[0]:
-            kv, Kv = k_int, K_int
-        else:
-            ids = [grid.nearest_node(x) for x in pts]
-            kv = kfield.values[ids]
-            Kv = Kfield.values[ids]
-        return Kv * np.sign(u) * np.abs(u) ** p - kv * u
+        return K_int * np.sign(u) * np.abs(u) ** p - k_int * u
 
     return F
 
@@ -520,8 +528,8 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
     Kv = np.abs(Kfield.values[g.interior_ids])
     c = float((p * Kv * max(abs(lo), abs(hi)) ** (p - 1.0) + kv).max())
     problem = SemilinearProblem(K=K, reaction=F, boundary_value=eps, lipschitz=c)
-    ok_sub, v_sub, _ = check_subsolution(problem, V)
-    ok_sup, v_sup, _ = check_supersolution(problem, W)
+    ok_sub, v_sub, _ = check_sub_super(problem, V, +1)
+    ok_sup, v_sup, _ = check_sub_super(problem, W, -1)
     if not ok_sub:
         notes.append(f"lower barrier misses the subsolution inequality by {v_sub:.3e}")
     if not ok_sup:
@@ -549,7 +557,8 @@ def exhaustion_construct(family, g_fn, lam, box_list, h, tol=1e-10):
     Each solution is checked for interior positivity, normalized to
     u(0) = 1, and compared with its predecessor on the smallest box; the
     successive max differences are the convergence diagnostic.  Resonant
-    lam (a Dirichlet eigenvalue of some D_k) is reported per box.
+    lam (a Dirichlet eigenvalue of some D_k) is reported per box, and so is
+    a direct solve whose relative residual exceeds `tol` ("inaccurate").
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -589,6 +598,13 @@ def exhaustion_construct(family, g_fn, lam, box_list, h, tol=1e-10):
             notes.append(f"box {k}: lam={lam:g} is a Dirichlet eigenvalue of D_{k} (singular system)")
             fields_out.append(None)
             statuses.append(status)
+            continue
+        nb = float(np.linalg.norm(rhs))
+        rel = float(np.linalg.norm(A @ x - rhs)) / nb if nb > 0 else 0.0
+        if not rel <= tol:
+            notes.append(f"box {k}: direct solve residual {rel:.3e} above tol {tol:.3e}")
+            fields_out.append(None)
+            statuses.append("inaccurate")
             continue
         vals = np.zeros(grid.num_nodes)
         vals[grid.interior_ids] = x

@@ -89,6 +89,36 @@ def test_cli_verify_exit_codes(tmp_path):
     assert rep["results"]["verification"]["passed"] is True
 
 
+def test_cli_verify_thm1_3_passes_tol(tmp_path, monkeypatch):
+    import sublap.semilinear as sm
+
+    seen = []
+    orig = sm.exhaustion_construct
+
+    def recording(*args, **kwargs):
+        seen.append(kwargs["tol"])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(sm, "exhaustion_construct", recording)
+    payload = {
+        "family": "euclidean(2)", "g": "1 + 0*x", "g_plus": "1 + 0*x",
+        "lam_fractions": [0.5], "boxes": [[[-1, 1], [-1, 1]], [[-2, 2], [-2, 2]]],
+        "h": 0.25, "tol": 1e-7,
+    }
+    out = tmp_path / "out"
+    code = main(["--config", str(write_config(tmp_path, "t.json", payload)),
+                 "--out", str(out), "verify", "thm1_3"])
+    assert code == 0
+    assert seen == [1e-7]
+    # a bound no direct solve can meet fails every box instead of passing it
+    payload["tol"] = 1e-300
+    code = main(["--config", str(write_config(tmp_path, "t2.json", payload)),
+                 "--out", str(tmp_path / "out2"), "verify", "thm1_3"])
+    assert code == 1
+    case = json.loads((tmp_path / "out2" / "report.json").read_text())["results"]["verification"]["cases"][0]
+    assert "direct solve residual" in case["note"]
+
+
 def test_cli_byte_determinism(tmp_path):
     cfg = write_config(tmp_path, "v.json", {
         "family": "euclidean(2)",

@@ -7,10 +7,12 @@ from sublap.eigen import principal_eigenpair, weighted_principal
 from sublap.fields import euclidean, heisenberg
 from sublap.mesh import GridField, build_grid, mask_domain
 from sublap.operators import assemble_diagonal, assemble_stiffness, mass_matrix
+import sublap.semilinear as sm
 from sublap.semilinear import (
+    DIRECT_MAX_NNZ,
     SemilinearProblem,
-    check_subsolution,
-    check_supersolution,
+    ShiftedSolver,
+    check_sub_super,
     comparison_check,
     exhaustion_construct,
     linear_solve,
@@ -89,6 +91,72 @@ def test_linear_solve_linearity():
     assert np.abs(u2.values - 2.0 * u1.values).max() < 1e-8 * max(1.0, np.abs(u1.values).max())
 
 
+def _shifted_system(family, box, h):
+    g = build_grid(box, h)
+    K = assemble_stiffness(family, g)
+    return K, np.random.default_rng(7).standard_normal(g.n_interior)
+
+
+@pytest.mark.parametrize("family,box,h", [
+    (euclidean(2), [(0, 1), (0, 1)], 1.0 / 32),
+    (heisenberg(), [(-2, 2)] * 3, 0.5),
+])
+def test_shifted_solver_direct_and_warm_cg_agree(monkeypatch, family, box, h):
+    K, rhs = _shifted_system(family, box, h)
+    direct = ShiftedSolver(K, 3.0, 0.4)
+    assert direct.lu is not None
+    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", -1)
+    iterative = ShiftedSolver(K, 3.0, 0.4)
+    assert iterative.lu is None
+    for scale in (1.0, 1.1):  # second solve starts CG from the first solution
+        ud = direct.solve(scale * rhs)
+        ui = iterative.solve(scale * rhs)
+        assert np.abs(ud.values - ui.values).max() <= 1e-9 * np.abs(ud.values).max()
+        assert np.all(ud.values[K.grid.boundary_ids] == 0.4)
+
+
+def test_shifted_solver_direct_residual_guard():
+    K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 0.125)
+    with pytest.raises(RuntimeError, match="residual"):
+        ShiftedSolver(K, 1.0, tol=1e-30).solve(rhs)
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    orig = spla.splu
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def test_monotone_factors_once_below_threshold(monkeypatch):
+    g, K, a, b, mu1 = logistic_setup(1.0 / 8)
+    assert K.mat.nnz <= DIRECT_MAX_NNZ
+    F = logistic_reaction(a, b, 2 * mu1, 2.0)
+    problem = SemilinearProblem(K=K, reaction=F, boundary_value=0.0,
+                                lipschitz=logistic_lipschitz(a, b, 2 * mu1, 2.0, 1.0))
+    calls = _count_splu(monkeypatch)
+    res = monotone_iterate(problem, GridField.zeros(g), GridField.constant(g, 1.0), tol=1e-9)
+    assert res.status == "ok" and res.iterations > 10
+    assert len(calls) == 1
+
+
+def test_no_factorization_above_threshold(monkeypatch):
+    g = build_grid([(-5, 5)] * 3, 0.5)
+    K = assemble_stiffness(heisenberg(), g)
+    assert K.mat.nnz > DIRECT_MAX_NNZ
+    calls = _count_splu(monkeypatch)
+    f = GridField.from_function(g, lambda pts: np.exp(-(pts**2).sum(axis=1)))
+    kf = GridField(g, 0.02 * f.values)
+    res = yamabe_solve(K, kf, kf, 3.0, f, 0.02, 0.4)
+    assert res.status == "ok" and res.iterations > 1
+    assert calls == []
+
+
 def test_monotone_zero_problem_instant():
     g = build_grid([(0, 1), (0, 1)], 0.25)
     K = assemble_stiffness(euclidean(2), g)
@@ -106,14 +174,8 @@ def test_monotone_linear_reaction_is_linear_solve():
     K = assemble_stiffness(euclidean(2), g)
     f = GridField.from_function(g, lambda pts: np.cos(pts[:, 0]) + pts[:, 1])
     f_int = f.values[g.interior_ids]
-
-    def F(pts, u):
-        if u.shape[0] == f_int.shape[0]:
-            return f_int
-        ids = [g.nearest_node(x) for x in pts]
-        return f.values[ids]
-
-    problem = SemilinearProblem(K=K, reaction=F, boundary_value=0.0, lipschitz=0.0)
+    problem = SemilinearProblem(K=K, reaction=lambda pts, u: f_int, boundary_value=0.0,
+                                lipschitz=0.0)
     direct = linear_solve(K, 0.0, f, 0.0)
     upper = GridField.constant(g, float(np.abs(direct.values).max()) * 2 + 1)
     lower = GridField.constant(g, -float(np.abs(direct.values).max()) * 2 - 1)
@@ -196,11 +258,19 @@ def test_sub_super_checks():
     F = logistic_reaction(a, b, mu, 2.0)
     problem = SemilinearProblem(K=K, reaction=F, boundary_value=0.0,
                                 lipschitz=logistic_lipschitz(a, b, mu, 2.0, 1.0))
-    ok_up, _, _ = check_supersolution(problem, GridField.constant(g, 1.0))
+    ok_up, _, _ = check_sub_super(problem, GridField.constant(g, 1.0), -1)
     assert ok_up
     res = logistic_solve(K, a, b, mu, 2.0, tol=1e-9)
-    ok_lo, _, _ = check_subsolution(problem, res.lower)
+    ok_lo, _, _ = check_sub_super(problem, res.lower, +1)
     assert ok_lo
+    # the constant 1/2 is a subsolution, not a supersolution; its defect is
+    # the same at every interior row, so the signed test flips its sign
+    half = GridField.constant(g, 0.5)
+    ok_sub, worst_sub, _ = check_sub_super(problem, half, +1)
+    ok_sup, worst_sup, node = check_sub_super(problem, half, -1)
+    assert ok_sub and not ok_sup
+    assert worst_sup == pytest.approx(-worst_sub) and worst_sup > 0.0
+    assert g.mask[node] == 2
 
 
 def test_comparison_equality_case_passes():

@@ -98,6 +98,11 @@ def test_prop_4_2_sub_and_supercritical():
     far = rep.cases[2]
     max_u_far = float(far.note.split("max_u=")[1].split(",")[0])
     assert 0 < max_u_near < max_u_far  # near-threshold solution is small
+    for case in rep.cases[1:]:  # both brackets converge to one solution
+        rel = float(case.note.split("two_bracket_rel=")[1].split(",")[0])
+        assert rel <= 1e-6
+        assert case.margin <= 1e-6 - rel
+        assert "status=" not in case.note
 
 
 def test_thm_1_4_heisenberg_small_box():
