@@ -311,7 +311,6 @@ def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS,
     src = grid.nearest_node(x)
     tgt = grid.nearest_node(y)
     if src == tgt:
-        n = grid.n
         return 0.0, PathResult(
             T=0.0, waypoints=np.array([grid.points[src]] * 2),
             controls=np.zeros((1, family.m)), durations=np.zeros(1), defect=0.0,

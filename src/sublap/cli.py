@@ -184,10 +184,8 @@ def emit_plot(fieldobj, slice_spec=None, cell=8):
         if not 0 <= index < grid.dims[axis]:
             raise ValueError(f"slice index {index} out of range for axis {axis}")
         plane = np.take(vals, index, axis=axis)
-        if plane.ndim != 2:
-            keep = [k for k in range(grid.n) if k != axis]
-            while plane.ndim > 2:
-                plane = np.take(plane, plane.shape[-1] // 2, axis=-1)
+        while plane.ndim > 2:
+            plane = np.take(plane, plane.shape[-1] // 2, axis=-1)
     ny, nx = plane.shape
     if nx == 0 or ny == 0:
         raise ValueError("zero-size field slice")

@@ -3,14 +3,15 @@
 principal_eigenpair finds the smallest eigenvalue of (K - V) u = lam M u
 by shifted inverse iteration with conjugate-gradient inner solves and
 Rayleigh-quotient shift acceleration; weighted_principal handles
-K u = lam G u with a possibly sign-changing weight by power iteration on
-the pencil G w = mu K w (lam = 1 / mu_max); epsilon_path follows the
+K u = lam G u with a possibly sign-changing weight through ARPACK on the
+pencil G w = mu K w (lam = 1 / mu_max); epsilon_path follows the
 regularized forms K + eps * K_euclid down to eps -> 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +43,15 @@ class EigenResult:
     residual: float
     iterations: int
     positive: bool
-    degenerate: bool = False
+    _probe: object = field(default=None, repr=False)  # () -> bool, run on first read
+
+    @cached_property
+    def degenerate(self):
+        """Whether a second eigenvalue lies within DEGENERACY_GAP of lam.
+
+        Probed on first read; solvers that store no probe report False.
+        """
+        return self._probe is not None and bool(self._probe())
 
     def to_json_dict(self):
         return {
@@ -60,7 +69,7 @@ def _field_from_interior(grid, u_int):
     return GridField(grid, vals)
 
 
-def _finish(grid, K, Vdiag, M, u_int, lam, iterations):
+def _finish(K, Vdiag, M, u_int, lam):
     mdiag = M.mat.diagonal()
     u_int = u_int / np.sqrt(u_int @ (mdiag * u_int))
     if u_int[np.argmax(np.abs(u_int))] < 0:
@@ -71,11 +80,6 @@ def _finish(grid, K, Vdiag, M, u_int, lam, iterations):
     residual = float(np.linalg.norm(res_vec) / np.linalg.norm(u_int))
     positive = bool(np.all(u_int > 0.0))
     return u_int, residual, positive
-
-
-def _cg(A, b, x0, rtol, maxiter):
-    x, info = spla.cg(A, b, x0=x0, rtol=rtol, atol=0.0, maxiter=maxiter)
-    return x, info
 
 
 def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -99,8 +103,8 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     n = A.shape[0]
     if n == 1:
         lam = float(A[0, 0])
-        u_int, residual, positive = _finish(grid, K, Vdiag, M, np.ones(1), lam, 0)
-        return EigenResult(lam, _field_from_interior(grid, u_int), residual, 0, positive, False)
+        u_int, residual, positive = _finish(K, Vdiag, M, np.ones(1), lam)
+        return EigenResult(lam, _field_from_interior(grid, u_int), residual, 0, positive)
 
     scale = max(float(abs(A).sum(axis=1).max()), 1e-300)
     # K is PSD, so eig(A) >= -max(V/M); start safely below the spectrum.
@@ -126,12 +130,13 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
             sigma = cand
         Ash = A - sigma * ident
         rtol_inner = min(1e-2, max(0.05 * r / scale, 1e-13))
-        z, info = _cg(Ash, y, y, rtol_inner, inner_maxiter)
+        z, info = spla.cg(Ash, y, x0=y, rtol=rtol_inner, atol=0.0, maxiter=inner_maxiter)
         if info != 0 or not np.all(np.isfinite(z)) or float(z @ (Ash @ z)) <= 0.0:
             # shift overshot (or CG stalled): retreat and solve again
             sigma = lam - max(4.0 * r, 1e-6 * scale)
             Ash = A - sigma * ident
-            z, info = _cg(Ash, y, y, min(rtol_inner, 1e-6), inner_maxiter)
+            z, info = spla.cg(Ash, y, x0=y, rtol=min(rtol_inner, 1e-6), atol=0.0,
+                              maxiter=inner_maxiter)
             if not np.all(np.isfinite(z)):
                 raise ConvergenceError("inner CG produced non-finite iterate",
                                        lam=lam, residual=r, iterations=iterations)
@@ -143,21 +148,20 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         lam = float(y @ (A @ y))
 
     u_int = s * y
-    u_int, residual, positive = _finish(grid, K, Vdiag, M, u_int, lam, iterations)
+    u_int, residual, positive = _finish(K, Vdiag, M, u_int, lam)
     if residual > tol:
         raise ConvergenceError(
             f"principal eigensolve residual {residual:.3e} above tol {tol:.3e} "
             f"after {iterations} iterations",
             lam=lam, residual=residual, iterations=iterations,
         )
-    degenerate = _second_gap_small(A, y, lam, sigma, scale, inner_maxiter)
     return EigenResult(
         lam=lam,
         eigenfield=_field_from_interior(grid, u_int),
         residual=residual,
         iterations=iterations,
         positive=positive,
-        degenerate=degenerate,
+        _probe=partial(_second_gap_small, A, y, lam, sigma, scale, inner_maxiter),
     )
 
 
@@ -179,7 +183,7 @@ def _second_gap_small(A, y, lam, sigma, scale, inner_maxiter):
     Ash = A - sigma * sp.identity(n, format="csr")
     lam2 = float(v @ (A @ v))
     for _ in range(8):
-        w, info = _cg(Ash, v, v, 1e-10, inner_maxiter)
+        w, info = spla.cg(Ash, v, x0=v, rtol=1e-10, atol=0.0, maxiter=inner_maxiter)
         if not np.all(np.isfinite(w)):
             return False
         w -= (w @ y) * y
@@ -195,54 +199,40 @@ def _second_gap_small(A, y, lam, sigma, scale, inner_maxiter):
     return bool(lam2 - lam < DEGENERACY_GAP * max(1.0, abs(lam)))
 
 
-def weighted_principal(K, gdiag, tol=DEFAULT_TOL, max_iter=20000):
+def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
     """Principal eigenvalue of K u = lam g u with possibly sign-changing g.
 
     lam = inf { f^T K f : f^T G f = 1 } is realized through the pencil
-    G w = mu K w: lam = 1 / mu_max, computed by (shifted) power iteration
-    with exact K-inverse applications.  Errors out when g <= 0 everywhere.
+    G w = mu K w: lam = 1 / mu_max, found by ARPACK in generalized mode
+    with K-inverse applications from one sparse factorization.  Errors
+    out when g <= 0 everywhere.  `iterations` counts the K-solves.
     """
     grid = K.grid
     gvals = gdiag.mat.diagonal()
     if gvals.max() <= 0.0:
         raise ValueError("no positive principal eigenvalue: weight g <= 0 on the domain")
-    solve = spla.factorized(K.mat.tocsc())
+    n = K.shape[0]
+    solves = 0
+    if n == 1:  # ARPACK needs k < n
+        mu, w = gvals[0] / K.mat[0, 0], np.ones(1)
+    else:
+        factor = spla.factorized(K.mat.tocsc())
 
-    def step(w, shift):
-        z = solve(gvals * w)
-        if shift:
-            z = z + shift * w
-        nz = np.linalg.norm(z)
-        return z / nz
+        def solve(b):
+            nonlocal solves
+            solves += 1
+            return factor(b)
 
-    def mu_of(w):
-        return float((w @ (gvals * w)) / (w @ (K.mat @ w)))
-
-    def run(shift):
-        w = np.ones(K.shape[0]) / np.sqrt(K.shape[0])
-        mu = mu_of(w)
-        for it in range(1, max_iter + 1):
-            w = step(w, shift)
-            mu = mu_of(w)
-            res = np.linalg.norm(gvals * w - mu * (K.mat @ w)) / np.linalg.norm(w)
-            # residual of the pencil scaled into the lam-equation below
-            if mu > 0.0:
-                lam_res = np.linalg.norm(K.mat @ w - (1.0 / mu) * (gvals * w)) / np.linalg.norm(w)
-                if lam_res <= tol:
-                    return w, mu, lam_res, it
-            elif res <= tol * max(1.0, abs(mu)):
-                return w, mu, res, it
-        return w, mu, res, max_iter
-
-    w, mu, res, it = run(0.0)
-    if mu <= 0.0:
-        # power iteration locked onto the most negative pencil eigenvalue;
-        # shift by its magnitude so the positive end dominates
-        w, mu, res, it2 = run(1.05 * abs(mu))
-        it += it2
-    if mu <= 0.0:
-        raise ValueError("no positive principal eigenvalue found for this weight")
-    lam = 1.0 / mu
+        Kinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+        try:
+            mu, w = spla.eigsh(gdiag.mat, k=1, M=K.mat, Minv=Kinv, which="LA", v0=np.ones(n))
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"weighted eigensolve: ARPACK did not converge after {solves} K-solves",
+                iterations=solves,
+            ) from exc
+        mu, w = mu[0], w[:, 0]
+    lam = 1.0 / float(mu)
     mdiag = mass_matrix(grid).mat.diagonal()
     u = w / np.sqrt(w @ (mdiag * w))
     if u[np.argmax(np.abs(u))] < 0:
@@ -250,16 +240,16 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL, max_iter=20000):
     residual = float(np.linalg.norm(K.mat @ u - lam * (gvals * u)) / np.linalg.norm(u))
     if residual > tol:
         raise ConvergenceError(
-            f"weighted eigensolve residual {residual:.3e} above tol {tol:.3e}",
-            lam=lam, residual=residual, iterations=it,
+            f"weighted eigensolve residual {residual:.3e} above tol {tol:.3e} "
+            f"after {solves} K-solves",
+            lam=lam, residual=residual, iterations=solves,
         )
-    positive = bool(np.all(u > 0.0))
     return EigenResult(
         lam=lam,
         eigenfield=_field_from_interior(grid, u),
         residual=residual,
-        iterations=it,
-        positive=positive,
+        iterations=solves,
+        positive=bool(np.all(u > 0.0)),
     )
 
 
@@ -284,8 +274,7 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     for eps in eps_list:
         mat = (K.mat + eps * K_euc.mat).tocsr() if eps else K.mat
         Keps = SparseOperator(grid=grid, mat=((mat + mat.T) * 0.5).tocsr(), symmetric=True)
-        res = principal_eigenpair(Keps, Vdiag, M, tol=tol)
-        out.append((eps, res.lam))
+        out.append((eps, principal_eigenpair(Keps, Vdiag, M, tol=tol).lam))
     lams = [lam for _, lam in out]
     if any(a <= b for a, b in zip(lams, lams[1:])):
         raise ConvergenceError(

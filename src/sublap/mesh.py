@@ -68,11 +68,12 @@ class GridDomain:
         return self.points[node_id]
 
     def nearest_node(self, x):
-        """Id of the grid node nearest to x (clipped into the box)."""
+        """Id of the grid node nearest to x (clipped into the box); N ids for (N, n) points."""
         x = np.asarray(x, dtype=float)
         idx = np.rint((x - self.origin) / self.h).astype(np.int64)
         idx = np.clip(idx, 0, np.array(self.dims) - 1)
-        return self.node_id(tuple(idx))
+        ids = idx @ self.strides
+        return ids if ids.ndim else int(ids)
 
     def neighbor_ids(self, node_id):
         """2n axis neighbors (missing ones omitted)."""
@@ -284,16 +285,18 @@ def field_to_binary(field, path):
 
 
 def field_from_binary(grid, path):
-    raw = open(path, "rb").read()
+    """Read a field_to_binary file; its header must describe `grid` exactly."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     n = int(np.frombuffer(raw[:8], dtype=np.int64)[0])
-    if n != grid.n:
-        raise ValueError("dimension mismatch between file and grid")
-    off = 8
-    dims = tuple(np.frombuffer(raw[off : off + 8 * n], dtype=np.int64))
-    off += 8 * n
-    if dims != grid.dims:
-        raise ValueError("dims mismatch between file and grid")
-    off += 8 * n  # skip origin
-    off += 8      # skip h
-    values = np.frombuffer(raw[off:], dtype=np.float64)
+    dims = tuple(np.frombuffer(raw[8 : 8 + 8 * n], dtype=np.int64))
+    floats = np.frombuffer(raw[8 + 8 * n :], dtype=np.float64)
+    for what, same in (("dimension", n == grid.n), ("dims", dims == grid.dims),
+                       ("origin", np.array_equal(floats[:n], grid.origin)),
+                       ("spacing h", np.array_equal(floats[n : n + 1], [grid.h]))):
+        if not same:
+            raise ValueError(f"{what} mismatch between file and grid")
+    values = floats[n + 1 :]
+    if values.size != grid.num_nodes:
+        raise ValueError(f"file holds {values.size} values, grid has {grid.num_nodes} nodes")
     return GridField(grid, values)

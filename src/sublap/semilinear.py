@@ -449,17 +449,20 @@ def poisson_solve(K, f, C, sign, eps, tol=TOL_LIN):
     sign=+1 the upper barrier (eps <= U < 1).  Bound violations mean C is
     too large for this box and f; they are reported, not raised.
     """
+    return _barrier(ShiftedSolver(K, 0.0, eps, tol), f, C, sign, eps)
+
+
+def _barrier(solver, f, C, sign, eps):
+    """poisson_solve on a prebuilt c=0 solver whose boundary value is eps."""
     if C <= 0:
         raise ValueError("C must be positive")
     if not (1.0 / 3.0 < eps < 0.5):
         raise ValueError("eps must lie in (1/3, 1/2)")
-    g = K.grid
+    g = solver.grid
     fv = f.values[g.interior_ids]
     if fv.min() < 0:
         raise ValueError("f must be nonnegative")
-    rhs_vals = np.zeros(g.num_nodes)
-    rhs_vals[g.interior_ids] = float(sign) * C * fv
-    U = linear_solve(K, 0.0, GridField(g, rhs_vals), boundary_value=eps, tol=tol)
+    U = solver.solve(float(sign) * C * fv)
     ui = U.values[g.interior_ids]
     bound_tol = 1e-10 * max(1.0, abs(eps))
     if sign < 0:
@@ -495,8 +498,6 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
-    if not (1.0 / 3.0 < eps < 0.5):
-        raise ValueError("eps must lie in (1/3, 1/2)")
     g = K.grid
     fv = np.abs(f.values)
     tol_dom = 1e-12 * max(1.0, float(fv.max())) * max(theta, 1.0)
@@ -509,8 +510,9 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
         C = 1e-300  # degenerate barrier pair: both solve the homogeneous problem
     else:
         C = 2.0 * theta
-    lowres = poisson_solve(K, f, C, -1, eps)
-    upres = poisson_solve(K, f, C, +1, eps)
+    barriers = ShiftedSolver(K, 0.0, eps)
+    lowres = _barrier(barriers, f, C, -1, eps)
+    upres = _barrier(barriers, f, C, +1, eps)
     notes = []
     if not (lowres.bounds_ok and upres.bounds_ok):
         msg = lowres.note or upres.note
@@ -632,7 +634,7 @@ def exhaustion_construct(family, g_fn, lam, box_list, h, tol=1e-10):
         if u is None:
             prev = None
             continue
-        vals = np.array([u.values[u.grid.nearest_node(x)] for x in base_pts])
+        vals = u.values[u.grid.nearest_node(base_pts)]
         if prev is not None:
             diffs.append(float(np.abs(vals - prev).max()))
         prev = vals

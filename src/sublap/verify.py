@@ -353,9 +353,7 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
         sel &= u_small.grid.mask == 2
         ids_small = np.flatnonzero(sel)
         vals_small = u_small.values[ids_small]
-        vals_big = np.array([
-            res_b.solution.values[big.nearest_node(x)] for x in small_pts[ids_small]
-        ])
+        vals_big = res_b.solution.values[big.nearest_node(small_pts[ids_small])]
         change = float(np.abs(vals_big - vals_small).max() / max(np.abs(vals_small).max(), 1e-300))
         notes.append(f"truncation change on inner half-box: {change!r}")
     return VerificationReport(theorem="Thm 1.4 (Yamabe-type family)", cases=cases, notes=notes)

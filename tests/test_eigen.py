@@ -1,7 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg as spla
 
+import sublap.eigen as eigen_mod
+from sublap.cli import main
 from sublap.eigen import (
     ConvergenceError,
     domain_monotonicity,
@@ -17,6 +22,7 @@ from sublap.operators import (
     mass_matrix,
     rayleigh_quotient,
 )
+from sublap.verify import verify_thm_1_2
 
 
 def dense_smallest(K, Vdiag, M):
@@ -126,14 +132,56 @@ def test_weighted_scaling_identity():
     assert diff < 1e-8
 
 
-def test_weighted_sign_changing_matches_dense_oracle():
-    g = build_grid([(0, 1), (0, 1)], 1.0 / 16)
-    K = assemble_stiffness(euclidean(2), g)
-    gfield = GridField.from_function(g, lambda pts: 1.0 - 2.0 * (pts[:, 0] > 0.5))
-    G = assemble_diagonal(gfield)
+def check_weighted_against_dense(family, box, h, weight):
+    g = build_grid(box, h)
+    K = assemble_stiffness(family, g)
+    G = assemble_diagonal(GridField.from_function(g, weight))
     w = weighted_principal(K, G, tol=1e-9)
     lam_dense = dense_weighted_principal(K, G)
     assert abs(w.lam - lam_dense) < 1e-8
+    assert w.positive
+    assert not w.degenerate
+
+
+def test_weighted_sign_changing_matches_dense_oracle():
+    check_weighted_against_dense(euclidean(2), [(0, 1)] * 2, 1.0 / 16,
+                                 lambda pts: 1.0 - 2.0 * (pts[:, 0] > 0.5))
+
+
+@pytest.mark.parametrize("family,box,h,weight", [
+    # mostly negative: the slowest case for power iteration on the pencil
+    (euclidean(2), [(0, 1)] * 2, 1.0 / 16, lambda pts: np.where(pts[:, 0] > 0.8, 1.0, -5.0)),
+    (heisenberg(), [(-0.5, 0.5)] * 3, 1.0 / 8, lambda pts: 1.0 - 2.0 * (pts[:, 0] > 0.2)),
+    (euclidean(2), [(0, 1)] * 2, 0.5, lambda pts: np.full(pts.shape[0], 3.0)),  # one node
+], ids=["mostly-negative", "heisenberg-sign-changing", "one-interior-node"])
+def test_weighted_hard_cases_match_dense_oracle(family, box, h, weight):
+    check_weighted_against_dense(family, box, h, weight)
+
+
+def test_weighted_counts_k_solves_and_reports_arpack_failure(monkeypatch):
+    g, K, M = unit_square_setup(1.0 / 8)
+    G = assemble_diagonal(GridField.constant(g, 1.0))
+    solves = []
+    factorized = spla.factorized
+
+    def counted_factorized(A):
+        solve = factorized(A)
+
+        def counted(b):
+            solves.append(1)
+            return solve(b)
+        return counted
+
+    monkeypatch.setattr(spla, "factorized", counted_factorized)
+    assert weighted_principal(K, G).iterations == len(solves) > 0
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("stopped", np.zeros(0), np.zeros((K.shape[0], 0)))
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(ConvergenceError, match="ARPACK did not converge") as err:
+        weighted_principal(K, G)
+    assert err.value.iterations == 0
 
 
 def test_weighted_nonpositive_weight_rejected():
@@ -231,3 +279,28 @@ def test_degeneracy_flag_on_disconnected_domain():
     K1 = assemble_stiffness(euclidean(2), g)
     res1 = principal_eigenpair(K1, None, mass_matrix(g), tol=1e-9)
     assert not res1.degenerate
+
+
+def test_degeneracy_probed_only_when_read(monkeypatch, tmp_path):
+    calls = []
+    probe = eigen_mod._second_gap_small
+
+    def counted(*args):
+        calls.append(1)
+        return probe(*args)
+
+    monkeypatch.setattr(eigen_mod, "_second_gap_small", counted)
+    g = build_grid([(0, 1), (0, 1)], 1.0 / 8)
+    epsilon_path(euclidean(2), g, None, [0.5, 0.0])
+    domain_monotonicity(euclidean(2), None, [g, g])
+    rep = verify_thm_1_2(euclidean(2), g, "exp(x + y)", n_subdomains=3, seed=1)
+    assert rep.passed_count == rep.total
+    assert calls == []
+
+    cfg = tmp_path / "eigen.json"
+    cfg.write_text(json.dumps({"family": "euclidean(2)",
+                               "grid": {"box": [[0, 1], [0, 1]], "h": 0.125}}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "eigen"]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["results"]["eigen"]["degenerate"] is False
+    assert len(calls) == 1

@@ -84,6 +84,19 @@ def test_mask_all_true_reproduces_build_grid():
     assert np.array_equal(sub.mask, g.mask)
 
 
+def test_nearest_node_scalar_and_batch_agree():
+    g = build_grid([(-1, 2), (0, 1), (0, 0.5)], 0.25)
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1.5, 2.5, size=(200, 3))  # some fall outside and are clipped
+    ids = g.nearest_node(pts)
+    assert ids.shape == (200,)
+    assert ids.tolist() == [g.nearest_node(x) for x in pts]
+    assert isinstance(g.nearest_node(pts[0]), int)
+    inside = np.all((pts >= [-1, 0, 0]) & (pts <= [2, 1, 0.5]), axis=1)
+    brute = [int(np.argmin(((g.points - x) ** 2).sum(axis=1))) for x in pts[inside]]
+    assert ids[inside].tolist() == brute
+
+
 def test_mask_single_node_empty_interior():
     g = build_grid([(0, 1), (0, 1)], 0.25)
     center = g.points[g.nearest_node([0.5, 0.5])]
@@ -164,3 +177,16 @@ def test_field_binary_round_trip(tmp_path):
     field_to_binary(f, path)
     back = field_from_binary(g, path)
     assert np.array_equal(back.values, f.values)
+
+
+def test_field_binary_rejects_mismatched_header(tmp_path):
+    g = build_grid([(0, 1)] * 2, 0.25)
+    path = tmp_path / "field.bin"
+    field_to_binary(GridField.constant(g, 1.0), path)
+    with pytest.raises(ValueError, match="origin"):
+        field_from_binary(build_grid([(5, 9)] * 2, 1.0), path)
+    with pytest.raises(ValueError, match="spacing"):
+        field_from_binary(build_grid([(0, 2)] * 2, 0.5), path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(ValueError, match="24 values"):
+        field_from_binary(g, path)

@@ -145,6 +145,15 @@ def test_monotone_factors_once_below_threshold(monkeypatch):
     assert len(calls) == 1
 
 
+def test_yamabe_barriers_share_one_factorization(monkeypatch):
+    g, K, f, kf, Kf = yamabe_setup()
+    assert K.mat.nnz <= DIRECT_MAX_NNZ
+    calls = _count_splu(monkeypatch)
+    res = yamabe_solve(K, kf, Kf, 3.0, f, 0.05, 0.4, tol=1e-8)
+    assert res.status == "ok"
+    assert len(calls) == 2  # both barriers, then the monotone iterate
+
+
 def test_no_factorization_above_threshold(monkeypatch):
     g = build_grid([(-5, 5)] * 3, 0.5)
     K = assemble_stiffness(heisenberg(), g)
