@@ -94,12 +94,7 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     mdiag = M.mat.diagonal()
     if np.any(mdiag <= 0):
         raise ValueError("M must have a positive diagonal")
-    s = 1.0 / np.sqrt(mdiag)
-    S = sp.diags(s)
-    A = (S @ K.mat @ S).tocsr()
-    if Vdiag is not None:
-        A = A - sp.diags(Vdiag.mat.diagonal() / mdiag)
-    A = ((A + A.T) * 0.5).tocsr()
+    A = _symmetrized(K, Vdiag, mdiag)
     n = A.shape[0]
     if n == 1:
         lam = float(A[0, 0])
@@ -147,7 +142,7 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         y = z / nz
         lam = float(y @ (A @ y))
 
-    u_int = s * y
+    u_int = (1.0 / np.sqrt(mdiag)) * y
     u_int, residual, positive = _finish(K, Vdiag, M, u_int, lam)
     if residual > tol:
         raise ConvergenceError(
@@ -161,17 +156,29 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         residual=residual,
         iterations=iterations,
         positive=positive,
-        _probe=partial(_second_gap_small, A, y, lam, sigma, scale, inner_maxiter),
+        _probe=partial(_second_gap_small, K, Vdiag, mdiag, y, lam, sigma, inner_maxiter),
     )
 
 
-def _second_gap_small(A, y, lam, sigma, scale, inner_maxiter):
+def _symmetrized(K, Vdiag, mdiag):
+    """A = M^{-1/2} (K - V) M^{-1/2}, symmetrized, for diagonal M = diag(mdiag)."""
+    S = sp.diags(1.0 / np.sqrt(mdiag))
+    A = (S @ K.mat @ S).tocsr()
+    if Vdiag is not None:
+        A = A - sp.diags(Vdiag.mat.diagonal() / mdiag)
+    return ((A + A.T) * 0.5).tocsr()
+
+
+def _second_gap_small(K, Vdiag, mdiag, y, lam, sigma, inner_maxiter):
     """Estimate the second Ritz value by deflated inverse iteration.
 
-    A seeded random start has generic overlap with the orthogonal
-    complement of the ground state (structured starts can be numerically
-    orthogonal to the degenerate partner and miss it entirely).
+    A is rebuilt from the caller's K and V, so a stored probe holds no
+    matrix of its own.  A seeded random start has generic overlap with
+    the orthogonal complement of the ground state (structured starts can
+    be numerically orthogonal to the degenerate partner and miss it
+    entirely).
     """
+    A = _symmetrized(K, Vdiag, mdiag)
     n = A.shape[0]
     rng = np.random.default_rng(0x5EC)
     v = rng.standard_normal(n)

@@ -449,31 +449,36 @@ def poisson_solve(K, f, C, sign, eps, tol=TOL_LIN):
     sign=+1 the upper barrier (eps <= U < 1).  Bound violations mean C is
     too large for this box and f; they are reported, not raised.
     """
-    return _barrier(ShiftedSolver(K, 0.0, eps, tol), f, C, sign, eps)
+    return _barriers(K, f, C, eps, (sign,), tol)[0]
 
 
-def _barrier(solver, f, C, sign, eps):
-    """poisson_solve on a prebuilt c=0 solver whose boundary value is eps."""
+def _barriers(K, f, C, eps, signs, tol=TOL_LIN):
+    """poisson_solve for each sign in `signs`, all from one c=0 solver."""
     if C <= 0:
         raise ValueError("C must be positive")
     if not (1.0 / 3.0 < eps < 0.5):
         raise ValueError("eps must lie in (1/3, 1/2)")
-    g = solver.grid
+    g = K.grid
     fv = f.values[g.interior_ids]
     if fv.min() < 0:
         raise ValueError("f must be nonnegative")
-    U = solver.solve(float(sign) * C * fv)
-    ui = U.values[g.interior_ids]
+    solver = ShiftedSolver(K, 0.0, eps, tol)
     bound_tol = 1e-10 * max(1.0, abs(eps))
-    if sign < 0:
-        viol = max(float((ui - eps).max()), float((-ui).max()))
-        ok = bool(np.all(ui > 0.0) and np.all(ui <= eps + bound_tol))
-        note = "" if ok else "barrier bound 0 < U <= eps violated: C too large for this box/f"
-    else:
-        viol = max(float((eps - ui).max()), float((ui - 1.0).max()))
-        ok = bool(np.all(ui >= eps - bound_tol) and np.all(ui < 1.0))
-        note = "" if ok else "barrier bound eps <= U < 1 violated: C too large for this box/f"
-    return PoissonResult(field=U, bounds_ok=ok, worst_violation=viol, sign=int(sign), eps=eps, note=note)
+    out = []
+    for sign in signs:
+        U = solver.solve(float(sign) * C * fv)
+        ui = U.values[g.interior_ids]
+        if sign < 0:
+            viol = max(float((ui - eps).max()), float((-ui).max()))
+            ok = bool(np.all(ui > 0.0) and np.all(ui <= eps + bound_tol))
+            note = "" if ok else "barrier bound 0 < U <= eps violated: C too large for this box/f"
+        else:
+            viol = max(float((eps - ui).max()), float((ui - 1.0).max()))
+            ok = bool(np.all(ui >= eps - bound_tol) and np.all(ui < 1.0))
+            note = "" if ok else "barrier bound eps <= U < 1 violated: C too large for this box/f"
+        out.append(PoissonResult(field=U, bounds_ok=ok, worst_violation=viol, sign=int(sign),
+                                 eps=eps, note=note))
+    return out
 
 
 def yamabe_reaction(kfield, Kfield, p):
@@ -510,9 +515,7 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
         C = 1e-300  # degenerate barrier pair: both solve the homogeneous problem
     else:
         C = 2.0 * theta
-    barriers = ShiftedSolver(K, 0.0, eps)
-    lowres = _barrier(barriers, f, C, -1, eps)
-    upres = _barrier(barriers, f, C, +1, eps)
+    lowres, upres = _barriers(K, f, C, eps, (-1, +1))
     notes = []
     if not (lowres.bounds_ok and upres.bounds_ok):
         msg = lowres.note or upres.note

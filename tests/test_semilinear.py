@@ -152,6 +152,12 @@ def test_yamabe_barriers_share_one_factorization(monkeypatch):
     res = yamabe_solve(K, kf, Kf, 3.0, f, 0.05, 0.4, tol=1e-8)
     assert res.status == "ok"
     assert len(calls) == 2  # both barriers, then the monotone iterate
+    # invalid barrier data is refused before anything is factored
+    with pytest.raises(ValueError, match="eps must lie"):
+        yamabe_solve(K, kf, Kf, 3.0, f, 0.05, 0.6)
+    with pytest.raises(ValueError, match="C must be positive"):
+        poisson_solve(K, f, 0.0, -1, 0.4)
+    assert len(calls) == 2
 
 
 def test_no_factorization_above_threshold(monkeypatch):
