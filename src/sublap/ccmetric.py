@@ -10,6 +10,10 @@ no grid walk can advance along a bracket direction at sub-unit radius
 (the per-step drift h*r/2 always snaps away).  Stage two re-parameterizes
 the seed path as piecewise-constant controls and shrinks its duration by
 projected-gradient feasibility restoration; durations never increase.
+Every flow, seed commutator legs included, goes through one batched RK2
+integrator: each Gauss-Newton step integrates its Jacobian probes in one
+batch and scores all its line-search candidates (two directions, twelve
+halvings) in another.
 
 Every edge corresponds to a genuinely horizontal motion plus an explicit
 time surcharge, so the graph value is an upper bound on d up to the
@@ -126,25 +130,31 @@ class _GraphContext:
         s = np.linalg.norm(targets_float - snapped, axis=1)
         return ids, s, valid
 
+    def _snapped_edges(self, p, targets, base):
+        """Valid edges from p to snapped `targets`: (rows kept, ids, durations).
+
+        A snapped edge pays its snap distance over sigma_min(A) at the target
+        on top of its `base` duration; self-loops and targets whose
+        sigma_min is below the floor are dropped.
+        """
+        ids, s, valid = self._snap(targets)
+        valid &= ids != p
+        sig = self.sigma[ids]
+        valid &= (s <= SNAP_ZERO) | (sig > self.sigma_floor)
+        w = base + np.where(s <= SNAP_ZERO, 0.0, s / np.maximum(sig, self.sigma_floor))
+        sel = np.flatnonzero(valid)
+        return sel, ids[sel], w[sel]
+
     def edges_from(self, p):
         """(target ids, durations, kind, info, scale) for all edges out of node p."""
-        out_ids, out_w, out_kind, out_info, out_scale = [], [], [], [], []
+        parts = []
         x = self.coords[p]
         vel = self.F @ self.A_all[p]                  # (D, n)
         for mult in self.step_scales:
             dt = mult * self.h
-            tf = x + dt * vel
-            ids, s, valid = self._snap(tf)
-            valid &= ids != p
-            sig = self.sigma[ids]
-            valid &= (s <= SNAP_ZERO) | (sig > self.sigma_floor)
-            w = dt + np.where(s <= SNAP_ZERO, 0.0, s / np.maximum(sig, self.sigma_floor))
-            sel = np.flatnonzero(valid)
-            out_ids.append(ids[sel])
-            out_w.append(w[sel])
-            out_kind.append(np.zeros(sel.size, dtype=np.int8))
-            out_info.append(sel.astype(np.int32))
-            out_scale.append(np.full(sel.size, dt))
+            sel, ids, w = self._snapped_edges(p, x + dt * vel, dt)
+            parts.append((ids, w, np.zeros(sel.size, dtype=np.int8), sel.astype(np.int32),
+                          np.full(sel.size, dt)))
         for pi, bvals in enumerate(self.bracket_vals):
             b = bvals[p]
             nb = np.linalg.norm(b)
@@ -152,25 +162,11 @@ class _GraphContext:
                 continue  # loop cannot reach the next node level here
             disp = np.outer(self.comm_s**2, b)
             for sgn in (1, -1):
-                tf = x + sgn * disp
-                ids, s, valid = self._snap(tf)
-                valid &= ids != p
-                sig = self.sigma[ids]
-                valid &= (s <= SNAP_ZERO) | (sig > self.sigma_floor)
-                w = 4.0 * self.comm_s + np.where(s <= SNAP_ZERO, 0.0, s / np.maximum(sig, self.sigma_floor))
-                sel = np.flatnonzero(valid)
-                out_ids.append(ids[sel])
-                out_w.append(w[sel])
-                out_kind.append(np.ones(sel.size, dtype=np.int8))
-                out_info.append(np.full(sel.size, pi * 2 + (sgn < 0), dtype=np.int32))
-                out_scale.append(self.comm_s[sel])
-        return (
-            np.concatenate(out_ids),
-            np.concatenate(out_w),
-            np.concatenate(out_kind),
-            np.concatenate(out_info),
-            np.concatenate(out_scale),
-        )
+                sel, ids, w = self._snapped_edges(p, x + sgn * disp, 4.0 * self.comm_s)
+                parts.append((ids, w, np.ones(sel.size, dtype=np.int8),
+                              np.full(sel.size, pi * 2 + (sgn < 0), dtype=np.int32),
+                              self.comm_s[sel]))
+        return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _dijkstra(ctx, source, targets=None, rmax=None):
@@ -214,21 +210,6 @@ def _dijkstra(ctx, source, targets=None, rmax=None):
     return dist, settled, (parent, p_kind, p_info, p_scale, p_dur)
 
 
-def _integrate_leg(family, x0, control, duration, substeps=8):
-    """RK2 flow along a fixed control; returns the endpoint and sub-waypoints."""
-    x = np.asarray(x0, dtype=float).copy()
-    pts = [x.copy()]
-    dt = duration / substeps
-    f = np.asarray(control)
-    for _ in range(substeps):
-        v1 = f @ family.eval_coefficients(x)
-        mid = x + 0.5 * dt * v1
-        v2 = f @ family.eval_coefficients(mid)
-        x = x + dt * v2
-        pts.append(x.copy())
-    return x, pts
-
-
 def _reconstruct(ctx, source, target, parents):
     parent, p_kind, p_info, p_scale, p_dur = parents
     chain = []
@@ -258,15 +239,14 @@ def _reconstruct(ctx, source, target, parents):
             order = [(i, 1.0), (j, 1.0), (i, -1.0), (j, -1.0)]
             if neg:
                 order = [(j, 1.0), (i, 1.0), (j, -1.0), (i, -1.0)]
-            x = ctx.coords[prev].copy()
-            extra = float(p_dur[cur]) - 4.0 * s  # snap surcharge on the last leg
+            legs = np.zeros((1, 4, m))
             for li, (fld, sgn) in enumerate(order):
-                f = np.zeros(m)
-                f[fld] = sgn
-                x, _ = _integrate_leg(ctx.family, x, f, s)
-                controls.append(f)
-                durations.append(s + (extra if li == 3 else 0.0))
-                waypoints.append(x.copy())
+                legs[0, li, fld] = sgn
+            ends = _integrate_controls_batch(ctx.family, ctx.coords[prev], legs, 4.0 * s, substeps=8)
+            extra = float(p_dur[cur]) - 4.0 * s  # snap surcharge on the last leg
+            controls.extend(legs[0])
+            durations.extend([s, s, s, s + extra])
+            waypoints.extend(ends[0, 1:])
             waypoints[-1] = ctx.coords[cur].copy()  # close the snap gap at the node
     waypoints = np.array(waypoints)
     controls = np.array(controls) if controls else np.zeros((0, m))
@@ -283,18 +263,16 @@ def _reconstruct(ctx, source, target, parents):
 
 def _path_defect(family, waypoints, controls, durations):
     """Max violation of gamma' = sum f_j X_j across segments (midpoint rule)."""
-    if len(controls) == 0:
+    seg = np.flatnonzero(durations > 0)
+    if seg.size == 0:
         return 0.0
-    worst = 0.0
-    for k in range(len(controls)):
-        w0, w1 = waypoints[k], waypoints[k + 1]
-        tau = durations[k]
-        if tau <= 0:
-            continue
-        mid = 0.5 * (w0 + w1)
-        v = controls[k] @ family.eval_coefficients(mid)
-        worst = max(worst, float(np.linalg.norm((w1 - w0) / tau - v)))
-    return worst
+    w0, w1 = waypoints[seg], waypoints[seg + 1]
+    A = family.eval_coefficients_batch(0.5 * (w0 + w1))
+    # a stacked `@` and row-wise vector norms round like the per-segment
+    # forms (einsum and norm(axis=1) can differ in the last bits)
+    v = (controls[seg][:, None, :] @ A)[:, 0]
+    gap = (w1 - w0) / durations[seg][:, None] - v
+    return max(float(np.linalg.norm(row)) for row in gap)
 
 
 def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS,
@@ -339,9 +317,14 @@ def _resample_controls(seed, segments):
 
 
 def _integrate_controls_batch(family, x0, controls, T, substeps=6):
-    """Endpoints of the flows for a batch of control grids; controls (B, S, m)."""
+    """RK2 flows from x0 for a batch of control grids; controls (B, S, m).
+
+    Each of the S segments lasts T/S; returns the states at the segment
+    ends, shape (B, S+1, n), with x0 in column 0.
+    """
     B, S, m = controls.shape
     state = np.tile(np.asarray(x0, dtype=float), (B, 1))
+    states = [state]
     dt = T / S
     hdt = dt / substeps
     const_A = family.eval_coefficients(x0) if family.is_constant() else None
@@ -349,15 +332,16 @@ def _integrate_controls_batch(family, x0, controls, T, substeps=6):
         f = controls[:, si, :]
         if const_A is not None:
             state = state + dt * (f @ const_A)
-            continue
-        for _ in range(substeps):
-            A1 = family.eval_coefficients_batch(state)
-            v1 = np.einsum("bm,bmn->bn", f, A1)
-            mid = state + 0.5 * hdt * v1
-            A2 = family.eval_coefficients_batch(mid)
-            v2 = np.einsum("bm,bmn->bn", f, A2)
-            state = state + hdt * v2
-    return state
+        else:
+            for _ in range(substeps):
+                A1 = family.eval_coefficients_batch(state)
+                v1 = np.einsum("bm,bmn->bn", f, A1)
+                mid = state + 0.5 * hdt * v1
+                A2 = family.eval_coefficients_batch(mid)
+                v2 = np.einsum("bm,bmn->bn", f, A2)
+                state = state + hdt * v2
+        states.append(state)
+    return np.stack(states, axis=1)
 
 
 def _project_ball(controls):
@@ -371,19 +355,23 @@ def _feasibility_descent(family, x0, target, controls, T, target_miss, max_gn=25
     Damped Gauss-Newton on the endpoint map with a finite-difference
     Jacobian (the endpoint system is n equations in S*m controls, so the
     least-norm update is a tiny dense solve), followed by projection of
-    each control back onto the unit ball.
+    each control back onto the unit ball.  Each step tries two directions
+    (plain and saturation-tangent) at 12 halvings, all integrated in one
+    batch: per direction the largest step that lowers the miss counts,
+    and the lower miss of the two is taken (the plain direction on ties).
     """
     S, m = controls.shape
     n = np.asarray(x0).size
     ctrl = _project_ball(controls.copy())
 
     def ends_of(batch):
-        return _integrate_controls_batch(family, x0, batch, T)
+        return _integrate_controls_batch(family, x0, batch, T)[:, -1]
 
     cur_end = ends_of(ctrl[None])[0]
     cur = float(np.linalg.norm(cur_end - target))
     fd = 1e-6
     B = S * m
+    steps = 0.5 ** np.arange(12)
     for _ in range(max_gn):
         if cur <= target_miss:
             return ctrl, cur, True
@@ -405,21 +393,20 @@ def _feasibility_descent(family, x0, target, controls, T, target_miss, max_gn=25
             P[sl_i, sl_i] -= np.outer(f_hat, f_hat)
         Jp = J @ P
         delta_t = P @ (Jp.T @ np.linalg.solve(Jp @ Jp.T + 1e-10 * np.eye(n), r))
-        best = None
-        for cand_delta in (delta, delta_t):
-            step = 1.0
-            for _ in range(12):
-                cand = _project_ball((ctrl.reshape(-1) - step * cand_delta).reshape(S, m))
-                cend = ends_of(cand[None])[0]
-                cm = float(np.linalg.norm(cend - target))
-                if cm < cur * (1.0 - 1e-12):
-                    if best is None or cm < best[1]:
-                        best = (cand, cm, cend)
-                    break
-                step *= 0.5
-        if best is None:
+        trial = ctrl.reshape(-1) - steps[None, :, None] * np.stack([delta, delta_t])[:, None, :]
+        cands = _project_ball(trial.reshape(-1, S, m))
+        cends = ends_of(cands)
+        # row by row: a vector norm can round differently from norm(axis=1)
+        cm = np.array([np.linalg.norm(e - target) for e in cends]).reshape(2, -1)
+        lower = cm < cur * (1.0 - 1e-12)
+        first = lower.argmax(axis=1)               # largest accepted step per direction
+        dirs = np.arange(2)
+        score = np.where(lower[dirs, first], cm[dirs, first], np.inf)
+        d = int(np.argmin(score))                   # ties go to the plain direction
+        if not np.isfinite(score[d]):
             break
-        ctrl, cur, cur_end = best
+        k = d * steps.size + first[d]
+        ctrl, cur, cur_end = cands[k], float(cm[d, first[d]]), cends[k]
     return ctrl, cur, cur <= target_miss
 
 
@@ -463,16 +450,9 @@ def cc_distance_refine(family, seed, segments=24, tol=1e-3, substeps=6):
         else:
             delta *= 0.5
     # final fine re-integration for waypoints and the defect report
-    S = segments
-    dt = best_T / S
-    way = [x0.copy()]
-    x = x0.copy()
-    for si in range(S):
-        x, _ = _integrate_leg(family, x, best_ctrl[si], dt, substeps=substeps)
-        way.append(x.copy())
-    way = np.array(way)
+    way = _integrate_controls_batch(family, x0, best_ctrl[None], best_T, substeps=substeps)[0]
     miss = float(np.linalg.norm(way[-1] - target))
-    durations = np.full(S, dt)
+    durations = np.full(segments, best_T / segments)
     defect = max(_path_defect(family, way, best_ctrl, durations), miss / max(best_T, 1e-300))
     return PathResult(
         T=float(min(best_T, seed.T)),

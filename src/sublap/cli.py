@@ -286,13 +286,10 @@ def _run_solve_yamabe(cfg):
     family = resolve_family(cfg.params["family"])
     grid = _build_grid_from(cfg.params)
     K = assemble_stiffness(family, grid)
-    n = grid.n
-    f = GridField.from_function(grid, compile_expression(cfg.params["f"], n))
+    f = GridField.from_function(grid, compile_expression(cfg.params["f"], grid.n))
     theta = float(cfg.params["theta"])
-    s1 = compile_expression(cfg.params.get("k_pattern", "cos(x0 + x1)"), n)
-    s2 = compile_expression(cfg.params.get("K_pattern", "sin(x0 - x1 + 0.3)"), n)
-    kf = GridField(grid, theta * f.values * s1(grid.points))
-    Kf = GridField(grid, theta * f.values * s2(grid.points))
+    patterns = {key: cfg.params[key] for key in ("k_pattern", "K_pattern") if key in cfg.params}
+    kf, Kf = sm.yamabe_coefficients(f, theta, **patterns)
     res = sm.yamabe_solve(K, kf, Kf, float(cfg.params["p"]), f, theta,
                           float(cfg.params["eps"]), tol=float(cfg.params["tol"]))
     code = 0 if res.status == "ok" else 1

@@ -128,26 +128,27 @@ def build_grid(box, h):
     return GridDomain(origin=origin, h=h, dims=dims, mask=mask)
 
 
-def _predicate_values(grid, predicate):
-    pts = grid.points
-    try:
-        vals = np.asarray(predicate(pts))
-        if vals.shape == (grid.num_nodes,):
-            return vals.astype(bool)
-    except Exception:
-        pass
-    return np.array([bool(predicate(p)) for p in pts])
+def _node_values(grid, fn, dtype):
+    """`fn` called once on the (N, n) node coordinates; it must return shape (N,)."""
+    vals = np.asarray(fn(grid.points), dtype=dtype)
+    if vals.shape != (grid.num_nodes,):
+        raise ValueError(
+            f"function of the (N, n) node coordinates returned shape {vals.shape}, "
+            f"expected (N,) = ({grid.num_nodes},)"
+        )
+    return vals
 
 
 def mask_domain(grid, predicate):
     """Mask a grid to the nodes where `predicate` holds.
 
+    `predicate` maps the (N, n) node coordinates to N truth values.
     Interior nodes are predicate-true nodes all of whose 2n axis neighbors
     exist and are predicate-true; the remaining predicate-true nodes are
     the Dirichlet boundary.  An all-true predicate reproduces build_grid's
     mask (the outermost layer lacks off-grid neighbors).
     """
-    P = _predicate_values(grid, predicate)
+    P = _node_values(grid, predicate, bool)
     dims = grid.dims
     n = grid.n
     Pn = P.reshape(dims)
@@ -187,14 +188,8 @@ class GridField:
 
     @staticmethod
     def from_function(grid, fn):
-        pts = grid.points
-        try:
-            vals = np.asarray(fn(pts), dtype=float)
-            if vals.shape != (grid.num_nodes,):
-                raise ValueError
-        except Exception:
-            vals = np.array([float(fn(p)) for p in pts])
-        return GridField(grid, vals)
+        """Field of fn(points) -> (N,) evaluated on all node coordinates at once."""
+        return GridField(grid, _node_values(grid, fn, float))
 
     @staticmethod
     def constant(grid, value):

@@ -24,6 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .eigen import weighted_principal
+from .expressions import compile_expression
 from .mesh import GridField, build_grid
 from .operators import assemble_diagonal, assemble_stiffness
 
@@ -165,15 +166,6 @@ def linear_solve(K, shift_c, rhs, boundary_value=0.0, tol=TOL_LIN):
     return ShiftedSolver(K, shift_c, boundary_value, tol).solve(rhs.values[K.grid.interior_ids])
 
 
-def _residual(problem, u):
-    g = problem.grid
-    w = g.h ** g.n
-    res = problem.K.apply(u) - w * problem.reaction(g.points[g.interior_ids], u.values[g.interior_ids])
-    un = np.linalg.norm(u.values[g.interior_ids])
-    r = float(np.linalg.norm(res))
-    return float(r / un) if un > 0 else r
-
-
 def sub_super_slack(K, u):
     umax = float(np.abs(u.values).max())
     return SUB_SLACK_FACTOR * K.inf_norm() * max(umax, 1.0)
@@ -201,6 +193,8 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     violations (possible without a discrete maximum principle) are recorded
     in the result notes rather than silently ignored.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     g = problem.grid
     active = g.mask != 0  # non-exterior
     if np.any(lower.values[active] > upper.values[active] + 1e-14):
@@ -218,17 +212,17 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     c = float(problem.lipschitz)
     solver = ShiftedSolver(problem.K, c, problem.boundary_value)
     pts = g.points[g.interior_ids]
+    w = g.h ** g.n
     u = upper.copy()
+    ui = u.values[g.interior_ids]
+    Fu = problem.reaction(pts, ui)  # F(u): the next right-hand side and the residual's reaction
     scale = max(float(np.abs(upper.values).max()), 1.0)
     mono_slack = 1e3 * TOL_LIN * scale
     steps_monotone = True
     max_inc = 0.0
     bracket_ok = True
-    residual = _residual(problem, u)
-    it = 0
     for it in range(1, max_iter + 1):
-        ui = u.values[g.interior_ids]
-        u_next = solver.solve(c * ui + problem.reaction(pts, ui))
+        u_next = solver.solve(c * ui + Fu)
         inc = float((u_next.values - u.values)[active].max())
         max_inc = max(max_inc, inc)
         if inc > mono_slack:
@@ -244,7 +238,11 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
             )
         step = float(np.abs(u_next.values - u.values).max())
         u = u_next
-        residual = _residual(problem, u)
+        ui = u.values[g.interior_ids]
+        Fu = problem.reaction(pts, ui)
+        un = np.linalg.norm(ui)
+        r = float(np.linalg.norm(problem.K.apply(u) - w * Fu))
+        residual = float(r / un) if un > 0 else r
         if residual <= tol:
             break
         if step < 1e-16 * scale:
@@ -491,6 +489,13 @@ def yamabe_reaction(kfield, Kfield, p):
         return K_int * np.sign(u) * np.abs(u) ** p - k_int * u
 
     return F
+
+
+def yamabe_coefficients(f, theta, k_pattern="cos(x0 + x1)", K_pattern="sin(x0 - x1 + 0.3)"):
+    """(k, Kcap) = theta f times the smooth sign patterns, so |k|, |Kcap| <= theta f."""
+    g = f.grid
+    return tuple(GridField(g, theta * f.values * compile_expression(pattern, g.n)(g.points))
+                 for pattern in (k_pattern, K_pattern))
 
 
 def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):

@@ -289,8 +289,6 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
     """
     n = len(box)
     f_fn = as_field_function(f_expr, n)
-    s1 = as_field_function("cos(x0 + x1)", n)
-    s2 = as_field_function("sin(x0 - x1 + 0.3)", n)
     grid = build_grid(box, h)
     K = assemble_stiffness(family, grid)
     f = GridField.from_function(grid, f_fn)
@@ -307,8 +305,7 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
                 "eps": eps,
                 "p": p,
             }
-            kf = GridField(grid, theta * f.values * s1(grid.points))
-            Kf = GridField(grid, theta * f.values * s2(grid.points))
+            kf, Kf = sm.yamabe_coefficients(f, theta)
             res = sm.yamabe_solve(K, kf, Kf, p, f, theta, eps, tol=tol)
             if res.status == "bracket-construction-failed":
                 cases.append(CaseResult(
@@ -342,8 +339,7 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
         big = build_grid(stability_box, h)
         Kb = assemble_stiffness(family, big)
         fb = GridField.from_function(big, f_fn)
-        kb = GridField(big, theta * fb.values * s1(big.points))
-        Kb2 = GridField(big, theta * fb.values * s2(big.points))
+        kb, Kb2 = sm.yamabe_coefficients(fb, theta)
         res_b = sm.yamabe_solve(Kb, kb, Kb2, p, fb, theta, eps, tol=tol)
         half = [(0.5 * a, 0.5 * b) for a, b in box]
         lo = np.array([a for a, _ in half])

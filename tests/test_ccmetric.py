@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sublap.ccmetric as ccm
 from sublap.ccmetric import (
     CCUnreachableError,
     PathResult,
@@ -338,3 +339,104 @@ def test_path_csv_export():
     lines = text.strip().splitlines()
     assert lines[0] == "x0,x1,t_cum"
     assert len(lines) == len(path.waypoints) + 1
+
+
+def _sequential_descent(family, x0, target, controls, T, target_miss, max_gn=25):
+    """Reference: the one-trajectory-per-trial backtracking line search.
+
+    Same Gauss-Newton step as `_feasibility_descent`; each direction halves
+    its step until the miss drops, integrating one candidate at a time.
+    """
+    S, m = controls.shape
+    n = np.asarray(x0).size
+    ctrl = ccm._project_ball(controls.copy())
+
+    def ends_of(batch):
+        return ccm._integrate_controls_batch(family, x0, batch, T)[:, -1]
+
+    cur_end = ends_of(ctrl[None])[0]
+    cur = float(np.linalg.norm(cur_end - target))
+    fd = 1e-6
+    B = S * m
+    for _ in range(max_gn):
+        if cur <= target_miss:
+            return ctrl, cur, True
+        batch = np.repeat(ctrl.reshape(1, -1), 2 * B, axis=0)
+        batch[0::2, :] += fd * np.eye(B)
+        batch[1::2, :] -= fd * np.eye(B)
+        ends = ends_of(batch.reshape(2 * B, S, m))
+        J = ((ends[0::2] - ends[1::2]) / (2 * fd)).T
+        r = cur_end - target
+        delta = J.T @ np.linalg.solve(J @ J.T + 1e-12 * np.eye(n), r)
+        norms = np.linalg.norm(ctrl, axis=1)
+        P = np.eye(B)
+        for i in np.flatnonzero(norms > 1.0 - 1e-9):
+            f_hat = ctrl[i] / norms[i]
+            sl_i = slice(i * m, (i + 1) * m)
+            P[sl_i, sl_i] -= np.outer(f_hat, f_hat)
+        Jp = J @ P
+        delta_t = P @ (Jp.T @ np.linalg.solve(Jp @ Jp.T + 1e-10 * np.eye(n), r))
+        best = None
+        for cand_delta in (delta, delta_t):
+            step = 1.0
+            for _ in range(12):
+                cand = ccm._project_ball((ctrl.reshape(-1) - step * cand_delta).reshape(S, m))
+                cend = ends_of(cand[None])[0]
+                cm = float(np.linalg.norm(cend - target))
+                if cm < cur * (1.0 - 1e-12):
+                    if best is None or cm < best[1]:
+                        best = (cand, cm, cend)
+                    break
+                step *= 0.5
+        if best is None:
+            break
+        ctrl, cur, cur_end = best
+    return ctrl, cur, cur <= target_miss
+
+
+def _small_planar_seed():
+    g = build_grid([(-0.3, 1.3), (-0.3, 1.3), (-0.3, 0.3)], 0.1)
+    _, seed = cc_distance_graph(heisenberg(), g, (0, 0, 0), (1, 1, 0), directions=32)
+    return seed
+
+
+def test_batched_line_search_matches_sequential_backtracking(monkeypatch):
+    seed = _small_planar_seed()
+    batched = cc_distance_refine(heisenberg(), seed, segments=8, tol=1e-3)
+    monkeypatch.setattr(ccm, "_feasibility_descent", _sequential_descent)
+    sequential = cc_distance_refine(heisenberg(), seed, segments=8, tol=1e-3)
+    assert not batched.stalled
+    assert batched.T < seed.T
+    assert batched.T == sequential.T
+    assert batched.defect == sequential.defect
+    assert np.array_equal(batched.controls, sequential.controls)
+    assert np.array_equal(batched.waypoints, sequential.waypoints)
+
+
+def test_one_batched_flow_per_line_search(monkeypatch):
+    # each Gauss-Newton step integrates its Jacobian probes in one batch and
+    # its line-search candidates in another, after one flow for the start
+    S, m = 8, 2
+    calls = []
+    descents = []
+    integrate = ccm._integrate_controls_batch
+    descend = ccm._feasibility_descent
+
+    def counted_integrate(family, x0, controls, T, substeps=6):
+        calls.append(controls.shape[0])
+        return integrate(family, x0, controls, T, substeps)
+
+    def counted_descent(*args, **kwargs):
+        calls.clear()
+        out = descend(*args, **kwargs)
+        descents.append(list(calls))
+        return out
+
+    monkeypatch.setattr(ccm, "_integrate_controls_batch", counted_integrate)
+    monkeypatch.setattr(ccm, "_feasibility_descent", counted_descent)
+    cc_distance_refine(heisenberg(), _small_planar_seed(), segments=S, tol=1e-3)
+    assert descents
+    gn_steps = [sizes.count(2 * S * m) for sizes in descents]
+    assert max(gn_steps) >= 1
+    for sizes, gn in zip(descents, gn_steps):
+        assert len(sizes) <= 1 + 2 * gn

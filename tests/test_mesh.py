@@ -190,3 +190,21 @@ def test_field_binary_rejects_mismatched_header(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="24 values"):
         field_from_binary(g, path)
+
+
+@pytest.mark.parametrize("build", [GridField.from_function, mask_domain])
+def test_node_functions_called_once_and_errors_surface(build):
+    # a node function sees all (N, n) coordinates in one call; its own
+    # errors propagate and a per-point (scalar-only) function is refused
+    g = build_grid([(0, 1), (0, 1)], 0.25)
+    calls = []
+
+    def broken(pts):
+        calls.append(np.shape(pts))
+        raise KeyError("missing coefficient")
+
+    with pytest.raises(KeyError, match="missing coefficient"):
+        build(g, broken)
+    assert calls == [(g.num_nodes, 2)]
+    with pytest.raises(ValueError, match=rf"expected \(N,\) = \({g.num_nodes},\)"):
+        build(g, lambda p: p[0] ** 2 + p[1] ** 2 < 0.25)

@@ -199,6 +199,31 @@ def test_monotone_linear_reaction_is_linear_solve():
     assert np.abs(res.solution.values - direct.values).max() < 1e-8
 
 
+def test_monotone_evaluates_reaction_once_per_iterate():
+    # F(u) of each iterate is both its residual's reaction and the next
+    # step's right-hand side, so each further step costs one evaluation
+    g, K, a, b, mu1 = logistic_setup(h=1.0 / 8)
+    F = logistic_reaction(a, b, 2 * mu1, 2.0)
+    calls = []
+
+    def counted(pts, u):
+        calls.append(1)
+        return F(pts, u)
+
+    problem = SemilinearProblem(K=K, reaction=counted, boundary_value=0.0,
+                                lipschitz=logistic_lipschitz(a, b, 2 * mu1, 2.0, 1.0))
+    lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
+    counts = []
+    for max_iter in (1, 5):
+        calls.clear()
+        res = monotone_iterate(problem, lower, upper, tol=1e-14, max_iter=max_iter)
+        assert res.iterations == max_iter
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 4
+    with pytest.raises(ValueError, match="max_iter"):
+        monotone_iterate(problem, lower, upper, max_iter=0)
+
+
 def test_lipschitz_validation():
     g = build_grid([(0, 1), (0, 1)], 0.25)
     K = assemble_stiffness(euclidean(2), g)
