@@ -7,9 +7,15 @@ duration inflated by snap-distance / sigma_min(A)); in addition, square
 commutator loops exp(sX_i) exp(sX_j) exp(-sX_i) exp(-sX_j) of duration 4s
 provide sound upper-bound edges along bracket directions, without which
 no grid walk can advance along a bracket direction at sub-unit radius
-(the per-step drift h*r/2 always snaps away).  Stage two re-parameterizes
-the seed path as piecewise-constant controls and shrinks its duration by
-projected-gradient feasibility restoration; durations never increase.
+(the per-step drift h*r/2 always snaps away).  Dijkstra settles one
+distance bucket at a time: no edge is shorter than the smallest base
+duration w_min, so every frontier node within w_min of the closest one is
+final, and the edges of the whole bucket are built and relaxed in one
+batch of array operations.  Ties are broken in the order of a
+one-node-at-a-time heap Dijkstra, so distances and parents match it
+exactly.  Stage two re-parameterizes the seed path as piecewise-constant
+controls and shrinks its duration by projected-gradient feasibility
+restoration; durations never increase.
 Every flow, seed commutator legs included, goes through one batched RK2
 integrator: each Gauss-Newton step integrates its Jacobian probes in one
 batch and scores all its line-search candidates (two directions, twelve
@@ -22,7 +28,6 @@ reported defect.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +99,10 @@ class _GraphContext:
     """Per-(family, grid) data shared by distance and ball queries."""
 
     def __init__(self, family, grid, directions, comm_scales, step_scales=(1,)):
+        for name, scales in (("step_scales", step_scales), ("comm_scales", comm_scales)):
+            arr = np.asarray(scales, dtype=float)
+            if not np.all(np.isfinite(arr) & (arr > 0)):
+                raise ValueError(f"{name} must be finite and > 0, got {list(scales)}")
         self.family = family
         self.grid = grid
         self.h = grid.h
@@ -118,6 +127,9 @@ class _GraphContext:
                 self.pairs.append((i, j))
                 self.bracket_vals.append(vals)
         self.comm_s = np.sqrt(np.array(comm_scales, dtype=float) * self.h) if self.pairs else np.array([])
+        # no edge is shorter than its base duration (snap surcharges are >= 0)
+        bases = np.concatenate([self.step_scales * self.h, 4.0 * self.comm_s])
+        self.w_min = bases.min(initial=np.inf)
 
     def _snap(self, targets_float):
         """Round to nodes; returns (ids, snap distance, valid mask)."""
@@ -130,46 +142,65 @@ class _GraphContext:
         s = np.linalg.norm(targets_float - snapped, axis=1)
         return ids, s, valid
 
-    def _snapped_edges(self, p, targets, base):
-        """Valid edges from p to snapped `targets`: (rows kept, ids, durations).
+    def edges_from(self, ps):
+        """All edges out of the nodes `ps`, built in one batch.
 
-        A snapped edge pays its snap distance over sigma_min(A) at the target
-        on top of its `base` duration; self-loops and targets whose
-        sigma_min is below the floor are dropped.
+        Returns (target ids, durations, kind, info, scale, src, pos): `src`
+        is the edge's row in `ps` and `pos` its position among one node's
+        edges (step edges by scale, then direction; then commutator loops by
+        pair, sign and scale); edges come out ordered by (src, pos).  A
+        snapped edge pays its snap distance over sigma_min(A) at the target
+        on top of its base duration; self-loops and targets whose sigma_min
+        is below the floor are dropped.
         """
-        ids, s, valid = self._snap(targets)
-        valid &= ids != p
-        sig = self.sigma[ids]
-        valid &= (s <= SNAP_ZERO) | (sig > self.sigma_floor)
-        w = base + np.where(s <= SNAP_ZERO, 0.0, s / np.maximum(sig, self.sigma_floor))
-        sel = np.flatnonzero(valid)
-        return sel, ids[sel], w[sel]
-
-    def edges_from(self, p):
-        """(target ids, durations, kind, info, scale) for all edges out of node p."""
-        parts = []
-        x = self.coords[p]
-        vel = self.F @ self.A_all[p]                  # (D, n)
+        ps = np.asarray(ps, dtype=np.int64)
+        B, n = ps.size, self.grid.n
+        D, C = self.F.shape[0], self.comm_s.size
+        x = self.coords[ps][:, None, :]                      # (B, 1, n)
+        vel = self.F @ self.A_all[ps]                        # (B, D, n)
+        parts = []  # (ends (B, k, n), live (B, k), kind, info, scale) per edge family
         for mult in self.step_scales:
             dt = mult * self.h
-            sel, ids, w = self._snapped_edges(p, x + dt * vel, dt)
-            parts.append((ids, w, np.zeros(sel.size, dtype=np.int8), sel.astype(np.int32),
-                          np.full(sel.size, dt)))
+            parts.append((x + dt * vel, np.ones((B, D), dtype=bool), np.zeros(D, dtype=np.int8),
+                          np.arange(D, dtype=np.int32), np.full(D, dt)))
         for pi, bvals in enumerate(self.bracket_vals):
-            b = bvals[p]
-            nb = np.linalg.norm(b)
-            if nb * self.comm_s[-1] ** 2 < 0.25 * self.h:
-                continue  # loop cannot reach the next node level here
-            disp = np.outer(self.comm_s**2, b)
-            for sgn in (1, -1):
-                sel, ids, w = self._snapped_edges(p, x + sgn * disp, 4.0 * self.comm_s)
-                parts.append((ids, w, np.ones(sel.size, dtype=np.int8),
-                              np.full(sel.size, pi * 2 + (sgn < 0), dtype=np.int32),
-                              self.comm_s[sel]))
-        return tuple(np.concatenate(col) for col in zip(*parts))
+            b = bvals[ps]
+            # a stacked `@` rounds like the per-node norm(b)
+            nb = np.sqrt((b[:, None, :] @ b[:, :, None])[:, 0, 0])
+            reach = nb * self.comm_s[-1] ** 2 >= 0.25 * self.h  # loop can reach the next node level
+            live = np.repeat(reach[:, None], C, axis=1)
+            disp = (self.comm_s**2)[None, :, None] * b[:, None, :]  # (B, C, n)
+            for neg in (0, 1):
+                parts.append((x - disp if neg else x + disp, live, np.ones(C, dtype=np.int8),
+                              np.full(C, pi * 2 + neg, dtype=np.int32), self.comm_s))
+        ends, live, kind, info, scale = zip(*parts)
+        kind, info, scale = (np.concatenate(col) for col in (kind, info, scale))
+        E = kind.size
+        base = np.where(kind == 1, 4.0 * scale, scale)   # a loop of side s lasts 4s
+        ids, s, valid = self._snap(np.concatenate(ends, axis=1).reshape(-1, n))
+        valid &= np.concatenate(live, axis=1).ravel()
+        valid &= ids != np.repeat(ps, E)
+        sig = self.sigma[ids]
+        valid &= (s <= SNAP_ZERO) | (sig > self.sigma_floor)
+        w = np.tile(base, B) + np.where(s <= SNAP_ZERO, 0.0, s / np.maximum(sig, self.sigma_floor))
+        sel = np.flatnonzero(valid)
+        src, pos = np.divmod(sel, E)
+        return ids[sel], w[sel], kind[pos], info[pos], scale[pos], src, pos
 
 
 def _dijkstra(ctx, source, targets=None, rmax=None):
+    """Shortest graph durations from `source`, settled a distance bucket at a time.
+
+    Each round takes d_min, the smallest tentative distance on the
+    frontier.  No edge is shorter than ctx.w_min, so every frontier node
+    with dist < d_min + w_min is final; the bucket is settled and all its
+    edges are built and relaxed in one batch.  A node improved by several
+    candidates keeps the least in (duration, the source's pop order
+    (dist, id), edge position): the order in which a one-node-at-a-time
+    heap Dijkstra applies them, so dist and the parent arrays match it
+    exactly.  With `rmax`, nodes beyond it stay unsettled; with `targets`,
+    the search stops once every target is settled.
+    """
     N = ctx.grid.num_nodes
     dist = np.full(N, np.inf)
     settled = np.zeros(N, dtype=bool)
@@ -179,34 +210,47 @@ def _dijkstra(ctx, source, targets=None, rmax=None):
     p_scale = np.zeros(N)
     p_dur = np.zeros(N)
     dist[source] = 0.0
-    heap = [(0.0, source)]
-    remaining = set(targets) if targets is not None else None
-    while heap:
-        d, p = heapq.heappop(heap)
-        if settled[p]:
-            continue
-        if rmax is not None and d > rmax:
+    front = np.array([source], dtype=np.int64)
+    on_front = np.zeros(N, dtype=bool)
+    on_front[source] = True
+    pending = None if targets is None else np.unique(np.asarray(targets, dtype=np.int64))
+    while front.size:
+        fd = dist[front]
+        d_min = fd.min()
+        take = (fd < d_min + ctx.w_min) | (fd == d_min)  # the minimum settles even below an ulp
+        if rmax is not None:
+            take &= fd <= rmax
+        if not take.any():
             break
-        settled[p] = True
-        if remaining is not None:
-            remaining.discard(p)
-            if not remaining:
-                break
-        ids, w, kind, info, scale = ctx.edges_from(p)
-        nd = d + w
-        better = nd < dist[ids]
-        for t, ndv, kv, iv, sv, wv in zip(
-            ids[better], nd[better], kind[better], info[better], scale[better], w[better]
-        ):
-            if ndv >= dist[t]:  # a parallel edge in this batch already improved t
-                continue
-            dist[t] = ndv
-            parent[t] = p
-            p_kind[t] = kv
-            p_info[t] = iv
-            p_scale[t] = sv
-            p_dur[t] = wv
-            heapq.heappush(heap, (float(ndv), int(t)))
+        bucket = front[take]
+        bucket = bucket[np.lexsort((bucket, dist[bucket]))]  # heap pop order
+        front = front[~take]
+        on_front[bucket] = False
+        expand, done = bucket, False
+        if pending is not None:
+            pending = pending[~settled[pending]]
+            hit = np.isin(bucket, pending)
+            if np.count_nonzero(hit) == pending.size:  # the last target pops in this bucket
+                last = int(np.flatnonzero(hit).max(initial=0))
+                bucket, expand, done = bucket[: last + 1], bucket[:last], True
+        settled[bucket] = True
+        ids, w, kind, info, scale, src, pos = ctx.edges_from(expand)
+        nd = dist[expand][src] + w
+        keep = np.flatnonzero(nd < dist[ids])
+        order = keep[np.lexsort((pos[keep], src[keep], nd[keep], ids[keep]))]
+        win = order[np.diff(ids[order], prepend=-1) != 0]  # first candidate per target
+        t = ids[win]
+        dist[t] = nd[win]
+        parent[t] = expand[src[win]]
+        p_kind[t] = kind[win]
+        p_info[t] = info[win]
+        p_scale[t] = scale[win]
+        p_dur[t] = w[win]
+        new = t[~on_front[t]]
+        on_front[new] = True
+        front = np.concatenate([front, new])
+        if done:
+            break
     return dist, settled, (parent, p_kind, p_info, p_scale, p_dur)
 
 
@@ -546,14 +590,11 @@ def _horizontal_gradient_norms(family, grid):
 
 
 def _ball_row_positions(ball, row_ids):
-    pos_of = {int(node): i for i, node in enumerate(row_ids)}
-    sel_nodes, sel_rows = [], []
-    for node in ball.node_ids:
-        i = pos_of.get(int(node))
-        if i is not None:
-            sel_nodes.append(int(node))
-            sel_rows.append(i)
-    return np.array(sel_nodes, dtype=np.int64), np.array(sel_rows, dtype=np.int64)
+    """Ball nodes that are quadrature rows, in ball order, and their rows in sorted `row_ids`."""
+    rows = np.searchsorted(row_ids, ball.node_ids)
+    hit = rows < row_ids.size
+    hit[hit] = row_ids[rows[hit]] == ball.node_ids[hit]
+    return ball.node_ids[hit].astype(np.int64), rows[hit].astype(np.int64)
 
 
 def poincare_probe(family, ball, corpus, R):

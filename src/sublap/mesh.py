@@ -139,6 +139,18 @@ def _node_values(grid, fn, dtype):
     return vals
 
 
+def neighbor_set(grid, flags, k, step):
+    """Per node: whether its neighbor at `step` * e_k (step = +1 or -1) exists and is flagged."""
+    f = np.asarray(flags, dtype=bool).reshape(grid.dims)
+    out = np.zeros_like(f)
+    src = [slice(None)] * grid.n
+    dst = [slice(None)] * grid.n
+    ahead, behind = slice(1, None), slice(None, -1)
+    src[k], dst[k] = (ahead, behind) if step > 0 else (behind, ahead)
+    out[tuple(dst)] = f[tuple(src)]
+    return out.ravel()
+
+
 def mask_domain(grid, predicate):
     """Mask a grid to the nodes where `predicate` holds.
 
@@ -149,21 +161,10 @@ def mask_domain(grid, predicate):
     mask (the outermost layer lacks off-grid neighbors).
     """
     P = _node_values(grid, predicate, bool)
-    dims = grid.dims
-    n = grid.n
-    Pn = P.reshape(dims)
-    inter = Pn.copy()
-    for k in range(n):
-        shifted_lo = np.zeros_like(Pn)
-        shifted_hi = np.zeros_like(Pn)
-        sl_lo = [slice(None)] * n
-        sl_hi = [slice(None)] * n
-        sl_lo[k] = slice(1, None)
-        sl_hi[k] = slice(None, -1)
-        shifted_lo[tuple(sl_hi)] = Pn[tuple(sl_lo)]   # neighbor at +e_k
-        shifted_hi[tuple(sl_lo)] = Pn[tuple(sl_hi)]   # neighbor at -e_k
-        inter &= shifted_lo & shifted_hi
-    interior = inter.ravel()
+    interior = P.copy()
+    for k in range(grid.n):
+        for step in (1, -1):
+            interior &= neighbor_set(grid, P, k, step)
     boundary = P & ~interior
     if not interior.any():
         raise ValueError("empty interior: no predicate-true node has all neighbors predicate-true")

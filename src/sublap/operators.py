@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import EXTERIOR, GridField
+from .mesh import EXTERIOR, GridField, neighbor_set
 
 SYMMETRY_TOL = 1e-12
 
@@ -72,19 +72,11 @@ class SparseOperator:
 
 def quadrature_row_ids(grid):
     """Non-exterior nodes whose +e_k neighbor exists and is non-exterior for every axis."""
-    dims = grid.dims
-    n = grid.n
-    ok = (grid.mask != EXTERIOR).reshape(dims)
+    ok = grid.mask != EXTERIOR
     rows = ok.copy()
-    for k in range(n):
-        nb = np.zeros_like(ok)
-        sl_src = [slice(None)] * n
-        sl_dst = [slice(None)] * n
-        sl_src[k] = slice(1, None)
-        sl_dst[k] = slice(None, -1)
-        nb[tuple(sl_dst)] = ok[tuple(sl_src)]
-        rows &= nb
-    return np.flatnonzero(rows.ravel())
+    for k in range(grid.n):
+        rows &= neighbor_set(grid, ok, k, 1)
+    return np.flatnonzero(rows)
 
 
 def assemble_first_order(family, grid, j):

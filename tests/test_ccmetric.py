@@ -1,5 +1,9 @@
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sublap.ccmetric as ccm
 from sublap.ccmetric import (
@@ -17,7 +21,7 @@ from sublap.ccmetric import (
     unit_controls,
 )
 from sublap.fields import euclidean, grushin, heisenberg
-from sublap.mesh import GridField, build_grid
+from sublap.mesh import EXTERIOR, GridField, build_grid, mask_domain
 from sublap.operators import assemble_first_order
 
 
@@ -440,3 +444,154 @@ def test_one_batched_flow_per_line_search(monkeypatch):
     assert max(gn_steps) >= 1
     for sizes, gn in zip(descents, gn_steps):
         assert len(sizes) <= 1 + 2 * gn
+
+
+def _ref_snapped_edges(ctx, p, targets, base):
+    ids, s, valid = ctx._snap(targets)
+    valid &= ids != p
+    sig = ctx.sigma[ids]
+    valid &= (s <= ccm.SNAP_ZERO) | (sig > ctx.sigma_floor)
+    w = base + np.where(s <= ccm.SNAP_ZERO, 0.0, s / np.maximum(sig, ctx.sigma_floor))
+    sel = np.flatnonzero(valid)
+    return sel, ids[sel], w[sel]
+
+
+def _ref_edges_from(ctx, p):
+    """Reference: the edges out of one node, built node by node."""
+    parts = []
+    x = ctx.coords[p]
+    vel = ctx.F @ ctx.A_all[p]
+    for mult in ctx.step_scales:
+        dt = mult * ctx.h
+        sel, ids, w = _ref_snapped_edges(ctx, p, x + dt * vel, dt)
+        parts.append((ids, w, np.zeros(sel.size, dtype=np.int8), sel.astype(np.int32),
+                      np.full(sel.size, dt)))
+    for pi, bvals in enumerate(ctx.bracket_vals):
+        b = bvals[p]
+        if np.linalg.norm(b) * ctx.comm_s[-1] ** 2 < 0.25 * ctx.h:
+            continue
+        disp = np.outer(ctx.comm_s**2, b)
+        for sgn in (1, -1):
+            sel, ids, w = _ref_snapped_edges(ctx, p, x + sgn * disp, 4.0 * ctx.comm_s)
+            parts.append((ids, w, np.ones(sel.size, dtype=np.int8),
+                          np.full(sel.size, pi * 2 + (sgn < 0), dtype=np.int32),
+                          ctx.comm_s[sel]))
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _ref_dijkstra(ctx, source, targets=None, rmax=None):
+    """Reference: heap Dijkstra that settles and expands one node at a time."""
+    N = ctx.grid.num_nodes
+    dist = np.full(N, np.inf)
+    settled = np.zeros(N, dtype=bool)
+    parent = np.full(N, -1, dtype=np.int64)
+    p_kind = np.zeros(N, dtype=np.int8)
+    p_info = np.zeros(N, dtype=np.int32)
+    p_scale = np.zeros(N)
+    p_dur = np.zeros(N)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    remaining = set(targets) if targets is not None else None
+    while heap:
+        d, p = heapq.heappop(heap)
+        if settled[p]:
+            continue
+        if rmax is not None and d > rmax:
+            break
+        settled[p] = True
+        if remaining is not None:
+            remaining.discard(p)
+            if not remaining:
+                break
+        ids, w, kind, info, scale = _ref_edges_from(ctx, p)
+        nd = d + w
+        better = nd < dist[ids]
+        for t, ndv, kv, iv, sv, wv in zip(
+            ids[better], nd[better], kind[better], info[better], scale[better], w[better]
+        ):
+            if ndv >= dist[t]:
+                continue
+            dist[t] = ndv
+            parent[t] = p
+            p_kind[t] = kv
+            p_info[t] = iv
+            p_scale[t] = sv
+            p_dur[t] = wv
+            heapq.heappush(heap, (float(ndv), int(t)))
+    return dist, settled, (parent, p_kind, p_info, p_scale, p_dur)
+
+
+def _assert_same_search(got, ref):
+    for a, b in zip((got[0], got[1], *got[2]), (ref[0], ref[1], *ref[2])):
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _graph_queries(draw):
+    three_d = draw(st.booleans())
+    family = heisenberg() if three_d else euclidean(2)
+    h = draw(st.sampled_from([0.05, 0.1, 0.125]))
+    half = [draw(st.integers(3, 6)) * h for _ in range(2)]
+    box = [(-half[0], half[0]), (-half[1], half[1])]
+    if three_d:
+        box.append((-2 * h, draw(st.integers(2, 4)) * h))
+    grid = build_grid(box, h)
+    if draw(st.booleans()):
+        r = draw(st.floats(2.0, 5.0)) * h
+        grid = grid.with_mask(
+            mask_domain(grid, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2 < r * r).mask)
+    usable = np.flatnonzero(grid.mask != EXTERIOR)
+    source = int(usable[draw(st.integers(0, usable.size - 1))])
+    scales = st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=3)
+    ctx = ccm._GraphContext(
+        family, grid, draw(st.integers(2, 16)),
+        draw(st.lists(st.sampled_from([1, 2, 4, 8, 16]), min_size=1, max_size=3)),
+        draw(scales),
+    )
+    if draw(st.booleans()):
+        query = {"rmax": draw(st.floats(0.0, 1.0))}
+    else:
+        query = {"targets": [int(usable[draw(st.integers(0, usable.size - 1))])]}
+    return family, ctx, source, query
+
+
+@settings(max_examples=60)
+@given(_graph_queries())
+def test_bucketed_dijkstra_matches_heap_dijkstra(case):
+    family, ctx, source, query = case
+    got = ccm._dijkstra(ctx, source, **query)
+    _assert_same_search(got, _ref_dijkstra(ctx, source, **query))
+    # every edge's planar displacement is at most its duration (sigma_min(A) = 1,
+    # commutator loops are closed in the (x, y) plane), so reached nodes keep
+    # the euclidean / planar lower bound
+    dist = got[0]
+    reached = np.flatnonzero(np.isfinite(dist))
+    planar = np.linalg.norm(ctx.coords[reached, :2] - ctx.coords[source, :2], axis=1)
+    assert np.all(dist[reached] >= (1.0 - 1e-12) * planar)
+
+
+def test_batched_edges_match_per_node_edges():
+    g = build_grid([(-0.3, 0.3), (-0.3, 0.3), (-0.1, 0.1)], 0.05)
+    ctx = ccm._GraphContext(heisenberg(), g, 16, (1, 2, 4), (1, 2))
+    nodes = np.array([g.nearest_node(p) for p in ((0, 0, 0), (0.25, -0.3, 0.1), (0.1, 0.1, -0.05))])
+    ids, w, kind, info, scale, src, pos = ctx.edges_from(nodes)
+    for r, p in enumerate(nodes):
+        ref = _ref_edges_from(ctx, p)
+        mine = src == r
+        assert np.all(np.diff(pos[mine]) > 0)
+        for a, b in zip((ids[mine], w[mine], kind[mine], info[mine], scale[mine]), ref):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("scales", [
+    {"step_scales": (0,)}, {"step_scales": (1, -1)}, {"step_scales": (np.inf,)},
+    {"comm_scales": (1, 0)}, {"comm_scales": (np.nan,)},
+])
+def test_non_positive_scales_rejected(scales):
+    heis = heisenberg()
+    g = build_grid([(-0.3, 0.3), (-0.3, 0.3), (-0.1, 0.1)], 0.05)
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        cc_distance_graph(heis, g, (0, 0, 0), (0.2, 0.1, 0), directions=8, **scales)
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        metric_ball(heis, (0, 0, 0), 0.1, g, directions=8, **scales)

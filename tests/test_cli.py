@@ -75,6 +75,16 @@ def test_cli_missing_config_exit_2(tmp_path):
     assert main(["--out", str(tmp_path / "o"), "eigen"]) == 2
 
 
+def test_cli_ball_rejects_non_positive_step_scales(tmp_path, capsys):
+    cfg = write_config(tmp_path, "ball.json", {
+        "family": "heisenberg",
+        "grid": {"box": [[-0.3, 0.3], [-0.3, 0.3], [-0.1, 0.1]], "h": 0.05},
+        "center": [0, 0, 0], "radius": 0.1, "directions": 8, "step_scales": [0],
+    })
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "ball"]) == 1
+    assert "step_scales must be finite and > 0, got [0]" in capsys.readouterr().err
+
+
 def test_cli_verify_exit_codes(tmp_path):
     cfg = write_config(tmp_path, "v.json", {
         "family": "euclidean(2)",

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sublap.mesh import (
     BOUNDARY,
@@ -16,6 +18,7 @@ from sublap.mesh import (
     integrate,
     mask_domain,
 )
+from sublap.operators import quadrature_row_ids
 
 
 def test_build_grid_3x3():
@@ -208,3 +211,33 @@ def test_node_functions_called_once_and_errors_surface(build):
     assert calls == [(g.num_nodes, 2)]
     with pytest.raises(ValueError, match=rf"expected \(N,\) = \({g.num_nodes},\)"):
         build(g, lambda p: p[0] ** 2 + p[1] ** 2 < 0.25)
+
+
+@given(st.integers(1, 3), st.lists(st.integers(1, 6), min_size=3, max_size=3),
+       st.floats(0.3, 1.0), st.integers(0, 2**32 - 1))
+def test_mask_classes_partition_nodes(n, sides, density, seed):
+    # INTERIOR, BOUNDARY and EXTERIOR partition the nodes; a node is interior
+    # exactly when it and all 2n axis neighbors are predicate-true, and a
+    # quadrature row exactly when it and its n forward neighbors are usable
+    g = build_grid([(0, 0.5 * k) for k in sides[:n]], 0.5)
+    flags = np.random.default_rng(seed).random(g.num_nodes) < density
+    full = np.array([
+        flags[i] and len(g.neighbor_ids(i)) == 2 * n and all(flags[g.neighbor_ids(i)])
+        for i in range(g.num_nodes)
+    ], dtype=bool)
+    if not full.any():
+        with pytest.raises(ValueError, match="empty interior"):
+            mask_domain(g, lambda pts: flags)
+        return
+    sub = mask_domain(g, lambda pts: flags)
+    classes = [sub.mask == c for c in (INTERIOR, BOUNDARY, EXTERIOR)]
+    assert np.array_equal(sum(c.astype(int) for c in classes), np.ones(g.num_nodes, dtype=int))
+    assert np.array_equal(classes[0], full)
+    assert np.array_equal(classes[1], flags & ~full)
+    assert np.array_equal(classes[2], ~flags)
+    multi = np.unravel_index(np.arange(g.num_nodes), g.dims)
+    forward_ok = [
+        all(multi[k][i] + 1 < g.dims[k] and flags[i + g.strides[k]] for k in range(n))
+        for i in range(g.num_nodes)
+    ]
+    assert quadrature_row_ids(sub).tolist() == np.flatnonzero(flags & forward_ok).tolist()
