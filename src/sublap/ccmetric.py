@@ -13,13 +13,15 @@ duration w_min, so every frontier node within w_min of the closest one is
 final, and the edges of the whole bucket are built and relaxed in one
 batch of array operations.  Ties are broken in the order of a
 one-node-at-a-time heap Dijkstra, so distances and parents match it
-exactly.  Stage two re-parameterizes the seed path as piecewise-constant
-controls and shrinks its duration by projected-gradient feasibility
-restoration; durations never increase.
+exactly.  Stage two resamples the seed path as piecewise-constant
+controls on [0, 1] and finds the least-energy controls that reach the
+target: at constant speed, length equals sqrt(energy), so these give the
+shortest path with that many pieces.  One Gauss-Newton loop steps onto the
+endpoint and halfway down the energy along it; a result no shorter than
+the seed returns the seed.
 Every flow, seed commutator legs included, goes through one batched RK2
-integrator: each Gauss-Newton step integrates its Jacobian probes in one
-batch and scores all its line-search candidates (two directions, twelve
-halvings) in another.
+integrator: each Gauss-Newton step integrates the controls and their
+Jacobian probes in one batch.
 
 Every edge corresponds to a genuinely horizontal motion plus an explicit
 time surcharge, so the graph value is an upper bound on d up to the
@@ -40,6 +42,7 @@ SIGMA_FLOOR = 1e-8        # relative floor on sigma_min(A) before an edge is rej
 SNAP_ZERO = 1e-12
 DEFAULT_DIRECTIONS = 32
 DEFAULT_COMM_SCALES = (1, 2, 4, 8, 16)  # commutator loop areas in units of h
+REFINE_STEPS = 100        # Gauss-Newton steps of the refinement before it gives up
 
 
 class CCUnreachableError(RuntimeError):
@@ -388,123 +391,60 @@ def _integrate_controls_batch(family, x0, controls, T, substeps=6):
     return np.stack(states, axis=1)
 
 
-def _project_ball(controls):
-    norms = np.linalg.norm(controls, axis=-1, keepdims=True)
-    return controls / np.maximum(norms, 1.0)
-
-
-def _feasibility_descent(family, x0, target, controls, T, target_miss, max_gn=25):
-    """Pull the endpoint onto the target at fixed duration T.
-
-    Damped Gauss-Newton on the endpoint map with a finite-difference
-    Jacobian (the endpoint system is n equations in S*m controls, so the
-    least-norm update is a tiny dense solve), followed by projection of
-    each control back onto the unit ball.  Each step tries two directions
-    (plain and saturation-tangent) at 12 halvings, all integrated in one
-    batch: per direction the largest step that lowers the miss counts,
-    and the lower miss of the two is taken (the plain direction on ties).
-    """
-    S, m = controls.shape
-    n = np.asarray(x0).size
-    ctrl = _project_ball(controls.copy())
-
-    def ends_of(batch):
-        return _integrate_controls_batch(family, x0, batch, T)[:, -1]
-
-    cur_end = ends_of(ctrl[None])[0]
-    cur = float(np.linalg.norm(cur_end - target))
-    fd = 1e-6
-    B = S * m
-    steps = 0.5 ** np.arange(12)
-    for _ in range(max_gn):
-        if cur <= target_miss:
-            return ctrl, cur, True
-        batch = np.repeat(ctrl.reshape(1, -1), 2 * B, axis=0)
-        batch[0::2, :] += fd * np.eye(B)
-        batch[1::2, :] -= fd * np.eye(B)
-        ends = ends_of(batch.reshape(2 * B, S, m))
-        J = ((ends[0::2] - ends[1::2]) / (2 * fd)).T   # (n, B)
-        r = cur_end - target
-        delta = J.T @ np.linalg.solve(J @ J.T + 1e-12 * np.eye(n), r)
-        # companion step restricted to the tangent spaces of saturated
-        # controls: the full-space step loses its radial part to the ball
-        # projection exactly when speeds are maxed out
-        norms = np.linalg.norm(ctrl, axis=1)
-        P = np.eye(B)
-        for i in np.flatnonzero(norms > 1.0 - 1e-9):
-            f_hat = ctrl[i] / norms[i]
-            sl_i = slice(i * m, (i + 1) * m)
-            P[sl_i, sl_i] -= np.outer(f_hat, f_hat)
-        Jp = J @ P
-        delta_t = P @ (Jp.T @ np.linalg.solve(Jp @ Jp.T + 1e-10 * np.eye(n), r))
-        trial = ctrl.reshape(-1) - steps[None, :, None] * np.stack([delta, delta_t])[:, None, :]
-        cands = _project_ball(trial.reshape(-1, S, m))
-        cends = ends_of(cands)
-        # row by row: a vector norm can round differently from norm(axis=1)
-        cm = np.array([np.linalg.norm(e - target) for e in cends]).reshape(2, -1)
-        lower = cm < cur * (1.0 - 1e-12)
-        first = lower.argmax(axis=1)               # largest accepted step per direction
-        dirs = np.arange(2)
-        score = np.where(lower[dirs, first], cm[dirs, first], np.inf)
-        d = int(np.argmin(score))                   # ties go to the plain direction
-        if not np.isfinite(score[d]):
-            break
-        k = d * steps.size + first[d]
-        ctrl, cur, cur_end = cands[k], float(cm[d, first[d]]), cends[k]
-    return ctrl, cur, cur <= target_miss
-
-
 def cc_distance_refine(family, seed, segments=24, tol=1e-3, substeps=6):
-    """Shorten a feasible path by piecewise-constant control optimization.
+    """Shortest piecewise-constant path to the seed's endpoint.
 
-    Controls live on `segments` equal time slices with |f| <= 1 enforced by
-    radial projection; the duration is backed off while projected-gradient
-    descent keeps the endpoint within the defect budget.  The returned T
-    never exceeds the seed's; on stall the seed is returned unchanged with
-    the stall flag set.
+    A horizontal path has length <= sqrt(T * energy), with equality at
+    constant speed, so the shortest path with `segments` constant pieces
+    that reaches the target is the least-energy control u on [0, 1].  Each
+    Gauss-Newton step integrates u and its +-1e-6 probes in one batch and
+    moves u by the minimum-norm correction onto the endpoint plus half the
+    energy step along it.  The length sum |u_i| / S is T; a result that is
+    not shorter than the seed returns the seed, and a non-finite T or a
+    defect above `tol` returns the seed with the stall flag set.
     """
-    x0 = seed.waypoints[0].copy()
-    target = seed.waypoints[-1].copy()
-    geo = float(np.linalg.norm(target - x0))
     if seed.T <= 0:
         return seed
-    ctrl = _resample_controls(seed, segments)
-    T = float(seed.T)
-
-    def budget(Tv):
-        return 0.5 * tol * max(Tv, geo, 1e-12)
-
-    ctrl0, miss0, ok = _feasibility_descent(family, x0, target, ctrl, T, budget(T))
-    if not ok:
-        out = PathResult(
+    x0 = seed.waypoints[0].copy()
+    target = seed.waypoints[-1].copy()
+    S = segments
+    u = _resample_controls(seed, S) * seed.T
+    m = u.shape[1]
+    B = S * m
+    fd = 1e-6
+    probes = np.concatenate([np.zeros((1, B)), fd * np.eye(B), -fd * np.eye(B)])
+    miss_tol = 1e-12 * float(np.linalg.norm(target - x0))
+    length = np.inf
+    for steps in range(1, REFINE_STEPS + 1):
+        batch = (u.reshape(-1) + probes).reshape(-1, S, m)
+        ends = _integrate_controls_batch(family, x0, batch, 1.0, substeps)[:, -1]
+        r = ends[0] - target
+        prev, length = length, float(np.linalg.norm(u, axis=1).sum()) / S
+        if abs(length - prev) <= 1e-12 * length and np.linalg.norm(r) <= miss_tol:
+            break
+        J = ((ends[1 : B + 1] - ends[B + 1 :]) / (2 * fd)).T   # (n, S*m)
+        G = np.linalg.pinv(J @ J.T)
+        v = u.reshape(-1)
+        v = v - J.T @ (G @ r) - 0.5 * (v - J.T @ (G @ (J @ v)))
+        u = v.reshape(S, m)
+    speed = np.linalg.norm(u, axis=1)
+    T = float(speed.sum()) / S
+    way = _integrate_controls_batch(family, x0, u[None], 1.0, substeps=substeps)[0]
+    controls = np.divide(u, speed[:, None], out=np.zeros_like(u), where=speed[:, None] > 0)
+    durations = speed / S
+    miss = float(np.linalg.norm(way[-1] - target))
+    defect = max(_path_defect(family, way, controls, durations), miss / max(T, 1e-300))
+    if not (np.isfinite(T) and defect <= tol):
+        return PathResult(
             T=seed.T, waypoints=seed.waypoints, controls=seed.controls,
             durations=seed.durations, defect=seed.defect, stalled=True,
-            notes=["refinement stalled: could not restore endpoint feasibility at seed duration"],
+            notes=[f"refinement stalled after {steps} Gauss-Newton steps: "
+                   f"length {T!r}, defect {float(defect)!r} above tol {tol!r}"],
         )
-        return out
-    best_T, best_ctrl = T, ctrl0
-    delta = 0.08
-    while delta >= 1e-4:
-        T_try = best_T * (1.0 - delta)
-        ctrl_try, miss, ok = _feasibility_descent(
-            family, x0, target, best_ctrl, T_try, budget(T_try)
-        )
-        if ok:
-            best_T, best_ctrl = T_try, ctrl_try
-        else:
-            delta *= 0.5
-    # final fine re-integration for waypoints and the defect report
-    way = _integrate_controls_batch(family, x0, best_ctrl[None], best_T, substeps=substeps)[0]
-    miss = float(np.linalg.norm(way[-1] - target))
-    durations = np.full(segments, best_T / segments)
-    defect = max(_path_defect(family, way, best_ctrl, durations), miss / max(best_T, 1e-300))
-    return PathResult(
-        T=float(min(best_T, seed.T)),
-        waypoints=way,
-        controls=best_ctrl.copy(),
-        durations=durations,
-        defect=float(defect),
-    )
+    if T >= seed.T:
+        return seed
+    return PathResult(T=T, waypoints=way, controls=controls, durations=durations,
+                      defect=float(defect))
 
 
 def cc_distance(family, grid, x, y, directions=DEFAULT_DIRECTIONS, segments=24, tol=1e-3):

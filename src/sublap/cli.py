@@ -312,6 +312,7 @@ def _run_distance(cfg):
             "refined": refined.T,
             "defect": refined.defect,
             "stalled": refined.stalled,
+            "notes": list(refined.notes),
         }
     }
     return results, 0, [("path", refined)]

@@ -118,8 +118,9 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         r = float(np.linalg.norm(r_vec))
         if r <= tol * 1e-2 * scale:
             break
-        # Rayleigh acceleration: lam - 2r is a certified lower bound on the
-        # nearest eigenvalue, so the shifted matrix stays positive definite.
+        # Rayleigh acceleration: some eigenvalue lies within r of lam, but
+        # not necessarily the lowest, so lam - 2r may overshoot it; the
+        # z.Ash.z <= 0 retreat below is what keeps the shift usable.
         cand = lam - 2.0 * r - 1e-14 * scale
         if cand > sigma:
             sigma = cand

@@ -8,6 +8,7 @@ one-sided closure.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 EXTERIOR = 0
 BOUNDARY = 1
 INTERIOR = 2
+CSV_BLOCK_ROWS = 4096  # rows formatted per batch: bounds the Python objects alive at once
 
 
 @dataclass(eq=False)
@@ -63,9 +65,6 @@ class GridDomain:
 
     def node_id(self, multi):
         return int(np.ravel_multi_index(multi, self.dims))
-
-    def node_coords(self, node_id):
-        return self.points[node_id]
 
     def nearest_node(self, x):
         """Id of the grid node nearest to x (clipped into the box); N ids for (N, n) points."""
@@ -234,25 +233,17 @@ def integrate(field):
 def field_to_csv(field, path_or_buf):
     """CSV rows: index tuple, coordinates, value."""
     g = field.grid
-    close = False
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        buf = open(path_or_buf, "w")
-        close = True
-    else:
-        buf = path_or_buf
-    try:
+    is_path = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
+    with open(path_or_buf, "w") if is_path else contextlib.nullcontext(path_or_buf) as buf:
         idx_names = ",".join(f"i{k}" for k in range(g.n))
         coord_names = ",".join(f"x{k}" for k in range(g.n))
         buf.write(f"{idx_names},{coord_names},value\n")
         multi = np.unravel_index(np.arange(g.num_nodes), g.dims)
-        pts = g.points
-        for node in range(g.num_nodes):
-            idx = ",".join(str(int(multi[k][node])) for k in range(g.n))
-            coords = ",".join(repr(float(pts[node, k])) for k in range(g.n))
-            buf.write(f"{idx},{coords},{float(field.values[node])!r}\n")
-    finally:
-        if close:
-            buf.close()
+        for lo in range(0, g.num_nodes, CSV_BLOCK_ROWS):
+            rows = slice(lo, lo + CSV_BLOCK_ROWS)
+            cols = [map(str, idx[rows].tolist()) for idx in multi]
+            cols += [map(repr, col[rows].tolist()) for col in (*g.points.T, field.values)]
+            buf.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
 def field_from_csv(grid, path_or_buf):

@@ -345,105 +345,73 @@ def test_path_csv_export():
     assert len(lines) == len(path.waypoints) + 1
 
 
-def _sequential_descent(family, x0, target, controls, T, target_miss, max_gn=25):
-    """Reference: the one-trajectory-per-trial backtracking line search.
-
-    Same Gauss-Newton step as `_feasibility_descent`; each direction halves
-    its step until the miss drops, integrating one candidate at a time.
-    """
-    S, m = controls.shape
-    n = np.asarray(x0).size
-    ctrl = ccm._project_ball(controls.copy())
-
-    def ends_of(batch):
-        return ccm._integrate_controls_batch(family, x0, batch, T)[:, -1]
-
-    cur_end = ends_of(ctrl[None])[0]
-    cur = float(np.linalg.norm(cur_end - target))
-    fd = 1e-6
-    B = S * m
-    for _ in range(max_gn):
-        if cur <= target_miss:
-            return ctrl, cur, True
-        batch = np.repeat(ctrl.reshape(1, -1), 2 * B, axis=0)
-        batch[0::2, :] += fd * np.eye(B)
-        batch[1::2, :] -= fd * np.eye(B)
-        ends = ends_of(batch.reshape(2 * B, S, m))
-        J = ((ends[0::2] - ends[1::2]) / (2 * fd)).T
-        r = cur_end - target
-        delta = J.T @ np.linalg.solve(J @ J.T + 1e-12 * np.eye(n), r)
-        norms = np.linalg.norm(ctrl, axis=1)
-        P = np.eye(B)
-        for i in np.flatnonzero(norms > 1.0 - 1e-9):
-            f_hat = ctrl[i] / norms[i]
-            sl_i = slice(i * m, (i + 1) * m)
-            P[sl_i, sl_i] -= np.outer(f_hat, f_hat)
-        Jp = J @ P
-        delta_t = P @ (Jp.T @ np.linalg.solve(Jp @ Jp.T + 1e-10 * np.eye(n), r))
-        best = None
-        for cand_delta in (delta, delta_t):
-            step = 1.0
-            for _ in range(12):
-                cand = ccm._project_ball((ctrl.reshape(-1) - step * cand_delta).reshape(S, m))
-                cend = ends_of(cand[None])[0]
-                cm = float(np.linalg.norm(cend - target))
-                if cm < cur * (1.0 - 1e-12):
-                    if best is None or cm < best[1]:
-                        best = (cand, cm, cend)
-                    break
-                step *= 0.5
-        if best is None:
-            break
-        ctrl, cur, cur_end = best
-    return ctrl, cur, cur <= target_miss
+@pytest.fixture(scope="module")
+def vertical_seed():
+    """Graph path from the origin to (0, 0, tau) in Heisenberg, tau = 0.04."""
+    tau = 0.04
+    h = tau / 4
+    L = max(3.2 * np.sqrt(tau / np.pi), 8 * h)
+    g = build_grid([(-L, L), (-L, L), (-1.3 * tau, 1.3 * tau)], h)
+    _, seed = cc_distance_graph(heisenberg(), g, (0, 0, 0), (0, 0, tau), directions=16)
+    return tau, seed
 
 
-def _small_planar_seed():
-    g = build_grid([(-0.3, 1.3), (-0.3, 1.3), (-0.3, 0.3)], 0.1)
-    _, seed = cc_distance_graph(heisenberg(), g, (0, 0, 0), (1, 1, 0), directions=32)
-    return seed
+def test_refine_vertical_reaches_target_at_constant_speed(vertical_seed):
+    # the least-energy control hits the target and has constant speed; its
+    # length bounds the true distance sqrt(4 pi tau) from above
+    tau, seed = vertical_seed
+    S = 20
+    refined = cc_distance_refine(heisenberg(), seed, segments=S, tol=1e-3)
+    assert not refined.stalled
+    assert np.linalg.norm(refined.waypoints[-1] - seed.waypoints[-1]) <= 1e-12
+    np.testing.assert_allclose(refined.durations, refined.T / S, rtol=1e-5, atol=0)
+    np.testing.assert_allclose(np.linalg.norm(refined.controls, axis=1), 1.0, rtol=1e-12)
+    assert seed.T >= refined.T >= np.sqrt(4 * np.pi * tau) * (1 - 1e-9)
+    assert refined.defect <= 1e-12
 
 
-def test_batched_line_search_matches_sequential_backtracking(monkeypatch):
-    seed = _small_planar_seed()
-    batched = cc_distance_refine(heisenberg(), seed, segments=8, tol=1e-3)
-    monkeypatch.setattr(ccm, "_feasibility_descent", _sequential_descent)
-    sequential = cc_distance_refine(heisenberg(), seed, segments=8, tol=1e-3)
-    assert not batched.stalled
-    assert batched.T < seed.T
-    assert batched.T == sequential.T
-    assert batched.defect == sequential.defect
-    assert np.array_equal(batched.controls, sequential.controls)
-    assert np.array_equal(batched.waypoints, sequential.waypoints)
-
-
-def test_one_batched_flow_per_line_search(monkeypatch):
-    # each Gauss-Newton step integrates its Jacobian probes in one batch and
-    # its line-search candidates in another, after one flow for the start
-    S, m = 8, 2
-    calls = []
-    descents = []
+@pytest.mark.parametrize("S", [5, 7, 10, 13])
+def test_refine_vertical_converges_before_the_step_cap(vertical_seed, monkeypatch, S):
+    # one batch of the controls and their 2*S*m probes per Gauss-Newton
+    # step, then one integration for the waypoints
+    tau, seed = vertical_seed
+    sizes = []
     integrate = ccm._integrate_controls_batch
-    descend = ccm._feasibility_descent
 
     def counted_integrate(family, x0, controls, T, substeps=6):
-        calls.append(controls.shape[0])
+        sizes.append(controls.shape[0])
         return integrate(family, x0, controls, T, substeps)
 
-    def counted_descent(*args, **kwargs):
-        calls.clear()
-        out = descend(*args, **kwargs)
-        descents.append(list(calls))
-        return out
-
     monkeypatch.setattr(ccm, "_integrate_controls_batch", counted_integrate)
-    monkeypatch.setattr(ccm, "_feasibility_descent", counted_descent)
-    cc_distance_refine(heisenberg(), _small_planar_seed(), segments=S, tol=1e-3)
-    assert descents
-    gn_steps = [sizes.count(2 * S * m) for sizes in descents]
-    assert max(gn_steps) >= 1
-    for sizes, gn in zip(descents, gn_steps):
-        assert len(sizes) <= 1 + 2 * gn
+    refined = cc_distance_refine(heisenberg(), seed, segments=S, tol=1e-3)
+    assert sizes[:-1] == [2 * S * 2 + 1] * (len(sizes) - 1)
+    assert sizes[-1] == 1
+    assert len(sizes) - 1 < ccm.REFINE_STEPS
+    assert not refined.stalled
+    assert refined.defect <= 1e-12
+    assert seed.T > refined.T >= np.sqrt(4 * np.pi * tau) * (1 - 1e-9)
+
+
+def test_refine_returns_seed_when_no_shorter_path(vertical_seed):
+    # three pieces cannot beat the seed's square loop: the least-energy
+    # triangle enclosing area tau is longer, so the seed comes back as it
+    # is; with two pieces the loop diverges without raising
+    _, seed = vertical_seed
+    assert cc_distance_refine(heisenberg(), seed, segments=3, tol=1e-3) is seed
+    assert cc_distance_refine(heisenberg(), seed, segments=2, tol=1e-3) is seed
+
+
+def test_refine_stall_returns_seed_with_a_note(vertical_seed):
+    # one constant control never leaves the (x, y)-line towards (0, 0, tau)
+    _, seed = vertical_seed
+    refined = cc_distance_refine(heisenberg(), seed, segments=1, tol=1e-3)
+    assert refined.stalled
+    assert refined.T == seed.T
+    assert refined.waypoints is seed.waypoints
+    assert refined.controls is seed.controls
+    (note,) = refined.notes
+    assert f"after {ccm.REFINE_STEPS} Gauss-Newton steps" in note
+    assert "length" in note and "defect" in note
 
 
 def _ref_snapped_edges(ctx, p, targets, base):

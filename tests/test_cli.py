@@ -59,7 +59,28 @@ def test_cli_distance(tmp_path):
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
     assert abs(rep["results"]["distance"]["refined"] - 5.0) < 0.02 * 5.0
+    assert rep["results"]["distance"]["notes"] == []
     assert (out / "path.csv").exists()
+
+
+def test_cli_distance_reports_refinement_stall(tmp_path):
+    # one constant control cannot reach a vertical target
+    cfg = write_config(tmp_path, "dist.json", {
+        "family": "heisenberg",
+        "grid": {"box": [[-0.2, 0.2], [-0.2, 0.2], [-0.06, 0.06]], "h": 0.01},
+        "x": [0, 0, 0],
+        "y": [0, 0, 0.04],
+        "directions": 16,
+        "segments": 1,
+    })
+    out = tmp_path / "out"
+    code = main(["--config", str(cfg), "--out", str(out), "distance"])
+    assert code == 0
+    dist = json.loads((out / "report.json").read_text())["results"]["distance"]
+    assert dist["stalled"] is True
+    assert dist["refined"] == dist["graph_upper_bound"]
+    (note,) = dist["notes"]
+    assert note.startswith("refinement stalled after")
 
 
 def test_cli_config_error_exit_2(tmp_path):

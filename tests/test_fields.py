@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublap.fields import (
     Polynomial,
@@ -104,6 +106,32 @@ def test_bracket_antisymmetry_exact():
         for p, q in zip(fwd, bwd):
             s = p + q
             assert s.is_zero, f"[f1,f2]+[f2,f1] has terms {s.terms}"
+
+
+def _poly_fields(n, count, coeffs):
+    """`count` polynomial vector fields on R^n, degree <= 2 per exponent."""
+    term = st.tuples(coeffs, st.tuples(*[st.integers(0, 2)] * n))
+    poly = st.lists(term, max_size=3).map(lambda t: Polynomial(n, tuple(t)))
+    return st.tuples(*[st.tuples(*[poly] * n)] * count)
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3).flatmap(
+    lambda n: _poly_fields(n, 2, st.floats(-1e3, 1e3, allow_subnormal=False))))
+def test_bracket_antisymmetric_property(fields):
+    f1, f2 = fields
+    for p, q in zip(lie_bracket(f1, f2), lie_bracket(f2, f1)):
+        assert (p + q).is_zero
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3).flatmap(lambda n: _poly_fields(n, 3, st.integers(-3, 3))))
+def test_bracket_jacobi_identity_property(fields):
+    # small integer coefficients keep every product and sum exact
+    x, y, z = fields
+    cyc = [lie_bracket(a, lie_bracket(b, c)) for a, b, c in ((x, y, z), (y, z, x), (z, x, y))]
+    for p, q, r in zip(*cyc):
+        assert (p + q + r).is_zero
 
 
 def test_hormander_rank_euclidean():

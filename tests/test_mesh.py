@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sublap import mesh
 from sublap.mesh import (
     BOUNDARY,
     EXTERIOR,
@@ -170,6 +171,44 @@ def test_field_csv_round_trip():
     buf.seek(0)
     back = field_from_csv(g, buf)
     assert np.array_equal(back.values, f.values)
+
+
+def _ref_field_to_csv(field, buf):
+    """Reference: the node-by-node CSV writer."""
+    g = field.grid
+    idx_names = ",".join(f"i{k}" for k in range(g.n))
+    coord_names = ",".join(f"x{k}" for k in range(g.n))
+    buf.write(f"{idx_names},{coord_names},value\n")
+    multi = np.unravel_index(np.arange(g.num_nodes), g.dims)
+    pts = g.points
+    for node in range(g.num_nodes):
+        idx = ",".join(str(int(multi[k][node])) for k in range(g.n))
+        coords = ",".join(repr(float(pts[node, k])) for k in range(g.n))
+        buf.write(f"{idx},{coords},{float(field.values[node])!r}\n")
+
+
+@pytest.mark.parametrize("box, h", [
+    ([(-1.3, 2.1)], 0.1),
+    ([(0, 1), (-0.7, 0.45)], 0.05),
+    ([(-0.3, 0.3), (0, 0.5), (-0.02, 0.04)], 0.02),
+])
+def test_field_csv_matches_node_by_node_writer(tmp_path, monkeypatch, box, h):
+    g = build_grid(box, h)
+    rng = np.random.default_rng(g.num_nodes)
+    vals = rng.standard_normal(g.num_nodes) * 10.0 ** rng.integers(-300, 301, g.num_nodes)
+    vals[:6] = [1e300, -1e-300, 5e-324, np.inf, -0.0, np.nan]
+    f = GridField(g, vals)
+    ref = io.StringIO()
+    _ref_field_to_csv(f, ref)
+    buf = io.StringIO()
+    field_to_csv(f, buf)
+    assert buf.getvalue() == ref.getvalue()
+    field_to_csv(f, tmp_path / "f.csv")
+    assert (tmp_path / "f.csv").read_bytes() == ref.getvalue().encode()
+    monkeypatch.setattr(mesh, "CSV_BLOCK_ROWS", 7)  # rows cross block boundaries
+    buf = io.StringIO()
+    field_to_csv(f, buf)
+    assert buf.getvalue() == ref.getvalue()
 
 
 def test_field_binary_round_trip(tmp_path):

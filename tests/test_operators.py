@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sublap.fields import euclidean, grushin, heisenberg
+from sublap.fields import Polynomial, VectorFieldFamily, euclidean, grushin, heisenberg
 from sublap.mesh import GridField, build_grid
 from sublap.operators import (
     assemble_diagonal,
@@ -94,6 +96,26 @@ def test_stiffness_symmetric_and_psd():
             v = rng.standard_normal(g.n_interior)
             q = v @ (K.mat @ v)
             assert q >= -1e-10 * (v @ v)
+
+
+@st.composite
+def _polynomial_families(draw):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    term = st.tuples(st.floats(-2, 2, allow_subnormal=False), st.tuples(*[st.integers(0, 2)] * n))
+    poly = st.lists(term, max_size=3).map(lambda t: Polynomial(n, tuple(t)))
+    coeffs = draw(st.tuples(*[st.tuples(*[poly] * n)] * m))
+    return VectorFieldFamily(n=n, m=m, coeffs=coeffs)
+
+
+@settings(max_examples=40)
+@given(_polynomial_families())
+def test_stiffness_symmetric_psd_property(fam):
+    g = build_grid([(-1, 1)] * fam.n, {1: 0.1, 2: 0.25, 3: 0.5}[fam.n])
+    K = assemble_stiffness(fam, g).mat
+    assert (K != K.T).nnz == 0
+    ev = np.linalg.eigvalsh(K.toarray())
+    assert ev.min() >= -1e-12 * max(1.0, abs(ev).max())
 
 
 def test_stiffness_annihilates_constants():
