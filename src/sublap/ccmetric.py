@@ -93,11 +93,6 @@ def unit_controls(m, directions):
     return np.vstack([axes, extra])[:directions]
 
 
-def _sigma_min_batch(family, points):
-    A = family.eval_coefficients_batch(points)
-    return np.linalg.svd(A, compute_uv=False).min(axis=1)
-
-
 class _GraphContext:
     """Per-(family, grid) data shared by distance and ball queries."""
 
@@ -113,7 +108,7 @@ class _GraphContext:
         self.F = unit_controls(family.m, directions)
         self.step_scales = np.asarray(step_scales, dtype=float)
         self.A_all = family.eval_coefficients_batch(self.coords)
-        self.sigma = _sigma_min_batch(family, self.coords)
+        self.sigma = np.linalg.svd(self.A_all, compute_uv=False).min(axis=1)
         self.sigma_floor = SIGMA_FLOOR * max(float(self.sigma.max()), 1.0)
         self.dims = np.array(grid.dims, dtype=np.int64)
         self.strides = grid.strides
@@ -400,8 +395,9 @@ def cc_distance_refine(family, seed, segments=24, tol=1e-3, substeps=6):
     Gauss-Newton step integrates u and its +-1e-6 probes in one batch and
     moves u by the minimum-norm correction onto the endpoint plus half the
     energy step along it.  The length sum |u_i| / S is T; a result that is
-    not shorter than the seed returns the seed, and a non-finite T or a
-    defect above `tol` returns the seed with the stall flag set.
+    not shorter than the seed returns the seed, and a non-finite T, a
+    defect above `tol` or an endpoint miss above tol * |y - x| returns the
+    seed with the stall flag set.
     """
     if seed.T <= 0:
         return seed
@@ -434,15 +430,18 @@ def cc_distance_refine(family, seed, segments=24, tol=1e-3, substeps=6):
     durations = speed / S
     miss = float(np.linalg.norm(way[-1] - target))
     defect = max(_path_defect(family, way, controls, durations), miss / max(T, 1e-300))
-    if not (np.isfinite(T) and defect <= tol):
+    miss_bound = tol * float(np.linalg.norm(target - x0))
+    ok = bool(np.isfinite(T) and defect <= tol)
+    if ok and T >= seed.T:
+        return seed
+    if not (ok and miss <= miss_bound):
         return PathResult(
             T=seed.T, waypoints=seed.waypoints, controls=seed.controls,
             durations=seed.durations, defect=seed.defect, stalled=True,
             notes=[f"refinement stalled after {steps} Gauss-Newton steps: "
-                   f"length {T!r}, defect {float(defect)!r} above tol {tol!r}"],
+                   f"length {T!r}, defect {float(defect)!r} (tol {tol!r}), "
+                   f"endpoint miss {miss!r} (bound {miss_bound!r})"],
         )
-    if T >= seed.T:
-        return seed
     return PathResult(T=T, waypoints=way, controls=controls, durations=durations,
                       defect=float(defect))
 

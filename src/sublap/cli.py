@@ -41,10 +41,11 @@ _GRID_KEYS = {"box", "h"}
 
 _SCHEMAS = {
     "fields-info": {"required": {"family"}, "optional": {"sample_points", "max_step"}},
-    "eigen": {"required": {"family", "grid"}, "optional": {"potential", "weight", "tol"}},
+    "eigen": {"required": {"family", "grid"}, "optional": {"potential", "weight", "tol"},
+              "exclusive": ("weight", "potential")},
     "epspath": {"required": {"family", "grid", "eps_list"}, "optional": {"potential", "tol"}},
     "solve-logistic": {"required": {"family", "grid", "a", "b", "p"},
-                       "optional": {"mu", "mu_factor", "tol"}},
+                       "optional": {"mu", "mu_factor", "tol"}, "exclusive": ("mu", "mu_factor")},
     "solve-yamabe": {"required": {"family", "grid", "f", "theta", "eps", "p"},
                      "optional": {"k_pattern", "K_pattern", "tol"}},
     "distance": {"required": {"family", "grid", "x", "y"},
@@ -107,6 +108,9 @@ def validate_config(command, raw):
     missing = schema["required"] - keys
     if missing:
         raise ConfigError(f"missing config keys for {command}: {sorted(missing)}")
+    both = set(schema.get("exclusive", ())) & keys
+    if len(both) > 1:
+        raise ConfigError(f"config keys {sorted(both)} exclude each other for {command}")
     params = dict(raw)
     for key in schema["required"] | schema["optional"]:
         if key not in params and key in _DEFAULTS:

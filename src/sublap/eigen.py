@@ -1,8 +1,8 @@
 """Principal eigenvalue solvers for the discrete sub-Laplacian.
 
-principal_eigenpair finds the smallest eigenvalue of (K - V) u = lam M u
-by shifted inverse iteration with conjugate-gradient inner solves and
-Rayleigh-quotient shift acceleration; weighted_principal handles
+principal_eigenpair finds the two smallest eigenvalues of
+(K - V) u = lam M u in one SciPy call (shift-invert ARPACK on small
+systems, preconditioned LOBPCG on large ones); weighted_principal handles
 K u = lam G u with a possibly sign-changing weight through ARPACK on the
 pencil G w = mu K w (lam = 1 / mu_max); epsilon_path follows the
 regularized forms K + eps * K_euclid down to eps -> 0.
@@ -10,8 +10,8 @@ regularized forms K + eps * K_euclid down to eps -> 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,11 +19,19 @@ import scipy.sparse.linalg as spla
 
 from . import fields as vf
 from .mesh import GridField
-from .operators import SparseOperator, assemble_diagonal, assemble_stiffness, mass_matrix
+from .operators import (
+    DIRECT_MAX_NNZ,
+    SparseOperator,
+    assemble_diagonal,
+    assemble_stiffness,
+    factor_spd,
+    mass_matrix,
+)
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 500
 DEGENERACY_GAP = 1e-6
+DENSE_MAX_N = 10  # below this many unknowns the pencil goes to a dense eigh
 
 
 class ConvergenceError(RuntimeError):
@@ -43,15 +51,7 @@ class EigenResult:
     residual: float
     iterations: int
     positive: bool
-    _probe: object = field(default=None, repr=False)  # () -> bool, run on first read
-
-    @cached_property
-    def degenerate(self):
-        """Whether a second eigenvalue lies within DEGENERACY_GAP of lam.
-
-        Probed on first read; solvers that store no probe report False.
-        """
-        return self._probe is not None and bool(self._probe())
+    degenerate: bool = False  # a second eigenvalue within DEGENERACY_GAP of lam
 
     def to_json_dict(self):
         return {
@@ -69,86 +69,90 @@ def _field_from_interior(grid, u_int):
     return GridField(grid, vals)
 
 
-def _finish(K, Vdiag, M, u_int, lam):
-    mdiag = M.mat.diagonal()
-    u_int = u_int / np.sqrt(u_int @ (mdiag * u_int))
-    if u_int[np.argmax(np.abs(u_int))] < 0:
-        u_int = -u_int
-    res_vec = K.mat @ u_int - lam * (mdiag * u_int)
-    if Vdiag is not None:
-        res_vec -= Vdiag.mat @ u_int
-    residual = float(np.linalg.norm(res_vec) / np.linalg.norm(u_int))
-    positive = bool(np.all(u_int > 0.0))
-    return u_int, residual, positive
+def _m_normalized(u, mdiag):
+    """u scaled to u^T M u = 1, with its largest-magnitude entry positive."""
+    u = u / np.sqrt(u @ (mdiag * u))
+    return -u if u[np.argmax(np.abs(u))] < 0 else u
 
 
 def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Smallest eigenvalue of (K - V) u = lam M u, M diagonal positive.
 
-    Inverse iteration on the symmetrized pencil with a shift kept strictly
-    below the target eigenvalue; the shift follows the Rayleigh estimate
-    minus twice the residual, which preserves positive definiteness of the
-    shifted matrix for the CG inner solves.
+    The two lowest eigenpairs of the symmetrized pencil A come from one
+    solver call at a shift sigma below the spectrum: a dense `eigh` when
+    n < DENSE_MAX_N, ARPACK in shift-invert mode on one factorization of
+    A - sigma I when nnz(A) <= DIRECT_MAX_NNZ, and LOBPCG preconditioned
+    by a few CG steps on A - sigma I above it.  `iterations` counts the
+    shift-invert applications on the direct path and the LOBPCG steps
+    above it; `degenerate` compares the second eigenvalue with lam.
     """
     grid = K.grid
     mdiag = M.mat.diagonal()
     if np.any(mdiag <= 0):
         raise ValueError("M must have a positive diagonal")
-    A = _symmetrized(K, Vdiag, mdiag)
+    # A = M^{-1/2} (K - V) M^{-1/2}, symmetrized
+    S = sp.diags(1.0 / np.sqrt(mdiag))
+    A = (S @ K.mat @ S).tocsr()
+    if Vdiag is not None:
+        A = A - sp.diags(Vdiag.mat.diagonal() / mdiag)
+    A = ((A + A.T) * 0.5).tocsr()
     n = A.shape[0]
-    if n == 1:
-        lam = float(A[0, 0])
-        u_int, residual, positive = _finish(K, Vdiag, M, np.ones(1), lam)
-        return EigenResult(lam, _field_from_interior(grid, u_int), residual, 0, positive)
-
     scale = max(float(abs(A).sum(axis=1).max()), 1e-300)
-    # K is PSD, so eig(A) >= -max(V/M); start safely below the spectrum.
+    # K is PSD, so eig(A) >= -max(V/M); shift safely below the spectrum.
     lower = 0.0
     if Vdiag is not None:
         lower = -max(float((Vdiag.mat.diagonal() / mdiag).max()), 0.0)
     sigma = lower - 1e-3 * scale - 1.0
-
-    y = np.ones(n) / np.sqrt(n)
-    lam = float(y @ (A @ y))
+    Ash = A - sigma * sp.identity(n, format="csr")
     iterations = 0
-    inner_maxiter = max(2 * n, 200)
-    ident = sp.identity(n, format="csr")
-    for iterations in range(1, max_iter + 1):
-        r_vec = A @ y - lam * y
-        r = float(np.linalg.norm(r_vec))
-        if r <= tol * 1e-2 * scale:
-            break
-        # Rayleigh acceleration: some eigenvalue lies within r of lam, but
-        # not necessarily the lowest, so lam - 2r may overshoot it; the
-        # z.Ash.z <= 0 retreat below is what keeps the shift usable.
-        cand = lam - 2.0 * r - 1e-14 * scale
-        if cand > sigma:
-            sigma = cand
-        Ash = A - sigma * ident
-        rtol_inner = min(1e-2, max(0.05 * r / scale, 1e-13))
-        z, info = spla.cg(Ash, y, x0=y, rtol=rtol_inner, atol=0.0, maxiter=inner_maxiter)
-        if info != 0 or not np.all(np.isfinite(z)) or float(z @ (Ash @ z)) <= 0.0:
-            # shift overshot (or CG stalled): retreat and solve again
-            sigma = lam - max(4.0 * r, 1e-6 * scale)
-            Ash = A - sigma * ident
-            z, info = spla.cg(Ash, y, x0=y, rtol=min(rtol_inner, 1e-6), atol=0.0,
-                              maxiter=inner_maxiter)
-            if not np.all(np.isfinite(z)):
-                raise ConvergenceError("inner CG produced non-finite iterate",
-                                       lam=lam, residual=r, iterations=iterations)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            raise ConvergenceError("inverse iteration collapsed to zero",
-                                   lam=lam, residual=r, iterations=iterations)
-        y = z / nz
-        lam = float(y @ (A @ y))
+    if n < DENSE_MAX_N:
+        path, unit = "dense eigh", "iterations"
+        lams, Y = np.linalg.eigh(A.toarray())
+    elif A.nnz <= DIRECT_MAX_NNZ:
+        path, unit = "shift-invert ARPACK", "operator applications"
+        lu = factor_spd(Ash)
 
-    u_int = (1.0 / np.sqrt(mdiag)) * y
-    u_int, residual, positive = _finish(K, Vdiag, M, u_int, lam)
-    if residual > tol:
+        def solve(b):
+            nonlocal iterations
+            iterations += 1
+            return lu.solve(b)
+
+        OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+        try:
+            lams, Y = spla.eigsh(A, k=2, sigma=sigma, OPinv=OPinv, which="LM",
+                                 v0=np.ones(n), maxiter=max_iter)
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"principal eigensolve ({path}) did not converge after {iterations} {unit}",
+                iterations=iterations,
+            ) from exc
+    else:
+        path, unit = "LOBPCG", "iterations"
+
+        def precondition(b):
+            return spla.cg(Ash, b, rtol=0.1, atol=0.0, maxiter=50)[0]
+
+        X = np.column_stack([np.ones(n), np.random.default_rng(0x5EC).standard_normal(n)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # non-convergence is checked below
+            lams, Y, hist = spla.lobpcg(
+                A, X, M=spla.LinearOperator((n, n), matvec=precondition, dtype=float),
+                tol=1e-2 * tol * scale, maxiter=max_iter, largest=False,
+                retResidualNormsHistory=True,
+            )
+        iterations = len(hist) - 2  # the history holds the first and the final residuals too
+    order = np.argsort(lams)
+    lams, Y = lams[order], Y[:, order]
+    lam = float(lams[0])
+    u_int = _m_normalized(Y[:, 0] / np.sqrt(mdiag), mdiag)
+    res_vec = K.mat @ u_int - lam * (mdiag * u_int)
+    if Vdiag is not None:
+        res_vec -= Vdiag.mat @ u_int
+    residual = float(np.linalg.norm(res_vec) / np.linalg.norm(u_int))
+    if not residual <= tol:
         raise ConvergenceError(
-            f"principal eigensolve residual {residual:.3e} above tol {tol:.3e} "
-            f"after {iterations} iterations",
+            f"principal eigensolve ({path}) residual {residual:.3e} above tol {tol:.3e} "
+            f"after {iterations} {unit}",
             lam=lam, residual=residual, iterations=iterations,
         )
     return EigenResult(
@@ -156,55 +160,9 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         eigenfield=_field_from_interior(grid, u_int),
         residual=residual,
         iterations=iterations,
-        positive=positive,
-        _probe=partial(_second_gap_small, K, Vdiag, mdiag, y, lam, sigma, inner_maxiter),
+        positive=bool(np.all(u_int > 0.0)),
+        degenerate=n > 1 and bool(lams[1] - lam < DEGENERACY_GAP * max(1.0, abs(lam))),
     )
-
-
-def _symmetrized(K, Vdiag, mdiag):
-    """A = M^{-1/2} (K - V) M^{-1/2}, symmetrized, for diagonal M = diag(mdiag)."""
-    S = sp.diags(1.0 / np.sqrt(mdiag))
-    A = (S @ K.mat @ S).tocsr()
-    if Vdiag is not None:
-        A = A - sp.diags(Vdiag.mat.diagonal() / mdiag)
-    return ((A + A.T) * 0.5).tocsr()
-
-
-def _second_gap_small(K, Vdiag, mdiag, y, lam, sigma, inner_maxiter):
-    """Estimate the second Ritz value by deflated inverse iteration.
-
-    A is rebuilt from the caller's K and V, so a stored probe holds no
-    matrix of its own.  A seeded random start has generic overlap with
-    the orthogonal complement of the ground state (structured starts can
-    be numerically orthogonal to the degenerate partner and miss it
-    entirely).
-    """
-    A = _symmetrized(K, Vdiag, mdiag)
-    n = A.shape[0]
-    rng = np.random.default_rng(0x5EC)
-    v = rng.standard_normal(n)
-    v -= (v @ y) * y
-    nv = np.linalg.norm(v)
-    if nv < 1e-12:
-        return False
-    v /= nv
-    Ash = A - sigma * sp.identity(n, format="csr")
-    lam2 = float(v @ (A @ v))
-    for _ in range(8):
-        w, info = spla.cg(Ash, v, x0=v, rtol=1e-10, atol=0.0, maxiter=inner_maxiter)
-        if not np.all(np.isfinite(w)):
-            return False
-        w -= (w @ y) * y
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return False
-        v = w / nw
-        new = float(v @ (A @ v))
-        if abs(new - lam2) < 1e-9 * max(1.0, abs(new)):
-            lam2 = new
-            break
-        lam2 = new
-    return bool(lam2 - lam < DEGENERACY_GAP * max(1.0, abs(lam)))
 
 
 def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
@@ -241,10 +199,7 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
             ) from exc
         mu, w = mu[0], w[:, 0]
     lam = 1.0 / float(mu)
-    mdiag = mass_matrix(grid).mat.diagonal()
-    u = w / np.sqrt(w @ (mdiag * w))
-    if u[np.argmax(np.abs(u))] < 0:
-        u = -u
+    u = _m_normalized(w, mass_matrix(grid).mat.diagonal())
     residual = float(np.linalg.norm(K.mat @ u - lam * (gvals * u)) / np.linalg.norm(u))
     if residual > tol:
         raise ConvergenceError(

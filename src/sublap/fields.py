@@ -186,17 +186,8 @@ class VectorFieldFamily:
         A = self.eval_coefficients_batch(points)
         return np.einsum("pji,pjk->pik", A, A)
 
-    def field(self, j):
-        """Row of coefficient polynomials for field j (1-based, 1 <= j <= m)."""
-        if not 1 <= j <= self.m:
-            raise ValueError(f"field index {j} out of range 1..{self.m}")
-        return self.coeffs[j - 1]
-
     def is_constant(self):
         return all(p.degree() <= 0 for row in self.coeffs for p in row)
-
-    def max_degree(self):
-        return max(p.degree() for row in self.coeffs for p in row)
 
 
 def lie_bracket(f1, f2):

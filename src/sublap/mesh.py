@@ -199,12 +199,6 @@ class GridField:
     def zeros(grid):
         return GridField(grid, np.zeros(grid.num_nodes))
 
-    def interior(self):
-        return self.values[self.grid.interior_ids]
-
-    def boundary(self):
-        return self.values[self.grid.boundary_ids]
-
     def copy(self):
         return GridField(self.grid, self.values.copy())
 

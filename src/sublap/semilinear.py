@@ -26,12 +26,11 @@ import scipy.sparse.linalg as spla
 from .eigen import weighted_principal
 from .expressions import compile_expression
 from .mesh import GridField, build_grid
-from .operators import assemble_diagonal, assemble_stiffness
+from .operators import DIRECT_MAX_NNZ, assemble_diagonal, assemble_stiffness, factor_spd
 
 TOL_LIN = 1e-10          # relative residual bound of every shifted linear solve
 MAX_ITER_MONOTONE = 1000
 SUB_SLACK_FACTOR = 1e-8  # tau_sub = factor * ||K||_inf * ||u||_inf
-DIRECT_MAX_NNZ = 60_000  # factor K + cM at or below this many nonzeros, else warm CG
 
 
 @dataclass(eq=False)
@@ -126,8 +125,7 @@ class ShiftedSolver:
             self.lift = K.boundary @ self.bvec
         self.lu = None
         if self.A.nnz <= DIRECT_MAX_NNZ:
-            self.lu = spla.splu(self.A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                                diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+            self.lu = factor_spd(self.A)
         self.x = np.zeros(g.n_interior)
 
     def solve(self, rhs):
@@ -383,13 +381,6 @@ class ComparisonReport:
     @property
     def passed(self):
         return self.hypotheses_ok and self.conclusion_ok
-
-    def failure_kind(self):
-        if not self.hypotheses_ok:
-            return "hypothesis"
-        if not self.conclusion_ok:
-            return "conclusion"
-        return None
 
 
 def comparison_check(K, u1, u2, a, b, p):

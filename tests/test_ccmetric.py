@@ -414,6 +414,19 @@ def test_refine_stall_returns_seed_with_a_note(vertical_seed):
     assert "length" in note and "defect" in note
 
 
+def test_refine_stalls_when_the_path_misses_the_endpoint(vertical_seed, monkeypatch):
+    # one Gauss-Newton step leaves a path shorter than the seed whose end
+    # misses (0, 0, tau) by about 15 x tol |y - x|: not an upper bound
+    tau, seed = vertical_seed
+    monkeypatch.setattr(ccm, "REFINE_STEPS", 1)
+    refined = cc_distance_refine(heisenberg(), seed, segments=20, tol=1e-3)
+    assert refined.stalled
+    assert refined.T == seed.T
+    assert refined.waypoints is seed.waypoints
+    (note,) = refined.notes
+    assert "after 1 Gauss-Newton steps" in note and "endpoint miss" in note
+
+
 def _ref_snapped_edges(ctx, p, targets, base):
     ids, s, valid = ctx._snap(targets)
     valid &= ids != p
@@ -550,6 +563,24 @@ def test_batched_edges_match_per_node_edges():
         assert np.all(np.diff(pos[mine]) > 0)
         for a, b in zip((ids[mine], w[mine], kind[mine], info[mine], scale[mine]), ref):
             assert a.tobytes() == b.tobytes()
+
+
+def test_graph_build_evaluates_coefficients_once(monkeypatch):
+    # sigma_min comes from the coefficients already evaluated at every node
+    heis = heisenberg()
+    calls = []
+    evaluate = type(heis).eval_coefficients_batch
+
+    def counted(self, points):
+        calls.append(len(points))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(type(heis), "eval_coefficients_batch", counted)
+    g = build_grid([(-0.3, 0.3), (-0.3, 0.3), (-0.1, 0.1)], 0.05)
+    ctx = ccm._GraphContext(heis, g, 16, (1, 2, 4), (1, 2))
+    assert calls == [g.num_nodes]
+    sigma = np.linalg.svd(evaluate(heis, g.points), compute_uv=False).min(axis=1)
+    assert ctx.sigma.tobytes() == sigma.tobytes()
 
 
 @pytest.mark.parametrize("scales", [

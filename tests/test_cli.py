@@ -92,6 +92,32 @@ def test_cli_config_error_exit_2(tmp_path):
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "eigen"]) == 2
 
 
+def test_cli_eigen_rejects_weight_with_potential(tmp_path, capsys):
+    # the weighted pencil has no potential term: both keys would drop one
+    cfg = write_config(tmp_path, "eigen.json", {
+        "family": "euclidean(2)",
+        "grid": {"box": [[0, 1], [0, 1]], "h": 0.25},
+        "weight": "1 + 0*x",
+        "potential": "2 + 0*x",
+    })
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "eigen"]) == 2
+    assert "['potential', 'weight'] exclude each other" in capsys.readouterr().err
+
+
+def test_cli_solve_logistic_rejects_mu_with_mu_factor(tmp_path, capsys):
+    cfg = write_config(tmp_path, "l.json", {
+        "family": "euclidean(2)",
+        "grid": {"box": [[0, 1], [0, 1]], "h": 0.25},
+        "a": "1 + 0*x",
+        "b": "1 + 0*x",
+        "p": 2.0,
+        "mu": 30.0,
+        "mu_factor": 2.0,
+    })
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "solve", "logistic"]) == 2
+    assert "['mu', 'mu_factor'] exclude each other" in capsys.readouterr().err
+
+
 def test_cli_missing_config_exit_2(tmp_path):
     assert main(["--out", str(tmp_path / "o"), "eigen"]) == 2
 

@@ -1,11 +1,14 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sublap.cli as cli_mod
 import sublap.eigen as eigen_mod
 from sublap.cli import main
 from sublap.eigen import (
@@ -15,7 +18,8 @@ from sublap.eigen import (
     principal_eigenpair,
     weighted_principal,
 )
-from sublap.fields import euclidean, heisenberg
+from sublap.expressions import compile_expression
+from sublap.fields import euclidean, grushin, heisenberg
 from sublap.mesh import GridField, build_grid, mask_domain
 from sublap.operators import (
     assemble_diagonal,
@@ -24,6 +28,11 @@ from sublap.operators import (
     rayleigh_quotient,
 )
 from sublap.verify import verify_thm_1_2
+
+# DIRECT_MAX_NNZ values that force each path of principal_eigenpair
+SOLVER_PATHS = pytest.mark.parametrize("direct_max_nnz", [eigen_mod.DIRECT_MAX_NNZ, -1],
+                                       ids=["shift-invert", "lobpcg"])
+THM_1_2_U = "exp(0.2*(x + y + t))"
 
 
 def dense_smallest(K, Vdiag, M):
@@ -111,6 +120,26 @@ def test_non_convergence_reported():
     g, K, M = unit_square_setup(1.0 / 16)
     with pytest.raises(ConvergenceError):
         principal_eigenpair(K, None, M, tol=1e-14, max_iter=1)
+
+
+@pytest.mark.parametrize("h", [0.5, 0.25], ids=["one-unknown", "nine-unknowns"])
+def test_principal_small_systems_match_dense_oracle(h):
+    # below DENSE_MAX_N unknowns the pencil goes to a dense eigh
+    g, K, M = unit_square_setup(h)
+    Vd = assemble_diagonal(GridField.from_function(g, lambda pts: 3.0 * pts[:, 0]))
+    res = principal_eigenpair(K, Vd, M, tol=1e-10)
+    assert K.shape[0] < eigen_mod.DENSE_MAX_N and res.iterations == 0
+    assert abs(res.lam - dense_smallest(K, Vd, M)) <= 1e-10 * max(1.0, abs(res.lam))
+    assert res.positive and not res.degenerate
+
+
+def test_lobpcg_non_convergence_names_path_residual_and_iterations(monkeypatch):
+    # LOBPCG only warns when it stops short; the residual check must raise
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    g, K, M = unit_square_setup(1.0 / 16)
+    with pytest.raises(ConvergenceError, match=r"\(LOBPCG\) residual .* after \d+ iterations") as err:
+        principal_eigenpair(K, None, M, tol=1e-14, max_iter=1)
+    assert err.value.residual > 1e-14 and 1 <= err.value.iterations <= 2
 
 
 def test_weighted_unit_weight_reduces_to_unweighted():
@@ -266,7 +295,7 @@ def test_domain_monotonicity_rejects_non_nested():
         domain_monotonicity(euclidean(2), None, [left, right])
 
 
-def test_degeneracy_flag_on_disconnected_domain():
+def check_degeneracy_flag():
     # two identical disjoint squares: the ground state is (near) twofold
     # degenerate and the flag must fire; a single square must not set it
     g = build_grid([(0, 1), (0, 1)], 1.0 / 16)
@@ -281,28 +310,98 @@ def test_degeneracy_flag_on_disconnected_domain():
     assert not res1.degenerate
 
 
-def test_degeneracy_probed_only_when_read(monkeypatch, tmp_path):
-    calls = []
-    probe = eigen_mod._second_gap_small
+def test_degeneracy_flag_on_disconnected_domain():
+    check_degeneracy_flag()
 
-    def counted(*args):
-        # rebuilt from the caller's K and V: the probe holds no matrix of its own
-        assert not any(sp.issparse(a) for a in args)
-        calls.append(1)
-        return probe(*args)
 
-    monkeypatch.setattr(eigen_mod, "_second_gap_small", counted)
-    g = build_grid([(0, 1), (0, 1)], 1.0 / 8)
-    epsilon_path(euclidean(2), g, None, [0.5, 0.0])
-    domain_monotonicity(euclidean(2), None, [g, g])
-    rep = verify_thm_1_2(euclidean(2), g, "exp(x + y)", n_subdomains=3, seed=1)
+def test_degeneracy_flag_on_the_lobpcg_path(monkeypatch):
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    check_degeneracy_flag()
+
+
+def test_cli_eigen_reports_degeneracy_from_the_solve(monkeypatch, tmp_path):
+    # a wall of large -V at x = 0.5 splits the square into two equal wells
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(principal_eigenpair(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(cli_mod, "principal_eigenpair", recorded)
+    for potential, expected in (("-1e6 * (abs(x - 0.5) < 0.1)", True), ("0", False)):
+        cfg = tmp_path / "eigen.json"
+        cfg.write_text(json.dumps({"family": "euclidean(2)", "potential": potential,
+                                   "grid": {"box": [[0, 1], [0, 1]], "h": 0.0625}}))
+        out = tmp_path / f"out-{expected}"
+        assert main(["--config", str(cfg), "--out", str(out), "eigen"]) == 0
+        report = json.loads((out / "report.json").read_text())["results"]["eigen"]
+        assert report["degenerate"] is solves[-1].degenerate is expected
+    assert len(solves) == 2
+
+
+@functools.lru_cache(maxsize=1)
+def thm_1_2_setup():
+    """Heisenberg (-1, 1)^3 at h = 1/8 and the potential V = K u / M u of verify thm1_2."""
+    g = build_grid([(-1, 1)] * 3, 1.0 / 8)
+    K = assemble_stiffness(heisenberg(), g)
+    u = GridField.from_function(g, compile_expression(THM_1_2_U, 3))
+    V = np.zeros(g.num_nodes)
+    V[g.interior_ids] = K.apply(u) / (g.h**3 * u.values[g.interior_ids])
+    return g, V
+
+
+def thm_1_2_pencil(lo, hi, bump):
+    """K, V and M of verify thm1_2 on the subbox [lo, hi], V lowered by `bump`."""
+    g, V = thm_1_2_setup()
+    sub = mask_domain(g, lambda pts: np.all((pts >= lo) & (pts <= hi), axis=1))
+    return (assemble_stiffness(heisenberg(), sub),
+            assemble_diagonal(GridField(sub, V - bump)), mass_matrix(sub))
+
+
+def check_against_dense(K, Vd, M):
+    lam = principal_eigenpair(K, Vd, M).lam
+    exact = dense_smallest(K, Vd, M)
+    assert abs(lam - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+@st.composite
+def pencils(draw):
+    """A Heisenberg h=1/8 subbox with the thm1_2 potential, or a 2D grid with a potential."""
+    # sizes are drawn as offsets below the largest box, so examples start
+    # near n = 1,331 (3D) or 1,444 (2D) and shrink towards smaller boxes
+    if draw(st.booleans()):
+        h = 1.0 / 8
+        lo = np.array([draw(st.integers(0, 4)) for _ in range(3)])
+        size = np.array([12 - draw(st.integers(0, 8)) for _ in range(3)])
+        return thm_1_2_pencil(lo * h - 1 - 1e-9, (lo + size) * h - 1 + 1e-9,
+                              draw(st.sampled_from([0.0, 0.5])))
+    family = draw(st.sampled_from([euclidean(2), grushin()]))
+    h = 1.0 / 16
+    g = build_grid([(-1, (39 - draw(st.integers(0, 35))) * h - 1),
+                    (-1, (39 - draw(st.integers(0, 35))) * h - 1)], h)
+    c, a, k = draw(st.floats(-40, 40)), draw(st.floats(0, 200)), draw(st.integers(1, 4))
+    V = GridField.from_function(
+        g, lambda pts: c + a * np.sin(k * np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1]))
+    return assemble_stiffness(family, g), assemble_diagonal(V), mass_matrix(g)
+
+
+@SOLVER_PATHS
+@settings(max_examples=10)
+@given(pencil=pencils())
+def test_principal_matches_dense_oracle_property(direct_max_nnz, pencil):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
+        check_against_dense(*pencil)
+
+
+@SOLVER_PATHS
+@pytest.mark.parametrize("seed,case", [(1009, 3), (526691478, 11), (0, 10), (2, 1)])
+def test_thm_1_2_cases_that_found_a_higher_eigenvalue(monkeypatch, direct_max_nnz, seed, case):
+    # inverse iteration returned a higher member of a near-degenerate pair here
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
+    g, _ = thm_1_2_setup()
+    rep = verify_thm_1_2(heisenberg(), g, THM_1_2_U, n_subdomains=case + 1, seed=seed)
     assert rep.passed_count == rep.total
-    assert calls == []
-
-    cfg = tmp_path / "eigen.json"
-    cfg.write_text(json.dumps({"family": "euclidean(2)",
-                               "grid": {"box": [[0, 1], [0, 1]], "h": 0.125}}))
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), "eigen"]) == 0
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert report["results"]["eigen"]["degenerate"] is False
-    assert len(calls) == 1
+    (lo, hi) = np.array(rep.cases[case].config["subbox"]).T
+    for bump in (0.0, 0.5):
+        check_against_dense(*thm_1_2_pencil(lo, hi, bump))
