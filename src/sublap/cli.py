@@ -274,12 +274,12 @@ def _run_solve_logistic(cfg):
     b = GridField.from_function(grid, compile_expression(cfg.params["b"], grid.n))
     p = float(cfg.params["p"])
     tol = float(cfg.params["tol"])
+    eig = weighted_principal(K, assemble_diagonal(a), tol=min(tol, 1e-9))
     if "mu" in cfg.params:
         mu = float(cfg.params["mu"])
     else:
-        mu1 = weighted_principal(K, assemble_diagonal(a), tol=1e-9).lam
-        mu = float(cfg.params.get("mu_factor", 2.0)) * mu1
-    res = sm.logistic_solve(K, a, b, mu, p, tol=tol)
+        mu = float(cfg.params.get("mu_factor", 2.0)) * eig.lam
+    res = sm.logistic_solve(K, a, b, mu, p, eig, tol=tol)
     payload = res.to_json_dict()
     payload["mu"] = mu
     code = 0 if res.status in ("ok", "subcritical") else 1

@@ -63,12 +63,6 @@ class EigenResult:
         }
 
 
-def _field_from_interior(grid, u_int):
-    vals = np.zeros(grid.num_nodes)
-    vals[grid.interior_ids] = u_int
-    return GridField(grid, vals)
-
-
 def _m_normalized(u, mdiag):
     """u scaled to u^T M u = 1, with its largest-magnitude entry positive."""
     u = u / np.sqrt(u @ (mdiag * u))
@@ -157,7 +151,7 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         )
     return EigenResult(
         lam=lam,
-        eigenfield=_field_from_interior(grid, u_int),
+        eigenfield=GridField.from_interior(grid, u_int),
         residual=residual,
         iterations=iterations,
         positive=bool(np.all(u_int > 0.0)),
@@ -209,7 +203,7 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
         )
     return EigenResult(
         lam=lam,
-        eigenfield=_field_from_interior(grid, u),
+        eigenfield=GridField.from_interior(grid, u),
         residual=residual,
         iterations=solves,
         positive=bool(np.all(u > 0.0)),

@@ -192,6 +192,17 @@ class GridField:
         return GridField(grid, _node_values(grid, fn, float))
 
     @staticmethod
+    def from_interior(grid, x, boundary=0.0):
+        """Field with interior values x (n_interior,) and Dirichlet data `boundary`.
+
+        `boundary` is a scalar or one value per boundary node.
+        """
+        vals = np.zeros(grid.num_nodes)
+        vals[grid.interior_ids] = x
+        vals[grid.boundary_ids] = boundary
+        return GridField(grid, vals)
+
+    @staticmethod
     def constant(grid, value):
         return GridField(grid, np.full(grid.num_nodes, float(value)))
 

@@ -23,7 +23,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .eigen import weighted_principal
 from .expressions import compile_expression
 from .mesh import GridField, build_grid
 from .operators import DIRECT_MAX_NNZ, assemble_diagonal, assemble_stiffness, factor_spd
@@ -70,6 +69,12 @@ class SemilinearProblem:
                 f"declared Lipschitz bound {self.lipschitz:g} below sampled slope {worst:g}"
             )
         return worst
+
+    def defect(self, u):
+        """K u - M F(., u) on the interior rows."""
+        g = self.grid
+        return self.K.apply(u) - g.h ** g.n * self.reaction(g.points[g.interior_ids],
+                                                           u.values[g.interior_ids])
 
 
 @dataclass(eq=False)
@@ -149,10 +154,7 @@ class ShiftedSolver:
             if info != 0:
                 raise RuntimeError(f"CG stagnation in linear solve (info={info})")
         self.x = x
-        vals = np.zeros(g.num_nodes)
-        vals[g.interior_ids] = x
-        vals[g.boundary_ids] = self.bvec
-        return GridField(g, vals)
+        return GridField.from_interior(g, x, self.bvec)
 
 
 def linear_solve(K, shift_c, rhs, boundary_value=0.0, tol=TOL_LIN):
@@ -164,8 +166,9 @@ def linear_solve(K, shift_c, rhs, boundary_value=0.0, tol=TOL_LIN):
     return ShiftedSolver(K, shift_c, boundary_value, tol).solve(rhs.values[K.grid.interior_ids])
 
 
-def sub_super_slack(K, u):
-    umax = float(np.abs(u.values).max())
+def sub_super_slack(K, *fields):
+    """tau_sub = SUB_SLACK_FACTOR * ||K||_inf * max(1, ||u||_inf over `fields`)."""
+    umax = max(float(np.abs(u.values).max()) for u in fields)
     return SUB_SLACK_FACTOR * K.inf_norm() * max(umax, 1.0)
 
 
@@ -174,14 +177,10 @@ def check_sub_super(problem, u, sign):
 
     Checks sign * (K u - M F(., u)) <= tau_sub; returns (ok, worst, node).
     """
-    g = problem.grid
-    w = g.h ** g.n
-    defect = problem.K.apply(u) - w * problem.reaction(g.points[g.interior_ids],
-                                                       u.values[g.interior_ids])
-    viol = sign * defect
+    viol = sign * problem.defect(u)
     worst = int(np.argmax(viol))
-    slack = sub_super_slack(problem.K, u)
-    return bool(viol.max() <= slack), float(viol.max()), int(g.interior_ids[worst])
+    return (bool(viol[worst] <= sub_super_slack(problem.K, u)), float(viol[worst]),
+            int(problem.grid.interior_ids[worst]))
 
 
 def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
@@ -263,22 +262,6 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     )
 
 
-def polynomial_reaction(coeff_fields):
-    """F(x, u) = sum_k c_k(x) u^k from a list of coefficient fields."""
-    if not coeff_fields:
-        raise ValueError("need at least one coefficient field")
-    grid = coeff_fields[0].grid
-    c_int = np.stack([c.values[grid.interior_ids] for c in coeff_fields])
-
-    def F(pts, u):
-        out = np.zeros_like(u)
-        for k in range(c_int.shape[0] - 1, -1, -1):
-            out = out * u + c_int[k]
-        return out
-
-    return F
-
-
 def logistic_reaction(a, b, mu, p):
     """F(x, u) = mu * u * (a(x) - b(x) |u|^{p-1}) as a vectorized callable."""
     grid = a.grid
@@ -301,14 +284,21 @@ def logistic_lipschitz(a, b, mu, p, umax):
     return float(mu * np.maximum(at0, at1).max())
 
 
-def logistic_solve(K, a, b, mu, p, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
+def logistic_problem(K, a, b, mu, p, umax):
+    """H u = mu u (a - b |u|^{p-1}), u = 0 on the boundary, for brackets within [0, umax]."""
+    return SemilinearProblem(K=K, reaction=logistic_reaction(a, b, mu, p), boundary_value=0.0,
+                             lipschitz=logistic_lipschitz(a, b, mu, p, umax))
+
+
+def logistic_solve(K, a, b, mu, p, eig, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
     """Positive solution of H u = mu u (a - b u^{p-1}), u = 0 on the boundary.
 
-    Uses the bracket [eps*phi, Mcap] with phi the principal eigenfunction of
-    H u = mu1 a u, Mcap = max (a/b)^{1/(p-1)}, and eps the largest dyadic
-    value passing the discrete subsolution test.  For mu <= mu1 the zero
-    solution is returned with status "subcritical".  Near the bifurcation
-    (mu barely above mu1) the contraction rate degrades like
+    `eig` is the principal pair (mu1, phi) of H u = mu1 a u, as returned by
+    `weighted_principal(K, assemble_diagonal(a))`.  Uses the bracket
+    [eps*phi, Mcap] with Mcap = max (a/b)^{1/(p-1)} and eps the largest
+    dyadic value passing the discrete subsolution test.  For mu <= mu1 the
+    zero solution is returned with status "subcritical".  Near the
+    bifurcation (mu barely above mu1) the contraction rate degrades like
     (mu - mu1)/mu, so callers may need a larger max_iter there.
     """
     if p <= 1:
@@ -318,8 +308,6 @@ def logistic_solve(K, a, b, mu, p, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
     b_int = b.values[g.interior_ids]
     if a_int.min() <= 0 or b_int.min() <= 0:
         raise ValueError("a and b must be positive on the interior")
-    ga = assemble_diagonal(a)
-    eig = weighted_principal(K, ga, tol=min(tol, 1e-9))
     mu1 = eig.lam
     zero = GridField.zeros(g)
     if mu <= mu1:
@@ -330,10 +318,8 @@ def logistic_solve(K, a, b, mu, p, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
         )
     Mcap = float((np.abs(a_int / b_int) ** (1.0 / (p - 1.0))).max())
     upper = GridField.constant(g, Mcap)
-    F = logistic_reaction(a, b, mu, p)
-    c = logistic_lipschitz(a, b, mu, p, Mcap)
-    problem = SemilinearProblem(K=K, reaction=F, boundary_value=0.0, lipschitz=c)
-    phi = eig.eigenfield.copy()
+    problem = logistic_problem(K, a, b, mu, p, Mcap)
+    phi = eig.eigenfield
     phi_max = float(phi.values[g.interior_ids].max())
     if phi_max <= 0:
         raise RuntimeError("principal eigenfield is not positive; cannot build a lower solution")
@@ -390,21 +376,14 @@ def comparison_check(K, u1, u2, a, b, p):
     all inequalities carry the discretization slack tau_sub.
     """
     g = K.grid
-    w = g.h ** g.n
-
-    def defect(u):
-        ui = u.values[g.interior_ids]
-        av = a.values[g.interior_ids]
-        bv = b.values[g.interior_ids]
-        return -K.apply(u) + w * (av * ui - bv * np.sign(ui) * np.abs(ui) ** p)
-
-    scale_u = max(float(np.abs(u1.values).max()), float(np.abs(u2.values).max()), 1.0)
-    slack = SUB_SLACK_FACTOR * K.inf_norm() * scale_u
-    d1 = defect(u1)
-    d2 = defect(u2)
-    hyp1 = float(d1.max()) <= slack          # -Hu1 + ... <= 0
-    hyp2 = float((-d2).max()) <= slack       # -Hu2 + ... >= 0
-    worst_hyp = max(float(d1.max()), float((-d2).max()))
+    problem = SemilinearProblem(K=K, reaction=logistic_reaction(a, b, 1.0, p))
+    slack = sub_super_slack(K, u1, u2)
+    # worst violations of -Hu1 + a u1 - b u1^p <= 0 and of -Hu2 + a u2 - b u2^p >= 0
+    d1 = float((-problem.defect(u1)).max())
+    d2 = float(problem.defect(u2).max())
+    hyp1 = d1 <= slack
+    hyp2 = d2 <= slack
+    worst_hyp = max(d1, d2)
     bdiff = u2.values[g.boundary_ids] - u1.values[g.boundary_ids] if g.n_boundary else np.zeros(1)
     boundary_ok = float(bdiff.max(initial=0.0)) <= slack
     diff = u2.values[g.interior_ids] - u1.values[g.interior_ids]
@@ -426,23 +405,23 @@ class PoissonResult:
     field: GridField
     bounds_ok: bool
     worst_violation: float
-    sign: int
-    eps: float
-    note: str = ""
+    bound: str  # the bound U must meet, e.g. "0 < U <= eps"
+
+    @property
+    def note(self):
+        if self.bounds_ok:
+            return ""
+        return f"barrier bound {self.bound} violated: C too large for this box/f"
 
 
-def poisson_solve(K, f, C, sign, eps, tol=TOL_LIN):
-    """Solve K U = -sign * C * M f with far-field boundary value eps.
+def barriers(K, f, C, eps, tol=TOL_LIN):
+    """The Poisson barriers (lower, upper) with far-field boundary value eps.
 
-    sign=-1 gives the lower barrier (bounds checked: 0 < U <= eps);
-    sign=+1 the upper barrier (eps <= U < 1).  Bound violations mean C is
-    too large for this box and f; they are reported, not raised.
+    The lower barrier V solves K V = -C M f and must meet 0 < V <= eps;
+    the upper W solves K W = C M f and must meet eps <= W < 1.  Both come
+    from one c=0 solver.  Bound violations mean C is too large for this
+    box and f; they are reported, not raised.
     """
-    return _barriers(K, f, C, eps, (sign,), tol)[0]
-
-
-def _barriers(K, f, C, eps, signs, tol=TOL_LIN):
-    """poisson_solve for each sign in `signs`, all from one c=0 solver."""
     if C <= 0:
         raise ValueError("C must be positive")
     if not (1.0 / 3.0 < eps < 0.5):
@@ -453,21 +432,13 @@ def _barriers(K, f, C, eps, signs, tol=TOL_LIN):
         raise ValueError("f must be nonnegative")
     solver = ShiftedSolver(K, 0.0, eps, tol)
     bound_tol = 1e-10 * max(1.0, abs(eps))
-    out = []
-    for sign in signs:
-        U = solver.solve(float(sign) * C * fv)
-        ui = U.values[g.interior_ids]
-        if sign < 0:
-            viol = max(float((ui - eps).max()), float((-ui).max()))
-            ok = bool(np.all(ui > 0.0) and np.all(ui <= eps + bound_tol))
-            note = "" if ok else "barrier bound 0 < U <= eps violated: C too large for this box/f"
-        else:
-            viol = max(float((eps - ui).max()), float((ui - 1.0).max()))
-            ok = bool(np.all(ui >= eps - bound_tol) and np.all(ui < 1.0))
-            note = "" if ok else "barrier bound eps <= U < 1 violated: C too large for this box/f"
-        out.append(PoissonResult(field=U, bounds_ok=ok, worst_violation=viol, sign=int(sign),
-                                 eps=eps, note=note))
-    return out
+    V, W = solver.solve(-C * fv), solver.solve(C * fv)
+    vi, wi = V.values[g.interior_ids], W.values[g.interior_ids]
+    lower = PoissonResult(V, bool(np.all(vi > 0.0) and np.all(vi <= eps + bound_tol)),
+                          max(float((vi - eps).max()), float((-vi).max())), "0 < U <= eps")
+    upper = PoissonResult(W, bool(np.all(wi >= eps - bound_tol) and np.all(wi < 1.0)),
+                          max(float((eps - wi).max()), float((wi - 1.0).max())), "eps <= U < 1")
+    return lower, upper
 
 
 def yamabe_reaction(kfield, Kfield, p):
@@ -511,8 +482,7 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
         C = 1e-300  # degenerate barrier pair: both solve the homogeneous problem
     else:
         C = 2.0 * theta
-    lowres, upres = _barriers(K, f, C, eps, (-1, +1))
-    notes = []
+    lowres, upres = barriers(K, f, C, eps)
     if not (lowres.bounds_ok and upres.bounds_ok):
         msg = lowres.note or upres.note
         return BracketSolveResult(
@@ -529,15 +499,7 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
     Kv = np.abs(Kfield.values[g.interior_ids])
     c = float((p * Kv * max(abs(lo), abs(hi)) ** (p - 1.0) + kv).max())
     problem = SemilinearProblem(K=K, reaction=F, boundary_value=eps, lipschitz=c)
-    ok_sub, v_sub, _ = check_sub_super(problem, V, +1)
-    ok_sup, v_sup, _ = check_sub_super(problem, W, -1)
-    if not ok_sub:
-        notes.append(f"lower barrier misses the subsolution inequality by {v_sub:.3e}")
-    if not ok_sup:
-        notes.append(f"upper barrier misses the supersolution inequality by {v_sup:.3e}")
-    result = monotone_iterate(problem, V, W, tol=tol)
-    result.notes = notes + result.notes
-    return result
+    return monotone_iterate(problem, V, W, tol=tol)
 
 
 @dataclass(eq=False)
@@ -607,10 +569,7 @@ def exhaustion_construct(family, g_fn, lam, box_list, h, tol=1e-10):
             fields_out.append(None)
             statuses.append("inaccurate")
             continue
-        vals = np.zeros(grid.num_nodes)
-        vals[grid.interior_ids] = x
-        vals[grid.boundary_ids] = bvec
-        u = GridField(grid, vals)
+        u = GridField.from_interior(grid, x, bvec)
         if np.any(u.values[grid.interior_ids] <= 0.0):
             status = "not-positive"
             notes.append(

@@ -32,11 +32,17 @@ def _digest(config):
 
 @dataclass(eq=False)
 class CaseResult:
-    digest: str
     config: dict
     margin: float
-    passed: bool
     note: str = ""
+
+    @property
+    def digest(self):
+        return _digest(self.config)
+
+    @property
+    def passed(self):
+        return self.margin > 0.0
 
     def to_json_dict(self):
         return {
@@ -103,9 +109,7 @@ def verify_thm_1_2(family, grid, u_expr, n_subdomains=20, seed=0, tol=1e-8):
         raise ValueError("u_expr must be positive on the box")
     K = assemble_stiffness(family, grid)
     w = grid.h ** grid.n
-    Vvals = np.zeros(grid.num_nodes)
-    Vvals[grid.interior_ids] = K.apply(u) / (w * u.values[grid.interior_ids])
-    V = GridField(grid, Vvals)
+    V = GridField.from_interior(grid, K.apply(u) / (w * u.values[grid.interior_ids]))
     tau = MARGIN_H_FACTOR * grid.h
     rng = np.random.default_rng(seed)
     box = [(float(grid.origin[k]), float(grid.origin[k] + (grid.dims[k] - 1) * grid.h))
@@ -142,13 +146,7 @@ def verify_thm_1_2(family, grid, u_expr, n_subdomains=20, seed=0, tol=1e-8):
         margin = lam + tau
         if lam_strict < lam + bump - 1e-6:  # strict-inequality variant must shift up
             margin = min(margin, -1.0)
-        cases.append(CaseResult(
-            digest=_digest(cfg),
-            config=cfg,
-            margin=float(margin),
-            passed=bool(margin > 0.0),
-            note=f"lambda1={lam!r}, bumped={lam_strict!r}",
-        ))
+        cases.append(CaseResult(cfg, margin, f"lambda1={lam!r}, bumped={lam_strict!r}"))
         made += 1
     notes = [f"tau_margin={tau!r}", f"potential from u_expr={getattr(u_fn, 'expression', 'callable')}"]
     return VerificationReport(theorem="Thm 1.2 (eigenvalue positivity)", cases=cases, notes=notes)
@@ -196,10 +194,7 @@ def verify_thm_1_3(family, g_expr, g_plus_expr, lam_fractions, box_list, h,
         }
         ex = sm.exhaustion_construct(family, g_fn, lam, box_list, h, tol=tol)
         if not ex.all_positive:
-            cases.append(CaseResult(
-                digest=_digest(cfg), config=cfg, margin=-1.0, passed=False,
-                note="; ".join(ex.notes) or "positivity failed",
-            ))
+            cases.append(CaseResult(cfg, -1.0, "; ".join(ex.notes) or "positivity failed"))
             continue
         pos_margin = min(
             float(u.values[u.grid.interior_ids].min()) for u in ex.fields if u is not None
@@ -211,11 +206,7 @@ def verify_thm_1_3(family, g_expr, g_plus_expr, lam_fractions, box_list, h,
         else:
             diff_margin = float("inf")
         margin = min(pos_margin, diff_margin)
-        cases.append(CaseResult(
-            digest=_digest(cfg), config=cfg, margin=float(margin),
-            passed=bool(margin > 0.0),
-            note=f"diffs={ex.successive_diffs!r}",
-        ))
+        cases.append(CaseResult(cfg, margin, f"diffs={ex.successive_diffs!r}"))
     return VerificationReport(theorem="Thm 1.3 (principal eigenvalue interval)", cases=cases, notes=notes)
 
 
@@ -225,8 +216,8 @@ def verify_prop_4_2(family, grid, a_expr, b_expr, p, mu_factors, tol=1e-8):
     a = GridField.from_function(grid, as_field_function(a_expr, grid.n))
     b = GridField.from_function(grid, as_field_function(b_expr, grid.n))
     K = assemble_stiffness(family, grid)
-    ga = assemble_diagonal(a)
-    mu1 = weighted_principal(K, ga, tol=1e-9).lam
+    eig = weighted_principal(K, assemble_diagonal(a), tol=min(tol, 1e-9))
+    mu1 = eig.lam
     cases = []
     for cfac in mu_factors:
         mu = cfac * mu1
@@ -237,25 +228,18 @@ def verify_prop_4_2(family, grid, a_expr, b_expr, p, mu_factors, tol=1e-8):
             "p": p,
             "mu_factor": cfac,
         }
-        res = sm.logistic_solve(K, a, b, mu, p, tol=tol, max_iter=8000)
+        res = sm.logistic_solve(K, a, b, mu, p, eig, tol=tol, max_iter=8000)
         if cfac <= 1.0:
             ok = res.status == "subcritical" and float(np.abs(res.solution.values).max()) == 0.0
-            cases.append(CaseResult(
-                digest=_digest(cfg), config=cfg,
-                margin=1.0 if ok else -1.0, passed=bool(ok),
-                note=f"status={res.status}",
-            ))
+            cases.append(CaseResult(cfg, 1.0 if ok else -1.0, f"status={res.status}"))
             continue
         ui = res.solution.values[grid.interior_ids]
         pos_margin = float(ui.min())
         res_margin = tol - res.residual
         # uniqueness probe: rerun from a doubled upper bracket
-        Mcap = float(res.upper.values.max())
-        upper2 = GridField.constant(grid, 2.0 * Mcap)
-        F = sm.logistic_reaction(a, b, mu, p)
-        c2 = sm.logistic_lipschitz(a, b, mu, p, 2.0 * Mcap)
-        problem = sm.SemilinearProblem(K=K, reaction=F, boundary_value=0.0, lipschitz=c2)
-        res2 = sm.monotone_iterate(problem, res.lower, upper2, tol=tol, max_iter=8000)
+        Mcap2 = 2.0 * float(res.upper.values.max())
+        res2 = sm.monotone_iterate(sm.logistic_problem(K, a, b, mu, p, Mcap2), res.lower,
+                                   GridField.constant(grid, Mcap2), tol=tol, max_iter=8000)
         rel = float(
             np.abs(res2.solution.values - res.solution.values).max()
             / max(np.abs(res.solution.values).max(), 1e-300)
@@ -265,11 +249,7 @@ def verify_prop_4_2(family, grid, a_expr, b_expr, p, mu_factors, tol=1e-8):
         if res.status != "ok" or res2.status != "ok":
             note += f", status={res.status}/{res2.status}"
             margin = min(margin, -1.0)
-        cases.append(CaseResult(
-            digest=_digest(cfg), config=cfg, margin=float(margin),
-            passed=bool(margin > 0.0),
-            note=note,
-        ))
+        cases.append(CaseResult(cfg, margin, note))
     return VerificationReport(
         theorem="Prop 4.2 (logistic existence/uniqueness)",
         cases=cases,
@@ -278,7 +258,7 @@ def verify_prop_4_2(family, grid, a_expr, b_expr, p, mu_factors, tol=1e-8):
 
 
 def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
-                   seed=0, stability_box=None):
+                   stability_box=None):
     """Yamabe-type family of positive solutions on a truncated box.
 
     For each (theta, eps): builds |k|, |Kcap| <= theta f with fixed smooth
@@ -308,10 +288,8 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
             kf, Kf = sm.yamabe_coefficients(f, theta)
             res = sm.yamabe_solve(K, kf, Kf, p, f, theta, eps, tol=tol)
             if res.status == "bracket-construction-failed":
-                cases.append(CaseResult(
-                    digest=_digest(cfg), config=cfg, margin=-1.0, passed=False,
-                    note="theta too large for box: " + "; ".join(res.notes),
-                ))
+                note = "theta too large for box: " + "; ".join(res.notes)
+                cases.append(CaseResult(cfg, -1.0, note))
                 continue
             gi = grid.interior_ids
             u = res.solution
@@ -326,11 +304,8 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
                          1e-12 - trace_err)
             if res.status != "ok":
                 margin = min(margin, -1.0)
-            cases.append(CaseResult(
-                digest=_digest(cfg), config=cfg, margin=float(margin),
-                passed=bool(margin > 0.0),
-                note=f"residual={float(res.residual)!r}, trace_err={trace_err!r}",
-            ))
+            cases.append(CaseResult(cfg, margin,
+                                    f"residual={float(res.residual)!r}, trace_err={trace_err!r}"))
             if first_solution is None and margin > 0.0:
                 first_solution = (theta, eps, u)
     notes = []

@@ -166,16 +166,15 @@ def test_criterion_05_logistic():
     K = sl.assemble_stiffness(sl.euclidean(2), g)
     a = sl.GridField.constant(g, 1.0)
     b = sl.GridField.constant(g, 1.0)
-    mu1 = sl.weighted_principal(K, sl.assemble_diagonal(a), tol=1e-10).lam
-    res = sm.logistic_solve(K, a, b, 2 * mu1, 2.0, tol=1e-10)
+    eig = sl.weighted_principal(K, sl.assemble_diagonal(a), tol=1e-10)
+    mu1 = eig.lam
+    res = sm.logistic_solve(K, a, b, 2 * mu1, 2.0, eig, tol=1e-10)
     assert res.status == "ok"
     ui = res.solution.values[g.interior_ids]
     assert ui.min() > 0.0
     assert np.all(res.solution.values <= 1.0 + 1e-12)
     # two-bracket agreement
-    F = sm.logistic_reaction(a, b, 2 * mu1, 2.0)
-    c2 = sm.logistic_lipschitz(a, b, 2 * mu1, 2.0, 2.0)
-    problem = sm.SemilinearProblem(K=K, reaction=F, boundary_value=0.0, lipschitz=c2)
+    problem = sm.logistic_problem(K, a, b, 2 * mu1, 2.0, 2.0)
     res2 = sm.monotone_iterate(problem, res.lower, sl.GridField.constant(g, 2.0), tol=1e-10)
     rel_brackets = np.abs(res2.solution.values - res.solution.values).max() / ui.max()
     assert rel_brackets <= 1e-6
@@ -184,7 +183,7 @@ def test_criterion_05_logistic():
     rel_newton = np.abs(newton.values - res.solution.values).max() / ui.max()
     assert rel_newton <= 1e-6
     # subcritical
-    res0 = sm.logistic_solve(K, a, b, 0.5 * mu1, 2.0)
+    res0 = sm.logistic_solve(K, a, b, 0.5 * mu1, 2.0, eig)
     assert res0.status == "subcritical"
     assert np.all(res0.solution.values == 0.0)
     report("5 (logistic)",
@@ -201,8 +200,8 @@ def test_criterion_06_monotone_mechanics():
     K = sl.assemble_stiffness(sl.euclidean(2), g)
     a = sl.GridField.constant(g, 1.0)
     b = sl.GridField.constant(g, 1.0)
-    mu1 = sl.weighted_principal(K, sl.assemble_diagonal(a), tol=1e-10).lam
-    res_l = sm.logistic_solve(K, a, b, 2 * mu1, 2.0, tol=1e-8)
+    eig = sl.weighted_principal(K, sl.assemble_diagonal(a), tol=1e-10)
+    res_l = sm.logistic_solve(K, a, b, 2 * eig.lam, 2.0, eig, tol=1e-8)
     assert res_l.steps_monotone
     assert res_l.residual <= 1e-8
     g3 = sl.build_grid([(-4, 4)] * 3, 0.5)

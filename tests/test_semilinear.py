@@ -1,8 +1,13 @@
+import ast
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from sublap.cli import main
 from sublap.eigen import principal_eigenpair, weighted_principal
 from sublap.fields import euclidean, heisenberg
 from sublap.mesh import GridField, build_grid, mask_domain
@@ -12,17 +17,19 @@ from sublap.semilinear import (
     DIRECT_MAX_NNZ,
     SemilinearProblem,
     ShiftedSolver,
+    barriers,
     check_sub_super,
     comparison_check,
     exhaustion_construct,
     linear_solve,
     logistic_lipschitz,
+    logistic_problem,
     logistic_reaction,
     logistic_solve,
     monotone_iterate,
-    poisson_solve,
     yamabe_solve,
 )
+from sublap.verify import verify_prop_4_2
 
 
 def damped_newton_logistic(K, a, b, mu, p, u0, tol=1e-12, max_iter=100):
@@ -134,11 +141,9 @@ def _count_splu(monkeypatch):
 
 
 def test_monotone_factors_once_below_threshold(monkeypatch):
-    g, K, a, b, mu1 = logistic_setup(1.0 / 8)
+    g, K, a, b, eig = logistic_setup(1.0 / 8)
     assert K.mat.nnz <= DIRECT_MAX_NNZ
-    F = logistic_reaction(a, b, 2 * mu1, 2.0)
-    problem = SemilinearProblem(K=K, reaction=F, boundary_value=0.0,
-                                lipschitz=logistic_lipschitz(a, b, 2 * mu1, 2.0, 1.0))
+    problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0, 1.0)
     calls = _count_splu(monkeypatch)
     res = monotone_iterate(problem, GridField.zeros(g), GridField.constant(g, 1.0), tol=1e-9)
     assert res.status == "ok" and res.iterations > 10
@@ -156,7 +161,7 @@ def test_yamabe_barriers_share_one_factorization(monkeypatch):
     with pytest.raises(ValueError, match="eps must lie"):
         yamabe_solve(K, kf, Kf, 3.0, f, 0.05, 0.6)
     with pytest.raises(ValueError, match="C must be positive"):
-        poisson_solve(K, f, 0.0, -1, 0.4)
+        barriers(K, f, 0.0, 0.4)
     assert len(calls) == 2
 
 
@@ -202,8 +207,8 @@ def test_monotone_linear_reaction_is_linear_solve():
 def test_monotone_evaluates_reaction_once_per_iterate():
     # F(u) of each iterate is both its residual's reaction and the next
     # step's right-hand side, so each further step costs one evaluation
-    g, K, a, b, mu1 = logistic_setup(h=1.0 / 8)
-    F = logistic_reaction(a, b, 2 * mu1, 2.0)
+    g, K, a, b, eig = logistic_setup(h=1.0 / 8)
+    F = logistic_reaction(a, b, 2 * eig.lam, 2.0)
     calls = []
 
     def counted(pts, u):
@@ -211,7 +216,7 @@ def test_monotone_evaluates_reaction_once_per_iterate():
         return F(pts, u)
 
     problem = SemilinearProblem(K=K, reaction=counted, boundary_value=0.0,
-                                lipschitz=logistic_lipschitz(a, b, 2 * mu1, 2.0, 1.0))
+                                lipschitz=logistic_lipschitz(a, b, 2 * eig.lam, 2.0, 1.0))
     lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
     counts = []
     for max_iter in (1, 5):
@@ -242,13 +247,12 @@ def logistic_setup(h=1.0 / 16):
     K = assemble_stiffness(euclidean(2), g)
     a = GridField.constant(g, 1.0)
     b = GridField.constant(g, 1.0)
-    mu1 = weighted_principal(K, assemble_diagonal(a), tol=1e-10).lam
-    return g, K, a, b, mu1
+    return g, K, a, b, weighted_principal(K, assemble_diagonal(a), tol=1e-10)
 
 
 def test_logistic_supercritical_positive_bounded():
-    g, K, a, b, mu1 = logistic_setup()
-    res = logistic_solve(K, a, b, 2 * mu1, 2.0, tol=1e-8)
+    g, K, a, b, eig = logistic_setup()
+    res = logistic_solve(K, a, b, 2 * eig.lam, 2.0, eig, tol=1e-8)
     assert res.status == "ok"
     assert res.residual <= 1e-8
     ui = res.solution.values[g.interior_ids]
@@ -260,47 +264,43 @@ def test_logistic_supercritical_positive_bounded():
 
 
 def test_logistic_matches_damped_newton():
-    g, K, a, b, mu1 = logistic_setup()
-    res = logistic_solve(K, a, b, 2 * mu1, 2.0, tol=1e-10)
-    newton = damped_newton_logistic(K, a, b, 2 * mu1, 2.0, res.solution)
+    g, K, a, b, eig = logistic_setup()
+    res = logistic_solve(K, a, b, 2 * eig.lam, 2.0, eig, tol=1e-10)
+    newton = damped_newton_logistic(K, a, b, 2 * eig.lam, 2.0, res.solution)
     rel = np.abs(newton.values - res.solution.values).max() / np.abs(res.solution.values).max()
     assert rel < 1e-6
 
 
 def test_logistic_subcritical_zero():
-    g, K, a, b, mu1 = logistic_setup()
-    res = logistic_solve(K, a, b, 0.5 * mu1, 2.0)
+    g, K, a, b, eig = logistic_setup()
+    res = logistic_solve(K, a, b, 0.5 * eig.lam, 2.0, eig)
     assert res.status == "subcritical"
     assert np.all(res.solution.values == 0.0)
 
 
 def test_logistic_two_bracket_agreement():
-    g, K, a, b, mu1 = logistic_setup()
-    res = logistic_solve(K, a, b, 2 * mu1, 2.0, tol=1e-10)
-    F = logistic_reaction(a, b, 2 * mu1, 2.0)
-    c2 = logistic_lipschitz(a, b, 2 * mu1, 2.0, 2.0)
-    problem = SemilinearProblem(K=K, reaction=F, boundary_value=0.0, lipschitz=c2)
+    g, K, a, b, eig = logistic_setup()
+    res = logistic_solve(K, a, b, 2 * eig.lam, 2.0, eig, tol=1e-10)
+    problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0, 2.0)
     res2 = monotone_iterate(problem, res.lower, GridField.constant(g, 2.0), tol=1e-10)
     rel = np.abs(res2.solution.values - res.solution.values).max() / np.abs(res.solution.values).max()
     assert rel < 1e-6
 
 
 def test_monotone_descent_recorded():
-    g, K, a, b, mu1 = logistic_setup(1.0 / 8)
-    res = logistic_solve(K, a, b, 2 * mu1, 2.0, tol=1e-9)
+    g, K, a, b, eig = logistic_setup(1.0 / 8)
+    res = logistic_solve(K, a, b, 2 * eig.lam, 2.0, eig, tol=1e-9)
     assert res.steps_monotone
     assert res.max_step_increase <= 1e-7
 
 
 def test_sub_super_checks():
-    g, K, a, b, mu1 = logistic_setup(1.0 / 8)
-    mu = 2 * mu1
-    F = logistic_reaction(a, b, mu, 2.0)
-    problem = SemilinearProblem(K=K, reaction=F, boundary_value=0.0,
-                                lipschitz=logistic_lipschitz(a, b, mu, 2.0, 1.0))
+    g, K, a, b, eig = logistic_setup(1.0 / 8)
+    mu = 2 * eig.lam
+    problem = logistic_problem(K, a, b, mu, 2.0, 1.0)
     ok_up, _, _ = check_sub_super(problem, GridField.constant(g, 1.0), -1)
     assert ok_up
-    res = logistic_solve(K, a, b, mu, 2.0, tol=1e-9)
+    res = logistic_solve(K, a, b, mu, 2.0, eig, tol=1e-9)
     ok_lo, _, _ = check_sub_super(problem, res.lower, +1)
     assert ok_lo
     # the constant 1/2 is a subsolution, not a supersolution; its defect is
@@ -314,9 +314,9 @@ def test_sub_super_checks():
 
 
 def test_comparison_equality_case_passes():
-    g, K, a, b, mu1 = logistic_setup(1.0 / 8)
-    mu = 2 * mu1
-    res = logistic_solve(K, a, b, mu, 2.0, tol=1e-9)
+    g, K, a, b, eig = logistic_setup(1.0 / 8)
+    mu = 2 * eig.lam
+    res = logistic_solve(K, a, b, mu, 2.0, eig, tol=1e-9)
     amu = GridField.constant(g, mu)
     bmu = GridField.constant(g, mu)
     rep = comparison_check(K, res.solution, res.solution, amu, bmu, 2.0)
@@ -324,18 +324,18 @@ def test_comparison_equality_case_passes():
 
 
 def test_comparison_upper_vs_solution_passes():
-    g, K, a, b, mu1 = logistic_setup(1.0 / 8)
-    mu = 2 * mu1
-    res = logistic_solve(K, a, b, mu, 2.0, tol=1e-9)
+    g, K, a, b, eig = logistic_setup(1.0 / 8)
+    mu = 2 * eig.lam
+    res = logistic_solve(K, a, b, mu, 2.0, eig, tol=1e-9)
     rep = comparison_check(K, GridField.constant(g, 1.0), res.solution,
                            GridField.constant(g, mu), GridField.constant(g, mu), 2.0)
     assert rep.passed
 
 
 def test_comparison_swapped_reports_conclusion_failure():
-    g, K, a, b, mu1 = logistic_setup(1.0 / 8)
-    mu = 2 * mu1
-    res = logistic_solve(K, a, b, mu, 2.0, tol=1e-9)
+    g, K, a, b, eig = logistic_setup(1.0 / 8)
+    mu = 2 * eig.lam
+    res = logistic_solve(K, a, b, mu, 2.0, eig, tol=1e-9)
     rep = comparison_check(K, res.solution, GridField.constant(g, 1.0),
                            GridField.constant(g, mu), GridField.constant(g, mu), 2.0)
     assert not rep.passed
@@ -347,7 +347,7 @@ def test_comparison_swapped_reports_conclusion_failure():
 def test_poisson_zero_source_constant():
     g = build_grid([(0, 1), (0, 1)], 0.125)
     K = assemble_stiffness(euclidean(2), g)
-    res = poisson_solve(K, GridField.zeros(g), 1.0, -1, 0.4)
+    res, _ = barriers(K, GridField.zeros(g), 1.0, 0.4)
     assert res.bounds_ok
     assert np.abs(res.field.values[g.interior_ids] - 0.4).max() < 1e-9
 
@@ -363,7 +363,7 @@ def test_poisson_disk_radial_oracle():
     K = assemble_stiffness(euclidean(2), disk)
     C = 0.05
     f = GridField.from_function(disk, lambda pts: np.exp(-10 * np.sum((pts - 0.5) ** 2, axis=1)))
-    res = poisson_solve(K, f, C, -1, 0.4)
+    res, _ = barriers(K, f, C, 0.4)
     assert res.bounds_ok
     rr = np.linspace(0, R, 4001)
     fr = np.exp(-10 * rr**2)
@@ -380,8 +380,7 @@ def test_poisson_sign_mirror():
     g = build_grid([(0, 1), (0, 1)], 0.125)
     K = assemble_stiffness(euclidean(2), g)
     f = GridField.from_function(g, lambda pts: np.exp(-5 * np.sum((pts - 0.5) ** 2, axis=1)))
-    um = poisson_solve(K, f, 0.05, -1, 0.4).field
-    up = poisson_solve(K, f, 0.05, +1, 0.4).field
+    um, up = (res.field for res in barriers(K, f, 0.05, 0.4))
     assert np.abs((up.values - 0.4) + (um.values - 0.4)).max() < 1e-9
 
 
@@ -390,18 +389,18 @@ def test_poisson_validates_inputs():
     K = assemble_stiffness(euclidean(2), g)
     f = GridField.constant(g, 1.0)
     with pytest.raises(ValueError):
-        poisson_solve(K, f, -1.0, -1, 0.4)
+        barriers(K, f, -1.0, 0.4)
     with pytest.raises(ValueError):
-        poisson_solve(K, f, 1.0, -1, 0.6)
+        barriers(K, f, 1.0, 0.6)
     with pytest.raises(ValueError):
-        poisson_solve(K, GridField.constant(g, -1.0), 1.0, -1, 0.4)
+        barriers(K, GridField.constant(g, -1.0), 1.0, 0.4)
 
 
 def test_poisson_bound_violation_reported_not_raised():
     g = build_grid([(0, 1), (0, 1)], 0.125)
     K = assemble_stiffness(euclidean(2), g)
     f = GridField.constant(g, 1.0)
-    res = poisson_solve(K, f, 100.0, -1, 0.4)  # C far too large
+    res, _ = barriers(K, f, 100.0, 0.4)  # C far too large
     assert not res.bounds_ok
     assert res.worst_violation > 0
     assert "too large" in res.note
@@ -485,26 +484,6 @@ def test_exhaustion_validates_boxes():
                              [[(-2, 2)] * 2, [(-1, 1)] * 2], 0.25)
 
 
-def test_polynomial_reaction_matches_logistic():
-    from sublap.semilinear import polynomial_reaction
-
-    g = build_grid([(0, 1), (0, 1)], 0.125)
-    K = assemble_stiffness(euclidean(2), g)
-    mu = 40.0
-    # mu*u*(1 - u) = 0 + mu*u - mu*u^2
-    zero = GridField.zeros(g)
-    c1 = GridField.constant(g, mu)
-    c2 = GridField.constant(g, -mu)
-    F_poly = polynomial_reaction([zero, c1, c2])
-    a = GridField.constant(g, 1.0)
-    b = GridField.constant(g, 1.0)
-    F_log = logistic_reaction(a, b, mu, 2.0)
-    pts = g.points[g.interior_ids]
-    rng = np.random.default_rng(0)
-    u = rng.uniform(0, 1, size=pts.shape[0])
-    assert np.allclose(F_poly(pts, u), F_log(pts, u), rtol=0, atol=1e-12)
-
-
 @pytest.mark.parametrize("a_fn,b_fn,p", [
     (lambda pts: 1.0 + 0.5 * pts[:, 0], lambda pts: 1.0 + 0.3 * pts[:, 1], 2.0),
     (lambda pts: np.full(pts.shape[0], 1.0), lambda pts: np.full(pts.shape[0], 1.0), 3.0),
@@ -516,11 +495,47 @@ def test_comparison_soundness_on_logistic_pairs(a_fn, b_fn, p):
     K = assemble_stiffness(euclidean(2), g)
     a = GridField.from_function(g, a_fn)
     b = GridField.from_function(g, b_fn)
-    mu1 = weighted_principal(K, assemble_diagonal(a), tol=1e-10).lam
-    mu = 2 * mu1
-    res = logistic_solve(K, a, b, mu, p, tol=1e-9)
+    eig = weighted_principal(K, assemble_diagonal(a), tol=1e-10)
+    mu = 2 * eig.lam
+    res = logistic_solve(K, a, b, mu, p, eig, tol=1e-9)
     assert res.status == "ok"
     Mcap = float(res.upper.values.max())
     rep = comparison_check(K, GridField.constant(g, Mcap), res.solution,
                            GridField(g, mu * a.values), GridField(g, mu * b.values), p)
     assert rep.passed
+
+
+def test_logistic_runs_solve_the_weighted_pencil_once(monkeypatch, tmp_path):
+    # the caller solves K u = mu1 a u once and hands the pair to every logistic_solve
+    calls = []
+    orig = spla.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counted)
+    cfg = tmp_path / "l.json"
+    cfg.write_text(json.dumps({"family": "euclidean(2)",
+                               "grid": {"box": [[0, 1], [0, 1]], "h": 0.125},
+                               "a": "1 + 0*x", "b": "1 + 0*x", "p": 2.0, "mu_factor": 2.0}))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "solve", "logistic"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    g = build_grid([(0, 1), (0, 1)], 0.125)
+    rep = verify_prop_4_2(euclidean(2), g, "1 + 0*x", "1 + 0*x", 2.0, [0.5, 2.0, 4.0])
+    assert rep.passed and rep.total == 3
+    assert len(calls) == 1
+
+
+def test_semilinear_does_not_import_eigen():
+    imported = set()
+    for node in ast.walk(ast.parse(Path(sm.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["sublap" if node.level else None, node.module]))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "sublap.fields" in imported or "sublap.mesh" in imported  # the scan sees sublap imports
+    assert not {n for n in imported if n == "sublap.eigen" or n.startswith("sublap.eigen.")}
