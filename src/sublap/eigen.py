@@ -11,7 +11,7 @@ regularized forms K + eps * K_euclid down to eps -> 0.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +52,9 @@ class EigenResult:
     iterations: int
     positive: bool
     degenerate: bool = False  # a second eigenvalue within DEGENERACY_GAP of lam
+    # M-orthonormal lam_1 and lam_2 vectors on the interior nodes, columns in
+    # that order; a principal_eigenpair result passes them on as `start`
+    vectors: np.ndarray = field(default=None, repr=False)
 
     def to_json_dict(self):
         return {
@@ -69,7 +72,7 @@ def _m_normalized(u, mdiag):
     return -u if u[np.argmax(np.abs(u))] < 0 else u
 
 
-def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=None):
     """Smallest eigenvalue of (K - V) u = lam M u, M diagonal positive.
 
     The two lowest eigenpairs of the symmetrized pencil A come from one
@@ -79,11 +82,20 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     by a few CG steps on A - sigma I above it.  `iterations` counts the
     shift-invert applications on the direct path and the LOBPCG steps
     above it; `degenerate` compares the second eigenvalue with lam.
+
+    `start` is an earlier result of this function on the same grid, for a
+    nearby pencil with the same M: LOBPCG starts from its two vectors and
+    ARPACK from its lam_1 vector; the exact dense `eigh` needs no start.
     """
     grid = K.grid
     mdiag = M.mat.diagonal()
     if np.any(mdiag <= 0):
         raise ValueError("M must have a positive diagonal")
+    if start is not None and (start.eigenfield.grid is not grid or start.vectors is None
+                              or start.vectors.shape[0] != grid.n_interior):
+        raise ValueError("start must be a principal_eigenpair result on the same grid")
+    # the start block in the symmetrized coordinates of A
+    X0 = None if start is None else np.sqrt(mdiag)[:, None] * start.vectors
     # A = M^{-1/2} (K - V) M^{-1/2}, symmetrized
     S = sp.diags(1.0 / np.sqrt(mdiag))
     A = (S @ K.mat @ S).tocsr()
@@ -114,7 +126,7 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
         try:
             lams, Y = spla.eigsh(A, k=2, sigma=sigma, OPinv=OPinv, which="LM",
-                                 v0=np.ones(n), maxiter=max_iter)
+                                 v0=np.ones(n) if X0 is None else X0[:, 0], maxiter=max_iter)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"principal eigensolve ({path}) did not converge after {iterations} {unit}",
@@ -126,7 +138,9 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         def precondition(b):
             return spla.cg(Ash, b, rtol=0.1, atol=0.0, maxiter=50)[0]
 
-        X = np.column_stack([np.ones(n), np.random.default_rng(0x5EC).standard_normal(n)])
+        X = X0
+        if X is None:
+            X = np.column_stack([np.ones(n), np.random.default_rng(0x5EC).standard_normal(n)])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # non-convergence is checked below
             lams, Y, hist = spla.lobpcg(
@@ -139,6 +153,7 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     lams, Y = lams[order], Y[:, order]
     lam = float(lams[0])
     u_int = _m_normalized(Y[:, 0] / np.sqrt(mdiag), mdiag)
+    vectors = np.column_stack([u_int, Y[:, 1:2] / np.sqrt(mdiag)[:, None]])
     res_vec = K.mat @ u_int - lam * (mdiag * u_int)
     if Vdiag is not None:
         res_vec -= Vdiag.mat @ u_int
@@ -156,6 +171,7 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
         iterations=iterations,
         positive=bool(np.all(u_int > 0.0)),
         degenerate=n > 1 and bool(lams[1] - lam < DEGENERACY_GAP * max(1.0, abs(lam))),
+        vectors=vectors,
     )
 
 
@@ -214,8 +230,10 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     """lambda_1 along the regularization K + eps * K_euclid, eps decreasing.
 
     eps values must be strictly decreasing and positive; a trailing 0 is
-    accepted and reproduces the direct (unregularized) solve.  The returned
-    sequence is checked to be strictly decreasing.
+    accepted and reproduces the direct (unregularized) solve.  Each solve
+    after the first starts from the previous eps's eigenvectors (M does not
+    depend on eps).  The returned sequence is checked to be strictly
+    decreasing.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e < 0 for e in eps_list):
@@ -228,16 +246,19 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     K_euc = assemble_stiffness(vf.euclidean(family.n), grid)
     M = mass_matrix(grid)
     out = []
+    res = None
     for eps in eps_list:
         mat = (K.mat + eps * K_euc.mat).tocsr() if eps else K.mat
         Keps = SparseOperator(grid=grid, mat=((mat + mat.T) * 0.5).tocsr(), symmetric=True)
-        out.append((eps, principal_eigenpair(Keps, Vdiag, M, tol=tol).lam))
+        try:
+            res = principal_eigenpair(Keps, Vdiag, M, tol=tol, start=res)
+        except ConvergenceError as exc:
+            raise ConvergenceError(f"epsilon path at eps={eps:g}: {exc}", lam=exc.lam,
+                                   residual=exc.residual, iterations=exc.iterations) from exc
+        out.append((eps, res.lam))
     lams = [lam for _, lam in out]
     if any(a <= b for a, b in zip(lams, lams[1:])):
-        raise ConvergenceError(
-            f"epsilon path not strictly decreasing: {lams}",
-            lam=lams[-1], residual=None, iterations=len(lams),
-        )
+        raise ConvergenceError(f"epsilon path not strictly decreasing: {out}", lam=lams[-1])
     return out
 
 

@@ -514,9 +514,43 @@ class ExhaustionResult:
         return all(s == "ok" for s in self.statuses)
 
 
-def exhaustion_construct(family, g_fn, lam, box_list, h, tol=1e-10):
+@dataclass(eq=False)
+class ExhaustionBox:
+    """The lam-independent part of one box D_k: its grid, K, weight and datum k."""
+
+    grid: object
+    origin_id: int
+    K: object               # stiffness SparseOperator
+    G: object               # diagonal weight operator
+    bvec: np.ndarray        # boundary datum, k on every boundary node
+    rhs: np.ndarray         # -K_boundary @ bvec
+
+
+def exhaustion_boxes(family, g_fn, box_list, h):
+    """Grid, stiffness and weight of every box, built once for any number of lam."""
+    for i, box in enumerate(box_list[:-1]):
+        nxt = box_list[i + 1]
+        for (lo, hi), (lo2, hi2) in zip(box, nxt):
+            if lo2 > lo or hi2 < hi:
+                raise ValueError("box_list must be increasing (each box contained in the next)")
+    boxes = []
+    for k, box in enumerate(box_list, start=1):
+        grid = build_grid(box, h)
+        origin_id = grid.nearest_node(np.zeros(grid.n))
+        if np.linalg.norm(grid.points[origin_id]) > 1e-9 * h:
+            raise ValueError("0 must be a grid node of every box")
+        K = assemble_stiffness(family, grid)
+        G = assemble_diagonal(GridField.from_function(grid, g_fn))
+        bvec = np.full(grid.n_boundary, float(k))
+        rhs = -K.boundary @ bvec if K.boundary is not None else np.zeros(grid.n_interior)
+        boxes.append(ExhaustionBox(grid, origin_id, K, G, bvec, rhs))
+    return boxes
+
+
+def exhaustion_construct(boxes, lam, tol=1e-10):
     """Solve H u = lam g u on growing boxes D_k with boundary datum k.
 
+    `boxes` comes from exhaustion_boxes; only these solves depend on lam.
     Each solution is checked for interior positivity, normalized to
     u(0) = 1, and compared with its predecessor on the smallest box; the
     successive max differences are the convergence diagnostic.  Resonant
@@ -525,28 +559,12 @@ def exhaustion_construct(family, g_fn, lam, box_list, h, tol=1e-10):
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    for i, box in enumerate(box_list[:-1]):
-        nxt = box_list[i + 1]
-        for (lo, hi), (lo2, hi2) in zip(box, nxt):
-            if lo2 > lo or hi2 < hi:
-                raise ValueError("box_list must be increasing (each box contained in the next)")
     fields_out = []
     statuses = []
     notes = []
-    base_grid = None
-    for k, box in enumerate(box_list, start=1):
-        grid = build_grid(box, h)
-        if base_grid is None:
-            base_grid = grid
-        origin_id = grid.nearest_node(np.zeros(grid.n))
-        if np.linalg.norm(grid.points[origin_id]) > 1e-9 * h:
-            raise ValueError("0 must be a grid node of every box")
-        K = assemble_stiffness(family, grid)
-        gfield = GridField.from_function(grid, g_fn)
-        G = assemble_diagonal(gfield)
-        A = (K.mat - lam * G.mat).tocsc()
-        bvec = np.full(grid.n_boundary, float(k))
-        rhs = -K.boundary @ bvec if K.boundary is not None else np.zeros(grid.n_interior)
+    for k, box in enumerate(boxes, start=1):
+        grid, origin_id, rhs, bvec = box.grid, box.origin_id, box.rhs, box.bvec
+        A = (box.K.mat - lam * box.G.mat).tocsc()
         status = "ok"
         with warnings.catch_warnings():
             warnings.simplefilter("error", spla.MatrixRankWarning)
@@ -587,6 +605,7 @@ def exhaustion_construct(family, g_fn, lam, box_list, h, tol=1e-10):
         statuses.append(status)
     diffs = []
     prev = None
+    base_grid = boxes[0].grid
     base_pts = base_grid.points[base_grid.interior_ids]
     for u in fields_out:
         if u is None:

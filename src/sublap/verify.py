@@ -166,7 +166,8 @@ def verify_thm_1_3(family, g_expr, g_plus_expr, lam_fractions, box_list, h,
     n = len(box_list[0])
     g_fn = as_field_function(g_expr, n)
     gp_fn = as_field_function(g_plus_expr, n)
-    big = build_grid(box_list[-1], h)
+    boxes = sm.exhaustion_boxes(family, g_fn, box_list, h)
+    big = boxes[-1].grid
     gv = g_fn(big.points)
     gpv = gp_fn(big.points)
     if np.any(gv > gpv + 1e-12):
@@ -192,7 +193,7 @@ def verify_thm_1_3(family, g_expr, g_plus_expr, lam_fractions, box_list, h,
             "h": h,
             "seed": seed,
         }
-        ex = sm.exhaustion_construct(family, g_fn, lam, box_list, h, tol=tol)
+        ex = sm.exhaustion_construct(boxes, lam, tol=tol)
         if not ex.all_positive:
             cases.append(CaseResult(cfg, -1.0, "; ".join(ex.notes) or "positivity failed"))
             continue

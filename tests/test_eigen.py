@@ -237,7 +237,9 @@ def test_epsilon_path_euclidean_scaling_identity():
         assert abs(lam - (1 + eps) * lam0) < 1e-8 * max(1.0, lam0)
 
 
-def test_epsilon_path_heisenberg_decreasing_with_dense_crosscheck():
+@SOLVER_PATHS
+def test_epsilon_path_heisenberg_decreasing_with_dense_crosscheck(monkeypatch, direct_max_nnz):
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
     heis = heisenberg()
     g = build_grid([(-1, 1)] * 3, 0.25)
     eps_list = [0.5, 0.25, 0.1, 0.01, 0.0]
@@ -254,6 +256,85 @@ def test_epsilon_path_heisenberg_decreasing_with_dense_crosscheck():
         mat = (K.mat + eps * K_euc.mat).tocsr()
         Keps = SparseOperator(grid=g, mat=((mat + mat.T) * 0.5).tocsr(), symmetric=True)
         assert abs(lam - dense_smallest(Keps, None, M)) < 1e-8
+
+
+def heisenberg_eps_operators(h):
+    """M and eps -> symmetrized K + eps * K_euclid on the Heisenberg cube (-1, 1)^3."""
+    g = build_grid([(-1, 1)] * 3, h)
+    K = assemble_stiffness(heisenberg(), g)
+    K_euc = assemble_stiffness(euclidean(3), g)
+    from sublap.operators import SparseOperator
+
+    def at(eps):
+        mat = (K.mat + eps * K_euc.mat).tocsr()
+        return SparseOperator(grid=g, mat=((mat + mat.T) * 0.5).tocsr(), symmetric=True)
+    return mass_matrix(g), at
+
+
+def test_warm_start_matches_cold_in_fewer_lobpcg_steps(monkeypatch):
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    M, at = heisenberg_eps_operators(1.0 / 8)
+    prev = principal_eigenpair(at(0.25), None, M, tol=1e-9)
+    cold = principal_eigenpair(at(0.1), None, M, tol=1e-9)
+    warm = principal_eigenpair(at(0.1), None, M, tol=1e-9, start=prev)
+    assert abs(warm.lam - cold.lam) <= 1e-10 * abs(cold.lam)
+    assert warm.iterations < cold.iterations
+    # the start vectors are M-orthonormal and stay out of the report and the repr
+    V = warm.vectors
+    assert np.allclose(V.T @ (M.mat.diagonal()[:, None] * V), np.eye(2), atol=1e-12)
+    assert np.array_equal(V[:, 0], warm.eigenfield.values[warm.eigenfield.grid.interior_ids])
+    assert "vectors" not in warm.to_json_dict() and "vectors" not in repr(warm)
+
+
+@SOLVER_PATHS
+def test_start_from_another_grid_rejected(monkeypatch, direct_max_nnz):
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
+    g, K, M = unit_square_setup(1.0 / 8)
+    # another h, and the same grid built twice, are other grids
+    for h in (1.0 / 16, 1.0 / 8):
+        _, K2, M2 = unit_square_setup(h)
+        other = principal_eigenpair(K2, None, M2, tol=1e-9)
+        with pytest.raises(ValueError, match="same grid"):
+            principal_eigenpair(K, None, M, start=other)
+    res = principal_eigenpair(K, None, M, tol=1e-9)
+    res.vectors = res.vectors[:-1]
+    with pytest.raises(ValueError, match="same grid"):
+        principal_eigenpair(K, None, M, start=res)
+    # a weighted result carries no start vectors
+    weighted = weighted_principal(K, assemble_diagonal(GridField(g, np.ones(g.num_nodes))))
+    with pytest.raises(ValueError, match="same grid"):
+        principal_eigenpair(K, None, M, start=weighted)
+
+
+def test_epsilon_path_failure_names_eps(monkeypatch):
+    # only the warm-started solves are cut short, so the path fails at its second eps
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+
+    def short_when_warm(*args, start=None, **kwargs):
+        if start is not None:
+            kwargs.update(tol=1e-14, max_iter=1)
+        return principal_eigenpair(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(eigen_mod, "principal_eigenpair", short_when_warm)
+    g = build_grid([(0, 1), (0, 1)], 1.0 / 16)
+    with pytest.raises(ConvergenceError, match=r"^epsilon path at eps=0\.25: principal eigensolve "
+                                               r"\(LOBPCG\) residual") as err:
+        epsilon_path(euclidean(2), g, None, [0.5, 0.25, 0.0], tol=1e-9)
+    assert err.value.residual > 1e-14 and err.value.lam > 0 and 1 <= err.value.iterations <= 2
+
+
+def test_epsilon_path_not_decreasing_lists_the_pairs(monkeypatch):
+    def flat(*args, **kwargs):
+        res = principal_eigenpair(*args, **kwargs)
+        res.lam = 1.0
+        return res
+
+    monkeypatch.setattr(eigen_mod, "principal_eigenpair", flat)
+    g = build_grid([(0, 1), (0, 1)], 1.0 / 8)
+    with pytest.raises(ConvergenceError, match=r"not strictly decreasing: \[\(0\.5, 1\.0\), "
+                                               r"\(0\.25, 1\.0\)\]") as err:
+        epsilon_path(euclidean(2), g, None, [0.5, 0.25])
+    assert err.value.lam == 1.0 and err.value.iterations is None
 
 
 def test_epsilon_path_validates_ordering():

@@ -20,6 +20,7 @@ from sublap.semilinear import (
     barriers,
     check_sub_super,
     comparison_check,
+    exhaustion_boxes,
     exhaustion_construct,
     linear_solve,
     logistic_lipschitz,
@@ -454,7 +455,8 @@ def test_yamabe_validates_domination():
 
 def test_exhaustion_zero_weight_constant():
     boxes = [[(-1, 1)] * 2, [(-1.5, 1.5)] * 2, [(-2, 2)] * 2]
-    ex = exhaustion_construct(euclidean(2), lambda pts: np.zeros(pts.shape[0]), 1.0, boxes, 0.25)
+    zero = exhaustion_boxes(euclidean(2), lambda pts: np.zeros(pts.shape[0]), boxes, 0.25)
+    ex = exhaustion_construct(zero, 1.0)
     assert ex.statuses == ["ok", "ok", "ok"]
     for u in ex.fields:
         assert np.abs(u.values[u.grid.interior_ids] - 1.0).max() < 1e-10
@@ -463,7 +465,8 @@ def test_exhaustion_zero_weight_constant():
 
 def test_exhaustion_positive_weight_converging():
     boxes = [[(-1, 1)] * 2, [(-2, 2)] * 2, [(-3, 3)] * 2, [(-4, 4)] * 2]
-    ex = exhaustion_construct(euclidean(2), lambda pts: np.ones(pts.shape[0]), 0.3, boxes, 0.125)
+    ex = exhaustion_construct(exhaustion_boxes(euclidean(2), lambda pts: np.ones(pts.shape[0]),
+                                               boxes, 0.125), 0.3)
     assert ex.all_positive
     d = ex.successive_diffs
     assert all(a > b for a, b in zip(d, d[1:]))
@@ -474,14 +477,31 @@ def test_exhaustion_resonance_detected():
     g = build_grid(box, 0.25)
     K = assemble_stiffness(euclidean(2), g)
     lam1 = principal_eigenpair(K, None, mass_matrix(g), tol=1e-12).lam
-    ex = exhaustion_construct(euclidean(2), lambda pts: np.ones(pts.shape[0]), lam1, [box], 0.25)
+    ex = exhaustion_construct(exhaustion_boxes(euclidean(2), lambda pts: np.ones(pts.shape[0]),
+                                               [box], 0.25), lam1)
     assert ex.statuses == ["resonance"]
+
+
+def test_exhaustion_boxes_built_once_serve_every_lam():
+    def g_fn(pts):
+        return 1.0 - 2.0 * np.exp(-((pts[:, 0] - 1.5) ** 2 + pts[:, 1] ** 2))
+
+    boxes = [[(-1, 1)] * 2, [(-2, 2)] * 2]
+    built = exhaustion_boxes(euclidean(2), g_fn, boxes, 0.25)
+    assert [b.bvec[0] for b in built] == [1.0, 2.0]
+    for lam in (0.2, 0.6):
+        fresh = exhaustion_construct(exhaustion_boxes(euclidean(2), g_fn, boxes, 0.25), lam)
+        reused = exhaustion_construct(built, lam)
+        assert reused.statuses == fresh.statuses and reused.notes == fresh.notes
+        assert reused.successive_diffs == fresh.successive_diffs
+        for u, v in zip(reused.fields, fresh.fields):
+            assert np.array_equal(u.values, v.values)
 
 
 def test_exhaustion_validates_boxes():
     with pytest.raises(ValueError, match="increasing"):
-        exhaustion_construct(euclidean(2), lambda pts: np.ones(pts.shape[0]), 1.0,
-                             [[(-2, 2)] * 2, [(-1, 1)] * 2], 0.25)
+        exhaustion_boxes(euclidean(2), lambda pts: np.ones(pts.shape[0]),
+                         [[(-2, 2)] * 2, [(-1, 1)] * 2], 0.25)
 
 
 @pytest.mark.parametrize("a_fn,b_fn,p", [
