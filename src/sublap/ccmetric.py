@@ -13,12 +13,14 @@ duration w_min, so every frontier node within w_min of the closest one is
 final, and the edges of the whole bucket are built and relaxed in one
 batch of array operations.  Ties are broken in the order of a
 one-node-at-a-time heap Dijkstra, so distances and parents match it
-exactly.  Stage two resamples the seed path as piecewise-constant
-controls on [0, 1] and finds the least-energy controls that reach the
-target: at constant speed, length equals sqrt(energy), so these give the
-shortest path with that many pieces.  One Gauss-Newton loop steps onto the
-endpoint and halfway down the energy along it; a result no shorter than
-the seed returns the seed.
+exactly.  The coefficients, sigma_min and bracket values behind the edges
+are computed once per value of the axes their polynomials mention, and
+gathered to every node.  Stage two resamples the seed path as
+piecewise-constant controls on [0, 1] and finds the least-energy controls
+that reach the target: at constant speed, length equals sqrt(energy), so
+these give the shortest path with that many pieces.  One Gauss-Newton loop
+steps onto the endpoint and halfway down the energy along it; a result no
+shorter than the seed returns the seed.
 Every flow, seed commutator legs included, goes through one batched RK2
 integrator: each Gauss-Newton step integrates the controls and their
 Jacobian probes in one batch.
@@ -107,23 +109,32 @@ class _GraphContext:
         self.coords = grid.points
         self.F = unit_controls(family.m, directions)
         self.step_scales = np.asarray(step_scales, dtype=float)
-        self.A_all = family.eval_coefficients_batch(self.coords)
-        self.sigma = np.linalg.svd(self.A_all, compute_uv=False).min(axis=1)
-        self.sigma_floor = SIGMA_FLOOR * max(float(self.sigma.max()), 1.0)
-        self.dims = np.array(grid.dims, dtype=np.int64)
-        self.strides = grid.strides
-        self.ok_node = grid.mask != EXTERIOR
-        # nonzero brackets [X_i, X_j], i < j, evaluated everywhere
-        self.pairs = []
-        self.bracket_vals = []
+        # nonzero brackets [X_i, X_j], i < j
+        self.pairs, brackets = [], []
         for i in range(family.m):
             for j in range(i + 1, family.m):
                 br = lie_bracket(family.coeffs[i], family.coeffs[j])
-                if all(p.is_zero for p in br):
-                    continue
-                vals = np.column_stack([p.evaluate(self.coords) for p in br])
-                self.pairs.append((i, j))
-                self.bracket_vals.append(vals)
+                if not all(p.is_zero for p in br):
+                    self.pairs.append((i, j))
+                    brackets.append(br)
+        # Coefficients, sigma_min and brackets vary only along the axes some
+        # polynomial mentions: evaluate them at index 0 of every other axis
+        # and gather the values back to all nodes.
+        polys = [p for rows in (family.coeffs, brackets) for row in rows for p in row]
+        used = [any(e[k] for p in polys for _, e in p.terms) for k in range(grid.n)]
+        shape = [d if u else 1 for d, u in zip(grid.dims, used)]
+        rep = np.arange(grid.num_nodes).reshape(grid.dims)[tuple(slice(d) for d in shape)].ravel()
+        gather = np.broadcast_to(np.arange(rep.size).reshape(shape), grid.dims).ravel()
+        pts = self.coords[rep]
+        A = family.eval_coefficients_batch(pts)
+        sigma = np.linalg.svd(A, compute_uv=False).min(axis=1)
+        self.A_all = A[gather]
+        self.sigma = sigma[gather]
+        self.sigma_floor = SIGMA_FLOOR * max(float(sigma.max()), 1.0)
+        self.bracket_vals = [np.column_stack([p.evaluate(pts) for p in br])[gather] for br in brackets]
+        self.dims = np.array(grid.dims, dtype=np.int64)
+        self.strides = grid.strides
+        self.ok_node = grid.mask != EXTERIOR
         self.comm_s = np.sqrt(np.array(comm_scales, dtype=float) * self.h) if self.pairs else np.array([])
         # no edge is shorter than its base duration (snap surcharges are >= 0)
         bases = np.concatenate([self.step_scales * self.h, 4.0 * self.comm_s])

@@ -9,6 +9,7 @@ one-sided closure.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 EXTERIOR = 0
 BOUNDARY = 1
 INTERIOR = 2
-CSV_BLOCK_ROWS = 4096  # rows formatted per batch: bounds the Python objects alive at once
 
 
 @dataclass(eq=False)
@@ -50,13 +50,15 @@ class GridDomain:
         self.boundary_index[self.boundary_ids] = np.arange(self.n_boundary)
 
     @property
+    def axes(self):
+        """Per-axis node coordinates origin[k] + h * arange(dims[k])."""
+        return [self.origin[k] + self.h * np.arange(self.dims[k]) for k in range(self.n)]
+
+    @property
     def points(self):
-        """Node coordinates, shape (N, n), cached."""
+        """Node coordinates, shape (N, n), cached: the meshgrid of `axes`."""
         if self._points is None:
-            grids = np.meshgrid(
-                *[self.origin[k] + self.h * np.arange(self.dims[k]) for k in range(self.n)],
-                indexing="ij",
-            )
+            grids = np.meshgrid(*self.axes, indexing="ij")
             self._points = np.column_stack([g.ravel() for g in grids])
         return self._points
 
@@ -235,34 +237,57 @@ def integrate(field):
 # serialization
 
 
+def _csv_header(n):
+    names = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)]
+    return ",".join(names + ["value"])
+
+
 def field_to_csv(field, path_or_buf):
-    """CSV rows: index tuple, coordinates, value."""
+    """CSV rows: index tuple, coordinates, value.
+
+    Each index and coordinate is formatted once per axis value, and the
+    trailing axes are joined once.  Rows go out one axis-0 slab at a time
+    (all at once on a 1-D grid), each slab's values formatted once per
+    distinct bit pattern.
+    """
     g = field.grid
+    idx_text = [[str(i) for i in range(d)] for d in g.dims]
+    x_text = [[repr(x) for x in ax.tolist()] for ax in g.axes]
+    lead = min(g.n - 1, 1)  # axis 0 goes slab by slab unless it is the only axis
+    tail_idx = [",".join(t) for t in itertools.product(*idx_text[lead:])]
+    tail_x = [",".join(t) for t in itertools.product(*x_text[lead:])]
+    heads = [(f"{i},", f"{x},") for i, x in zip(idx_text[0], x_text[0])] if lead else [("", "")]
+    bits = field.values.view(np.int64)
+    slab = len(tail_idx)
     is_path = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
     with open(path_or_buf, "w") if is_path else contextlib.nullcontext(path_or_buf) as buf:
-        idx_names = ",".join(f"i{k}" for k in range(g.n))
-        coord_names = ",".join(f"x{k}" for k in range(g.n))
-        buf.write(f"{idx_names},{coord_names},value\n")
-        multi = np.unravel_index(np.arange(g.num_nodes), g.dims)
-        for lo in range(0, g.num_nodes, CSV_BLOCK_ROWS):
-            rows = slice(lo, lo + CSV_BLOCK_ROWS)
-            cols = [map(str, idx[rows].tolist()) for idx in multi]
-            cols += [map(repr, col[rows].tolist()) for col in (*g.points.T, field.values)]
-            buf.writelines(",".join(row) + "\n" for row in zip(*cols))
+        buf.write(_csv_header(g.n) + "\n")
+        for a, (head_idx, head_x) in enumerate(heads):
+            distinct, which = np.unique(bits[a * slab : (a + 1) * slab], return_inverse=True)
+            val_text = [repr(v) for v in distinct.view(np.float64).tolist()]
+            buf.write("".join(f"{head_idx}{ti},{head_x}{tx},{val_text[v]}\n"
+                              for ti, tx, v in zip(tail_idx, tail_x, which.tolist())))
 
 
 def field_from_csv(grid, path_or_buf):
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        text = open(path_or_buf).read()
-    else:
-        text = path_or_buf.read()
-    lines = text.strip().splitlines()[1:]
-    values = np.zeros(grid.num_nodes)
-    for line in lines:
-        parts = line.split(",")
-        multi = tuple(int(v) for v in parts[: grid.n])
-        values[grid.node_id(multi)] = float(parts[-1])
-    return GridField(grid, values)
+    """Read a field_to_csv file; its header, row count and every row's index
+    and coordinates must match `grid` exactly."""
+    is_path = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
+    with open(path_or_buf) if is_path else contextlib.nullcontext(path_or_buf) as buf:
+        text = buf.read()
+    header, *lines = text.strip().splitlines()
+    if header != _csv_header(grid.n):
+        raise ValueError(f"CSV header {header!r} does not describe a {grid.n}-dimensional grid")
+    if len(lines) != grid.num_nodes:
+        raise ValueError(f"file holds {len(lines)} rows, grid has {grid.num_nodes} nodes")
+    table = np.array([line.split(",") for line in lines], dtype=float)
+    if table.shape[1:] != (2 * grid.n + 1,):
+        raise ValueError(f"CSV rows must hold {2 * grid.n + 1} fields")
+    expected = np.column_stack([*np.unravel_index(np.arange(grid.num_nodes), grid.dims), grid.points])
+    bad = np.flatnonzero(np.any(table[:, :-1] != expected, axis=1))
+    if bad.size:
+        raise ValueError(f"CSV row {bad[0]}: index or coordinates differ from grid node {bad[0]}")
+    return GridField(grid, table[:, -1])
 
 
 def field_to_binary(field, path):

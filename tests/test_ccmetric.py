@@ -20,7 +20,7 @@ from sublap.ccmetric import (
     sobolev_probe,
     unit_controls,
 )
-from sublap.fields import euclidean, grushin, heisenberg
+from sublap.fields import Polynomial, VectorFieldFamily, euclidean, grushin, heisenberg, lie_bracket
 from sublap.mesh import EXTERIOR, GridField, build_grid, mask_domain
 from sublap.operators import assemble_first_order
 
@@ -566,7 +566,8 @@ def test_batched_edges_match_per_node_edges():
 
 
 def test_graph_build_evaluates_coefficients_once(monkeypatch):
-    # sigma_min comes from the coefficients already evaluated at every node
+    # Heisenberg's coefficients never mention t: one evaluation on the
+    # t-index-0 plane of 13 x 13 nodes serves all 13 x 13 x 5
     heis = heisenberg()
     calls = []
     evaluate = type(heis).eval_coefficients_batch
@@ -578,9 +579,38 @@ def test_graph_build_evaluates_coefficients_once(monkeypatch):
     monkeypatch.setattr(type(heis), "eval_coefficients_batch", counted)
     g = build_grid([(-0.3, 0.3), (-0.3, 0.3), (-0.1, 0.1)], 0.05)
     ctx = ccm._GraphContext(heis, g, 16, (1, 2, 4), (1, 2))
-    assert calls == [g.num_nodes]
+    assert g.num_nodes == 13 * 13 * 5 and calls == [13 * 13]
     sigma = np.linalg.svd(evaluate(heis, g.points), compute_uv=False).min(axis=1)
     assert ctx.sigma.tobytes() == sigma.tobytes()
+
+
+def _family_of_every_axis():
+    """A 3-D pair of fields whose coefficients mention x, y and t."""
+    def poly(*terms):
+        return Polynomial(3, terms)
+    one = poly((1.0, (0, 0, 0)))
+    rows = ((one, poly((0.2, (0, 0, 2))), poly((-0.5, (0, 1, 0)))),
+            (poly((0.1, (1, 0, 1))), one, poly((0.5, (1, 0, 0)), (0.3, (0, 1, 3)))))
+    return VectorFieldFamily(n=3, m=2, coeffs=rows, name="every-axis")
+
+
+@pytest.mark.parametrize("family", [heisenberg(), grushin(), euclidean(3), _family_of_every_axis()],
+                         ids=lambda fam: fam.name)
+def test_graph_build_matches_evaluation_at_every_node(family):
+    g = build_grid([(-0.3, 0.3), (-0.2, 0.25), (-0.1, 0.1)][: family.n], 0.05)
+    ctx = ccm._GraphContext(family, g, 8, (1, 2), (1,))
+    A = family.eval_coefficients_batch(g.points)
+    sigma = np.linalg.svd(A, compute_uv=False).min(axis=1)
+    assert ctx.A_all.shape == A.shape and ctx.A_all.tobytes() == A.tobytes()
+    assert ctx.sigma.shape == sigma.shape and ctx.sigma.tobytes() == sigma.tobytes()
+    assert ctx.sigma_floor == ccm.SIGMA_FLOOR * max(float(sigma.max()), 1.0)
+    brackets = {(i, j): lie_bracket(family.coeffs[i], family.coeffs[j])
+                for i in range(family.m) for j in range(i + 1, family.m)}
+    pairs = [ij for ij, br in brackets.items() if not all(p.is_zero for p in br)]
+    assert ctx.pairs == pairs and len(ctx.bracket_vals) == len(pairs)
+    for ij, vals in zip(pairs, ctx.bracket_vals):
+        full = np.column_stack([p.evaluate(g.points) for p in brackets[ij]])
+        assert vals.shape == full.shape and vals.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("scales", [

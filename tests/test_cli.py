@@ -1,10 +1,11 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
 from sublap.cli import ConfigError, emit_plot, main, validate_config
-from sublap.mesh import GridField, build_grid
+from sublap.mesh import GridField, build_grid, field_from_csv
 
 
 def write_config(tmp_path, name, payload):
@@ -189,6 +190,26 @@ def test_cli_byte_determinism(tmp_path):
         main(["--config", str(cfg), "--out", str(out), "--seed", "9", "verify", "thm1_2"])
         outs.append((out / "report.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_ball_indicator_byte_determinism(tmp_path, node_by_node_csv):
+    cfg = write_config(tmp_path, "b.json", {
+        "family": "heisenberg",
+        "grid": {"box": [[-0.33, 0.33], [-0.33, 0.33], [-0.02, 0.02]], "h": 0.02},
+        "center": [0, 0, 0], "radius": 0.3, "directions": 8, "step_scales": [1],
+    })
+    outs = []
+    for name in ("o1", "o2"):
+        out = tmp_path / name
+        assert main(["--config", str(cfg), "--out", str(out), "ball"]) == 0
+        outs.append((out / "ball_indicator.csv").read_bytes())
+    assert outs[0] == outs[1]
+    grid = build_grid([(-0.33, 0.33), (-0.33, 0.33), (-0.02, 0.02)], 0.02)
+    indicator = field_from_csv(grid, tmp_path / "o1" / "ball_indicator.csv")
+    assert set(np.unique(indicator.values)) == {0.0, 1.0}
+    ref = io.StringIO()
+    node_by_node_csv(indicator, ref)
+    assert outs[0] == ref.getvalue().encode()
 
 
 def test_cli_fields_info(tmp_path):

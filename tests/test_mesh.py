@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sublap import mesh
 from sublap.mesh import (
     BOUNDARY,
     EXTERIOR,
@@ -173,42 +172,71 @@ def test_field_csv_round_trip():
     assert np.array_equal(back.values, f.values)
 
 
-def _ref_field_to_csv(field, buf):
-    """Reference: the node-by-node CSV writer."""
-    g = field.grid
-    idx_names = ",".join(f"i{k}" for k in range(g.n))
-    coord_names = ",".join(f"x{k}" for k in range(g.n))
-    buf.write(f"{idx_names},{coord_names},value\n")
-    multi = np.unravel_index(np.arange(g.num_nodes), g.dims)
-    pts = g.points
-    for node in range(g.num_nodes):
-        idx = ",".join(str(int(multi[k][node])) for k in range(g.n))
-        coords = ",".join(repr(float(pts[node, k])) for k in range(g.n))
-        buf.write(f"{idx},{coords},{float(field.values[node])!r}\n")
+def _csv_test_values(g, kind):
+    rng = np.random.default_rng(g.num_nodes)
+    if kind == "random":
+        vals = rng.standard_normal(g.num_nodes) * 10.0 ** rng.integers(-300, 301, g.num_nodes)
+        vals[:6] = [1e300, -1e-300, 5e-324, np.inf, -0.0, np.nan]
+        return vals
+    if kind == "indicator":
+        return (rng.random(g.num_nodes) < 0.3).astype(float)
+    # 0.0, -0.0 and two NaN payloads: each bit pattern is formatted on its own
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.uint64).view(np.float64)
+    return np.array([0.0, -0.0, *nans])[rng.integers(0, 4, g.num_nodes)]
 
 
 @pytest.mark.parametrize("box, h", [
     ([(-1.3, 2.1)], 0.1),
     ([(0, 1), (-0.7, 0.45)], 0.05),
     ([(-0.3, 0.3), (0, 0.5), (-0.02, 0.04)], 0.02),
+    ([(0, 0.3), (-0.2, 0.1), (0.05, 0.2), (-1, -0.8)], 0.05),
 ])
-def test_field_csv_matches_node_by_node_writer(tmp_path, monkeypatch, box, h):
-    g = build_grid(box, h)
-    rng = np.random.default_rng(g.num_nodes)
-    vals = rng.standard_normal(g.num_nodes) * 10.0 ** rng.integers(-300, 301, g.num_nodes)
-    vals[:6] = [1e300, -1e-300, 5e-324, np.inf, -0.0, np.nan]
-    f = GridField(g, vals)
-    ref = io.StringIO()
-    _ref_field_to_csv(f, ref)
+def test_field_csv_matches_node_by_node_writer(tmp_path, node_by_node_csv, box, h):
+    full = build_grid(box, h)
+    # a slanted half-space mask leaves exterior nodes that are no sub-box
+    half = mask_domain(full, lambda pts: pts.sum(axis=1) < np.mean(box, axis=1).sum())
+    for g in (full, half):
+        for kind in ("random", "indicator", "signed_zeros_and_nans"):
+            f = GridField(g, _csv_test_values(g, kind))
+            ref = io.StringIO()
+            node_by_node_csv(f, ref)
+            buf = io.StringIO()
+            field_to_csv(f, buf)
+            assert buf.getvalue() == ref.getvalue()
+            field_to_csv(f, tmp_path / "f.csv")
+            assert (tmp_path / "f.csv").read_bytes() == ref.getvalue().encode()
+
+
+def _csv_lines(field):
     buf = io.StringIO()
-    field_to_csv(f, buf)
-    assert buf.getvalue() == ref.getvalue()
-    field_to_csv(f, tmp_path / "f.csv")
-    assert (tmp_path / "f.csv").read_bytes() == ref.getvalue().encode()
-    monkeypatch.setattr(mesh, "CSV_BLOCK_ROWS", 7)  # rows cross block boundaries
-    buf = io.StringIO()
-    field_to_csv(f, buf)
-    assert buf.getvalue() == ref.getvalue()
+    field_to_csv(field, buf)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def test_field_from_csv_rejects_another_dimension():
+    g = build_grid([(0, 1), (0, 1)], 0.25)
+    lines = _csv_lines(GridField.zeros(g))
+    with pytest.raises(ValueError, match="does not describe a 3-dimensional grid"):
+        field_from_csv(build_grid([(0, 1)] * 3, 0.25), io.StringIO("".join(lines)))
+
+
+def test_field_from_csv_rejects_a_missing_row():
+    g = build_grid([(0, 1), (0, 1)], 0.25)
+    lines = _csv_lines(GridField.zeros(g))
+    with pytest.raises(ValueError, match="file holds 24 rows, grid has 25 nodes"):
+        field_from_csv(g, io.StringIO("".join(lines[:-1])))
+
+
+def test_field_from_csv_rejects_coordinates_off_the_grid():
+    g = build_grid([(0, 1), (0, 1)], 0.25)
+    lines = _csv_lines(GridField.zeros(g))
+    assert lines[8] == "1,2,0.25,0.5,0.0\n"  # data row 7, node 7
+    lines[8] = f"1,2,0.25,{float(np.nextafter(0.5, 1.0))!r},0.0\n"
+    with pytest.raises(ValueError, match="CSV row 7: index or coordinates differ from grid node 7"):
+        field_from_csv(g, io.StringIO("".join(lines)))
+    shifted = build_grid([(0.5, 1.5), (0, 1)], 0.25)  # same dims, another origin
+    with pytest.raises(ValueError, match="CSV row 0"):
+        field_from_csv(shifted, io.StringIO("".join(_csv_lines(GridField.zeros(g)))))
 
 
 def test_field_binary_round_trip(tmp_path):
