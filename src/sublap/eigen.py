@@ -1,11 +1,12 @@
 """Principal eigenvalue solvers for the discrete sub-Laplacian.
 
-principal_eigenpair finds the two smallest eigenvalues of
-(K - V) u = lam M u in one SciPy call (shift-invert ARPACK on small
-systems, preconditioned LOBPCG on large ones); weighted_principal handles
-K u = lam G u with a possibly sign-changing weight through ARPACK on the
-pencil G w = mu K w (lam = 1 / mu_max); epsilon_path follows the
-regularized forms K + eps * K_euclid down to eps -> 0.
+principal_eigenpair finds the smallest eigenvalue of (K - V) u = lam M u,
+and by default the second one too, in one SciPy call (shift-invert ARPACK
+on small systems, preconditioned LOBPCG on large ones); weighted_principal
+handles K u = lam G u with a possibly sign-changing weight through ARPACK
+on the pencil G w = mu K w (lam = 1 / mu_max); epsilon_path follows the
+regularized forms K + eps * K_euclid down to eps -> 0, solving for lam_1
+alone.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ class EigenResult:
     residual: float
     iterations: int
     positive: bool
-    degenerate: bool = False  # a second eigenvalue within DEGENERACY_GAP of lam
-    # M-orthonormal lam_1 and lam_2 vectors on the interior nodes, columns in
+    # a second eigenvalue within DEGENERACY_GAP of lam; None when lam_2 was not computed
+    degenerate: bool | None = False
+    # M-orthonormal lam_1 (and lam_2) vectors on the interior nodes, columns in
     # that order; a principal_eigenpair result passes them on as `start`
     vectors: np.ndarray = field(default=None, repr=False)
 
@@ -62,7 +64,7 @@ class EigenResult:
             "residual": float(self.residual),
             "iterations": int(self.iterations),
             "positive": bool(self.positive),
-            "degenerate": bool(self.degenerate),
+            "degenerate": None if self.degenerate is None else bool(self.degenerate),
         }
 
 
@@ -72,30 +74,41 @@ def _m_normalized(u, mdiag):
     return -u if u[np.argmax(np.abs(u))] < 0 else u
 
 
-def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=None):
+def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=None,
+                        pairs=2):
     """Smallest eigenvalue of (K - V) u = lam M u, M diagonal positive.
 
-    The two lowest eigenpairs of the symmetrized pencil A come from one
-    solver call at a shift sigma below the spectrum: a dense `eigh` when
-    n < DENSE_MAX_N, ARPACK in shift-invert mode on one factorization of
-    A - sigma I when nnz(A) <= DIRECT_MAX_NNZ, and LOBPCG preconditioned
-    by a few CG steps on A - sigma I above it.  `iterations` counts the
-    shift-invert applications on the direct path and the LOBPCG steps
-    above it; `degenerate` compares the second eigenvalue with lam.
+    The `pairs` (1 or 2) lowest eigenpairs of the symmetrized pencil
+    A = M^{-1/2} (K - V) M^{-1/2} come from one solver call at a shift
+    sigma below the spectrum: a dense `eigh` when n < DENSE_MAX_N, ARPACK
+    in shift-invert mode on one factorization of A - sigma I when
+    nnz(A) <= DIRECT_MAX_NNZ, and LOBPCG preconditioned by a few CG steps
+    on A - sigma I above it.  `iterations` counts the shift-invert
+    applications on the direct path and the LOBPCG steps above it;
+    `degenerate` compares the second eigenvalue with lam, and is None when
+    pairs=1.  `vectors` has `pairs` columns (one when n = 1).
+
+    LOBPCG stops when every unit Ritz vector y has ||A y - lam y|| <=
+    0.5 * tol / max(M): for u = M^{-1/2} y, ||(K - V) u - lam M u|| / ||u||
+    <= max(M) ||A y - lam y||, so the final residual check passes with a
+    2x margin on any grid, eps or potential.
 
     `start` is an earlier result of this function on the same grid, for a
-    nearby pencil with the same M: LOBPCG starts from its two vectors and
-    ARPACK from its lam_1 vector; the exact dense `eigh` needs no start.
+    nearby pencil with the same M, with at least `pairs` vectors: LOBPCG
+    starts from its first `pairs` vectors and ARPACK from its lam_1
+    vector; the exact dense `eigh` needs no start.
     """
+    if pairs not in (1, 2):
+        raise ValueError(f"pairs must be 1 or 2, got {pairs!r}")
     grid = K.grid
     mdiag = M.mat.diagonal()
     if np.any(mdiag <= 0):
         raise ValueError("M must have a positive diagonal")
     if start is not None and (start.eigenfield.grid is not grid or start.vectors is None
-                              or start.vectors.shape[0] != grid.n_interior):
-        raise ValueError("start must be a principal_eigenpair result on the same grid")
-    # the start block in the symmetrized coordinates of A
-    X0 = None if start is None else np.sqrt(mdiag)[:, None] * start.vectors
+                              or start.vectors.shape[0] != grid.n_interior
+                              or start.vectors.shape[1] < pairs):
+        raise ValueError(f"start must be a principal_eigenpair result on the same grid "
+                         f"with at least {pairs} vectors")
     # A = M^{-1/2} (K - V) M^{-1/2}, symmetrized
     S = sp.diags(1.0 / np.sqrt(mdiag))
     A = (S @ K.mat @ S).tocsr()
@@ -103,57 +116,62 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
         A = A - sp.diags(Vdiag.mat.diagonal() / mdiag)
     A = ((A + A.T) * 0.5).tocsr()
     n = A.shape[0]
-    scale = max(float(abs(A).sum(axis=1).max()), 1e-300)
-    # K is PSD, so eig(A) >= -max(V/M); shift safely below the spectrum.
-    lower = 0.0
-    if Vdiag is not None:
-        lower = -max(float((Vdiag.mat.diagonal() / mdiag).max()), 0.0)
-    sigma = lower - 1e-3 * scale - 1.0
-    Ash = A - sigma * sp.identity(n, format="csr")
     iterations = 0
     if n < DENSE_MAX_N:
         path, unit = "dense eigh", "iterations"
         lams, Y = np.linalg.eigh(A.toarray())
-    elif A.nnz <= DIRECT_MAX_NNZ:
-        path, unit = "shift-invert ARPACK", "operator applications"
-        lu = factor_spd(Ash)
-
-        def solve(b):
-            nonlocal iterations
-            iterations += 1
-            return lu.solve(b)
-
-        OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
-        try:
-            lams, Y = spla.eigsh(A, k=2, sigma=sigma, OPinv=OPinv, which="LM",
-                                 v0=np.ones(n) if X0 is None else X0[:, 0], maxiter=max_iter)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"principal eigensolve ({path}) did not converge after {iterations} {unit}",
-                iterations=iterations,
-            ) from exc
+        lams, Y = lams[:pairs], Y[:, :pairs]
     else:
-        path, unit = "LOBPCG", "iterations"
+        # the start block in the symmetrized coordinates of A
+        X0 = None if start is None else np.sqrt(mdiag)[:, None] * start.vectors[:, :pairs]
+        # K is PSD, so eig(A) >= -max(V/M); shift safely below the spectrum.
+        lower = 0.0
+        if Vdiag is not None:
+            lower = -max(float((Vdiag.mat.diagonal() / mdiag).max()), 0.0)
+        sigma = lower - 1e-3 * max(float(abs(A).sum(axis=1).max()), 1e-300) - 1.0
+        Ash = A - sigma * sp.identity(n, format="csr")
+        if A.nnz <= DIRECT_MAX_NNZ:
+            path, unit = "shift-invert ARPACK", "operator applications"
+            lu = factor_spd(Ash)
 
-        def precondition(b):
-            return spla.cg(Ash, b, rtol=0.1, atol=0.0, maxiter=50)[0]
+            def solve(b):
+                nonlocal iterations
+                iterations += 1
+                return lu.solve(b)
 
-        X = X0
-        if X is None:
-            X = np.column_stack([np.ones(n), np.random.default_rng(0x5EC).standard_normal(n)])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # non-convergence is checked below
-            lams, Y, hist = spla.lobpcg(
-                A, X, M=spla.LinearOperator((n, n), matvec=precondition, dtype=float),
-                tol=1e-2 * tol * scale, maxiter=max_iter, largest=False,
-                retResidualNormsHistory=True,
-            )
-        iterations = len(hist) - 2  # the history holds the first and the final residuals too
+            OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+            try:
+                lams, Y = spla.eigsh(A, k=pairs, sigma=sigma, OPinv=OPinv, which="LM",
+                                     v0=np.ones(n) if X0 is None else X0[:, 0],
+                                     maxiter=max_iter)
+            except spla.ArpackNoConvergence as exc:
+                raise ConvergenceError(
+                    f"principal eigensolve ({path}) did not converge after {iterations} {unit}",
+                    iterations=iterations,
+                ) from exc
+        else:
+            path, unit = "LOBPCG", "iterations"
+
+            def precondition(b):
+                return spla.cg(Ash, b, rtol=0.1, atol=0.0, maxiter=50)[0]
+
+            X = X0
+            if X is None:
+                X = np.column_stack([np.ones(n), np.random.default_rng(0x5EC).standard_normal(n)])
+                X = X[:, :pairs]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # non-convergence is checked below
+                lams, Y, hist = spla.lobpcg(
+                    A, X, M=spla.LinearOperator((n, n), matvec=precondition, dtype=float),
+                    tol=0.5 * tol / mdiag.max(), maxiter=max_iter, largest=False,
+                    retResidualNormsHistory=True,
+                )
+            iterations = len(hist) - 2  # the history holds the first and the final residuals too
     order = np.argsort(lams)
     lams, Y = lams[order], Y[:, order]
     lam = float(lams[0])
     u_int = _m_normalized(Y[:, 0] / np.sqrt(mdiag), mdiag)
-    vectors = np.column_stack([u_int, Y[:, 1:2] / np.sqrt(mdiag)[:, None]])
+    vectors = np.column_stack([u_int, Y[:, 1:] / np.sqrt(mdiag)[:, None]])
     res_vec = K.mat @ u_int - lam * (mdiag * u_int)
     if Vdiag is not None:
         res_vec -= Vdiag.mat @ u_int
@@ -164,13 +182,16 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             f"after {iterations} {unit}",
             lam=lam, residual=residual, iterations=iterations,
         )
+    degenerate = None
+    if pairs == 2:
+        degenerate = n > 1 and bool(lams[1] - lam < DEGENERACY_GAP * max(1.0, abs(lam)))
     return EigenResult(
         lam=lam,
         eigenfield=GridField.from_interior(grid, u_int),
         residual=residual,
         iterations=iterations,
         positive=bool(np.all(u_int > 0.0)),
-        degenerate=n > 1 and bool(lams[1] - lam < DEGENERACY_GAP * max(1.0, abs(lam))),
+        degenerate=degenerate,
         vectors=vectors,
     )
 
@@ -231,9 +252,9 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
 
     eps values must be strictly decreasing and positive; a trailing 0 is
     accepted and reproduces the direct (unregularized) solve.  Each solve
-    after the first starts from the previous eps's eigenvectors (M does not
-    depend on eps).  The returned sequence is checked to be strictly
-    decreasing.
+    computes lam_1 alone (pairs=1) and, after the first, starts from the
+    previous eps's lam_1 vector (M does not depend on eps).  The returned
+    sequence is checked to be strictly decreasing.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e < 0 for e in eps_list):
@@ -251,7 +272,7 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
         mat = (K.mat + eps * K_euc.mat).tocsr() if eps else K.mat
         Keps = SparseOperator(grid=grid, mat=((mat + mat.T) * 0.5).tocsr(), symmetric=True)
         try:
-            res = principal_eigenpair(Keps, Vdiag, M, tol=tol, start=res)
+            res = principal_eigenpair(Keps, Vdiag, M, tol=tol, start=res, pairs=1)
         except ConvergenceError as exc:
             raise ConvergenceError(f"epsilon path at eps={eps:g}: {exc}", lam=exc.lam,
                                    residual=exc.residual, iterations=exc.iterations) from exc

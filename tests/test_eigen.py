@@ -287,6 +287,61 @@ def test_warm_start_matches_cold_in_fewer_lobpcg_steps(monkeypatch):
 
 
 @SOLVER_PATHS
+def test_pairs_validated_sets_the_vector_columns_and_degenerate(monkeypatch, direct_max_nnz):
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
+    g, K, M = unit_square_setup(1.0 / 16)
+    for bad in (0, 3):
+        with pytest.raises(ValueError, match="pairs must be 1 or 2"):
+            principal_eigenpair(K, None, M, pairs=bad)
+    one = principal_eigenpair(K, None, M, tol=1e-10, pairs=1)
+    two = principal_eigenpair(K, None, M, tol=1e-10)
+    assert one.vectors.shape == (g.n_interior, 1) and two.vectors.shape == (g.n_interior, 2)
+    assert abs(one.lam - two.lam) <= 1e-10 * two.lam
+    # pairs=1 never computes lambda_2, so its report must not claim "false"
+    assert one.degenerate is None and two.degenerate is False
+    assert json.dumps(one.to_json_dict()).endswith('"degenerate": null}')
+    assert json.dumps(two.to_json_dict()).endswith('"degenerate": false}')
+    # a lambda_1-only result cannot start a two-pair solve, but it starts a one-pair solve
+    with pytest.raises(ValueError, match="same grid with at least 2 vectors"):
+        principal_eigenpair(K, None, M, start=one)
+    warm = principal_eigenpair(K, None, M, tol=1e-10, start=one, pairs=1)
+    assert abs(warm.lam - one.lam) <= 1e-10 * one.lam
+
+
+@functools.lru_cache(maxsize=1)
+def heisenberg_potential_pencil():
+    """Heisenberg (-1, 1)^2 x (-1/2, 1/2) at h = 1/8, a sign-changing potential, dense lambda_1."""
+    g = build_grid([(-1, 1), (-1, 1), (-0.5, 0.5)], 1.0 / 8)
+    K = assemble_stiffness(heisenberg(), g)
+    V = GridField.from_function(g, lambda pts: 4.0 * pts[:, 0] + 2.0 * pts[:, 2] ** 2)
+    Vd = assemble_diagonal(V)
+    M = mass_matrix(g)
+    return g, K, Vd, M, dense_smallest(K, Vd, M)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+def test_lobpcg_stop_rule_meets_the_final_residual_check(monkeypatch, tol):
+    # LOBPCG stops at ||A y - lam y|| <= 0.5 tol / max(M), which bounds the
+    # residual of the final check by tol / 2 on any eps and potential
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    g, K, Vd, M, exact = heisenberg_potential_pencil()
+    cold = principal_eigenpair(K, Vd, M, tol=tol)
+    solves = []
+
+    def recorded(*args, **kwargs):
+        solves.append(principal_eigenpair(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(eigen_mod, "principal_eigenpair", recorded)
+    path = epsilon_path(heisenberg(), g, Vd, [0.5, 0.25, 0.1, 0.01, 0.0], tol=tol)
+    assert cold.residual <= tol and cold.degenerate is False
+    assert len(solves) == 5
+    assert all(r.residual <= tol and r.degenerate is None for r in solves)
+    for lam in (cold.lam, path[-1][1]):
+        assert abs(lam - exact) <= 1e-10 * abs(exact)
+
+
+@SOLVER_PATHS
 def test_start_from_another_grid_rejected(monkeypatch, direct_max_nnz):
     monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
     g, K, M = unit_square_setup(1.0 / 8)
