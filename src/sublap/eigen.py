@@ -53,7 +53,7 @@ class EigenResult:
     iterations: int
     positive: bool
     # a second eigenvalue within DEGENERACY_GAP of lam; None when lam_2 was not computed
-    degenerate: bool | None = False
+    degenerate: bool | None = None
     # M-orthonormal lam_1 (and lam_2) vectors on the interior nodes, columns in
     # that order; a principal_eigenpair result passes them on as `start`
     vectors: np.ndarray = field(default=None, repr=False)
@@ -203,6 +203,7 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
     G w = mu K w: lam = 1 / mu_max, found by ARPACK in generalized mode
     with K-inverse applications from one sparse factorization.  Errors
     out when g <= 0 everywhere.  `iterations` counts the K-solves.
+    `degenerate` is None: the second eigenvalue is not computed.
     """
     grid = K.grid
     gvals = gdiag.mat.diagonal()

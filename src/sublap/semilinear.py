@@ -3,10 +3,13 @@
 Problems take the form H u = F(x, u) with Dirichlet data, discretized as
 K u = M F(., u).  The monotone scheme iterates
     u_{k+1} = (K + c M)^{-1} M (c u_k + F(., u_k))
-from a supersolution; with c at least the Lipschitz bound of F in u the
-iteration is order-preserving (modulo the missing discrete maximum
-principle, which is monitored, not assumed) and descends onto a solution
-trapped in the [lower, upper] bracket.
+from a supersolution; with c + dF/du >= 0 on the bracket the iteration is
+order-preserving (modulo the missing discrete maximum principle, which is
+monitored, not assumed) and descends onto a solution trapped in the
+[lower, upper] bracket.  Every iterate is again a supersolution, so the
+shift is re-derived on the shrinking bracket [min lower, max u_k], and a
+problem whose bound depends on the bracket (the logistic one) takes each
+new shift that is at most half the current one.
 
 Specializations: the logistic problem H u = mu u (a - b u^{p-1}), the
 Yamabe-type problem H u + k u - Kcap |u|^{p-1} u = 0 on truncated boxes
@@ -34,39 +37,44 @@ SUB_SLACK_FACTOR = 1e-8  # tau_sub = factor * ||K||_inf * ||u||_inf
 
 @dataclass(eq=False)
 class SemilinearProblem:
-    """H u = F(x, u) with Dirichlet data and a declared Lipschitz bound.
+    """H u = F(x, u) with Dirichlet data and a bound for the monotone shift.
 
     `reaction` maps (interior points (N, n), interior values (N,)) -> (N,).
-    `lipschitz` must dominate |dF/du| over the working bracket;
-    `validate_lipschitz` spot-checks the declaration by sampled difference
-    quotients.
+    The shift c for iterates with values in [lo, hi] must meet
+    c + dF/du >= 0 there.  It is the declared `lipschitz`, unless
+    `shift_bound`, a callable (lo, hi) -> c, derives it from the bracket.
+    `validate_shift` spot-checks a shift by sampled difference quotients.
     """
 
     K: object                       # assembled stiffness SparseOperator
     reaction: object                # callable F(points, u)
     boundary_value: object = 0.0    # scalar or GridField
     lipschitz: float = 0.0
+    shift_bound: object = None      # callable (lo, hi) -> c, or None for `lipschitz`
 
     @property
     def grid(self):
         return self.K.grid
 
-    def validate_lipschitz(self, lo, hi, seed=0):
-        """Sampled check that `lipschitz` >= |dF/du| on the bracket range.
+    def shift(self, lo, hi):
+        """The monotone shift c for iterates with values in [lo, hi]."""
+        return float(self.lipschitz if self.shift_bound is None else self.shift_bound(lo, hi))
 
-        Samples one random u in [lo, hi] at every interior node.
+    def validate_shift(self, c, lo, hi, seed=0):
+        """Sampled check that c + dF/du >= 0 on [lo, hi]; returns the largest -dF/du seen.
+
+        Samples one difference quotient over [u, u + du] within [lo, hi] at
+        every interior node.
         """
         rng = np.random.default_rng(seed)
         g = self.grid
         pts = g.points[g.interior_ids]
-        span = max(hi - lo, 1e-12)
-        u = rng.uniform(lo, hi, size=g.n_interior)
-        du = 1e-6 * span
-        slope = np.abs(self.reaction(pts, u + du) - self.reaction(pts, u)) / du
-        worst = float(slope.max())
-        if worst > self.lipschitz * (1.0 + 1e-4) + 1e-12:
+        du = 1e-6 * max(hi - lo, 1e-12)
+        u = rng.uniform(lo, max(hi - du, lo), size=g.n_interior)
+        worst = float(((self.reaction(pts, u) - self.reaction(pts, u + du)) / du).max())
+        if worst > c * (1.0 + 1e-4) + 1e-12:
             raise ValueError(
-                f"declared Lipschitz bound {self.lipschitz:g} below sampled slope {worst:g}"
+                f"shift {c:g} below the sampled -dF/du {worst:g} on [{lo:g}, {hi:g}]"
             )
         return worst
 
@@ -89,6 +97,8 @@ class BracketSolveResult:
     max_step_increase: float = 0.0
     status: str = "ok"
     notes: list = field(default_factory=list)
+    shifts: list = field(default_factory=list)  # the shift of each K + cM built, in order
+    cg_iterations: int = 0
 
     def to_json_dict(self):
         return {
@@ -105,22 +115,24 @@ class BracketSolveResult:
 class ShiftedSolver:
     """Solves (K + c M) u = M rhs with fixed Dirichlet data, many times.
 
-    A = K + c h^n I and the boundary lift are built once.  When nnz(A) is
-    at most DIRECT_MAX_NNZ, A is factored once by `splu` and every solve
-    is a pair of triangular solves.  Larger systems run CG warm-started
-    from the previous solution, because the fill of the factors, and with
-    it the time and memory of factoring, outgrows what CG saves.  Either
-    way a solution is returned only when ||A x - b|| <= tol ||b||.
+    The boundary lift is built once, and A = K + c h^n I once per shift
+    (`set_shift`).  When nnz(A) is at most DIRECT_MAX_NNZ, A is factored
+    by `splu` and every solve is a pair of triangular solves.  Larger
+    systems run CG preconditioned by diag(A)^{-1} (Jacobi) and
+    warm-started from the previous solution, across a change of shift
+    too, because the fill of the factors, and with it the time and memory
+    of factoring, outgrows what CG saves.  Either way a solution is
+    returned only when ||A x - b|| <= tol ||b||.  `shifts` lists the shift
+    of each A in order (one factorization each on the direct path), and
+    `cg_iterations` counts the CG steps of every solve.
     """
 
     def __init__(self, K, shift_c, boundary_value=0.0, tol=TOL_LIN):
-        if shift_c < 0:
-            raise ValueError("shift must be nonnegative")
         g = K.grid
+        self.K = K
         self.grid = g
         self.tol = tol
         self.weight = g.h ** g.n
-        self.A = K.mat + shift_c * self.weight * sp.identity(g.n_interior, format="csr")
         if isinstance(boundary_value, GridField):
             self.bvec = boundary_value.values[g.boundary_ids]
         else:
@@ -128,10 +140,25 @@ class ShiftedSolver:
         self.lift = np.zeros(g.n_interior)
         if K.boundary is not None and g.n_boundary:
             self.lift = K.boundary @ self.bvec
-        self.lu = None
+        self.x = np.zeros(g.n_interior)
+        self.shifts = []
+        self.cg_iterations = 0
+        self.set_shift(shift_c)
+
+    def set_shift(self, shift_c):
+        """Solve with A = K + c h^n I from now on: factor it, or take its Jacobi diagonal."""
+        if shift_c < 0:
+            raise ValueError("shift must be nonnegative")
+        self.A = self.K.mat + shift_c * self.weight * sp.identity(self.grid.n_interior, format="csr")
+        self.lu = self.jacobi = None
         if self.A.nnz <= DIRECT_MAX_NNZ:
             self.lu = factor_spd(self.A)
-        self.x = np.zeros(g.n_interior)
+        else:
+            self.jacobi = sp.diags(1.0 / self.A.diagonal())
+        self.shifts.append(float(shift_c))
+
+    def _count_cg(self, _xk):
+        self.cg_iterations += 1
 
     def solve(self, rhs):
         """The GridField u: interior rows solve (K + cM) u = M rhs, trace = boundary value.
@@ -150,7 +177,8 @@ class ShiftedSolver:
                 raise RuntimeError(f"direct linear solve residual {rel:.3e} above tol {self.tol:.3e}")
         else:
             x, info = spla.cg(self.A, b, x0=self.x, rtol=self.tol, atol=0.0,
-                              maxiter=max(4 * g.n_interior, 400))
+                              maxiter=max(4 * g.n_interior, 400), M=self.jacobi,
+                              callback=self._count_cg)
             if info != 0:
                 raise RuntimeError(f"CG stagnation in linear solve (info={info})")
         self.x = x
@@ -186,9 +214,14 @@ def check_sub_super(problem, u, sign):
 def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
     """Descend from the supersolution; iterates stay in [lower, upper].
 
-    Monotone descent and bracket preservation are asserted at every step;
-    violations (possible without a discrete maximum principle) are recorded
-    in the result notes rather than silently ignored.
+    The shift starts at problem.shift(lo, hi) on [min lower, max upper].
+    After each step it is re-derived on [min lower, max u_k], and the
+    solver takes the new shift only when it is at most half the current
+    one, so a shift level costs one factorization.  Each shift used is
+    spot-checked by `validate_shift`.  Monotone descent and bracket
+    preservation are asserted at every step; violations (possible without
+    a discrete maximum principle) are recorded in the result notes rather
+    than silently ignored.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -196,8 +229,9 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     active = g.mask != 0  # non-exterior
     if np.any(lower.values[active] > upper.values[active] + 1e-14):
         raise ValueError("bracket violated: lower > upper somewhere")
-    problem.validate_lipschitz(float(lower.values[active].min()),
-                               float(upper.values[active].max()))
+    lo, hi = float(lower.values[active].min()), float(upper.values[active].max())
+    c = problem.shift(lo, hi)
+    problem.validate_shift(c, lo, hi)
     notes = []
     ok_sub, v_sub, n_sub = check_sub_super(problem, lower, +1)
     if not ok_sub:
@@ -206,7 +240,6 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     if not ok_sup:
         notes.append(f"upper field fails the discrete supersolution check by {v_sup:.3e} at node {n_sup}")
 
-    c = float(problem.lipschitz)
     solver = ShiftedSolver(problem.K, c, problem.boundary_value)
     pts = g.points[g.interior_ids]
     w = g.h ** g.n
@@ -245,6 +278,12 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
         if step < 1e-16 * scale:
             notes.append(f"iteration stagnated at step {it} with residual {residual:.3e}")
             break
+        hi = float(u.values[active].max())
+        c_next = problem.shift(lo, hi)
+        if c > 0.0 and c_next <= 0.5 * c:
+            problem.validate_shift(c_next, lo, hi)
+            c = c_next
+            solver.set_shift(c)
     status = "ok" if residual <= tol else "no-convergence"
     if status != "ok":
         notes.append(f"residual {residual:.3e} above tol {tol:.3e} after {it} iterations")
@@ -259,6 +298,8 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
         max_step_increase=max_inc,
         status=status,
         notes=notes,
+        shifts=solver.shifts,
+        cg_iterations=solver.cg_iterations,
     )
 
 
@@ -274,20 +315,27 @@ def logistic_reaction(a, b, mu, p):
     return F
 
 
-def logistic_lipschitz(a, b, mu, p, umax):
-    """sup |dF/du| on [0, umax]: dF/du = mu (a - p b u^{p-1}) is monotone in u."""
-    g = a.grid
-    av = a.values[g.interior_ids]
-    bv = b.values[g.interior_ids]
-    at0 = np.abs(av)
-    at1 = np.abs(av - p * bv * umax ** (p - 1.0))
-    return float(mu * np.maximum(at0, at1).max())
+def logistic_shift(a, b, mu, p):
+    """(lo, hi) -> sup of -dF/du over [lo, hi], at least 0, for the logistic F (mu >= 0).
+
+    -dF/du = mu (p b |u|^{p-1} - a) grows with |u|, so the sup is
+    mu max(0, max(p b m^{p-1} - a)) with m = max(|lo|, |hi|).
+    """
+    grid = a.grid
+    a_int = a.values[grid.interior_ids]
+    pb_int = p * b.values[grid.interior_ids]
+
+    def shift(lo, hi):
+        m = max(abs(lo), abs(hi))
+        return mu * max(0.0, float((pb_int * m ** (p - 1.0) - a_int).max()))
+
+    return shift
 
 
-def logistic_problem(K, a, b, mu, p, umax):
-    """H u = mu u (a - b |u|^{p-1}), u = 0 on the boundary, for brackets within [0, umax]."""
+def logistic_problem(K, a, b, mu, p):
+    """H u = mu u (a - b |u|^{p-1}), u = 0 on the boundary, shifted on each bracket."""
     return SemilinearProblem(K=K, reaction=logistic_reaction(a, b, mu, p), boundary_value=0.0,
-                             lipschitz=logistic_lipschitz(a, b, mu, p, umax))
+                             shift_bound=logistic_shift(a, b, mu, p))
 
 
 def logistic_solve(K, a, b, mu, p, eig, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
@@ -298,8 +346,12 @@ def logistic_solve(K, a, b, mu, p, eig, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
     [eps*phi, Mcap] with Mcap = max (a/b)^{1/(p-1)} and eps the largest
     dyadic value passing the discrete subsolution test.  For mu <= mu1 the
     zero solution is returned with status "subcritical".  Near the
-    bifurcation (mu barely above mu1) the contraction rate degrades like
-    (mu - mu1)/mu, so callers may need a larger max_iter there.
+    bifurcation (mu barely above mu1) the slow mode contracts by about
+    1 - (mu - mu1)/(c + mu1) per step.  The shift c falls to 0 once the
+    iterates are below min (a/(p b))^{1/(p-1)}, which the small solution
+    there lies far below, so the rate tends to 1 - (mu - mu1)/mu1: about
+    230 steps per decade at mu = 1.01 mu1, where callers may need a
+    larger max_iter.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -318,7 +370,7 @@ def logistic_solve(K, a, b, mu, p, eig, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
         )
     Mcap = float((np.abs(a_int / b_int) ** (1.0 / (p - 1.0))).max())
     upper = GridField.constant(g, Mcap)
-    problem = logistic_problem(K, a, b, mu, p, Mcap)
+    problem = logistic_problem(K, a, b, mu, p)
     phi = eig.eigenfield
     phi_max = float(phi.values[g.interior_ids].max())
     if phi_max <= 0:

@@ -239,7 +239,7 @@ def verify_prop_4_2(family, grid, a_expr, b_expr, p, mu_factors, tol=1e-8):
         res_margin = tol - res.residual
         # uniqueness probe: rerun from a doubled upper bracket
         Mcap2 = 2.0 * float(res.upper.values.max())
-        res2 = sm.monotone_iterate(sm.logistic_problem(K, a, b, mu, p, Mcap2), res.lower,
+        res2 = sm.monotone_iterate(sm.logistic_problem(K, a, b, mu, p), res.lower,
                                    GridField.constant(grid, Mcap2), tol=tol, max_iter=8000)
         rel = float(
             np.abs(res2.solution.values - res.solution.values).max()

@@ -174,7 +174,7 @@ def test_criterion_05_logistic():
     assert ui.min() > 0.0
     assert np.all(res.solution.values <= 1.0 + 1e-12)
     # two-bracket agreement
-    problem = sm.logistic_problem(K, a, b, 2 * mu1, 2.0, 2.0)
+    problem = sm.logistic_problem(K, a, b, 2 * mu1, 2.0)
     res2 = sm.monotone_iterate(problem, res.lower, sl.GridField.constant(g, 2.0), tol=1e-10)
     rel_brackets = np.abs(res2.solution.values - res.solution.values).max() / ui.max()
     assert rel_brackets <= 1e-6

@@ -239,6 +239,22 @@ def test_cli_solve_logistic(tmp_path):
     assert rep["results"]["logistic"]["status"] == "ok"
 
 
+def test_cli_heisenberg_logistic_descends_inside_its_bracket(tmp_path):
+    cfg = write_config(tmp_path, "l.json", {
+        "family": "heisenberg",
+        "grid": {"box": [[-1, 1]] * 3, "h": 0.125},
+        "a": "1 + 0*x",
+        "b": "1 + 0*x",
+        "p": 2.0,
+        "mu_factor": 2.0,
+    })
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "solve", "logistic"]) == 0
+    res = json.loads((out / "report.json").read_text())["results"]["logistic"]
+    assert res["status"] == "ok" and res["residual"] <= 1e-8
+    assert res["steps_monotone"] is True and res["bracket_respected"] is True
+
+
 def test_cli_ball_with_plot(tmp_path):
     cfg = write_config(tmp_path, "b.json", {
         "family": "euclidean(2)",

@@ -213,6 +213,14 @@ def test_weighted_counts_k_solves_and_reports_arpack_failure(monkeypatch):
     assert err.value.iterations == 0
 
 
+def test_weighted_result_reports_degenerate_null():
+    # the pencil solve computes no second eigenvalue
+    g, K, M = unit_square_setup(1.0 / 8)
+    res = weighted_principal(K, assemble_diagonal(GridField.constant(g, 1.0)))
+    assert res.degenerate is None
+    assert json.dumps(res.to_json_dict()).endswith('"degenerate": null}')
+
+
 def test_weighted_nonpositive_weight_rejected():
     g, K, M = unit_square_setup(1.0 / 8)
     G = assemble_diagonal(GridField.constant(g, -1.0))

@@ -15,6 +15,7 @@ from sublap.operators import assemble_diagonal, assemble_stiffness, mass_matrix
 import sublap.semilinear as sm
 from sublap.semilinear import (
     DIRECT_MAX_NNZ,
+    TOL_LIN,
     SemilinearProblem,
     ShiftedSolver,
     barriers,
@@ -23,9 +24,9 @@ from sublap.semilinear import (
     exhaustion_boxes,
     exhaustion_construct,
     linear_solve,
-    logistic_lipschitz,
     logistic_problem,
     logistic_reaction,
+    logistic_shift,
     logistic_solve,
     monotone_iterate,
     yamabe_solve,
@@ -123,6 +124,27 @@ def test_shifted_solver_direct_and_warm_cg_agree(monkeypatch, family, box, h):
         assert np.all(ud.values[K.grid.boundary_ids] == 0.4)
 
 
+def test_shifted_cg_is_jacobi_preconditioned_and_counts_its_steps(monkeypatch):
+    K, rhs = _shifted_system(heisenberg(), [(-2, 2)] * 3, 0.5)
+    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", -1)
+    solver = ShiftedSolver(K, 0.0)
+    solver.solve(rhs)
+    steps = []
+    spla.cg(solver.A, rhs * solver.weight, rtol=TOL_LIN, atol=0.0, callback=steps.append)
+    assert 0 < solver.cg_iterations < len(steps)  # diag(A)^{-1} cuts the plain CG steps
+    # a new shift keeps the warm start: back at the old shift, the old
+    # solution already meets the tolerance
+    solver.set_shift(3.0)
+    solver.set_shift(0.0)
+    before = solver.cg_iterations
+    solver.solve(rhs)
+    assert solver.cg_iterations == before and solver.shifts == [0.0, 3.0, 0.0]
+    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", DIRECT_MAX_NNZ)
+    direct = ShiftedSolver(K, 0.0)
+    direct.solve(rhs)
+    assert direct.cg_iterations == 0 and direct.jacobi is None
+
+
 def test_shifted_solver_direct_residual_guard():
     K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 0.125)
     with pytest.raises(RuntimeError, match="residual"):
@@ -142,13 +164,24 @@ def _count_splu(monkeypatch):
 
 
 def test_monotone_factors_once_below_threshold(monkeypatch):
+    # one factorization per shift level: the logistic shift is re-derived as
+    # the bracket shrinks and taken only when it at least halves; a problem
+    # with a constant shift factors once
     g, K, a, b, eig = logistic_setup(1.0 / 8)
     assert K.mat.nnz <= DIRECT_MAX_NNZ
-    problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0, 1.0)
+    problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
+    lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
     calls = _count_splu(monkeypatch)
-    res = monotone_iterate(problem, GridField.zeros(g), GridField.constant(g, 1.0), tol=1e-9)
+    res = monotone_iterate(problem, lower, upper, tol=1e-9)
     assert res.status == "ok" and res.iterations > 10
-    assert len(calls) == 1
+    assert res.steps_monotone and res.bracket_respected
+    assert len(calls) == len(res.shifts) > 1
+    assert res.shifts[0] == problem.shift(0.0, 1.0)
+    assert all(c <= 0.5 * prev for prev, c in zip(res.shifts, res.shifts[1:]))
+    calls.clear()
+    constant = SemilinearProblem(K=K, reaction=problem.reaction, lipschitz=res.shifts[0])
+    res = monotone_iterate(constant, lower, upper, tol=1e-9)
+    assert res.status == "ok" and len(calls) == 1 and res.shifts == [constant.lipschitz]
 
 
 def test_yamabe_barriers_share_one_factorization(monkeypatch):
@@ -176,6 +209,7 @@ def test_no_factorization_above_threshold(monkeypatch):
     res = yamabe_solve(K, kf, kf, 3.0, f, 0.02, 0.4)
     assert res.status == "ok" and res.iterations > 1
     assert calls == []
+    assert len(res.shifts) == 1 and res.cg_iterations >= res.iterations
 
 
 def test_monotone_zero_problem_instant():
@@ -217,7 +251,7 @@ def test_monotone_evaluates_reaction_once_per_iterate():
         return F(pts, u)
 
     problem = SemilinearProblem(K=K, reaction=counted, boundary_value=0.0,
-                                lipschitz=logistic_lipschitz(a, b, 2 * eig.lam, 2.0, 1.0))
+                                lipschitz=logistic_shift(a, b, 2 * eig.lam, 2.0)(0.0, 1.0))
     lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
     counts = []
     for max_iter in (1, 5):
@@ -231,16 +265,44 @@ def test_monotone_evaluates_reaction_once_per_iterate():
 
 
 def test_lipschitz_validation():
+    # F = 10 u (1 - u) on [0, 1]: -dF/du = 10 (2u - 1) peaks at 10
     g = build_grid([(0, 1), (0, 1)], 0.25)
     K = assemble_stiffness(euclidean(2), g)
     a = GridField.constant(g, 1.0)
     b = GridField.constant(g, 1.0)
     F = logistic_reaction(a, b, 10.0, 2.0)
-    good = SemilinearProblem(K=K, reaction=F, lipschitz=logistic_lipschitz(a, b, 10.0, 2.0, 1.0))
-    assert good.validate_lipschitz(0.0, 1.0) <= good.lipschitz * (1 + 1e-4)
-    bad = SemilinearProblem(K=K, reaction=F, lipschitz=0.1)
-    with pytest.raises(ValueError, match="Lipschitz"):
-        bad.validate_lipschitz(0.0, 1.0)
+    good = SemilinearProblem(K=K, reaction=F, lipschitz=10.0)
+    assert good.shift(0.0, 1.0) == 10.0 == logistic_shift(a, b, 10.0, 2.0)(0.0, 1.0)
+    assert good.validate_shift(good.shift(0.0, 1.0), 0.0, 1.0) <= 10.0 * (1 + 1e-4)
+    with pytest.raises(ValueError, match="shift 0.1 below"):
+        good.validate_shift(0.1, 0.0, 1.0)
+    good.validate_shift(0.0, 0.0, 0.5)  # dF/du >= 0 on [0, 1/2]
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_logistic_shift_meets_the_one_sided_bound(p):
+    g = build_grid([(0, 1), (0, 1)], 1.0 / 8)
+    problem = logistic_problem(
+        assemble_stiffness(euclidean(2), g),
+        GridField.from_function(g, lambda pts: 1.0 + 0.5 * pts[:, 0]),
+        GridField.from_function(g, lambda pts: 1.0 + 0.3 * pts[:, 1]), 7.0, p)
+    a_int = 1.0 + 0.5 * g.points[g.interior_ids, 0]
+    b_int = 1.0 + 0.3 * g.points[g.interior_ids, 1]
+    flat = float(((a_int / (p * b_int)) ** (1.0 / (p - 1.0))).min())  # dF/du >= 0 up to here
+    pts = g.points[g.interior_ids]
+    rng = np.random.default_rng(11)
+    du = 1e-7
+    for hi in (0.3 * flat, 0.99 * flat, 1.01 * flat, 0.8, 1.5, 3.0):
+        c = problem.shift(0.0, hi)
+        assert (c == 0.0) == (hi <= flat)
+        for _ in range(20):
+            u = rng.uniform(0.0, hi - du, size=pts.shape[0])
+            slope = (problem.reaction(pts, u + du) - problem.reaction(pts, u)) / du
+            assert (c + slope).min() >= -1e-6
+        problem.validate_shift(c, 0.0, hi)
+        if hi >= 0.8:  # far enough above `flat` for the sampled check to see half of c fail
+            with pytest.raises(ValueError, match="below the sampled"):
+                problem.validate_shift(0.5 * c, 0.0, hi)
 
 
 def logistic_setup(h=1.0 / 16):
@@ -282,7 +344,7 @@ def test_logistic_subcritical_zero():
 def test_logistic_two_bracket_agreement():
     g, K, a, b, eig = logistic_setup()
     res = logistic_solve(K, a, b, 2 * eig.lam, 2.0, eig, tol=1e-10)
-    problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0, 2.0)
+    problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
     res2 = monotone_iterate(problem, res.lower, GridField.constant(g, 2.0), tol=1e-10)
     rel = np.abs(res2.solution.values - res.solution.values).max() / np.abs(res.solution.values).max()
     assert rel < 1e-6
@@ -298,7 +360,7 @@ def test_monotone_descent_recorded():
 def test_sub_super_checks():
     g, K, a, b, eig = logistic_setup(1.0 / 8)
     mu = 2 * eig.lam
-    problem = logistic_problem(K, a, b, mu, 2.0, 1.0)
+    problem = logistic_problem(K, a, b, mu, 2.0)
     ok_up, _, _ = check_sub_super(problem, GridField.constant(g, 1.0), -1)
     assert ok_up
     res = logistic_solve(K, a, b, mu, 2.0, eig, tol=1e-9)
@@ -546,6 +608,25 @@ def test_logistic_runs_solve_the_weighted_pencil_once(monkeypatch, tmp_path):
     rep = verify_prop_4_2(euclidean(2), g, "1 + 0*x", "1 + 0*x", 2.0, [0.5, 2.0, 4.0])
     assert rep.passed and rep.total == 3
     assert len(calls) == 1
+
+
+def test_prop4_2_near_threshold_runs_stay_under_1200_steps(monkeypatch):
+    # the benchmark's prop4_2 grid at mu = 1.01 mu1: with the starting
+    # bracket's shift kept throughout, the two runs took 1,973 and 3,967 steps
+    runs = []
+    orig = sm.monotone_iterate
+
+    def counted(*args, **kwargs):
+        runs.append(orig(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(sm, "monotone_iterate", counted)
+    g = build_grid([(0, 1), (0, 1)], 1.0 / 32)
+    rep = verify_prop_4_2(euclidean(2), g, "1 + 0*x", "1 + 0*x", 2.0, [1.01])
+    assert rep.passed and len(runs) == 2
+    for res in runs:
+        assert res.status == "ok" and res.steps_monotone and res.bracket_respected
+        assert res.iterations <= 1200
 
 
 def test_semilinear_does_not_import_eigen():
