@@ -28,10 +28,16 @@ Jacobian probes in one batch.
 Every edge corresponds to a genuinely horizontal motion plus an explicit
 time surcharge, so the graph value is an upper bound on d up to the
 reported defect.
+
+Metric balls are one radius-limited Dijkstra search.  The doubling ratios
+|B(2R)| / |B(R)| are counts over one ball of radius 2 max R, and the
+Poincare and Sobolev probes share one pass that evaluates |Xu| on the
+ball's gradient quadrature rows.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,8 +49,9 @@ from .operators import assemble_first_order
 SIGMA_FLOOR = 1e-8        # relative floor on sigma_min(A) before an edge is rejected
 SNAP_ZERO = 1e-12
 DEFAULT_DIRECTIONS = 32
-DEFAULT_COMM_SCALES = (1, 2, 4, 8, 16)  # commutator loop areas in units of h
+COMM_SCALES = (1, 2, 4, 8, 16)  # commutator loop areas in units of h
 REFINE_STEPS = 100        # Gauss-Newton steps of the refinement before it gives up
+REFINE_SUBSTEPS = 6       # RK2 substeps per control piece in the refinement
 
 
 class CCUnreachableError(RuntimeError):
@@ -328,8 +335,7 @@ def _path_defect(family, waypoints, controls, durations):
     return max(float(np.linalg.norm(row)) for row in gap)
 
 
-def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS,
-                      comm_scales=DEFAULT_COMM_SCALES, step_scales=(1,)):
+def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS, step_scales=(1,)):
     """Dijkstra upper bound on d(x, y) and the realizing path."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -338,7 +344,7 @@ def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS,
     for pt in (x, y):
         if np.any(pt < lo - 1e-12) or np.any(pt > hi + 1e-12):
             raise ValueError(f"point {pt} outside the grid box")
-    ctx = _GraphContext(family, grid, directions, comm_scales, step_scales)
+    ctx = _GraphContext(family, grid, directions, COMM_SCALES, step_scales)
     src = grid.nearest_node(x)
     tgt = grid.nearest_node(y)
     if src == tgt:
@@ -397,7 +403,7 @@ def _integrate_controls_batch(family, x0, controls, T, substeps=6):
     return np.stack(states, axis=1)
 
 
-def cc_distance_refine(family, seed, segments=24, tol=1e-3, substeps=6):
+def cc_distance_refine(family, seed, segments=24, tol=1e-3):
     """Shortest piecewise-constant path to the seed's endpoint.
 
     A horizontal path has length <= sqrt(T * energy), with equality at
@@ -424,7 +430,7 @@ def cc_distance_refine(family, seed, segments=24, tol=1e-3, substeps=6):
     length = np.inf
     for steps in range(1, REFINE_STEPS + 1):
         batch = (u.reshape(-1) + probes).reshape(-1, S, m)
-        ends = _integrate_controls_batch(family, x0, batch, 1.0, substeps)[:, -1]
+        ends = _integrate_controls_batch(family, x0, batch, 1.0, REFINE_SUBSTEPS)[:, -1]
         r = ends[0] - target
         prev, length = length, float(np.linalg.norm(u, axis=1).sum()) / S
         if abs(length - prev) <= 1e-12 * length and np.linalg.norm(r) <= miss_tol:
@@ -436,7 +442,7 @@ def cc_distance_refine(family, seed, segments=24, tol=1e-3, substeps=6):
         u = v.reshape(S, m)
     speed = np.linalg.norm(u, axis=1)
     T = float(speed.sum()) / S
-    way = _integrate_controls_batch(family, x0, u[None], 1.0, substeps=substeps)[0]
+    way = _integrate_controls_batch(family, x0, u[None], 1.0, REFINE_SUBSTEPS)[0]
     controls = np.divide(u, speed[:, None], out=np.zeros_like(u), where=speed[:, None] > 0)
     durations = speed / S
     miss = float(np.linalg.norm(way[-1] - target))
@@ -474,8 +480,7 @@ class BallResult:
     volume: float
 
 
-def metric_ball(family, center, R, grid, directions=DEFAULT_DIRECTIONS,
-                comm_scales=DEFAULT_COMM_SCALES, step_scales=(1, 2, 3)):
+def metric_ball(family, center, R, grid, directions=DEFAULT_DIRECTIONS, step_scales=(1, 2, 3)):
     """Single-source Dijkstra ball {d_hat <= R}; volume = h^n * node count."""
     if R < 0:
         raise ValueError("radius must be nonnegative")
@@ -486,7 +491,7 @@ def metric_ball(family, center, R, grid, directions=DEFAULT_DIRECTIONS,
     hn = grid.h ** grid.n
     if R == 0.0:
         return BallResult(grid, cid, 0.0, np.array([cid]), np.zeros(1), hn)
-    ctx = _GraphContext(family, grid, directions, comm_scales, step_scales)
+    ctx = _GraphContext(family, grid, directions, COMM_SCALES, step_scales)
     dist, settled, _ = _dijkstra(ctx, cid, rmax=R)
     ids = np.flatnonzero(np.isfinite(dist) & (dist <= R))
     if np.any(grid.is_outer_face(ids)):
@@ -495,26 +500,22 @@ def metric_ball(family, center, R, grid, directions=DEFAULT_DIRECTIONS,
 
 
 def doubling_estimate(family, center, radii, grid, directions=DEFAULT_DIRECTIONS,
-                      comm_scales=DEFAULT_COMM_SCALES, step_scales=(1, 2, 3)):
-    """|B(2R)| / |B(R)| for each R, plus the max ratio C1."""
+                      step_scales=(1, 2, 3)):
+    """|B(2R)| / |B(R)| for each R, plus the max ratio C1.
+
+    Both balls of every R are counted on one metric ball of radius 2 max R,
+    so its center and grid box are checked as `metric_ball` checks them.
+    """
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] <= 0:
         raise ValueError("radii must be positive")
-    rmax = 2.0 * radii[-1]
-    center = np.asarray(center, dtype=float)
-    cid = grid.nearest_node(center)
-    ctx = _GraphContext(family, grid, directions, comm_scales, step_scales)
-    dist, settled, _ = _dijkstra(ctx, cid, rmax=rmax)
-    reach = np.flatnonzero(np.isfinite(dist) & (dist <= rmax))
-    if np.any(grid.is_outer_face(reach)):
-        raise ValueError("doubling ball clipped by the grid box; enlarge the box")
+    dist = metric_ball(family, center, 2.0 * radii[-1], grid, directions, step_scales).dist
     ratios = []
     for R in radii:
-        nR = int(np.count_nonzero(dist[reach] <= R))
-        n2R = int(np.count_nonzero(dist[reach] <= 2.0 * R))
+        nR = int(np.count_nonzero(dist <= R))
         if nR == 0:
             raise ValueError(f"ball of radius {R} contains no nodes at this h")
-        ratios.append((R, n2R / nR))
+        ratios.append((R, int(np.count_nonzero(dist <= 2.0 * R)) / nR))
     C1 = max(r for _, r in ratios)
     return ratios, C1
 
@@ -533,35 +534,31 @@ class ProbeReport:
         }
 
 
-def _horizontal_gradient_norms(family, grid):
-    """|Xu| evaluation machinery: returns (row node ids, per-field operators)."""
-    ops = [assemble_first_order(family, grid, j) for j in range(1, family.m + 1)]
-    return ops[0].row_ids, ops
+def _horizontal_gradients(family, ball, corpus):
+    """|Xu| on the ball nodes that are gradient quadrature rows.
 
-
-def _ball_row_positions(ball, row_ids):
-    """Ball nodes that are quadrature rows, in ball order, and their rows in sorted `row_ids`."""
+    Returns the number of such nodes and, lazily per corpus field, its
+    label, the field, its values there and sqrt(sum_j (X_j u)^2) there.
+    """
+    ops = [assemble_first_order(family, ball.grid, j) for j in range(1, family.m + 1)]
+    row_ids = ops[0].row_ids
     rows = np.searchsorted(row_ids, ball.node_ids)
     hit = rows < row_ids.size
     hit[hit] = row_ids[rows[hit]] == ball.node_ids[hit]
-    return ball.node_ids[hit].astype(np.int64), rows[hit].astype(np.int64)
+    nodes, rows = ball.node_ids[hit], rows[hit]
+    fields = ((f"u{i}", u, u.values[nodes], np.sqrt(sum(op.apply(u)[rows] ** 2 for op in ops)))
+              for i, u in enumerate(corpus))
+    return nodes.size, fields
 
 
 def poincare_probe(family, ball, corpus, R):
     """ratio_i = sum_B |u_i - mean| / (R * sum_B |X u_i|); C_est = max ratio."""
-    grid = ball.grid
-    row_ids, ops = _horizontal_gradient_norms(family, grid)
-    nodes, rows = _ball_row_positions(ball, row_ids)
-    if nodes.size == 0:
+    n_rows, fields = _horizontal_gradients(family, ball, corpus)
+    if n_rows == 0:
         raise ValueError("ball contains no gradient quadrature rows")
     ratios = []
     skipped = []
-    for label, u in _labeled(corpus):
-        vals = u.values[nodes]
-        grads = np.zeros(nodes.size)
-        for op in ops:
-            grads = grads + op.apply(u)[rows] ** 2
-        grads = np.sqrt(grads)
+    for label, _, vals, grads in fields:
         den = float(R * grads.sum())
         num = float(np.abs(vals - vals.mean()).sum())
         if den <= 1e-14 * max(1.0, num):
@@ -577,21 +574,15 @@ def sobolev_probe(family, ball, corpus, q, p):
     if not q > p or p < 1:
         raise ValueError("need q > p >= 1")
     grid = ball.grid
-    row_ids, ops = _horizontal_gradient_norms(family, grid)
-    nodes, rows = _ball_row_positions(ball, row_ids)
     in_ball = np.zeros(grid.num_nodes, dtype=bool)
     in_ball[ball.node_ids] = True
+    _, fields = _horizontal_gradients(family, ball, corpus)
     ratios = []
     skipped = []
-    for label, u in _labeled(corpus):
+    for label, u, vals, grads in fields:
         outside = u.values[~in_ball & (grid.mask != EXTERIOR)]
         if outside.size and np.abs(outside).max() > 1e-10 * max(1.0, np.abs(u.values).max()):
             raise ValueError(f"{label}: corpus function not compactly supported in the ball")
-        vals = u.values[nodes]
-        grads = np.zeros(nodes.size)
-        for op in ops:
-            grads = grads + op.apply(u)[rows] ** 2
-        grads = np.sqrt(grads)
         if float(grads.max(initial=0.0)) <= 1e-14:
             skipped.append(f"{label}: zero horizontal gradient on the ball")
             continue
@@ -601,17 +592,11 @@ def sobolev_probe(family, ball, corpus, q, p):
     return ProbeReport(ratios=ratios, C_est=max((r for _, r in ratios), default=0.0), skipped=skipped)
 
 
-def _labeled(corpus):
-    for i, u in enumerate(corpus):
-        yield f"u{i}", u
-
-
 def random_polynomial_corpus(grid, count, degree=2, seed=0):
     """Seeded low-degree polynomial fields for probe corpora."""
     rng = np.random.default_rng(seed)
     pts = grid.points
-    n = grid.n
-    exps = [e for e in _monomials(n, degree)]
+    exps = [e for e in itertools.product(range(degree + 1), repeat=grid.n) if sum(e) <= degree]
     out = []
     for _ in range(count):
         coeffs = rng.standard_normal(len(exps))
@@ -624,16 +609,6 @@ def random_polynomial_corpus(grid, count, degree=2, seed=0):
             vals += term
         out.append(GridField(grid, vals))
     return out
-
-
-def _monomials(n, degree):
-    """All exponent tuples of length n with total degree <= degree."""
-    if n == 0:
-        yield ()
-        return
-    for head in range(degree + 1):
-        for rest in _monomials(n - 1, degree - head):
-            yield (head,) + rest
 
 
 def ball_bump(ball, power=2):

@@ -30,7 +30,7 @@ from .operators import (
 )
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 500
+MAX_ITER = 500  # ARPACK Arnoldi updates or LOBPCG steps of one principal solve
 DEGENERACY_GAP = 1e-6
 DENSE_MAX_N = 10  # below this many unknowns the pencil goes to a dense eigh
 
@@ -74,8 +74,7 @@ def _m_normalized(u, mdiag):
     return -u if u[np.argmax(np.abs(u))] < 0 else u
 
 
-def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER, start=None,
-                        pairs=2):
+def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
     """Smallest eigenvalue of (K - V) u = lam M u, M diagonal positive.
 
     The `pairs` (1 or 2) lowest eigenpairs of the symmetrized pencil
@@ -143,7 +142,7 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
             try:
                 lams, Y = spla.eigsh(A, k=pairs, sigma=sigma, OPinv=OPinv, which="LM",
                                      v0=np.ones(n) if X0 is None else X0[:, 0],
-                                     maxiter=max_iter)
+                                     maxiter=MAX_ITER)
             except spla.ArpackNoConvergence as exc:
                 raise ConvergenceError(
                     f"principal eigensolve ({path}) did not converge after {iterations} {unit}",
@@ -163,7 +162,7 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
                 warnings.simplefilter("ignore", UserWarning)  # non-convergence is checked below
                 lams, Y, hist = spla.lobpcg(
                     A, X, M=spla.LinearOperator((n, n), matvec=precondition, dtype=float),
-                    tol=0.5 * tol / mdiag.max(), maxiter=max_iter, largest=False,
+                    tol=0.5 * tol / mdiag.max(), maxiter=MAX_ITER, largest=False,
                     retResidualNormsHistory=True,
                 )
             iterations = len(hist) - 2  # the history holds the first and the final residuals too
@@ -201,7 +200,7 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
 
     lam = inf { f^T K f : f^T G f = 1 } is realized through the pencil
     G w = mu K w: lam = 1 / mu_max, found by ARPACK in generalized mode
-    with K-inverse applications from one sparse factorization.  Errors
+    with K-inverse applications from one `factor_spd` LU of K (SPD).  Errors
     out when g <= 0 everywhere.  `iterations` counts the K-solves.
     `degenerate` is None: the second eigenvalue is not computed.
     """
@@ -214,12 +213,12 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
     if n == 1:  # ARPACK needs k < n
         mu, w = gvals[0] / K.mat[0, 0], np.ones(1)
     else:
-        factor = spla.factorized(K.mat.tocsc())
+        factor = factor_spd(K.mat)
 
         def solve(b):
             nonlocal solves
             solves += 1
-            return factor(b)
+            return factor.solve(b)
 
         Kinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
         try:
@@ -271,7 +270,7 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     res = None
     for eps in eps_list:
         mat = (K.mat + eps * K_euc.mat).tocsr() if eps else K.mat
-        Keps = SparseOperator(grid=grid, mat=((mat + mat.T) * 0.5).tocsr(), symmetric=True)
+        Keps = SparseOperator(grid=grid, mat=mat, symmetric=True)
         try:
             res = principal_eigenpair(Keps, Vdiag, M, tol=tol, start=res, pairs=1)
         except ConvergenceError as exc:

@@ -43,11 +43,6 @@ class GridDomain:
         self.n_interior = self.interior_ids.size
         self.n_boundary = self.boundary_ids.size
         self._points = None
-        # node id -> position within interior_ids / boundary_ids (-1 elsewhere)
-        self.interior_index = np.full(self.num_nodes, -1, dtype=np.int64)
-        self.interior_index[self.interior_ids] = np.arange(self.n_interior)
-        self.boundary_index = np.full(self.num_nodes, -1, dtype=np.int64)
-        self.boundary_index[self.boundary_ids] = np.arange(self.n_boundary)
 
     @property
     def axes(self):
@@ -64,9 +59,6 @@ class GridDomain:
 
     def multi_index(self, node_id):
         return np.unravel_index(node_id, self.dims)
-
-    def node_id(self, multi):
-        return int(np.ravel_multi_index(multi, self.dims))
 
     def nearest_node(self, x):
         """Id of the grid node nearest to x (clipped into the box); N ids for (N, n) points."""

@@ -33,6 +33,7 @@ from .operators import DIRECT_MAX_NNZ, assemble_diagonal, assemble_stiffness, fa
 TOL_LIN = 1e-10          # relative residual bound of every shifted linear solve
 MAX_ITER_MONOTONE = 1000
 SUB_SLACK_FACTOR = 1e-8  # tau_sub = factor * ||K||_inf * ||u||_inf
+SHIFT_CHECK_SEED = 0     # seeds the random values at which `validate_shift` samples
 
 
 @dataclass(eq=False)
@@ -60,18 +61,22 @@ class SemilinearProblem:
         """The monotone shift c for iterates with values in [lo, hi]."""
         return float(self.lipschitz if self.shift_bound is None else self.shift_bound(lo, hi))
 
-    def validate_shift(self, c, lo, hi, seed=0):
+    def validate_shift(self, c, lo, hi):
         """Sampled check that c + dF/du >= 0 on [lo, hi]; returns the largest -dF/du seen.
 
-        Samples one difference quotient over [u, u + du] within [lo, hi] at
-        every interior node.
+        At every interior node, takes the difference quotient over
+        [u, u + du] at a random u within [lo, hi] and at both ends of the
+        bracket, [lo, lo + du] and [hi - du, hi], where -dF/du usually peaks.
         """
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(SHIFT_CHECK_SEED)
         g = self.grid
         pts = g.points[g.interior_ids]
         du = 1e-6 * max(hi - lo, 1e-12)
-        u = rng.uniform(lo, max(hi - du, lo), size=g.n_interior)
-        worst = float(((self.reaction(pts, u) - self.reaction(pts, u + du)) / du).max())
+        top = max(hi - du, lo)
+        starts = (rng.uniform(lo, top, size=g.n_interior), np.full(g.n_interior, float(lo)),
+                  np.full(g.n_interior, top))
+        worst = max(float(((self.reaction(pts, u) - self.reaction(pts, u + du)) / du).max())
+                    for u in starts)
         if worst > c * (1.0 + 1e-4) + 1e-12:
             raise ValueError(
                 f"shift {c:g} below the sampled -dF/du {worst:g} on [{lo:g}, {hi:g}]"
@@ -185,13 +190,13 @@ class ShiftedSolver:
         return GridField.from_interior(g, x, self.bvec)
 
 
-def linear_solve(K, shift_c, rhs, boundary_value=0.0, tol=TOL_LIN):
+def linear_solve(K, shift_c, rhs, boundary_value=0.0):
     """Solve (K + c M) u = M rhs once with imposed Dirichlet data.
 
     `rhs` is a GridField (interior values used); boundary_value is a scalar
     or GridField giving the Dirichlet trace of u.
     """
-    return ShiftedSolver(K, shift_c, boundary_value, tol).solve(rhs.values[K.grid.interior_ids])
+    return ShiftedSolver(K, shift_c, boundary_value).solve(rhs.values[K.grid.interior_ids])
 
 
 def sub_super_slack(K, *fields):
@@ -466,7 +471,7 @@ class PoissonResult:
         return f"barrier bound {self.bound} violated: C too large for this box/f"
 
 
-def barriers(K, f, C, eps, tol=TOL_LIN):
+def barriers(K, f, C, eps):
     """The Poisson barriers (lower, upper) with far-field boundary value eps.
 
     The lower barrier V solves K V = -C M f and must meet 0 < V <= eps;
@@ -482,7 +487,7 @@ def barriers(K, f, C, eps, tol=TOL_LIN):
     fv = f.values[g.interior_ids]
     if fv.min() < 0:
         raise ValueError("f must be nonnegative")
-    solver = ShiftedSolver(K, 0.0, eps, tol)
+    solver = ShiftedSolver(K, 0.0, eps)
     bound_tol = 1e-10 * max(1.0, abs(eps))
     V, W = solver.solve(-C * fv), solver.solve(C * fv)
     vi, wi = V.values[g.interior_ids], W.values[g.interior_ids]

@@ -23,6 +23,7 @@ from .mesh import GridField, build_grid, mask_domain
 from .operators import assemble_diagonal, assemble_stiffness, mass_matrix
 
 MARGIN_H_FACTOR = 10.0
+SUBBOX_MIN_FRAC = 0.35  # smallest side of a random subbox, as a fraction of the box side
 
 
 def _digest(config):
@@ -82,12 +83,12 @@ class VerificationReport:
         }
 
 
-def _random_subbox(rng, box, min_frac=0.35):
+def _random_subbox(rng, box):
     lo = []
     hi = []
     for a, b in box:
         span = b - a
-        size = rng.uniform(min_frac, 0.9) * span
+        size = rng.uniform(SUBBOX_MIN_FRAC, 0.9) * span
         start = a + rng.uniform(0.0, span - size)
         lo.append(start)
         hi.append(start + size)

@@ -202,6 +202,21 @@ def test_doubling_euclidean_3d():
         assert abs(r - 8.0) < 0.10 * 8.0
 
 
+def test_doubling_counts_one_ball_at_twice_the_largest_radius():
+    heis = heisenberg()
+    g = build_grid([(-0.5, 0.5), (-0.5, 0.5), (-0.06, 0.06)], 0.02)
+    radii = [0.1, 0.2]
+    ratios, C1 = doubling_estimate(heis, (0.01, 0, 0), radii, g, directions=8, step_scales=(1,))
+    ball = metric_ball(heis, (0.01, 0, 0), 2 * max(radii), g, directions=8, step_scales=(1,))
+    expected = [(R, np.count_nonzero(ball.dist <= 2 * R) / np.count_nonzero(ball.dist <= R))
+                for R in radii]
+    assert ratios == expected and C1 == max(r for _, r in expected)
+    with pytest.raises(ValueError, match="too far"):
+        doubling_estimate(heis, (0.8, 0, 0), radii, g, directions=8, step_scales=(1,))
+    with pytest.raises(ValueError, match="clipped"):
+        doubling_estimate(heis, (0, 0, 0), [0.3], g, directions=8, step_scales=(1,))
+
+
 def test_heisenberg_volume_growth_dimension_four():
     # per-radius grids with resolution h ~ R^2 (the vertical reach of a
     # commutator loop scales like the squared budget); the log-log slope
@@ -618,9 +633,13 @@ def test_graph_build_matches_evaluation_at_every_node(family):
     {"comm_scales": (1, 0)}, {"comm_scales": (np.nan,)},
 ])
 def test_non_positive_scales_rejected(scales):
+    # commutator scales are a code constant, so only the graph context takes them
     heis = heisenberg()
     g = build_grid([(-0.3, 0.3), (-0.3, 0.3), (-0.1, 0.1)], 0.05)
     with pytest.raises(ValueError, match="must be finite and > 0"):
-        cc_distance_graph(heis, g, (0, 0, 0), (0.2, 0.1, 0), directions=8, **scales)
-    with pytest.raises(ValueError, match="must be finite and > 0"):
-        metric_ball(heis, (0, 0, 0), 0.1, g, directions=8, **scales)
+        ccm._GraphContext(heis, g, 8, **{"comm_scales": ccm.COMM_SCALES, **scales})
+    if "step_scales" in scales:
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            cc_distance_graph(heis, g, (0, 0, 0), (0.2, 0.1, 0), directions=8, **scales)
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            metric_ball(heis, (0, 0, 0), 0.1, g, directions=8, **scales)

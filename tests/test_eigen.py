@@ -1,5 +1,6 @@
 import functools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -116,10 +117,11 @@ def test_heisenberg_self_convergence_richardson():
     assert abs(rich1 - rich2) < 0.02 * abs(rich2)
 
 
-def test_non_convergence_reported():
+def test_non_convergence_reported(monkeypatch):
+    monkeypatch.setattr(eigen_mod, "MAX_ITER", 1)
     g, K, M = unit_square_setup(1.0 / 16)
     with pytest.raises(ConvergenceError):
-        principal_eigenpair(K, None, M, tol=1e-14, max_iter=1)
+        principal_eigenpair(K, None, M, tol=1e-14)
 
 
 @pytest.mark.parametrize("h", [0.5, 0.25], ids=["one-unknown", "nine-unknowns"])
@@ -136,9 +138,10 @@ def test_principal_small_systems_match_dense_oracle(h):
 def test_lobpcg_non_convergence_names_path_residual_and_iterations(monkeypatch):
     # LOBPCG only warns when it stops short; the residual check must raise
     monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(eigen_mod, "MAX_ITER", 1)
     g, K, M = unit_square_setup(1.0 / 16)
     with pytest.raises(ConvergenceError, match=r"\(LOBPCG\) residual .* after \d+ iterations") as err:
-        principal_eigenpair(K, None, M, tol=1e-14, max_iter=1)
+        principal_eigenpair(K, None, M, tol=1e-14)
     assert err.value.residual > 1e-14 and 1 <= err.value.iterations <= 2
 
 
@@ -191,17 +194,17 @@ def test_weighted_counts_k_solves_and_reports_arpack_failure(monkeypatch):
     g, K, M = unit_square_setup(1.0 / 8)
     G = assemble_diagonal(GridField.constant(g, 1.0))
     solves = []
-    factorized = spla.factorized
+    splu = spla.splu
 
-    def counted_factorized(A):
-        solve = factorized(A)
+    def counted_splu(*args, **kwargs):
+        lu = splu(*args, **kwargs)
 
         def counted(b):
             solves.append(1)
-            return solve(b)
-        return counted
+            return lu.solve(b)
+        return SimpleNamespace(solve=counted)
 
-    monkeypatch.setattr(spla, "factorized", counted_factorized)
+    monkeypatch.setattr(spla, "splu", counted_splu)
     assert weighted_principal(K, G).iterations == len(solves) > 0
 
     def no_convergence(*args, **kwargs):
@@ -375,7 +378,8 @@ def test_epsilon_path_failure_names_eps(monkeypatch):
 
     def short_when_warm(*args, start=None, **kwargs):
         if start is not None:
-            kwargs.update(tol=1e-14, max_iter=1)
+            kwargs.update(tol=1e-14)
+            monkeypatch.setattr(eigen_mod, "MAX_ITER", 1)
         return principal_eigenpair(*args, start=start, **kwargs)
 
     monkeypatch.setattr(eigen_mod, "principal_eigenpair", short_when_warm)
