@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 EXTERIOR = 0
 BOUNDARY = 1
@@ -165,6 +166,47 @@ def mask_domain(grid, predicate):
     mask[boundary] = BOUNDARY
     mask[interior] = INTERIOR
     return grid.with_mask(mask)
+
+
+def coarse_grid(grid):
+    """The grid of every other node (spacing 2h) and the prolongation P onto `grid`.
+
+    Coarse node c sits at fine node 2c; it is interior when that fine node
+    is (injection), and its axis neighbors that are exterior by injection
+    become boundary nodes.  P (sparse, fine interior x coarse interior) is
+    multilinear interpolation with zero Dirichlet data: a fine node halfway
+    between coarse nodes along d axes takes weight 2^-d from each of its
+    2^d coarse corners that is interior.  None when some axis has an even
+    node count (no node sits at both ends of the 2h grid).
+    """
+    if any(d % 2 == 0 for d in grid.dims):
+        return None
+    fine = np.unravel_index(grid.interior_ids, grid.dims)
+    injected = grid.mask.reshape(grid.dims)[tuple(slice(None, None, 2) for _ in grid.dims)]
+    mask = injected.ravel().copy()
+    coarse = GridDomain(origin=grid.origin, h=2.0 * grid.h, dims=injected.shape, mask=mask)
+    for k in range(grid.n):
+        for step in (1, -1):
+            next_to_interior = neighbor_set(coarse, coarse.mask == INTERIOR, k, step)
+            mask[next_to_interior & (mask == EXTERIOR)] = BOUNDARY
+    coarse = coarse.with_mask(mask)
+    column = np.full(coarse.num_nodes, -1, dtype=np.int64)
+    column[coarse.interior_ids] = np.arange(coarse.n_interior)
+    odd = [m % 2 == 1 for m in fine]
+    weight = 0.5 ** np.sum(odd, axis=0)
+    rows, cols, vals = [], [], []
+    for corner in itertools.product((0, 1), repeat=grid.n):
+        # a coarse corner one step up exists only along the axes where the fine node is odd
+        keep = np.all([o | (c == 0) for o, c in zip(odd, corner)], axis=0)
+        ids = sum((m[keep] // 2 + c) * stride for m, c, stride in zip(fine, corner, coarse.strides))
+        col = column[ids]
+        hit = col >= 0
+        rows.append(np.flatnonzero(keep)[hit])
+        cols.append(col[hit])
+        vals.append(weight[keep][hit])
+    P = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(grid.n_interior, coarse.n_interior))
+    return coarse, P
 
 
 @dataclass(eq=False)

@@ -21,7 +21,7 @@ from sublap.eigen import (
 )
 from sublap.expressions import compile_expression
 from sublap.fields import euclidean, grushin, heisenberg
-from sublap.mesh import GridField, build_grid, mask_domain
+from sublap.mesh import GridField, build_grid, coarse_grid, mask_domain
 from sublap.operators import (
     assemble_diagonal,
     assemble_stiffness,
@@ -543,9 +543,10 @@ def test_principal_matches_dense_oracle_property(direct_max_nnz, pencil):
 
 
 @SOLVER_PATHS
-@pytest.mark.parametrize("seed,case", [(1009, 3), (526691478, 11), (0, 10), (2, 1)])
+@pytest.mark.parametrize("seed,case", [(1009, 3), (526691478, 11), (0, 10), (2, 1), (526691478, 8)])
 def test_thm_1_2_cases_that_found_a_higher_eigenvalue(monkeypatch, direct_max_nnz, seed, case):
-    # inverse iteration returned a higher member of a near-degenerate pair here
+    # inverse iteration returned a higher member of a near-degenerate pair here;
+    # at (526691478, 8) a LOBPCG start from the 2h grid without its random part did
     monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
     g, _ = thm_1_2_setup()
     rep = verify_thm_1_2(heisenberg(), g, THM_1_2_U, n_subdomains=case + 1, seed=seed)
@@ -553,3 +554,86 @@ def test_thm_1_2_cases_that_found_a_higher_eigenvalue(monkeypatch, direct_max_nn
     (lo, hi) = np.array(rep.cases[case].config["subbox"]).T
     for bump in (0.0, 0.5):
         check_against_dense(*thm_1_2_pencil(lo, hi, bump))
+
+
+def heisenberg_cube_pencil(h, mask=None):
+    """Heisenberg (-1, 1)^3 at spacing h, optionally masked, with the potential 4x + 2t^2."""
+    g = build_grid([(-1, 1)] * 3, h)
+    if mask is not None:
+        g = mask_domain(g, mask)
+    V = GridField.from_function(g, lambda pts: 4.0 * pts[:, 0] + 2.0 * pts[:, 2] ** 2)
+    return assemble_stiffness(heisenberg(), g), assemble_diagonal(V), mass_matrix(g)
+
+
+@pytest.mark.parametrize("mask", [None, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 0.81],
+                         ids=["box", "disc"])
+def test_coarse_start_matches_the_old_start_in_fewer_steps(monkeypatch, mask):
+    # a cold LOBPCG solve starts from the pencil on the 2h grid; with that
+    # start taken away it falls back to [ones, seeded random]
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    K, Vd, M = heisenberg_cube_pencil(1.0 / 8, mask)
+    new = principal_eigenpair(K, Vd, M, tol=1e-9)
+    monkeypatch.setattr(eigen_mod, "_coarse_start", lambda *args: (None, 0))
+    old = principal_eigenpair(K, Vd, M, tol=1e-9)
+    assert abs(new.lam - old.lam) <= 1e-10 * abs(old.lam)
+    assert new.residual <= 1e-9 and new.degenerate is False and new.positive
+    assert new.iterations < old.iterations
+    assert new.coarse_iterations > 0 and old.coarse_iterations == 0
+    assert "coarse_iterations" not in new.to_json_dict()
+    # the second pair too: the coarse block must not miss a class of modes
+    second = [v @ (K.mat @ v - Vd.mat @ v) / (v @ (M.mat @ v))
+              for v in (new.vectors[:, 1], old.vectors[:, 1])]
+    assert abs(second[0] - second[1]) <= 1e-8 * abs(second[1])
+
+
+def test_one_pair_solves_keep_the_ones_start(monkeypatch):
+    # a one-column block from the 2h grid took more steps than ones
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    K, Vd, M = heisenberg_cube_pencil(1.0 / 8)
+    res = principal_eigenpair(K, Vd, M, tol=1e-9, pairs=1)
+    assert res.coarse_iterations == 0 and res.residual <= 1e-9
+
+
+def test_even_node_count_keeps_the_old_start(monkeypatch):
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    g = build_grid([(-1, 1), (-1, 1), (-0.5, 0.625)], 1.0 / 8)
+    assert g.dims == (17, 17, 10) and coarse_grid(g) is None
+    calls = []
+    lobpcg = spla.lobpcg
+
+    def recorded(A, X0, **kwargs):
+        calls.append(X0.copy())  # lobpcg overwrites its start block
+        return lobpcg(A, X0, **kwargs)
+
+    monkeypatch.setattr(spla, "lobpcg", recorded)
+    res = principal_eigenpair(assemble_stiffness(heisenberg(), g), None, mass_matrix(g), tol=1e-9)
+    X = np.column_stack([np.ones(g.n_interior),
+                         np.random.default_rng(0x5EC).standard_normal(g.n_interior)])
+    assert len(calls) == 1 and np.array_equal(calls[0], X)
+    assert res.coarse_iterations == 0 and res.residual <= 1e-9
+
+
+def test_coarse_level_failure_names_the_stage_residual_and_steps(monkeypatch):
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(eigen_mod, "MAX_ITER", 1)
+    g, K, M = unit_square_setup(1.0 / 32)
+    with pytest.raises(ConvergenceError, match=r"^coarse start on the 2h grid \(225 unknowns\): "
+                                               r"coarse start on the 2h grid \(49 unknowns\): "
+                                               r"principal eigensolve \(LOBPCG\) residual .* "
+                                               r"after \d+ iterations$") as err:
+        principal_eigenpair(K, None, M, tol=1e-12)
+    assert err.value.residual > 1e-12 * eigen_mod.COARSE_TOL_FACTOR
+    assert 1 <= err.value.iterations <= 2
+
+
+def test_cli_eigen_on_lobpcg_writes_identical_reports(monkeypatch, tmp_path):
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    cfg = tmp_path / "eigen.json"
+    cfg.write_text(json.dumps({"family": "heisenberg", "potential": "4*x + 2*t**2",
+                               "grid": {"box": [[-1, 1]] * 3, "h": 0.25}, "tol": 1e-9}))
+    reports = []
+    for run in ("a", "b"):
+        assert main(["--config", str(cfg), "--out", str(tmp_path / run), "eigen"]) == 0
+        reports.append((tmp_path / run / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["results"]["eigen"]["residual"] <= 1e-9

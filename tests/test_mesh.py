@@ -11,12 +11,14 @@ from sublap.mesh import (
     INTERIOR,
     GridField,
     build_grid,
+    coarse_grid,
     field_from_binary,
     field_from_csv,
     field_to_binary,
     field_to_csv,
     integrate,
     mask_domain,
+    neighbor_set,
 )
 from sublap.operators import quadrature_row_ids
 
@@ -308,3 +310,37 @@ def test_mask_classes_partition_nodes(n, sides, density, seed):
         for i in range(g.num_nodes)
     ]
     assert quadrature_row_ids(sub).tolist() == np.flatnonzero(flags & forward_ok).tolist()
+
+
+def test_coarse_grid_injects_the_mask_and_interpolates_multilinearly():
+    g = build_grid([(-1, 1), (0, 1), (0, 0.5)], 0.125)
+    disc = mask_domain(g, lambda pts: pts[:, 0] ** 2 + (pts[:, 1] - 0.5) ** 2 <= 0.6)
+    for fine in (g, disc):
+        coarse, P = coarse_grid(fine)
+        assert coarse.dims == (9, 5, 3) and coarse.h == 0.25
+        assert np.array_equal(coarse.origin, fine.origin)
+        on_coarse = fine.mask.reshape(fine.dims)[::2, ::2, ::2].ravel()
+        assert np.array_equal(coarse.mask == INTERIOR, on_coarse == INTERIOR)
+        # every interior node keeps all 2n axis neighbors non-exterior
+        for k in range(3):
+            for step in (1, -1):
+                nbr = neighbor_set(coarse, coarse.mask != EXTERIOR, k, step)
+                assert nbr[coarse.interior_ids].all()
+        assert P.shape == (fine.n_interior, coarse.n_interior)
+        # a coarse node's own fine node takes its value unchanged
+        own = np.searchsorted(fine.interior_ids, np.ravel_multi_index(
+            [2 * m for m in np.unravel_index(coarse.interior_ids, coarse.dims)], fine.dims))
+        assert np.array_equal(P[own].toarray(), np.eye(coarse.n_interior))
+        # a multilinear function is reproduced wherever all 2^n corners are interior
+        f = lambda pts: 1 + pts[:, 0] - 2 * pts[:, 1] + 3 * pts[:, 0] * pts[:, 1] * pts[:, 2]
+        Pu = P @ f(coarse.points[coarse.interior_ids])
+        full = np.asarray(P.sum(axis=1)).ravel() == 1.0
+        assert full.sum() > coarse.n_interior
+        assert np.allclose(Pu[full], f(fine.points[fine.interior_ids])[full], atol=1e-13)
+        assert np.all(P.data > 0)
+
+
+def test_coarse_grid_needs_an_odd_node_count_on_every_axis():
+    assert coarse_grid(build_grid([(0, 1), (0, 1.125)], 0.125)) is None
+    coarse, P = coarse_grid(build_grid([(0, 0.5), (0, 0.5)], 0.25))
+    assert coarse.dims == (2, 2) and coarse.n_interior == 0 and P.shape == (1, 0)

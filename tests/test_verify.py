@@ -123,3 +123,25 @@ def test_thm_1_4_truncation_stability_note():
     note = next(n for n in rep.notes if "truncation" in n)
     change = float(note.split(":")[1])
     assert change < 0.05
+
+
+def test_thm_1_2_strict_shift_check_is_two_sided(monkeypatch):
+    # V - 0.5 shifts lambda_1 by exactly 0.5; a bumped solve that moves further fails too
+    import sublap.verify as verify_mod
+
+    g = build_grid([(0, 1), (0, 1)], 1.0 / 16)
+    principal = verify_mod.principal_eigenpair
+    calls = []
+
+    def overshoot(*args, **kwargs):
+        res = principal(*args, **kwargs)
+        calls.append(res)
+        if len(calls) % 2 == 0:
+            res.lam += 1e-3
+        return res
+
+    honest = verify_thm_1_2(euclidean(2), g, "exp(x + y)", n_subdomains=3, seed=1)
+    monkeypatch.setattr(verify_mod, "principal_eigenpair", overshoot)
+    rep = verify_thm_1_2(euclidean(2), g, "exp(x + y)", n_subdomains=3, seed=1)
+    assert honest.passed_count == honest.total == 3
+    assert rep.passed_count == 0 and all(c.margin == -1.0 for c in rep.cases)
