@@ -463,13 +463,6 @@ def cc_distance_refine(family, seed, segments=24, tol=1e-3):
                       defect=float(defect))
 
 
-def cc_distance(family, grid, x, y, directions=DEFAULT_DIRECTIONS, segments=24, tol=1e-3):
-    """Two-stage estimate: Dijkstra upper bound, then control refinement."""
-    d_hat, seed = cc_distance_graph(family, grid, x, y, directions=directions)
-    refined = cc_distance_refine(family, seed, segments=segments, tol=tol)
-    return min(d_hat, refined.T), refined
-
-
 @dataclass(eq=False)
 class BallResult:
     grid: object

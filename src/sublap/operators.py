@@ -173,55 +173,3 @@ def rayleigh_quotient(K, Vdiag, M, f):
     if Vdiag is not None:
         num -= fi @ (Vdiag.mat @ fi)
     return float(num / den)
-
-
-def characteristic_boundary_diagnostic(family, grid, tol=1e-8):
-    """Per boundary node, whether the normal component of the diffusion
-    tensor exceeds tol (a non-characteristic-point indicator).
-
-    Diagnostic only: the continuum regular-domain condition (boundary has
-    non-characteristic points for H) has no computable discrete criterion,
-    so this reports nu^T a(x) nu > tol per node with the outward normal nu
-    taken along the axis directions pointing out of the domain.
-    """
-    flags = np.zeros(grid.n_boundary, dtype=bool)
-    a_all = family.diffusion_tensor_batch(grid.points[grid.boundary_ids])
-    scale = max(float(np.abs(a_all).max()), 1.0)
-    for i, node in enumerate(grid.boundary_ids):
-        multi = np.array(grid.multi_index(int(node)))
-        best = 0.0
-        for k in range(grid.n):
-            for s in (-1, 1):
-                j = multi[k] + s
-                outward = not (0 <= j < grid.dims[k])
-                if not outward:
-                    nb = int(node) + s * int(grid.strides[k])
-                    outward = grid.mask[nb] == EXTERIOR
-                if outward:
-                    best = max(best, float(a_all[i, k, k]))
-        flags[i] = best > tol * scale
-    return flags
-
-
-def operator_to_triplet_text(op):
-    """Coordinate-triplet dump: header with shape/nnz, then 1-based 'row col value' lines."""
-    coo = op.mat.tocoo()
-    lines = [f"# rows {coo.shape[0]} cols {coo.shape[1]} nnz {coo.nnz} symmetric {int(op.symmetric)}"]
-    order = np.lexsort((coo.col, coo.row))
-    for i in order:
-        lines.append(f"{coo.row[i] + 1} {coo.col[i] + 1} {float(coo.data[i])!r}")
-    return "\n".join(lines) + "\n"
-
-
-def operator_from_triplet_text(text):
-    """Inverse of operator_to_triplet_text (matrix block only, no grid binding)."""
-    lines = text.strip().splitlines()
-    header = lines[0].split()
-    rows, cols = int(header[2]), int(header[4])
-    ri, ci, vals = [], [], []
-    for line in lines[1:]:
-        a, b, v = line.split()
-        ri.append(int(a) - 1)
-        ci.append(int(b) - 1)
-        vals.append(float(v))
-    return sp.coo_matrix((vals, (ri, ci)), shape=(rows, cols)).tocsr()

@@ -165,6 +165,12 @@ class ShiftedSolver:
     def _count_cg(self, _xk):
         self.cg_iterations += 1
 
+    def _fail(self, path, rel, steps_before):
+        raise RuntimeError(
+            f"{path} linear solve at shift {self.shifts[-1]!r}: relative residual {rel:.3e} "
+            f"above tol {self.tol:.3e} after {self.cg_iterations - steps_before} CG steps"
+        )
+
     def solve(self, rhs):
         """The GridField u: interior rows solve (K + cM) u = M rhs, trace = boundary value.
 
@@ -173,19 +179,20 @@ class ShiftedSolver:
         g = self.grid
         b = self.weight * rhs - self.lift
         nb = np.linalg.norm(b)
+        steps = self.cg_iterations
         if nb == 0.0:
             x = np.zeros(g.n_interior)
         elif self.lu is not None:
             x = self.lu.solve(b)
             rel = float(np.linalg.norm(self.A @ x - b) / nb)
             if not rel <= self.tol:
-                raise RuntimeError(f"direct linear solve residual {rel:.3e} above tol {self.tol:.3e}")
+                self._fail("direct", rel, steps)
         else:
             x, info = spla.cg(self.A, b, x0=self.x, rtol=self.tol, atol=0.0,
                               maxiter=max(4 * g.n_interior, 400), M=self.jacobi,
                               callback=self._count_cg)
             if info != 0:
-                raise RuntimeError(f"CG stagnation in linear solve (info={info})")
+                self._fail(f"CG (info={info})", float(np.linalg.norm(self.A @ x - b) / nb), steps)
         self.x = x
         return GridField.from_interior(g, x, self.bvec)
 
@@ -199,10 +206,9 @@ def linear_solve(K, shift_c, rhs, boundary_value=0.0):
     return ShiftedSolver(K, shift_c, boundary_value).solve(rhs.values[K.grid.interior_ids])
 
 
-def sub_super_slack(K, *fields):
-    """tau_sub = SUB_SLACK_FACTOR * ||K||_inf * max(1, ||u||_inf over `fields`)."""
-    umax = max(float(np.abs(u.values).max()) for u in fields)
-    return SUB_SLACK_FACTOR * K.inf_norm() * max(umax, 1.0)
+def sub_super_slack(K, u):
+    """tau_sub = SUB_SLACK_FACTOR * ||K||_inf * max(1, ||u||_inf)."""
+    return SUB_SLACK_FACTOR * K.inf_norm() * max(float(np.abs(u.values).max()), 1.0)
 
 
 def check_sub_super(problem, u, sign):
@@ -403,58 +409,6 @@ def logistic_solve(K, a, b, mu, p, eig, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
     result = monotone_iterate(problem, lower, upper, tol=tol, max_iter=max_iter)
     result.notes = notes + [f"mu1={mu1!r}", f"Mcap={Mcap!r}", f"eps={eps!r}"] + result.notes
     return result
-
-
-@dataclass(eq=False)
-class ComparisonReport:
-    """Discrete check of the comparison principle for -Hu + a u - b u^p."""
-
-    hypothesis1_ok: bool
-    hypothesis2_ok: bool
-    boundary_ok: bool
-    conclusion_ok: bool
-    worst_hypothesis_violation: float
-    worst_conclusion_violation: float
-    worst_conclusion_node: int
-
-    @property
-    def hypotheses_ok(self):
-        return self.hypothesis1_ok and self.hypothesis2_ok and self.boundary_ok
-
-    @property
-    def passed(self):
-        return self.hypotheses_ok and self.conclusion_ok
-
-
-def comparison_check(K, u1, u2, a, b, p):
-    """Check -Hu1 + a u1 - b u1^p <= 0 <= -Hu2 + a u2 - b u2^p, then u2 <= u1.
-
-    Hypothesis failures are reported separately from conclusion failures;
-    all inequalities carry the discretization slack tau_sub.
-    """
-    g = K.grid
-    problem = SemilinearProblem(K=K, reaction=logistic_reaction(a, b, 1.0, p))
-    slack = sub_super_slack(K, u1, u2)
-    # worst violations of -Hu1 + a u1 - b u1^p <= 0 and of -Hu2 + a u2 - b u2^p >= 0
-    d1 = float((-problem.defect(u1)).max())
-    d2 = float(problem.defect(u2).max())
-    hyp1 = d1 <= slack
-    hyp2 = d2 <= slack
-    worst_hyp = max(d1, d2)
-    bdiff = u2.values[g.boundary_ids] - u1.values[g.boundary_ids] if g.n_boundary else np.zeros(1)
-    boundary_ok = float(bdiff.max(initial=0.0)) <= slack
-    diff = u2.values[g.interior_ids] - u1.values[g.interior_ids]
-    worst_idx = int(np.argmax(diff))
-    conclusion_ok = float(diff.max()) <= slack
-    return ComparisonReport(
-        hypothesis1_ok=hyp1,
-        hypothesis2_ok=hyp2,
-        boundary_ok=boundary_ok,
-        conclusion_ok=conclusion_ok,
-        worst_hypothesis_violation=worst_hyp,
-        worst_conclusion_violation=float(diff.max()),
-        worst_conclusion_node=int(g.interior_ids[worst_idx]),
-    )
 
 
 @dataclass(eq=False)

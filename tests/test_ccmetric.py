@@ -10,7 +10,6 @@ from sublap.ccmetric import (
     CCUnreachableError,
     PathResult,
     ball_bump,
-    cc_distance,
     cc_distance_graph,
     cc_distance_refine,
     doubling_estimate,
@@ -341,13 +340,6 @@ def test_sobolev_requires_q_above_p():
     ball = metric_ball(fam, (0, 0), 0.4, g, directions=16)
     with pytest.raises(ValueError):
         sobolev_probe(fam, ball, [ball_bump(ball)], 2.0, 2.0)
-
-
-def test_cc_distance_pipeline():
-    fam = euclidean(2)
-    g = build_grid([(-0.2, 1.2), (-0.2, 1.2)], 0.05)
-    d, path = cc_distance(fam, g, (0, 0), (1, 1), directions=16, segments=12)
-    assert abs(d - np.sqrt(2)) < 0.02 * np.sqrt(2)
 
 
 def test_path_csv_export():

@@ -147,6 +147,30 @@ def test_cli_verify_exit_codes(tmp_path):
     assert rep["results"]["verification"]["passed"] is True
 
 
+# one config per suite that makes no case
+NO_CASE_CONFIGS = {
+    "thm1_2": {"family": "heisenberg", "grid": {"box": [[-1, 1]] * 3, "h": 0.5},
+               "u_expr": "1 + 0*x"},
+    "prop4_2": {"family": "euclidean(2)", "grid": {"box": [[0, 1], [0, 1]], "h": 0.25},
+                "a": "1 + 0*x", "b": "1 + 0*x", "p": 2.0, "mu_factors": []},
+    "thm1_4": {"family": "heisenberg", "box": [[-2, 2]] * 3, "h": 1.0,
+               "f": "exp(-(x**2 + y**2 + t**2))", "theta_list": [], "eps_list": [0.4],
+               "p": 3.0},
+    "thm1_3": {"family": "euclidean(2)", "g": "1 + 0*x", "g_plus": "1 + 0*x",
+               "lam_fractions": [], "boxes": [[[-1, 1], [-1, 1]]], "h": 0.25},
+}
+
+
+@pytest.mark.parametrize("suite", list(NO_CASE_CONFIGS))
+def test_cli_verify_with_no_case_fails(tmp_path, suite):
+    out = tmp_path / "out"
+    code = main(["--config", str(write_config(tmp_path, "v.json", NO_CASE_CONFIGS[suite])),
+                 "--out", str(out), "verify", suite])
+    assert code == 1
+    ver = json.loads((out / "report.json").read_text())["results"]["verification"]
+    assert ver["summary"] == "0/0" and ver["passed"] is False
+
+
 def test_cli_verify_thm1_3_passes_tol(tmp_path, monkeypatch):
     import sublap.semilinear as sm
 

@@ -11,8 +11,6 @@ from sublap.operators import (
     assemble_first_order,
     assemble_stiffness,
     mass_matrix,
-    operator_from_triplet_text,
-    operator_to_triplet_text,
     rayleigh_quotient,
 )
 
@@ -234,29 +232,3 @@ def test_divergence_form_consistency_at_least_first_order():
     assert errs[0] > errs[1] > errs[2]
     assert errs[0] / errs[1] >= 1.5
     assert errs[1] / errs[2] >= 1.5
-
-
-def test_triplet_text_round_trip():
-    g = build_grid([(0, 1), (0, 1)], 0.25)
-    K = assemble_stiffness(euclidean(2), g)
-    text = operator_to_triplet_text(K)
-    assert text.startswith("# rows")
-    back = operator_from_triplet_text(text)
-    assert abs(K.mat - back).max() == 0.0
-
-
-def test_characteristic_boundary_diagnostic():
-    from sublap.operators import characteristic_boundary_diagnostic
-
-    # euclidean: every boundary normal is non-characteristic
-    g = build_grid([(0, 1), (0, 1)], 0.25)
-    flags = characteristic_boundary_diagnostic(euclidean(2), g)
-    assert flags.all()
-    # grushin on a box crossing {x=0}: the top/bottom boundary nodes on the
-    # degenerate line have a(x) nu . nu = x^2 = 0 there
-    gg = build_grid([(-0.5, 0.5), (0, 1)], 0.25)
-    flags = characteristic_boundary_diagnostic(grushin(), gg)
-    pts = gg.points[gg.boundary_ids]
-    on_axis_topbottom = (np.abs(pts[:, 0]) < 1e-12) & ((pts[:, 1] == 0) | (pts[:, 1] == 1))
-    assert not flags[on_axis_topbottom].any()
-    assert flags[~on_axis_topbottom].all()

@@ -125,6 +125,33 @@ def test_thm_1_4_truncation_stability_note():
     assert change < 0.05
 
 
+def test_thm_1_4_notes_a_skipped_stability_rerun():
+    # theta too large for the barriers: no case passes, so nothing is rerun
+    rep = verify_thm_1_4(
+        heisenberg(), [(-2, 2)] * 3, 1.0, "exp(-(x**2 + y**2 + t**2))",
+        [5.0], [0.4], 3.0, stability_box=[(-4, 4)] * 3,
+    )
+    assert rep.total == 1 and not rep.passed
+    assert rep.notes == ["stability rerun on stability_box skipped: no case passed"]
+
+
+def test_thm_1_2_notes_a_short_count_and_reraises_other_mask_errors(monkeypatch):
+    # no random subbox of (-1, 1)^3 at h = 0.5 has 4 interior nodes
+    import sublap.verify as verify_mod
+
+    g = build_grid([(-1, 1)] * 3, 0.5)
+    rep = verify_thm_1_2(heisenberg(), g, "1 + 0*x", n_subdomains=5, seed=0)
+    assert rep.total == 0 and not rep.passed
+    assert rep.notes[-1] == "made 0 of 5 subdomains in 100 attempts"
+
+    def broken(grid, predicate):
+        raise ValueError("predicate gave the wrong shape")
+
+    monkeypatch.setattr(verify_mod, "mask_domain", broken)
+    with pytest.raises(ValueError, match="wrong shape"):
+        verify_thm_1_2(heisenberg(), g, "1 + 0*x", n_subdomains=5, seed=0)
+
+
 def test_thm_1_2_strict_shift_check_is_two_sided(monkeypatch):
     # V - 0.5 shifts lambda_1 by exactly 0.5; a bumped solve that moves further fails too
     import sublap.verify as verify_mod
