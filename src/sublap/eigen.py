@@ -95,7 +95,9 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
     LOBPCG stops when every unit Ritz vector y has ||A y - lam y|| <=
     0.5 * tol / max(M): for u = M^{-1/2} y, ||(K - V) u - lam M u|| / ||u||
     <= max(M) ||A y - lam y||, so the final residual check passes with a
-    2x margin on any grid, eps or potential.
+    2x margin on any grid, eps or potential.  Shift-invert ARPACK gets
+    the tolerance 0.5 * tol / (max(M) (||A||_inf - sigma)), which bounds
+    ||A y - lam y|| the same way.
 
     `start` is an earlier result of this function on the same grid, for a
     nearby pencil with the same M, with at least `pairs` vectors: LOBPCG
@@ -192,7 +194,8 @@ def _principal(K, Vdiag, M, tol, start, pairs):
         lower = 0.0
         if Vdiag is not None:
             lower = -max(float((Vdiag.mat.diagonal() / mdiag).max()), 0.0)
-        sigma = lower - 1e-3 * max(float(abs(A).sum(axis=1).max()), 1e-300) - 1.0
+        anorm = max(float(abs(A).sum(axis=1).max()), 1e-300)
+        sigma = lower - 1e-3 * anorm - 1.0
         Ash = A - sigma * sp.identity(n, format="csr")
         if A.nnz <= DIRECT_MAX_NNZ:
             path, unit = "shift-invert ARPACK", "operator applications"
@@ -204,10 +207,14 @@ def _principal(K, Vdiag, M, tol, start, pairs):
                 return lu.solve(b)
 
             OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+            # ARPACK stops at ||OPinv y - theta y|| <= tol_a |theta|, which gives
+            # ||A y - lam y|| <= ||A - sigma|| tol_a <= (||A||_inf - sigma) tol_a:
+            # the same 2x margin on the final check as LOBPCG's stop
             try:
                 lams, Y = spla.eigsh(A, k=pairs, sigma=sigma, OPinv=OPinv, which="LM",
                                      v0=np.ones(n) if X0 is None else X0[:, 0],
-                                     maxiter=MAX_ITER)
+                                     maxiter=MAX_ITER,
+                                     tol=0.5 * tol / (mdiag.max() * (anorm - sigma)))
             except spla.ArpackNoConvergence as exc:
                 raise ConvergenceError(
                     f"principal eigensolve ({path}) did not converge after {iterations} {unit}",

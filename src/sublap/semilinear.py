@@ -123,13 +123,19 @@ class ShiftedSolver:
     The boundary lift is built once, and A = K + c h^n I once per shift
     (`set_shift`).  When nnz(A) is at most DIRECT_MAX_NNZ, A is factored
     by `splu` and every solve is a pair of triangular solves.  Larger
-    systems run CG preconditioned by diag(A)^{-1} (Jacobi) and
-    warm-started from the previous solution, across a change of shift
-    too, because the fill of the factors, and with it the time and memory
-    of factoring, outgrows what CG saves.  Either way a solution is
-    returned only when ||A x - b|| <= tol ||b||.  `shifts` lists the shift
-    of each A in order (one factorization each on the direct path), and
-    `cg_iterations` counts the CG steps of every solve.
+    systems run CG preconditioned by diag(A)^{-1} (Jacobi), because the
+    fill of the factors, and with it the time and memory of factoring,
+    outgrows what CG saves.  The first CG solve starts from a scalar
+    boundary value as a constant (the exact solution when c = 0 and the
+    source is zero; K annihilates constants) or from zeros for a GridField
+    one; later solves warm-start from the previous solution, across a
+    change of shift too.  CG stops on scipy's recursive residual, so the
+    true residual is taken after it, and CG resumes once from its answer
+    when the recursive residual met tol but the true one did not.  Either
+    way a solution is returned only when ||A x - b|| <= tol ||b||.
+    `shifts` lists the shift of each A in order (one factorization each on
+    the direct path), and `cg_iterations` counts the CG steps of every
+    solve.
     """
 
     def __init__(self, K, shift_c, boundary_value=0.0, tol=TOL_LIN):
@@ -140,12 +146,13 @@ class ShiftedSolver:
         self.weight = g.h ** g.n
         if isinstance(boundary_value, GridField):
             self.bvec = boundary_value.values[g.boundary_ids]
+            self.x = np.zeros(g.n_interior)
         else:
             self.bvec = np.full(g.n_boundary, float(boundary_value))
+            self.x = np.full(g.n_interior, float(boundary_value))
         self.lift = np.zeros(g.n_interior)
         if K.boundary is not None and g.n_boundary:
             self.lift = K.boundary @ self.bvec
-        self.x = np.zeros(g.n_interior)
         self.shifts = []
         self.cg_iterations = 0
         self.set_shift(shift_c)
@@ -165,36 +172,47 @@ class ShiftedSolver:
     def _count_cg(self, _xk):
         self.cg_iterations += 1
 
+    def _cg(self, b, x0):
+        return spla.cg(self.A, b, x0=x0, rtol=self.tol, atol=0.0,
+                       maxiter=max(4 * self.grid.n_interior, 400), M=self.jacobi,
+                       callback=self._count_cg)
+
     def _fail(self, path, rel, steps_before):
         raise RuntimeError(
             f"{path} linear solve at shift {self.shifts[-1]!r}: relative residual {rel:.3e} "
             f"above tol {self.tol:.3e} after {self.cg_iterations - steps_before} CG steps"
         )
 
-    def solve(self, rhs):
-        """The GridField u: interior rows solve (K + cM) u = M rhs, trace = boundary value.
+    def solve_interior(self, rhs):
+        """Interior values of the solution u of (K + cM) u = M rhs with trace `bvec`.
 
-        `rhs` holds interior values (length n_interior).
+        `rhs` holds interior values (length n_interior).  The returned
+        array is also the next CG start; callers must not modify it.
         """
-        g = self.grid
         b = self.weight * rhs - self.lift
         nb = np.linalg.norm(b)
         steps = self.cg_iterations
         if nb == 0.0:
-            x = np.zeros(g.n_interior)
+            x = np.zeros(self.grid.n_interior)
         elif self.lu is not None:
             x = self.lu.solve(b)
             rel = float(np.linalg.norm(self.A @ x - b) / nb)
             if not rel <= self.tol:
                 self._fail("direct", rel, steps)
         else:
-            x, info = spla.cg(self.A, b, x0=self.x, rtol=self.tol, atol=0.0,
-                              maxiter=max(4 * g.n_interior, 400), M=self.jacobi,
-                              callback=self._count_cg)
-            if info != 0:
-                self._fail(f"CG (info={info})", float(np.linalg.norm(self.A @ x - b) / nb), steps)
+            x, info = self._cg(b, self.x)
+            rel = float(np.linalg.norm(self.A @ x - b) / nb)
+            if info == 0 and not rel <= self.tol:
+                x, info = self._cg(b, x)
+                rel = float(np.linalg.norm(self.A @ x - b) / nb)
+            if not rel <= self.tol:
+                self._fail(f"CG (info={info})", rel, steps)
         self.x = x
-        return GridField.from_interior(g, x, self.bvec)
+        return x
+
+    def solve(self, rhs):
+        """The GridField u: interior rows solve (K + cM) u = M rhs, trace = boundary value."""
+        return GridField.from_interior(self.grid, self.solve_interior(rhs), self.bvec)
 
 
 def linear_solve(K, shift_c, rhs, boundary_value=0.0):
@@ -226,13 +244,17 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     """Descend from the supersolution; iterates stay in [lower, upper].
 
     The shift starts at problem.shift(lo, hi) on [min lower, max upper].
-    After each step it is re-derived on [min lower, max u_k], and the
-    solver takes the new shift only when it is at most half the current
-    one, so a shift level costs one factorization.  Each shift used is
-    spot-checked by `validate_shift`.  Monotone descent and bracket
-    preservation are asserted at every step; violations (possible without
-    a discrete maximum principle) are recorded in the result notes rather
-    than silently ignored.
+    After each step it is re-derived on [min lower, max u_k] while it is
+    positive, and the solver takes the new shift only when it is at most
+    half the current one, so a shift level costs one factorization.  Each
+    shift used is spot-checked by `validate_shift`.  Monotone descent and
+    bracket preservation are asserted at every step; violations (possible
+    without a discrete maximum principle) are recorded in the result notes
+    rather than silently ignored.
+
+    The iterate is kept as its interior vector.  Every iterate carries the
+    boundary value, so the boundary parts of the bracket gaps are fixed and
+    taken once; only the first step also compares it with upper's trace.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -252,10 +274,18 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
         notes.append(f"upper field fails the discrete supersolution check by {v_sup:.3e} at node {n_sup}")
 
     solver = ShiftedSolver(problem.K, c, problem.boundary_value)
-    pts = g.points[g.interior_ids]
+    ids, bvec, lift = g.interior_ids, solver.bvec, solver.lift
+    pts = g.points[ids]
     w = g.h ** g.n
-    u = upper.copy()
-    ui = u.values[g.interior_ids]
+    lower_i, upper_i = lower.values[ids], upper.values[ids]
+    # the gaps off the interior: lower - u and u - upper on the boundary at
+    # every step, and u_1 - u_0 (on the boundary, and on the exterior for
+    # the step size) at step 1 only
+    lo_bnd = float((lower.values[g.boundary_ids] - bvec).max(initial=-np.inf))
+    hi_bnd = float((bvec - upper.values[g.boundary_ids]).max(initial=-np.inf))
+    step_off = float(np.abs(GridField.from_interior(g, upper_i, bvec).values - upper.values).max())
+    bvec_max = float(bvec.max(initial=-np.inf))
+    ui = upper_i
     Fu = problem.reaction(pts, ui)  # F(u): the next right-hand side and the residual's reaction
     scale = max(float(np.abs(upper.values).max()), 1.0)
     mono_slack = 1e3 * TOL_LIN * scale
@@ -263,43 +293,50 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     max_inc = 0.0
     bracket_ok = True
     for it in range(1, max_iter + 1):
-        u_next = solver.solve(c * ui + Fu)
-        inc = float((u_next.values - u.values)[active].max())
+        x = solver.solve_interior(c * ui + Fu)
+        diff = x - ui
+        inc = float(diff.max())
+        if it == 1:
+            inc = max(inc, hi_bnd)
         max_inc = max(max_inc, inc)
         if inc > mono_slack:
             steps_monotone = False
-            node = int(np.flatnonzero(active)[np.argmax((u_next.values - u.values)[active])])
+            prev = upper if it == 1 else GridField.from_interior(g, ui, bvec)
+            gap = (GridField.from_interior(g, x, bvec).values - prev.values)[active]
+            node = int(np.flatnonzero(active)[np.argmax(gap)])
             notes.append(f"monotone descent violated by {inc:.3e} at node {node}, step {it}")
-        lo_viol = float((lower.values - u_next.values)[active].max())
-        hi_viol = float((u_next.values - upper.values)[active].max())
+        lo_viol = max(float((lower_i - x).max()), lo_bnd)
+        hi_viol = max(float((x - upper_i).max()), hi_bnd)
         if max(lo_viol, hi_viol) > mono_slack:
             bracket_ok = False
             notes.append(
                 f"bracket violated at step {it}: below-lower {lo_viol:.3e}, above-upper {hi_viol:.3e}"
             )
-        step = float(np.abs(u_next.values - u.values).max())
-        u = u_next
-        ui = u.values[g.interior_ids]
+        step = float(np.abs(diff).max())
+        if it == 1:
+            step = max(step, step_off)
+        ui = x
         Fu = problem.reaction(pts, ui)
         un = np.linalg.norm(ui)
-        r = float(np.linalg.norm(problem.K.apply(u) - w * Fu))
+        r = float(np.linalg.norm(problem.K.mat @ ui + lift - w * Fu))
         residual = float(r / un) if un > 0 else r
         if residual <= tol:
             break
         if step < 1e-16 * scale:
             notes.append(f"iteration stagnated at step {it} with residual {residual:.3e}")
             break
-        hi = float(u.values[active].max())
-        c_next = problem.shift(lo, hi)
-        if c > 0.0 and c_next <= 0.5 * c:
-            problem.validate_shift(c_next, lo, hi)
-            c = c_next
-            solver.set_shift(c)
+        if c > 0.0:
+            hi = max(float(ui.max()), bvec_max)
+            c_next = problem.shift(lo, hi)
+            if c_next <= 0.5 * c:
+                problem.validate_shift(c_next, lo, hi)
+                c = c_next
+                solver.set_shift(c)
     status = "ok" if residual <= tol else "no-convergence"
     if status != "ok":
         notes.append(f"residual {residual:.3e} above tol {tol:.3e} after {it} iterations")
     return BracketSolveResult(
-        solution=u,
+        solution=GridField.from_interior(g, ui, bvec),
         lower=lower,
         upper=upper,
         residual=residual,
@@ -429,9 +466,12 @@ def barriers(K, f, C, eps):
     """The Poisson barriers (lower, upper) with far-field boundary value eps.
 
     The lower barrier V solves K V = -C M f and must meet 0 < V <= eps;
-    the upper W solves K W = C M f and must meet eps <= W < 1.  Both come
-    from one c=0 solver.  Bound violations mean C is too large for this
-    box and f; they are reported, not raised.
+    the upper W solves K W = C M f and must meet eps <= W < 1.  Only V is
+    solved for: K annihilates constants (every row of each B_j is a
+    difference v - v, boundary columns included), so V + W solves the
+    source-free problem with trace 2 eps, whose solution is the constant
+    2 eps, and W = 2 eps - V.  Bound violations mean C is too large for
+    this box and f; they are reported, not raised.
     """
     if C <= 0:
         raise ValueError("C must be positive")
@@ -441,10 +481,10 @@ def barriers(K, f, C, eps):
     fv = f.values[g.interior_ids]
     if fv.min() < 0:
         raise ValueError("f must be nonnegative")
-    solver = ShiftedSolver(K, 0.0, eps)
     bound_tol = 1e-10 * max(1.0, abs(eps))
-    V, W = solver.solve(-C * fv), solver.solve(C * fv)
-    vi, wi = V.values[g.interior_ids], W.values[g.interior_ids]
+    vi = ShiftedSolver(K, 0.0, eps).solve_interior(-C * fv)
+    wi = 2.0 * eps - vi
+    V, W = GridField.from_interior(g, vi, eps), GridField.from_interior(g, wi, eps)
     lower = PoissonResult(V, bool(np.all(vi > 0.0) and np.all(vi <= eps + bound_tol)),
                           max(float((vi - eps).max()), float((-vi).max())), "0 < U <= eps")
     upper = PoissonResult(W, bool(np.all(wi >= eps - bound_tol) and np.all(wi < 1.0)),

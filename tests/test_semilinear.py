@@ -163,6 +163,35 @@ def test_shifted_solver_direct_residual_guard(monkeypatch):
     assert solver.cg_iterations == 400
 
 
+def test_shifted_cg_checks_its_true_residual(monkeypatch):
+    # scipy's cg stops on its recursive residual: at tol 1e-15 one CG run
+    # leaves the true residual above tol, so the solver resumes CG once
+    K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 0.125)
+    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", -1)
+    solver = ShiftedSolver(K, 1.5, tol=1e-15)
+    b = solver.weight * rhs - solver.lift
+    steps = []
+    x, info = spla.cg(solver.A, b, rtol=1e-15, atol=0.0, M=solver.jacobi, callback=steps.append)
+    assert info == 0 and np.linalg.norm(solver.A @ x - b) > 1e-15 * np.linalg.norm(b)
+    x = solver.solve_interior(rhs)
+    assert np.linalg.norm(solver.A @ x - b) <= 1e-15 * np.linalg.norm(b)
+    assert solver.cg_iterations > len(steps)
+    # where the resumed run still misses tol, the solve fails
+    with pytest.raises(RuntimeError, match=r"^CG \(info=0\) linear solve at shift 1\.5: "
+                                           r"relative residual .* above tol 1\.000e-16"):
+        ShiftedSolver(K, 1.5, tol=1e-16).solve(rhs)
+
+
+def test_shifted_cg_starts_from_the_scalar_boundary_value(monkeypatch):
+    # with c = 0 and no source the constant boundary value solves the system
+    K, _ = _shifted_system(heisenberg(), [(-2, 2)] * 3, 0.5)
+    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", -1)
+    solver = ShiftedSolver(K, 0.0, 0.4)
+    u = solver.solve(np.zeros(K.grid.n_interior))
+    assert solver.cg_iterations == 0
+    assert np.abs(u.values - 0.4).max() <= 1e-12
+
+
 def _count_splu(monkeypatch):
     calls = []
     orig = spla.splu
@@ -369,6 +398,38 @@ def test_monotone_descent_recorded():
     assert res.max_step_increase <= 1e-7
 
 
+@pytest.mark.parametrize("bvalue,trace,mask_of_node", [(0.0, 0.05, 2), (0.3, -0.5, 1)])
+def test_step_one_violation_notes_match_a_full_grid_reference(bvalue, trace, mask_of_node):
+    # upper = 0.05 inside is not a supersolution of H u = 40 u (1 - u), so
+    # step 1 rises above it; with upper's trace far below the boundary value
+    # a boundary node rises most.  The reference takes the gaps on full-grid
+    # fields over every non-exterior node of a disk.
+    box = build_grid([(-1, 1), (-1, 1)], 1.0 / 8)
+    g = mask_domain(box, lambda pts: (pts**2).sum(axis=1) < 0.8)
+    K = assemble_stiffness(euclidean(2), g)
+    one = GridField.constant(g, 1.0)
+    problem = SemilinearProblem(K=K, reaction=logistic_reaction(one, one, 40.0, 2.0),
+                                boundary_value=bvalue,
+                                shift_bound=logistic_shift(one, one, 40.0, 2.0))
+    upper = GridField.from_interior(g, np.full(g.n_interior, 0.05), trace)
+    lower = GridField.from_interior(g, np.zeros(g.n_interior), min(trace, 0.0))
+    res = monotone_iterate(problem, lower, upper, max_iter=1)
+    active = g.mask != 0
+    c = problem.shift(lower.values[active].min(), upper.values[active].max())
+    ui = upper.values[g.interior_ids]
+    u1 = ShiftedSolver(K, c, bvalue).solve(c * ui + problem.reaction(None, ui))
+    rise = (u1.values - upper.values)[active]
+    node = int(np.flatnonzero(active)[np.argmax(rise)])
+    below = (lower.values - u1.values)[active].max()
+    assert g.mask[node] == mask_of_node and np.any(g.mask == 0)
+    assert [n for n in res.notes if "step 1" in n] == [
+        f"monotone descent violated by {rise.max():.3e} at node {node}, step 1",
+        f"bracket violated at step 1: below-lower {below:.3e}, above-upper {rise.max():.3e}",
+    ]
+    assert not (res.steps_monotone or res.bracket_respected)
+    assert res.max_step_increase == rise.max() and res.shifts == [c]
+
+
 def test_sub_super_checks():
     g, K, a, b, eig = logistic_setup(1.0 / 8)
     mu = 2 * eig.lam
@@ -426,6 +487,22 @@ def test_poisson_sign_mirror():
     f = GridField.from_function(g, lambda pts: np.exp(-5 * np.sum((pts - 0.5) ** 2, axis=1)))
     um, up = (res.field for res in barriers(K, f, 0.05, 0.4))
     assert np.abs((up.values - 0.4) + (um.values - 0.4)).max() < 1e-9
+
+
+@pytest.mark.parametrize("direct_max", [DIRECT_MAX_NNZ, -1], ids=["direct", "cg"])
+def test_upper_barrier_is_two_eps_minus_the_lower(monkeypatch, direct_max):
+    # W = 2 eps - V against a solve of K W = C M f with trace eps of its own,
+    # on a box and on a disk with exterior nodes
+    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", direct_max)
+    box = build_grid([(-1, 1), (-1, 1)], 1.0 / 16)
+    for g, family in ((yamabe_setup()[0], heisenberg()),
+                      (mask_domain(box, lambda pts: (pts**2).sum(axis=1) < 0.8), euclidean(2))):
+        K = assemble_stiffness(family, g)
+        f = GridField.from_function(g, lambda pts: np.exp(-(pts**2).sum(axis=1)))
+        _, upper = barriers(K, f, 0.1, 0.4)
+        W = ShiftedSolver(K, 0.0, 0.4).solve(0.1 * f.values[g.interior_ids])
+        assert np.abs(upper.field.values - W.values).max() <= 1e-9
+        assert np.all(upper.field.values[g.boundary_ids] == 0.4)
 
 
 def test_poisson_validates_inputs():
