@@ -1,4 +1,5 @@
-"""The benchmark tracer wraps sublap names given as strings and scipy's `cg` on its module; calls must reach the wrappers."""
+"""The benchmark tracer wraps sublap names given as strings, and scipy's `cg` on its
+module; calls must reach the wrappers."""
 
 import ast
 import importlib
