@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import lie_bracket
+from .fields import Polynomial, lie_bracket
 from .mesh import EXTERIOR, GridField
 from .operators import assemble_first_order
 
@@ -386,19 +386,15 @@ def _integrate_controls_batch(family, x0, controls, T, substeps=6):
     states = [state]
     dt = T / S
     hdt = dt / substeps
-    const_A = family.eval_coefficients(x0) if family.is_constant() else None
     for si in range(S):
         f = controls[:, si, :]
-        if const_A is not None:
-            state = state + dt * (f @ const_A)
-        else:
-            for _ in range(substeps):
-                A1 = family.eval_coefficients_batch(state)
-                v1 = np.einsum("bm,bmn->bn", f, A1)
-                mid = state + 0.5 * hdt * v1
-                A2 = family.eval_coefficients_batch(mid)
-                v2 = np.einsum("bm,bmn->bn", f, A2)
-                state = state + hdt * v2
+        for _ in range(substeps):
+            A1 = family.eval_coefficients_batch(state)
+            v1 = np.einsum("bm,bmn->bn", f, A1)
+            mid = state + 0.5 * hdt * v1
+            A2 = family.eval_coefficients_batch(mid)
+            v2 = np.einsum("bm,bmn->bn", f, A2)
+            state = state + hdt * v2
         states.append(state)
     return np.stack(states, axis=1)
 
@@ -588,20 +584,10 @@ def sobolev_probe(family, ball, corpus, q, p):
 def random_polynomial_corpus(grid, count, degree=2, seed=0):
     """Seeded low-degree polynomial fields for probe corpora."""
     rng = np.random.default_rng(seed)
-    pts = grid.points
     exps = [e for e in itertools.product(range(degree + 1), repeat=grid.n) if sum(e) <= degree]
-    out = []
-    for _ in range(count):
-        coeffs = rng.standard_normal(len(exps))
-        vals = np.zeros(grid.num_nodes)
-        for c, e in zip(coeffs, exps):
-            term = np.full(grid.num_nodes, c)
-            for k, ek in enumerate(e):
-                if ek:
-                    term = term * pts[:, k] ** ek
-            vals += term
-        out.append(GridField(grid, vals))
-    return out
+    polys = [Polynomial(grid.n, tuple(zip(rng.standard_normal(len(exps)), exps)))
+             for _ in range(count)]
+    return [GridField(grid, poly.evaluate(grid.points)) for poly in polys]
 
 
 def ball_bump(ball, power=2):

@@ -1,10 +1,13 @@
 """Command-line front end: config parsing, dispatch, report/plot emission.
 
-Configs are JSON with a strict per-command schema (unknown keys are
-rejected: a typo in a tolerance name must not silently change what a
-verification run claims).  All artifacts are byte-deterministic given the
-same config and seed: reports carry no timestamps, floats are serialized
-by repr, and plots are written by a fixed-order SVG emitter.
+One table, ``COMMANDS``, lists every command with its handler, help text,
+config keys and defaults; the parser, the config check and the dispatch
+are all built from it.  Configs are JSON with a strict per-command schema
+(unknown keys are rejected: a typo in a tolerance name must not silently
+change what a verification run claims).  All artifacts are
+byte-deterministic given the same config and seed: reports carry no
+timestamps, floats are serialized by repr, and plots are written by a
+fixed-order SVG emitter.
 
 Exit codes: 0 success / all checks passed, 1 a verification or solver
 check failed, 2 configuration error.
@@ -15,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from . import ccmetric as cc
 from . import semilinear as sm
 from . import verify as vfy
-from .eigen import epsilon_path, principal_eigenpair, weighted_principal
+from .eigen import DEFAULT_TOL, epsilon_path, principal_eigenpair, weighted_principal
 from .expressions import compile_expression
 from .fields import hormander_rank, lie_bracket, resolve_family
 from .mesh import GridField, build_grid, field_to_csv
@@ -34,59 +37,29 @@ class ConfigError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# config schema
-
-_GRID_KEYS = {"box", "h"}
-
-_SCHEMAS = {
-    "fields-info": {"required": {"family"}, "optional": {"sample_points", "max_step"}},
-    "eigen": {"required": {"family", "grid"}, "optional": {"potential", "weight", "tol"},
-              "exclusive": ("weight", "potential")},
-    "epspath": {"required": {"family", "grid", "eps_list"}, "optional": {"potential", "tol"}},
-    "solve-logistic": {"required": {"family", "grid", "a", "b", "p"},
-                       "optional": {"mu", "mu_factor", "tol"}, "exclusive": ("mu", "mu_factor")},
-    "solve-yamabe": {"required": {"family", "grid", "f", "theta", "eps", "p"},
-                     "optional": {"k_pattern", "K_pattern", "tol"}},
-    "distance": {"required": {"family", "grid", "x", "y"},
-                 "optional": {"directions", "segments", "tol", "step_scales"}},
-    "ball": {"required": {"family", "grid", "center", "radius"},
-             "optional": {"directions", "step_scales"}},
-    "probe-poincare": {"required": {"family", "grid", "center", "radius"},
-                       "optional": {"corpus_count", "corpus_degree", "directions", "step_scales"}},
-    "probe-sobolev": {"required": {"family", "grid", "center", "radius", "q", "p"},
-                      "optional": {"directions", "step_scales"}},
-    "probe-doubling": {"required": {"family", "grid", "center", "radii"},
-                       "optional": {"directions", "step_scales"}},
-    "verify-thm1_2": {"required": {"family", "grid", "u_expr"},
-                      "optional": {"n_subdomains", "tol"}},
-    "verify-thm1_3": {"required": {"family", "g", "g_plus", "lam_fractions", "boxes", "h"},
-                      "optional": {"mu", "tol"}},
-    "verify-prop4_2": {"required": {"family", "grid", "a", "b", "p", "mu_factors"},
-                       "optional": {"tol"}},
-    "verify-thm1_4": {"required": {"family", "box", "h", "f", "theta_list", "eps_list", "p"},
-                      "optional": {"stability_box", "tol"}},
-}
-
-_DEFAULTS = {
-    "potential": "0",
-    "tol": 1e-8,
-    "directions": 32,
-    "segments": 24,
-    "n_subdomains": 20,
-    "corpus_count": 12,
-    "corpus_degree": 2,
-    "max_step": 3,
-}
-
-
 @dataclass(eq=False)
 class RunConfig:
+    """A validated run.  Its family and grid are resolved when it is made,
+    so a bad family name or grid spec is a configuration error."""
+
     command: str
     params: dict
     out: Path
     seed: int = 0
     plot: bool = False
+    family: object = field(init=False, repr=False)
+    grid: object = field(init=False, repr=False)
+
+    def __post_init__(self):
+        try:
+            self.family = resolve_family(self.params["family"])
+            gspec = self.params.get("grid")
+            self.grid = None if gspec is None else build_grid(gspec["box"], float(gspec["h"]))
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.grid is not None and self.grid.n != self.family.n:
+            raise ConfigError(f"grid has {self.grid.n} axes but family "
+                              f"{self.family.name!r} acts on R^{self.family.n}")
 
     def echo(self):
         return {
@@ -97,58 +70,11 @@ class RunConfig:
         }
 
 
-def validate_config(command, raw):
-    if command not in _SCHEMAS:
-        raise ConfigError(f"unknown command {command!r}")
-    schema = _SCHEMAS[command]
-    keys = set(raw)
-    unknown = keys - schema["required"] - schema["optional"]
-    if unknown:
-        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    missing = schema["required"] - keys
-    if missing:
-        raise ConfigError(f"missing config keys for {command}: {sorted(missing)}")
-    both = set(schema.get("exclusive", ())) & keys
-    if len(both) > 1:
-        raise ConfigError(f"config keys {sorted(both)} exclude each other for {command}")
-    params = dict(raw)
-    for key in schema["required"] | schema["optional"]:
-        if key not in params and key in _DEFAULTS:
-            params[key] = _DEFAULTS[key]
-    if "grid" in params:
-        gspec = params["grid"]
-        if not isinstance(gspec, dict) or set(gspec) != _GRID_KEYS:
-            raise ConfigError("grid spec must be {'box': [[lo, hi], ...], 'h': float}")
-    return params
-
-
-def _build_grid_from(params):
-    gspec = params["grid"]
-    return build_grid([tuple(side) for side in gspec["box"]], float(gspec["h"]))
-
-
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    return obj
-
-
-def write_report(outdir, payload):
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "report.json"
-    path.write_text(json.dumps(_jsonify(payload), indent=2, sort_keys=True) + "\n")
-    return path
+def _tolist(obj):
+    """`json.dumps` hook: numpy arrays and scalars as Python lists and scalars."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -212,24 +138,47 @@ def emit_plot(fieldobj, slice_spec=None, cell=8):
 
 
 # ---------------------------------------------------------------------------
-# command implementations
+# command implementations: each takes the run and its params and returns
+# (results, exit code, artifacts)
 
 
-def _run_fields_info(cfg):
-    family = resolve_family(cfg.params["family"])
+def _field(cfg, expr):
+    """A config expression as a field on the run's grid."""
+    return GridField.from_function(cfg.grid, compile_expression(expr, cfg.grid.n))
+
+
+def _floats(values):
+    return [float(v) for v in values]
+
+
+def _graph_options(p):
+    return {"directions": int(p["directions"]), "step_scales": tuple(p["step_scales"])}
+
+
+def _ball(cfg, p):
+    return cc.metric_ball(cfg.family, p["center"], float(p["radius"]), cfg.grid,
+                          **_graph_options(p))
+
+
+def _verdict(rep):
+    return {"verification": rep.to_json_dict()}, 0 if rep.passed else 1, []
+
+
+def _run_fields_info(cfg, p):
+    family = cfg.family
     rng = np.random.default_rng(cfg.seed)
-    pts = rng.uniform(-1.0, 1.0, size=(int(cfg.params.get("sample_points", 5)), family.n))
-    ranks = [hormander_rank(family, x, int(cfg.params["max_step"])) for x in pts]
+    pts = rng.uniform(-1.0, 1.0, size=(int(p["sample_points"]), family.n))
+    ranks = [hormander_rank(family, x, int(p["max_step"])) for x in pts]
     brackets = {}
     for i in range(family.m):
         for j in range(i + 1, family.m):
             br = lie_bracket(family.coeffs[i], family.coeffs[j])
-            brackets[f"[X{i + 1},X{j + 1}]"] = [p.to_term_list() for p in br]
+            brackets[f"[X{i + 1},X{j + 1}]"] = [poly.to_term_list() for poly in br]
     results = {
         "name": family.name,
         "n": family.n,
         "m": family.m,
-        "coefficients": [[p.to_term_list() for p in row] for row in family.coeffs],
+        "coefficients": [[poly.to_term_list() for poly in row] for row in family.coeffs],
         "pairwise_brackets": brackets,
         "sampled_ranks": [
             {"point": list(map(float, x)), "rank": r, "step": s}
@@ -239,95 +188,67 @@ def _run_fields_info(cfg):
     return results, 0, []
 
 
-def _run_eigen(cfg):
-    family = resolve_family(cfg.params["family"])
-    grid = _build_grid_from(cfg.params)
-    K = assemble_stiffness(family, grid)
-    M = mass_matrix(grid)
-    tol = float(cfg.params["tol"])
-    weight = cfg.params.get("weight")
-    if weight is not None:
-        gfield = GridField.from_function(grid, compile_expression(weight, grid.n))
-        res = weighted_principal(K, assemble_diagonal(gfield), tol=tol)
+def _run_eigen(cfg, p):
+    K = assemble_stiffness(cfg.family, cfg.grid)
+    tol = float(p["tol"])
+    if "weight" in p:
+        res = weighted_principal(K, assemble_diagonal(_field(cfg, p["weight"])), tol=tol)
     else:
-        V = GridField.from_function(grid, compile_expression(cfg.params["potential"], grid.n))
-        Vd = assemble_diagonal(V)
-        res = principal_eigenpair(K, Vd, M, tol=tol)
+        res = principal_eigenpair(K, assemble_diagonal(_field(cfg, p["potential"])),
+                                  mass_matrix(cfg.grid), tol=tol)
     return {"eigen": res.to_json_dict()}, 0, [("eigenfield", res.eigenfield)]
 
 
-def _run_epspath(cfg):
-    family = resolve_family(cfg.params["family"])
-    grid = _build_grid_from(cfg.params)
-    V = GridField.from_function(grid, compile_expression(cfg.params["potential"], grid.n))
-    Vd = assemble_diagonal(V)
-    path = epsilon_path(family, grid, Vd, [float(e) for e in cfg.params["eps_list"]],
-                        tol=float(cfg.params["tol"]))
+def _run_epspath(cfg, p):
+    path = epsilon_path(cfg.family, cfg.grid, assemble_diagonal(_field(cfg, p["potential"])),
+                        _floats(p["eps_list"]), tol=float(p["tol"]))
     return {"epsilon_path": [[e, lam] for e, lam in path]}, 0, []
 
 
-def _run_solve_logistic(cfg):
-    family = resolve_family(cfg.params["family"])
-    grid = _build_grid_from(cfg.params)
-    K = assemble_stiffness(family, grid)
-    a = GridField.from_function(grid, compile_expression(cfg.params["a"], grid.n))
-    b = GridField.from_function(grid, compile_expression(cfg.params["b"], grid.n))
-    p = float(cfg.params["p"])
-    tol = float(cfg.params["tol"])
+def _run_solve_logistic(cfg, p):
+    K = assemble_stiffness(cfg.family, cfg.grid)
+    a, b = _field(cfg, p["a"]), _field(cfg, p["b"])
+    tol = float(p["tol"])
     eig = weighted_principal(K, assemble_diagonal(a), tol=min(tol, 1e-9))
-    if "mu" in cfg.params:
-        mu = float(cfg.params["mu"])
-    else:
-        mu = float(cfg.params.get("mu_factor", 2.0)) * eig.lam
-    res = sm.logistic_solve(K, a, b, mu, p, eig, tol=tol)
-    payload = res.to_json_dict()
-    payload["mu"] = mu
+    mu = float(p["mu"]) if "mu" in p else float(p["mu_factor"]) * eig.lam
+    res = sm.logistic_solve(K, a, b, mu, float(p["p"]), eig, tol=tol)
     code = 0 if res.status in ("ok", "subcritical") else 1
-    return {"logistic": payload}, code, [("solution", res.solution)]
+    return {"logistic": {**res.to_json_dict(), "mu": mu}}, code, [("solution", res.solution)]
 
 
-def _run_solve_yamabe(cfg):
-    family = resolve_family(cfg.params["family"])
-    grid = _build_grid_from(cfg.params)
-    K = assemble_stiffness(family, grid)
-    f = GridField.from_function(grid, compile_expression(cfg.params["f"], grid.n))
-    theta = float(cfg.params["theta"])
-    patterns = {key: cfg.params[key] for key in ("k_pattern", "K_pattern") if key in cfg.params}
+def _run_solve_yamabe(cfg, p):
+    K = assemble_stiffness(cfg.family, cfg.grid)
+    f = _field(cfg, p["f"])
+    theta = float(p["theta"])
+    patterns = {key: p[key] for key in ("k_pattern", "K_pattern") if key in p}
     kf, Kf = sm.yamabe_coefficients(f, theta, **patterns)
-    res = sm.yamabe_solve(K, kf, Kf, float(cfg.params["p"]), f, theta,
-                          float(cfg.params["eps"]), tol=float(cfg.params["tol"]))
+    res = sm.yamabe_solve(K, kf, Kf, float(p["p"]), f, theta, float(p["eps"]),
+                          tol=float(p["tol"]))
     code = 0 if res.status == "ok" else 1
     return {"yamabe": res.to_json_dict()}, code, [("solution", res.solution)]
 
 
-def _run_distance(cfg):
-    family = resolve_family(cfg.params["family"])
-    grid = _build_grid_from(cfg.params)
-    d_graph, seed_path = cc.cc_distance_graph(
-        family, grid, cfg.params["x"], cfg.params["y"],
-        directions=int(cfg.params["directions"]),
-        step_scales=tuple(cfg.params.get("step_scales", (1,))),
-    )
-    refined = cc.cc_distance_refine(family, seed_path, segments=int(cfg.params["segments"]),
-                                    tol=float(cfg.params["tol"]))
+def _run_distance(cfg, p):
+    d_graph, seed_path = cc.cc_distance_graph(cfg.family, cfg.grid, p["x"], p["y"],
+                                              **_graph_options(p))
+    path = cc.cc_distance_refine(cfg.family, seed_path, segments=int(p["segments"]),
+                                 tol=float(p["tol"]))
     results = {
         "distance": {
             "graph_upper_bound": d_graph,
-            "refined": refined.T,
-            "defect": refined.defect,
-            "stalled": refined.stalled,
-            "notes": list(refined.notes),
+            "refined": path.T,
+            "defect": path.defect,
+            "stalled": path.stalled,
+            "notes": list(path.notes),
         }
     }
-    return results, 0, [("path", refined)]
+    return results, 0, [("path", path)]
 
 
-def _run_ball(cfg):
-    family = resolve_family(cfg.params["family"])
-    grid = _build_grid_from(cfg.params)
-    ball = cc.metric_ball(family, cfg.params["center"], float(cfg.params["radius"]), grid,
-                          directions=int(cfg.params["directions"]),
-                          step_scales=tuple(cfg.params.get("step_scales", (1, 2, 3))))
+def _run_ball(cfg, p):
+    ball = _ball(cfg, p)
+    indicator = GridField(cfg.grid, np.zeros(cfg.grid.num_nodes))
+    indicator.values[ball.node_ids] = 1.0
     results = {
         "ball": {
             "radius": ball.radius,
@@ -335,68 +256,143 @@ def _run_ball(cfg):
             "volume": ball.volume,
         }
     }
-    indicator = GridField(grid, np.zeros(grid.num_nodes))
-    indicator.values[ball.node_ids] = 1.0
     return results, 0, [("ball_indicator", indicator)]
 
 
-def _run_probe(kind, cfg):
-    family = resolve_family(cfg.params["family"])
-    grid = _build_grid_from(cfg.params)
-    steps = tuple(cfg.params.get("step_scales", (1, 2, 3)))
-    dirs = int(cfg.params["directions"])
-    if kind == "doubling":
-        ratios, C1 = cc.doubling_estimate(family, cfg.params["center"],
-                                          [float(r) for r in cfg.params["radii"]],
-                                          grid, directions=dirs, step_scales=steps)
-        return {"doubling": {"ratios": ratios, "C1": C1}}, 0, []
-    R = float(cfg.params["radius"])
-    ball = cc.metric_ball(family, cfg.params["center"], R, grid,
-                          directions=dirs, step_scales=steps)
-    if kind == "poincare":
-        corpus = cc.random_polynomial_corpus(grid, int(cfg.params["corpus_count"]),
-                                             degree=int(cfg.params["corpus_degree"]),
-                                             seed=cfg.seed)
-        rep = cc.poincare_probe(family, ball, corpus, R)
-        return {"poincare": rep.to_json_dict()}, 0, []
-    bump = cc.ball_bump(ball)
-    rep = cc.sobolev_probe(family, ball, [bump], float(cfg.params["q"]), float(cfg.params["p"]))
+def _run_probe_poincare(cfg, p):
+    corpus = cc.random_polynomial_corpus(cfg.grid, int(p["corpus_count"]),
+                                         degree=int(p["corpus_degree"]), seed=cfg.seed)
+    rep = cc.poincare_probe(cfg.family, _ball(cfg, p), corpus, float(p["radius"]))
+    return {"poincare": rep.to_json_dict()}, 0, []
+
+
+def _run_probe_sobolev(cfg, p):
+    ball = _ball(cfg, p)
+    rep = cc.sobolev_probe(cfg.family, ball, [cc.ball_bump(ball)], float(p["q"]), float(p["p"]))
     return {"sobolev": rep.to_json_dict()}, 0, []
 
 
-def _run_verify(suite, cfg):
-    family = resolve_family(cfg.params["family"])
-    tol = float(cfg.params["tol"])
-    if suite == "thm1_2":
-        grid = _build_grid_from(cfg.params)
-        rep = vfy.verify_thm_1_2(family, grid, cfg.params["u_expr"],
-                                 n_subdomains=int(cfg.params["n_subdomains"]),
-                                 seed=cfg.seed, tol=tol)
-    elif suite == "thm1_3":
-        rep = vfy.verify_thm_1_3(family, cfg.params["g"], cfg.params["g_plus"],
-                                 [float(v) for v in cfg.params["lam_fractions"]],
-                                 [[tuple(side) for side in b] for b in cfg.params["boxes"]],
-                                 float(cfg.params["h"]),
-                                 mu=cfg.params.get("mu"), tol=tol, seed=cfg.seed)
-    elif suite == "prop4_2":
-        grid = _build_grid_from(cfg.params)
-        rep = vfy.verify_prop_4_2(family, grid, cfg.params["a"], cfg.params["b"],
-                                  float(cfg.params["p"]),
-                                  [float(v) for v in cfg.params["mu_factors"]], tol=tol)
-    elif suite == "thm1_4":
-        rep = vfy.verify_thm_1_4(family, [tuple(side) for side in cfg.params["box"]],
-                                 float(cfg.params["h"]), cfg.params["f"],
-                                 [float(v) for v in cfg.params["theta_list"]],
-                                 [float(v) for v in cfg.params["eps_list"]],
-                                 float(cfg.params["p"]), tol=tol,
-                                 stability_box=(
-                                     [tuple(side) for side in cfg.params["stability_box"]]
-                                     if cfg.params.get("stability_box") else None
-                                 ))
-    else:
-        raise ConfigError(f"unknown verify suite {suite!r}")
-    code = 0 if rep.passed else 1
-    return {"verification": rep.to_json_dict()}, code, []
+def _run_probe_doubling(cfg, p):
+    ratios, C1 = cc.doubling_estimate(cfg.family, p["center"], _floats(p["radii"]), cfg.grid,
+                                      **_graph_options(p))
+    return {"doubling": {"ratios": ratios, "C1": C1}}, 0, []
+
+
+def _run_verify_thm1_2(cfg, p):
+    return _verdict(vfy.verify_thm_1_2(cfg.family, cfg.grid, p["u_expr"],
+                                       n_subdomains=int(p["n_subdomains"]),
+                                       seed=cfg.seed, tol=float(p["tol"])))
+
+
+def _run_verify_thm1_3(cfg, p):
+    return _verdict(vfy.verify_thm_1_3(
+        cfg.family, p["g"], p["g_plus"], _floats(p["lam_fractions"]), p["boxes"], float(p["h"]),
+        mu=p.get("mu"), tol=float(p["tol"]), seed=cfg.seed))
+
+
+def _run_verify_prop4_2(cfg, p):
+    return _verdict(vfy.verify_prop_4_2(cfg.family, cfg.grid, p["a"], p["b"], float(p["p"]),
+                                        _floats(p["mu_factors"]), tol=float(p["tol"])))
+
+
+def _run_verify_thm1_4(cfg, p):
+    return _verdict(vfy.verify_thm_1_4(
+        cfg.family, p["box"], float(p["h"]), p["f"], _floats(p["theta_list"]),
+        _floats(p["eps_list"]), float(p["p"]), tol=float(p["tol"]),
+        stability_box=p.get("stability_box") or None))
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+
+@dataclass(frozen=True)
+class Command:
+    """A command named "group-leaf" runs as `sublap ... group leaf`.
+
+    `required` is a space-separated key list; `optional` maps each
+    optional key to its default, or to None for a key with none.  A config
+    gives at most one of the two `exclusive` keys, and a default is filled
+    (and so echoed) unless its key or the key it excludes is given.
+    """
+
+    handler: object
+    help: str
+    required: str
+    optional: dict
+    exclusive: tuple = ()
+
+
+_GRAPH = {"directions": cc.DEFAULT_DIRECTIONS, "step_scales": (1, 2, 3)}
+
+COMMANDS = {
+    "fields-info": Command(_run_fields_info, "Lie brackets and sampled Hormander ranks",
+                           "family", {"sample_points": 5, "max_step": 3}),
+    "eigen": Command(_run_eigen, "principal Dirichlet eigenvalue", "family grid",
+                     {"potential": "0", "weight": None, "tol": DEFAULT_TOL},
+                     ("weight", "potential")),
+    "epspath": Command(_run_epspath, "epsilon-regularization eigenvalue path",
+                       "family grid eps_list", {"potential": "0", "tol": DEFAULT_TOL}),
+    "solve-logistic": Command(_run_solve_logistic, "logistic equation", "family grid a b p",
+                              {"mu": None, "mu_factor": 2.0, "tol": 1e-8}, ("mu", "mu_factor")),
+    "solve-yamabe": Command(_run_solve_yamabe, "Yamabe-type equation",
+                            "family grid f theta eps p",
+                            {"k_pattern": None, "K_pattern": None, "tol": 1e-8}),
+    "distance": Command(_run_distance, "Carnot-Caratheodory distance estimate",
+                        "family grid x y", {**_GRAPH, "step_scales": (1,), "segments": 24,
+                                            "tol": 1e-8}),
+    "ball": Command(_run_ball, "metric ball and volume", "family grid center radius", _GRAPH),
+    "probe-poincare": Command(_run_probe_poincare, "Poincare ratios of a polynomial corpus",
+                              "family grid center radius",
+                              {**_GRAPH, "corpus_count": 12, "corpus_degree": 2}),
+    "probe-sobolev": Command(_run_probe_sobolev, "Sobolev ratio of a ball bump",
+                             "family grid center radius q p", _GRAPH),
+    "probe-doubling": Command(_run_probe_doubling, "doubling ratios of metric balls",
+                              "family grid center radii", _GRAPH),
+    "verify-thm1_2": Command(_run_verify_thm1_2, "Thm 1.2: positive principal eigenvalue",
+                             "family grid u_expr", {"n_subdomains": 20, "tol": 1e-8}),
+    "verify-thm1_3": Command(_run_verify_thm1_3, "Thm 1.3: every lambda in (0, mu] principal",
+                             "family g g_plus lam_fractions boxes h",
+                             {"mu": None, "tol": 1e-8}),
+    "verify-prop4_2": Command(_run_verify_prop4_2, "Prop 4.2: logistic problem",
+                              "family grid a b p mu_factors", {"tol": 1e-8}),
+    "verify-thm1_4": Command(_run_verify_thm1_4, "Thm 1.4: Yamabe-type solution family",
+                             "family box h f theta_list eps_list p",
+                             {"stability_box": None, "tol": 1e-8}),
+}
+
+_GROUP_HELP = {"fields": "vector field family inspection", "solve": "semilinear solvers",
+               "probe": "measure/inequality probes", "verify": "theorem verification suites"}
+
+
+def validate_config(command, raw):
+    """`raw` with the command's defaults filled; ConfigError if it does not fit.
+
+    A key given as null counts as not given.
+    """
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(raw).__name__}")
+    spec = COMMANDS[command]
+    params = {key: value for key, value in raw.items() if value is not None}
+    keys, required = set(params), set(spec.required.split())
+    unknown = keys - required - set(spec.optional)
+    if unknown:
+        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
+    missing = required - keys
+    if missing:
+        raise ConfigError(f"missing config keys for {command}: {sorted(missing)}")
+    given = keys & set(spec.exclusive)
+    if len(given) > 1:
+        raise ConfigError(f"config keys {sorted(given)} exclude each other for {command}")
+    taken = (keys | set(spec.exclusive)) if given else keys
+    params.update((key, default) for key, default in spec.optional.items()
+                  if default is not None and key not in taken)
+    gspec = params.get("grid")
+    if gspec is not None and (not isinstance(gspec, dict) or set(gspec) != {"box", "h"}):
+        raise ConfigError("grid spec must be {'box': [[lo, hi], ...], 'h': float}")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -405,48 +401,30 @@ def _run_verify(suite, cfg):
 
 def run(cfg):
     """Dispatch a validated RunConfig; returns (exit code, report path)."""
-    handlers = {
-        "fields-info": _run_fields_info,
-        "eigen": _run_eigen,
-        "epspath": _run_epspath,
-        "solve-logistic": _run_solve_logistic,
-        "solve-yamabe": _run_solve_yamabe,
-        "distance": _run_distance,
-        "ball": _run_ball,
-    }
-    if cfg.command in handlers:
-        results, code, artifacts = handlers[cfg.command](cfg)
-    elif cfg.command.startswith("probe-"):
-        results, code, artifacts = _run_probe(cfg.command.split("-", 1)[1], cfg)
-    elif cfg.command.startswith("verify-"):
-        results, code, artifacts = _run_verify(cfg.command.split("-", 1)[1], cfg)
-    else:
-        raise ConfigError(f"unknown command {cfg.command!r}")
+    results, code, artifacts = COMMANDS[cfg.command].handler(cfg, cfg.params)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    artifact_paths = []
+    names = []
     for name, obj in artifacts:
-        if isinstance(obj, GridField):
-            path = outdir / f"{name}.csv"
-            field_to_csv(obj, path)
-            artifact_paths.append(str(path.name))
-            if cfg.plot:
-                spec = None if obj.grid.n == 2 else (obj.grid.n - 1, obj.grid.dims[-1] // 2)
-                svg_path = outdir / f"{name}.svg"
-                svg_path.write_text(emit_plot(obj, spec))
-                artifact_paths.append(str(svg_path.name))
-        elif isinstance(obj, cc.PathResult):
-            path = outdir / f"{name}.csv"
+        path = outdir / f"{name}.csv"
+        names.append(path.name)
+        if isinstance(obj, cc.PathResult):
             path.write_text(obj.to_csv())
-            artifact_paths.append(str(path.name))
+            continue
+        field_to_csv(obj, path)
+        if cfg.plot:
+            spec = None if obj.grid.n == 2 else (obj.grid.n - 1, obj.grid.dims[-1] // 2)
+            (outdir / f"{name}.svg").write_text(emit_plot(obj, spec))
+            names.append(f"{name}.svg")
     payload = {
         "config": cfg.echo(),
         "results": results,
-        "artifacts": sorted(artifact_paths),
+        "artifacts": sorted(names),
         "exit_code": code,
     }
-    report_path = write_report(outdir, payload)
-    return code, report_path
+    report = outdir / "report.json"
+    report.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_tolist) + "\n")
+    return code, report
 
 
 def _build_parser():
@@ -459,45 +437,27 @@ def _build_parser():
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--plot", action="store_true", help="emit SVG heatmap slices")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    fields_p = sub.add_parser("fields", help="vector field family inspection")
-    fields_sub = fields_p.add_subparsers(dest="subcmd", required=True)
-    fields_sub.add_parser("info")
-
-    sub.add_parser("eigen", help="principal Dirichlet eigenvalue")
-    sub.add_parser("epspath", help="epsilon-regularization eigenvalue path")
-
-    solve_p = sub.add_parser("solve", help="semilinear solvers")
-    solve_sub = solve_p.add_subparsers(dest="subcmd", required=True)
-    solve_sub.add_parser("logistic")
-    solve_sub.add_parser("yamabe")
-
-    sub.add_parser("distance", help="Carnot-Caratheodory distance estimate")
-    sub.add_parser("ball", help="metric ball and volume")
-
-    probe_p = sub.add_parser("probe", help="measure/inequality probes")
-    probe_sub = probe_p.add_subparsers(dest="subcmd", required=True)
-    for name in ("poincare", "sobolev", "doubling"):
-        probe_sub.add_parser(name)
-
-    verify_p = sub.add_parser("verify", help="theorem verification suites")
-    verify_sub = verify_p.add_subparsers(dest="subcmd", required=True)
-    for name in ("thm1_2", "thm1_3", "prop4_2", "thm1_4"):
-        verify_sub.add_parser(name)
+    groups = {}
+    for name, spec in COMMANDS.items():
+        group, _, leaf = name.partition("-")
+        if not leaf:
+            sub.add_parser(name, help=spec.help).set_defaults(command=name)
+            continue
+        if group not in groups:
+            groups[group] = sub.add_parser(group, help=_GROUP_HELP[group]).add_subparsers(
+                dest="subcmd", required=True)
+        groups[group].add_parser(leaf, help=spec.help).set_defaults(command=name)
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    command = args.cmd if getattr(args, "subcmd", None) is None else f"{args.cmd}-{args.subcmd}"
+    args = _build_parser().parse_args(argv)
     try:
         if args.config is None:
             raise ConfigError("--config is required")
         raw = json.loads(Path(args.config).read_text())
-        params = validate_config(command, raw)
-        cfg = RunConfig(command=command, params=params, out=args.out,
-                        seed=args.seed, plot=args.plot)
+        cfg = RunConfig(command=args.command, params=validate_config(args.command, raw),
+                        out=args.out, seed=args.seed, plot=args.plot)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

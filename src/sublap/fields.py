@@ -71,11 +71,6 @@ class Polynomial:
     def is_zero(self):
         return not self.terms
 
-    def degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for _, e in self.terms)
-
     def evaluate(self, points):
         """Evaluate at a single point (n,) or a batch (N, n)."""
         pts = np.asarray(points, dtype=float)
@@ -185,9 +180,6 @@ class VectorFieldFamily:
     def diffusion_tensor_batch(self, points):
         A = self.eval_coefficients_batch(points)
         return np.einsum("pji,pjk->pik", A, A)
-
-    def is_constant(self):
-        return all(p.degree() <= 0 for row in self.coeffs for p in row)
 
 
 def lie_bracket(f1, f2):

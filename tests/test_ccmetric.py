@@ -635,3 +635,32 @@ def test_non_positive_scales_rejected(scales):
             cc_distance_graph(heis, g, (0, 0, 0), (0.2, 0.1, 0), directions=8, **scales)
         with pytest.raises(ValueError, match="must be finite and > 0"):
             metric_ball(heis, (0, 0, 0), 0.1, g, directions=8, **scales)
+
+
+@pytest.mark.parametrize("box", [[(-1, 1), (0, 2)], [(-1, 1), (0, 1), (-0.5, 0.5)]])
+def test_polynomial_corpus_matches_a_term_by_term_evaluation(box):
+    # each member sums, in exponent order, its seeded coefficient times each
+    # coordinate power in axis order: the same floating-point operations, bit for bit
+    g = build_grid(box, 0.25)
+    corpus = random_polynomial_corpus(g, 4, degree=2, seed=7)
+    rng = np.random.default_rng(7)
+    exps = [e for e in np.ndindex(*(3,) * g.n) if sum(e) <= 2]
+    for member in corpus:
+        ref = np.zeros(g.num_nodes)
+        for c, e in zip(rng.standard_normal(len(exps)), exps):
+            term = np.full(g.num_nodes, c)
+            for k, ek in enumerate(e):
+                if ek:
+                    term = term * g.points[:, k] ** ek
+            ref += term
+        np.testing.assert_array_equal(member.values, ref)
+
+
+def test_controls_integrate_exactly_on_a_constant_family():
+    # with constant coefficients the flow is x0 + (T/S) sum_s u_s A
+    rng = np.random.default_rng(3)
+    controls = rng.standard_normal((4, 5, 2))
+    states = ccm._integrate_controls_batch(euclidean(2), (0.5, -1.0), controls, 2.0)
+    ref = np.array([0.5, -1.0]) + np.cumsum(controls, axis=1) * (2.0 / 5)
+    np.testing.assert_allclose(states[:, 1:], ref, rtol=0, atol=1e-14)
+    assert (states[:, 0] == (0.5, -1.0)).all()

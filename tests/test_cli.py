@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from sublap import cli
 from sublap.cli import ConfigError, emit_plot, main, validate_config
 from sublap.mesh import GridField, build_grid, field_from_csv
 
@@ -360,3 +361,115 @@ def test_cli_config_echo_reproduces_run(tmp_path):
                   seed=echo["seed"], plot=echo["plot"]))
     rep2 = json.loads((out2 / "report.json").read_text())
     assert rep1["results"] == rep2["results"]
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+# every default the CLI fills, per command
+DEFAULTS = {
+    "fields-info": {"sample_points": 5, "max_step": 3},
+    "eigen": {"potential": "0", "tol": 1e-8},
+    "epspath": {"potential": "0", "tol": 1e-8},
+    "solve-logistic": {"mu_factor": 2.0, "tol": 1e-8},
+    "solve-yamabe": {"tol": 1e-8},
+    "distance": {"directions": 32, "step_scales": [1], "segments": 24, "tol": 1e-8},
+    "ball": {"directions": 32, "step_scales": [1, 2, 3]},
+    "probe-poincare": {"directions": 32, "step_scales": [1, 2, 3], "corpus_count": 12,
+                       "corpus_degree": 2},
+    "probe-sobolev": {"directions": 32, "step_scales": [1, 2, 3]},
+    "probe-doubling": {"directions": 32, "step_scales": [1, 2, 3]},
+    "verify-thm1_2": {"n_subdomains": 20, "tol": 1e-8},
+    "verify-thm1_3": {"tol": 1e-8},
+    "verify-prop4_2": {"tol": 1e-8},
+    "verify-thm1_4": {"tol": 1e-8},
+}
+GRID_2D = {"box": [[0, 1], [0, 1]], "h": 0.25}
+
+
+def minimal_config(command):
+    """Every required key of `command`, with a placeholder where no value is checked."""
+    fixed = {"family": "euclidean(2)", "grid": GRID_2D}
+    return {key: fixed.get(key, "1") for key in cli.COMMANDS[command].required.split()}
+
+
+def test_table_lists_every_command():
+    assert list(cli.COMMANDS) == list(DEFAULTS)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_table_entry_parses_validates_and_echoes_its_defaults(command, tmp_path):
+    args = cli._build_parser().parse_args(["--config", "c.json", *command.split("-")])
+    assert args.command == command
+    params = validate_config(command, minimal_config(command))
+    cfg = cli.RunConfig(command=command, params=params, out=tmp_path)
+    echoed = json.loads(json.dumps(cfg.echo(), default=cli._tolist))["params"]
+    assert validate_config(command, echoed) == echoed
+    assert {key: echoed[key] for key in DEFAULTS[command]} == DEFAULTS[command]
+    assert set(echoed) == set(minimal_config(command)) | set(DEFAULTS[command])
+
+
+def test_no_default_for_a_key_that_a_given_key_excludes():
+    eigen = validate_config("eigen", {"family": "euclidean(2)", "grid": GRID_2D,
+                                      "weight": "1 + 0*x"})
+    assert "potential" not in eigen and eigen["tol"] == 1e-8
+    logistic = validate_config("solve-logistic", {**minimal_config("solve-logistic"), "mu": 30.0})
+    assert "mu_factor" not in logistic and logistic["mu"] == 30.0
+
+
+def test_cli_weighted_eigen_echoes_no_potential(tmp_path):
+    cfg = write_config(tmp_path, "w.json", {"family": "euclidean(2)", "grid": GRID_2D,
+                                            "weight": "1 + 0*x"})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "eigen"]) == 0
+    params = json.loads((out / "report.json").read_text())["config"]["params"]
+    assert params == {"family": "euclidean(2)", "grid": GRID_2D, "weight": "1 + 0*x",
+                      "tol": 1e-8}
+
+
+def test_validate_treats_a_null_key_as_not_given():
+    params = validate_config("eigen", {"family": "euclidean(2)", "grid": GRID_2D,
+                                       "weight": None, "tol": None})
+    assert params == {"family": "euclidean(2)", "grid": GRID_2D, "potential": "0", "tol": 1e-8}
+    with pytest.raises(ConfigError, match=r"missing config keys for eigen: \['grid'\]"):
+        validate_config("eigen", {"family": "euclidean(2)", "grid": None})
+
+
+def _old_jsonify(obj):
+    # the report serializer the json.dumps hook replaced
+    if isinstance(obj, dict):
+        return {str(k): _old_jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_old_jsonify(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
+    if isinstance(obj, (np.floating, float)):
+        return float(obj)
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_old_jsonify(v) for v in obj.tolist()]
+    return obj
+
+
+def test_report_hook_writes_the_bytes_of_the_old_serializer():
+    payload = {"b": np.bool_(True), "i": np.int64(-7), "f": np.float64(0.1) * 3,
+               "nan": float("nan"), "f32": np.float32(1.5), "t": (1, np.int32(2)),
+               "a": {"nested": np.arange(6, dtype=float).reshape(2, 3) / 7,
+                     "flags": np.array([True, False])}}
+    new = json.dumps(payload, indent=2, sort_keys=True, default=cli._tolist)
+    assert new == json.dumps(_old_jsonify(payload), indent=2, sort_keys=True)
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        json.dumps({"s": {1}}, default=cli._tolist)
+
+
+@pytest.mark.parametrize("grid, family, message", [
+    (GRID_2D, "heisenbrg", "unknown family 'heisenbrg'"),
+    ({"box": [[0, 1], [0, 0.5]], "h": 0.75}, "euclidean(2)", "h=0.75 larger than box extent 0.5"),
+    (GRID_2D, "heisenberg", "grid has 2 axes but family 'heisenberg' acts on R^3"),
+], ids=["family", "h", "dimension"])
+def test_cli_bad_family_or_grid_is_a_config_error(tmp_path, capsys, grid, family, message):
+    cfg = write_config(tmp_path, "e.json", {"family": family, "grid": grid})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "eigen"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
