@@ -40,7 +40,8 @@ class ConfigError(ValueError):
 @dataclass(eq=False)
 class RunConfig:
     """A validated run.  Its family and grid are resolved when it is made,
-    so a bad family name or grid spec is a configuration error."""
+    so a bad family name or grid spec, or a grid or verify box of another
+    dimension than the family's, is a configuration error."""
 
     command: str
     params: dict
@@ -55,11 +56,15 @@ class RunConfig:
             self.family = resolve_family(self.params["family"])
             gspec = self.params.get("grid")
             self.grid = None if gspec is None else build_grid(gspec["box"], float(gspec["h"]))
+            boxes = {"grid": gspec["box"] if gspec else None, "box": self.params.get("box"),
+                     "stability_box": self.params.get("stability_box")}
+            boxes.update((f"boxes[{i}]", box) for i, box in enumerate(self.params.get("boxes", ())))
+            for name, box in boxes.items():
+                if box and len(box) != self.family.n:
+                    raise ValueError(f"{name} has {len(box)} axes but family "
+                                     f"{self.family.name!r} acts on R^{self.family.n}")
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
-        if self.grid is not None and self.grid.n != self.family.n:
-            raise ConfigError(f"grid has {self.grid.n} axes but family "
-                              f"{self.family.name!r} acts on R^{self.family.n}")
 
     def echo(self):
         return {

@@ -304,6 +304,9 @@ def family_to_dict(family):
 
 
 def family_from_dict(data):
+    missing = [key for key in ("n", "m", "coeffs") if key not in data]
+    if missing:
+        raise ValueError(f"family definition lacks key(s) {missing}")
     n = int(data["n"])
     m = int(data["m"])
     rows = []

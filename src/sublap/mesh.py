@@ -246,15 +246,6 @@ class GridField:
     def zeros(grid):
         return GridField(grid, np.zeros(grid.num_nodes))
 
-    def copy(self):
-        return GridField(self.grid, self.values.copy())
-
-    def __add__(self, other):
-        return GridField(self.grid, self.values + other.values)
-
-    def __sub__(self, other):
-        return GridField(self.grid, self.values - other.values)
-
     def __mul__(self, scalar):
         return GridField(self.grid, self.values * float(scalar))
 

@@ -7,9 +7,8 @@ from a supersolution; with c + dF/du >= 0 on the bracket the iteration is
 order-preserving (modulo the missing discrete maximum principle, which is
 monitored, not assumed) and descends onto a solution trapped in the
 [lower, upper] bracket.  Every iterate is again a supersolution, so the
-shift is re-derived on the shrinking bracket [min lower, max u_k], and a
-problem whose bound depends on the bracket (the logistic one) takes each
-new shift that is at most half the current one.
+shift is re-derived on the shrinking bracket [min lower, max u_k], and
+the iteration takes each new shift that is at most half the current one.
 
 Specializations: the logistic problem H u = mu u (a - b u^{p-1}), the
 Yamabe-type problem H u + k u - Kcap |u|^{p-1} u = 0 on truncated boxes
@@ -19,7 +18,6 @@ H u = lam g u on growing boxes with boundary datum equal to the box index.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,17 +39,15 @@ class SemilinearProblem:
     """H u = F(x, u) with Dirichlet data and a bound for the monotone shift.
 
     `reaction` maps (interior points (N, n), interior values (N,)) -> (N,).
-    The shift c for iterates with values in [lo, hi] must meet
-    c + dF/du >= 0 there.  It is the declared `lipschitz`, unless
-    `shift_bound`, a callable (lo, hi) -> c, derives it from the bracket.
+    `shift_bound`, a callable (lo, hi) -> c, gives the shift for iterates
+    with values in [lo, hi]; it must meet c + dF/du >= 0 there.
     `validate_shift` spot-checks a shift by sampled difference quotients.
     """
 
     K: object                       # assembled stiffness SparseOperator
     reaction: object                # callable F(points, u)
+    shift_bound: object             # callable (lo, hi) -> c
     boundary_value: object = 0.0    # scalar or GridField
-    lipschitz: float = 0.0
-    shift_bound: object = None      # callable (lo, hi) -> c, or None for `lipschitz`
 
     @property
     def grid(self):
@@ -59,7 +55,7 @@ class SemilinearProblem:
 
     def shift(self, lo, hi):
         """The monotone shift c for iterates with values in [lo, hi]."""
-        return float(self.lipschitz if self.shift_bound is None else self.shift_bound(lo, hi))
+        return float(self.shift_bound(lo, hi))
 
     def validate_shift(self, c, lo, hi):
         """Sampled check that c + dF/du >= 0 on [lo, hi]; returns the largest -dF/du seen.
@@ -224,19 +220,17 @@ def linear_solve(K, shift_c, rhs, boundary_value=0.0):
     return ShiftedSolver(K, shift_c, boundary_value).solve(rhs.values[K.grid.interior_ids])
 
 
-def sub_super_slack(K, u):
-    """tau_sub = SUB_SLACK_FACTOR * ||K||_inf * max(1, ||u||_inf)."""
-    return SUB_SLACK_FACTOR * K.inf_norm() * max(float(np.abs(u.values).max()), 1.0)
-
-
 def check_sub_super(problem, u, sign):
     """Discrete sub- (sign=+1) or supersolution (sign=-1) test at interior rows.
 
-    Checks sign * (K u - M F(., u)) <= tau_sub; returns (ok, worst, node).
+    Checks sign * (K u - M F(., u)) <= tau_sub with
+    tau_sub = SUB_SLACK_FACTOR * ||K||_inf * max(1, ||u||_inf); returns
+    (ok, worst, node).
     """
     viol = sign * problem.defect(u)
     worst = int(np.argmax(viol))
-    return (bool(viol[worst] <= sub_super_slack(problem.K, u)), float(viol[worst]),
+    slack = SUB_SLACK_FACTOR * problem.K.inf_norm() * max(float(np.abs(u.values).max()), 1.0)
+    return (bool(viol[worst] <= slack), float(viol[worst]),
             int(problem.grid.interior_ids[worst]))
 
 
@@ -382,7 +376,7 @@ def logistic_shift(a, b, mu, p):
 
 def logistic_problem(K, a, b, mu, p):
     """H u = mu u (a - b |u|^{p-1}), u = 0 on the boundary, shifted on each bracket."""
-    return SemilinearProblem(K=K, reaction=logistic_reaction(a, b, mu, p), boundary_value=0.0,
+    return SemilinearProblem(K=K, reaction=logistic_reaction(a, b, mu, p),
                              shift_bound=logistic_shift(a, b, mu, p))
 
 
@@ -427,51 +421,34 @@ def logistic_solve(K, a, b, mu, p, eig, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
     notes = []
     if not eig.positive:
         notes.append("principal eigenfield is sign-mixed; lower solution may be invalid")
-    eps = None
-    cand = 1.0
-    for _ in range(60):
-        low = phi * cand
-        ok, _, _ = check_sub_super(problem, low, +1)
-        if ok and float(low.values.max()) < Mcap:
-            eps = cand
+    for j in range(60):
+        eps = 0.5 ** j
+        lower = phi * eps
+        if check_sub_super(problem, lower, +1)[0] and float(lower.values.max()) < Mcap:
             break
-        cand *= 0.5
-    if eps is None:
+    else:
         return BracketSolveResult(
             solution=zero, lower=zero, upper=upper, residual=float("nan"), iterations=0,
             bracket_respected=False, status="no-subsolution",
             notes=notes + ["no dyadic eps made eps*phi a discrete subsolution"],
         )
-    lower = phi * eps
     result = monotone_iterate(problem, lower, upper, tol=tol, max_iter=max_iter)
     result.notes = notes + [f"mu1={mu1!r}", f"Mcap={Mcap!r}", f"eps={eps!r}"] + result.notes
     return result
 
 
-@dataclass(eq=False)
-class PoissonResult:
-    field: GridField
-    bounds_ok: bool
-    worst_violation: float
-    bound: str  # the bound U must meet, e.g. "0 < U <= eps"
-
-    @property
-    def note(self):
-        if self.bounds_ok:
-            return ""
-        return f"barrier bound {self.bound} violated: C too large for this box/f"
-
-
 def barriers(K, f, C, eps):
-    """The Poisson barriers (lower, upper) with far-field boundary value eps.
+    """The Poisson barriers (V, W, worst) with far-field boundary value eps.
 
     The lower barrier V solves K V = -C M f and must meet 0 < V <= eps;
     the upper W solves K W = C M f and must meet eps <= W < 1.  Only V is
     solved for: K annihilates constants (every row of each B_j is a
     difference v - v, boundary columns included), so V + W solves the
     source-free problem with trace 2 eps, whose solution is the constant
-    2 eps, and W = 2 eps - V.  Bound violations mean C is too large for
-    this box and f; they are reported, not raised.
+    2 eps, and W = 2 eps - V.  So W's bounds follow from V's (eps < 1/2),
+    and only V's are measured: `worst` = max(V - eps, -V) over the
+    interior, at least 0 when V misses them, which means C is too large
+    for this box and f.  That is reported, not raised.
     """
     if C <= 0:
         raise ValueError("C must be positive")
@@ -481,15 +458,9 @@ def barriers(K, f, C, eps):
     fv = f.values[g.interior_ids]
     if fv.min() < 0:
         raise ValueError("f must be nonnegative")
-    bound_tol = 1e-10 * max(1.0, abs(eps))
     vi = ShiftedSolver(K, 0.0, eps).solve_interior(-C * fv)
-    wi = 2.0 * eps - vi
-    V, W = GridField.from_interior(g, vi, eps), GridField.from_interior(g, wi, eps)
-    lower = PoissonResult(V, bool(np.all(vi > 0.0) and np.all(vi <= eps + bound_tol)),
-                          max(float((vi - eps).max()), float((-vi).max())), "0 < U <= eps")
-    upper = PoissonResult(W, bool(np.all(wi >= eps - bound_tol) and np.all(wi < 1.0)),
-                          max(float((eps - wi).max()), float((wi - 1.0).max())), "eps <= U < 1")
-    return lower, upper
+    worst = max(float((vi - eps).max()), float((-vi).max()))
+    return GridField.from_interior(g, vi, eps), GridField.from_interior(g, 2.0 * eps - vi, eps), worst
 
 
 def yamabe_reaction(kfield, Kfield, p):
@@ -502,6 +473,21 @@ def yamabe_reaction(kfield, Kfield, p):
         return K_int * np.sign(u) * np.abs(u) ** p - k_int * u
 
     return F
+
+
+def yamabe_shift(kfield, Kfield, p):
+    """(lo, hi) -> max(|k| + p |Kcap| m^{p-1}), m = max(|lo|, |hi|), for the Yamabe F.
+
+    -dF/du = k - p Kcap |u|^{p-1} is at most |k| + p |Kcap| |u|^{p-1}.
+    """
+    grid = kfield.grid
+    k_abs = np.abs(kfield.values[grid.interior_ids])
+    pK_abs = p * np.abs(Kfield.values[grid.interior_ids])
+
+    def shift(lo, hi):
+        return float((pK_abs * max(abs(lo), abs(hi)) ** (p - 1.0) + k_abs).max())
+
+    return shift
 
 
 def yamabe_coefficients(f, theta, k_pattern="cos(x0 + x1)", K_pattern="sin(x0 - x1 + 0.3)"):
@@ -517,7 +503,9 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
     Requires |k| <= theta f and |Kcap| <= theta f nodewise.  Barriers come
     from the Poisson problems with C = 2 theta (the proof's choice
     theta = theta1/3, C = 2 theta1/3); the solution is trapped between them
-    and carries boundary trace eps.
+    and carries boundary trace eps.  When the lower barrier V misses
+    0 < V <= eps (and with it W = 2 eps - V misses eps <= W < 1) the status
+    is "bracket-construction-failed".
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -533,23 +521,17 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
         C = 1e-300  # degenerate barrier pair: both solve the homogeneous problem
     else:
         C = 2.0 * theta
-    lowres, upres = barriers(K, f, C, eps)
-    if not (lowres.bounds_ok and upres.bounds_ok):
-        msg = lowres.note or upres.note
+    V, W, worst = barriers(K, f, C, eps)
+    vi = V.values[g.interior_ids]
+    if not (np.all(vi > 0.0) and np.all(vi <= eps + 1e-10 * max(1.0, eps))):
         return BracketSolveResult(
-            solution=zero, lower=lowres.field, upper=upres.field,
-            residual=float("nan"), iterations=0, bracket_respected=False,
-            status="bracket-construction-failed",
-            notes=[msg, f"worst violations: low {lowres.worst_violation:.3e}, up {upres.worst_violation:.3e}"],
+            solution=zero, lower=V, upper=W, residual=float("nan"), iterations=0,
+            bracket_respected=False, status="bracket-construction-failed",
+            notes=[f"barrier bounds 0 < V <= eps, eps <= W < 1 violated by {worst:.3e}: "
+                   "C too large for this box/f"],
         )
-    V, W = lowres.field, upres.field
-    F = yamabe_reaction(kfield, Kfield, p)
-    lo = float(V.values[g.interior_ids].min())
-    hi = float(W.values[g.interior_ids].max())
-    kv = np.abs(kfield.values[g.interior_ids])
-    Kv = np.abs(Kfield.values[g.interior_ids])
-    c = float((p * Kv * max(abs(lo), abs(hi)) ** (p - 1.0) + kv).max())
-    problem = SemilinearProblem(K=K, reaction=F, boundary_value=eps, lipschitz=c)
+    problem = SemilinearProblem(K=K, reaction=yamabe_reaction(kfield, Kfield, p),
+                                shift_bound=yamabe_shift(kfield, Kfield, p), boundary_value=eps)
     return monotone_iterate(problem, V, W, tol=tol)
 
 
@@ -604,9 +586,15 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
     `boxes` comes from exhaustion_boxes; only these solves depend on lam.
     Each solution is checked for interior positivity, normalized to
     u(0) = 1, and compared with its predecessor on the smallest box; the
-    successive max differences are the convergence diagnostic.  Resonant
-    lam (a Dirichlet eigenvalue of some D_k) is reported per box, and so is
-    a direct solve whose relative residual exceeds `tol` ("inaccurate").
+    successive max differences are the convergence diagnostic.
+
+    K - lam G is factored by `factor_spd`, which does not pivot.  It is
+    symmetric positive definite for every lam below the principal
+    eigenvalue of the box for a weight g_plus >= g, which covers every lam
+    that `verify_thm_1_3` samples with its default mu.  Above that the
+    checks decide: an exactly singular factor, or a solution beyond 1e8 k,
+    is reported as resonance (lam a Dirichlet eigenvalue of D_k), and a
+    solve whose relative residual exceeds `tol` as "inaccurate".
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -615,21 +603,15 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
     notes = []
     for k, box in enumerate(boxes, start=1):
         grid, origin_id, rhs, bvec = box.grid, box.origin_id, box.rhs, box.bvec
-        A = (box.K.mat - lam * box.G.mat).tocsc()
-        status = "ok"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", spla.MatrixRankWarning)
-            try:
-                x = spla.spsolve(A, rhs)
-            except (spla.MatrixRankWarning, RuntimeError):
-                x = None
-                status = "resonance"
-        if x is not None and (not np.all(np.isfinite(x)) or np.abs(x).max() > 1e8 * max(k, 1)):
-            status = "resonance"
-        if status == "resonance":
+        A = box.K.mat - lam * box.G.mat
+        try:
+            x = factor_spd(A).solve(rhs)
+        except RuntimeError:  # an exactly singular factor
+            x = None
+        if x is None or not np.all(np.isfinite(x)) or np.abs(x).max() > 1e8 * max(k, 1):
             notes.append(f"box {k}: lam={lam:g} is a Dirichlet eigenvalue of D_{k} (singular system)")
             fields_out.append(None)
-            statuses.append(status)
+            statuses.append("resonance")
             continue
         nb = float(np.linalg.norm(rhs))
         rel = float(np.linalg.norm(A @ x - rhs)) / nb if nb > 0 else 0.0
@@ -639,6 +621,7 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
             statuses.append("inaccurate")
             continue
         u = GridField.from_interior(grid, x, bvec)
+        status = "ok"
         if np.any(u.values[grid.interior_ids] <= 0.0):
             status = "not-positive"
             notes.append(
@@ -654,16 +637,9 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
             continue
         fields_out.append(u * (1.0 / u0))
         statuses.append(status)
-    diffs = []
-    prev = None
-    base_grid = boxes[0].grid
-    base_pts = base_grid.points[base_grid.interior_ids]
-    for u in fields_out:
-        if u is None:
-            prev = None
-            continue
-        vals = u.values[u.grid.nearest_node(base_pts)]
-        if prev is not None:
-            diffs.append(float(np.abs(vals - prev).max()))
-        prev = vals
+    base = boxes[0].grid
+    base_pts = base.points[base.interior_ids]
+    on_base = [None if u is None else u.values[u.grid.nearest_node(base_pts)] for u in fields_out]
+    diffs = [float(np.abs(b - a).max()) for a, b in zip(on_base, on_base[1:])
+             if a is not None and b is not None]
     return ExhaustionResult(fields=fields_out, statuses=statuses, successive_diffs=diffs, notes=notes)

@@ -389,7 +389,8 @@ GRID_2D = {"box": [[0, 1], [0, 1]], "h": 0.25}
 
 def minimal_config(command):
     """Every required key of `command`, with a placeholder where no value is checked."""
-    fixed = {"family": "euclidean(2)", "grid": GRID_2D}
+    fixed = {"family": "euclidean(2)", "grid": GRID_2D, "box": GRID_2D["box"],
+             "boxes": [GRID_2D["box"]]}
     return {key: fixed.get(key, "1") for key in cli.COMMANDS[command].required.split()}
 
 
@@ -472,4 +473,32 @@ def test_cli_bad_family_or_grid_is_a_config_error(tmp_path, capsys, grid, family
     cfg = write_config(tmp_path, "e.json", {"family": family, "grid": grid})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "eigen"]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_family_file_missing_a_key_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "fam.json").write_text(json.dumps({"n": 2}))
+    cfg = write_config(tmp_path, "f.json", {"family": str(tmp_path / "fam.json")})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "fields", "info"]) == 2
+    assert capsys.readouterr().err == "config error: family definition lacks key(s) ['m', 'coeffs']\n"
+    assert not (tmp_path / "o").exists()
+
+
+THM1_4_HEIS = {"family": "heisenberg", "box": [[-2, 2]] * 3, "h": 1.0,
+               "f": "exp(-(x**2 + y**2 + t**2))", "theta_list": [0.02], "eps_list": [0.4],
+               "p": 3.0}
+THM1_3_HEIS = {"family": "heisenberg", "g": "1 + 0*x", "g_plus": "1 + 0*x",
+               "lam_fractions": [0.5], "boxes": [[[-1, 1]] * 3, [[-2, 2]] * 2], "h": 0.5}
+
+
+@pytest.mark.parametrize("suite, payload, message", [
+    ("thm1_4", {**THM1_4_HEIS, "box": [[-2, 2]] * 2}, "box has 2 axes"),
+    ("thm1_4", {**THM1_4_HEIS, "stability_box": [[-4, 4]] * 2}, "stability_box has 2 axes"),
+    ("thm1_3", THM1_3_HEIS, "boxes[1] has 2 axes"),
+], ids=["thm1_4-box", "thm1_4-stability_box", "thm1_3-boxes"])
+def test_cli_verify_box_of_another_dimension_is_a_config_error(tmp_path, capsys, suite, payload,
+                                                              message):
+    cfg = write_config(tmp_path, "v.json", payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify", suite]) == 2
+    assert f"config error: {message} but family 'heisenberg' acts on R^3" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -212,3 +212,12 @@ def test_family_dict_round_trip():
     back = family_from_dict(json.loads(json.dumps(family_to_dict(fam))))
     pt = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(back.eval_coefficients(pt), fam.eval_coefficients(pt))
+
+
+def test_family_dict_missing_key_is_a_value_error():
+    data = family_to_dict(heisenberg())
+    del data["coeffs"]
+    with pytest.raises(ValueError, match=r"family definition lacks key\(s\) \['coeffs'\]"):
+        family_from_dict(data)
+    with pytest.raises(ValueError, match=r"lacks key\(s\) \['m', 'coeffs'\]"):
+        family_from_dict({"n": 2})

@@ -29,6 +29,8 @@ from sublap.semilinear import (
     logistic_shift,
     logistic_solve,
     monotone_iterate,
+    yamabe_reaction,
+    yamabe_shift,
     yamabe_solve,
 )
 from sublap.verify import verify_prop_4_2
@@ -220,9 +222,10 @@ def test_monotone_factors_once_below_threshold(monkeypatch):
     assert res.shifts[0] == problem.shift(0.0, 1.0)
     assert all(c <= 0.5 * prev for prev, c in zip(res.shifts, res.shifts[1:]))
     calls.clear()
-    constant = SemilinearProblem(K=K, reaction=problem.reaction, lipschitz=res.shifts[0])
+    c0 = res.shifts[0]
+    constant = SemilinearProblem(K=K, reaction=problem.reaction, shift_bound=lambda lo, hi: c0)
     res = monotone_iterate(constant, lower, upper, tol=1e-9)
-    assert res.status == "ok" and len(calls) == 1 and res.shifts == [constant.lipschitz]
+    assert res.status == "ok" and len(calls) == 1 and res.shifts == [c0]
 
 
 def test_yamabe_barriers_share_one_factorization(monkeypatch):
@@ -257,7 +260,7 @@ def test_monotone_zero_problem_instant():
     g = build_grid([(0, 1), (0, 1)], 0.25)
     K = assemble_stiffness(euclidean(2), g)
     problem = SemilinearProblem(K=K, reaction=lambda pts, u: np.zeros_like(u),
-                                boundary_value=0.0, lipschitz=0.0)
+                                shift_bound=lambda lo, hi: 0.0)
     z = GridField.zeros(g)
     res = monotone_iterate(problem, z, z, tol=1e-12)
     assert res.iterations == 1
@@ -270,8 +273,8 @@ def test_monotone_linear_reaction_is_linear_solve():
     K = assemble_stiffness(euclidean(2), g)
     f = GridField.from_function(g, lambda pts: np.cos(pts[:, 0]) + pts[:, 1])
     f_int = f.values[g.interior_ids]
-    problem = SemilinearProblem(K=K, reaction=lambda pts, u: f_int, boundary_value=0.0,
-                                lipschitz=0.0)
+    problem = SemilinearProblem(K=K, reaction=lambda pts, u: f_int,
+                                shift_bound=lambda lo, hi: 0.0)
     direct = linear_solve(K, 0.0, f, 0.0)
     upper = GridField.constant(g, float(np.abs(direct.values).max()) * 2 + 1)
     lower = GridField.constant(g, -float(np.abs(direct.values).max()) * 2 - 1)
@@ -291,8 +294,8 @@ def test_monotone_evaluates_reaction_once_per_iterate():
         calls.append(1)
         return F(pts, u)
 
-    problem = SemilinearProblem(K=K, reaction=counted, boundary_value=0.0,
-                                lipschitz=logistic_shift(a, b, 2 * eig.lam, 2.0)(0.0, 1.0))
+    c = logistic_shift(a, b, 2 * eig.lam, 2.0)(0.0, 1.0)
+    problem = SemilinearProblem(K=K, reaction=counted, shift_bound=lambda lo, hi: c)
     lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
     counts = []
     for max_iter in (1, 5):
@@ -312,7 +315,7 @@ def test_lipschitz_validation():
     a = GridField.constant(g, 1.0)
     b = GridField.constant(g, 1.0)
     F = logistic_reaction(a, b, 10.0, 2.0)
-    good = SemilinearProblem(K=K, reaction=F, lipschitz=10.0)
+    good = SemilinearProblem(K=K, reaction=F, shift_bound=lambda lo, hi: 10.0)
     assert good.shift(0.0, 1.0) == 10.0 == logistic_shift(a, b, 10.0, 2.0)(0.0, 1.0)
     assert good.validate_shift(good.shift(0.0, 1.0), 0.0, 1.0) <= 10.0 * (1 + 1e-4)
     with pytest.raises(ValueError, match="shift 0.1 below"):
@@ -449,12 +452,19 @@ def test_sub_super_checks():
     assert g.mask[node] == 2
 
 
+def in_bounds(V, eps):
+    """The lower barrier's bounds 0 < V <= eps on the interior, as yamabe_solve checks them."""
+    vi = V.values[V.grid.interior_ids]
+    return bool(np.all(vi > 0.0) and np.all(vi <= eps + 1e-10 * max(1.0, eps)))
+
+
 def test_poisson_zero_source_constant():
     g = build_grid([(0, 1), (0, 1)], 0.125)
     K = assemble_stiffness(euclidean(2), g)
-    res, _ = barriers(K, GridField.zeros(g), 1.0, 0.4)
-    assert res.bounds_ok
-    assert np.abs(res.field.values[g.interior_ids] - 0.4).max() < 1e-9
+    V, _, worst = barriers(K, GridField.zeros(g), 1.0, 0.4)
+    assert in_bounds(V, 0.4)
+    assert np.abs(V.values[g.interior_ids] - 0.4).max() < 1e-9
+    assert abs(worst) < 1e-9  # V = eps: the upper bound is met with equality
 
 
 def test_poisson_disk_radial_oracle():
@@ -468,8 +478,8 @@ def test_poisson_disk_radial_oracle():
     K = assemble_stiffness(euclidean(2), disk)
     C = 0.05
     f = GridField.from_function(disk, lambda pts: np.exp(-10 * np.sum((pts - 0.5) ** 2, axis=1)))
-    res, _ = barriers(K, f, C, 0.4)
-    assert res.bounds_ok
+    V, _, _ = barriers(K, f, C, 0.4)
+    assert in_bounds(V, 0.4)
     rr = np.linspace(0, R, 4001)
     fr = np.exp(-10 * rr**2)
     inner = np.concatenate([[0.0], np.cumsum(0.5 * (fr[1:] * rr[1:] + fr[:-1] * rr[:-1]) * np.diff(rr))])
@@ -478,14 +488,14 @@ def test_poisson_disk_radial_oracle():
     outer = np.concatenate([[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(rr))])
     center_exact = 0.4 - C * (outer[-1] - 0.0)
     center_id = disk.nearest_node([0.5, 0.5])
-    assert abs(res.field.values[center_id] - center_exact) < 0.03 * abs(center_exact - 0.4) + 2e-4
+    assert abs(V.values[center_id] - center_exact) < 0.03 * abs(center_exact - 0.4) + 2e-4
 
 
 def test_poisson_sign_mirror():
     g = build_grid([(0, 1), (0, 1)], 0.125)
     K = assemble_stiffness(euclidean(2), g)
     f = GridField.from_function(g, lambda pts: np.exp(-5 * np.sum((pts - 0.5) ** 2, axis=1)))
-    um, up = (res.field for res in barriers(K, f, 0.05, 0.4))
+    um, up, _ = barriers(K, f, 0.05, 0.4)
     assert np.abs((up.values - 0.4) + (um.values - 0.4)).max() < 1e-9
 
 
@@ -499,10 +509,10 @@ def test_upper_barrier_is_two_eps_minus_the_lower(monkeypatch, direct_max):
                       (mask_domain(box, lambda pts: (pts**2).sum(axis=1) < 0.8), euclidean(2))):
         K = assemble_stiffness(family, g)
         f = GridField.from_function(g, lambda pts: np.exp(-(pts**2).sum(axis=1)))
-        _, upper = barriers(K, f, 0.1, 0.4)
+        _, upper, _ = barriers(K, f, 0.1, 0.4)
         W = ShiftedSolver(K, 0.0, 0.4).solve(0.1 * f.values[g.interior_ids])
-        assert np.abs(upper.field.values - W.values).max() <= 1e-9
-        assert np.all(upper.field.values[g.boundary_ids] == 0.4)
+        assert np.abs(upper.values - W.values).max() <= 1e-9
+        assert np.all(upper.values[g.boundary_ids] == 0.4)
 
 
 def test_poisson_validates_inputs():
@@ -517,14 +527,43 @@ def test_poisson_validates_inputs():
         barriers(K, GridField.constant(g, -1.0), 1.0, 0.4)
 
 
+def test_upper_barrier_in_bounds_whenever_the_lower_is():
+    # W = 2 eps - V, so V within 0 < V <= eps puts W within eps <= W < 1;
+    # C from far below to far above the largest admissible one
+    g = build_grid([(0, 1), (0, 1)], 0.125)
+    K = assemble_stiffness(euclidean(2), g)
+    tol = 1e-10
+    seen = set()
+    for f in (GridField.constant(g, 1.0),
+              GridField.from_function(g, lambda pts: np.exp(-5 * np.sum((pts - 0.5) ** 2, axis=1)))):
+        for C in np.geomspace(1e-3, 1e3, 25):
+            for eps in (0.34, 0.4, 0.49):
+                V, W, worst = barriers(K, f, C, eps)
+                wi = W.values[g.interior_ids]
+                ok = in_bounds(V, eps)
+                seen.add(ok)
+                if ok:
+                    assert np.all(wi >= eps - tol) and np.all(wi < 1.0) and worst <= tol
+                else:
+                    assert worst >= 0.0
+        assert barriers(K, f, 1e3, 0.4)[2] > 0  # C far too large
+    assert seen == {True, False}
+
+
 def test_poisson_bound_violation_reported_not_raised():
     g = build_grid([(0, 1), (0, 1)], 0.125)
     K = assemble_stiffness(euclidean(2), g)
     f = GridField.constant(g, 1.0)
-    res, _ = barriers(K, f, 100.0, 0.4)  # C far too large
-    assert not res.bounds_ok
-    assert res.worst_violation > 0
-    assert "too large" in res.note
+    V, _, worst = barriers(K, f, 100.0, 0.4)  # C far too large
+    assert not in_bounds(V, 0.4)
+    assert worst > 0
+    # yamabe_solve with theta = 50 builds the same pair (C = 2 theta) and reports it
+    z = GridField.zeros(g)
+    res = yamabe_solve(K, z, z, 3.0, f, 50.0, 0.4)
+    assert res.status == "bracket-construction-failed" and not res.bracket_respected
+    assert res.notes == [f"barrier bounds 0 < V <= eps, eps <= W < 1 violated by {worst:.3e}: "
+                         "C too large for this box/f"]
+    assert np.array_equal(res.lower.values, V.values)
 
 
 def yamabe_setup(h=0.5, box=2.0, theta=0.05):
@@ -535,6 +574,31 @@ def yamabe_setup(h=0.5, box=2.0, theta=0.05):
     kf = GridField(g, theta * f.values * np.cos(g.points[:, 0] + g.points[:, 1]))
     Kf = GridField(g, theta * f.values * np.sin(g.points[:, 0] - g.points[:, 1] + 0.3))
     return g, K, f, kf, Kf
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_yamabe_shift_meets_the_one_sided_bound(p):
+    g, K, f, kf, Kf = yamabe_setup()
+    problem = SemilinearProblem(K=K, reaction=yamabe_reaction(kf, Kf, p),
+                                shift_bound=yamabe_shift(kf, Kf, p), boundary_value=0.4)
+    V, W, _ = barriers(K, f, 0.1, 0.4)
+    lo, hi = float(V.values[g.interior_ids].min()), float(W.values[g.interior_ids].max())
+    pts = g.points[g.interior_ids]
+    rng = np.random.default_rng(5)
+    du = 1e-7
+    for a, b in ((lo, hi), (0.0, 1.0), (-0.5, 2.0)):
+        c = problem.shift(a, b)
+        assert c > 0.0
+        problem.validate_shift(c, a, b)
+        for _ in range(20):
+            u = rng.uniform(a, b - du, size=pts.shape[0])
+            slope = (problem.reaction(pts, u + du) - problem.reaction(pts, u)) / du
+            assert (c + slope).min() >= -1e-6
+    # on the barrier bracket: the closed form written out, and the solver's first shift
+    kv, Kv = np.abs(kf.values[g.interior_ids]), np.abs(Kf.values[g.interior_ids])
+    old = float((p * Kv * max(abs(lo), abs(hi)) ** (p - 1.0) + kv).max())
+    assert problem.shift(lo, hi) == old
+    assert yamabe_solve(K, kf, Kf, p, f, 0.05, 0.4).shifts[0] == old
 
 
 def test_yamabe_zero_reaction_constant():
@@ -600,6 +664,20 @@ def test_exhaustion_resonance_detected():
     ex = exhaustion_construct(exhaustion_boxes(euclidean(2), lambda pts: np.ones(pts.shape[0]),
                                                [box], 0.25), lam1)
     assert ex.statuses == ["resonance"]
+
+
+def test_exhaustion_between_the_first_two_eigenvalues_is_not_positive():
+    # lam = 8 lies between lam1 = 4.87 and lam2 = 11.81 of this box: K - lam G
+    # is indefinite, its factor is still exact, and the solution changes sign
+    box = [(-1, 1)] * 2
+    ex = exhaustion_construct(exhaustion_boxes(euclidean(2), lambda pts: np.ones(pts.shape[0]),
+                                               [box], 0.25), 8.0)
+    assert ex.statuses == ["not-positive"] and ex.fields == [None]
+    assert ex.notes == [
+        "box 1: interior positivity failed (min -3.478e+00); no discrete maximum principle is "
+        "guaranteed",
+        "box 1: u(0) = -3.478e+00 <= 0, normalization impossible",
+    ]
 
 
 def test_exhaustion_boxes_built_once_serve_every_lam():
