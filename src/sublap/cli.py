@@ -316,9 +316,11 @@ class Command:
     """A command named "group-leaf" runs as `sublap ... group leaf`.
 
     `required` is a space-separated key list; `optional` maps each
-    optional key to its default, or to None for a key with none.  A config
-    gives at most one of the two `exclusive` keys, and a default is filled
-    (and so echoed) unless its key or the key it excludes is given.
+    optional key to its default, or to None for a key with none; a given
+    value must be of its default's kind (`_kind`), where an integer counts
+    as a number.  A config gives at most one of the two `exclusive` keys,
+    and a default is filled (and so echoed) unless its key or the key it
+    excludes is given.
     """
 
     handler: object
@@ -370,6 +372,17 @@ _GROUP_HELP = {"fields": "vector field family inspection", "solve": "semilinear 
                "probe": "measure/inequality probes", "verify": "theorem verification suites"}
 
 
+def _kind(value):
+    """The JSON kind of a config value: boolean, integer, number, list or string."""
+    if isinstance(value, bool):
+        return "boolean"
+    for kind, types in (("integer", int), ("number", float), ("list", (list, tuple)),
+                        ("string", str)):
+        if isinstance(value, types):
+            return kind
+    return type(value).__name__
+
+
 def validate_config(command, raw):
     """`raw` with the command's defaults filled; ConfigError if it does not fit.
 
@@ -391,6 +404,13 @@ def validate_config(command, raw):
     given = keys & set(spec.exclusive)
     if len(given) > 1:
         raise ConfigError(f"config keys {sorted(given)} exclude each other for {command}")
+    for key, default in spec.optional.items():
+        if default is None or key not in params:
+            continue
+        kind, want = _kind(params[key]), _kind(default)
+        if kind != want and (kind, want) != ("integer", "number"):
+            raise ConfigError(f"config key {key!r} for {command} takes {want} values, "
+                              f"got {params[key]!r}")
     taken = (keys | set(spec.exclusive)) if given else keys
     params.update((key, default) for key, default in spec.optional.items()
                   if default is not None and key not in taken)

@@ -2,11 +2,11 @@
 
 principal_eigenpair finds the smallest eigenvalue of (K - V) u = lam M u,
 and by default the second one too, in one SciPy call (shift-invert ARPACK
-on small systems, preconditioned LOBPCG on large ones); weighted_principal
-handles K u = lam G u with a possibly sign-changing weight through ARPACK
-on the pencil G w = mu K w (lam = 1 / mu_max); epsilon_path follows the
-regularized forms K + eps * K_euclid down to eps -> 0, solving for lam_1
-alone.
+on small systems, LOBPCG preconditioned by float32 CG on large ones);
+weighted_principal handles K u = lam G u with a possibly sign-changing
+weight through ARPACK on the pencil G w = mu K w (lam = 1 / mu_max);
+epsilon_path follows the regularized forms K + eps * K_euclid down to
+eps -> 0, solving for lam_1 alone.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .operators import (
     assemble_stiffness,
     factor_spd,
     mass_matrix,
+    shifted_float32,
 )
 
 DEFAULT_TOL = 1e-8
@@ -59,6 +60,9 @@ class EigenResult:
     # LOBPCG steps and shift-invert applications of the coarse solves that
     # built a cold LOBPCG start (see principal_eigenpair); not in the report
     coarse_iterations: int = 0
+    # inner CG steps of this level's LOBPCG preconditioner; 0 on the other paths
+    # and not in the report
+    cg_iterations: int = 0
     # M-orthonormal lam_1 (and lam_2) vectors on the interior nodes, columns in
     # that order; a principal_eigenpair result passes them on as `start`
     vectors: np.ndarray = field(default=None, repr=False)
@@ -88,9 +92,19 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
     in shift-invert mode on one factorization of A - sigma I when
     nnz(A) <= DIRECT_MAX_NNZ, and LOBPCG preconditioned by a few CG steps
     on A - sigma I above it.  `iterations` counts the shift-invert
-    applications on the direct path and the LOBPCG steps above it;
-    `degenerate` compares the second eigenvalue with lam, and is None when
-    pairs=1.  `vectors` has `pairs` columns (one when n = 1).
+    applications on the direct path and the LOBPCG steps above it, and
+    `cg_iterations` the CG steps of the LOBPCG preconditioner (0 on the
+    other paths); `degenerate` compares the second eigenvalue with lam, and
+    is None when pairs=1.  `vectors` has `pairs` columns (one when n = 1).
+
+    The preconditioner scales b to unit norm and runs CG to rtol 0.1 (at
+    most 50 steps) in float32, on the copy of A - sigma I that
+    `operators.shifted_float32` stores by diagonals on box and sub-box
+    grids.  Single precision is enough: sigma = lower - 1e-3 ||A||_inf - 1
+    keeps cond(A - sigma I) below about 2e3, so float32 rounding (6e-8)
+    stays far below rtol 0.1, and a preconditioner only has to be roughly
+    right.  LOBPCG computes every residual and Ritz value in float64 on A,
+    as does the final residual check, so the acceptance test is the same.
 
     LOBPCG stops when every unit Ritz vector y has ||A y - lam y|| <=
     0.5 * tol / max(M): for u = M^{-1/2} y, ||(K - V) u - lam M u|| / ||u||
@@ -113,9 +127,10 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
     A one-pair solve, or a grid with an even node count on some axis (no
     2h grid), starts from the first `pairs` of [ones, seeded random].  On
     Heisenberg (-1, 1)^3 at h = 1/16 (29,791 unknowns, one BLAS thread)
-    the cold two-pair solve took 45 -> 23 LOBPCG steps and 1.2 -> 0.7 s; a
-    one-pair solve there was slower from the 2h grid (13 -> 8 + 14 steps
-    at eps = 0.5).
+    the cold two-pair solve takes 22 LOBPCG steps (45 from [ones, seeded
+    random]) and 0.41-0.53 s, against 0.79-0.85 s with the preconditioner's
+    CG in float64 on CSR; a one-pair solve there was slower from the 2h
+    grid (13 -> 8 + 14 steps at eps = 0.5).
     """
     if pairs not in (1, 2):
         raise ValueError(f"pairs must be 1 or 2, got {pairs!r}")
@@ -182,7 +197,7 @@ def _principal(K, Vdiag, M, tol, start, pairs):
         A = A - sp.diags(Vdiag.mat.diagonal() / mdiag)
     A = ((A + A.T) * 0.5).tocsr()
     n = A.shape[0]
-    iterations = coarse_iterations = 0
+    iterations = coarse_iterations = cg_iterations = 0
     if n < DENSE_MAX_N:
         path, unit = "dense eigh", "iterations"
         lams, Y = np.linalg.eigh(A.toarray())
@@ -196,10 +211,9 @@ def _principal(K, Vdiag, M, tol, start, pairs):
             lower = -max(float((Vdiag.mat.diagonal() / mdiag).max()), 0.0)
         anorm = max(float(abs(A).sum(axis=1).max()), 1e-300)
         sigma = lower - 1e-3 * anorm - 1.0
-        Ash = A - sigma * sp.identity(n, format="csr")
         if A.nnz <= DIRECT_MAX_NNZ:
             path, unit = "shift-invert ARPACK", "operator applications"
-            lu = factor_spd(Ash)
+            lu = factor_spd(A - sigma * sp.identity(n, format="csr"))
 
             def solve(b):
                 nonlocal iterations
@@ -222,9 +236,19 @@ def _principal(K, Vdiag, M, tol, start, pairs):
                 ) from exc
         else:
             path, unit = "LOBPCG", "iterations"
+            A32 = shifted_float32(A, sigma)
+
+            def count_cg(xk):
+                nonlocal cg_iterations
+                cg_iterations += 1
 
             def precondition(b):
-                return spla.cg(Ash, b, rtol=0.1, atol=0.0, maxiter=50)[0]
+                scale = np.linalg.norm(b)
+                if scale == 0.0:
+                    return np.zeros_like(b)
+                x = spla.cg(A32, (b / scale).astype(np.float32), rtol=0.1, atol=0.0, maxiter=50,
+                            callback=count_cg)[0]
+                return x.astype(np.float64) * scale
 
             X = X0
             if X is None and pairs == 2:
@@ -239,6 +263,7 @@ def _principal(K, Vdiag, M, tol, start, pairs):
                     retResidualNormsHistory=True,
                 )
             iterations = len(hist) - 2  # the history holds the first and the final residuals too
+            unit = f"iterations ({cg_iterations} inner CG steps)"
     order = np.argsort(lams)
     lams, Y = lams[order], Y[:, order]
     lam = float(lams[0])
@@ -265,6 +290,7 @@ def _principal(K, Vdiag, M, tol, start, pairs):
         positive=bool(np.all(u_int > 0.0)),
         degenerate=degenerate,
         coarse_iterations=coarse_iterations,
+        cg_iterations=cg_iterations,
         vectors=vectors,
     )
 

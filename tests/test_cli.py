@@ -502,3 +502,26 @@ def test_cli_verify_box_of_another_dimension_is_a_config_error(tmp_path, capsys,
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify", suite]) == 2
     assert f"config error: {message} but family 'heisenberg' acts on R^3" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["distance"], {"family": "heisenberg", "grid": {"box": [[-1, 1]] * 3, "h": 0.5},
+                    "x": [0, 0, 0], "y": [0, 0, 0.5], "step_scales": 1},
+     "config key 'step_scales' for distance takes list values, got 1"),
+    (["eigen"], {"family": "euclidean(2)", "grid": GRID_2D, "tol": "abc"},
+     "config key 'tol' for eigen takes number values, got 'abc'"),
+], ids=["distance-step_scales", "eigen-tol"])
+def test_cli_value_of_another_kind_than_its_default_is_a_config_error(tmp_path, capsys, argv,
+                                                                      payload, message):
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_counts_an_integer_as_a_number_and_nothing_else_as_an_integer():
+    given = {"family": "euclidean(2)", "grid": GRID_2D, "u_expr": "1"}
+    assert validate_config("verify-thm1_2", {**given, "tol": 1})["tol"] == 1
+    for bad in (2.0, True, "2", [2]):
+        with pytest.raises(ConfigError, match="'n_subdomains' for verify-thm1_2 takes integer"):
+            validate_config("verify-thm1_2", {**given, "n_subdomains": bad})

@@ -27,6 +27,7 @@ from sublap.operators import (
     assemble_stiffness,
     mass_matrix,
     rayleigh_quotient,
+    shifted_float32,
 )
 from sublap.verify import verify_thm_1_2
 
@@ -140,7 +141,8 @@ def test_lobpcg_non_convergence_names_path_residual_and_iterations(monkeypatch):
     monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
     monkeypatch.setattr(eigen_mod, "MAX_ITER", 1)
     g, K, M = unit_square_setup(1.0 / 16)
-    with pytest.raises(ConvergenceError, match=r"\(LOBPCG\) residual .* after \d+ iterations") as err:
+    with pytest.raises(ConvergenceError, match=r"\(LOBPCG\) residual .* after \d+ iterations "
+                                               r"\(\d+ inner CG steps\)$") as err:
         principal_eigenpair(K, None, M, tol=1e-14)
     assert err.value.residual > 1e-14 and 1 <= err.value.iterations <= 2
 
@@ -620,7 +622,8 @@ def test_coarse_level_failure_names_the_stage_residual_and_steps(monkeypatch):
     with pytest.raises(ConvergenceError, match=r"^coarse start on the 2h grid \(225 unknowns\): "
                                                r"coarse start on the 2h grid \(49 unknowns\): "
                                                r"principal eigensolve \(LOBPCG\) residual .* "
-                                               r"after \d+ iterations$") as err:
+                                               r"after \d+ iterations "
+                                               r"\(\d+ inner CG steps\)$") as err:
         principal_eigenpair(K, None, M, tol=1e-12)
     assert err.value.residual > 1e-12 * eigen_mod.COARSE_TOL_FACTOR
     assert 1 <= err.value.iterations <= 2
@@ -637,3 +640,64 @@ def test_cli_eigen_on_lobpcg_writes_identical_reports(monkeypatch, tmp_path):
         reports.append((tmp_path / run / "report.json").read_bytes())
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["results"]["eigen"]["residual"] <= 1e-9
+
+
+def test_lobpcg_on_the_csr_copy_matches_shift_invert(monkeypatch):
+    # a ball's stencil spreads over 123 diagonals: the preconditioner runs
+    # on the float32 CSR copy there
+    K, Vd, M = heisenberg_cube_pencil(1.0 / 8, lambda pts: np.sum(pts**2, axis=1) <= 0.81)
+    direct = principal_eigenpair(K, Vd, M, tol=1e-9)
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    storage = []
+
+    def recorded(A, sigma):
+        copy = shifted_float32(A, sigma)
+        storage.append(copy.format)
+        return copy
+
+    monkeypatch.setattr(eigen_mod, "shifted_float32", recorded)
+    res = principal_eigenpair(K, Vd, M, tol=1e-9)
+    assert storage[0] == "csr" and res.residual <= 1e-9
+    assert abs(res.lam - direct.lam) <= 1e-9
+
+
+def test_lobpcg_solves_repeat_bit_for_bit(monkeypatch):
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    K, Vd, M = heisenberg_cube_pencil(1.0 / 8)
+    first, second = (principal_eigenpair(K, Vd, M, tol=1e-9) for _ in range(2))
+    assert first.lam == second.lam and np.array_equal(first.vectors, second.vectors)
+    assert first.cg_iterations == second.cg_iterations > 0
+
+
+def test_cg_iterations_count_the_preconditioner_steps_of_lobpcg_only(monkeypatch):
+    steps = []
+    cg = spla.cg
+
+    def counted(A, b, callback=None, **kwargs):
+        def step(xk):
+            steps.append(1)
+            callback(xk)
+        return cg(A, b, callback=step, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", counted)
+    g, K, M = unit_square_setup(1.0 / 16)
+    assert principal_eigenpair(K, None, M).cg_iterations == 0 and not steps
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    res = principal_eigenpair(K, None, M, pairs=1)  # one level: no coarse start
+    assert res.cg_iterations == len(steps) > 0
+    assert "cg_iterations" not in res.to_json_dict()
+
+
+def test_lobpcg_preconditioner_maps_zero_to_zero(monkeypatch):
+    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    images = []
+    lobpcg = spla.lobpcg
+
+    def recorded(A, X, M=None, **kwargs):
+        images.append(M.matvec(np.zeros(A.shape[0])))
+        return lobpcg(A, X, M=M, **kwargs)
+
+    monkeypatch.setattr(spla, "lobpcg", recorded)
+    g, K, M = unit_square_setup(1.0 / 16)
+    assert principal_eigenpair(K, None, M, pairs=1).residual <= 1e-8
+    assert len(images) == 1 and images[0].dtype == np.float64 and not np.any(images[0])

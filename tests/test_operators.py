@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sublap.fields import Polynomial, VectorFieldFamily, euclidean, grushin, heisenberg
-from sublap.mesh import GridField, build_grid
+from sublap.mesh import GridField, build_grid, mask_domain
 from sublap.operators import (
     assemble_diagonal,
     assemble_first_order,
     assemble_stiffness,
     mass_matrix,
     rayleigh_quotient,
+    shifted_float32,
 )
 
 
@@ -232,3 +233,24 @@ def test_divergence_form_consistency_at_least_first_order():
     assert errs[0] > errs[1] > errs[2]
     assert errs[0] / errs[1] >= 1.5
     assert errs[1] / errs[2] >= 1.5
+
+
+@pytest.mark.parametrize("mask, storage", [
+    (None, "dia"),
+    (lambda pts: np.all(np.abs(pts - 0.125) <= 0.625 + 1e-12, axis=1), "dia"),
+    (lambda pts: np.sum(pts**2, axis=1) <= 0.81, "csr"),
+], ids=["box", "sub-box", "ball"])
+def test_shifted_float32_stores_a_stencil_band_by_diagonals(mask, storage):
+    # a ball's interior numbering spreads the 11-point stencil over 123
+    # diagonals, a band of 13 nnz, so its copy stays CSR
+    g = build_grid([(-1, 1)] * 3, 1.0 / 8)
+    if mask is not None:
+        g = mask_domain(g, mask)
+    A = assemble_stiffness(heisenberg(), g).mat
+    S = shifted_float32(A, -2.5)
+    assert S.format == storage and S.dtype == np.float32
+    exact = A + 2.5 * sp.identity(A.shape[0], format="csr")
+    assert (S.tocsr() != exact.astype(np.float32)).nnz == 0
+    x = np.random.default_rng(3).standard_normal(A.shape[0])
+    y = exact @ x
+    assert np.linalg.norm(S @ x.astype(np.float32) - y) <= 1e-6 * np.linalg.norm(y)
