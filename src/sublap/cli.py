@@ -292,7 +292,7 @@ def _run_verify_thm1_2(cfg, p):
 def _run_verify_thm1_3(cfg, p):
     return _verdict(vfy.verify_thm_1_3(
         cfg.family, p["g"], p["g_plus"], _floats(p["lam_fractions"]), p["boxes"], float(p["h"]),
-        mu=p.get("mu"), tol=float(p["tol"]), seed=cfg.seed))
+        mu=p.get("mu"), tol=float(p["tol"])))
 
 
 def _run_verify_prop4_2(cfg, p):

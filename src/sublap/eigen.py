@@ -86,16 +86,22 @@ def _m_normalized(u, mdiag):
 def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
     """Smallest eigenvalue of (K - V) u = lam M u, M diagonal positive.
 
-    The `pairs` (1 or 2) lowest eigenpairs of the symmetrized pencil
-    A = M^{-1/2} (K - V) M^{-1/2} come from one solver call at a shift
-    sigma below the spectrum: a dense `eigh` when n < DENSE_MAX_N, ARPACK
-    in shift-invert mode on one factorization of A - sigma I when
-    nnz(A) <= DIRECT_MAX_NNZ, and LOBPCG preconditioned by a few CG steps
-    on A - sigma I above it.  `iterations` counts the shift-invert
-    applications on the direct path and the LOBPCG steps above it, and
-    `cg_iterations` the CG steps of the LOBPCG preconditioner (0 on the
-    other paths); `degenerate` compares the second eigenvalue with lam, and
-    is None when pairs=1.  `vectors` has `pairs` columns (one when n = 1).
+    `Vdiag` (or None) and `M` are the diagonals of V and M as 1-D arrays
+    over the interior nodes (`assemble_diagonal`, `mass_matrix`).  The
+    pencil A = M^{-1/2} (K - V) M^{-1/2} is built in one entrywise step:
+    each stored k_ij of K is multiplied by s_i s_j with s = M^{-1/2}, on
+    K's own pattern, and V/M is taken off the diagonal.  Floating-point
+    products commute, so A is exactly as symmetric as K (SparseOperator
+    checks K to SYMMETRY_TOL).  The `pairs` (1 or 2) lowest eigenpairs of
+    A come from one solver call at a shift sigma below the spectrum: a
+    dense `eigh` when n < DENSE_MAX_N, ARPACK in shift-invert mode on one
+    factorization of A - sigma I when nnz(A) <= DIRECT_MAX_NNZ, and LOBPCG
+    preconditioned by a few CG steps on A - sigma I above it.
+    `iterations` counts the shift-invert applications on the direct path
+    and the LOBPCG steps above it, and `cg_iterations` the CG steps of the
+    LOBPCG preconditioner (0 on the other paths); `degenerate` compares the
+    second eigenvalue with lam, and is None when pairs=1.  `vectors` has
+    `pairs` columns (one when n = 1).
 
     The preconditioner scales b to unit norm and runs CG to rtol 0.1 (at
     most 50 steps) in float32, on the copy of A - sigma I that
@@ -151,7 +157,7 @@ def _coarse_start(K, Vdiag, mdiag, tol):
     """Two-column LOBPCG start block for a cold solve, and the coarse levels' step count.
 
     The block is the two lowest eigenvectors of the pencil on the 2h grid,
-    prolonged and put in the symmetrized coordinates of A; (None, 0) when
+    prolonged and put in the coordinates M^{1/2} u of A; (None, 0) when
     there is no 2h grid or it has fewer than two unknowns.
     """
     level = coarse_grid(K.grid)
@@ -159,15 +165,12 @@ def _coarse_start(K, Vdiag, mdiag, tol):
         return None, 0
     grid_c, P = level
     weight = P @ np.ones(grid_c.n_interior)
-
-    def lumped(diag):  # row sums of P^T diag(d) P
-        return SparseOperator(grid=grid_c, mat=sp.diags(P.T @ (diag * weight)), symmetric=True)
-
     Kc = (P.T @ K.mat @ P).tocsr()
     Kc = SparseOperator(grid=grid_c, mat=(Kc + Kc.T) * 0.5, symmetric=True)
-    Vc = None if Vdiag is None else lumped(Vdiag.mat.diagonal())
+    # V_c and M_c: the row sums of P^T diag(d) P
+    Vc = None if Vdiag is None else P.T @ (Vdiag * weight)
     try:
-        coarse = _principal(Kc, Vc, lumped(mdiag), COARSE_TOL_FACTOR * tol, None, 2)
+        coarse = _principal(Kc, Vc, P.T @ (mdiag * weight), COARSE_TOL_FACTOR * tol, None, 2)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"coarse start on the 2h grid ({grid_c.n_interior} unknowns): {exc}",
@@ -184,18 +187,18 @@ def _coarse_start(K, Vdiag, mdiag, tol):
     return X, coarse.iterations + coarse.coarse_iterations
 
 
-def _principal(K, Vdiag, M, tol, start, pairs):
+def _principal(K, Vdiag, mdiag, tol, start, pairs):
     """principal_eigenpair on validated arguments; the coarse levels recurse here."""
     grid = K.grid
-    mdiag = M.mat.diagonal()
     if np.any(mdiag <= 0):
         raise ValueError("M must have a positive diagonal")
-    # A = M^{-1/2} (K - V) M^{-1/2}, symmetrized
-    S = sp.diags(1.0 / np.sqrt(mdiag))
-    A = (S @ K.mat @ S).tocsr()
+    # A = M^{-1/2} (K - V) M^{-1/2}: k_ij s_i s_j on K's pattern, as symmetric as K
+    s = 1.0 / np.sqrt(mdiag)
+    data = np.repeat(s, np.diff(K.mat.indptr)) * s[K.mat.indices]
+    data *= K.mat.data
+    A = sp.csr_matrix((data, K.mat.indices, K.mat.indptr), shape=K.shape)
     if Vdiag is not None:
-        A = A - sp.diags(Vdiag.mat.diagonal() / mdiag)
-    A = ((A + A.T) * 0.5).tocsr()
+        A = A - sp.diags(Vdiag / mdiag)
     n = A.shape[0]
     iterations = coarse_iterations = cg_iterations = 0
     if n < DENSE_MAX_N:
@@ -203,12 +206,12 @@ def _principal(K, Vdiag, M, tol, start, pairs):
         lams, Y = np.linalg.eigh(A.toarray())
         lams, Y = lams[:pairs], Y[:, :pairs]
     else:
-        # the start block in the symmetrized coordinates of A
+        # the start block in the coordinates M^{1/2} u of A
         X0 = None if start is None else np.sqrt(mdiag)[:, None] * start.vectors[:, :pairs]
         # K is PSD, so eig(A) >= -max(V/M); shift safely below the spectrum.
         lower = 0.0
         if Vdiag is not None:
-            lower = -max(float((Vdiag.mat.diagonal() / mdiag).max()), 0.0)
+            lower = -max(float((Vdiag / mdiag).max()), 0.0)
         anorm = max(float(abs(A).sum(axis=1).max()), 1e-300)
         sigma = lower - 1e-3 * anorm - 1.0
         if A.nnz <= DIRECT_MAX_NNZ:
@@ -271,7 +274,7 @@ def _principal(K, Vdiag, M, tol, start, pairs):
     vectors = np.column_stack([u_int, Y[:, 1:] / np.sqrt(mdiag)[:, None]])
     res_vec = K.mat @ u_int - lam * (mdiag * u_int)
     if Vdiag is not None:
-        res_vec -= Vdiag.mat @ u_int
+        res_vec -= Vdiag * u_int
     residual = float(np.linalg.norm(res_vec) / np.linalg.norm(u_int))
     if not residual <= tol:
         raise ConvergenceError(
@@ -300,18 +303,18 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
 
     lam = inf { f^T K f : f^T G f = 1 } is realized through the pencil
     G w = mu K w: lam = 1 / mu_max, found by ARPACK in generalized mode
-    with K-inverse applications from one `factor_spd` LU of K (SPD).  Errors
-    out when g <= 0 everywhere.  `iterations` counts the K-solves.
-    `degenerate` is None: the second eigenvalue is not computed.
+    with K-inverse applications from one `factor_spd` LU of K (SPD); `gdiag`
+    is the weight's diagonal, h^n g on the interior nodes
+    (`assemble_diagonal`).  Errors out when g <= 0 everywhere.
+    `iterations` counts the K-solves.  `degenerate` is None: the second eigenvalue is not computed.
     """
     grid = K.grid
-    gvals = gdiag.mat.diagonal()
-    if gvals.max() <= 0.0:
+    if gdiag.max() <= 0.0:
         raise ValueError("no positive principal eigenvalue: weight g <= 0 on the domain")
     n = K.shape[0]
     solves = 0
     if n == 1:  # ARPACK needs k < n
-        mu, w = gvals[0] / K.mat[0, 0], np.ones(1)
+        mu, w = gdiag[0] / K.mat[0, 0], np.ones(1)
     else:
         factor = factor_spd(K.mat)
 
@@ -322,7 +325,8 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
 
         Kinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
         try:
-            mu, w = spla.eigsh(gdiag.mat, k=1, M=K.mat, Minv=Kinv, which="LA", v0=np.ones(n))
+            mu, w = spla.eigsh(sp.diags(gdiag, format="csr"), k=1, M=K.mat, Minv=Kinv,
+                               which="LA", v0=np.ones(n))
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(
                 f"weighted eigensolve: ARPACK did not converge after {solves} K-solves",
@@ -330,8 +334,8 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
             ) from exc
         mu, w = mu[0], w[:, 0]
     lam = 1.0 / float(mu)
-    u = _m_normalized(w, mass_matrix(grid).mat.diagonal())
-    residual = float(np.linalg.norm(K.mat @ u - lam * (gvals * u)) / np.linalg.norm(u))
+    u = _m_normalized(w, mass_matrix(grid))
+    residual = float(np.linalg.norm(K.mat @ u - lam * (gdiag * u)) / np.linalg.norm(u))
     if residual > tol:
         raise ConvergenceError(
             f"weighted eigensolve residual {residual:.3e} above tol {tol:.3e} "

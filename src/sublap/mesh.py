@@ -314,31 +314,3 @@ def field_from_csv(grid, path_or_buf):
         raise ValueError(f"CSV row {bad[0]}: index or coordinates differ from grid node {bad[0]}")
     return GridField(grid, table[:, -1])
 
-
-def field_to_binary(field, path):
-    """Flat dump: int64 n, int64 dims, float64 origin, float64 h, row-major values."""
-    g = field.grid
-    with open(path, "wb") as fh:
-        fh.write(np.array([g.n], dtype=np.int64).tobytes())
-        fh.write(np.array(g.dims, dtype=np.int64).tobytes())
-        fh.write(np.asarray(g.origin, dtype=np.float64).tobytes())
-        fh.write(np.array([g.h], dtype=np.float64).tobytes())
-        fh.write(field.values.astype(np.float64).tobytes())
-
-
-def field_from_binary(grid, path):
-    """Read a field_to_binary file; its header must describe `grid` exactly."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    n = int(np.frombuffer(raw[:8], dtype=np.int64)[0])
-    dims = tuple(np.frombuffer(raw[8 : 8 + 8 * n], dtype=np.int64))
-    floats = np.frombuffer(raw[8 + 8 * n :], dtype=np.float64)
-    for what, same in (("dimension", n == grid.n), ("dims", dims == grid.dims),
-                       ("origin", np.array_equal(floats[:n], grid.origin)),
-                       ("spacing h", np.array_equal(floats[n : n + 1], [grid.h]))):
-        if not same:
-            raise ValueError(f"{what} mismatch between file and grid")
-    values = floats[n + 1 :]
-    if values.size != grid.num_nodes:
-        raise ValueError(f"file holds {values.size} values, grid has {grid.num_nodes} nodes")
-    return GridField(grid, values)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import EXTERIOR, GridField, neighbor_set
+from .mesh import EXTERIOR, neighbor_set
 
 SYMMETRY_TOL = 1e-12
 DIRECT_MAX_NNZ = 60_000  # factor a system at or below this many nonzeros, else iterate
@@ -178,26 +178,23 @@ def assemble_stiffness(family, grid):
 
 
 def assemble_diagonal(field):
-    """Mass-weighted diagonal operator: diag entries h^n * field at interior nodes."""
+    """A diagonal (potential, weight) as the 1-D array h^n * field on the interior nodes."""
     grid = field.grid
-    w = grid.h ** grid.n
-    vals = w * field.values[grid.interior_ids]
-    mat = sp.diags(vals, format="csr")
-    return SparseOperator(grid=grid, mat=mat, symmetric=True)
+    return grid.h ** grid.n * field.values[grid.interior_ids]
 
 
 def mass_matrix(grid):
-    """The mass matrix M = h^n I on interior nodes."""
-    return assemble_diagonal(GridField.constant(grid, 1.0))
+    """The diagonal of the mass matrix M = h^n I, a 1-D array over the interior nodes."""
+    return np.full(grid.n_interior, grid.h ** grid.n)
 
 
 def rayleigh_quotient(K, Vdiag, M, f):
-    """(f^T K f - f^T V f) / (f^T M f) over interior values of f."""
+    """(f^T K f - f^T V f) / (f^T M f) over interior values of f; V, M diagonal vectors."""
     fi = f.values[K.grid.interior_ids]
-    den = fi @ (M.mat @ fi)
+    den = fi @ (M * fi)
     if den <= 0.0:
         raise ValueError("zero-norm f: f^T M f must be positive")
     num = fi @ (K.mat @ fi)
     if Vdiag is not None:
-        num -= fi @ (Vdiag.mat @ fi)
+        num -= fi @ (Vdiag * fi)
     return float(num / den)

@@ -554,7 +554,7 @@ class ExhaustionBox:
     grid: object
     origin_id: int
     K: object               # stiffness SparseOperator
-    G: object               # diagonal weight operator
+    G: np.ndarray           # diagonal weight h^n g on the interior nodes
     bvec: np.ndarray        # boundary datum, k on every boundary node
     rhs: np.ndarray         # -K_boundary @ bvec
 
@@ -603,7 +603,7 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
     notes = []
     for k, box in enumerate(boxes, start=1):
         grid, origin_id, rhs, bvec = box.grid, box.origin_id, box.rhs, box.bvec
-        A = box.K.mat - lam * box.G.mat
+        A = box.K.mat - sp.diags(lam * box.G)
         try:
             x = factor_spd(A).solve(rhs)
         except RuntimeError:  # an exactly singular factor

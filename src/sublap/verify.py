@@ -161,7 +161,7 @@ def verify_thm_1_2(family, grid, u_expr, n_subdomains=20, seed=0, tol=1e-8):
 
 
 def verify_thm_1_3(family, g_expr, g_plus_expr, lam_fractions, box_list, h,
-                   mu=None, tol=1e-10, seed=0):
+                   mu=None, tol=1e-10):
     """Every lambda in (0, mu] is principal: exhaustion surrogate on boxes.
 
     mu defaults to the principal eigenvalue for g_plus on a box enlarged by
@@ -199,7 +199,6 @@ def verify_thm_1_3(family, g_expr, g_plus_expr, lam_fractions, box_list, h,
             "lam": lam,
             "boxes": [[list(map(float, side)) for side in b] for b in box_list],
             "h": h,
-            "seed": seed,
         }
         ex = sm.exhaustion_construct(boxes, lam, tol=tol)
         if not ex.all_positive:

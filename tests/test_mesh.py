@@ -12,9 +12,7 @@ from sublap.mesh import (
     GridField,
     build_grid,
     coarse_grid,
-    field_from_binary,
     field_from_csv,
-    field_to_binary,
     field_to_csv,
     integrate,
     mask_domain,
@@ -239,29 +237,6 @@ def test_field_from_csv_rejects_coordinates_off_the_grid():
     shifted = build_grid([(0.5, 1.5), (0, 1)], 0.25)  # same dims, another origin
     with pytest.raises(ValueError, match="CSV row 0"):
         field_from_csv(shifted, io.StringIO("".join(_csv_lines(GridField.zeros(g)))))
-
-
-def test_field_binary_round_trip(tmp_path):
-    g = build_grid([(-1, 1)] * 3, 0.5)
-    rng = np.random.default_rng(2)
-    f = GridField(g, rng.standard_normal(g.num_nodes))
-    path = tmp_path / "field.bin"
-    field_to_binary(f, path)
-    back = field_from_binary(g, path)
-    assert np.array_equal(back.values, f.values)
-
-
-def test_field_binary_rejects_mismatched_header(tmp_path):
-    g = build_grid([(0, 1)] * 2, 0.25)
-    path = tmp_path / "field.bin"
-    field_to_binary(GridField.constant(g, 1.0), path)
-    with pytest.raises(ValueError, match="origin"):
-        field_from_binary(build_grid([(5, 9)] * 2, 1.0), path)
-    with pytest.raises(ValueError, match="spacing"):
-        field_from_binary(build_grid([(0, 2)] * 2, 0.5), path)
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="24 values"):
-        field_from_binary(g, path)
 
 
 @pytest.mark.parametrize("build", [GridField.from_function, mask_domain])

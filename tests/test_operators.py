@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from sublap.fields import Polynomial, VectorFieldFamily, euclidean, grushin, heisenberg
 from sublap.mesh import GridField, build_grid, mask_domain
 from sublap.operators import (
+    SYMMETRY_TOL,
+    SparseOperator,
     assemble_diagonal,
     assemble_first_order,
     assemble_stiffness,
@@ -97,6 +99,20 @@ def test_stiffness_symmetric_and_psd():
             assert q >= -1e-10 * (v @ v)
 
 
+def test_symmetric_operator_rejects_an_asymmetry_above_the_tolerance():
+    # the eigen pencil keeps K's symmetry exactly and relies on this guard
+    g = build_grid([(0, 1), (0, 1)], 0.25)
+    K = assemble_stiffness(euclidean(2), g).mat
+
+    def bumped(rel):  # K with k_01 moved by rel * SYMMETRY_TOL * max |k_ij| (= 4)
+        return K + sp.csr_matrix(([rel * SYMMETRY_TOL * abs(K).max()], ([0], [1])), shape=K.shape)
+
+    SparseOperator(grid=g, mat=bumped(0.1), symmetric=True)
+    with pytest.raises(ValueError, match=r"marked symmetric but \|K - K\^T\| = 4e-11$"):
+        SparseOperator(grid=g, mat=bumped(10.0), symmetric=True)
+    SparseOperator(grid=g, mat=bumped(10.0), symmetric=False)
+
+
 @st.composite
 def _polynomial_families(draw):
     n = draw(st.integers(1, 3))
@@ -180,16 +196,16 @@ def test_rayleigh_quotient_zero_norm_rejected():
 def test_diagonal_mass_matrix():
     g = build_grid([(0, 1), (0, 1)], 0.25)
     M = assemble_diagonal(GridField.constant(g, 1.0))
-    assert np.allclose(M.mat.toarray(), g.h**2 * np.eye(g.n_interior))
+    assert M.shape == (g.n_interior,) and np.array_equal(M, mass_matrix(g))
+    assert np.allclose(M, g.h**2)
 
 
 def test_diagonal_zero_and_indefinite():
     g = build_grid([(0, 1), (0, 1)], 0.25)
     Z = assemble_diagonal(GridField.zeros(g))
-    assert abs(Z.mat).max() == 0.0
+    assert abs(Z).max() == 0.0
     gfield = GridField.from_function(g, lambda pts: 1.0 - 2.0 * (pts[:, 0] > 0.5))
-    D = assemble_diagonal(gfield)
-    d = D.mat.diagonal()
+    d = assemble_diagonal(gfield)
     assert d.min() < 0 < d.max()
 
 
