@@ -108,7 +108,7 @@ class _GraphContext:
     def __init__(self, family, grid, directions, comm_scales, step_scales=(1,)):
         for name, scales in (("step_scales", step_scales), ("comm_scales", comm_scales)):
             arr = np.asarray(scales, dtype=float)
-            if not np.all(np.isfinite(arr) & (arr > 0)):
+            if not (arr.size and np.all(np.isfinite(arr) & (arr > 0))):
                 raise ValueError(f"{name} must be finite and > 0, got {list(scales)}")
         self.family = family
         self.grid = grid
@@ -365,10 +365,7 @@ def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS, step_sc
 
 
 def _resample_controls(seed, segments):
-    """Piecewise-constant controls of the seed sampled on `segments` equal slices."""
-    m = seed.controls.shape[1] if seed.controls.size else 1
-    if seed.T <= 0 or seed.controls.size == 0:
-        return np.zeros((segments, m))
+    """Piecewise-constant controls of the seed (T > 0) sampled on `segments` equal slices."""
     edges = np.concatenate([[0.0], np.cumsum(seed.durations)])
     mid = (np.arange(segments) + 0.5) * (seed.T / segments)
     idx = np.clip(np.searchsorted(edges, mid, side="right") - 1, 0, len(seed.durations) - 1)
@@ -412,6 +409,8 @@ def cc_distance_refine(family, seed, segments=24, tol=1e-3):
     defect above `tol` or an endpoint miss above tol * |y - x| returns the
     seed with the stall flag set.
     """
+    if segments < 1:
+        raise ValueError(f"segments must be at least 1, got {segments}")
     if seed.T <= 0:
         return seed
     x0 = seed.waypoints[0].copy()

@@ -40,8 +40,9 @@ class ConfigError(ValueError):
 @dataclass(eq=False)
 class RunConfig:
     """A validated run.  Its family and grid are resolved when it is made,
-    so a bad family name or grid spec, or a grid or verify box of another
-    dimension than the family's, is a configuration error."""
+    so a bad family name or grid spec, a grid or verify box of another
+    dimension than the family's, or a sample count, corpus count or corpus
+    degree below 1 is a configuration error."""
 
     command: str
     params: dict
@@ -60,9 +61,12 @@ class RunConfig:
                      "stability_box": self.params.get("stability_box")}
             boxes.update((f"boxes[{i}]", box) for i, box in enumerate(self.params.get("boxes", ())))
             for name, box in boxes.items():
-                if box and len(box) != self.family.n:
+                if box is not None and len(box) != self.family.n:
                     raise ValueError(f"{name} has {len(box)} axes but family "
                                      f"{self.family.name!r} acts on R^{self.family.n}")
+            for key in ("sample_points", "corpus_count", "corpus_degree"):
+                if self.params.get(key, 1) < 1:
+                    raise ValueError(f"{key} must be at least 1, got {self.params[key]}")
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -304,7 +308,7 @@ def _run_verify_thm1_4(cfg, p):
     return _verdict(vfy.verify_thm_1_4(
         cfg.family, p["box"], float(p["h"]), p["f"], _floats(p["theta_list"]),
         _floats(p["eps_list"]), float(p["p"]), tol=float(p["tol"]),
-        stability_box=p.get("stability_box") or None))
+        stability_box=p.get("stability_box")))
 
 
 # ---------------------------------------------------------------------------

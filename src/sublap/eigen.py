@@ -361,6 +361,8 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     sequence is checked to be strictly decreasing.
     """
     eps_list = [float(e) for e in eps_list]
+    if not eps_list:
+        raise ValueError("eps_list must hold at least one eps")
     if any(e < 0 for e in eps_list):
         raise ValueError("eps values must be nonnegative")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):

@@ -101,6 +101,8 @@ def build_grid(box, h):
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     h = float(h)
+    if not box:
+        raise ValueError("box must have at least one axis")
     if h <= 0:
         raise ValueError("h must be positive")
     dims = []
@@ -111,15 +113,9 @@ def build_grid(box, h):
             raise ValueError(f"h={h} larger than box extent {hi - lo}")
         dims.append(int(round((hi - lo) / h)) + 1)
     origin = np.array([lo for lo, _ in box])
-    dims = tuple(dims)
-    n = len(dims)
-    mask = np.full(int(np.prod(dims)), INTERIOR, dtype=np.uint8)
-    multi = np.unravel_index(np.arange(mask.size), dims)
-    outer = np.zeros(mask.size, dtype=bool)
-    for k in range(n):
-        outer |= (multi[k] == 0) | (multi[k] == dims[k] - 1)
-    mask[outer] = BOUNDARY
-    return GridDomain(origin=origin, h=h, dims=dims, mask=mask)
+    mask = np.full(dims, BOUNDARY, dtype=np.uint8)
+    mask[tuple(slice(1, -1) for _ in dims)] = INTERIOR
+    return GridDomain(origin=origin, h=h, dims=tuple(dims), mask=mask.ravel())
 
 
 def _node_values(grid, fn, dtype):
@@ -173,15 +169,14 @@ def coarse_grid(grid):
 
     Coarse node c sits at fine node 2c; it is interior when that fine node
     is (injection), and its axis neighbors that are exterior by injection
-    become boundary nodes.  P (sparse, fine interior x coarse interior) is
-    multilinear interpolation with zero Dirichlet data: a fine node halfway
-    between coarse nodes along d axes takes weight 2^-d from each of its
-    2^d coarse corners that is interior.  None when some axis has an even
-    node count (no node sits at both ends of the 2h grid).
+    become boundary nodes.  P (CSR, fine interior x coarse interior) is
+    multilinear interpolation with zero Dirichlet data: the Kronecker
+    product of per-axis hats, entry (i, c) = max(0, 1 - |i - 2c|/2), on
+    fine interior rows and coarse interior columns.  None when some axis
+    has an even node count (no node sits at both ends of the 2h grid).
     """
     if any(d % 2 == 0 for d in grid.dims):
         return None
-    fine = np.unravel_index(grid.interior_ids, grid.dims)
     injected = grid.mask.reshape(grid.dims)[tuple(slice(None, None, 2) for _ in grid.dims)]
     mask = injected.ravel().copy()
     coarse = GridDomain(origin=grid.origin, h=2.0 * grid.h, dims=injected.shape, mask=mask)
@@ -190,23 +185,12 @@ def coarse_grid(grid):
             next_to_interior = neighbor_set(coarse, coarse.mask == INTERIOR, k, step)
             mask[next_to_interior & (mask == EXTERIOR)] = BOUNDARY
     coarse = coarse.with_mask(mask)
-    column = np.full(coarse.num_nodes, -1, dtype=np.int64)
-    column[coarse.interior_ids] = np.arange(coarse.n_interior)
-    odd = [m % 2 == 1 for m in fine]
-    weight = 0.5 ** np.sum(odd, axis=0)
-    rows, cols, vals = [], [], []
-    for corner in itertools.product((0, 1), repeat=grid.n):
-        # a coarse corner one step up exists only along the axes where the fine node is odd
-        keep = np.all([o | (c == 0) for o, c in zip(odd, corner)], axis=0)
-        ids = sum((m[keep] // 2 + c) * stride for m, c, stride in zip(fine, corner, coarse.strides))
-        col = column[ids]
-        hit = col >= 0
-        rows.append(np.flatnonzero(keep)[hit])
-        cols.append(col[hit])
-        vals.append(weight[keep][hit])
-    P = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(grid.n_interior, coarse.n_interior))
-    return coarse, P
+    P = sp.csr_matrix(np.ones((1, 1)))
+    for d in grid.dims:
+        # entry (i, j) = max(0, 1 - |i - j|/2); its column 2c is coarse node c's hat
+        stencil = sp.diags([0.5, 1.0, 0.5], [-1, 0, 1], shape=(d, d), format="csr")
+        P = sp.kron(P, stencil[:, ::2], format="csr")
+    return coarse, P[grid.interior_ids][:, coarse.interior_ids]
 
 
 @dataclass(eq=False)

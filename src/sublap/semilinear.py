@@ -1,8 +1,8 @@
 """Semilinear solvers built on monotone sub/super-solution iteration.
 
-Problems take the form H u = F(x, u) with Dirichlet data, discretized as
-K u = M F(., u).  The monotone scheme iterates
-    u_{k+1} = (K + c M)^{-1} M (c u_k + F(., u_k))
+Problems take the form H u = F(u) with Dirichlet data, discretized as
+K u = M F(u) on the interior values.  The monotone scheme iterates
+    u_{k+1} = (K + c M)^{-1} M (c u_k + F(u_k))
 from a supersolution; with c + dF/du >= 0 on the bracket the iteration is
 order-preserving (modulo the missing discrete maximum principle, which is
 monitored, not assumed) and descends onto a solution trapped in the
@@ -36,18 +36,19 @@ SHIFT_CHECK_SEED = 0     # seeds the random values at which `validate_shift` sam
 
 @dataclass(eq=False)
 class SemilinearProblem:
-    """H u = F(x, u) with Dirichlet data and a bound for the monotone shift.
+    """H u = F(u) with constant Dirichlet data and a bound for the monotone shift.
 
-    `reaction` maps (interior points (N, n), interior values (N,)) -> (N,).
+    `reaction` maps the interior values (n_interior,) to F(u) there.
     `shift_bound`, a callable (lo, hi) -> c, gives the shift for iterates
     with values in [lo, hi]; it must meet c + dF/du >= 0 there.
+    `boundary_value` is the one Dirichlet value of every boundary node.
     `validate_shift` spot-checks a shift by sampled difference quotients.
     """
 
     K: object                       # assembled stiffness SparseOperator
-    reaction: object                # callable F(points, u)
+    reaction: object                # callable F(u) on interior values
     shift_bound: object             # callable (lo, hi) -> c
-    boundary_value: object = 0.0    # scalar or GridField
+    boundary_value: float = 0.0
 
     @property
     def grid(self):
@@ -66,12 +67,11 @@ class SemilinearProblem:
         """
         rng = np.random.default_rng(SHIFT_CHECK_SEED)
         g = self.grid
-        pts = g.points[g.interior_ids]
         du = 1e-6 * max(hi - lo, 1e-12)
         top = max(hi - du, lo)
         starts = (rng.uniform(lo, top, size=g.n_interior), np.full(g.n_interior, float(lo)),
                   np.full(g.n_interior, top))
-        worst = max(float(((self.reaction(pts, u) - self.reaction(pts, u + du)) / du).max())
+        worst = max(float(((self.reaction(u) - self.reaction(u + du)) / du).max())
                     for u in starts)
         if worst > c * (1.0 + 1e-4) + 1e-12:
             raise ValueError(
@@ -80,10 +80,9 @@ class SemilinearProblem:
         return worst
 
     def defect(self, u):
-        """K u - M F(., u) on the interior rows."""
+        """K u - M F(u) on the interior rows."""
         g = self.grid
-        return self.K.apply(u) - g.h ** g.n * self.reaction(g.points[g.interior_ids],
-                                                           u.values[g.interior_ids])
+        return self.K.apply(u) - g.h ** g.n * self.reaction(u.values[g.interior_ids])
 
 
 @dataclass(eq=False)
@@ -114,38 +113,33 @@ class BracketSolveResult:
 
 
 class ShiftedSolver:
-    """Solves (K + c M) u = M rhs with fixed Dirichlet data, many times.
+    """Solves (K + c M) u = M rhs with one Dirichlet value on the boundary, many times.
 
     The boundary lift is built once, and A = K + c h^n I once per shift
     (`set_shift`).  When nnz(A) is at most DIRECT_MAX_NNZ, A is factored
     by `splu` and every solve is a pair of triangular solves.  Larger
     systems run CG preconditioned by diag(A)^{-1} (Jacobi), because the
     fill of the factors, and with it the time and memory of factoring,
-    outgrows what CG saves.  The first CG solve starts from a scalar
-    boundary value as a constant (the exact solution when c = 0 and the
-    source is zero; K annihilates constants) or from zeros for a GridField
-    one; later solves warm-start from the previous solution, across a
-    change of shift too.  CG stops on scipy's recursive residual, so the
-    true residual is taken after it, and CG resumes once from its answer
-    when the recursive residual met tol but the true one did not.  Either
-    way a solution is returned only when ||A x - b|| <= tol ||b||.
+    outgrows what CG saves.  The first CG solve starts from the boundary
+    value as a constant (the exact solution when c = 0 and the source is
+    zero; K annihilates constants); later solves warm-start from the
+    previous solution, across a change of shift too.  CG stops on scipy's
+    recursive residual, so the true residual is taken after it, and CG
+    resumes once from its answer when the recursive residual met the
+    module's TOL_LIN but the true one did not.  Either way a solution is
+    returned only when ||A x - b|| <= TOL_LIN ||b||.
     `shifts` lists the shift of each A in order (one factorization each on
     the direct path), and `cg_iterations` counts the CG steps of every
     solve.
     """
 
-    def __init__(self, K, shift_c, boundary_value=0.0, tol=TOL_LIN):
+    def __init__(self, K, shift_c, boundary_value=0.0):
         g = K.grid
         self.K = K
         self.grid = g
-        self.tol = tol
         self.weight = g.h ** g.n
-        if isinstance(boundary_value, GridField):
-            self.bvec = boundary_value.values[g.boundary_ids]
-            self.x = np.zeros(g.n_interior)
-        else:
-            self.bvec = np.full(g.n_boundary, float(boundary_value))
-            self.x = np.full(g.n_interior, float(boundary_value))
+        self.bvec = np.full(g.n_boundary, float(boundary_value))
+        self.x = np.full(g.n_interior, float(boundary_value))
         self.lift = np.zeros(g.n_interior)
         if K.boundary is not None and g.n_boundary:
             self.lift = K.boundary @ self.bvec
@@ -169,14 +163,14 @@ class ShiftedSolver:
         self.cg_iterations += 1
 
     def _cg(self, b, x0):
-        return spla.cg(self.A, b, x0=x0, rtol=self.tol, atol=0.0,
+        return spla.cg(self.A, b, x0=x0, rtol=TOL_LIN, atol=0.0,
                        maxiter=max(4 * self.grid.n_interior, 400), M=self.jacobi,
                        callback=self._count_cg)
 
     def _fail(self, path, rel, steps_before):
         raise RuntimeError(
             f"{path} linear solve at shift {self.shifts[-1]!r}: relative residual {rel:.3e} "
-            f"above tol {self.tol:.3e} after {self.cg_iterations - steps_before} CG steps"
+            f"above tol {TOL_LIN:.3e} after {self.cg_iterations - steps_before} CG steps"
         )
 
     def solve_interior(self, rhs):
@@ -193,15 +187,15 @@ class ShiftedSolver:
         elif self.lu is not None:
             x = self.lu.solve(b)
             rel = float(np.linalg.norm(self.A @ x - b) / nb)
-            if not rel <= self.tol:
+            if not rel <= TOL_LIN:
                 self._fail("direct", rel, steps)
         else:
             x, info = self._cg(b, self.x)
             rel = float(np.linalg.norm(self.A @ x - b) / nb)
-            if info == 0 and not rel <= self.tol:
+            if info == 0 and not rel <= TOL_LIN:
                 x, info = self._cg(b, x)
                 rel = float(np.linalg.norm(self.A @ x - b) / nb)
-            if not rel <= self.tol:
+            if not rel <= TOL_LIN:
                 self._fail(f"CG (info={info})", rel, steps)
         self.x = x
         return x
@@ -212,10 +206,10 @@ class ShiftedSolver:
 
 
 def linear_solve(K, shift_c, rhs, boundary_value=0.0):
-    """Solve (K + c M) u = M rhs once with imposed Dirichlet data.
+    """Solve (K + c M) u = M rhs once, u = boundary_value on the boundary.
 
-    `rhs` is a GridField (interior values used); boundary_value is a scalar
-    or GridField giving the Dirichlet trace of u.
+    `rhs` is a GridField (interior values used); `boundary_value` is one
+    float, the Dirichlet value of every boundary node.
     """
     return ShiftedSolver(K, shift_c, boundary_value).solve(rhs.values[K.grid.interior_ids])
 
@@ -223,7 +217,7 @@ def linear_solve(K, shift_c, rhs, boundary_value=0.0):
 def check_sub_super(problem, u, sign):
     """Discrete sub- (sign=+1) or supersolution (sign=-1) test at interior rows.
 
-    Checks sign * (K u - M F(., u)) <= tau_sub with
+    Checks sign * (K u - M F(u)) <= tau_sub with
     tau_sub = SUB_SLACK_FACTOR * ||K||_inf * max(1, ||u||_inf); returns
     (ok, worst, node).
     """
@@ -269,7 +263,6 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
 
     solver = ShiftedSolver(problem.K, c, problem.boundary_value)
     ids, bvec, lift = g.interior_ids, solver.bvec, solver.lift
-    pts = g.points[ids]
     w = g.h ** g.n
     lower_i, upper_i = lower.values[ids], upper.values[ids]
     # the gaps off the interior: lower - u and u - upper on the boundary at
@@ -280,7 +273,7 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     step_off = float(np.abs(GridField.from_interior(g, upper_i, bvec).values - upper.values).max())
     bvec_max = float(bvec.max(initial=-np.inf))
     ui = upper_i
-    Fu = problem.reaction(pts, ui)  # F(u): the next right-hand side and the residual's reaction
+    Fu = problem.reaction(ui)  # F(u): the next right-hand side and the residual's reaction
     scale = max(float(np.abs(upper.values).max()), 1.0)
     mono_slack = 1e3 * TOL_LIN * scale
     steps_monotone = True
@@ -310,7 +303,7 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
         if it == 1:
             step = max(step, step_off)
         ui = x
-        Fu = problem.reaction(pts, ui)
+        Fu = problem.reaction(ui)
         un = np.linalg.norm(ui)
         r = float(np.linalg.norm(problem.K.mat @ ui + lift - w * Fu))
         residual = float(r / un) if un > 0 else r
@@ -346,12 +339,12 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
 
 
 def logistic_reaction(a, b, mu, p):
-    """F(x, u) = mu * u * (a(x) - b(x) |u|^{p-1}) as a vectorized callable."""
+    """F(u) = mu * u * (a - b |u|^{p-1}) on the interior values, a and b bound in."""
     grid = a.grid
     a_int = a.values[grid.interior_ids]
     b_int = b.values[grid.interior_ids]
 
-    def F(pts, u):
+    def F(u):
         return mu * u * (a_int - b_int * np.abs(u) ** (p - 1.0))
 
     return F
@@ -464,12 +457,12 @@ def barriers(K, f, C, eps):
 
 
 def yamabe_reaction(kfield, Kfield, p):
-    """F(x, u) = Kcap(x) |u|^{p-1} u - k(x) u (so that H u = F matches the equation)."""
+    """F(u) = Kcap |u|^{p-1} u - k u on the interior values (so H u = F is the equation)."""
     grid = kfield.grid
     k_int = kfield.values[grid.interior_ids]
     K_int = Kfield.values[grid.interior_ids]
 
-    def F(pts, u):
+    def F(u):
         return K_int * np.sign(u) * np.abs(u) ** p - k_int * u
 
     return F

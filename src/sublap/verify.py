@@ -171,6 +171,8 @@ def verify_thm_1_3(family, g_expr, g_plus_expr, lam_fractions, box_list, h,
     the relative residual of each box's direct solve; a box over it fails
     its case.
     """
+    if not box_list:
+        raise ValueError("boxes must list at least one box")
     n = len(box_list[0])
     g_fn = as_field_function(g_expr, n)
     gp_fn = as_field_function(g_plus_expr, n)

@@ -525,3 +525,38 @@ def test_validate_counts_an_integer_as_a_number_and_nothing_else_as_an_integer()
     for bad in (2.0, True, "2", [2]):
         with pytest.raises(ConfigError, match="'n_subdomains' for verify-thm1_2 takes integer"):
             validate_config("verify-thm1_2", {**given, "n_subdomains": bad})
+
+
+BALL_HEIS = {"family": "heisenberg", "grid": {"box": [[-0.3, 0.3], [-0.3, 0.3], [-0.1, 0.1]],
+                                              "h": 0.05},
+             "center": [0, 0, 0], "radius": 0.1, "directions": 8}
+DIST_2D = {"family": "euclidean(2)", "grid": {"box": [[-0.5, 1.5], [-0.5, 1.5]], "h": 0.1},
+           "x": [0, 0], "y": [1, 1]}
+
+
+@pytest.mark.parametrize("argv, payload, code, key", [
+    (["verify", "thm1_3"], {**NO_CASE_CONFIGS["thm1_3"], "lam_fractions": [0.5], "boxes": []},
+     1, "boxes"),
+    (["epspath"], {"family": "euclidean(2)", "grid": GRID_2D, "eps_list": []}, 1, "eps_list"),
+    (["ball"], {**BALL_HEIS, "family": "euclidean(2)", "grid": GRID_2D, "center": [0.5, 0.5],
+                "step_scales": []}, 1, "step_scales"),
+    (["ball"], {**BALL_HEIS, "step_scales": []}, 1, "step_scales"),
+    (["distance"], {**DIST_2D, "segments": 0}, 1, "segments"),
+    (["distance"], {**DIST_2D, "segments": -3}, 1, "segments"),
+    (["verify", "thm1_4"], {**THM1_4_HEIS, "stability_box": []}, 2, "stability_box"),
+    (["probe", "poincare"], {**BALL_HEIS, "corpus_count": 0}, 2, "corpus_count"),
+    (["probe", "poincare"], {**BALL_HEIS, "corpus_degree": 0}, 2, "corpus_degree"),
+    (["fields", "info"], {"family": "heisenberg", "sample_points": 0}, 2, "sample_points"),
+], ids=["thm1_3-boxes", "epspath-eps_list", "ball-step_scales-euclidean",
+        "ball-step_scales-heisenberg", "distance-segments-0", "distance-segments-negative",
+        "thm1_4-stability_box", "poincare-corpus_count", "poincare-corpus_degree",
+        "fields_info-sample_points"])
+def test_cli_empty_or_zero_count_value_exits_with_a_one_line_error(tmp_path, capsys, argv,
+                                                                   payload, code, key):
+    # each value used to crash with a traceback, or to run and report nothing
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " if code == 2 else "run failed: ")
+    assert key in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()

@@ -1,7 +1,9 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -43,6 +45,11 @@ def test_build_grid_3d():
 def test_build_grid_h_too_large():
     with pytest.raises(ValueError):
         build_grid([(0, 1), (0, 0.5)], 0.6)
+
+
+def test_build_grid_needs_an_axis():
+    with pytest.raises(ValueError, match="box must have at least one axis"):
+        build_grid([], 0.5)
 
 
 def test_interior_neighbors_exist():
@@ -319,3 +326,42 @@ def test_coarse_grid_needs_an_odd_node_count_on_every_axis():
     assert coarse_grid(build_grid([(0, 1), (0, 1.125)], 0.125)) is None
     coarse, P = coarse_grid(build_grid([(0, 0.5), (0, 0.5)], 0.25))
     assert coarse.dims == (2, 2) and coarse.n_interior == 0 and P.shape == (1, 0)
+
+
+def _prolongation_oracle(fine, coarse):
+    """P node by node: a fine interior node halfway between coarse nodes along d
+    axes takes 2^-d from each of its 2^d coarse corners that is interior, 0 from
+    the others.  Also returns how many corners lie outside the coarse mask."""
+    column = {int(c): j for j, c in enumerate(coarse.interior_ids)}
+    rows, cols, vals, outside = [], [], [], 0
+    for r, node in enumerate(fine.interior_ids):
+        multi = np.unravel_index(node, fine.dims)
+        around = [sorted({int(m) // 2, (int(m) + 1) // 2}) for m in multi]
+        weight = 0.5 ** sum(int(m) % 2 for m in multi)
+        for corner in itertools.product(*around):
+            c = int(np.ravel_multi_index(corner, coarse.dims))
+            if c in column:
+                rows.append(r)
+                cols.append(column[c])
+                vals.append(weight)
+            else:
+                outside += coarse.mask[c] == EXTERIOR
+    P = sp.csr_matrix((vals, (rows, cols)), shape=(fine.n_interior, coarse.n_interior))
+    P.sort_indices()
+    return P, outside
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_grid([(-1, 1)] * 3, 0.25),
+    lambda: mask_domain(build_grid([(-1, 1)] * 3, 0.125), lambda p: (p**2).sum(axis=1) <= 0.7),
+    lambda: build_grid([(0, 1), (0, 1.5)], 1.0 / 16),
+], ids=["box", "ball", "2d"])
+def test_coarse_grid_prolongation_matches_a_per_node_oracle(make):
+    fine = make()
+    coarse, P = coarse_grid(fine)
+    oracle, outside = _prolongation_oracle(fine, coarse)
+    assert (outside > 0) == np.any(fine.mask == EXTERIOR)  # the ball has corners off its mask
+    assert P.has_sorted_indices and P.shape == oracle.shape
+    for part in ("indptr", "indices", "data"):
+        got, want = getattr(P, part), getattr(oracle, part)
+        assert got.astype(want.dtype).tobytes() == want.tobytes(), part

@@ -156,7 +156,8 @@ def test_shifted_solver_direct_residual_guard(monkeypatch):
     for direct_max, path, rel in ((DIRECT_MAX_NNZ, "direct", r"\d\.\d{3}e-\d+"),
                                   (-1, r"CG \(info=400\)", "nan")):
         monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", direct_max)
-        solver = ShiftedSolver(K, 1.5, tol=1e-300)
+        monkeypatch.setattr(sm, "TOL_LIN", 1e-300)
+        solver = ShiftedSolver(K, 1.5)
         with pytest.raises(RuntimeError) as err:
             solver.solve(rhs)
         assert re.fullmatch(rf"{path} linear solve at shift 1\.5: relative residual {rel} "
@@ -170,7 +171,8 @@ def test_shifted_cg_checks_its_true_residual(monkeypatch):
     # leaves the true residual above tol, so the solver resumes CG once
     K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 0.125)
     monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", -1)
-    solver = ShiftedSolver(K, 1.5, tol=1e-15)
+    monkeypatch.setattr(sm, "TOL_LIN", 1e-15)
+    solver = ShiftedSolver(K, 1.5)
     b = solver.weight * rhs - solver.lift
     steps = []
     x, info = spla.cg(solver.A, b, rtol=1e-15, atol=0.0, M=solver.jacobi, callback=steps.append)
@@ -181,7 +183,8 @@ def test_shifted_cg_checks_its_true_residual(monkeypatch):
     # where the resumed run still misses tol, the solve fails
     with pytest.raises(RuntimeError, match=r"^CG \(info=0\) linear solve at shift 1\.5: "
                                            r"relative residual .* above tol 1\.000e-16"):
-        ShiftedSolver(K, 1.5, tol=1e-16).solve(rhs)
+        monkeypatch.setattr(sm, "TOL_LIN", 1e-16)
+        ShiftedSolver(K, 1.5).solve(rhs)
 
 
 def test_shifted_cg_starts_from_the_scalar_boundary_value(monkeypatch):
@@ -259,7 +262,7 @@ def test_no_factorization_above_threshold(monkeypatch):
 def test_monotone_zero_problem_instant():
     g = build_grid([(0, 1), (0, 1)], 0.25)
     K = assemble_stiffness(euclidean(2), g)
-    problem = SemilinearProblem(K=K, reaction=lambda pts, u: np.zeros_like(u),
+    problem = SemilinearProblem(K=K, reaction=lambda u: np.zeros_like(u),
                                 shift_bound=lambda lo, hi: 0.0)
     z = GridField.zeros(g)
     res = monotone_iterate(problem, z, z, tol=1e-12)
@@ -273,7 +276,7 @@ def test_monotone_linear_reaction_is_linear_solve():
     K = assemble_stiffness(euclidean(2), g)
     f = GridField.from_function(g, lambda pts: np.cos(pts[:, 0]) + pts[:, 1])
     f_int = f.values[g.interior_ids]
-    problem = SemilinearProblem(K=K, reaction=lambda pts, u: f_int,
+    problem = SemilinearProblem(K=K, reaction=lambda u: f_int,
                                 shift_bound=lambda lo, hi: 0.0)
     direct = linear_solve(K, 0.0, f, 0.0)
     upper = GridField.constant(g, float(np.abs(direct.values).max()) * 2 + 1)
@@ -290,9 +293,9 @@ def test_monotone_evaluates_reaction_once_per_iterate():
     F = logistic_reaction(a, b, 2 * eig.lam, 2.0)
     calls = []
 
-    def counted(pts, u):
+    def counted(u):
         calls.append(1)
-        return F(pts, u)
+        return F(u)
 
     c = logistic_shift(a, b, 2 * eig.lam, 2.0)(0.0, 1.0)
     problem = SemilinearProblem(K=K, reaction=counted, shift_bound=lambda lo, hi: c)
@@ -341,7 +344,7 @@ def test_logistic_shift_meets_the_one_sided_bound(p):
         assert (c == 0.0) == (hi <= flat)
         for _ in range(20):
             u = rng.uniform(0.0, hi - du, size=pts.shape[0])
-            slope = (problem.reaction(pts, u + du) - problem.reaction(pts, u)) / du
+            slope = (problem.reaction(u + du) - problem.reaction(u)) / du
             assert (c + slope).min() >= -1e-6
         problem.validate_shift(c, 0.0, hi)
         if hi > flat:  # the quotient at the bracket's top sees half of c fail
@@ -420,7 +423,7 @@ def test_step_one_violation_notes_match_a_full_grid_reference(bvalue, trace, mas
     active = g.mask != 0
     c = problem.shift(lower.values[active].min(), upper.values[active].max())
     ui = upper.values[g.interior_ids]
-    u1 = ShiftedSolver(K, c, bvalue).solve(c * ui + problem.reaction(None, ui))
+    u1 = ShiftedSolver(K, c, bvalue).solve(c * ui + problem.reaction(ui))
     rise = (u1.values - upper.values)[active]
     node = int(np.flatnonzero(active)[np.argmax(rise)])
     below = (lower.values - u1.values)[active].max()
@@ -592,7 +595,7 @@ def test_yamabe_shift_meets_the_one_sided_bound(p):
         problem.validate_shift(c, a, b)
         for _ in range(20):
             u = rng.uniform(a, b - du, size=pts.shape[0])
-            slope = (problem.reaction(pts, u + du) - problem.reaction(pts, u)) / du
+            slope = (problem.reaction(u + du) - problem.reaction(u)) / du
             assert (c + slope).min() >= -1e-6
     # on the barrier bracket: the closed form written out, and the solver's first shift
     kv, Kv = np.abs(kf.values[g.interior_ids]), np.abs(Kf.values[g.interior_ids])
