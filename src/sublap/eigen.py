@@ -21,13 +21,13 @@ import scipy.sparse.linalg as spla
 from . import fields as vf
 from .mesh import GridField, coarse_grid
 from .operators import (
-    DIRECT_MAX_NNZ,
     SparseOperator,
     assemble_diagonal,
     assemble_stiffness,
+    factor_pays,
     factor_spd,
     mass_matrix,
-    shifted_float32,
+    shifted_copy,
 )
 
 DEFAULT_TOL = 1e-8
@@ -95,17 +95,18 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
     checks K to SYMMETRY_TOL).  The `pairs` (1 or 2) lowest eigenpairs of
     A come from one solver call at a shift sigma below the spectrum: a
     dense `eigh` when n < DENSE_MAX_N, ARPACK in shift-invert mode on one
-    factorization of A - sigma I when nnz(A) <= DIRECT_MAX_NNZ, and LOBPCG
-    preconditioned by a few CG steps on A - sigma I above it.
+    factorization of A - sigma I on grids that `operators.factor_pays`
+    factors (the same rule as the shifted solves), and LOBPCG
+    preconditioned by a few CG steps on A - sigma I on the others.
     `iterations` counts the shift-invert applications on the direct path
-    and the LOBPCG steps above it, and `cg_iterations` the CG steps of the
+    and the LOBPCG steps on the other, and `cg_iterations` the CG steps of the
     LOBPCG preconditioner (0 on the other paths); `degenerate` compares the
     second eigenvalue with lam, and is None when pairs=1.  `vectors` has
     `pairs` columns (one when n = 1).
 
     The preconditioner scales b to unit norm and runs CG to rtol 0.1 (at
     most 50 steps) in float32, on the copy of A - sigma I that
-    `operators.shifted_float32` stores by diagonals on box and sub-box
+    `operators.shifted_copy` stores by diagonals on box and sub-box
     grids.  Single precision is enough: sigma = lower - 1e-3 ||A||_inf - 1
     keeps cond(A - sigma I) below about 2e3, so float32 rounding (6e-8)
     stays far below rtol 0.1, and a preconditioner only has to be roughly
@@ -128,7 +129,7 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
     row-summed P^T V P and P^T M P) at COARSE_TOL_FACTOR * tol, its two
     eigenvectors plus a seeded random part of relative size COARSE_NOISE,
     prolonged by P.  That solve takes the path its own size picks, so a
-    coarse pencil above DIRECT_MAX_NNZ starts from a coarser one in turn;
+    coarse pencil that is not factored starts from a coarser one in turn;
     the coarse levels' steps go to `coarse_iterations`, not `iterations`.
     A one-pair solve, or a grid with an even node count on some axis (no
     2h grid), starts from the first `pairs` of [ones, seeded random].  On
@@ -214,7 +215,7 @@ def _principal(K, Vdiag, mdiag, tol, start, pairs):
             lower = -max(float((Vdiag / mdiag).max()), 0.0)
         anorm = max(float(abs(A).sum(axis=1).max()), 1e-300)
         sigma = lower - 1e-3 * anorm - 1.0
-        if A.nnz <= DIRECT_MAX_NNZ:
+        if factor_pays(grid):
             path, unit = "shift-invert ARPACK", "operator applications"
             lu = factor_spd(A - sigma * sp.identity(n, format="csr"))
 
@@ -239,7 +240,7 @@ def _principal(K, Vdiag, mdiag, tol, start, pairs):
                 ) from exc
         else:
             path, unit = "LOBPCG", "iterations"
-            A32 = shifted_float32(A, sigma)
+            A32 = shifted_copy(A, sigma, np.float32)
 
             def count_cg(xk):
                 nonlocal cg_iterations

@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 from .mesh import EXTERIOR, neighbor_set
 
 SYMMETRY_TOL = 1e-12
-DIRECT_MAX_NNZ = 60_000  # factor a system at or below this many nonzeros, else iterate
+DIRECT_MAX_SEPARATOR = 180  # factor a grid system whose top separator is at most this
 
 
 @dataclass(eq=False)
@@ -79,17 +79,35 @@ def factor_spd(A):
                      options={"SymmetricMode": True})
 
 
-def shifted_float32(A, sigma):
-    """A float32 copy of A - sigma I, for matvecs that single precision serves.
+def factor_pays(grid):
+    """Whether the interior system of `grid` is factored (True) or iterated.
 
-    Stored by diagonals (DIA) when that band, n entries per diagonal, is at
-    most 2 nnz(A): a 3-D box or sub-box grid has 11 diagonals, a band of
-    1.05-1.2 nnz, and a float32 DIA matvec there costs about a quarter of
-    a float64 CSR one (0.11 against 0.41 ms on Heisenberg (-1, 1)^3 at
-    h = 1/16, one core).  A mask whose interior numbering scatters the
-    stencil (a ball of radius 0.9 at h = 1/16: 645 diagonals, a band of
-    64 nnz) stays in float32 CSR.  Built from the CSR matrix A, with the shifted diagonal
-    computed in float64, so no float64 copy of A - sigma I is made.
+    A sparse LU costs what its top nested-dissection separator costs, about
+    s = n^{(d-1)/d} for n unknowns in d dimensions: fill grows like n log n
+    in 2-D and n^{4/3} in 3-D (George 1973; Lipton, Rose and Tarjan 1979),
+    so one nonzero count cannot serve every dimension.  The shifted solves
+    and the eigensolves crossed over between s = 169 and s = 225 (one BLAS
+    thread; see README), so grids with s <= DIRECT_MAX_SEPARATOR factor:
+    every 1-D grid, 2-D grids up to 32,400 unknowns, 3-D up to 2,414.
+    """
+    return grid.n_interior ** ((grid.n - 1) / grid.n) <= DIRECT_MAX_SEPARATOR
+
+
+def shifted_copy(A, sigma, dtype):
+    """A copy of A - sigma I in `dtype`, stored by diagonals where that is compact.
+
+    Stored by diagonals (DIA), offsets ascending, when that band, n entries
+    per diagonal, is at most 2 nnz(A): a 3-D box or sub-box grid has 11
+    diagonals, a band of 1.05-1.2 nnz.  A mask whose interior numbering
+    scatters the stencil (a ball of radius 0.9 at h = 1/16: 645 diagonals,
+    a band of 64 nnz) stays in CSR.  Built from the CSR matrix A, with the
+    shifted diagonal computed in float64, so no float64 copy of A - sigma I
+    is made on the way to a float32 one.  When A has sorted indices, both
+    formats sum each row of a matvec in column order, so a float64 copy
+    gives products bit-identical to those of the CSR A - sigma I.  On
+    Heisenberg (-1, 1)^3 at h = 1/16 (29,791 unknowns, one core), a matvec
+    took 0.28-0.39 ms in float64 CSR, 0.22-0.26 ms in float64 DIA and
+    0.10-0.13 ms in float32 DIA.
     """
     n = A.shape[0]
     # the diagonal of each stored entry, counted from 0 at the lowest (offset -n)
@@ -98,10 +116,10 @@ def shifted_float32(A, sigma):
     present[n] = True  # the shift fills the main diagonal
     offsets = np.flatnonzero(present)
     if offsets.size * n > 2 * A.nnz:
-        shifted = A.astype(np.float32)
+        shifted = A.astype(dtype)
         shifted.setdiag(A.diagonal() - sigma)
         return shifted
-    data = np.zeros((offsets.size, n), np.float32)
+    data = np.zeros((offsets.size, n), dtype)
     data[(np.cumsum(present) - 1)[diag_of], A.indices] = A.data
     data[np.searchsorted(offsets, n)] = A.diagonal() - sigma
     return sp.dia_matrix((data, offsets - n), shape=A.shape)

@@ -26,7 +26,8 @@ import scipy.sparse.linalg as spla
 
 from .expressions import compile_expression
 from .mesh import GridField, build_grid
-from .operators import DIRECT_MAX_NNZ, assemble_diagonal, assemble_stiffness, factor_spd
+from .operators import (assemble_diagonal, assemble_stiffness, factor_pays, factor_spd,
+                        shifted_copy)
 
 TOL_LIN = 1e-10          # relative residual bound of every shifted linear solve
 MAX_ITER_MONOTONE = 1000
@@ -116,14 +117,17 @@ class ShiftedSolver:
     """Solves (K + c M) u = M rhs with one Dirichlet value on the boundary, many times.
 
     The boundary lift is built once, and A = K + c h^n I once per shift
-    (`set_shift`).  When nnz(A) is at most DIRECT_MAX_NNZ, A is factored
-    by `splu` and every solve is a pair of triangular solves.  Larger
-    systems run CG preconditioned by diag(A)^{-1} (Jacobi), because the
-    fill of the factors, and with it the time and memory of factoring,
-    outgrows what CG saves.  The first CG solve starts from the boundary
-    value as a constant (the exact solution when c = 0 and the source is
-    zero; K annihilates constants); later solves warm-start from the
-    previous solution, across a change of shift too.  CG stops on scipy's
+    (`set_shift`).  On grids that `operators.factor_pays` factors, A is
+    factored by `splu` and every solve is a pair of triangular solves.
+    Other systems run CG preconditioned by diag(A)^{-1} (Jacobi), because
+    the fill of the factors, and with it the time and memory of factoring,
+    outgrows what CG saves.  There A is the float64 copy that
+    `operators.shifted_copy` stores by diagonals on box grids: its
+    matvecs are bit-identical to those of CSR K + c h^n I, and cheaper.
+    The first CG solve starts from the boundary value as a constant (the
+    exact solution when c = 0 and the source is zero; K annihilates
+    constants); later solves warm-start from the previous solution,
+    across a change of shift too.  CG stops on scipy's
     recursive residual, so the true residual is taken after it, and CG
     resumes once from its answer when the recursive residual met the
     module's TOL_LIN but the true one did not.  Either way a solution is
@@ -151,11 +155,13 @@ class ShiftedSolver:
         """Solve with A = K + c h^n I from now on: factor it, or take its Jacobi diagonal."""
         if shift_c < 0:
             raise ValueError("shift must be nonnegative")
-        self.A = self.K.mat + shift_c * self.weight * sp.identity(self.grid.n_interior, format="csr")
+        cw = shift_c * self.weight
         self.lu = self.jacobi = None
-        if self.A.nnz <= DIRECT_MAX_NNZ:
+        if factor_pays(self.grid):
+            self.A = self.K.mat + cw * sp.identity(self.grid.n_interior, format="csr")
             self.lu = factor_spd(self.A)
         else:
+            self.A = shifted_copy(self.K.mat, -cw, np.float64)
             self.jacobi = sp.diags(1.0 / self.A.diagonal())
         self.shifts.append(float(shift_c))
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import sublap.cli as cli_mod
 import sublap.eigen as eigen_mod
+import sublap.operators as operators_mod
 from sublap.cli import main
 from sublap.eigen import (
     ConvergenceError,
@@ -27,12 +28,12 @@ from sublap.operators import (
     assemble_stiffness,
     mass_matrix,
     rayleigh_quotient,
-    shifted_float32,
+    shifted_copy,
 )
 from sublap.verify import verify_thm_1_2
 
-# DIRECT_MAX_NNZ values that force each path of principal_eigenpair
-SOLVER_PATHS = pytest.mark.parametrize("direct_max_nnz", [eigen_mod.DIRECT_MAX_NNZ, -1],
+# DIRECT_MAX_SEPARATOR values that force each path of principal_eigenpair
+SOLVER_PATHS = pytest.mark.parametrize("max_separator", [operators_mod.DIRECT_MAX_SEPARATOR, -1],
                                        ids=["shift-invert", "lobpcg"])
 THM_1_2_U = "exp(0.2*(x + y + t))"
 
@@ -137,7 +138,7 @@ def test_principal_small_systems_match_dense_oracle(h):
 
 def test_lobpcg_non_convergence_names_path_residual_and_iterations(monkeypatch):
     # LOBPCG only warns when it stops short; the residual check must raise
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     monkeypatch.setattr(eigen_mod, "MAX_ITER", 1)
     g, K, M = unit_square_setup(1.0 / 16)
     with pytest.raises(ConvergenceError, match=r"\(LOBPCG\) residual .* after \d+ iterations "
@@ -250,8 +251,8 @@ def test_epsilon_path_euclidean_scaling_identity():
 
 
 @SOLVER_PATHS
-def test_epsilon_path_heisenberg_decreasing_with_dense_crosscheck(monkeypatch, direct_max_nnz):
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
+def test_epsilon_path_heisenberg_decreasing_with_dense_crosscheck(monkeypatch, max_separator):
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", max_separator)
     heis = heisenberg()
     g = build_grid([(-1, 1)] * 3, 0.25)
     eps_list = [0.5, 0.25, 0.1, 0.01, 0.0]
@@ -284,7 +285,7 @@ def heisenberg_eps_operators(h):
 
 
 def test_warm_start_matches_cold_in_fewer_lobpcg_steps(monkeypatch):
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     M, at = heisenberg_eps_operators(1.0 / 8)
     prev = principal_eigenpair(at(0.25), None, M, tol=1e-9)
     cold = principal_eigenpair(at(0.1), None, M, tol=1e-9)
@@ -299,8 +300,8 @@ def test_warm_start_matches_cold_in_fewer_lobpcg_steps(monkeypatch):
 
 
 @SOLVER_PATHS
-def test_pairs_validated_sets_the_vector_columns_and_degenerate(monkeypatch, direct_max_nnz):
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
+def test_pairs_validated_sets_the_vector_columns_and_degenerate(monkeypatch, max_separator):
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", max_separator)
     g, K, M = unit_square_setup(1.0 / 16)
     for bad in (0, 3):
         with pytest.raises(ValueError, match="pairs must be 1 or 2"):
@@ -335,7 +336,7 @@ def heisenberg_potential_pencil():
 def test_lobpcg_stop_rule_meets_the_final_residual_check(monkeypatch, tol):
     # LOBPCG stops at ||A y - lam y|| <= 0.5 tol / max(M), which bounds the
     # residual of the final check by tol / 2 on any eps and potential
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     g, K, Vd, M, exact = heisenberg_potential_pencil()
     cold = principal_eigenpair(K, Vd, M, tol=tol)
     solves = []
@@ -354,8 +355,8 @@ def test_lobpcg_stop_rule_meets_the_final_residual_check(monkeypatch, tol):
 
 
 @SOLVER_PATHS
-def test_start_from_another_grid_rejected(monkeypatch, direct_max_nnz):
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
+def test_start_from_another_grid_rejected(monkeypatch, max_separator):
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", max_separator)
     g, K, M = unit_square_setup(1.0 / 8)
     # another h, and the same grid built twice, are other grids
     for h in (1.0 / 16, 1.0 / 8):
@@ -375,7 +376,7 @@ def test_start_from_another_grid_rejected(monkeypatch, direct_max_nnz):
 
 def test_epsilon_path_failure_names_eps(monkeypatch):
     # only the warm-started solves are cut short, so the path fails at its second eps
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
 
     def short_when_warm(*args, start=None, **kwargs):
         if start is not None:
@@ -464,7 +465,7 @@ def test_degeneracy_flag_on_disconnected_domain():
 
 
 def test_degeneracy_flag_on_the_lobpcg_path(monkeypatch):
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     check_degeneracy_flag()
 
 
@@ -537,22 +538,22 @@ def pencils(draw):
 @SOLVER_PATHS
 @settings(max_examples=10)
 @given(pencil=pencils())
-def test_principal_matches_dense_oracle_property(direct_max_nnz, pencil):
+def test_principal_matches_dense_oracle_property(max_separator, pencil):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
+        mp.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", max_separator)
         check_against_dense(*pencil)
 
 
 @SOLVER_PATHS
 @pytest.mark.parametrize("potential", [False, True], ids=["no-potential", "potential"])
-def test_pencil_scaling_with_a_varying_mass_matches_dense_oracle(monkeypatch, direct_max_nnz,
+def test_pencil_scaling_with_a_varying_mass_matches_dense_oracle(monkeypatch, max_separator,
                                                                  potential):
     # only the coarse levels pass a non-constant M; here it is given directly,
     # on a non-dyadic h where s = M^{-1/2} is inexact, and every pencil a
     # solver receives (this level's and the coarse ones') is exactly symmetric
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", max_separator)
     seen = []
-    for name in ("factor_spd", "shifted_float32"):
+    for name in ("factor_spd", "shifted_copy"):
         real = getattr(eigen_mod, name)
         monkeypatch.setattr(eigen_mod, name,
                             lambda A, *rest, real=real: seen.append(A) or real(A, *rest))
@@ -572,10 +573,10 @@ def test_pencil_scaling_with_a_varying_mass_matches_dense_oracle(monkeypatch, di
 
 @SOLVER_PATHS
 @pytest.mark.parametrize("seed,case", [(1009, 3), (526691478, 11), (0, 10), (2, 1), (526691478, 8)])
-def test_thm_1_2_cases_that_found_a_higher_eigenvalue(monkeypatch, direct_max_nnz, seed, case):
+def test_thm_1_2_cases_that_found_a_higher_eigenvalue(monkeypatch, max_separator, seed, case):
     # inverse iteration returned a higher member of a near-degenerate pair here;
     # at (526691478, 8) a LOBPCG start from the 2h grid without its random part did
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", direct_max_nnz)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", max_separator)
     g, _ = thm_1_2_setup()
     rep = verify_thm_1_2(heisenberg(), g, THM_1_2_U, n_subdomains=case + 1, seed=seed)
     assert rep.passed_count == rep.total
@@ -598,7 +599,7 @@ def heisenberg_cube_pencil(h, mask=None):
 def test_coarse_start_matches_the_old_start_in_fewer_steps(monkeypatch, mask):
     # a cold LOBPCG solve starts from the pencil on the 2h grid; with that
     # start taken away it falls back to [ones, seeded random]
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     K, Vd, M = heisenberg_cube_pencil(1.0 / 8, mask)
     new = principal_eigenpair(K, Vd, M, tol=1e-9)
     monkeypatch.setattr(eigen_mod, "_coarse_start", lambda *args: (None, 0))
@@ -616,14 +617,14 @@ def test_coarse_start_matches_the_old_start_in_fewer_steps(monkeypatch, mask):
 
 def test_one_pair_solves_keep_the_ones_start(monkeypatch):
     # a one-column block from the 2h grid took more steps than ones
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     K, Vd, M = heisenberg_cube_pencil(1.0 / 8)
     res = principal_eigenpair(K, Vd, M, tol=1e-9, pairs=1)
     assert res.coarse_iterations == 0 and res.residual <= 1e-9
 
 
 def test_even_node_count_keeps_the_old_start(monkeypatch):
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     g = build_grid([(-1, 1), (-1, 1), (-0.5, 0.625)], 1.0 / 8)
     assert g.dims == (17, 17, 10) and coarse_grid(g) is None
     calls = []
@@ -642,7 +643,7 @@ def test_even_node_count_keeps_the_old_start(monkeypatch):
 
 
 def test_coarse_level_failure_names_the_stage_residual_and_steps(monkeypatch):
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     monkeypatch.setattr(eigen_mod, "MAX_ITER", 1)
     g, K, M = unit_square_setup(1.0 / 32)
     with pytest.raises(ConvergenceError, match=r"^coarse start on the 2h grid \(225 unknowns\): "
@@ -656,7 +657,7 @@ def test_coarse_level_failure_names_the_stage_residual_and_steps(monkeypatch):
 
 
 def test_cli_eigen_on_lobpcg_writes_identical_reports(monkeypatch, tmp_path):
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     cfg = tmp_path / "eigen.json"
     cfg.write_text(json.dumps({"family": "heisenberg", "potential": "4*x + 2*t**2",
                                "grid": {"box": [[-1, 1]] * 3, "h": 0.25}, "tol": 1e-9}))
@@ -673,22 +674,36 @@ def test_lobpcg_on_the_csr_copy_matches_shift_invert(monkeypatch):
     # on the float32 CSR copy there
     K, Vd, M = heisenberg_cube_pencil(1.0 / 8, lambda pts: np.sum(pts**2, axis=1) <= 0.81)
     direct = principal_eigenpair(K, Vd, M, tol=1e-9)
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     storage = []
 
-    def recorded(A, sigma):
-        copy = shifted_float32(A, sigma)
+    def recorded(A, sigma, dtype):
+        copy = shifted_copy(A, sigma, dtype)
         storage.append(copy.format)
         return copy
 
-    monkeypatch.setattr(eigen_mod, "shifted_float32", recorded)
+    monkeypatch.setattr(eigen_mod, "shifted_copy", recorded)
     res = principal_eigenpair(K, Vd, M, tol=1e-9)
     assert storage[0] == "csr" and res.residual <= 1e-9
     assert abs(res.lam - direct.lam) <= 1e-9
 
 
+def test_a_2d_pencil_above_the_old_nonzero_limit_takes_shift_invert(monkeypatch):
+    # 127^2 unknowns (80,645 nonzeros) but a top separator of 127: factored
+    g, K, M = unit_square_setup(1.0 / 128)
+    factored = []
+    monkeypatch.setattr(eigen_mod, "factor_spd",
+                        lambda A, real=eigen_mod.factor_spd: factored.append(A) or real(A))
+    direct = principal_eigenpair(K, None, M, tol=1e-9)
+    assert len(factored) == 1 and direct.cg_iterations == 0 and direct.coarse_iterations == 0
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
+    lobpcg = principal_eigenpair(K, None, M, tol=1e-9)
+    assert lobpcg.cg_iterations > 0
+    assert abs(direct.lam - lobpcg.lam) <= 1e-9 * lobpcg.lam
+
+
 def test_lobpcg_solves_repeat_bit_for_bit(monkeypatch):
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     K, Vd, M = heisenberg_cube_pencil(1.0 / 8)
     first, second = (principal_eigenpair(K, Vd, M, tol=1e-9) for _ in range(2))
     assert first.lam == second.lam and np.array_equal(first.vectors, second.vectors)
@@ -708,14 +723,14 @@ def test_cg_iterations_count_the_preconditioner_steps_of_lobpcg_only(monkeypatch
     monkeypatch.setattr(spla, "cg", counted)
     g, K, M = unit_square_setup(1.0 / 16)
     assert principal_eigenpair(K, None, M).cg_iterations == 0 and not steps
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     res = principal_eigenpair(K, None, M, pairs=1)  # one level: no coarse start
     assert res.cg_iterations == len(steps) > 0
     assert "cg_iterations" not in res.to_json_dict()
 
 
 def test_lobpcg_preconditioner_maps_zero_to_zero(monkeypatch):
-    monkeypatch.setattr(eigen_mod, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     images = []
     lobpcg = spla.lobpcg
 

@@ -14,7 +14,7 @@ from sublap.operators import (
     assemble_stiffness,
     mass_matrix,
     rayleigh_quotient,
-    shifted_float32,
+    shifted_copy,
 )
 
 
@@ -263,7 +263,7 @@ def test_shifted_float32_stores_a_stencil_band_by_diagonals(mask, storage):
     if mask is not None:
         g = mask_domain(g, mask)
     A = assemble_stiffness(heisenberg(), g).mat
-    S = shifted_float32(A, -2.5)
+    S = shifted_copy(A, -2.5, np.float32)
     assert S.format == storage and S.dtype == np.float32
     exact = A + 2.5 * sp.identity(A.shape[0], format="csr")
     assert (S.tocsr() != exact.astype(np.float32)).nnz == 0

@@ -12,10 +12,16 @@ from sublap.cli import main
 from sublap.eigen import principal_eigenpair, weighted_principal
 from sublap.fields import euclidean, heisenberg
 from sublap.mesh import GridField, build_grid, mask_domain
-from sublap.operators import assemble_diagonal, assemble_stiffness, mass_matrix
+import sublap.operators as operators_mod
+from sublap.operators import (
+    DIRECT_MAX_SEPARATOR,
+    assemble_diagonal,
+    assemble_stiffness,
+    factor_pays,
+    mass_matrix,
+)
 import sublap.semilinear as sm
 from sublap.semilinear import (
-    DIRECT_MAX_NNZ,
     TOL_LIN,
     SemilinearProblem,
     ShiftedSolver,
@@ -116,7 +122,7 @@ def test_shifted_solver_direct_and_warm_cg_agree(monkeypatch, family, box, h):
     K, rhs = _shifted_system(family, box, h)
     direct = ShiftedSolver(K, 3.0, 0.4)
     assert direct.lu is not None
-    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     iterative = ShiftedSolver(K, 3.0, 0.4)
     assert iterative.lu is None
     for scale in (1.0, 1.1):  # second solve starts CG from the first solution
@@ -128,7 +134,7 @@ def test_shifted_solver_direct_and_warm_cg_agree(monkeypatch, family, box, h):
 
 def test_shifted_cg_is_jacobi_preconditioned_and_counts_its_steps(monkeypatch):
     K, rhs = _shifted_system(heisenberg(), [(-2, 2)] * 3, 0.5)
-    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     solver = ShiftedSolver(K, 0.0)
     solver.solve(rhs)
     steps = []
@@ -141,7 +147,7 @@ def test_shifted_cg_is_jacobi_preconditioned_and_counts_its_steps(monkeypatch):
     before = solver.cg_iterations
     solver.solve(rhs)
     assert solver.cg_iterations == before and solver.shifts == [0.0, 3.0, 0.0]
-    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", DIRECT_MAX_NNZ)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", DIRECT_MAX_SEPARATOR)
     direct = ShiftedSolver(K, 0.0)
     direct.solve(rhs)
     assert direct.cg_iterations == 0 and direct.jacobi is None
@@ -153,9 +159,9 @@ def test_shifted_solver_direct_residual_guard(monkeypatch):
     # message names the path, the shift, the residual, the tol and the CG steps;
     # CG's own residual underflows to nan before its 400 steps run out
     K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 0.125)
-    for direct_max, path, rel in ((DIRECT_MAX_NNZ, "direct", r"\d\.\d{3}e-\d+"),
+    for direct_max, path, rel in ((DIRECT_MAX_SEPARATOR, "direct", r"\d\.\d{3}e-\d+"),
                                   (-1, r"CG \(info=400\)", "nan")):
-        monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", direct_max)
+        monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", direct_max)
         monkeypatch.setattr(sm, "TOL_LIN", 1e-300)
         solver = ShiftedSolver(K, 1.5)
         with pytest.raises(RuntimeError) as err:
@@ -170,7 +176,7 @@ def test_shifted_cg_checks_its_true_residual(monkeypatch):
     # scipy's cg stops on its recursive residual: at tol 1e-15 one CG run
     # leaves the true residual above tol, so the solver resumes CG once
     K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 0.125)
-    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     monkeypatch.setattr(sm, "TOL_LIN", 1e-15)
     solver = ShiftedSolver(K, 1.5)
     b = solver.weight * rhs - solver.lift
@@ -190,7 +196,7 @@ def test_shifted_cg_checks_its_true_residual(monkeypatch):
 def test_shifted_cg_starts_from_the_scalar_boundary_value(monkeypatch):
     # with c = 0 and no source the constant boundary value solves the system
     K, _ = _shifted_system(heisenberg(), [(-2, 2)] * 3, 0.5)
-    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     solver = ShiftedSolver(K, 0.0, 0.4)
     u = solver.solve(np.zeros(K.grid.n_interior))
     assert solver.cg_iterations == 0
@@ -214,7 +220,7 @@ def test_monotone_factors_once_below_threshold(monkeypatch):
     # the bracket shrinks and taken only when it at least halves; a problem
     # with a constant shift factors once
     g, K, a, b, eig = logistic_setup(1.0 / 8)
-    assert K.mat.nnz <= DIRECT_MAX_NNZ
+    assert factor_pays(g)
     problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
     lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
     calls = _count_splu(monkeypatch)
@@ -233,7 +239,7 @@ def test_monotone_factors_once_below_threshold(monkeypatch):
 
 def test_yamabe_barriers_share_one_factorization(monkeypatch):
     g, K, f, kf, Kf = yamabe_setup()
-    assert K.mat.nnz <= DIRECT_MAX_NNZ
+    assert factor_pays(g)
     calls = _count_splu(monkeypatch)
     res = yamabe_solve(K, kf, Kf, 3.0, f, 0.05, 0.4, tol=1e-8)
     assert res.status == "ok"
@@ -247,9 +253,10 @@ def test_yamabe_barriers_share_one_factorization(monkeypatch):
 
 
 def test_no_factorization_above_threshold(monkeypatch):
-    g = build_grid([(-5, 5)] * 3, 0.5)
+    # the benchmark's Thm 1.4 box: 3,375 unknowns, a top separator of 225
+    g = build_grid([(-4, 4)] * 3, 0.5)
     K = assemble_stiffness(heisenberg(), g)
-    assert K.mat.nnz > DIRECT_MAX_NNZ
+    assert not factor_pays(g)
     calls = _count_splu(monkeypatch)
     f = GridField.from_function(g, lambda pts: np.exp(-(pts**2).sum(axis=1)))
     kf = GridField(g, 0.02 * f.values)
@@ -257,6 +264,68 @@ def test_no_factorization_above_threshold(monkeypatch):
     assert res.status == "ok" and res.iterations > 1
     assert calls == []
     assert len(res.shifts) == 1 and res.cg_iterations >= res.iterations
+
+
+def test_a_2d_system_above_the_old_nonzero_limit_is_factored_once(monkeypatch):
+    # 127^2 unknowns and 80,645 nonzeros, but a top separator of 127
+    K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 1.0 / 128)
+    assert K.mat.nnz > 60_000 and factor_pays(K.grid)
+    calls = _count_splu(monkeypatch)
+    solver = ShiftedSolver(K, 1.0)
+    for scale in (1.0, 2.0):
+        solver.solve(scale * rhs)
+    assert len(calls) == 1 and solver.cg_iterations == 0
+
+
+@pytest.mark.parametrize("box,h,factored", [
+    ([(0, 1)], 1.0 / 64, True),              # 1-D: s = 1 at any size
+    ([(0, 1)] * 2, 1.0 / 12, True),          # 11^2 unknowns, s = 11
+    ([(0, 1)] * 2, 1.0 / 14, False),         # 13^2, s = 13
+    ([(-1, 1)] * 3, 0.5, True),              # 3^3, s = 9
+    ([(-1, 1)] * 3, 0.25, False),            # 7^3, s = 49
+], ids=["1d", "2d-small", "2d-large", "3d-small", "3d-large"])
+def test_shifted_and_eigen_solves_take_the_same_path(monkeypatch, box, h, factored):
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", 12)
+    g = build_grid(box, h)
+    K = assemble_stiffness(euclidean(g.n), g)
+    assert factor_pays(g) is factored
+    shifted = ShiftedSolver(K, 1.0)
+    shifted.solve(np.ones(g.n_interior))
+    calls = _count_splu(monkeypatch)
+    eig = principal_eigenpair(K, None, mass_matrix(g), pairs=1)  # one level: no coarse start
+    assert (shifted.lu is not None) is (len(calls) == 1) is (eig.cg_iterations == 0) is factored
+
+
+@pytest.mark.parametrize("mask, storage", [
+    (None, "dia"),
+    (lambda pts: np.sum(pts**2, axis=1) <= 9.0, "csr"),
+], ids=["box", "ball"])
+def test_cg_on_the_diagonal_copy_is_bit_identical_to_csr(monkeypatch, mask, storage):
+    # a DIA matrix with ascending offsets sums each row in the order of a
+    # CSR matrix with sorted indices; a ball's scattered stencil stays CSR
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
+    g = build_grid([(-4, 4)] * 3, 0.5)
+    if mask is not None:
+        g = mask_domain(g, mask)
+    K = assemble_stiffness(heisenberg(), g)
+    assert K.mat.has_sorted_indices
+    rhs = np.random.default_rng(5).standard_normal(g.n_interior)
+
+    def solves():
+        solver = ShiftedSolver(K, 2.0, 0.4)
+        xs = [solver.solve_interior(rhs).copy()]
+        solver.set_shift(0.5)
+        xs.append(solver.solve_interior(rhs).copy())
+        return solver, xs
+
+    copy, xs = solves()
+    assert copy.A.format == storage and copy.A.dtype == np.float64
+    monkeypatch.setattr(sm, "shifted_copy",
+                        lambda A, sigma, dtype: A - sigma * sp.identity(A.shape[0], format="csr"))
+    csr, ys = solves()
+    assert csr.A.format == "csr"
+    assert all(np.array_equal(x, y) for x, y in zip(xs, ys))
+    assert copy.cg_iterations == csr.cg_iterations > 0
 
 
 def test_monotone_zero_problem_instant():
@@ -502,11 +571,11 @@ def test_poisson_sign_mirror():
     assert np.abs((up.values - 0.4) + (um.values - 0.4)).max() < 1e-9
 
 
-@pytest.mark.parametrize("direct_max", [DIRECT_MAX_NNZ, -1], ids=["direct", "cg"])
+@pytest.mark.parametrize("direct_max", [DIRECT_MAX_SEPARATOR, -1], ids=["direct", "cg"])
 def test_upper_barrier_is_two_eps_minus_the_lower(monkeypatch, direct_max):
     # W = 2 eps - V against a solve of K W = C M f with trace eps of its own,
     # on a box and on a disk with exterior nodes
-    monkeypatch.setattr(sm, "DIRECT_MAX_NNZ", direct_max)
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", direct_max)
     box = build_grid([(-1, 1), (-1, 1)], 1.0 / 16)
     for g, family in ((yamabe_setup()[0], heisenberg()),
                       (mask_domain(box, lambda pts: (pts**2).sum(axis=1) < 0.8), euclidean(2))):

@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 import sublap.eigen as eigen
+import sublap.operators as operators
 import sublap.semilinear as semilinear
 from sublap.fields import euclidean
 from sublap.mesh import build_grid
@@ -45,8 +46,7 @@ def test_semilinear_and_eigen_call_cg_through_the_scipy_module(monkeypatch):
         return cg(*args, **kwargs)
 
     monkeypatch.setattr(spla, "cg", counted)
-    monkeypatch.setattr(semilinear, "DIRECT_MAX_NNZ", -1)
-    monkeypatch.setattr(eigen, "DIRECT_MAX_NNZ", -1)
+    monkeypatch.setattr(operators, "DIRECT_MAX_SEPARATOR", -1)
     g = build_grid([(0, 1), (0, 1)], 0.125)
     K = assemble_stiffness(euclidean(2), g)
     semilinear.ShiftedSolver(K, 1.0).solve(np.ones(g.n_interior))
