@@ -86,23 +86,24 @@ def _m_normalized(u, mdiag):
 def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
     """Smallest eigenvalue of (K - V) u = lam M u, M diagonal positive.
 
-    `Vdiag` (or None) and `M` are the diagonals of V and M as 1-D arrays
-    over the interior nodes (`assemble_diagonal`, `mass_matrix`).  The
+    `Vdiag` (None for V = 0) and `M` are the diagonals of V and M as 1-D
+    arrays over the interior nodes (`assemble_diagonal`, `mass_matrix`).  The
     pencil A = M^{-1/2} (K - V) M^{-1/2} is built in one entrywise step:
     each stored k_ij of K is multiplied by s_i s_j with s = M^{-1/2}, on
     K's own pattern, and V/M is taken off the diagonal.  Floating-point
-    products commute, so A is exactly as symmetric as K (SparseOperator
-    checks K to SYMMETRY_TOL).  The `pairs` (1 or 2) lowest eigenpairs of
-    A come from one solver call at a shift sigma below the spectrum: a
-    dense `eigh` when n < DENSE_MAX_N, ARPACK in shift-invert mode on one
-    factorization of A - sigma I on grids that `operators.factor_pays`
-    factors (the same rule as the shifted solves), and LOBPCG
-    preconditioned by a few CG steps on A - sigma I on the others.
-    `iterations` counts the shift-invert applications on the direct path
-    and the LOBPCG steps on the other, and `cg_iterations` the CG steps of the
-    LOBPCG preconditioner (0 on the other paths); `degenerate` compares the
-    second eigenvalue with lam, and is None when pairs=1.  `vectors` has
-    `pairs` columns (one when n = 1).
+    products commute, so A is exactly as symmetric as K (every
+    SparseOperator on interior rows is checked to SYMMETRY_TOL).  The
+    `pairs` (1 or 2) lowest eigenpairs of A come from one solver call at a
+    shift sigma below the spectrum: a dense `eigh` when n < DENSE_MAX_N,
+    ARPACK in shift-invert mode on one `factor_spd` factorization of
+    A - sigma I on grids that `operators.factor_pays` factors (the same
+    rule as the shifted solves), and LOBPCG preconditioned by a few CG
+    steps on A - sigma I on the others.  `iterations` counts the
+    shift-invert applications (the factor's `calls`) on the direct path
+    and the LOBPCG steps on the other, and `cg_iterations` the CG steps of
+    the LOBPCG preconditioner (0 on the other paths); `degenerate` compares
+    the second eigenvalue with lam, and is None when pairs=1.  `vectors`
+    has `pairs` columns (one when n = 1).
 
     The preconditioner scales b to unit norm and runs CG to rtol 0.1 (at
     most 50 steps) in float32, on the copy of A - sigma I that
@@ -147,31 +148,31 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
                               or start.vectors.shape[1] < pairs):
         raise ValueError(f"start must be a principal_eigenpair result on the same grid "
                          f"with at least {pairs} vectors")
-    return _principal(K, Vdiag, M, tol, start, pairs)
+    return _principal(grid, K.mat, np.zeros(grid.n_interior) if Vdiag is None else Vdiag, M,
+                      tol, start, pairs)
 
 
 def _start_noise(shape):
     return np.random.default_rng(0x5EC).standard_normal(shape)
 
 
-def _coarse_start(K, Vdiag, mdiag, tol):
+def _coarse_start(grid, K, vdiag, mdiag, tol):
     """Two-column LOBPCG start block for a cold solve, and the coarse levels' step count.
 
     The block is the two lowest eigenvectors of the pencil on the 2h grid,
     prolonged and put in the coordinates M^{1/2} u of A; (None, 0) when
     there is no 2h grid or it has fewer than two unknowns.
     """
-    level = coarse_grid(K.grid)
+    level = coarse_grid(grid)
     if level is None or level[0].n_interior < 2:
         return None, 0
     grid_c, P = level
     weight = P @ np.ones(grid_c.n_interior)
-    Kc = (P.T @ K.mat @ P).tocsr()
-    Kc = SparseOperator(grid=grid_c, mat=(Kc + Kc.T) * 0.5, symmetric=True)
+    Kc = (P.T @ K @ P).tocsr()
     # V_c and M_c: the row sums of P^T diag(d) P
-    Vc = None if Vdiag is None else P.T @ (Vdiag * weight)
     try:
-        coarse = _principal(Kc, Vc, P.T @ (mdiag * weight), COARSE_TOL_FACTOR * tol, None, 2)
+        coarse = _principal(grid_c, ((Kc + Kc.T) * 0.5).tocsr(), P.T @ (vdiag * weight),
+                            P.T @ (mdiag * weight), COARSE_TOL_FACTOR * tol, None, 2)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"coarse start on the 2h grid ({grid_c.n_interior} unknowns): {exc}",
@@ -188,18 +189,15 @@ def _coarse_start(K, Vdiag, mdiag, tol):
     return X, coarse.iterations + coarse.coarse_iterations
 
 
-def _principal(K, Vdiag, mdiag, tol, start, pairs):
-    """principal_eigenpair on validated arguments; the coarse levels recurse here."""
-    grid = K.grid
+def _principal(grid, K, vdiag, mdiag, tol, start, pairs):
+    """principal_eigenpair on validated arguments, K in CSR; the coarse levels recurse here."""
     if np.any(mdiag <= 0):
         raise ValueError("M must have a positive diagonal")
     # A = M^{-1/2} (K - V) M^{-1/2}: k_ij s_i s_j on K's pattern, as symmetric as K
     s = 1.0 / np.sqrt(mdiag)
-    data = np.repeat(s, np.diff(K.mat.indptr)) * s[K.mat.indices]
-    data *= K.mat.data
-    A = sp.csr_matrix((data, K.mat.indices, K.mat.indptr), shape=K.shape)
-    if Vdiag is not None:
-        A = A - sp.diags(Vdiag / mdiag)
+    data = np.repeat(s, np.diff(K.indptr)) * s[K.indices]
+    data *= K.data
+    A = sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape) - sp.diags(vdiag / mdiag)
     n = A.shape[0]
     iterations = coarse_iterations = cg_iterations = 0
     if n < DENSE_MAX_N:
@@ -210,21 +208,12 @@ def _principal(K, Vdiag, mdiag, tol, start, pairs):
         # the start block in the coordinates M^{1/2} u of A
         X0 = None if start is None else np.sqrt(mdiag)[:, None] * start.vectors[:, :pairs]
         # K is PSD, so eig(A) >= -max(V/M); shift safely below the spectrum.
-        lower = 0.0
-        if Vdiag is not None:
-            lower = -max(float((Vdiag / mdiag).max()), 0.0)
+        lower = -max(float((vdiag / mdiag).max()), 0.0)
         anorm = max(float(abs(A).sum(axis=1).max()), 1e-300)
         sigma = lower - 1e-3 * anorm - 1.0
         if factor_pays(grid):
             path, unit = "shift-invert ARPACK", "operator applications"
-            lu = factor_spd(A - sigma * sp.identity(n, format="csr"))
-
-            def solve(b):
-                nonlocal iterations
-                iterations += 1
-                return lu.solve(b)
-
-            OPinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+            OPinv = factor_spd(A - sigma * sp.identity(n, format="csr"))
             # ARPACK stops at ||OPinv y - theta y|| <= tol_a |theta|, which gives
             # ||A y - lam y|| <= ||A - sigma|| tol_a <= (||A||_inf - sigma) tol_a:
             # the same 2x margin on the final check as LOBPCG's stop
@@ -235,9 +224,10 @@ def _principal(K, Vdiag, mdiag, tol, start, pairs):
                                      tol=0.5 * tol / (mdiag.max() * (anorm - sigma)))
             except spla.ArpackNoConvergence as exc:
                 raise ConvergenceError(
-                    f"principal eigensolve ({path}) did not converge after {iterations} {unit}",
-                    iterations=iterations,
+                    f"principal eigensolve ({path}) did not converge after {OPinv.calls} {unit}",
+                    iterations=OPinv.calls,
                 ) from exc
+            iterations = OPinv.calls
         else:
             path, unit = "LOBPCG", "iterations"
             A32 = shifted_copy(A, sigma, np.float32)
@@ -256,7 +246,7 @@ def _principal(K, Vdiag, mdiag, tol, start, pairs):
 
             X = X0
             if X is None and pairs == 2:
-                X, coarse_iterations = _coarse_start(K, Vdiag, mdiag, tol)
+                X, coarse_iterations = _coarse_start(grid, K, vdiag, mdiag, tol)
             if X is None:
                 X = np.column_stack([np.ones(n), _start_noise((n, 1))])[:, :pairs]
             with warnings.catch_warnings():
@@ -273,9 +263,8 @@ def _principal(K, Vdiag, mdiag, tol, start, pairs):
     lam = float(lams[0])
     u_int = _m_normalized(Y[:, 0] / np.sqrt(mdiag), mdiag)
     vectors = np.column_stack([u_int, Y[:, 1:] / np.sqrt(mdiag)[:, None]])
-    res_vec = K.mat @ u_int - lam * (mdiag * u_int)
-    if Vdiag is not None:
-        res_vec -= Vdiag * u_int
+    res_vec = K @ u_int - lam * (mdiag * u_int)
+    res_vec -= vdiag * u_int
     residual = float(np.linalg.norm(res_vec) / np.linalg.norm(u_int))
     if not residual <= tol:
         raise ConvergenceError(
@@ -307,7 +296,8 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
     with K-inverse applications from one `factor_spd` LU of K (SPD); `gdiag`
     is the weight's diagonal, h^n g on the interior nodes
     (`assemble_diagonal`).  Errors out when g <= 0 everywhere.
-    `iterations` counts the K-solves.  `degenerate` is None: the second eigenvalue is not computed.
+    `iterations` counts the K-solves (the factor's `calls`).  `degenerate`
+    is None: the second eigenvalue is not computed.
     """
     grid = K.grid
     if gdiag.max() <= 0.0:
@@ -317,23 +307,17 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
     if n == 1:  # ARPACK needs k < n
         mu, w = gdiag[0] / K.mat[0, 0], np.ones(1)
     else:
-        factor = factor_spd(K.mat)
-
-        def solve(b):
-            nonlocal solves
-            solves += 1
-            return factor.solve(b)
-
-        Kinv = spla.LinearOperator((n, n), matvec=solve, dtype=float)
+        Kinv = factor_spd(K.mat)
         try:
             mu, w = spla.eigsh(sp.diags(gdiag, format="csr"), k=1, M=K.mat, Minv=Kinv,
                                which="LA", v0=np.ones(n))
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(
-                f"weighted eigensolve: ARPACK did not converge after {solves} K-solves",
-                iterations=solves,
+                f"weighted eigensolve: ARPACK did not converge after {Kinv.calls} K-solves",
+                iterations=Kinv.calls,
             ) from exc
         mu, w = mu[0], w[:, 0]
+        solves = Kinv.calls
     lam = 1.0 / float(mu)
     u = _m_normalized(w, mass_matrix(grid))
     residual = float(np.linalg.norm(K.mat @ u - lam * (gdiag * u)) / np.linalg.norm(u))
@@ -377,7 +361,7 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     res = None
     for eps in eps_list:
         mat = (K.mat + eps * K_euc.mat).tocsr() if eps else K.mat
-        Keps = SparseOperator(grid=grid, mat=mat, symmetric=True)
+        Keps = SparseOperator(grid=grid, mat=mat)
         try:
             res = principal_eigenpair(Keps, Vdiag, M, tol=tol, start=res, pairs=1)
         except ConvergenceError as exc:

@@ -118,7 +118,7 @@ class ShiftedSolver:
 
     The boundary lift is built once, and A = K + c h^n I once per shift
     (`set_shift`).  On grids that `operators.factor_pays` factors, A is
-    factored by `splu` and every solve is a pair of triangular solves.
+    factored (`factor_spd`) and every solve is a pair of triangular solves.
     Other systems run CG preconditioned by diag(A)^{-1} (Jacobi), because
     the fill of the factors, and with it the time and memory of factoring,
     outgrows what CG saves.  There A is the float64 copy that
@@ -128,9 +128,9 @@ class ShiftedSolver:
     exact solution when c = 0 and the source is zero; K annihilates
     constants); later solves warm-start from the previous solution,
     across a change of shift too.  CG stops on scipy's
-    recursive residual, so the true residual is taken after it, and CG
-    resumes once from its answer when the recursive residual met the
-    module's TOL_LIN but the true one did not.  Either way a solution is
+    recursive residual, so CG resumes once from its answer when the
+    recursive residual met the module's TOL_LIN but the true one did not.
+    On either path the true residual is then checked once: a solution is
     returned only when ||A x - b|| <= TOL_LIN ||b||.
     `shifts` lists the shift of each A in order (one factorization each on
     the direct path), and `cg_iterations` counts the CG steps of every
@@ -173,12 +173,6 @@ class ShiftedSolver:
                        maxiter=max(4 * self.grid.n_interior, 400), M=self.jacobi,
                        callback=self._count_cg)
 
-    def _fail(self, path, rel, steps_before):
-        raise RuntimeError(
-            f"{path} linear solve at shift {self.shifts[-1]!r}: relative residual {rel:.3e} "
-            f"above tol {TOL_LIN:.3e} after {self.cg_iterations - steps_before} CG steps"
-        )
-
     def solve_interior(self, rhs):
         """Interior values of the solution u of (K + cM) u = M rhs with trace `bvec`.
 
@@ -187,22 +181,24 @@ class ShiftedSolver:
         """
         b = self.weight * rhs - self.lift
         nb = np.linalg.norm(b)
-        steps = self.cg_iterations
         if nb == 0.0:
-            x = np.zeros(self.grid.n_interior)
-        elif self.lu is not None:
-            x = self.lu.solve(b)
+            self.x = np.zeros(self.grid.n_interior)
+            return self.x
+        steps = self.cg_iterations
+        x, info = (self.lu.solve(b), 0) if self.lu is not None else self._cg(b, self.x)
+        # CG resumes once from its answer when its recursive residual met
+        # TOL_LIN (info 0) but the true one did not
+        for resume in (self.lu is None and info == 0, False):
             rel = float(np.linalg.norm(self.A @ x - b) / nb)
-            if not rel <= TOL_LIN:
-                self._fail("direct", rel, steps)
-        else:
-            x, info = self._cg(b, self.x)
-            rel = float(np.linalg.norm(self.A @ x - b) / nb)
-            if info == 0 and not rel <= TOL_LIN:
-                x, info = self._cg(b, x)
-                rel = float(np.linalg.norm(self.A @ x - b) / nb)
-            if not rel <= TOL_LIN:
-                self._fail(f"CG (info={info})", rel, steps)
+            if rel <= TOL_LIN or not resume:
+                break
+            x, info = self._cg(b, x)
+        if not rel <= TOL_LIN:
+            path = "direct" if self.lu is not None else f"CG (info={info})"
+            raise RuntimeError(
+                f"{path} linear solve at shift {self.shifts[-1]!r}: relative residual {rel:.3e} "
+                f"above tol {TOL_LIN:.3e} after {self.cg_iterations - steps} CG steps"
+            )
         self.x = x
         return x
 

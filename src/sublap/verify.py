@@ -275,17 +275,22 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
     sign patterns, solves, and checks the bracket, positivity, residual, and
     boundary-trace contracts.  With `stability_box` set, also reruns the
     first passing case on the larger box and reports the max-norm change on
-    the inner half-box as a truncation diagnostic; with no passing case a
-    note says the rerun was skipped.
+    the inner half-box as a truncation diagnostic; a rerun that does not
+    end with status "ok" adds a failing case instead, and with no passing
+    case a note says the rerun was skipped.
     """
     n = len(box)
     f_fn = as_field_function(f_expr, n)
-    grid = build_grid(box, h)
-    K = assemble_stiffness(family, grid)
-    f = GridField.from_function(grid, f_fn)
+
+    def setup(b):  # grid, K and f on the box b
+        g = build_grid(b, h)
+        return g, assemble_stiffness(family, g), GridField.from_function(g, f_fn)
+
+    grid, K, f = setup(box)
     cases = []
     first_solution = None
     for theta in theta_list:
+        kf, Kf = sm.yamabe_coefficients(f, theta)
         for eps in eps_list:
             cfg = {
                 "suite": "thm_1_4",
@@ -296,7 +301,6 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
                 "eps": eps,
                 "p": p,
             }
-            kf, Kf = sm.yamabe_coefficients(f, theta)
             res = sm.yamabe_solve(K, kf, Kf, p, f, theta, eps, tol=tol)
             if res.status == "bracket-construction-failed":
                 note = "theta too large for box: " + "; ".join(res.notes)
@@ -318,26 +322,27 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
             cases.append(CaseResult(cfg, margin,
                                     f"residual={float(res.residual)!r}, trace_err={trace_err!r}"))
             if first_solution is None and margin > 0.0:
-                first_solution = (theta, eps, u)
+                first_solution = (cfg, u)
     notes = []
     if stability_box is not None and first_solution is None:
         notes.append("stability rerun on stability_box skipped: no case passed")
     elif stability_box is not None:
-        theta, eps, u_small = first_solution
-        big = build_grid(stability_box, h)
-        Kb = assemble_stiffness(family, big)
-        fb = GridField.from_function(big, f_fn)
-        kb, Kb2 = sm.yamabe_coefficients(fb, theta)
-        res_b = sm.yamabe_solve(Kb, kb, Kb2, p, fb, theta, eps, tol=tol)
-        half = [(0.5 * a, 0.5 * b) for a, b in box]
-        lo = np.array([a for a, _ in half])
-        hi = np.array([b for _, b in half])
-        small_pts = u_small.grid.points
-        sel = np.all((small_pts >= lo - 1e-12) & (small_pts <= hi + 1e-12), axis=1)
-        sel &= u_small.grid.mask == 2
-        ids_small = np.flatnonzero(sel)
-        vals_small = u_small.values[ids_small]
-        vals_big = res_b.solution.values[big.nearest_node(small_pts[ids_small])]
-        change = float(np.abs(vals_big - vals_small).max() / max(np.abs(vals_small).max(), 1e-300))
-        notes.append(f"truncation change on inner half-box: {change!r}")
+        cfg, u_small = first_solution
+        theta, eps = cfg["theta"], cfg["eps"]
+        big, Kb, fb = setup(stability_box)
+        res_b = sm.yamabe_solve(Kb, *sm.yamabe_coefficients(fb, theta), p, fb, theta, eps, tol=tol)
+        if res_b.status != "ok":
+            notes.append(f"stability rerun on stability_box ended with status {res_b.status!r}")
+            cfg = {**cfg, "box": [list(map(float, side)) for side in stability_box]}
+            cases.append(CaseResult(cfg, -1.0, "; ".join([f"status={res_b.status}"] + res_b.notes)))
+        else:
+            half = 0.5 * np.array(box, dtype=float)
+            pts = grid.points
+            sel = np.all((pts >= half[:, 0] - 1e-12) & (pts <= half[:, 1] + 1e-12), axis=1)
+            ids_small = np.flatnonzero(sel & (grid.mask == 2))
+            vals_small = u_small.values[ids_small]
+            vals_big = res_b.solution.values[big.nearest_node(pts[ids_small])]
+            change = float(np.abs(vals_big - vals_small).max()
+                           / max(np.abs(vals_small).max(), 1e-300))
+            notes.append(f"truncation change on inner half-box: {change!r}")
     return VerificationReport(theorem="Thm 1.4 (Yamabe-type family)", cases=cases, notes=notes)

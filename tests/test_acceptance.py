@@ -93,7 +93,7 @@ def test_criterion_03_epsilon_path():
     worst = 0.0
     for eps, lam in path9:
         mat = (K9.mat + eps * K9e.mat).tocsr()
-        Keps = SparseOperator(grid=g9, mat=((mat + mat.T) * 0.5).tocsr(), symmetric=True)
+        Keps = SparseOperator(grid=g9, mat=((mat + mat.T) * 0.5).tocsr())
         worst = max(worst, abs(lam - dense_smallest(Keps, M9)))
     assert worst <= 1e-8
     report("3 (epsilon path)",

@@ -217,6 +217,30 @@ def test_cli_byte_determinism(tmp_path):
     assert outs[0] == outs[1]
 
 
+_DISK = {"family": "euclidean(2)", "grid": {"box": [[-1, 1], [-1, 1]], "h": 0.1},
+         "center": [0, 0], "radius": 0.5, "directions": 16, "step_scales": [1]}
+
+
+@pytest.mark.parametrize("argv, payload, key", [
+    (["solve", "yamabe"], {"family": "heisenberg", "grid": {"box": [[-2, 2]] * 3, "h": 0.5},
+                           "f": "exp(-(x**2 + y**2 + t**2))", "theta": 0.05, "eps": 0.4,
+                           "p": 3.0}, "yamabe"),
+    (["probe", "sobolev"], {**_DISK, "q": 4.0, "p": 2.0}, "sobolev"),
+    (["probe", "doubling"], {**{k: v for k, v in _DISK.items() if k != "radius"},
+                             "radii": [0.2, 0.4]}, "doubling"),
+    (["probe", "poincare"], {**_DISK, "corpus_count": 3}, "poincare"),
+], ids=["solve-yamabe", "probe-sobolev", "probe-doubling", "probe-poincare"])
+def test_cli_command_end_to_end_writes_the_same_bytes_twice(tmp_path, argv, payload, key):
+    cfg = write_config(tmp_path, "c.json", payload)
+    outs = []
+    for name in ("o1", "o2"):
+        out = tmp_path / name
+        assert main(["--config", str(cfg), "--out", str(out), "--seed", "3"] + argv) == 0
+        outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert key in json.loads(outs[0]["report.json"])["results"]
+    assert outs[0] == outs[1]
+
+
 def test_cli_ball_indicator_byte_determinism(tmp_path, node_by_node_csv):
     cfg = write_config(tmp_path, "b.json", {
         "family": "heisenberg",

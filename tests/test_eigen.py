@@ -192,6 +192,31 @@ def test_weighted_hard_cases_match_dense_oracle(family, box, h, weight):
     check_weighted_against_dense(family, box, h, weight)
 
 
+def test_factor_spd_counts_solves_and_matvecs_alike():
+    g, K, M = unit_square_setup(1.0 / 8)
+    op = operators_mod.factor_spd(K.mat)
+    b = np.arange(1.0, g.n_interior + 1)
+    x = spla.splu(K.mat.tocsc()).solve(b)
+    assert op.calls == 0 and op.shape == K.shape
+    for y in (op.solve(b), op.matvec(b), op @ b):
+        assert np.allclose(y, x, rtol=1e-12, atol=0.0)
+    assert op.calls == 3
+    assert op.lu.L.nnz + op.lu.U.nnz >= K.mat.nnz  # the factors are held, fill readable
+
+
+@pytest.mark.parametrize("solver", ["principal", "weighted"])
+def test_direct_eigensolve_iterations_are_its_factor_calls(monkeypatch, solver):
+    made = []
+    real = eigen_mod.factor_spd
+    monkeypatch.setattr(eigen_mod, "factor_spd", lambda A: made.append(real(A)) or made[-1])
+    g, K, M = unit_square_setup(1.0 / 8)
+    if solver == "principal":
+        res = principal_eigenpair(K, None, M)
+    else:
+        res = weighted_principal(K, assemble_diagonal(GridField.constant(g, 1.0)))
+    assert len(made) == 1 and res.iterations == made[0].calls > 0
+
+
 def test_weighted_counts_k_solves_and_reports_arpack_failure(monkeypatch):
     g, K, M = unit_square_setup(1.0 / 8)
     G = assemble_diagonal(GridField.constant(g, 1.0))
@@ -267,7 +292,7 @@ def test_epsilon_path_heisenberg_decreasing_with_dense_crosscheck(monkeypatch, m
 
     for (eps, lam) in path:
         mat = (K.mat + eps * K_euc.mat).tocsr()
-        Keps = SparseOperator(grid=g, mat=((mat + mat.T) * 0.5).tocsr(), symmetric=True)
+        Keps = SparseOperator(grid=g, mat=((mat + mat.T) * 0.5).tocsr())
         assert abs(lam - dense_smallest(Keps, None, M)) < 1e-8
 
 
@@ -280,7 +305,7 @@ def heisenberg_eps_operators(h):
 
     def at(eps):
         mat = (K.mat + eps * K_euc.mat).tocsr()
-        return SparseOperator(grid=g, mat=((mat + mat.T) * 0.5).tocsr(), symmetric=True)
+        return SparseOperator(grid=g, mat=((mat + mat.T) * 0.5).tocsr())
     return mass_matrix(g), at
 
 

@@ -107,10 +107,22 @@ def test_symmetric_operator_rejects_an_asymmetry_above_the_tolerance():
     def bumped(rel):  # K with k_01 moved by rel * SYMMETRY_TOL * max |k_ij| (= 4)
         return K + sp.csr_matrix(([rel * SYMMETRY_TOL * abs(K).max()], ([0], [1])), shape=K.shape)
 
-    SparseOperator(grid=g, mat=bumped(0.1), symmetric=True)
-    with pytest.raises(ValueError, match=r"marked symmetric but \|K - K\^T\| = 4e-11$"):
-        SparseOperator(grid=g, mat=bumped(10.0), symmetric=True)
-    SparseOperator(grid=g, mat=bumped(10.0), symmetric=False)
+    SparseOperator(grid=g, mat=bumped(0.1))
+    with pytest.raises(ValueError, match=r"not symmetric: \|K - K\^T\| = 4e-11$"):
+        SparseOperator(grid=g, mat=bumped(10.0))
+
+
+def test_only_first_order_operators_skip_the_symmetry_check():
+    # no flag switches the check off; quadrature rows (row_ids) are not square
+    g = build_grid([(0, 1), (0, 1)], 0.25)
+    K = assemble_stiffness(euclidean(2), g).mat
+    lower = sp.tril(K, format="csr")
+    with pytest.raises(TypeError):
+        SparseOperator(grid=g, mat=lower, symmetric=False)
+    with pytest.raises(ValueError, match="not symmetric"):
+        SparseOperator(grid=g, mat=lower)
+    SparseOperator(grid=g, mat=lower, row_ids=g.interior_ids)
+    assert assemble_first_order(euclidean(2), g, 1).row_ids is not None
 
 
 @st.composite
@@ -131,6 +143,17 @@ def test_stiffness_symmetric_psd_property(fam):
     assert (K != K.T).nnz == 0
     ev = np.linalg.eigvalsh(K.toarray())
     assert ev.min() >= -1e-12 * max(1.0, abs(ev).max())
+
+
+@settings(max_examples=40)
+@given(_polynomial_families(), st.booleans())
+def test_stiffness_is_exactly_symmetric_unsymmetrized_property(fam, ball):
+    # assemble_stiffness forms no (K + K^T)/2: the products give K^T == K bit for bit
+    g = build_grid([(-1, 1)] * fam.n, {1: 0.1, 2: 0.2, 3: 0.25}[fam.n])
+    if ball:
+        g = mask_domain(g, lambda pts: np.sum(pts**2, axis=1) <= 0.8)
+    K = assemble_stiffness(fam, g).mat
+    assert (K != K.T).nnz == 0
 
 
 def test_stiffness_annihilates_constants():

@@ -135,6 +135,34 @@ def test_thm_1_4_notes_a_skipped_stability_rerun():
     assert rep.notes == ["stability rerun on stability_box skipped: no case passed"]
 
 
+@pytest.mark.parametrize("status", ["no-convergence", "bracket-construction-failed"])
+def test_thm_1_4_fails_an_unconverged_stability_rerun_without_a_truncation_note(monkeypatch,
+                                                                              status):
+    # a rerun that did not converge has no truncation figure to report
+    import sublap.semilinear as sm
+
+    real = sm.yamabe_solve
+    rerun = []
+
+    def solve(K, *args, **kwargs):
+        res = real(K, *args, **kwargs)
+        if K.grid.n_interior > 343:  # the stability box, not the (-2, 2)^3 cases
+            rerun.append(res)
+            res.status = status
+        return res
+
+    monkeypatch.setattr(sm, "yamabe_solve", solve)
+    rep = verify_thm_1_4(
+        heisenberg(), [(-2, 2)] * 3, 0.5, "exp(-(x**2 + y**2 + t**2))",
+        [0.05], [0.4], 3.0, stability_box=[(-4, 4)] * 3,
+    )
+    assert len(rerun) == 1 and rep.total == 2 and not rep.passed
+    assert rep.cases[0].passed and not rep.cases[1].passed
+    assert not any("truncation" in note for note in rep.notes)
+    assert rep.notes == [f"stability rerun on stability_box ended with status {status!r}"]
+    assert rep.cases[1].config["box"] == [[-4.0, 4.0]] * 3
+
+
 def test_thm_1_2_notes_a_short_count_and_reraises_other_mask_errors(monkeypatch):
     # no random subbox of (-1, 1)^3 at h = 0.5 has 4 interior nodes
     import sublap.verify as verify_mod
