@@ -321,8 +321,9 @@ class Command:
 
     `required` is a space-separated key list; `optional` maps each
     optional key to its default, or to None for a key with none; a given
-    value must be of its default's kind (`_kind`), where an integer counts
-    as a number.  A config gives at most one of the two `exclusive` keys,
+    value must be of its default's kind (`_kind`), or of the kind `_KINDS`
+    names for a key with no default, where an integer counts as a number.
+    A config gives at most one of the two `exclusive` keys,
     and a default is filled (and so echoed) unless its key or the key it
     excludes is given.
     """
@@ -372,16 +373,24 @@ COMMANDS = {
                              {"stability_box": None, "tol": 1e-8}),
 }
 
+# the kind of every config key that has no default
+_KINDS = {**dict.fromkeys(("family", "a", "b", "f", "g", "g_plus", "u_expr", "weight",
+                           "k_pattern", "K_pattern"), "string"),
+          **dict.fromkeys(("p", "q", "h", "mu", "theta", "eps", "radius"), "number"),
+          **dict.fromkeys(("x", "y", "center", "radii", "box", "boxes", "stability_box",
+                           "eps_list", "theta_list", "lam_fractions", "mu_factors"), "list"),
+          "grid": "object"}
+
 _GROUP_HELP = {"fields": "vector field family inspection", "solve": "semilinear solvers",
                "probe": "measure/inequality probes", "verify": "theorem verification suites"}
 
 
 def _kind(value):
-    """The JSON kind of a config value: boolean, integer, number, list or string."""
+    """The JSON kind of a config value: boolean, integer, number, list, string or object."""
     if isinstance(value, bool):
         return "boolean"
     for kind, types in (("integer", int), ("number", float), ("list", (list, tuple)),
-                        ("string", str)):
+                        ("string", str), ("object", dict)):
         if isinstance(value, types):
             return kind
     return type(value).__name__
@@ -408,18 +417,16 @@ def validate_config(command, raw):
     given = keys & set(spec.exclusive)
     if len(given) > 1:
         raise ConfigError(f"config keys {sorted(given)} exclude each other for {command}")
-    for key, default in spec.optional.items():
-        if default is None or key not in params:
-            continue
-        kind, want = _kind(params[key]), _kind(default)
+    for key, value in params.items():
+        default = spec.optional.get(key)
+        kind, want = _kind(value), _KINDS[key] if default is None else _kind(default)
         if kind != want and (kind, want) != ("integer", "number"):
             raise ConfigError(f"config key {key!r} for {command} takes {want} values, "
-                              f"got {params[key]!r}")
+                              f"got {value!r}")
     taken = (keys | set(spec.exclusive)) if given else keys
     params.update((key, default) for key, default in spec.optional.items()
                   if default is not None and key not in taken)
-    gspec = params.get("grid")
-    if gspec is not None and (not isinstance(gspec, dict) or set(gspec) != {"box", "h"}):
+    if "grid" in params and set(params["grid"]) != {"box", "h"}:
         raise ConfigError("grid spec must be {'box': [[lo, hi], ...], 'h': float}")
     return params
 

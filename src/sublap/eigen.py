@@ -213,7 +213,7 @@ def _principal(grid, K, vdiag, mdiag, tol, start, pairs):
         sigma = lower - 1e-3 * anorm - 1.0
         if factor_pays(grid):
             path, unit = "shift-invert ARPACK", "operator applications"
-            OPinv = factor_spd(A - sigma * sp.identity(n, format="csr"))
+            OPinv = factor_spd(shifted_copy(A, sigma, np.float64))
             # ARPACK stops at ||OPinv y - theta y|| <= tol_a |theta|, which gives
             # ||A y - lam y|| <= ||A - sigma|| tol_a <= (||A||_inf - sigma) tol_a:
             # the same 2x margin on the final check as LOBPCG's stop

@@ -108,15 +108,21 @@ def factor_pays(grid):
 def shifted_copy(A, sigma, dtype):
     """A copy of A - sigma I in `dtype`, stored by diagonals where that is compact.
 
-    Stored by diagonals (DIA), offsets ascending, when that band, n entries
-    per diagonal, is at most 2 nnz(A): a 3-D box or sub-box grid has 11
-    diagonals, a band of 1.05-1.2 nnz.  A mask whose interior numbering
-    scatters the stencil (a ball of radius 0.9 at h = 1/16: 645 diagonals,
-    a band of 64 nnz) stays in CSR.  Built from the CSR matrix A, with the
-    shifted diagonal computed in float64, so no float64 copy of A - sigma I
-    is made on the way to a float32 one.  When A has sorted indices, both
-    formats sum each row of a matvec in column order, so a float64 copy
-    gives products bit-identical to those of the CSR A - sigma I.  On
+    `sigma` is a scalar or a vector over the rows (A - diag(sigma)).  Every
+    system that is factored (`factor_spd`) or iterated on (CG) is built
+    here: the shifted solves, shift-invert ARPACK, the exhaustion solves
+    and LOBPCG's float32 preconditioner.  Stored by diagonals (DIA),
+    offsets ascending, when that band, n entries per diagonal, is at most
+    2 nnz(A): a 3-D box or sub-box grid has 11 diagonals, a band of
+    1.05-1.2 nnz.  A mask whose interior numbering scatters the stencil (a
+    ball of radius 0.9 at h = 1/16: 645 diagonals, a band of 64 nnz) stays
+    in CSR.  Built from the CSR matrix A, with the shifted diagonal
+    computed in float64, so no float64 copy of A - sigma I is made on the
+    way to a float32 one.  The band's zero fill is dropped when a copy is
+    converted for factoring, so SuperLU factors the matrix the CSR
+    A - sigma I holds.  When A has sorted indices, both formats sum each
+    row of a matvec in column order, so a float64 copy gives products
+    bit-identical to those of the CSR A - sigma I.  On
     Heisenberg (-1, 1)^3 at h = 1/16 (29,791 unknowns, one core), a matvec
     took 0.28-0.39 ms in float64 CSR, 0.22-0.26 ms in float64 DIA and
     0.10-0.13 ms in float32 DIA.

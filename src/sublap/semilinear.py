@@ -40,8 +40,9 @@ class SemilinearProblem:
     """H u = F(u) with constant Dirichlet data and a bound for the monotone shift.
 
     `reaction` maps the interior values (n_interior,) to F(u) there.
-    `shift_bound`, a callable (lo, hi) -> c, gives the shift for iterates
-    with values in [lo, hi]; it must meet c + dF/du >= 0 there.
+    `shift_bound`, a callable (lo, hi) -> c, gives the shift, a float, for
+    iterates with values in [lo, hi]; it must meet c + dF/du >= 0 there.
+    `logistic_problem` and `yamabe_problem` build both for their equations.
     `boundary_value` is the one Dirichlet value of every boundary node.
     `validate_shift` spot-checks a shift by sampled difference quotients.
     """
@@ -54,10 +55,6 @@ class SemilinearProblem:
     @property
     def grid(self):
         return self.K.grid
-
-    def shift(self, lo, hi):
-        """The monotone shift c for iterates with values in [lo, hi]."""
-        return float(self.shift_bound(lo, hi))
 
     def validate_shift(self, c, lo, hi):
         """Sampled check that c + dF/du >= 0 on [lo, hi]; returns the largest -dF/du seen.
@@ -117,13 +114,13 @@ class ShiftedSolver:
     """Solves (K + c M) u = M rhs with one Dirichlet value on the boundary, many times.
 
     The boundary lift is built once, and A = K + c h^n I once per shift
-    (`set_shift`).  On grids that `operators.factor_pays` factors, A is
-    factored (`factor_spd`) and every solve is a pair of triangular solves.
-    Other systems run CG preconditioned by diag(A)^{-1} (Jacobi), because
-    the fill of the factors, and with it the time and memory of factoring,
-    outgrows what CG saves.  There A is the float64 copy that
-    `operators.shifted_copy` stores by diagonals on box grids: its
-    matvecs are bit-identical to those of CSR K + c h^n I, and cheaper.
+    (`set_shift`), as the float64 copy that `operators.shifted_copy` stores
+    by diagonals on box grids: its matvecs are bit-identical to those of
+    CSR K + c h^n I, and cheaper.  On grids that `operators.factor_pays`
+    factors, A is factored (`factor_spd`) and every solve is a pair of
+    triangular solves.  Other systems run CG preconditioned by
+    diag(A)^{-1} (Jacobi), because the fill of the factors, and with it the
+    time and memory of factoring, outgrows what CG saves.
     The first CG solve starts from the boundary value as a constant (the
     exact solution when c = 0 and the source is zero; K annihilates
     constants); later solves warm-start from the previous solution,
@@ -155,13 +152,11 @@ class ShiftedSolver:
         """Solve with A = K + c h^n I from now on: factor it, or take its Jacobi diagonal."""
         if shift_c < 0:
             raise ValueError("shift must be nonnegative")
-        cw = shift_c * self.weight
+        self.A = shifted_copy(self.K.mat, -shift_c * self.weight, np.float64)
         self.lu = self.jacobi = None
         if factor_pays(self.grid):
-            self.A = self.K.mat + cw * sp.identity(self.grid.n_interior, format="csr")
             self.lu = factor_spd(self.A)
         else:
-            self.A = shifted_copy(self.K.mat, -cw, np.float64)
             self.jacobi = sp.diags(1.0 / self.A.diagonal())
         self.shifts.append(float(shift_c))
 
@@ -233,7 +228,7 @@ def check_sub_super(problem, u, sign):
 def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
     """Descend from the supersolution; iterates stay in [lower, upper].
 
-    The shift starts at problem.shift(lo, hi) on [min lower, max upper].
+    The shift starts at problem.shift_bound(lo, hi) on [min lower, max upper].
     After each step it is re-derived on [min lower, max u_k] while it is
     positive, and the solver takes the new shift only when it is at most
     half the current one, so a shift level costs one factorization.  Each
@@ -253,7 +248,7 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     if np.any(lower.values[active] > upper.values[active] + 1e-14):
         raise ValueError("bracket violated: lower > upper somewhere")
     lo, hi = float(lower.values[active].min()), float(upper.values[active].max())
-    c = problem.shift(lo, hi)
+    c = problem.shift_bound(lo, hi)
     problem.validate_shift(c, lo, hi)
     notes = []
     ok_sub, v_sub, n_sub = check_sub_super(problem, lower, +1)
@@ -316,7 +311,7 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
             break
         if c > 0.0:
             hi = max(float(ui.max()), bvec_max)
-            c_next = problem.shift(lo, hi)
+            c_next = problem.shift_bound(lo, hi)
             if c_next <= 0.5 * c:
                 problem.validate_shift(c_next, lo, hi)
                 c = c_next
@@ -340,39 +335,26 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     )
 
 
-def logistic_reaction(a, b, mu, p):
-    """F(u) = mu * u * (a - b |u|^{p-1}) on the interior values, a and b bound in."""
-    grid = a.grid
-    a_int = a.values[grid.interior_ids]
-    b_int = b.values[grid.interior_ids]
+def logistic_problem(K, a, b, mu, p):
+    """H u = mu u (a - b |u|^{p-1}), u = 0 on the boundary, shifted on each bracket.
 
-    def F(u):
+    F(u) = mu u (a - b |u|^{p-1}).  The shift on [lo, hi] is the sup of
+    -dF/du = mu (p b |u|^{p-1} - a) there, at least 0 (mu >= 0): it grows
+    with |u|, so the sup is mu max(0, max(p b m^{p-1} - a)) with
+    m = max(|lo|, |hi|).
+    """
+    a_int = a.values[K.grid.interior_ids]
+    b_int = b.values[K.grid.interior_ids]
+    pb_int = p * b_int
+
+    def reaction(u):
         return mu * u * (a_int - b_int * np.abs(u) ** (p - 1.0))
 
-    return F
-
-
-def logistic_shift(a, b, mu, p):
-    """(lo, hi) -> sup of -dF/du over [lo, hi], at least 0, for the logistic F (mu >= 0).
-
-    -dF/du = mu (p b |u|^{p-1} - a) grows with |u|, so the sup is
-    mu max(0, max(p b m^{p-1} - a)) with m = max(|lo|, |hi|).
-    """
-    grid = a.grid
-    a_int = a.values[grid.interior_ids]
-    pb_int = p * b.values[grid.interior_ids]
-
-    def shift(lo, hi):
+    def shift_bound(lo, hi):
         m = max(abs(lo), abs(hi))
         return mu * max(0.0, float((pb_int * m ** (p - 1.0) - a_int).max()))
 
-    return shift
-
-
-def logistic_problem(K, a, b, mu, p):
-    """H u = mu u (a - b |u|^{p-1}), u = 0 on the boundary, shifted on each bracket."""
-    return SemilinearProblem(K=K, reaction=logistic_reaction(a, b, mu, p),
-                             shift_bound=logistic_shift(a, b, mu, p))
+    return SemilinearProblem(K=K, reaction=reaction, shift_bound=shift_bound)
 
 
 def logistic_solve(K, a, b, mu, p, eig, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
@@ -458,31 +440,24 @@ def barriers(K, f, C, eps):
     return GridField.from_interior(g, vi, eps), GridField.from_interior(g, 2.0 * eps - vi, eps), worst
 
 
-def yamabe_reaction(kfield, Kfield, p):
-    """F(u) = Kcap |u|^{p-1} u - k u on the interior values (so H u = F is the equation)."""
-    grid = kfield.grid
-    k_int = kfield.values[grid.interior_ids]
-    K_int = Kfield.values[grid.interior_ids]
+def yamabe_problem(K, kfield, Kfield, p, eps):
+    """H u + k u - Kcap |u|^{p-1} u = 0, u = eps on the boundary, shifted on each bracket.
 
-    def F(u):
-        return K_int * np.sign(u) * np.abs(u) ** p - k_int * u
-
-    return F
-
-
-def yamabe_shift(kfield, Kfield, p):
-    """(lo, hi) -> max(|k| + p |Kcap| m^{p-1}), m = max(|lo|, |hi|), for the Yamabe F.
-
+    F(u) = Kcap |u|^{p-1} u - k u, so H u = F is the equation.  The shift
+    on [lo, hi] is max(|k| + p |Kcap| m^{p-1}) with m = max(|lo|, |hi|):
     -dF/du = k - p Kcap |u|^{p-1} is at most |k| + p |Kcap| |u|^{p-1}.
     """
-    grid = kfield.grid
-    k_abs = np.abs(kfield.values[grid.interior_ids])
-    pK_abs = p * np.abs(Kfield.values[grid.interior_ids])
+    k_int = kfield.values[K.grid.interior_ids]
+    K_int = Kfield.values[K.grid.interior_ids]
+    k_abs, pK_abs = np.abs(k_int), p * np.abs(K_int)
 
-    def shift(lo, hi):
+    def reaction(u):
+        return K_int * np.sign(u) * np.abs(u) ** p - k_int * u
+
+    def shift_bound(lo, hi):
         return float((pK_abs * max(abs(lo), abs(hi)) ** (p - 1.0) + k_abs).max())
 
-    return shift
+    return SemilinearProblem(K=K, reaction=reaction, shift_bound=shift_bound, boundary_value=eps)
 
 
 def yamabe_coefficients(f, theta, k_pattern="cos(x0 + x1)", K_pattern="sin(x0 - x1 + 0.3)"):
@@ -525,9 +500,7 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
             notes=[f"barrier bounds 0 < V <= eps, eps <= W < 1 violated by {worst:.3e}: "
                    "C too large for this box/f"],
         )
-    problem = SemilinearProblem(K=K, reaction=yamabe_reaction(kfield, Kfield, p),
-                                shift_bound=yamabe_shift(kfield, Kfield, p), boundary_value=eps)
-    return monotone_iterate(problem, V, W, tol=tol)
+    return monotone_iterate(yamabe_problem(K, kfield, Kfield, p, eps), V, W, tol=tol)
 
 
 @dataclass(eq=False)
@@ -598,7 +571,7 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
     notes = []
     for k, box in enumerate(boxes, start=1):
         grid, origin_id, rhs, bvec = box.grid, box.origin_id, box.rhs, box.bvec
-        A = box.K.mat - sp.diags(lam * box.G)
+        A = shifted_copy(box.K.mat, lam * box.G, np.float64)
         try:
             x = factor_spd(A).solve(rhs)
         except RuntimeError:  # an exactly singular factor

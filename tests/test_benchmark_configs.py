@@ -1,29 +1,24 @@
 """The benchmark's command configs, read from perfbench/workloads.py without
-changing it, must pass the CLI's config checks at every size, and a smoke-size
-pass of every workload must pass the benchmark's own output checks."""
+changing it, must pass the CLI's config checks at every size, a smoke-size
+pass of every workload must pass the benchmark's own output checks, and
+tools/bench_outputs.py must write the same output tree twice."""
 
+import importlib.util
 import json
+import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
 
 from sublap.cli import RunConfig, main, validate_config
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _workloads():
-    # executed from its source, so no bytecode cache is written next to it; the
-    # module is registered first because its dataclasses look it up by name
-    module = types.ModuleType("perfbench_workloads")
-    sys.modules[module.__name__] = module
-    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), module.__dict__)
-    return module
-
-
-wl = _workloads()
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_outputs.py"
+_spec = importlib.util.spec_from_file_location("bench_outputs", TOOL)
+bench_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_outputs)
+wl = bench_outputs.load_workloads(ROOT)
 
 
 @pytest.mark.parametrize("workload", wl.WORKLOADS)
@@ -54,3 +49,16 @@ def test_every_smoke_pass_passes_the_benchmark_checks(tmp_path, workload):
         fails, outputs, _, cases_failed = wl.check_command(cmd, code, report, done)
         assert (cmd.name, fails, cases_failed) == (cmd.name, [], 0)
         done[cmd.name] = outputs
+
+
+def test_bench_outputs_writes_one_identical_tree_per_run(tmp_path):
+    trees = []
+    for run in ("a", "b"):
+        subprocess.run([sys.executable, str(TOOL), str(ROOT), str(tmp_path / run),
+                        "--size", "smoke"], check=True, capture_output=True)
+        trees.append({path.relative_to(tmp_path / run): path.read_bytes()
+                      for path in (tmp_path / run).rglob("*") if path.is_file()})
+    assert trees[0] == trees[1]
+    names = {cmd.name for workload in wl.WORKLOADS for cmd in wl.commands(workload, "smoke")}
+    assert {path.parts[0] for path in trees[0]} == names
+    assert all(Path(name, "report.json") in trees[0] for name in names)

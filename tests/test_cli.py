@@ -412,10 +412,12 @@ GRID_2D = {"box": [[0, 1], [0, 1]], "h": 0.25}
 
 
 def minimal_config(command):
-    """Every required key of `command`, with a placeholder where no value is checked."""
+    """Every required key of `command`, with a placeholder of its kind where no value is checked."""
     fixed = {"family": "euclidean(2)", "grid": GRID_2D, "box": GRID_2D["box"],
              "boxes": [GRID_2D["box"]]}
-    return {key: fixed.get(key, "1") for key in cli.COMMANDS[command].required.split()}
+    placeholder = {"string": "1", "number": 1, "list": [1]}
+    return {key: fixed[key] if key in fixed else placeholder[cli._KINDS[key]]
+            for key in cli.COMMANDS[command].required.split()}
 
 
 def test_table_lists_every_command():
@@ -583,4 +585,34 @@ def test_cli_empty_or_zero_count_value_exits_with_a_one_line_error(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "run failed: ")
     assert key in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+LOGISTIC_2D = {"family": "euclidean(2)", "grid": GRID_2D, "a": "1 + 0*x", "b": "1 + 0*x",
+               "p": 2.0}
+YAMABE_HEIS = {"family": "heisenberg", "grid": {"box": [[-2, 2]] * 3, "h": 1.0},
+               "f": "exp(-(x**2 + y**2 + t**2))", "theta": 0.02, "eps": 0.4, "p": 3.0}
+
+
+@pytest.mark.parametrize("argv, payload, key", [
+    (["verify", "prop4_2"], {**NO_CASE_CONFIGS["prop4_2"], "mu_factors": "2"}, "mu_factors"),
+    (["eigen"], {"family": "euclidean(2)", "grid": GRID_2D, "weight": 5}, "weight"),
+    (["solve", "logistic"], {**LOGISTIC_2D, "a": 5}, "a"),
+    (["solve", "logistic"], {**LOGISTIC_2D, "p": "two"}, "p"),
+    (["solve", "logistic"], {**LOGISTIC_2D, "mu": "abc"}, "mu"),
+    (["solve", "yamabe"], {**YAMABE_HEIS, "k_pattern": 7}, "k_pattern"),
+    (["verify", "thm1_3"], {**NO_CASE_CONFIGS["thm1_3"], "lam_fractions": [0.5], "mu": "abc"},
+     "mu"),
+    (["epspath"], {"family": "euclidean(2)", "grid": GRID_2D, "eps_list": 0.5}, "eps_list"),
+    (["ball"], {**BALL_HEIS, "radius": "big"}, "radius"),
+], ids=["prop4_2-mu_factors", "eigen-weight", "logistic-a", "logistic-p", "logistic-mu",
+        "yamabe-k_pattern", "thm1_3-mu", "epspath-eps_list", "ball-radius"])
+def test_cli_key_with_no_default_of_another_kind_exits_2_naming_it(tmp_path, capsys, argv,
+                                                                   payload, key):
+    # each value used to run (a string iterated as a list), end in a
+    # TypeError traceback, or fail the run after it had started
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config key {key!r} for ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()

@@ -243,6 +243,16 @@ def test_weighted_counts_k_solves_and_reports_arpack_failure(monkeypatch):
     assert err.value.iterations == 0
 
 
+def test_weighted_reports_a_residual_above_tol():
+    # ARPACK stops near machine precision, far above a tolerance of 1e-30
+    g, K, M = unit_square_setup(1.0 / 8)
+    with pytest.raises(ConvergenceError, match=r"weighted eigensolve residual .* above tol "
+                                               r"1\.000e-30 after \d+ K-solves") as err:
+        weighted_principal(K, assemble_diagonal(GridField.constant(g, 1.0)), tol=1e-30)
+    assert err.value.residual > 1e-30 and err.value.iterations > 0
+    assert err.value.lam == pytest.approx(weighted_principal(K, M).lam, rel=1e-9)
+
+
 def test_weighted_result_reports_degenerate_null():
     # the pencil solve computes no second eigenvalue
     g, K, M = unit_square_setup(1.0 / 8)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -18,6 +19,7 @@ from sublap.operators import (
     assemble_diagonal,
     assemble_stiffness,
     factor_pays,
+    factor_spd,
     mass_matrix,
 )
 import sublap.semilinear as sm
@@ -31,15 +33,12 @@ from sublap.semilinear import (
     exhaustion_construct,
     linear_solve,
     logistic_problem,
-    logistic_reaction,
-    logistic_shift,
     logistic_solve,
     monotone_iterate,
-    yamabe_reaction,
-    yamabe_shift,
+    yamabe_problem,
     yamabe_solve,
 )
-from sublap.verify import verify_prop_4_2
+from sublap.verify import verify_prop_4_2, verify_thm_1_3
 
 
 def damped_newton_logistic(K, a, b, mu, p, u0, tol=1e-12, max_iter=100):
@@ -228,7 +227,7 @@ def test_monotone_factors_once_below_threshold(monkeypatch):
     assert res.status == "ok" and res.iterations > 10
     assert res.steps_monotone and res.bracket_respected
     assert len(calls) == len(res.shifts) > 1
-    assert res.shifts[0] == problem.shift(0.0, 1.0)
+    assert res.shifts[0] == problem.shift_bound(0.0, 1.0)
     assert all(c <= 0.5 * prev for prev, c in zip(res.shifts, res.shifts[1:]))
     calls.clear()
     c0 = res.shifts[0]
@@ -328,6 +327,27 @@ def test_cg_on_the_diagonal_copy_is_bit_identical_to_csr(monkeypatch, mask, stor
     assert copy.cg_iterations == csr.cg_iterations > 0
 
 
+@pytest.mark.parametrize("mask, storage", [
+    (None, "dia"),
+    (lambda pts: np.sum(pts**2, axis=1) <= 2.25, "csr"),
+], ids=["box", "ball"])
+def test_factored_solve_on_the_shifted_copy_is_bit_identical_to_csr(monkeypatch, mask, storage):
+    # SuperLU receives the same sorted pattern and values from shifted_copy's
+    # K + c h^n I, by diagonals or in CSR, as from the CSR sum
+    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", 10**6)
+    g = build_grid([(-2, 2)] * 3, 0.25)
+    if mask is not None:
+        g = mask_domain(g, mask)
+    K = assemble_stiffness(heisenberg(), g)
+    rhs = np.random.default_rng(5).standard_normal(g.n_interior)
+    solver = ShiftedSolver(K, 2.0, 0.4)
+    assert solver.lu is not None and solver.A.format == storage
+    x = solver.solve_interior(rhs)
+    w = g.h ** g.n
+    A = K.mat + 2.0 * w * sp.identity(g.n_interior, format="csr")
+    assert np.array_equal(x, factor_spd(A).solve(w * rhs - K.boundary @ np.full(g.n_boundary, 0.4)))
+
+
 def test_monotone_zero_problem_instant():
     g = build_grid([(0, 1), (0, 1)], 0.25)
     K = assemble_stiffness(euclidean(2), g)
@@ -359,14 +379,14 @@ def test_monotone_evaluates_reaction_once_per_iterate():
     # F(u) of each iterate is both its residual's reaction and the next
     # step's right-hand side, so each further step costs one evaluation
     g, K, a, b, eig = logistic_setup(h=1.0 / 8)
-    F = logistic_reaction(a, b, 2 * eig.lam, 2.0)
+    logistic = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
     calls = []
 
     def counted(u):
         calls.append(1)
-        return F(u)
+        return logistic.reaction(u)
 
-    c = logistic_shift(a, b, 2 * eig.lam, 2.0)(0.0, 1.0)
+    c = logistic.shift_bound(0.0, 1.0)
     problem = SemilinearProblem(K=K, reaction=counted, shift_bound=lambda lo, hi: c)
     lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
     counts = []
@@ -386,10 +406,10 @@ def test_lipschitz_validation():
     K = assemble_stiffness(euclidean(2), g)
     a = GridField.constant(g, 1.0)
     b = GridField.constant(g, 1.0)
-    F = logistic_reaction(a, b, 10.0, 2.0)
-    good = SemilinearProblem(K=K, reaction=F, shift_bound=lambda lo, hi: 10.0)
-    assert good.shift(0.0, 1.0) == 10.0 == logistic_shift(a, b, 10.0, 2.0)(0.0, 1.0)
-    assert good.validate_shift(good.shift(0.0, 1.0), 0.0, 1.0) <= 10.0 * (1 + 1e-4)
+    logistic = logistic_problem(K, a, b, 10.0, 2.0)
+    good = SemilinearProblem(K=K, reaction=logistic.reaction, shift_bound=lambda lo, hi: 10.0)
+    assert good.shift_bound(0.0, 1.0) == 10.0 == logistic.shift_bound(0.0, 1.0)
+    assert good.validate_shift(good.shift_bound(0.0, 1.0), 0.0, 1.0) <= 10.0 * (1 + 1e-4)
     with pytest.raises(ValueError, match="shift 0.1 below"):
         good.validate_shift(0.1, 0.0, 1.0)
     good.validate_shift(0.0, 0.0, 0.5)  # dF/du >= 0 on [0, 1/2]
@@ -409,11 +429,15 @@ def test_logistic_shift_meets_the_one_sided_bound(p):
     rng = np.random.default_rng(11)
     du = 1e-7
     for hi in (0.3 * flat, 0.99 * flat, 1.01 * flat, 0.8, 1.5, 3.0):
-        c = problem.shift(0.0, hi)
+        c = problem.shift_bound(0.0, hi)
         assert (c == 0.0) == (hi <= flat)
+        # the closed forms written out, bit for bit
+        assert c == 7.0 * max(0.0, float((p * b_int * hi ** (p - 1.0) - a_int).max()))
         for _ in range(20):
             u = rng.uniform(0.0, hi - du, size=pts.shape[0])
-            slope = (problem.reaction(u + du) - problem.reaction(u)) / du
+            F = problem.reaction(u)
+            assert np.array_equal(F, 7.0 * u * (a_int - b_int * np.abs(u) ** (p - 1.0)))
+            slope = (problem.reaction(u + du) - F) / du
             assert (c + slope).min() >= -1e-6
         problem.validate_shift(c, 0.0, hi)
         if hi > flat:  # the quotient at the bracket's top sees half of c fail
@@ -483,14 +507,12 @@ def test_step_one_violation_notes_match_a_full_grid_reference(bvalue, trace, mas
     g = mask_domain(box, lambda pts: (pts**2).sum(axis=1) < 0.8)
     K = assemble_stiffness(euclidean(2), g)
     one = GridField.constant(g, 1.0)
-    problem = SemilinearProblem(K=K, reaction=logistic_reaction(one, one, 40.0, 2.0),
-                                boundary_value=bvalue,
-                                shift_bound=logistic_shift(one, one, 40.0, 2.0))
+    problem = dataclasses.replace(logistic_problem(K, one, one, 40.0, 2.0), boundary_value=bvalue)
     upper = GridField.from_interior(g, np.full(g.n_interior, 0.05), trace)
     lower = GridField.from_interior(g, np.zeros(g.n_interior), min(trace, 0.0))
     res = monotone_iterate(problem, lower, upper, max_iter=1)
     active = g.mask != 0
-    c = problem.shift(lower.values[active].min(), upper.values[active].max())
+    c = problem.shift_bound(lower.values[active].min(), upper.values[active].max())
     ui = upper.values[g.interior_ids]
     u1 = ShiftedSolver(K, c, bvalue).solve(c * ui + problem.reaction(ui))
     rise = (u1.values - upper.values)[active]
@@ -651,25 +673,28 @@ def yamabe_setup(h=0.5, box=2.0, theta=0.05):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_yamabe_shift_meets_the_one_sided_bound(p):
     g, K, f, kf, Kf = yamabe_setup()
-    problem = SemilinearProblem(K=K, reaction=yamabe_reaction(kf, Kf, p),
-                                shift_bound=yamabe_shift(kf, Kf, p), boundary_value=0.4)
+    problem = yamabe_problem(K, kf, Kf, p, 0.4)
+    assert problem.boundary_value == 0.4
+    kv, Kv = kf.values[g.interior_ids], Kf.values[g.interior_ids]
     V, W, _ = barriers(K, f, 0.1, 0.4)
     lo, hi = float(V.values[g.interior_ids].min()), float(W.values[g.interior_ids].max())
     pts = g.points[g.interior_ids]
     rng = np.random.default_rng(5)
     du = 1e-7
     for a, b in ((lo, hi), (0.0, 1.0), (-0.5, 2.0)):
-        c = problem.shift(a, b)
+        c = problem.shift_bound(a, b)
         assert c > 0.0
         problem.validate_shift(c, a, b)
         for _ in range(20):
             u = rng.uniform(a, b - du, size=pts.shape[0])
-            slope = (problem.reaction(u + du) - problem.reaction(u)) / du
+            F = problem.reaction(u)
+            # the reaction written out, bit for bit
+            assert np.array_equal(F, Kv * np.sign(u) * np.abs(u) ** p - kv * u)
+            slope = (problem.reaction(u + du) - F) / du
             assert (c + slope).min() >= -1e-6
     # on the barrier bracket: the closed form written out, and the solver's first shift
-    kv, Kv = np.abs(kf.values[g.interior_ids]), np.abs(Kf.values[g.interior_ids])
-    old = float((p * Kv * max(abs(lo), abs(hi)) ** (p - 1.0) + kv).max())
-    assert problem.shift(lo, hi) == old
+    old = float((p * np.abs(Kv) * max(abs(lo), abs(hi)) ** (p - 1.0) + np.abs(kv)).max())
+    assert problem.shift_bound(lo, hi) == old
     assert yamabe_solve(K, kf, Kf, p, f, 0.05, 0.4).shifts[0] == old
 
 
@@ -766,6 +791,46 @@ def test_exhaustion_boxes_built_once_serve_every_lam():
         assert reused.successive_diffs == fresh.successive_diffs
         for u, v in zip(reused.fields, fresh.fields):
             assert np.array_equal(u.values, v.values)
+
+
+def test_exhaustion_factors_k_minus_lam_g_bit_for_bit():
+    # the shift lam G is a vector, of both signs here
+    def g_fn(pts):
+        return 1.0 - 2.0 * np.exp(-((pts[:, 0] - 1.5) ** 2 + pts[:, 1] ** 2))
+
+    boxes = exhaustion_boxes(euclidean(2), g_fn, [[(-1, 1)] * 2, [(-2, 2)] * 2], 0.25)
+    assert any(b.G.min() < 0.0 < b.G.max() for b in boxes)
+    ex = exhaustion_construct(boxes, 0.6)
+    assert ex.statuses == ["ok", "ok"]
+    for box, u in zip(boxes, ex.fields):
+        x = factor_spd(box.K.mat - sp.diags(0.6 * box.G)).solve(box.rhs)
+        ref = GridField.from_interior(box.grid, x, box.bvec)
+        assert np.array_equal(u.values, (ref * (1.0 / float(ref.values[box.origin_id]))).values)
+
+
+def test_exhaustion_reports_an_exactly_singular_factor_as_resonance(monkeypatch):
+    def singular(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(sm, "factor_spd", singular)
+    boxes = [[(-1, 1)] * 2, [(-2, 2)] * 2]
+    ex = exhaustion_construct(exhaustion_boxes(euclidean(2), lambda pts: np.ones(pts.shape[0]),
+                                               boxes, 0.25), 0.3)
+    assert ex.statuses == ["resonance", "resonance"] and ex.fields == [None, None]
+    assert ex.notes[0] == "box 1: lam=0.3 is a Dirichlet eigenvalue of D_1 (singular system)"
+    rep = verify_thm_1_3(euclidean(2), "1 + 0*x", "1 + 0*x", [0.5], boxes, 0.25, mu=1.0)
+    assert rep.total == 1 and not rep.passed and rep.cases[0].margin == -1.0
+    assert "Dirichlet eigenvalue of D_2" in rep.cases[0].note
+
+
+def test_logistic_without_a_dyadic_subsolution_reports_it():
+    # b = 1e20 puts Mcap = max a/b below every dyadic eps*phi the search tries
+    g, K, a, _, eig = logistic_setup(1.0 / 8)
+    res = logistic_solve(K, a, GridField.constant(g, 1e20), 2 * eig.lam, 2.0, eig)
+    assert res.status == "no-subsolution" and res.iterations == 0
+    assert not res.bracket_respected and np.isnan(res.residual)
+    assert res.notes == ["no dyadic eps made eps*phi a discrete subsolution"]
+    assert np.all(res.solution.values == 0.0) and np.all(res.upper.values == 1e-20)
 
 
 def test_exhaustion_validates_boxes():
