@@ -16,12 +16,15 @@ check failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import ccmetric as cc
 from . import semilinear as sm
@@ -381,6 +384,24 @@ _KINDS = {**dict.fromkeys(("family", "a", "b", "f", "g", "g_plus", "u_expr", "we
                            "eps_list", "theta_list", "lam_fractions", "mu_factors"), "list"),
           "grid": "object"}
 
+
+def _numbers(values):
+    return all(_kind(v) in ("integer", "number") for v in values)
+
+
+def _is_box(value):
+    """A list of [lo, hi] number pairs."""
+    return _kind(value) == "list" and all(
+        _kind(side) == "list" and len(side) == 2 and _numbers(side) for side in value)
+
+
+# the elements of every list key: what the error names, and the check
+_PAIRS = "[lo, hi] number pairs"
+_ELEMENTS = {**dict.fromkeys(("x", "y", "center", "radii", "step_scales", "eps_list",
+                              "theta_list", "lam_fractions", "mu_factors"), ("numbers", _numbers)),
+             "box": (_PAIRS, _is_box), "stability_box": (_PAIRS, _is_box),
+             "boxes": (f"boxes of {_PAIRS}", lambda boxes: all(map(_is_box, boxes)))}
+
 _GROUP_HELP = {"fields": "vector field family inspection", "solve": "semilinear solvers",
                "probe": "measure/inequality probes", "verify": "theorem verification suites"}
 
@@ -423,10 +444,15 @@ def validate_config(command, raw):
         if kind != want and (kind, want) != ("integer", "number"):
             raise ConfigError(f"config key {key!r} for {command} takes {want} values, "
                               f"got {value!r}")
+        what, fits = _ELEMENTS.get(key, ("", None))
+        if fits is not None and not fits(value):
+            raise ConfigError(f"config key {key!r} for {command} takes a list of {what}, "
+                              f"got {value!r}")
     taken = (keys | set(spec.exclusive)) if given else keys
     params.update((key, default) for key, default in spec.optional.items()
                   if default is not None and key not in taken)
-    if "grid" in params and set(params["grid"]) != {"box", "h"}:
+    gspec = params.get("grid")
+    if gspec is not None and (set(gspec) != {"box", "h"} or not _is_box(gspec["box"])):
         raise ConfigError("grid spec must be {'box': [[lo, hi], ...], 'h': float}")
     return params
 
@@ -461,6 +487,33 @@ def run(cfg):
     report = outdir / "report.json"
     report.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_tolist) + "\n")
     return code, report
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's and scipy's OpenBLAS on one thread, then restore their thread counts.
+
+    Each wheel bundles its own OpenBLAS in `<package>.libs`, and a sum split
+    over threads rounds differently, so reports would depend on the thread
+    count.  A library without the get/set pair is left as it is.
+    """
+    restore = []
+    for pkg, suffix in ((np, "64_"), (scipy, "")):
+        for path in sorted((Path(pkg.__file__).parents[1] / f"{pkg.__name__}.libs").glob(
+                "libscipy_openblas*.so")):
+            lib = ctypes.CDLL(str(path))
+            get, put = (getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None)
+                        for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                restore.append((put, get()))
+                put(1)
+    try:
+        yield
+    finally:
+        for put, threads in restore:
+            put(threads)
 
 
 def _build_parser():
@@ -498,7 +551,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        code, report_path = run(cfg)
+        with _one_blas_thread():
+            code, report_path = run(cfg)
     except (ValueError, RuntimeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

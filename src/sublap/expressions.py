@@ -36,7 +36,7 @@ _ALLOWED_NODES = (
 
 
 def compile_expression(expr, n):
-    """Compile an expression string into a callable points (N, n) -> (N,)."""
+    """Compile an expression string into a callable points (N, n) -> (N,); constants broadcast."""
     names = {}
     for k in range(n):
         if k < len(_COORD_LETTERS) and n <= len(_COORD_LETTERS):
@@ -58,9 +58,6 @@ def compile_expression(expr, n):
 
     def fn(points):
         pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        if single:
-            pts = pts[None, :]
         env = dict(_FUNCS)
         env.update(_CONSTS)
         for name, k in names.items():
@@ -69,13 +66,6 @@ def compile_expression(expr, n):
         out = np.asarray(out, dtype=float)
         if out.shape != (pts.shape[0],):
             out = np.broadcast_to(out, (pts.shape[0],)).copy()
-        return out[0] if single else out
+        return out
 
-    fn.expression = expr
     return fn
-
-
-def as_field_function(expr_or_fn, n):
-    if callable(expr_or_fn):
-        return expr_or_fn
-    return compile_expression(str(expr_or_fn), n)

@@ -88,8 +88,6 @@ class Polynomial:
             out += term
         return float(out[0]) if single else out
 
-    __call__ = evaluate
-
     def partial(self, k):
         """Exact partial derivative with respect to x_k."""
         terms = []
@@ -101,21 +99,12 @@ class Polynomial:
             terms.append((coeff * exps[k], tuple(e)))
         return Polynomial(self.n, tuple(terms))
 
-    def _binop(self, other, sign):
+    def __add__(self, other):
         if isinstance(other, (int, float)):
             other = Polynomial.constant(self.n, float(other))
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        return Polynomial(self.n, self.terms + tuple((sign * c, e) for c, e in other.terms))
-
-    def __add__(self, other):
-        return self._binop(other, 1.0)
-
-    def __sub__(self, other):
-        return self._binop(other, -1.0)
-
-    def __neg__(self):
-        return Polynomial(self.n, tuple((-c, e) for c, e in self.terms))
+        return Polynomial(self.n, self.terms + other.terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -331,15 +320,12 @@ _EUCLID_RE = re.compile(r"^euclidean\((\d+)\)$")
 
 
 def resolve_family(spec):
-    """Resolve a family from a built-in name, a dict, or a definition file path.
+    """Resolve a family from a string: a built-in name or a definition file path.
 
-    Accepted names: "euclidean(n)", "heisenberg", "grushin".
+    Accepted names: "euclidean(n)", "heisenberg", "grushin".  Any other
+    string is read as the path of a file that `save_family` wrote.
     """
-    if isinstance(spec, VectorFieldFamily):
-        return spec
-    if isinstance(spec, dict):
-        return family_from_dict(spec)
-    name = str(spec).strip()
+    name = spec.strip()
     m = _EUCLID_RE.match(name)
     if m:
         return euclidean(int(m.group(1)))

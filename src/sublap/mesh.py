@@ -58,9 +58,6 @@ class GridDomain:
             self._points = np.column_stack([g.ravel() for g in grids])
         return self._points
 
-    def multi_index(self, node_id):
-        return np.unravel_index(node_id, self.dims)
-
     def nearest_node(self, x):
         """Id of the grid node nearest to x (clipped into the box); N ids for (N, n) points."""
         x = np.asarray(x, dtype=float)
@@ -68,17 +65,6 @@ class GridDomain:
         idx = np.clip(idx, 0, np.array(self.dims) - 1)
         ids = idx @ self.strides
         return ids if ids.ndim else int(ids)
-
-    def neighbor_ids(self, node_id):
-        """2n axis neighbors (missing ones omitted)."""
-        multi = np.array(self.multi_index(node_id))
-        out = []
-        for k in range(self.n):
-            for s in (-1, 1):
-                j = multi[k] + s
-                if 0 <= j < self.dims[k]:
-                    out.append(node_id + s * int(self.strides[k]))
-        return out
 
     def is_outer_face(self, node_ids):
         """True per node when some index sits on the outermost grid layer."""

@@ -59,7 +59,7 @@ class SparseOperator:
     def apply(self, field):
         """Apply to a GridField, boundary values included; returns per-row values."""
         out = self.mat @ field.values[self.grid.interior_ids]
-        if self.boundary is not None and self.grid.n_boundary:
+        if self.boundary is not None:
             out = out + self.boundary @ field.values[self.grid.boundary_ids]
         return out
 
@@ -186,9 +186,8 @@ def assemble_first_order(family, grid, j):
         ).tocsc()
     else:
         full = sp.csc_matrix((n_rows, grid.num_nodes))
-    mat = full[:, grid.interior_ids].tocsr()
-    bnd = full[:, grid.boundary_ids].tocsr() if grid.n_boundary else None
-    return SparseOperator(grid=grid, mat=mat, boundary=bnd, row_ids=rows)
+    return SparseOperator(grid=grid, mat=full[:, grid.interior_ids],
+                          boundary=full[:, grid.boundary_ids], row_ids=rows)
 
 
 def assemble_stiffness(family, grid):
@@ -201,15 +200,12 @@ def assemble_stiffness(family, grid):
     if grid.n != family.n:
         raise ValueError(f"grid dimension {grid.n} != family dimension {family.n}")
     w = grid.h ** grid.n
-    K = None
-    Kb = None
+    K = Kb = None
     for j in range(1, family.m + 1):
         B = assemble_first_order(family, grid, j)
-        KjI = (B.mat.T @ B.mat) * w
+        KjI, KjB = (B.mat.T @ B.mat) * w, (B.mat.T @ B.boundary) * w
         K = KjI if K is None else K + KjI
-        if B.boundary is not None:
-            KjB = (B.mat.T @ B.boundary) * w
-            Kb = KjB if Kb is None else Kb + KjB
+        Kb = KjB if Kb is None else Kb + KjB
     return SparseOperator(grid=grid, mat=K, boundary=Kb)
 
 

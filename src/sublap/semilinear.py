@@ -141,9 +141,7 @@ class ShiftedSolver:
         self.weight = g.h ** g.n
         self.bvec = np.full(g.n_boundary, float(boundary_value))
         self.x = np.full(g.n_interior, float(boundary_value))
-        self.lift = np.zeros(g.n_interior)
-        if K.boundary is not None and g.n_boundary:
-            self.lift = K.boundary @ self.bvec
+        self.lift = K.boundary @ self.bvec
         self.shifts = []
         self.cg_iterations = 0
         self.set_shift(shift_c)
@@ -197,18 +195,15 @@ class ShiftedSolver:
         self.x = x
         return x
 
-    def solve(self, rhs):
-        """The GridField u: interior rows solve (K + cM) u = M rhs, trace = boundary value."""
-        return GridField.from_interior(self.grid, self.solve_interior(rhs), self.bvec)
-
 
 def linear_solve(K, shift_c, rhs, boundary_value=0.0):
-    """Solve (K + c M) u = M rhs once, u = boundary_value on the boundary.
+    """The GridField u solving (K + c M) u = M rhs once, u = boundary_value on the boundary.
 
     `rhs` is a GridField (interior values used); `boundary_value` is one
-    float, the Dirichlet value of every boundary node.
+    float.  The library's own solves call `ShiftedSolver.solve_interior`.
     """
-    return ShiftedSolver(K, shift_c, boundary_value).solve(rhs.values[K.grid.interior_ids])
+    x = ShiftedSolver(K, shift_c, boundary_value).solve_interior(rhs.values[K.grid.interior_ids])
+    return GridField.from_interior(K.grid, x, boundary_value)
 
 
 def check_sub_super(problem, u, sign):
@@ -543,7 +538,7 @@ def exhaustion_boxes(family, g_fn, box_list, h):
         K = assemble_stiffness(family, grid)
         G = assemble_diagonal(GridField.from_function(grid, g_fn))
         bvec = np.full(grid.n_boundary, float(k))
-        rhs = -K.boundary @ bvec if K.boundary is not None else np.zeros(grid.n_interior)
+        rhs = -K.boundary @ bvec
         boxes.append(ExhaustionBox(grid, origin_id, K, G, bvec, rhs))
     return boxes
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import semilinear as sm
 from .eigen import principal_eigenpair, weighted_principal
-from .expressions import as_field_function
+from .expressions import compile_expression
 from .mesh import GridField, build_grid, mask_domain
 from .operators import assemble_diagonal, assemble_stiffness, mass_matrix
 
@@ -106,8 +106,7 @@ def verify_thm_1_2(family, grid, u_expr, n_subdomains=20, seed=0, tol=1e-8):
     V lowered by the constant bump 0.5 is checked per case as well: its
     lambda_1 must be lambda_1(D) + 0.5 to within 1e-6 * max(1, |lambda_1(D)|).
     """
-    u_fn = as_field_function(u_expr, grid.n)
-    u = GridField.from_function(grid, u_fn)
+    u = GridField.from_function(grid, compile_expression(u_expr, grid.n))
     if np.any(u.values[grid.mask != 0] <= 0.0):
         raise ValueError("u_expr must be positive on the box")
     K = assemble_stiffness(family, grid)
@@ -154,7 +153,7 @@ def verify_thm_1_2(family, grid, u_expr, n_subdomains=20, seed=0, tol=1e-8):
             margin = min(margin, -1.0)
         cases.append(CaseResult(cfg, margin, f"lambda1={lam!r}, bumped={lam_strict!r}"))
         made += 1
-    notes = [f"tau_margin={tau!r}", f"potential from u_expr={getattr(u_fn, 'expression', 'callable')}"]
+    notes = [f"tau_margin={tau!r}", f"potential from u_expr={u_expr}"]
     if made < n_subdomains:
         notes.append(f"made {made} of {n_subdomains} subdomains in {attempts} attempts")
     return VerificationReport(theorem="Thm 1.2 (eigenvalue positivity)", cases=cases, notes=notes)
@@ -174,8 +173,8 @@ def verify_thm_1_3(family, g_expr, g_plus_expr, lam_fractions, box_list, h,
     if not box_list:
         raise ValueError("boxes must list at least one box")
     n = len(box_list[0])
-    g_fn = as_field_function(g_expr, n)
-    gp_fn = as_field_function(g_plus_expr, n)
+    g_fn = compile_expression(g_expr, n)
+    gp_fn = compile_expression(g_plus_expr, n)
     boxes = sm.exhaustion_boxes(family, g_fn, box_list, h)
     big = boxes[-1].grid
     gv = g_fn(big.points)
@@ -223,8 +222,8 @@ def verify_thm_1_3(family, g_expr, g_plus_expr, lam_fractions, box_list, h,
 def verify_prop_4_2(family, grid, a_expr, b_expr, p, mu_factors, tol=1e-8):
     """Logistic problem: subcritical factors give zero, supercritical a
     unique positive solution (probed by two-bracket agreement)."""
-    a = GridField.from_function(grid, as_field_function(a_expr, grid.n))
-    b = GridField.from_function(grid, as_field_function(b_expr, grid.n))
+    a = GridField.from_function(grid, compile_expression(a_expr, grid.n))
+    b = GridField.from_function(grid, compile_expression(b_expr, grid.n))
     K = assemble_stiffness(family, grid)
     eig = weighted_principal(K, assemble_diagonal(a), tol=min(tol, 1e-9))
     mu1 = eig.lam
@@ -280,7 +279,7 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
     case a note says the rerun was skipped.
     """
     n = len(box)
-    f_fn = as_field_function(f_expr, n)
+    f_fn = compile_expression(f_expr, n)
 
     def setup(b):  # grid, K and f on the box b
         g = build_grid(b, h)

@@ -1,7 +1,8 @@
 """The benchmark's command configs, read from perfbench/workloads.py without
 changing it, must pass the CLI's config checks at every size, a smoke-size
 pass of every workload must pass the benchmark's own output checks, and
-tools/bench_outputs.py must write the same output tree twice."""
+tools/bench_outputs.py must run every CLI command and write the same output
+tree twice."""
 
 import importlib.util
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sublap.cli import RunConfig, main, validate_config
+from sublap.cli import COMMANDS, RunConfig, main, validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "bench_outputs.py"
@@ -59,6 +60,11 @@ def test_bench_outputs_writes_one_identical_tree_per_run(tmp_path):
         trees.append({path.relative_to(tmp_path / run): path.read_bytes()
                       for path in (tmp_path / run).rglob("*") if path.is_file()})
     assert trees[0] == trees[1]
-    names = {cmd.name for workload in wl.WORKLOADS for cmd in wl.commands(workload, "smoke")}
-    assert {path.parts[0] for path in trees[0]} == names
+    runs = bench_outputs.runs(ROOT, "smoke")
+    names = [cmd.name for cmd in runs]
+    assert len(set(names)) == len(names) and {path.parts[0] for path in trees[0]} == set(names)
     assert all(Path(name, "report.json") in trees[0] for name in names)
+    # one run, at least, of every CLI command
+    assert {json.loads(trees[0][Path(name, "report.json")])["config"]["command"]
+            for name in names} == set(COMMANDS)
+    assert Path("yamabe", "solution.svg") in trees[0]

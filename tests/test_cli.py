@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -616,3 +620,82 @@ def test_cli_key_with_no_default_of_another_kind_exits_2_naming_it(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config key {key!r} for ") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+THM1_3_2D = {**NO_CASE_CONFIGS["thm1_3"], "lam_fractions": [0.5]}
+DOUBLING_HEIS = {**{k: v for k, v in BALL_HEIS.items() if k != "radius"}, "radii": [0.05]}
+
+
+@pytest.mark.parametrize("argv, payload, key", [
+    (["epspath"], {"family": "euclidean(2)", "grid": GRID_2D, "eps_list": [[0.5]]}, "eps_list"),
+    (["verify", "thm1_4"], {**THM1_4_HEIS, "theta_list": ["a"]}, "theta_list"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "lam_fractions": [True]}, "lam_fractions"),
+    (["verify", "prop4_2"], {**NO_CASE_CONFIGS["prop4_2"], "mu_factors": ["2"]}, "mu_factors"),
+    (["probe", "doubling"], {**DOUBLING_HEIS, "radii": ["x"]}, "radii"),
+    (["distance"], {**DIST_2D, "x": ["a", 0]}, "x"),
+    (["distance"], {**DIST_2D, "y": [1, None]}, "y"),
+    (["ball"], {**BALL_HEIS, "center": [0, 0, {}]}, "center"),
+    (["ball"], {**BALL_HEIS, "step_scales": ["1"]}, "step_scales"),
+    (["verify", "thm1_4"], {**THM1_4_HEIS, "box": [[-2, 2], [-2, 2], [-2, "2"]]}, "box"),
+    (["verify", "thm1_4"], {**THM1_4_HEIS, "stability_box": [[-4, 4], [-4], [-4, 4]]},
+     "stability_box"),
+    (["eigen"], {"family": "heisenberg", "grid": {"box": [[-1, 1], [-1, "b"], [-1, 1]],
+                                                  "h": 0.5}}, "grid"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "boxes": [[[-1, 1], [-1, 1]], [-2, 2]]}, "boxes"),
+], ids=["eps_list", "theta_list", "lam_fractions", "mu_factors", "radii", "x", "y", "center",
+        "step_scales", "box", "stability_box", "grid-box", "boxes"])
+def test_cli_list_key_with_an_element_of_another_kind_exits_2_naming_it(tmp_path, capsys, argv,
+                                                                        payload, key):
+    # each element used to end in a TypeError traceback, in "run failed", or
+    # in a config error that did not name the key
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at h = 1/12 (12,167 unknowns) the eigen solve's BLAS sums round
+    # differently on two threads unless the CLI runs it on one
+    cfg = write_config(tmp_path, "e.json", {"family": "heisenberg",
+                                            "grid": {"box": [[-1, 1]] * 3, "h": 1.0 / 12}})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run([sys.executable, "-m", "sublap.cli", "--config", str(cfg), "--out",
+                        str(out), "eigen"], env=env, check=True, capture_output=True)
+        trees.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert trees[0] == trees[1] and set(trees[0]) == {"report.json", "eigenfield.csv"}
+
+
+def test_cli_distance_between_points_that_snap_to_one_node_is_zero(tmp_path, monkeypatch):
+    # x and y 0.01 apart on a grid of h = 0.1: no graph search and no refinement
+    cfg = write_config(tmp_path, "d.json", {
+        "family": "heisenberg",
+        "grid": {"box": [[-0.3, 1.3], [-0.3, 1.3], [-0.3, 0.3]], "h": 0.1},
+        "x": [0, 0, 0], "y": [0.01, 0, 0]})
+    out = tmp_path / "out"
+    calls = []
+
+    def counted(name):
+        orig = getattr(cli.cc, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        return wrapper
+
+    for name in ("_dijkstra", "_integrate_controls_batch"):
+        monkeypatch.setattr(cli.cc, name, counted(name))
+    assert main(["--config", str(cfg), "--out", str(out), "distance"]) == 0
+    assert calls == []
+    dist = json.loads((out / "report.json").read_text())["results"]["distance"]
+    assert dist == {"graph_upper_bound": 0.0, "refined": 0.0, "defect": 0.0, "stalled": False,
+                    "notes": []}
+    header, first, second = (out / "path.csv").read_text().splitlines()
+    assert header == "x0,x1,x2,t_cum" and first == second
+    assert np.abs(np.array(first.split(","), dtype=float)).max() < 1e-12

@@ -472,6 +472,17 @@ def test_domain_monotonicity_heisenberg_nested():
     assert lams[0] > lams[1]
 
 
+def test_domain_monotonicity_with_a_constant_potential_shifts_every_eigenvalue():
+    # V = 3 lowers each lambda_1 of H - V by exactly 3
+    g = build_grid([(0, 1), (0, 1)], 1.0 / 16)
+    inner = mask_domain(g, lambda pts: np.all(np.abs(pts - 0.5) <= 0.25 + 1e-12, axis=1))
+    free = domain_monotonicity(euclidean(2), None, [inner, g])
+    shifted = domain_monotonicity(euclidean(2), lambda pts: np.full(len(pts), 3.0), [inner, g])
+    assert shifted[0] > shifted[1]
+    for lam_v, lam in zip(shifted, free):
+        assert abs(lam_v - (lam - 3.0)) <= 1e-6 * max(1.0, abs(lam))
+
+
 def test_domain_monotonicity_rejects_non_nested():
     g = build_grid([(0, 1), (0, 1)], 1.0 / 16)
     left = mask_domain(g, lambda pts: pts[:, 0] <= 0.5)

@@ -107,6 +107,11 @@ def test_linear_solve_linearity():
     assert np.abs(u2.values - 2.0 * u1.values).max() < 1e-8 * max(1.0, np.abs(u1.values).max())
 
 
+def _solve_field(solver, rhs):
+    """One solve as a GridField, with the solver's boundary value on the boundary."""
+    return GridField.from_interior(solver.grid, solver.solve_interior(rhs), solver.bvec)
+
+
 def _shifted_system(family, box, h):
     g = build_grid(box, h)
     K = assemble_stiffness(family, g)
@@ -125,8 +130,8 @@ def test_shifted_solver_direct_and_warm_cg_agree(monkeypatch, family, box, h):
     iterative = ShiftedSolver(K, 3.0, 0.4)
     assert iterative.lu is None
     for scale in (1.0, 1.1):  # second solve starts CG from the first solution
-        ud = direct.solve(scale * rhs)
-        ui = iterative.solve(scale * rhs)
+        ud = _solve_field(direct, scale * rhs)
+        ui = _solve_field(iterative, scale * rhs)
         assert np.abs(ud.values - ui.values).max() <= 1e-9 * np.abs(ud.values).max()
         assert np.all(ud.values[K.grid.boundary_ids] == 0.4)
 
@@ -135,7 +140,7 @@ def test_shifted_cg_is_jacobi_preconditioned_and_counts_its_steps(monkeypatch):
     K, rhs = _shifted_system(heisenberg(), [(-2, 2)] * 3, 0.5)
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     solver = ShiftedSolver(K, 0.0)
-    solver.solve(rhs)
+    solver.solve_interior(rhs)
     steps = []
     spla.cg(solver.A, rhs * solver.weight, rtol=TOL_LIN, atol=0.0, callback=steps.append)
     assert 0 < solver.cg_iterations < len(steps)  # diag(A)^{-1} cuts the plain CG steps
@@ -144,11 +149,11 @@ def test_shifted_cg_is_jacobi_preconditioned_and_counts_its_steps(monkeypatch):
     solver.set_shift(3.0)
     solver.set_shift(0.0)
     before = solver.cg_iterations
-    solver.solve(rhs)
+    solver.solve_interior(rhs)
     assert solver.cg_iterations == before and solver.shifts == [0.0, 3.0, 0.0]
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", DIRECT_MAX_SEPARATOR)
     direct = ShiftedSolver(K, 0.0)
-    direct.solve(rhs)
+    direct.solve_interior(rhs)
     assert direct.cg_iterations == 0 and direct.jacobi is None
 
 
@@ -164,7 +169,7 @@ def test_shifted_solver_direct_residual_guard(monkeypatch):
         monkeypatch.setattr(sm, "TOL_LIN", 1e-300)
         solver = ShiftedSolver(K, 1.5)
         with pytest.raises(RuntimeError) as err:
-            solver.solve(rhs)
+            solver.solve_interior(rhs)
         assert re.fullmatch(rf"{path} linear solve at shift 1\.5: relative residual {rel} "
                             rf"above tol 1\.000e-300 after {solver.cg_iterations} CG steps",
                             str(err.value))
@@ -189,7 +194,7 @@ def test_shifted_cg_checks_its_true_residual(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^CG \(info=0\) linear solve at shift 1\.5: "
                                            r"relative residual .* above tol 1\.000e-16"):
         monkeypatch.setattr(sm, "TOL_LIN", 1e-16)
-        ShiftedSolver(K, 1.5).solve(rhs)
+        ShiftedSolver(K, 1.5).solve_interior(rhs)
 
 
 def test_shifted_cg_starts_from_the_scalar_boundary_value(monkeypatch):
@@ -197,7 +202,7 @@ def test_shifted_cg_starts_from_the_scalar_boundary_value(monkeypatch):
     K, _ = _shifted_system(heisenberg(), [(-2, 2)] * 3, 0.5)
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     solver = ShiftedSolver(K, 0.0, 0.4)
-    u = solver.solve(np.zeros(K.grid.n_interior))
+    u = _solve_field(solver, np.zeros(K.grid.n_interior))
     assert solver.cg_iterations == 0
     assert np.abs(u.values - 0.4).max() <= 1e-12
 
@@ -272,7 +277,7 @@ def test_a_2d_system_above_the_old_nonzero_limit_is_factored_once(monkeypatch):
     calls = _count_splu(monkeypatch)
     solver = ShiftedSolver(K, 1.0)
     for scale in (1.0, 2.0):
-        solver.solve(scale * rhs)
+        solver.solve_interior(scale * rhs)
     assert len(calls) == 1 and solver.cg_iterations == 0
 
 
@@ -289,7 +294,7 @@ def test_shifted_and_eigen_solves_take_the_same_path(monkeypatch, box, h, factor
     K = assemble_stiffness(euclidean(g.n), g)
     assert factor_pays(g) is factored
     shifted = ShiftedSolver(K, 1.0)
-    shifted.solve(np.ones(g.n_interior))
+    shifted.solve_interior(np.ones(g.n_interior))
     calls = _count_splu(monkeypatch)
     eig = principal_eigenpair(K, None, mass_matrix(g), pairs=1)  # one level: no coarse start
     assert (shifted.lu is not None) is (len(calls) == 1) is (eig.cg_iterations == 0) is factored
@@ -453,6 +458,19 @@ def logistic_setup(h=1.0 / 16):
     return g, K, a, b, weighted_principal(K, assemble_diagonal(a), tol=1e-10)
 
 
+def test_monotone_stops_when_its_step_stagnates_below_an_unreachable_tol():
+    # at tol 1e-30 the residual floors at round-off; the iteration stops once
+    # its step falls below 1e-16 of the bracket's scale, long before max_iter
+    g, K, a, b, eig = logistic_setup(1.0 / 8)
+    res = logistic_solve(K, a, b, 4 * eig.lam, 2.0, eig, tol=1e-30, max_iter=2000)
+    assert res.status == "no-convergence" and 10 < res.iterations < 2000
+    assert res.residual < 1e-12
+    assert [n for n in res.notes if "stagnated" in n] == [
+        f"iteration stagnated at step {res.iterations} with residual {res.residual:.3e}"]
+    assert res.notes[-1] == (f"residual {res.residual:.3e} above tol 1.000e-30 "
+                             f"after {res.iterations} iterations")
+
+
 def test_logistic_supercritical_positive_bounded():
     g, K, a, b, eig = logistic_setup()
     res = logistic_solve(K, a, b, 2 * eig.lam, 2.0, eig, tol=1e-8)
@@ -514,7 +532,7 @@ def test_step_one_violation_notes_match_a_full_grid_reference(bvalue, trace, mas
     active = g.mask != 0
     c = problem.shift_bound(lower.values[active].min(), upper.values[active].max())
     ui = upper.values[g.interior_ids]
-    u1 = ShiftedSolver(K, c, bvalue).solve(c * ui + problem.reaction(ui))
+    u1 = _solve_field(ShiftedSolver(K, c, bvalue), c * ui + problem.reaction(ui))
     rise = (u1.values - upper.values)[active]
     node = int(np.flatnonzero(active)[np.argmax(rise)])
     below = (lower.values - u1.values)[active].max()
@@ -604,7 +622,7 @@ def test_upper_barrier_is_two_eps_minus_the_lower(monkeypatch, direct_max):
         K = assemble_stiffness(family, g)
         f = GridField.from_function(g, lambda pts: np.exp(-(pts**2).sum(axis=1)))
         _, upper, _ = barriers(K, f, 0.1, 0.4)
-        W = ShiftedSolver(K, 0.0, 0.4).solve(0.1 * f.values[g.interior_ids])
+        W = _solve_field(ShiftedSolver(K, 0.0, 0.4), 0.1 * f.values[g.interior_ids])
         assert np.abs(upper.values - W.values).max() <= 1e-9
         assert np.all(upper.values[g.boundary_ids] == 0.4)
 

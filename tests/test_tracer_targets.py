@@ -49,7 +49,7 @@ def test_semilinear_and_eigen_call_cg_through_the_scipy_module(monkeypatch):
     monkeypatch.setattr(operators, "DIRECT_MAX_SEPARATOR", -1)
     g = build_grid([(0, 1), (0, 1)], 0.125)
     K = assemble_stiffness(euclidean(2), g)
-    semilinear.ShiftedSolver(K, 1.0).solve(np.ones(g.n_interior))
+    semilinear.ShiftedSolver(K, 1.0).solve_interior(np.ones(g.n_interior))
     from_semilinear = len(calls)
     eigen.principal_eigenpair(K, None, mass_matrix(g), pairs=1)
     assert 0 < from_semilinear < len(calls)

@@ -1,15 +1,18 @@
-"""Run every benchmark command of a checkout, each into an output directory of its own.
+"""Run every CLI command of a checkout, each into an output directory of its own.
 
     python3 tools/bench_outputs.py <checkout> <out-dir> [--size full|smoke]
 
 Every command of ``<checkout>/perfbench/workloads.py`` runs in order, in
 this process, through ``<checkout>/src``'s ``sublap.cli.main``, with BLAS
 and OpenMP capped at one thread and ``--seed 1`` for the seeded commands.
-The command named ``<name>`` writes to ``<out-dir>/<name>/``, so that
-``diff -r`` of two output directories compares every report and field
-file of two checkouts, or of two runs of one.  The configs go to a
-temporary directory, not under ``<out-dir>``.  Exits 0 when every
-command exited 0, 1 otherwise.
+Then ``untimed`` lists the commands that no benchmark workload times
+(``fields info``, ``solve yamabe``, ``probe sobolev``, ``probe doubling``)
+at fixed configs, ``solve yamabe`` with ``--plot``, so every CLI command
+runs at least once.  The run named ``<name>`` writes to
+``<out-dir>/<name>/``, so that ``diff -r`` of two output directories
+compares every report, field file and plot of two checkouts, or of two
+runs of one.  The configs go to a temporary directory, not under
+``<out-dir>``.  Exits 0 when every command exited 0, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -22,8 +25,40 @@ import sys
 import tempfile
 import types
 from pathlib import Path
+from typing import NamedTuple
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+class Run(NamedTuple):
+    """One CLI invocation, with the fields of a workloads.py command and `plot`."""
+
+    name: str
+    words: tuple
+    config: dict
+    seeded: bool = False
+    plot: bool = False
+
+
+def untimed(size):
+    """The commands no benchmark workload runs, on Heisenberg grids near the ball workload's."""
+    full = size == "full"
+    R = 0.4
+    tmax = R * R / 16
+    ball_grid = {"box": [[-1.1 * R, 1.1 * R]] * 2 + [[-1.4 * tmax, 1.4 * tmax]],
+                 "h": R * R / (24 if full else 12)}
+    ball = {"family": "heisenberg", "grid": ball_grid, "center": [0, 0, 0], "directions": 16,
+            "step_scales": [1]}
+    return [
+        Run("fields_info", ("fields", "info"), {"family": "heisenberg", "sample_points": 5},
+            seeded=True),
+        Run("yamabe", ("solve", "yamabe"), {
+            "family": "heisenberg", "grid": {"box": [[-2, 2]] * 3, "h": 0.5 if full else 1.0},
+            "f": "exp(-(x**2 + y**2 + t**2))", "theta": 0.05, "eps": 0.4, "p": 3.0,
+        }, plot=True),
+        Run("sobolev", ("probe", "sobolev"), {**ball, "radius": R, "q": 4.0, "p": 2.0}),
+        Run("doubling", ("probe", "doubling"), {**ball, "radii": [R / 4, R / 2]}),
+    ]
 
 
 def load_workloads(checkout):
@@ -34,6 +69,12 @@ def load_workloads(checkout):
     sys.modules[module.__name__] = module
     exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
     return module
+
+
+def runs(checkout, size):
+    """Every run, in order: the workloads' commands, then `untimed`."""
+    wl = load_workloads(checkout)
+    return [cmd for workload in wl.WORKLOADS for cmd in wl.commands(workload, size)] + untimed(size)
 
 
 def main(argv=None):
@@ -49,15 +90,14 @@ def main(argv=None):
     cli = importlib.import_module("sublap.cli")
     if not Path(cli.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"imported {cli.__file__}, not the checkout's sublap")
-    wl = load_workloads(args.checkout)
     codes = []
     with tempfile.TemporaryDirectory() as configs:
-        for workload in wl.WORKLOADS:
-            for cmd in wl.commands(workload, args.size):
-                cfg = Path(configs) / f"{cmd.name}.json"
-                cfg.write_text(json.dumps(cmd.config, sort_keys=True))
-                argv = ["--config", str(cfg), "--out", str(args.out / cmd.name)]
-                codes.append(cli.main(argv + ["--seed", "1"] * cmd.seeded + list(cmd.words)))
+        for cmd in runs(args.checkout, args.size):
+            cfg = Path(configs) / f"{cmd.name}.json"
+            cfg.write_text(json.dumps(cmd.config, sort_keys=True))
+            argv = ["--config", str(cfg), "--out", str(args.out / cmd.name)]
+            argv += ["--seed", "1"] * cmd.seeded + ["--plot"] * getattr(cmd, "plot", False)
+            codes.append(cli.main(argv + list(cmd.words)))
     return 0 if not any(codes) else 1
 
 
