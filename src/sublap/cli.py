@@ -40,12 +40,16 @@ class ConfigError(ValueError):
     pass
 
 
+_POINTS = ("x", "y", "center")  # the config keys that hold one point of R^n
+
+
 @dataclass(eq=False)
 class RunConfig:
     """A validated run.  Its family and grid are resolved when it is made,
-    so a bad family name or grid spec, a grid or verify box of another
-    dimension than the family's, or a sample count, corpus count or corpus
-    degree below 1 is a configuration error."""
+    so a bad family name or grid spec, a grid or verify box or a point
+    (`x`, `y`, `center`) of another dimension than the family's, or a
+    sample count, corpus count or corpus degree below 1 is a configuration
+    error."""
 
     command: str
     params: dict
@@ -60,12 +64,14 @@ class RunConfig:
             self.family = resolve_family(self.params["family"])
             gspec = self.params.get("grid")
             self.grid = None if gspec is None else build_grid(gspec["box"], float(gspec["h"]))
-            boxes = {"grid": gspec["box"] if gspec else None, "box": self.params.get("box"),
-                     "stability_box": self.params.get("stability_box")}
-            boxes.update((f"boxes[{i}]", box) for i, box in enumerate(self.params.get("boxes", ())))
-            for name, box in boxes.items():
-                if box is not None and len(box) != self.family.n:
-                    raise ValueError(f"{name} has {len(box)} axes but family "
+            shaped = {"grid": gspec["box"] if gspec else None, "box": self.params.get("box"),
+                      "stability_box": self.params.get("stability_box")}
+            shaped.update((f"boxes[{i}]", box) for i, box in enumerate(self.params.get("boxes", ())))
+            shaped.update((key, self.params.get(key)) for key in _POINTS)
+            for name, value in shaped.items():
+                if value is not None and len(value) != self.family.n:
+                    what = "coordinates" if name in _POINTS else "axes"
+                    raise ValueError(f"{name} has {len(value)} {what} but family "
                                      f"{self.family.name!r} acts on R^{self.family.n}")
             for key in ("sample_points", "corpus_count", "corpus_degree"):
                 if self.params.get(key, 1) < 1:
@@ -452,7 +458,8 @@ def validate_config(command, raw):
     params.update((key, default) for key, default in spec.optional.items()
                   if default is not None and key not in taken)
     gspec = params.get("grid")
-    if gspec is not None and (set(gspec) != {"box", "h"} or not _is_box(gspec["box"])):
+    if gspec is not None and (set(gspec) != {"box", "h"} or not _is_box(gspec["box"])
+                              or not _numbers([gspec["h"]])):
         raise ConfigError("grid spec must be {'box': [[lo, hi], ...], 'h': float}")
     return params
 

@@ -3,17 +3,21 @@
 Problems take the form H u = F(u) with Dirichlet data, discretized as
 K u = M F(u) on the interior values.  The monotone scheme iterates
     u_{k+1} = (K + c M)^{-1} M (c u_k + F(u_k))
-from a supersolution; with c + dF/du >= 0 on the bracket the iteration is
-order-preserving (modulo the missing discrete maximum principle, which is
-monitored, not assumed) and descends onto a solution trapped in the
-[lower, upper] bracket.  Every iterate is again a supersolution, so the
-shift is re-derived on the shrinking bracket [min lower, max u_k], and
-the iteration takes each new shift that is at most half the current one.
+from a supersolution.  When the problem carries F', c = -F'(u_k) nodewise
+and the step is Newton's: for F concave it maps a supersolution to a
+supersolution (Amann 1976; Pao 1998), and the run stops only once its last
+step is at most tol relative to max |u|, which bounds the error by about
+the step's square.  Otherwise c is a scalar with c + dF/du >= 0 on the
+bracket [min lower, max u_k], re-derived as the bracket shrinks and taken
+when it at least halves.  Either way, descent onto a solution in
+[lower, upper] rests on a discrete maximum principle, which is monitored,
+not assumed.
 
-Specializations: the logistic problem H u = mu u (a - b u^{p-1}), the
-Yamabe-type problem H u + k u - Kcap |u|^{p-1} u = 0 on truncated boxes
-with far-field boundary value eps, and the exhaustion sequence
-H u = lam g u on growing boxes with boundary datum equal to the box index.
+Specializations: the logistic problem H u = mu u (a - b u^{p-1}), with F',
+the Yamabe-type problem H u + k u - Kcap |u|^{p-1} u = 0 on truncated boxes
+with far-field boundary value eps, whose reaction is not concave, and the
+exhaustion sequence H u = lam g u on growing boxes with boundary datum
+equal to the box index.
 """
 
 from __future__ import annotations
@@ -42,15 +46,20 @@ class SemilinearProblem:
     `reaction` maps the interior values (n_interior,) to F(u) there.
     `shift_bound`, a callable (lo, hi) -> c, gives the shift, a float, for
     iterates with values in [lo, hi]; it must meet c + dF/du >= 0 there.
-    `logistic_problem` and `yamabe_problem` build both for their equations.
+    `slope`, when given, maps the interior values to F'(u) there; F must
+    then be concave on the bracket, and `monotone_iterate` takes Newton
+    steps.  `logistic_problem` builds all three for its equation,
+    `yamabe_problem`, whose reaction is not concave, all but `slope`.
     `boundary_value` is the one Dirichlet value of every boundary node.
-    `validate_shift` spot-checks a shift by sampled difference quotients.
+    `validate_shift` spot-checks a scalar shift by sampled difference
+    quotients.
     """
 
     K: object                       # assembled stiffness SparseOperator
     reaction: object                # callable F(u) on interior values
     shift_bound: object             # callable (lo, hi) -> c
     boundary_value: float = 0.0
+    slope: object = None            # callable F'(u) on interior values, or None
 
     @property
     def grid(self):
@@ -95,7 +104,7 @@ class BracketSolveResult:
     max_step_increase: float = 0.0
     status: str = "ok"
     notes: list = field(default_factory=list)
-    shifts: list = field(default_factory=list)  # the shift of each K + cM built, in order
+    shifts: list = field(default_factory=list)  # the shift (float or vector) of each K + cM built
     cg_iterations: int = 0
 
     def to_json_dict(self):
@@ -113,6 +122,8 @@ class BracketSolveResult:
 class ShiftedSolver:
     """Solves (K + c M) u = M rhs with one Dirichlet value on the boundary, many times.
 
+    The shift c is a float at least 0, or a vector over the interior nodes
+    (K + diag(c) M), for which the caller keeps the sum positive definite.
     The boundary lift is built once, and A = K + c h^n I once per shift
     (`set_shift`), as the float64 copy that `operators.shifted_copy` stores
     by diagonals on box grids: its matvecs are bit-identical to those of
@@ -129,9 +140,9 @@ class ShiftedSolver:
     recursive residual met the module's TOL_LIN but the true one did not.
     On either path the true residual is then checked once: a solution is
     returned only when ||A x - b|| <= TOL_LIN ||b||.
-    `shifts` lists the shift of each A in order (one factorization each on
-    the direct path), and `cg_iterations` counts the CG steps of every
-    solve.
+    `shifts` lists the shift of each A in order, a float or the vector
+    itself (one factorization each on the direct path), and
+    `cg_iterations` counts the CG steps of every solve.
     """
 
     def __init__(self, K, shift_c, boundary_value=0.0):
@@ -148,7 +159,8 @@ class ShiftedSolver:
 
     def set_shift(self, shift_c):
         """Solve with A = K + c h^n I from now on: factor it, or take its Jacobi diagonal."""
-        if shift_c < 0:
+        vector = np.ndim(shift_c) > 0
+        if not vector and shift_c < 0:
             raise ValueError("shift must be nonnegative")
         self.A = shifted_copy(self.K.mat, -shift_c * self.weight, np.float64)
         self.lu = self.jacobi = None
@@ -156,7 +168,7 @@ class ShiftedSolver:
             self.lu = factor_spd(self.A)
         else:
             self.jacobi = sp.diags(1.0 / self.A.diagonal())
-        self.shifts.append(float(shift_c))
+        self.shifts.append(shift_c if vector else float(shift_c))
 
     def _count_cg(self, _xk):
         self.cg_iterations += 1
@@ -188,8 +200,10 @@ class ShiftedSolver:
             x, info = self._cg(b, x)
         if not rel <= TOL_LIN:
             path = "direct" if self.lu is not None else f"CG (info={info})"
+            c = self.shifts[-1]
+            shift = f"{c!r}" if np.ndim(c) == 0 else f"in [{c.min():.6g}, {c.max():.6g}]"
             raise RuntimeError(
-                f"{path} linear solve at shift {self.shifts[-1]!r}: relative residual {rel:.3e} "
+                f"{path} linear solve at shift {shift}: relative residual {rel:.3e} "
                 f"above tol {TOL_LIN:.3e} after {self.cg_iterations - steps} CG steps"
             )
         self.x = x
@@ -223,14 +237,20 @@ def check_sub_super(problem, u, sign):
 def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
     """Descend from the supersolution; iterates stay in [lower, upper].
 
-    The shift starts at problem.shift_bound(lo, hi) on [min lower, max upper].
-    After each step it is re-derived on [min lower, max u_k] while it is
-    positive, and the solver takes the new shift only when it is at most
-    half the current one, so a shift level costs one factorization.  Each
-    shift used is spot-checked by `validate_shift`.  Monotone descent and
-    bracket preservation are asserted at every step; violations (possible
-    without a discrete maximum principle) are recorded in the result notes
-    rather than silently ignored.
+    Each step solves (K + c M) u_{k+1} = M (c u_k + F(u_k)).  When the
+    problem carries F' (`slope`), c is the vector c_k = -F'(u_k), re-formed
+    at every step, so the step is Newton's, and the run stops only once its
+    last step also meets ||u_{k+1} - u_k||_inf <= tol ||u_{k+1}||_inf:
+    Newton converges quadratically, so the error left is about that step
+    squared, which the residual alone does not bound.  Otherwise the shift
+    is a scalar that starts at problem.shift_bound on [min lower, max upper]
+    and is re-derived on [min lower, max u_k] after each step while it is
+    positive; the solver takes a new shift only when it is at most half the
+    current one, so a shift level costs one factorization, and each is
+    spot-checked by `validate_shift`.  Monotone descent and bracket
+    preservation are asserted at every step; violations (possible without
+    a discrete maximum principle) are recorded in the result notes rather
+    than silently ignored.
 
     The iterate is kept as its interior vector.  Every iterate carries the
     boundary value, so the boundary parts of the bracket gaps are fixed and
@@ -242,9 +262,15 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     active = g.mask != 0  # non-exterior
     if np.any(lower.values[active] > upper.values[active] + 1e-14):
         raise ValueError("bracket violated: lower > upper somewhere")
+    ids = g.interior_ids
+    lower_i, upper_i = lower.values[ids], upper.values[ids]
     lo, hi = float(lower.values[active].min()), float(upper.values[active].max())
-    c = problem.shift_bound(lo, hi)
-    problem.validate_shift(c, lo, hi)
+    newton = problem.slope is not None
+    if newton:
+        c = -problem.slope(upper_i)
+    else:
+        c = problem.shift_bound(lo, hi)
+        problem.validate_shift(c, lo, hi)
     notes = []
     ok_sub, v_sub, n_sub = check_sub_super(problem, lower, +1)
     if not ok_sub:
@@ -254,9 +280,8 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
         notes.append(f"upper field fails the discrete supersolution check by {v_sup:.3e} at node {n_sup}")
 
     solver = ShiftedSolver(problem.K, c, problem.boundary_value)
-    ids, bvec, lift = g.interior_ids, solver.bvec, solver.lift
+    bvec, lift = solver.bvec, solver.lift
     w = g.h ** g.n
-    lower_i, upper_i = lower.values[ids], upper.values[ids]
     # the gaps off the interior: lower - u and u - upper on the boundary at
     # every step, and u_1 - u_0 (on the boundary, and on the exterior for
     # the step size) at step 1 only
@@ -264,6 +289,7 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     hi_bnd = float((bvec - upper.values[g.boundary_ids]).max(initial=-np.inf))
     step_off = float(np.abs(GridField.from_interior(g, upper_i, bvec).values - upper.values).max())
     bvec_max = float(bvec.max(initial=-np.inf))
+    bvec_abs = float(np.abs(bvec).max(initial=0.0))
     ui = upper_i
     Fu = problem.reaction(ui)  # F(u): the next right-hand side and the residual's reaction
     scale = max(float(np.abs(upper.values).max()), 1.0)
@@ -299,21 +325,27 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
         un = np.linalg.norm(ui)
         r = float(np.linalg.norm(problem.K.mat @ ui + lift - w * Fu))
         residual = float(r / un) if un > 0 else r
-        if residual <= tol:
+        rel_step = step / max(float(np.abs(ui).max()), bvec_abs, 1e-300) if newton else 0.0
+        converged = residual <= tol and rel_step <= tol
+        if converged:
             break
         if step < 1e-16 * scale:
             notes.append(f"iteration stagnated at step {it} with residual {residual:.3e}")
             break
-        if c > 0.0:
+        if newton:
+            c = -problem.slope(ui)
+            solver.set_shift(c)
+        elif c > 0.0:
             hi = max(float(ui.max()), bvec_max)
             c_next = problem.shift_bound(lo, hi)
             if c_next <= 0.5 * c:
                 problem.validate_shift(c_next, lo, hi)
                 c = c_next
                 solver.set_shift(c)
-    status = "ok" if residual <= tol else "no-convergence"
+    status = "ok" if converged else "no-convergence"
     if status != "ok":
-        notes.append(f"residual {residual:.3e} above tol {tol:.3e} after {it} iterations")
+        what = f"residual {residual:.3e}" if residual > tol else f"relative step {rel_step:.3e}"
+        notes.append(f"{what} above tol {tol:.3e} after {it} iterations")
     return BracketSolveResult(
         solution=GridField.from_interior(g, ui, bvec),
         lower=lower,
@@ -331,12 +363,13 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
 
 
 def logistic_problem(K, a, b, mu, p):
-    """H u = mu u (a - b |u|^{p-1}), u = 0 on the boundary, shifted on each bracket.
+    """H u = mu u (a - b |u|^{p-1}), u = 0 on the boundary, with F' for Newton steps.
 
-    F(u) = mu u (a - b |u|^{p-1}).  The shift on [lo, hi] is the sup of
-    -dF/du = mu (p b |u|^{p-1} - a) there, at least 0 (mu >= 0): it grows
-    with |u|, so the sup is mu max(0, max(p b m^{p-1} - a)) with
-    m = max(|lo|, |hi|).
+    F(u) = mu u (a - b |u|^{p-1}), with F'(u) = mu (a - p b |u|^{p-1}):
+    F is concave on u >= 0 for p > 1.  The scalar shift on [lo, hi], used
+    only by a problem stripped of F', is the sup of -dF/du there, at least
+    0 (mu >= 0): it grows with |u|, so the sup is
+    mu max(0, max(p b m^{p-1} - a)) with m = max(|lo|, |hi|).
     """
     a_int = a.values[K.grid.interior_ids]
     b_int = b.values[K.grid.interior_ids]
@@ -349,23 +382,26 @@ def logistic_problem(K, a, b, mu, p):
         m = max(abs(lo), abs(hi))
         return mu * max(0.0, float((pb_int * m ** (p - 1.0) - a_int).max()))
 
-    return SemilinearProblem(K=K, reaction=reaction, shift_bound=shift_bound)
+    def slope(u):
+        return mu * (a_int - pb_int * np.abs(u) ** (p - 1.0))
+
+    return SemilinearProblem(K=K, reaction=reaction, shift_bound=shift_bound, slope=slope)
 
 
-def logistic_solve(K, a, b, mu, p, eig, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
+def logistic_solve(K, a, b, mu, p, eig, tol=1e-8):
     """Positive solution of H u = mu u (a - b u^{p-1}), u = 0 on the boundary.
 
     `eig` is the principal pair (mu1, phi) of H u = mu1 a u, as returned by
     `weighted_principal(K, assemble_diagonal(a))`.  Uses the bracket
     [eps*phi, Mcap] with Mcap = max (a/b)^{1/(p-1)} and eps the largest
     dyadic value passing the discrete subsolution test.  For mu <= mu1 the
-    zero solution is returned with status "subcritical".  Near the
-    bifurcation (mu barely above mu1) the slow mode contracts by about
-    1 - (mu - mu1)/(c + mu1) per step.  The shift c falls to 0 once the
-    iterates are below min (a/(p b))^{1/(p-1)}, which the small solution
-    there lies far below, so the rate tends to 1 - (mu - mu1)/mu1: about
-    230 steps per decade at mu = 1.01 mu1, where callers may need a
-    larger max_iter.
+    zero solution is returned with status "subcritical".  The iteration
+    takes Newton steps down from Mcap, each a solve with K - M F'(u_k), and
+    stops once the residual is at most tol and the last step at most tol
+    relative to max |u|.  Near the bifurcation (mu barely above mu1) that
+    takes about a dozen steps, where a scalar shift, whose slow mode
+    contracts by about 1 - (mu - mu1)/mu1 per step, takes about 230 per
+    decade.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -404,7 +440,7 @@ def logistic_solve(K, a, b, mu, p, eig, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
             bracket_respected=False, status="no-subsolution",
             notes=notes + ["no dyadic eps made eps*phi a discrete subsolution"],
         )
-    result = monotone_iterate(problem, lower, upper, tol=tol, max_iter=max_iter)
+    result = monotone_iterate(problem, lower, upper, tol=tol)
     result.notes = notes + [f"mu1={mu1!r}", f"Mcap={Mcap!r}", f"eps={eps!r}"] + result.notes
     return result
 

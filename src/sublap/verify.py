@@ -237,7 +237,7 @@ def verify_prop_4_2(family, grid, a_expr, b_expr, p, mu_factors, tol=1e-8):
             "p": p,
             "mu_factor": cfac,
         }
-        res = sm.logistic_solve(K, a, b, mu, p, eig, tol=tol, max_iter=8000)
+        res = sm.logistic_solve(K, a, b, mu, p, eig, tol=tol)
         if cfac <= 1.0:
             ok = res.status == "subcritical" and float(np.abs(res.solution.values).max()) == 0.0
             cases.append(CaseResult(cfg, 1.0 if ok else -1.0, f"status={res.status}"))
@@ -248,7 +248,7 @@ def verify_prop_4_2(family, grid, a_expr, b_expr, p, mu_factors, tol=1e-8):
         # uniqueness probe: rerun from a doubled upper bracket
         Mcap2 = 2.0 * float(res.upper.values.max())
         res2 = sm.monotone_iterate(sm.logistic_problem(K, a, b, mu, p), res.lower,
-                                   GridField.constant(grid, Mcap2), tol=tol, max_iter=8000)
+                                   GridField.constant(grid, Mcap2), tol=tol)
         rel = float(
             np.abs(res2.solution.values - res.solution.values).max()
             / max(np.abs(res.solution.values).max(), 1e-300)

@@ -418,7 +418,7 @@ GRID_2D = {"box": [[0, 1], [0, 1]], "h": 0.25}
 def minimal_config(command):
     """Every required key of `command`, with a placeholder of its kind where no value is checked."""
     fixed = {"family": "euclidean(2)", "grid": GRID_2D, "box": GRID_2D["box"],
-             "boxes": [GRID_2D["box"]]}
+             "boxes": [GRID_2D["box"]], **dict.fromkeys(cli._POINTS, [0.5, 0.5])}
     placeholder = {"string": "1", "number": 1, "list": [1]}
     return {key: fixed[key] if key in fixed else placeholder[cli._KINDS[key]]
             for key in cli.COMMANDS[command].required.split()}
@@ -589,6 +589,36 @@ def test_cli_empty_or_zero_count_value_exits_with_a_one_line_error(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "run failed: ")
     assert key in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+DIST_HEIS = {"family": "heisenberg", "grid": {"box": [[-1, 1]] * 3, "h": 0.5},
+             "x": [0, 0, 0], "y": [0, 0, 0.5]}
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["distance"], {**DIST_HEIS, "x": [0, 0]}, "x has 2 coordinates"),
+    (["distance"], {**DIST_HEIS, "y": [0, 0, 0, 0.5]}, "y has 4 coordinates"),
+    (["ball"], {**BALL_HEIS, "center": [0, 0]}, "center has 2 coordinates"),
+], ids=["distance-x", "distance-y", "ball-center"])
+def test_cli_point_of_another_dimension_is_a_config_error(tmp_path, capsys, argv, payload,
+                                                         message):
+    # a short x used to end in "run failed: operands could not be broadcast"
+    cfg = write_config(tmp_path, "p.json", payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {message} but family 'heisenberg' acts on R^3\n")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("h", ["0.25", "abc"])
+def test_cli_grid_h_given_as_a_string_is_a_config_error(tmp_path, capsys, h):
+    # "0.25" used to run as 0.25, and "abc" to fail naming neither grid nor h
+    cfg = write_config(tmp_path, "e.json", {"family": "euclidean(2)",
+                                            "grid": {**GRID_2D, "h": h}})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "eigen"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: grid spec must be {'box': [[lo, hi], ...], 'h': float}\n")
     assert not (tmp_path / "o").exists()
 
 

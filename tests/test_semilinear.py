@@ -220,12 +220,14 @@ def _count_splu(monkeypatch):
 
 
 def test_monotone_factors_once_below_threshold(monkeypatch):
-    # one factorization per shift level: the logistic shift is re-derived as
-    # the bracket shrinks and taken only when it at least halves; a problem
-    # with a constant shift factors once
+    # one factorization per shift level: without F' the logistic shift is
+    # re-derived as the bracket shrinks and taken only when it at least
+    # halves; a problem with a constant shift factors once, and a Newton run
+    # once per step but the last
     g, K, a, b, eig = logistic_setup(1.0 / 8)
     assert factor_pays(g)
-    problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
+    newton = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
+    problem = dataclasses.replace(newton, slope=None)
     lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
     calls = _count_splu(monkeypatch)
     res = monotone_iterate(problem, lower, upper, tol=1e-9)
@@ -239,6 +241,11 @@ def test_monotone_factors_once_below_threshold(monkeypatch):
     constant = SemilinearProblem(K=K, reaction=problem.reaction, shift_bound=lambda lo, hi: c0)
     res = monotone_iterate(constant, lower, upper, tol=1e-9)
     assert res.status == "ok" and len(calls) == 1 and res.shifts == [c0]
+    calls.clear()
+    res = monotone_iterate(newton, lower, upper, tol=1e-9)
+    assert res.status == "ok" and res.steps_monotone and res.bracket_respected
+    assert len(calls) == len(res.shifts) == res.iterations < 10
+    assert np.array_equal(res.shifts[0], -newton.slope(upper.values[g.interior_ids]))
 
 
 def test_yamabe_barriers_share_one_factorization(monkeypatch):
@@ -460,9 +467,12 @@ def logistic_setup(h=1.0 / 16):
 
 def test_monotone_stops_when_its_step_stagnates_below_an_unreachable_tol():
     # at tol 1e-30 the residual floors at round-off; the iteration stops once
-    # its step falls below 1e-16 of the bracket's scale, long before max_iter
+    # its step falls below 1e-16 of the bracket's scale, long before max_iter.
+    # Without F' the shift is a scalar.
     g, K, a, b, eig = logistic_setup(1.0 / 8)
-    res = logistic_solve(K, a, b, 4 * eig.lam, 2.0, eig, tol=1e-30, max_iter=2000)
+    problem = dataclasses.replace(logistic_problem(K, a, b, 4 * eig.lam, 2.0), slope=None)
+    res = monotone_iterate(problem, GridField.zeros(g), GridField.constant(g, 1.0),
+                           tol=1e-30, max_iter=2000)
     assert res.status == "no-convergence" and 10 < res.iterations < 2000
     assert res.residual < 1e-12
     assert [n for n in res.notes if "stagnated" in n] == [
@@ -525,7 +535,8 @@ def test_step_one_violation_notes_match_a_full_grid_reference(bvalue, trace, mas
     g = mask_domain(box, lambda pts: (pts**2).sum(axis=1) < 0.8)
     K = assemble_stiffness(euclidean(2), g)
     one = GridField.constant(g, 1.0)
-    problem = dataclasses.replace(logistic_problem(K, one, one, 40.0, 2.0), boundary_value=bvalue)
+    problem = dataclasses.replace(logistic_problem(K, one, one, 40.0, 2.0), boundary_value=bvalue,
+                                  slope=None)
     upper = GridField.from_interior(g, np.full(g.n_interior, 0.05), trace)
     lower = GridField.from_interior(g, np.zeros(g.n_interior), min(trace, 0.0))
     res = monotone_iterate(problem, lower, upper, max_iter=1)
@@ -880,23 +891,77 @@ def test_logistic_runs_solve_the_weighted_pencil_once(monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
-def test_prop4_2_near_threshold_runs_stay_under_1200_steps(monkeypatch):
-    # the benchmark's prop4_2 grid at mu = 1.01 mu1: with the starting
-    # bracket's shift kept throughout, the two runs took 1,973 and 3,967 steps
-    runs = []
+def _near_threshold_runs(monkeypatch):
+    """Both monotone runs of the benchmark's prop4_2 case mu = 1.01 mu1 (h = 1/32), and K."""
+    runs, problems = [], []
     orig = sm.monotone_iterate
 
-    def counted(*args, **kwargs):
-        runs.append(orig(*args, **kwargs))
+    def counted(problem, *args, **kwargs):
+        problems.append(problem)
+        runs.append(orig(problem, *args, **kwargs))
         return runs[-1]
 
     monkeypatch.setattr(sm, "monotone_iterate", counted)
     g = build_grid([(0, 1), (0, 1)], 1.0 / 32)
     rep = verify_prop_4_2(euclidean(2), g, "1 + 0*x", "1 + 0*x", 2.0, [1.01])
     assert rep.passed and len(runs) == 2
+    assert problems[0].K is problems[1].K
+    return runs, problems[0].K
+
+
+def test_prop4_2_near_threshold_runs_stay_under_20_newton_steps(monkeypatch):
+    # with a scalar shift the two runs took 978 and 979 steps (1,973 and
+    # 3,967 with the starting bracket's shift kept throughout)
+    runs, _ = _near_threshold_runs(monkeypatch)
     for res in runs:
         assert res.status == "ok" and res.steps_monotone and res.bracket_respected
-        assert res.iterations <= 1200
+        assert res.iterations <= 20
+
+
+def test_prop4_2_near_threshold_runs_lie_within_1e_8_of_a_newton_reference(monkeypatch):
+    # with a scalar shift the runs stopped 5.2e-5 from the solution, and
+    # Newton stopped on the residual alone 1.5e-8: near the bifurcation the
+    # linearization's smallest eigenvalue is about mu - mu1, so a residual
+    # below tol leaves an error far above it
+    runs, K = _near_threshold_runs(monkeypatch)
+    g = K.grid
+    one = GridField.constant(g, 1.0)
+    mu = 1.01 * weighted_principal(K, assemble_diagonal(one), tol=1e-9).lam
+    ref = damped_newton_logistic(K, one, one, mu, 2.0, one, tol=1e-14)
+    w = g.h ** g.n
+    ri = ref.values[g.interior_ids]
+    assert np.linalg.norm(K.mat @ ri - w * mu * ri * (1.0 - ri)) <= 1e-14
+    assert ri.min() > 0.0  # the positive solution, not u = 0
+    for res in runs:
+        rel = np.abs(res.solution.values - ref.values).max() / np.abs(ref.values).max()
+        assert rel <= 1e-8
+
+
+def test_newton_on_the_3d_cg_path_descends_in_fewer_cg_steps():
+    # the benchmark's logistic grid: 3,375 unknowns, a top separator of 225
+    g = build_grid([(-1, 1)] * 3, 1.0 / 8)
+    assert not factor_pays(g)
+    K = assemble_stiffness(heisenberg(), g)
+    one = GridField.constant(g, 1.0)
+    eig = weighted_principal(K, assemble_diagonal(one))
+    res = logistic_solve(K, one, one, 2 * eig.lam, 2.0, eig)
+    assert res.status == "ok" and res.steps_monotone and res.bracket_respected
+    assert len(res.shifts) == res.iterations and all(np.ndim(c) == 1 for c in res.shifts)
+    scalar = dataclasses.replace(logistic_problem(K, one, one, 2 * eig.lam, 2.0), slope=None)
+    ref = monotone_iterate(scalar, res.lower, res.upper)
+    assert ref.status == "ok" and res.iterations < ref.iterations
+    assert 0 < res.cg_iterations < ref.cg_iterations
+
+
+def test_a_wrong_sign_slope_is_caught_by_the_descent_and_bracket_checks():
+    # c = +F'(u) instead of -F'(u): step 1 rises above the supersolution
+    g, K, a, b, eig = logistic_setup(1.0 / 8)
+    problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
+    wrong = dataclasses.replace(problem, slope=lambda u: -problem.slope(u))
+    res = monotone_iterate(wrong, GridField.zeros(g), GridField.constant(g, 1.0), max_iter=1)
+    assert not (res.steps_monotone or res.bracket_respected) and res.status == "no-convergence"
+    assert res.notes[0].startswith("monotone descent violated by ")
+    assert res.notes[1].startswith("bracket violated at step 1: ")
 
 
 def test_semilinear_does_not_import_eigen():
