@@ -204,7 +204,7 @@ class _GraphContext:
         return ids[sel], w[sel], kind[pos], info[pos], scale[pos], src, pos
 
 
-def _dijkstra(ctx, source, targets=None, rmax=None):
+def _dijkstra(ctx, source, target=None, rmax=None):
     """Shortest graph durations from `source`, settled a distance bucket at a time.
 
     Each round takes d_min, the smallest tentative distance on the
@@ -214,8 +214,8 @@ def _dijkstra(ctx, source, targets=None, rmax=None):
     candidates keeps the least in (duration, the source's pop order
     (dist, id), edge position): the order in which a one-node-at-a-time
     heap Dijkstra applies them, so dist and the parent arrays match it
-    exactly.  With `rmax`, nodes beyond it stay unsettled; with `targets`,
-    the search stops once every target is settled.
+    exactly.  With `rmax`, nodes beyond it stay unsettled; with `target`,
+    the search stops once the target is settled.
     """
     N = ctx.grid.num_nodes
     dist = np.full(N, np.inf)
@@ -229,7 +229,6 @@ def _dijkstra(ctx, source, targets=None, rmax=None):
     front = np.array([source], dtype=np.int64)
     on_front = np.zeros(N, dtype=bool)
     on_front[source] = True
-    pending = None if targets is None else np.unique(np.asarray(targets, dtype=np.int64))
     while front.size:
         fd = dist[front]
         d_min = fd.min()
@@ -243,12 +242,9 @@ def _dijkstra(ctx, source, targets=None, rmax=None):
         front = front[~take]
         on_front[bucket] = False
         expand, done = bucket, False
-        if pending is not None:
-            pending = pending[~settled[pending]]
-            hit = np.isin(bucket, pending)
-            if np.count_nonzero(hit) == pending.size:  # the last target pops in this bucket
-                last = int(np.flatnonzero(hit).max(initial=0))
-                bucket, expand, done = bucket[: last + 1], bucket[:last], True
+        hit = np.flatnonzero(bucket == target) if target is not None else ()
+        if len(hit):  # the target pops in this bucket: the search ends there
+            bucket, expand, done = bucket[: hit[0] + 1], bucket[: hit[0]], True
         settled[bucket] = True
         ids, w, kind, info, scale, src, pos = ctx.edges_from(expand)
         nd = dist[expand][src] + w
@@ -352,7 +348,7 @@ def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS, step_sc
             T=0.0, waypoints=np.array([grid.points[src]] * 2),
             controls=np.zeros((1, family.m)), durations=np.zeros(1), defect=0.0,
         )
-    dist, settled, parents = _dijkstra(ctx, src, targets=[tgt])
+    dist, settled, parents = _dijkstra(ctx, src, target=tgt)
     if not np.isfinite(dist[tgt]):
         reached = dist[settled]
         raise CCUnreachableError(

@@ -36,7 +36,11 @@ _ALLOWED_NODES = (
 
 
 def compile_expression(expr, n):
-    """Compile an expression string into a callable points (N, n) -> (N,); constants broadcast."""
+    """Compile an expression string into a callable points (N, n) -> (N,); constants broadcast.
+
+    An expression that does not parse, or whose evaluation raises an
+    ArithmeticError (1/0, an overflowing power), raises ValueError naming it.
+    """
     names = {}
     for k in range(n):
         if k < len(_COORD_LETTERS) and n <= len(_COORD_LETTERS):
@@ -44,16 +48,21 @@ def compile_expression(expr, n):
         names[f"x{k}"] = k
     if n == 3:
         names["t"] = 2  # Heisenberg-style coordinates (x, y, t)
-    tree = ast.parse(expr, mode="eval")
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_NODES):
-            raise ValueError(f"disallowed syntax in expression: {type(node).__name__}")
-        if isinstance(node, ast.Call):
-            if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
-                raise ValueError("only whitelisted functions may be called")
-        if isinstance(node, ast.Name):
-            if node.id not in names and node.id not in _FUNCS and node.id not in _CONSTS:
-                raise ValueError(f"unknown name in expression: {node.id!r}")
+    try:
+        tree = ast.parse(expr, mode="eval")
+        for node in ast.walk(tree):
+            if not isinstance(node, _ALLOWED_NODES):
+                raise ValueError(f"disallowed syntax in expression: {type(node).__name__}")
+            if isinstance(node, ast.Call):
+                if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
+                    raise ValueError("only whitelisted functions may be called")
+            if isinstance(node, ast.Name):
+                if node.id not in names and node.id not in _FUNCS and node.id not in _CONSTS:
+                    raise ValueError(f"unknown name in expression: {node.id!r}")
+            if isinstance(node, ast.Constant) and type(node.value) is int:
+                node.value = float(node.value)  # so a huge power overflows at once
+    except (SyntaxError, OverflowError) as exc:
+        raise ValueError(f"expression {expr!r} does not parse: {exc}") from None
     code = compile(tree, "<field-expression>", "eval")
 
     def fn(points):
@@ -62,7 +71,10 @@ def compile_expression(expr, n):
         env.update(_CONSTS)
         for name, k in names.items():
             env[name] = pts[:, k]
-        out = eval(code, {"__builtins__": {}}, env)
+        try:
+            out = eval(code, {"__builtins__": {}}, env)
+        except ArithmeticError as exc:
+            raise ValueError(f"expression {expr!r} fails: {exc}") from None
         out = np.asarray(out, dtype=float)
         if out.shape != (pts.shape[0],):
             out = np.broadcast_to(out, (pts.shape[0],)).copy()

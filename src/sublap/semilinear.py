@@ -2,22 +2,21 @@
 
 Problems take the form H u = F(u) with Dirichlet data, discretized as
 K u = M F(u) on the interior values.  The monotone scheme iterates
-    u_{k+1} = (K + c M)^{-1} M (c u_k + F(u_k))
-from a supersolution.  When the problem carries F', c = -F'(u_k) nodewise
-and the step is Newton's: for F concave it maps a supersolution to a
-supersolution (Amann 1976; Pao 1998), and the run stops only once its last
-step is at most tol relative to max |u|, which bounds the error by about
-the step's square.  Otherwise c is a scalar with c + dF/du >= 0 on the
-bracket [min lower, max u_k], re-derived as the bracket shrinks and taken
-when it at least halves.  Either way, descent onto a solution in
-[lower, upper] rests on a discrete maximum principle, which is monitored,
-not assumed.
+    u_{k+1} = (K + c_k M)^{-1} M (c_k u_k + F(u_k))
+from a supersolution, with one rule for the shift: c_k is nodewise, at
+least the sup of -F' over each node's [lower, u_k] (Amann 1976; Pao 1998).
+Where F is concave on the bracket that sup is -F'(u_k), and the step is
+Newton's; for a reaction that is not, a bound over [lower, upper] serves
+every step, and the one shift costs one factorization.  Every run stops
+only once its residual is at most tol and its last step at most tol
+relative to max |u|.  Descent onto a solution in [lower, upper] rests on a
+discrete maximum principle, which is monitored, not assumed.
 
-Specializations: the logistic problem H u = mu u (a - b u^{p-1}), with F',
-the Yamabe-type problem H u + k u - Kcap |u|^{p-1} u = 0 on truncated boxes
-with far-field boundary value eps, whose reaction is not concave, and the
-exhaustion sequence H u = lam g u on growing boxes with boundary datum
-equal to the box index.
+Specializations: the logistic problem H u = mu u (a - b u^{p-1}), concave
+on u >= 0, the Yamabe-type problem H u + k u - Kcap |u|^{p-1} u = 0 on
+truncated boxes with far-field boundary value eps, whose reaction is not
+concave, and the exhaustion sequence H u = lam g u on growing boxes with
+boundary datum equal to the box index.
 """
 
 from __future__ import annotations
@@ -41,48 +40,47 @@ SHIFT_CHECK_SEED = 0     # seeds the random values at which `validate_shift` sam
 
 @dataclass(eq=False)
 class SemilinearProblem:
-    """H u = F(u) with constant Dirichlet data and a bound for the monotone shift.
+    """H u = F(u) with constant Dirichlet data and the nodewise monotone shift.
 
     `reaction` maps the interior values (n_interior,) to F(u) there.
-    `shift_bound`, a callable (lo, hi) -> c, gives the shift, a float, for
-    iterates with values in [lo, hi]; it must meet c + dF/du >= 0 there.
-    `slope`, when given, maps the interior values to F'(u) there; F must
-    then be concave on the bracket, and `monotone_iterate` takes Newton
-    steps.  `logistic_problem` builds all three for its equation,
-    `yamabe_problem`, whose reaction is not concave, all but `slope`.
-    `boundary_value` is the one Dirichlet value of every boundary node.
-    `validate_shift` spot-checks a scalar shift by sampled difference
-    quotients.
+    `shift`, a callable (lower, u) -> c on interior vectors, gives at each
+    node a c at least the sup of -dF/du over [lower, u] there.
+    `logistic_problem` gives -F'(u) itself where 0 <= lower <= u, and
+    `yamabe_problem` a bound over its whole bracket that does not depend on
+    u.  `boundary_value` is the one Dirichlet value of every boundary node.
+    `validate_shift` spot-checks a shift by sampled difference quotients.
     """
 
     K: object                       # assembled stiffness SparseOperator
     reaction: object                # callable F(u) on interior values
-    shift_bound: object             # callable (lo, hi) -> c
+    shift: object                   # callable (lower, u) -> c on interior values
     boundary_value: float = 0.0
-    slope: object = None            # callable F'(u) on interior values, or None
 
     @property
     def grid(self):
         return self.K.grid
 
     def validate_shift(self, c, lo, hi):
-        """Sampled check that c + dF/du >= 0 on [lo, hi]; returns the largest -dF/du seen.
+        """Sampled check that c + dF/du >= 0 at each node on [lo, hi]; returns the sampled -dF/du.
 
-        At every interior node, takes the difference quotient over
-        [u, u + du] at a random u within [lo, hi] and at both ends of the
-        bracket, [lo, lo + du] and [hi - du, hi], where -dF/du usually peaks.
+        `c`, `lo` and `hi` are interior vectors.  At every interior node,
+        takes the difference quotient over [u, u + du] at a random u within
+        the node's bracket and at both of its ends, [lo, lo + du] and
+        [hi - du, hi], where -dF/du usually peaks; du is 1e-6 of the widest
+        bracket, so a narrower one is sampled up to du beyond its top.
         """
         rng = np.random.default_rng(SHIFT_CHECK_SEED)
-        g = self.grid
-        du = 1e-6 * max(hi - lo, 1e-12)
-        top = max(hi - du, lo)
-        starts = (rng.uniform(lo, top, size=g.n_interior), np.full(g.n_interior, float(lo)),
-                  np.full(g.n_interior, top))
-        worst = max(float(((self.reaction(u) - self.reaction(u + du)) / du).max())
-                    for u in starts)
-        if worst > c * (1.0 + 1e-4) + 1e-12:
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        du = 1e-6 * max(float((hi - lo).max(initial=0.0)), 1e-12)
+        top = np.maximum(hi - du, lo)
+        worst = np.max([(self.reaction(u) - self.reaction(u + du)) / du
+                        for u in (rng.uniform(lo, top), lo, top)], axis=0)
+        excess = worst - c - 1e-4 * np.abs(c)
+        i = int(np.argmax(excess))
+        if excess[i] > 1e-12:
             raise ValueError(
-                f"shift {c:g} below the sampled -dF/du {worst:g} on [{lo:g}, {hi:g}]"
+                f"shift {c[i]:g} below the sampled -dF/du {worst[i]:g} on "
+                f"[{lo[i]:g}, {hi[i]:g}] at node {int(self.grid.interior_ids[i])}"
             )
         return worst
 
@@ -104,7 +102,7 @@ class BracketSolveResult:
     max_step_increase: float = 0.0
     status: str = "ok"
     notes: list = field(default_factory=list)
-    shifts: list = field(default_factory=list)  # the shift (float or vector) of each K + cM built
+    shifts: list = field(default_factory=list)  # the nodewise shift of each K + cM built, in order
     cg_iterations: int = 0
 
     def to_json_dict(self):
@@ -125,13 +123,14 @@ class ShiftedSolver:
     The shift c is a float at least 0, or a vector over the interior nodes
     (K + diag(c) M), for which the caller keeps the sum positive definite.
     The boundary lift is built once, and A = K + c h^n I once per shift
-    (`set_shift`), as the float64 copy that `operators.shifted_copy` stores
-    by diagonals on box grids: its matvecs are bit-identical to those of
-    CSR K + c h^n I, and cheaper.  On grids that `operators.factor_pays`
-    factors, A is factored (`factor_spd`) and every solve is a pair of
-    triangular solves.  Other systems run CG preconditioned by
-    diag(A)^{-1} (Jacobi), because the fill of the factors, and with it the
-    time and memory of factoring, outgrows what CG saves.
+    (`set_shift`; an equal shift keeps A and its factor), as the float64
+    copy that `operators.shifted_copy` stores by diagonals on box grids:
+    its matvecs are bit-identical to those of CSR K + c h^n I, and cheaper.
+    On grids that `operators.factor_pays` factors, A is factored
+    (`factor_spd`) and every solve is a pair of triangular solves.  Other
+    systems run CG preconditioned by diag(A)^{-1} (Jacobi), because the fill
+    of the factors, and with it the time and memory of factoring, outgrows
+    what CG saves.
     The first CG solve starts from the boundary value as a constant (the
     exact solution when c = 0 and the source is zero; K annihilates
     constants); later solves warm-start from the previous solution,
@@ -158,10 +157,15 @@ class ShiftedSolver:
         self.set_shift(shift_c)
 
     def set_shift(self, shift_c):
-        """Solve with A = K + c h^n I from now on: factor it, or take its Jacobi diagonal."""
+        """Solve with A = K + c h^n I from now on: factor it, or take its Jacobi diagonal.
+
+        A shift equal to the current one keeps the current A and its factor.
+        """
         vector = np.ndim(shift_c) > 0
         if not vector and shift_c < 0:
             raise ValueError("shift must be nonnegative")
+        if self.shifts and np.array_equal(shift_c, self.shifts[-1]):
+            return
         self.A = shifted_copy(self.K.mat, -shift_c * self.weight, np.float64)
         self.lu = self.jacobi = None
         if factor_pays(self.grid):
@@ -237,20 +241,16 @@ def check_sub_super(problem, u, sign):
 def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
     """Descend from the supersolution; iterates stay in [lower, upper].
 
-    Each step solves (K + c M) u_{k+1} = M (c u_k + F(u_k)).  When the
-    problem carries F' (`slope`), c is the vector c_k = -F'(u_k), re-formed
-    at every step, so the step is Newton's, and the run stops only once its
-    last step also meets ||u_{k+1} - u_k||_inf <= tol ||u_{k+1}||_inf:
-    Newton converges quadratically, so the error left is about that step
-    squared, which the residual alone does not bound.  Otherwise the shift
-    is a scalar that starts at problem.shift_bound on [min lower, max upper]
-    and is re-derived on [min lower, max u_k] after each step while it is
-    positive; the solver takes a new shift only when it is at most half the
-    current one, so a shift level costs one factorization, and each is
-    spot-checked by `validate_shift`.  Monotone descent and bracket
-    preservation are asserted at every step; violations (possible without
-    a discrete maximum principle) are recorded in the result notes rather
-    than silently ignored.
+    Each step solves (K + c_k M) u_{k+1} = M (c_k u_k + F(u_k)) with the
+    nodewise shift c_k = problem.shift(lower, u_k), spot-checked by
+    `validate_shift` before the step; the solver keeps its factor while the
+    shift stays equal.  The run stops only once the residual is at most
+    tol and the last step also meets ||u_{k+1} - u_k||_inf <= tol
+    ||u_{k+1}||_inf: for Newton's steps the error left is about that step
+    squared, which the residual alone does not bound.  Monotone descent and
+    bracket preservation are asserted at every step; violations (possible
+    without a discrete maximum principle) are recorded in the result notes
+    rather than silently ignored.
 
     The iterate is kept as its interior vector.  Every iterate carries the
     boundary value, so the boundary parts of the bracket gaps are fixed and
@@ -264,13 +264,8 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
         raise ValueError("bracket violated: lower > upper somewhere")
     ids = g.interior_ids
     lower_i, upper_i = lower.values[ids], upper.values[ids]
-    lo, hi = float(lower.values[active].min()), float(upper.values[active].max())
-    newton = problem.slope is not None
-    if newton:
-        c = -problem.slope(upper_i)
-    else:
-        c = problem.shift_bound(lo, hi)
-        problem.validate_shift(c, lo, hi)
+    c = problem.shift(lower_i, upper_i)
+    problem.validate_shift(c, lower_i, upper_i)
     notes = []
     ok_sub, v_sub, n_sub = check_sub_super(problem, lower, +1)
     if not ok_sub:
@@ -288,7 +283,6 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     lo_bnd = float((lower.values[g.boundary_ids] - bvec).max(initial=-np.inf))
     hi_bnd = float((bvec - upper.values[g.boundary_ids]).max(initial=-np.inf))
     step_off = float(np.abs(GridField.from_interior(g, upper_i, bvec).values - upper.values).max())
-    bvec_max = float(bvec.max(initial=-np.inf))
     bvec_abs = float(np.abs(bvec).max(initial=0.0))
     ui = upper_i
     Fu = problem.reaction(ui)  # F(u): the next right-hand side and the residual's reaction
@@ -298,6 +292,10 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     max_inc = 0.0
     bracket_ok = True
     for it in range(1, max_iter + 1):
+        if it > 1:
+            c = problem.shift(lower_i, ui)
+            problem.validate_shift(c, lower_i, ui)
+            solver.set_shift(c)
         x = solver.solve_interior(c * ui + Fu)
         diff = x - ui
         inc = float(diff.max())
@@ -325,23 +323,13 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
         un = np.linalg.norm(ui)
         r = float(np.linalg.norm(problem.K.mat @ ui + lift - w * Fu))
         residual = float(r / un) if un > 0 else r
-        rel_step = step / max(float(np.abs(ui).max()), bvec_abs, 1e-300) if newton else 0.0
+        rel_step = step / max(float(np.abs(ui).max()), bvec_abs, 1e-300)
         converged = residual <= tol and rel_step <= tol
         if converged:
             break
         if step < 1e-16 * scale:
             notes.append(f"iteration stagnated at step {it} with residual {residual:.3e}")
             break
-        if newton:
-            c = -problem.slope(ui)
-            solver.set_shift(c)
-        elif c > 0.0:
-            hi = max(float(ui.max()), bvec_max)
-            c_next = problem.shift_bound(lo, hi)
-            if c_next <= 0.5 * c:
-                problem.validate_shift(c_next, lo, hi)
-                c = c_next
-                solver.set_shift(c)
     status = "ok" if converged else "no-convergence"
     if status != "ok":
         what = f"residual {residual:.3e}" if residual > tol else f"relative step {rel_step:.3e}"
@@ -363,13 +351,13 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
 
 
 def logistic_problem(K, a, b, mu, p):
-    """H u = mu u (a - b |u|^{p-1}), u = 0 on the boundary, with F' for Newton steps.
+    """H u = mu u (a - b |u|^{p-1}), u = 0 on the boundary, with Newton's shift.
 
-    F(u) = mu u (a - b |u|^{p-1}), with F'(u) = mu (a - p b |u|^{p-1}):
-    F is concave on u >= 0 for p > 1.  The scalar shift on [lo, hi], used
-    only by a problem stripped of F', is the sup of -dF/du there, at least
-    0 (mu >= 0): it grows with |u|, so the sup is
-    mu max(0, max(p b m^{p-1} - a)) with m = max(|lo|, |hi|).
+    F(u) = mu u (a - b |u|^{p-1}), with -F'(u) = mu (p b |u|^{p-1} - a),
+    which grows with |u| (mu >= 0).  So the sup of -F' over a node's
+    [lower, u] is mu (p b m^{p-1} - a) with m = max(|lower|, |u|): where
+    0 <= lower <= u that is -F'(u) itself, F is concave there for p > 1,
+    and each monotone step is Newton's.
     """
     a_int = a.values[K.grid.interior_ids]
     b_int = b.values[K.grid.interior_ids]
@@ -378,14 +366,10 @@ def logistic_problem(K, a, b, mu, p):
     def reaction(u):
         return mu * u * (a_int - b_int * np.abs(u) ** (p - 1.0))
 
-    def shift_bound(lo, hi):
-        m = max(abs(lo), abs(hi))
-        return mu * max(0.0, float((pb_int * m ** (p - 1.0) - a_int).max()))
+    def shift(lower, u):
+        return mu * (pb_int * np.maximum(np.abs(lower), np.abs(u)) ** (p - 1.0) - a_int)
 
-    def slope(u):
-        return mu * (a_int - pb_int * np.abs(u) ** (p - 1.0))
-
-    return SemilinearProblem(K=K, reaction=reaction, shift_bound=shift_bound, slope=slope)
+    return SemilinearProblem(K=K, reaction=reaction, shift=shift)
 
 
 def logistic_solve(K, a, b, mu, p, eig, tol=1e-8):
@@ -395,13 +379,13 @@ def logistic_solve(K, a, b, mu, p, eig, tol=1e-8):
     `weighted_principal(K, assemble_diagonal(a))`.  Uses the bracket
     [eps*phi, Mcap] with Mcap = max (a/b)^{1/(p-1)} and eps the largest
     dyadic value passing the discrete subsolution test.  For mu <= mu1 the
-    zero solution is returned with status "subcritical".  The iteration
-    takes Newton steps down from Mcap, each a solve with K - M F'(u_k), and
-    stops once the residual is at most tol and the last step at most tol
-    relative to max |u|.  Near the bifurcation (mu barely above mu1) that
-    takes about a dozen steps, where a scalar shift, whose slow mode
-    contracts by about 1 - (mu - mu1)/mu1 per step, takes about 230 per
-    decade.
+    zero solution is returned with status "subcritical".  On this bracket
+    the logistic shift is -F'(u_k), so the iteration takes Newton steps
+    down from Mcap, each a solve with K - M F'(u_k), and stops once the
+    residual is at most tol and the last step at most tol relative to
+    max |u|.  Near the bifurcation (mu barely above mu1) that takes about a
+    dozen steps; a shift fixed over the bracket would contract the slow
+    mode by only about 1 - (mu - mu1)/mu1 per step.
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -471,24 +455,27 @@ def barriers(K, f, C, eps):
     return GridField.from_interior(g, vi, eps), GridField.from_interior(g, 2.0 * eps - vi, eps), worst
 
 
-def yamabe_problem(K, kfield, Kfield, p, eps):
-    """H u + k u - Kcap |u|^{p-1} u = 0, u = eps on the boundary, shifted on each bracket.
+def yamabe_problem(K, kfield, Kfield, p, eps, upper):
+    """H u + k u - Kcap |u|^{p-1} u = 0, u = eps on the boundary, with one shift below `upper`.
 
-    F(u) = Kcap |u|^{p-1} u - k u, so H u = F is the equation.  The shift
-    on [lo, hi] is max(|k| + p |Kcap| m^{p-1}) with m = max(|lo|, |hi|):
-    -dF/du = k - p Kcap |u|^{p-1} is at most |k| + p |Kcap| |u|^{p-1}.
+    F(u) = Kcap |u|^{p-1} u - k u, so H u = F is the equation.  -dF/du =
+    k - p Kcap |u|^{p-1} is at most |k| + p |Kcap| |u|^{p-1}, so the shift
+    on a node's [lower, u] is |k| + p |Kcap| max(|lower|, |upper|)^{p-1},
+    with `upper` (a GridField) the bracket's top: every iterate lies below
+    it, so the shift does not depend on u, and one shift serves the run.
     """
     k_int = kfield.values[K.grid.interior_ids]
     K_int = Kfield.values[K.grid.interior_ids]
     k_abs, pK_abs = np.abs(k_int), p * np.abs(K_int)
+    upper_abs = np.abs(upper.values[K.grid.interior_ids])
 
     def reaction(u):
         return K_int * np.sign(u) * np.abs(u) ** p - k_int * u
 
-    def shift_bound(lo, hi):
-        return float((pK_abs * max(abs(lo), abs(hi)) ** (p - 1.0) + k_abs).max())
+    def shift(lower, u):
+        return pK_abs * np.maximum(np.abs(lower), upper_abs) ** (p - 1.0) + k_abs
 
-    return SemilinearProblem(K=K, reaction=reaction, shift_bound=shift_bound, boundary_value=eps)
+    return SemilinearProblem(K=K, reaction=reaction, shift=shift, boundary_value=eps)
 
 
 def yamabe_coefficients(f, theta, k_pattern="cos(x0 + x1)", K_pattern="sin(x0 - x1 + 0.3)"):
@@ -531,7 +518,7 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
             notes=[f"barrier bounds 0 < V <= eps, eps <= W < 1 violated by {worst:.3e}: "
                    "C too large for this box/f"],
         )
-    return monotone_iterate(yamabe_problem(K, kfield, Kfield, p, eps), V, W, tol=tol)
+    return monotone_iterate(yamabe_problem(K, kfield, Kfield, p, eps, W), V, W, tol=tol)
 
 
 @dataclass(eq=False)

@@ -68,3 +68,19 @@ def test_bench_outputs_writes_one_identical_tree_per_run(tmp_path):
     assert {json.loads(trees[0][Path(name, "report.json")])["config"]["command"]
             for name in names} == set(COMMANDS)
     assert Path("yamabe", "solution.svg") in trees[0]
+
+
+def test_bench_outputs_names_every_run_that_exits_non_zero(tmp_path, monkeypatch, capsys):
+    grid = {"box": [[0, 1], [0, 1]], "h": 0.25}
+    Run = bench_outputs.Run
+    monkeypatch.setattr(bench_outputs, "runs", lambda checkout, size: [
+        Run("good", ("eigen",), {"family": "euclidean(2)", "grid": grid}),
+        Run("raises", ("eigen",), {"family": "euclidean(2)", "grid": grid, "potential": "x +"}),
+        Run("config", ("eigen",), {"family": "euclidean(2)", "grid": grid, "typo": 1}),
+    ])
+    for var in bench_outputs.THREAD_VARS:  # main sets them; restored afterwards
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert bench_outputs.main([str(ROOT), str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if ": exit " in line] == ["raises: exit 1", "config: exit 2"]

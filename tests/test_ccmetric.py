@@ -467,7 +467,7 @@ def _ref_edges_from(ctx, p):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _ref_dijkstra(ctx, source, targets=None, rmax=None):
+def _ref_dijkstra(ctx, source, target=None, rmax=None):
     """Reference: heap Dijkstra that settles and expands one node at a time."""
     N = ctx.grid.num_nodes
     dist = np.full(N, np.inf)
@@ -479,7 +479,6 @@ def _ref_dijkstra(ctx, source, targets=None, rmax=None):
     p_dur = np.zeros(N)
     dist[source] = 0.0
     heap = [(0.0, source)]
-    remaining = set(targets) if targets is not None else None
     while heap:
         d, p = heapq.heappop(heap)
         if settled[p]:
@@ -487,10 +486,8 @@ def _ref_dijkstra(ctx, source, targets=None, rmax=None):
         if rmax is not None and d > rmax:
             break
         settled[p] = True
-        if remaining is not None:
-            remaining.discard(p)
-            if not remaining:
-                break
+        if p == target:
+            break
         ids, w, kind, info, scale = _ref_edges_from(ctx, p)
         nd = d + w
         better = nd < dist[ids]
@@ -540,7 +537,7 @@ def _graph_queries(draw):
     if draw(st.booleans()):
         query = {"rmax": draw(st.floats(0.0, 1.0))}
     else:
-        query = {"targets": [int(usable[draw(st.integers(0, usable.size - 1))])]}
+        query = {"target": int(usable[draw(st.integers(0, usable.size - 1))])}
     return family, ctx, source, query
 
 

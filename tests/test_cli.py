@@ -577,18 +577,41 @@ DIST_2D = {"family": "euclidean(2)", "grid": {"box": [[-0.5, 1.5], [-0.5, 1.5]],
     (["probe", "poincare"], {**BALL_HEIS, "corpus_count": 0}, 2, "corpus_count"),
     (["probe", "poincare"], {**BALL_HEIS, "corpus_degree": 0}, 2, "corpus_degree"),
     (["fields", "info"], {"family": "heisenberg", "sample_points": 0}, 2, "sample_points"),
+    (["eigen"], {"family": "euclidean(2)", "grid": GRID_2D, "potential": "x +"}, 1, "'x +'"),
+    (["eigen"], {"family": "euclidean(2)", "grid": GRID_2D, "potential": "1/0*x"}, 1,
+     "'1/0*x'"),
+    (["verify", "thm1_3"], {**NO_CASE_CONFIGS["thm1_3"], "g": "1+"}, 1, "'1+'"),
 ], ids=["thm1_3-boxes", "epspath-eps_list", "ball-step_scales-euclidean",
         "ball-step_scales-heisenberg", "distance-segments-0", "distance-segments-negative",
         "thm1_4-stability_box", "poincare-corpus_count", "poincare-corpus_degree",
-        "fields_info-sample_points"])
+        "fields_info-sample_points", "eigen-potential-syntax", "eigen-potential-division",
+        "thm1_3-g-syntax"])
 def test_cli_empty_or_zero_count_value_exits_with_a_one_line_error(tmp_path, capsys, argv,
                                                                    payload, code, key):
-    # each value used to crash with a traceback, or to run and report nothing
+    # each value used to crash with a traceback, or to run and report nothing;
+    # an expression that does not parse or divides by zero is named
     cfg = write_config(tmp_path, "c.json", payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == code
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "run failed: ")
     assert key in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_expression_with_a_huge_power_fails_at_once(tmp_path):
+    # read as integers, 9**9**9 ran as an exact integer power for minutes; a
+    # child process with a timeout keeps a regression from hanging the suite
+    cfg = write_config(tmp_path, "e.json", {"family": "euclidean(2)", "grid": GRID_2D,
+                                            "potential": "x + 9**9**9"})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "sublap.cli", "--config", str(cfg), "--out",
+                           str(tmp_path / "o"), "eigen"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("run failed: expression 'x + 9**9**9' fails: ")
+    assert proc.stderr.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sublap.cli import main
 from sublap.eigen import principal_eigenpair, weighted_principal
@@ -220,32 +222,38 @@ def _count_splu(monkeypatch):
 
 
 def test_monotone_factors_once_below_threshold(monkeypatch):
-    # one factorization per shift level: without F' the logistic shift is
-    # re-derived as the bracket shrinks and taken only when it at least
-    # halves; a problem with a constant shift factors once, and a Newton run
-    # once per step but the last
+    # one factorization per distinct shift: a Newton run factors once per
+    # step but the last, and a shift that stays equal factors once
     g, K, a, b, eig = logistic_setup(1.0 / 8)
     assert factor_pays(g)
     newton = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
-    problem = dataclasses.replace(newton, slope=None)
     lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
     calls = _count_splu(monkeypatch)
-    res = monotone_iterate(problem, lower, upper, tol=1e-9)
-    assert res.status == "ok" and res.iterations > 10
-    assert res.steps_monotone and res.bracket_respected
-    assert len(calls) == len(res.shifts) > 1
-    assert res.shifts[0] == problem.shift_bound(0.0, 1.0)
-    assert all(c <= 0.5 * prev for prev, c in zip(res.shifts, res.shifts[1:]))
-    calls.clear()
-    c0 = res.shifts[0]
-    constant = SemilinearProblem(K=K, reaction=problem.reaction, shift_bound=lambda lo, hi: c0)
-    res = monotone_iterate(constant, lower, upper, tol=1e-9)
-    assert res.status == "ok" and len(calls) == 1 and res.shifts == [c0]
-    calls.clear()
     res = monotone_iterate(newton, lower, upper, tol=1e-9)
     assert res.status == "ok" and res.steps_monotone and res.bracket_respected
     assert len(calls) == len(res.shifts) == res.iterations < 10
-    assert np.array_equal(res.shifts[0], -newton.slope(upper.values[g.interior_ids]))
+    ids = g.interior_ids
+    assert np.array_equal(res.shifts[0], newton.shift(lower.values[ids], upper.values[ids]))
+    calls.clear()
+    c0 = float(res.shifts[0].max())
+    constant = dataclasses.replace(newton, shift=lambda lo, u: np.full_like(u, c0))
+    res = monotone_iterate(constant, lower, upper, tol=1e-9)
+    assert res.status == "ok" and res.iterations > 10 and len(calls) == 1
+    assert len(res.shifts) == 1 and np.all(res.shifts[0] == c0)
+
+
+def test_an_equal_shift_keeps_the_factor(monkeypatch):
+    K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 1.0 / 16)
+    calls = _count_splu(monkeypatch)
+    c = np.linspace(1.0, 2.0, K.grid.n_interior)
+    solver = ShiftedSolver(K, c)
+    x = solver.solve_interior(rhs).copy()
+    lu = solver.lu
+    solver.set_shift(c.copy())  # the same values in another array
+    assert len(calls) == 1 and solver.lu is lu and len(solver.shifts) == 1
+    assert np.array_equal(solver.solve_interior(rhs), x)
+    solver.set_shift(c + 1.0)
+    assert len(calls) == 2 and len(solver.shifts) == 2
 
 
 def test_yamabe_barriers_share_one_factorization(monkeypatch):
@@ -364,7 +372,7 @@ def test_monotone_zero_problem_instant():
     g = build_grid([(0, 1), (0, 1)], 0.25)
     K = assemble_stiffness(euclidean(2), g)
     problem = SemilinearProblem(K=K, reaction=lambda u: np.zeros_like(u),
-                                shift_bound=lambda lo, hi: 0.0)
+                                shift=lambda lo, u: np.zeros_like(u))
     z = GridField.zeros(g)
     res = monotone_iterate(problem, z, z, tol=1e-12)
     assert res.iterations == 1
@@ -378,18 +386,21 @@ def test_monotone_linear_reaction_is_linear_solve():
     f = GridField.from_function(g, lambda pts: np.cos(pts[:, 0]) + pts[:, 1])
     f_int = f.values[g.interior_ids]
     problem = SemilinearProblem(K=K, reaction=lambda u: f_int,
-                                shift_bound=lambda lo, hi: 0.0)
+                                shift=lambda lo, u: np.zeros_like(u))
     direct = linear_solve(K, 0.0, f, 0.0)
     upper = GridField.constant(g, float(np.abs(direct.values).max()) * 2 + 1)
     lower = GridField.constant(g, -float(np.abs(direct.values).max()) * 2 - 1)
     res = monotone_iterate(problem, lower, upper, tol=1e-9)
-    assert res.iterations == 1
+    # the first step solves the equation; the second repeats that solve, and
+    # its zero step meets the step bound
+    assert res.iterations == 2
     assert np.abs(res.solution.values - direct.values).max() < 1e-8
 
 
 def test_monotone_evaluates_reaction_once_per_iterate():
     # F(u) of each iterate is both its residual's reaction and the next
-    # step's right-hand side, so each further step costs one evaluation
+    # step's right-hand side, so each further step costs one evaluation, and
+    # the six of the shift check's three difference quotients
     g, K, a, b, eig = logistic_setup(h=1.0 / 8)
     logistic = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
     calls = []
@@ -398,8 +409,8 @@ def test_monotone_evaluates_reaction_once_per_iterate():
         calls.append(1)
         return logistic.reaction(u)
 
-    c = logistic.shift_bound(0.0, 1.0)
-    problem = SemilinearProblem(K=K, reaction=counted, shift_bound=lambda lo, hi: c)
+    c = logistic.shift(np.zeros(g.n_interior), np.ones(g.n_interior))
+    problem = SemilinearProblem(K=K, reaction=counted, shift=lambda lo, u: c)
     lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
     counts = []
     for max_iter in (1, 5):
@@ -407,7 +418,7 @@ def test_monotone_evaluates_reaction_once_per_iterate():
         res = monotone_iterate(problem, lower, upper, tol=1e-14, max_iter=max_iter)
         assert res.iterations == max_iter
         counts.append(len(calls))
-    assert counts[1] - counts[0] == 4
+    assert counts[1] - counts[0] == 4 * (1 + 6)
     with pytest.raises(ValueError, match="max_iter"):
         monotone_iterate(problem, lower, upper, max_iter=0)
 
@@ -419,12 +430,17 @@ def test_lipschitz_validation():
     a = GridField.constant(g, 1.0)
     b = GridField.constant(g, 1.0)
     logistic = logistic_problem(K, a, b, 10.0, 2.0)
-    good = SemilinearProblem(K=K, reaction=logistic.reaction, shift_bound=lambda lo, hi: 10.0)
-    assert good.shift_bound(0.0, 1.0) == 10.0 == logistic.shift_bound(0.0, 1.0)
-    assert good.validate_shift(good.shift_bound(0.0, 1.0), 0.0, 1.0) <= 10.0 * (1 + 1e-4)
+    n = g.n_interior
+    zero, one = np.zeros(n), np.ones(n)
+    c = logistic.shift(zero, one)
+    assert np.all(c == 10.0)
+    assert logistic.validate_shift(c, zero, one).max() <= 10.0 * (1 + 1e-4)
     with pytest.raises(ValueError, match="shift 0.1 below"):
-        good.validate_shift(0.1, 0.0, 1.0)
-    good.validate_shift(0.0, 0.0, 0.5)  # dF/du >= 0 on [0, 1/2]
+        logistic.validate_shift(np.full(n, 0.1), zero, one)
+    c[3] = 9.0  # one node's shift too small: the error names it
+    with pytest.raises(ValueError, match=rf"^shift 9 below .* at node {g.interior_ids[3]}$"):
+        logistic.validate_shift(c, zero, one)
+    logistic.validate_shift(zero, zero, np.full(n, 0.5))  # dF/du >= 0 on [0, 1/2]
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -437,24 +453,59 @@ def test_logistic_shift_meets_the_one_sided_bound(p):
     a_int = 1.0 + 0.5 * g.points[g.interior_ids, 0]
     b_int = 1.0 + 0.3 * g.points[g.interior_ids, 1]
     flat = float(((a_int / (p * b_int)) ** (1.0 / (p - 1.0))).min())  # dF/du >= 0 up to here
-    pts = g.points[g.interior_ids]
+    n = g.n_interior
+    zero = np.zeros(n)
     rng = np.random.default_rng(11)
     du = 1e-7
     for hi in (0.3 * flat, 0.99 * flat, 1.01 * flat, 0.8, 1.5, 3.0):
-        c = problem.shift_bound(0.0, hi)
-        assert (c == 0.0) == (hi <= flat)
+        top = np.full(n, hi)
+        c = problem.shift(zero, top)
+        assert (c.max() > 0.0) == (hi > flat)
         # the closed forms written out, bit for bit
-        assert c == 7.0 * max(0.0, float((p * b_int * hi ** (p - 1.0) - a_int).max()))
+        assert np.array_equal(c, 7.0 * (p * b_int * top ** (p - 1.0) - a_int))
         for _ in range(20):
-            u = rng.uniform(0.0, hi - du, size=pts.shape[0])
+            u = rng.uniform(0.0, hi - du, size=n)
             F = problem.reaction(u)
             assert np.array_equal(F, 7.0 * u * (a_int - b_int * np.abs(u) ** (p - 1.0)))
             slope = (problem.reaction(u + du) - F) / du
             assert (c + slope).min() >= -1e-6
-        problem.validate_shift(c, 0.0, hi)
-        if hi > flat:  # the quotient at the bracket's top sees half of c fail
-            with pytest.raises(ValueError, match="below the sampled"):
-                problem.validate_shift(0.5 * c, 0.0, hi)
+        problem.validate_shift(c, zero, top)
+        # -dF/du reaches c at the bracket's top, so a smaller shift fails
+        with pytest.raises(ValueError, match="below the sampled"):
+            problem.validate_shift(c - 0.5 * np.abs(c), zero, top)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1.5, 2.0, 3.0]))
+def test_each_shift_bounds_minus_f_prime_on_random_nodewise_brackets(seed, p):
+    # brackets drawn node by node, lower partly negative; -F' sampled inside
+    # each node's [lower, u] (below upper for the Yamabe problem)
+    g = build_grid([(0, 1), (0, 1)], 1.0 / 8)
+    K = assemble_stiffness(euclidean(2), g)
+    rng = np.random.default_rng(seed)
+    n, ids = g.n_interior, g.interior_ids
+
+    def field():
+        return GridField(g, rng.uniform(0.2, 2.0, g.num_nodes))
+
+    a, b, mu = field(), field(), float(rng.uniform(0.5, 50.0))
+    kf, Kf = (GridField(g, rng.uniform(-1.0, 1.0, g.num_nodes)) for _ in range(2))
+    lower = rng.uniform(-1.0, 1.0, n)
+    u = lower + rng.uniform(0.0, 2.0, n)
+    upper = u + rng.uniform(0.0, 1.0, n)
+    logistic = logistic_problem(K, a, b, mu, p)
+    yamabe = yamabe_problem(K, kf, Kf, p, 0.4, GridField.from_interior(g, upper, 0.4))
+    a_i, b_i, k_i, K_i = (x.values[ids] for x in (a, b, kf, Kf))
+    c_log, c_yam = logistic.shift(lower, u), yamabe.shift(lower, u)
+    for _ in range(10):
+        v = rng.uniform(lower, u)
+        assert np.all(c_log >= mu * (p * b_i * np.abs(v) ** (p - 1.0) - a_i))
+        assert np.all(c_yam >= k_i - p * K_i * np.abs(v) ** (p - 1.0))
+    # Newton's -F'(u) where 0 <= lower <= u, bit for bit
+    newton = -(mu * (a_i - p * b_i * np.abs(u) ** (p - 1.0)))
+    sel = lower >= 0.0
+    assert sel.any() and np.array_equal(c_log[sel], newton[sel])
+    assert np.array_equal(yamabe.shift(lower, upper), c_yam)  # independent of u
 
 
 def logistic_setup(h=1.0 / 16):
@@ -468,9 +519,12 @@ def logistic_setup(h=1.0 / 16):
 def test_monotone_stops_when_its_step_stagnates_below_an_unreachable_tol():
     # at tol 1e-30 the residual floors at round-off; the iteration stops once
     # its step falls below 1e-16 of the bracket's scale, long before max_iter.
-    # Without F' the shift is a scalar.
+    # The shift is held at the logistic shift's top on [0, 1], so the
+    # descent is linear.
     g, K, a, b, eig = logistic_setup(1.0 / 8)
-    problem = dataclasses.replace(logistic_problem(K, a, b, 4 * eig.lam, 2.0), slope=None)
+    logistic = logistic_problem(K, a, b, 4 * eig.lam, 2.0)
+    c0 = float(logistic.shift(np.zeros(g.n_interior), np.ones(g.n_interior)).max())
+    problem = dataclasses.replace(logistic, shift=lambda lo, u: np.full_like(u, c0))
     res = monotone_iterate(problem, GridField.zeros(g), GridField.constant(g, 1.0),
                            tol=1e-30, max_iter=2000)
     assert res.status == "no-convergence" and 10 < res.iterations < 2000
@@ -530,18 +584,19 @@ def test_step_one_violation_notes_match_a_full_grid_reference(bvalue, trace, mas
     # upper = 0.05 inside is not a supersolution of H u = 40 u (1 - u), so
     # step 1 rises above it; with upper's trace far below the boundary value
     # a boundary node rises most.  The reference takes the gaps on full-grid
-    # fields over every non-exterior node of a disk.
+    # fields over every non-exterior node of a disk.  The shift is held at
+    # 0, the sup of -dF/du over these brackets' values.
     box = build_grid([(-1, 1), (-1, 1)], 1.0 / 8)
     g = mask_domain(box, lambda pts: (pts**2).sum(axis=1) < 0.8)
     K = assemble_stiffness(euclidean(2), g)
     one = GridField.constant(g, 1.0)
     problem = dataclasses.replace(logistic_problem(K, one, one, 40.0, 2.0), boundary_value=bvalue,
-                                  slope=None)
+                                  shift=lambda lo, u: np.zeros_like(u))
     upper = GridField.from_interior(g, np.full(g.n_interior, 0.05), trace)
     lower = GridField.from_interior(g, np.zeros(g.n_interior), min(trace, 0.0))
     res = monotone_iterate(problem, lower, upper, max_iter=1)
     active = g.mask != 0
-    c = problem.shift_bound(lower.values[active].min(), upper.values[active].max())
+    c = np.zeros(g.n_interior)
     ui = upper.values[g.interior_ids]
     u1 = _solve_field(ShiftedSolver(K, c, bvalue), c * ui + problem.reaction(ui))
     rise = (u1.values - upper.values)[active]
@@ -553,7 +608,8 @@ def test_step_one_violation_notes_match_a_full_grid_reference(bvalue, trace, mas
         f"bracket violated at step 1: below-lower {below:.3e}, above-upper {rise.max():.3e}",
     ]
     assert not (res.steps_monotone or res.bracket_respected)
-    assert res.max_step_increase == rise.max() and res.shifts == [c]
+    assert res.max_step_increase == rise.max()
+    assert len(res.shifts) == 1 and np.array_equal(res.shifts[0], c)
 
 
 def test_sub_super_checks():
@@ -702,29 +758,48 @@ def yamabe_setup(h=0.5, box=2.0, theta=0.05):
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_yamabe_shift_meets_the_one_sided_bound(p):
     g, K, f, kf, Kf = yamabe_setup()
-    problem = yamabe_problem(K, kf, Kf, p, 0.4)
-    assert problem.boundary_value == 0.4
-    kv, Kv = kf.values[g.interior_ids], Kf.values[g.interior_ids]
+    ids = g.interior_ids
+    kv, Kv = kf.values[ids], Kf.values[ids]
     V, W, _ = barriers(K, f, 0.1, 0.4)
-    lo, hi = float(V.values[g.interior_ids].min()), float(W.values[g.interior_ids].max())
-    pts = g.points[g.interior_ids]
     rng = np.random.default_rng(5)
     du = 1e-7
-    for a, b in ((lo, hi), (0.0, 1.0), (-0.5, 2.0)):
-        c = problem.shift_bound(a, b)
-        assert c > 0.0
-        problem.validate_shift(c, a, b)
+    for lower, upper in ((V, W), (GridField.zeros(g), GridField.constant(g, 1.0)),
+                         (GridField.constant(g, -0.5), GridField.constant(g, 2.0))):
+        problem = yamabe_problem(K, kf, Kf, p, 0.4, upper)
+        assert problem.boundary_value == 0.4
+        lo, hi = lower.values[ids], upper.values[ids]
+        c = problem.shift(lo, hi)
+        assert c.max() > 0.0
+        assert np.array_equal(problem.shift(lo, lo), c)  # the same shift below upper
+        problem.validate_shift(c, lo, hi)
         for _ in range(20):
-            u = rng.uniform(a, b - du, size=pts.shape[0])
+            u = rng.uniform(lo, hi - du)
             F = problem.reaction(u)
             # the reaction written out, bit for bit
             assert np.array_equal(F, Kv * np.sign(u) * np.abs(u) ** p - kv * u)
             slope = (problem.reaction(u + du) - F) / du
             assert (c + slope).min() >= -1e-6
-    # on the barrier bracket: the closed form written out, and the solver's first shift
-    old = float((p * np.abs(Kv) * max(abs(lo), abs(hi)) ** (p - 1.0) + np.abs(kv)).max())
-    assert problem.shift_bound(lo, hi) == old
-    assert yamabe_solve(K, kf, Kf, p, f, 0.05, 0.4).shifts[0] == old
+    # on the barrier bracket: the closed form written out, and the solver's one shift
+    vi, wi = V.values[ids], W.values[ids]
+    bound = p * np.abs(Kv) * np.maximum(np.abs(vi), np.abs(wi)) ** (p - 1.0) + np.abs(kv)
+    assert np.array_equal(yamabe_problem(K, kf, Kf, p, 0.4, W).shift(vi, wi), bound)
+    shifts = yamabe_solve(K, kf, Kf, p, f, 0.05, 0.4).shifts
+    assert len(shifts) == 1 and np.array_equal(shifts[0], bound)
+
+
+def test_yamabe_run_cut_at_four_steps_names_the_relative_step():
+    # the `solve yamabe` config: the fourth step meets the residual bound but
+    # not the step bound, and a fifth meets both
+    g, K, f, _, _ = yamabe_setup()
+    kf, Kf = sm.yamabe_coefficients(f, 0.05)
+    V, W, _ = barriers(K, f, 0.1, 0.4)
+    problem = yamabe_problem(K, kf, Kf, 3.0, 0.4, W)
+    res = monotone_iterate(problem, V, W, tol=1e-8, max_iter=4)
+    assert res.status == "no-convergence" and res.residual <= 1e-8 and len(res.shifts) == 1
+    assert re.fullmatch(r"relative step \S+ above tol 1\.000e-08 after 4 iterations",
+                        res.notes[-1])
+    res = monotone_iterate(problem, V, W, tol=1e-8, max_iter=5)
+    assert res.status == "ok" and res.iterations == 5 and len(res.shifts) == 1
 
 
 def test_yamabe_zero_reaction_constant():
@@ -947,21 +1022,27 @@ def test_newton_on_the_3d_cg_path_descends_in_fewer_cg_steps():
     res = logistic_solve(K, one, one, 2 * eig.lam, 2.0, eig)
     assert res.status == "ok" and res.steps_monotone and res.bracket_respected
     assert len(res.shifts) == res.iterations and all(np.ndim(c) == 1 for c in res.shifts)
-    scalar = dataclasses.replace(logistic_problem(K, one, one, 2 * eig.lam, 2.0), slope=None)
-    ref = monotone_iterate(scalar, res.lower, res.upper)
+    logistic = logistic_problem(K, one, one, 2 * eig.lam, 2.0)
+    ids = g.interior_ids
+    c0 = float(logistic.shift(res.lower.values[ids], res.upper.values[ids]).max())
+    fixed = dataclasses.replace(logistic, shift=lambda lo, u: np.full_like(u, c0))
+    ref = monotone_iterate(fixed, res.lower, res.upper)
     assert ref.status == "ok" and res.iterations < ref.iterations
     assert 0 < res.cg_iterations < ref.cg_iterations
 
 
-def test_a_wrong_sign_slope_is_caught_by_the_descent_and_bracket_checks():
-    # c = +F'(u) instead of -F'(u): step 1 rises above the supersolution
+def test_a_wrong_sign_shift_is_refused_before_any_solve(monkeypatch):
+    # c = +F'(u) instead of -F'(u): at the top of the bracket the sampled
+    # -dF/du lies above it, and the check names the node before anything is
+    # factored
     g, K, a, b, eig = logistic_setup(1.0 / 8)
     problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
-    wrong = dataclasses.replace(problem, slope=lambda u: -problem.slope(u))
-    res = monotone_iterate(wrong, GridField.zeros(g), GridField.constant(g, 1.0), max_iter=1)
-    assert not (res.steps_monotone or res.bracket_respected) and res.status == "no-convergence"
-    assert res.notes[0].startswith("monotone descent violated by ")
-    assert res.notes[1].startswith("bracket violated at step 1: ")
+    wrong = dataclasses.replace(problem, shift=lambda lo, u: -problem.shift(lo, u))
+    calls = _count_splu(monkeypatch)
+    with pytest.raises(ValueError, match=r"^shift \S+ below the sampled -dF/du \S+ on "
+                                         r"\[0, 1\] at node \d+$"):
+        monotone_iterate(wrong, GridField.zeros(g), GridField.constant(g, 1.0), max_iter=1)
+    assert calls == []
 
 
 def test_semilinear_does_not_import_eigen():

@@ -12,7 +12,8 @@ runs at least once.  The run named ``<name>`` writes to
 ``<out-dir>/<name>/``, so that ``diff -r`` of two output directories
 compares every report, field file and plot of two checkouts, or of two
 runs of one.  The configs go to a temporary directory, not under
-``<out-dir>``.  Exits 0 when every command exited 0, 1 otherwise.
+``<out-dir>``.  A run that exits non-zero is named on stderr as
+``<name>: exit <code>``.  Exits 0 when every command exited 0, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ def main(argv=None):
             argv = ["--config", str(cfg), "--out", str(args.out / cmd.name)]
             argv += ["--seed", "1"] * cmd.seeded + ["--plot"] * getattr(cmd, "plot", False)
             codes.append(cli.main(argv + list(cmd.words)))
+            if codes[-1]:
+                print(f"{cmd.name}: exit {codes[-1]}", file=sys.stderr)
     return 0 if not any(codes) else 1
 
 
