@@ -21,6 +21,7 @@ import scipy.sparse.linalg as spla
 from . import fields as vf
 from .mesh import GridField, coarse_grid
 from .operators import (
+    NotPositiveDefiniteError,
     SparseOperator,
     assemble_diagonal,
     assemble_stiffness,
@@ -213,14 +214,25 @@ def _principal(grid, K, vdiag, mdiag, tol, start, pairs):
         sigma = lower - 1e-3 * anorm - 1.0
         if factor_pays(grid):
             path, unit = "shift-invert ARPACK", "operator applications"
-            OPinv = factor_spd(shifted_copy(A, sigma, np.float64))
+            try:
+                OPinv = factor_spd(shifted_copy(A, sigma, np.float64), grid.n)
+            except NotPositiveDefiniteError as exc:
+                raise NotPositiveDefiniteError(
+                    f"principal eigensolve: A - sigma I is not positive definite at "
+                    f"sigma = {sigma:.6g}, below the spectrum of a PSD K ({exc})") from exc
+            # a cold start is ones plus a seeded random part: on a symmetric
+            # domain ones has no component along an antisymmetric lam_2 mode
+            if X0 is None:
+                r = _start_noise(n)
+                v0 = 1.0 + COARSE_NOISE * r * (np.sqrt(n) / np.linalg.norm(r))
+            else:
+                v0 = X0[:, 0]
             # ARPACK stops at ||OPinv y - theta y|| <= tol_a |theta|, which gives
             # ||A y - lam y|| <= ||A - sigma|| tol_a <= (||A||_inf - sigma) tol_a:
             # the same 2x margin on the final check as LOBPCG's stop
             try:
                 lams, Y = spla.eigsh(A, k=pairs, sigma=sigma, OPinv=OPinv, which="LM",
-                                     v0=np.ones(n) if X0 is None else X0[:, 0],
-                                     maxiter=MAX_ITER,
+                                     v0=v0, maxiter=MAX_ITER,
                                      tol=0.5 * tol / (mdiag.max() * (anorm - sigma)))
             except spla.ArpackNoConvergence as exc:
                 raise ConvergenceError(
@@ -307,7 +319,11 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
     if n == 1:  # ARPACK needs k < n
         mu, w = gdiag[0] / K.mat[0, 0], np.ones(1)
     else:
-        Kinv = factor_spd(K.mat)
+        try:
+            Kinv = factor_spd(K.mat, grid.n)
+        except NotPositiveDefiniteError as exc:
+            raise NotPositiveDefiniteError(
+                f"weighted eigensolve: K is not positive definite ({exc})") from exc
         try:
             mu, w = spla.eigsh(sp.diags(gdiag, format="csr"), k=1, M=K.mat, Minv=Kinv,
                                which="LA", v0=np.ones(n))

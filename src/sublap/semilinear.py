@@ -29,8 +29,8 @@ import scipy.sparse.linalg as spla
 
 from .expressions import compile_expression
 from .mesh import GridField, build_grid
-from .operators import (assemble_diagonal, assemble_stiffness, factor_pays, factor_spd,
-                        shifted_copy)
+from .operators import (NotPositiveDefiniteError, assemble_diagonal, assemble_stiffness,
+                        factor_pays, factor_spd, shifted_copy)
 
 TOL_LIN = 1e-10          # relative residual bound of every shifted linear solve
 MAX_ITER_MONOTONE = 1000
@@ -127,25 +127,31 @@ class ShiftedSolver:
     copy that `operators.shifted_copy` stores by diagonals on box grids:
     its matvecs are bit-identical to those of CSR K + c h^n I, and cheaper.
     On grids that `operators.factor_pays` factors, A is factored
-    (`factor_spd`) and every solve is a pair of triangular solves.  Other
+    (`factor_spd`, in the ordering of the first shift's factor: every A has
+    K's pattern) and every solve is a pair of triangular solves; a shift
+    that leaves A not positive definite raises NotPositiveDefiniteError
+    naming the shift's range.  Other
     systems run CG preconditioned by diag(A)^{-1} (Jacobi), because the fill
     of the factors, and with it the time and memory of factoring, outgrows
     what CG saves.
     The first CG solve starts from the boundary value as a constant (the
     exact solution when c = 0 and the source is zero; K annihilates
     constants); later solves warm-start from the previous solution,
-    across a change of shift too.  CG stops on scipy's
-    recursive residual, so CG resumes once from its answer when the
-    recursive residual met the module's TOL_LIN but the true one did not.
+    across a change of shift too.  CG stops at the relative residual
+    `cg_tol`, the module's TOL_LIN unless a caller asks for a tighter one,
+    on scipy's recursive residual, so CG resumes once from its answer when
+    the recursive residual met cg_tol but the true one did not.
     On either path the true residual is then checked once: a solution is
-    returned only when ||A x - b|| <= TOL_LIN ||b||.
+    returned only when ||A x - b|| <= tol ||b||, with tol = TOL_LIN for a
+    factored A and cg_tol for CG.
     `shifts` lists the shift of each A in order, a float or the vector
     itself (one factorization each on the direct path), and
     `cg_iterations` counts the CG steps of every solve.
     """
 
-    def __init__(self, K, shift_c, boundary_value=0.0):
+    def __init__(self, K, shift_c, boundary_value=0.0, cg_tol=None):
         g = K.grid
+        self.cg_tol = TOL_LIN if cg_tol is None else cg_tol
         self.K = K
         self.grid = g
         self.weight = g.h ** g.n
@@ -154,6 +160,7 @@ class ShiftedSolver:
         self.lift = K.boundary @ self.bvec
         self.shifts = []
         self.cg_iterations = 0
+        self.order = None  # the ordering of every factor, taken from the first
         self.set_shift(shift_c)
 
     def set_shift(self, shift_c):
@@ -167,9 +174,15 @@ class ShiftedSolver:
         if self.shifts and np.array_equal(shift_c, self.shifts[-1]):
             return
         self.A = shifted_copy(self.K.mat, -shift_c * self.weight, np.float64)
-        self.lu = self.jacobi = None
+        self.factor = self.jacobi = None
         if factor_pays(self.grid):
-            self.lu = factor_spd(self.A)
+            try:
+                self.factor = factor_spd(self.A, self.grid.n, self.order)
+            except NotPositiveDefiniteError as exc:
+                raise NotPositiveDefiniteError(
+                    f"K + cM is not positive definite at shift {_shift_text(shift_c)} ({exc})"
+                ) from exc
+            self.order = self.factor.order
         else:
             self.jacobi = sp.diags(1.0 / self.A.diagonal())
         self.shifts.append(shift_c if vector else float(shift_c))
@@ -178,7 +191,7 @@ class ShiftedSolver:
         self.cg_iterations += 1
 
     def _cg(self, b, x0):
-        return spla.cg(self.A, b, x0=x0, rtol=TOL_LIN, atol=0.0,
+        return spla.cg(self.A, b, x0=x0, rtol=self.cg_tol, atol=0.0,
                        maxiter=max(4 * self.grid.n_interior, 400), M=self.jacobi,
                        callback=self._count_cg)
 
@@ -194,24 +207,30 @@ class ShiftedSolver:
             self.x = np.zeros(self.grid.n_interior)
             return self.x
         steps = self.cg_iterations
-        x, info = (self.lu.solve(b), 0) if self.lu is not None else self._cg(b, self.x)
+        if self.factor is not None:
+            x, info, tol = self.factor.solve(b), 0, TOL_LIN
+        else:
+            (x, info), tol = self._cg(b, self.x), self.cg_tol
         # CG resumes once from its answer when its recursive residual met
-        # TOL_LIN (info 0) but the true one did not
-        for resume in (self.lu is None and info == 0, False):
+        # tol (info 0) but the true one did not
+        for resume in (self.factor is None and info == 0, False):
             rel = float(np.linalg.norm(self.A @ x - b) / nb)
-            if rel <= TOL_LIN or not resume:
+            if rel <= tol or not resume:
                 break
             x, info = self._cg(b, x)
-        if not rel <= TOL_LIN:
-            path = "direct" if self.lu is not None else f"CG (info={info})"
-            c = self.shifts[-1]
-            shift = f"{c!r}" if np.ndim(c) == 0 else f"in [{c.min():.6g}, {c.max():.6g}]"
+        if not rel <= tol:
+            path = "direct" if self.factor is not None else f"CG (info={info})"
             raise RuntimeError(
-                f"{path} linear solve at shift {shift}: relative residual {rel:.3e} "
-                f"above tol {TOL_LIN:.3e} after {self.cg_iterations - steps} CG steps"
+                f"{path} linear solve at shift {_shift_text(self.shifts[-1])}: relative "
+                f"residual {rel:.3e} above tol {tol:.3e} after "
+                f"{self.cg_iterations - steps} CG steps"
             )
         self.x = x
         return x
+
+
+def _shift_text(c):
+    return f"{c!r}" if np.ndim(c) == 0 else f"in [{c.min():.6g}, {c.max():.6g}]"
 
 
 def linear_solve(K, shift_c, rhs, boundary_value=0.0):
@@ -243,14 +262,20 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
 
     Each step solves (K + c_k M) u_{k+1} = M (c_k u_k + F(u_k)) with the
     nodewise shift c_k = problem.shift(lower, u_k), spot-checked by
-    `validate_shift` before the step; the solver keeps its factor while the
-    shift stays equal.  The run stops only once the residual is at most
-    tol and the last step also meets ||u_{k+1} - u_k||_inf <= tol
-    ||u_{k+1}||_inf: for Newton's steps the error left is about that step
-    squared, which the residual alone does not bound.  Monotone descent and
-    bracket preservation are asserted at every step; violations (possible
-    without a discrete maximum principle) are recorded in the result notes
-    rather than silently ignored.
+    `validate_shift` on [lower, u_k] before the step unless a check already
+    made covers it: an equal shift, checked on a bracket whose top is at
+    least u_k and whose bottom, lower, at most u_k, node by node.  The
+    solver keeps its factor while the shift stays equal.  Its CG solves
+    stop at a relative residual of TOL_LIN, or of tol / 10 when that is
+    tighter, so a tight tol is not left to solves that stop short of it.
+    The run stops only once the residual is at most tol and the last step
+    also meets ||u_{k+1} - u_k||_inf <= tol ||u_{k+1}||_inf: for Newton's
+    steps the error left is about that step squared, which the residual
+    alone does not bound.  It gives up once a step is within 4 ulps of the
+    bracket's scale.  Monotone descent and bracket preservation are
+    asserted at every step; violations (possible without a discrete
+    maximum principle) are recorded in the result notes rather than
+    silently ignored.
 
     The iterate is kept as its interior vector.  Every iterate carries the
     boundary value, so the boundary parts of the bracket gaps are fixed and
@@ -266,6 +291,7 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     lower_i, upper_i = lower.values[ids], upper.values[ids]
     c = problem.shift(lower_i, upper_i)
     problem.validate_shift(c, lower_i, upper_i)
+    checked_c, checked_top = c, upper_i  # the shift and the bracket top last checked
     notes = []
     ok_sub, v_sub, n_sub = check_sub_super(problem, lower, +1)
     if not ok_sub:
@@ -274,7 +300,7 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     if not ok_sup:
         notes.append(f"upper field fails the discrete supersolution check by {v_sup:.3e} at node {n_sup}")
 
-    solver = ShiftedSolver(problem.K, c, problem.boundary_value)
+    solver = ShiftedSolver(problem.K, c, problem.boundary_value, cg_tol=min(TOL_LIN, tol / 10))
     bvec, lift = solver.bvec, solver.lift
     w = g.h ** g.n
     # the gaps off the interior: lower - u and u - upper on the boundary at
@@ -294,7 +320,10 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     for it in range(1, max_iter + 1):
         if it > 1:
             c = problem.shift(lower_i, ui)
-            problem.validate_shift(c, lower_i, ui)
+            if not (np.array_equal(c, checked_c) and np.all(lower_i <= ui)
+                    and np.all(ui <= checked_top)):
+                problem.validate_shift(c, lower_i, ui)
+                checked_c, checked_top = c, ui
             solver.set_shift(c)
         x = solver.solve_interior(c * ui + Fu)
         diff = x - ui
@@ -327,7 +356,7 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
         converged = residual <= tol and rel_step <= tol
         if converged:
             break
-        if step < 1e-16 * scale:
+        if step <= 4 * np.finfo(float).eps * scale:
             notes.append(f"iteration stagnated at step {it} with residual {residual:.3e}")
             break
     status = "ok" if converged else "no-convergence"
@@ -524,7 +553,7 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
 @dataclass(eq=False)
 class ExhaustionResult:
     fields: list          # normalized solutions, one per box
-    statuses: list        # "ok" | "resonance" | "not-positive" | ...
+    statuses: list        # "ok" | "not-definite" | "resonance" | "not-positive" | ...
     successive_diffs: list
     notes: list = field(default_factory=list)
 
@@ -574,13 +603,15 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
     u(0) = 1, and compared with its predecessor on the smallest box; the
     successive max differences are the convergence diagnostic.
 
-    K - lam G is factored by `factor_spd`, which does not pivot.  It is
-    symmetric positive definite for every lam below the principal
-    eigenvalue of the box for a weight g_plus >= g, which covers every lam
-    that `verify_thm_1_3` samples with its default mu.  Above that the
-    checks decide: an exactly singular factor, or a solution beyond 1e8 k,
-    is reported as resonance (lam a Dirichlet eigenvalue of D_k), and a
-    solve whose relative residual exceeds `tol` as "inaccurate".
+    K - lam G is factored by `factor_spd`.  It is symmetric positive
+    definite exactly when lam lies below the principal eigenvalue of D_k,
+    which holds for every lam that `verify_thm_1_3` samples with its
+    default mu (the principal eigenvalue for a weight g_plus >= g on a
+    larger box).  A factor that finds K - lam G not positive definite fails
+    the box as "not-definite": lam is not below D_k's principal eigenvalue.
+    Otherwise the checks decide: a solution beyond 1e8 k is reported as
+    resonance (lam numerically a Dirichlet eigenvalue of D_k), and a solve
+    whose relative residual exceeds `tol` as "inaccurate".
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -591,10 +622,14 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
         grid, origin_id, rhs, bvec = box.grid, box.origin_id, box.rhs, box.bvec
         A = shifted_copy(box.K.mat, lam * box.G, np.float64)
         try:
-            x = factor_spd(A).solve(rhs)
-        except RuntimeError:  # an exactly singular factor
-            x = None
-        if x is None or not np.all(np.isfinite(x)) or np.abs(x).max() > 1e8 * max(k, 1):
+            x = factor_spd(A, grid.n).solve(rhs)
+        except NotPositiveDefiniteError:
+            notes.append(f"box {k}: lam={lam:g} is not below the principal eigenvalue of D_{k} "
+                         "(K - lam G is not positive definite)")
+            fields_out.append(None)
+            statuses.append("not-definite")
+            continue
+        if not np.all(np.isfinite(x)) or np.abs(x).max() > 1e8 * max(k, 1):
             notes.append(f"box {k}: lam={lam:g} is a Dirichlet eigenvalue of D_{k} (singular system)")
             fields_out.append(None)
             statuses.append("resonance")

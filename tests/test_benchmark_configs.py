@@ -2,7 +2,7 @@
 changing it, must pass the CLI's config checks at every size, a smoke-size
 pass of every workload must pass the benchmark's own output checks, and
 tools/bench_outputs.py must run every CLI command and write the same output
-tree twice."""
+tree twice, which tools/compare_outputs.py then finds identical."""
 
 import importlib.util
 import json
@@ -20,6 +20,10 @@ _spec = importlib.util.spec_from_file_location("bench_outputs", TOOL)
 bench_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_outputs)
 wl = bench_outputs.load_workloads(ROOT)
+_spec = importlib.util.spec_from_file_location("compare_outputs",
+                                               ROOT / "tools" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
 
 
 @pytest.mark.parametrize("workload", wl.WORKLOADS)
@@ -68,6 +72,7 @@ def test_bench_outputs_writes_one_identical_tree_per_run(tmp_path):
     assert {json.loads(trees[0][Path(name, "report.json")])["config"]["command"]
             for name in names} == set(COMMANDS)
     assert Path("yamabe", "solution.svg") in trees[0]
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
 
 
 def test_bench_outputs_names_every_run_that_exits_non_zero(tmp_path, monkeypatch, capsys):
@@ -84,3 +89,27 @@ def test_bench_outputs_names_every_run_that_exits_non_zero(tmp_path, monkeypatch
     assert bench_outputs.main([str(ROOT), str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if ": exit " in line] == ["raises: exit 1", "config: exit 2"]
+
+
+def test_compare_outputs_names_each_file_that_differs_and_its_largest_change(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for tree, lam, status, value, extra in ((a, 2.0, "ok", "0.5", False),
+                                            (b, 2.0 + 3e-12, "failed", "0.5000001", True)):
+        (tree / "eigen").mkdir(parents=True)
+        (tree / "eigen" / "report.json").write_text(json.dumps(
+            {"results": {"lambda": lam, "iterations": 7, "status": status, "ok": True}}))
+        (tree / "eigen" / "field.csv").write_text(f"i0,value\n0,{value}\n1,0.0\n2,-1.0\n")
+        (tree / "same.json").write_text("[1, 2]")
+        if extra:
+            (tree / "plot.svg").write_text("<svg/>")
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "eigen/field.csv: 1 numbers moved, largest relative change 1e-07 at 1:value, "
+        "0 other changes",
+        "eigen/report.json: 1 numbers moved, largest relative change 1.5e-12 at "
+        "results.lambda, 1 other changes",
+        "    results.status: 'ok' -> 'failed'",
+        f"plot.svg: only in {b}",
+    ]
+    assert compare_outputs.main([str(a), str(b), "--each"]) == 1
+    assert "    results.lambda: 2.0 -> 2.000000000003 (1.5e-12)" in capsys.readouterr().out

@@ -1,6 +1,5 @@
 import functools
 import json
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +23,8 @@ from sublap.expressions import compile_expression
 from sublap.fields import euclidean, grushin, heisenberg
 from sublap.mesh import GridField, build_grid, coarse_grid, mask_domain
 from sublap.operators import (
+    NotPositiveDefiniteError,
+    SparseOperator,
     assemble_diagonal,
     assemble_stiffness,
     mass_matrix,
@@ -119,10 +120,14 @@ def test_heisenberg_self_convergence_richardson():
 
 
 def test_non_convergence_reported(monkeypatch):
+    # on this pencil shift-invert ARPACK needs two Arnoldi updates at tol 1e-14
+    K, _, M = heisenberg_cube_pencil(0.25)
     monkeypatch.setattr(eigen_mod, "MAX_ITER", 1)
-    g, K, M = unit_square_setup(1.0 / 16)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match=r"\(shift-invert ARPACK\) did not converge after "
+                                               r"\d+ operator applications$"):
         principal_eigenpair(K, None, M, tol=1e-14)
+    monkeypatch.setattr(eigen_mod, "MAX_ITER", 2)
+    assert principal_eigenpair(K, None, M, tol=1e-14).residual <= 1e-14
 
 
 @pytest.mark.parametrize("h", [0.5, 0.25], ids=["one-unknown", "nine-unknowns"])
@@ -194,21 +199,35 @@ def test_weighted_hard_cases_match_dense_oracle(family, box, h, weight):
 
 def test_factor_spd_counts_solves_and_matvecs_alike():
     g, K, M = unit_square_setup(1.0 / 8)
-    op = operators_mod.factor_spd(K.mat)
+    op = operators_mod.factor_spd(K.mat, g.n)
     b = np.arange(1.0, g.n_interior + 1)
     x = spla.splu(K.mat.tocsc()).solve(b)
     assert op.calls == 0 and op.shape == K.shape
     for y in (op.solve(b), op.matvec(b), op @ b):
         assert np.allclose(y, x, rtol=1e-12, atol=0.0)
     assert op.calls == 3
-    assert op.lu.L.nnz + op.lu.U.nnz >= K.mat.nnz  # the factors are held, fill readable
+    # the band of the ordered K is held, its stored entries readable
+    assert op.band.shape == (8, g.n_interior) and op.nnz == op.band.size >= K.mat.nnz
+
+
+def test_eigensolves_name_a_factor_that_is_not_definite():
+    # -K is negative definite: no shift below the spectrum of a PSD K makes
+    # -K - sigma I definite, and the weighted pencil cannot factor -K
+    g, K, M = unit_square_setup(1.0 / 8)
+    neg = SparseOperator(grid=g, mat=-K.mat)
+    with pytest.raises(NotPositiveDefiniteError, match=r"^principal eigensolve: A - sigma I is "
+                                                       r"not positive definite at sigma = -\S+, "):
+        principal_eigenpair(neg, None, M)
+    with pytest.raises(NotPositiveDefiniteError,
+                       match=r"^weighted eigensolve: K is not positive definite \("):
+        weighted_principal(neg, assemble_diagonal(GridField.constant(g, 1.0)))
 
 
 @pytest.mark.parametrize("solver", ["principal", "weighted"])
 def test_direct_eigensolve_iterations_are_its_factor_calls(monkeypatch, solver):
     made = []
     real = eigen_mod.factor_spd
-    monkeypatch.setattr(eigen_mod, "factor_spd", lambda A: made.append(real(A)) or made[-1])
+    monkeypatch.setattr(eigen_mod, "factor_spd", lambda *args: made.append(real(*args)) or made[-1])
     g, K, M = unit_square_setup(1.0 / 8)
     if solver == "principal":
         res = principal_eigenpair(K, None, M)
@@ -221,17 +240,19 @@ def test_weighted_counts_k_solves_and_reports_arpack_failure(monkeypatch):
     g, K, M = unit_square_setup(1.0 / 8)
     G = assemble_diagonal(GridField.constant(g, 1.0))
     solves = []
-    splu = spla.splu
+    real = eigen_mod.factor_spd
 
-    def counted_splu(*args, **kwargs):
-        lu = splu(*args, **kwargs)
+    def counted_factor(*args):
+        factor = real(*args)
+        solve = factor.solve
 
         def counted(b):
             solves.append(1)
-            return lu.solve(b)
-        return SimpleNamespace(solve=counted)
+            return solve(b)
+        factor.solve = factor._matvec = counted
+        return factor
 
-    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(eigen_mod, "factor_spd", counted_factor)
     assert weighted_principal(K, G).iterations == len(solves) > 0
 
     def no_convergence(*args, **kwargs):
@@ -739,7 +760,7 @@ def test_a_2d_pencil_above_the_old_nonzero_limit_takes_shift_invert(monkeypatch)
     g, K, M = unit_square_setup(1.0 / 128)
     factored = []
     monkeypatch.setattr(eigen_mod, "factor_spd",
-                        lambda A, real=eigen_mod.factor_spd: factored.append(A) or real(A))
+                        lambda A, *rest, real=eigen_mod.factor_spd: factored.append(A) or real(A, *rest))
     direct = principal_eigenpair(K, None, M, tol=1e-9)
     assert len(factored) == 1 and direct.cg_iterations == 0 and direct.coarse_iterations == 0
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sublap.fields import Polynomial, VectorFieldFamily, euclidean, grushin, heisenberg
 from sublap.mesh import GridField, build_grid, mask_domain
+import sublap.operators as operators_mod
 from sublap.operators import (
     SYMMETRY_TOL,
+    NotPositiveDefiniteError,
     SparseOperator,
     assemble_diagonal,
     assemble_first_order,
     assemble_stiffness,
+    factor_spd,
     mass_matrix,
     rayleigh_quotient,
     shifted_copy,
@@ -293,3 +297,58 @@ def test_shifted_float32_stores_a_stencil_band_by_diagonals(mask, storage):
     x = np.random.default_rng(3).standard_normal(A.shape[0])
     y = exact @ x
     assert np.linalg.norm(S @ x.astype(np.float32) - y) <= 1e-6 * np.linalg.norm(y)
+
+
+# a 2-D and a 3-D grid for a system K + cM
+PENCILS = [(euclidean(2), [(0, 1)] * 2, 1.0 / 32), (heisenberg(), [(-1, 1)] * 3, 0.25)]
+
+
+def pencil(family, box, h, c):
+    g = build_grid(box, h)
+    K = assemble_stiffness(family, g)
+    return g, shifted_copy(K.mat, -c * g.h ** g.n, np.float64)
+
+
+@pytest.mark.parametrize("family,box,h", PENCILS, ids=["2d", "3d"])
+def test_band_cholesky_and_superlu_agree(monkeypatch, family, box, h):
+    g, A = pencil(family, box, h, 2.0)
+    b = np.random.default_rng(4).standard_normal(g.n_interior)
+    x = spla.spsolve(A.tocsc(), b)
+    kinds = []
+    for band_max in (10**9, -1):
+        monkeypatch.setattr(operators_mod, "BAND_MAX_2D", band_max)
+        # only a 2-D system can reach SuperLU
+        factor = factor_spd(A, 2)
+        kinds.append(factor.lu is None)
+        assert np.abs(factor.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
+    assert kinds == [True, False]
+
+
+@pytest.mark.parametrize("band_max", [10**9, -1], ids=["band", "superlu"])
+@pytest.mark.parametrize("family,box,h", PENCILS, ids=["2d", "3d"])
+def test_factor_spd_refuses_an_indefinite_matrix(monkeypatch, band_max, family, box, h):
+    # c = -100 puts one or more eigenvalues of K + cM below 0
+    monkeypatch.setattr(operators_mod, "BAND_MAX_2D", band_max)
+    g, A = pencil(family, box, h, -100.0)
+    lams = np.linalg.eigvalsh(A.toarray())
+    assert lams[0] < 0 < lams[-1]
+    with pytest.raises(NotPositiveDefiniteError):
+        factor_spd(A, 2)
+    if g.n == 3:
+        with pytest.raises(NotPositiveDefiniteError):
+            factor_spd(A, 3)  # 3-D takes the band whatever BAND_MAX_2D says
+
+
+@pytest.mark.parametrize("box,h,family,band_max", [
+    ([(0, 6), (0, 320)], 1.0, euclidean(2), 10),           # 5 x 319 unknowns
+    ([(0, 1), (0, 5), (0, 5)], 0.25, heisenberg(), 60),    # 3 x 19 x 19 unknowns
+], ids=["2d-7x321", "3d-5x21x21"])
+def test_reverse_cuthill_mckee_narrows_a_grid_whose_slow_axis_is_short(box, h, family, band_max):
+    # in natural order the band spans every faster axis: 319 and 361 wide
+    g = build_grid(box, h)
+    K = assemble_stiffness(family, g)
+    natural = int(max(abs(i - j) for i, j in zip(*K.mat.nonzero())))
+    factor = factor_spd(K.mat, g.n)
+    assert factor.lu is None and factor.band.shape[0] - 1 <= band_max < natural
+    x = factor.solve(np.ones(g.n_interior))
+    assert np.linalg.norm(K.mat @ x - 1.0) <= 1e-10 * np.sqrt(g.n_interior)

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sublap.eigen as eigen_mod
 from sublap.cli import main
 from sublap.eigen import principal_eigenpair, weighted_principal
 from sublap.fields import euclidean, heisenberg
@@ -18,6 +20,7 @@ from sublap.mesh import GridField, build_grid, mask_domain
 import sublap.operators as operators_mod
 from sublap.operators import (
     DIRECT_MAX_SEPARATOR,
+    NotPositiveDefiniteError,
     assemble_diagonal,
     assemble_stiffness,
     factor_pays,
@@ -127,10 +130,10 @@ def _shifted_system(family, box, h):
 def test_shifted_solver_direct_and_warm_cg_agree(monkeypatch, family, box, h):
     K, rhs = _shifted_system(family, box, h)
     direct = ShiftedSolver(K, 3.0, 0.4)
-    assert direct.lu is not None
+    assert direct.factor is not None
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     iterative = ShiftedSolver(K, 3.0, 0.4)
-    assert iterative.lu is None
+    assert iterative.factor is None
     for scale in (1.0, 1.1):  # second solve starts CG from the first solution
         ud = _solve_field(direct, scale * rhs)
         ui = _solve_field(iterative, scale * rhs)
@@ -209,15 +212,12 @@ def test_shifted_cg_starts_from_the_scalar_boundary_value(monkeypatch):
     assert np.abs(u.values - 0.4).max() <= 1e-12
 
 
-def _count_splu(monkeypatch):
+def _count_factors(monkeypatch):
+    """The list to which every `factor_spd` call of the semilinear and eigen layers appends."""
     calls = []
-    orig = spla.splu
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return orig(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counted)
+    for mod in (sm, eigen_mod):
+        monkeypatch.setattr(mod, "factor_spd",
+                            lambda *args, real=mod.factor_spd: calls.append(1) or real(*args))
     return calls
 
 
@@ -228,7 +228,7 @@ def test_monotone_factors_once_below_threshold(monkeypatch):
     assert factor_pays(g)
     newton = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
     lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
-    calls = _count_splu(monkeypatch)
+    calls = _count_factors(monkeypatch)
     res = monotone_iterate(newton, lower, upper, tol=1e-9)
     assert res.status == "ok" and res.steps_monotone and res.bracket_respected
     assert len(calls) == len(res.shifts) == res.iterations < 10
@@ -244,13 +244,13 @@ def test_monotone_factors_once_below_threshold(monkeypatch):
 
 def test_an_equal_shift_keeps_the_factor(monkeypatch):
     K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 1.0 / 16)
-    calls = _count_splu(monkeypatch)
+    calls = _count_factors(monkeypatch)
     c = np.linspace(1.0, 2.0, K.grid.n_interior)
     solver = ShiftedSolver(K, c)
     x = solver.solve_interior(rhs).copy()
-    lu = solver.lu
+    factor = solver.factor
     solver.set_shift(c.copy())  # the same values in another array
-    assert len(calls) == 1 and solver.lu is lu and len(solver.shifts) == 1
+    assert len(calls) == 1 and solver.factor is factor and len(solver.shifts) == 1
     assert np.array_equal(solver.solve_interior(rhs), x)
     solver.set_shift(c + 1.0)
     assert len(calls) == 2 and len(solver.shifts) == 2
@@ -259,7 +259,7 @@ def test_an_equal_shift_keeps_the_factor(monkeypatch):
 def test_yamabe_barriers_share_one_factorization(monkeypatch):
     g, K, f, kf, Kf = yamabe_setup()
     assert factor_pays(g)
-    calls = _count_splu(monkeypatch)
+    calls = _count_factors(monkeypatch)
     res = yamabe_solve(K, kf, Kf, 3.0, f, 0.05, 0.4, tol=1e-8)
     assert res.status == "ok"
     assert len(calls) == 2  # both barriers, then the monotone iterate
@@ -276,7 +276,7 @@ def test_no_factorization_above_threshold(monkeypatch):
     g = build_grid([(-4, 4)] * 3, 0.5)
     K = assemble_stiffness(heisenberg(), g)
     assert not factor_pays(g)
-    calls = _count_splu(monkeypatch)
+    calls = _count_factors(monkeypatch)
     f = GridField.from_function(g, lambda pts: np.exp(-(pts**2).sum(axis=1)))
     kf = GridField(g, 0.02 * f.values)
     res = yamabe_solve(K, kf, kf, 3.0, f, 0.02, 0.4)
@@ -289,7 +289,7 @@ def test_a_2d_system_above_the_old_nonzero_limit_is_factored_once(monkeypatch):
     # 127^2 unknowns and 80,645 nonzeros, but a top separator of 127
     K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 1.0 / 128)
     assert K.mat.nnz > 60_000 and factor_pays(K.grid)
-    calls = _count_splu(monkeypatch)
+    calls = _count_factors(monkeypatch)
     solver = ShiftedSolver(K, 1.0)
     for scale in (1.0, 2.0):
         solver.solve_interior(scale * rhs)
@@ -310,9 +310,9 @@ def test_shifted_and_eigen_solves_take_the_same_path(monkeypatch, box, h, factor
     assert factor_pays(g) is factored
     shifted = ShiftedSolver(K, 1.0)
     shifted.solve_interior(np.ones(g.n_interior))
-    calls = _count_splu(monkeypatch)
+    calls = _count_factors(monkeypatch)
     eig = principal_eigenpair(K, None, mass_matrix(g), pairs=1)  # one level: no coarse start
-    assert (shifted.lu is not None) is (len(calls) == 1) is (eig.cg_iterations == 0) is factored
+    assert (shifted.factor is not None) is (len(calls) == 1) is (eig.cg_iterations == 0) is factored
 
 
 @pytest.mark.parametrize("mask, storage", [
@@ -352,8 +352,9 @@ def test_cg_on_the_diagonal_copy_is_bit_identical_to_csr(monkeypatch, mask, stor
     (lambda pts: np.sum(pts**2, axis=1) <= 2.25, "csr"),
 ], ids=["box", "ball"])
 def test_factored_solve_on_the_shifted_copy_is_bit_identical_to_csr(monkeypatch, mask, storage):
-    # SuperLU receives the same sorted pattern and values from shifted_copy's
-    # K + c h^n I, by diagonals or in CSR, as from the CSR sum
+    # factor_spd receives the same pattern and values from shifted_copy's
+    # K + c h^n I, by diagonals or in CSR, as from the CSR sum, so it takes
+    # the same order and band
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", 10**6)
     g = build_grid([(-2, 2)] * 3, 0.25)
     if mask is not None:
@@ -361,11 +362,12 @@ def test_factored_solve_on_the_shifted_copy_is_bit_identical_to_csr(monkeypatch,
     K = assemble_stiffness(heisenberg(), g)
     rhs = np.random.default_rng(5).standard_normal(g.n_interior)
     solver = ShiftedSolver(K, 2.0, 0.4)
-    assert solver.lu is not None and solver.A.format == storage
+    assert solver.factor is not None and solver.A.format == storage
     x = solver.solve_interior(rhs)
     w = g.h ** g.n
     A = K.mat + 2.0 * w * sp.identity(g.n_interior, format="csr")
-    assert np.array_equal(x, factor_spd(A).solve(w * rhs - K.boundary @ np.full(g.n_boundary, 0.4)))
+    ref = factor_spd(A, g.n).solve(w * rhs - K.boundary @ np.full(g.n_boundary, 0.4))
+    assert np.array_equal(x, ref)
 
 
 def test_monotone_zero_problem_instant():
@@ -399,8 +401,9 @@ def test_monotone_linear_reaction_is_linear_solve():
 
 def test_monotone_evaluates_reaction_once_per_iterate():
     # F(u) of each iterate is both its residual's reaction and the next
-    # step's right-hand side, so each further step costs one evaluation, and
-    # the six of the shift check's three difference quotients
+    # step's right-hand side, so each further step costs one evaluation; the
+    # shift check's six (three difference quotients) are paid once, since the
+    # shift stays equal and every iterate stays inside the bracket it checked
     g, K, a, b, eig = logistic_setup(h=1.0 / 8)
     logistic = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
     calls = []
@@ -418,7 +421,7 @@ def test_monotone_evaluates_reaction_once_per_iterate():
         res = monotone_iterate(problem, lower, upper, tol=1e-14, max_iter=max_iter)
         assert res.iterations == max_iter
         counts.append(len(calls))
-    assert counts[1] - counts[0] == 4 * (1 + 6)
+    assert counts[1] - counts[0] == 4 * 1
     with pytest.raises(ValueError, match="max_iter"):
         monotone_iterate(problem, lower, upper, max_iter=0)
 
@@ -518,7 +521,8 @@ def logistic_setup(h=1.0 / 16):
 
 def test_monotone_stops_when_its_step_stagnates_below_an_unreachable_tol():
     # at tol 1e-30 the residual floors at round-off; the iteration stops once
-    # its step falls below 1e-16 of the bracket's scale, long before max_iter.
+    # its step is within 4 ulps of the bracket's scale, long before max_iter,
+    # also where round-off leaves the descent cycling at a step of 1 ulp.
     # The shift is held at the logistic shift's top on [0, 1], so the
     # descent is linear.
     g, K, a, b, eig = logistic_setup(1.0 / 8)
@@ -802,6 +806,83 @@ def test_yamabe_run_cut_at_four_steps_names_the_relative_step():
     assert res.status == "ok" and res.iterations == 5 and len(res.shifts) == 1
 
 
+def test_yamabe_run_checks_its_one_shift_once(monkeypatch):
+    # the shift stays equal and every iterate stays in [V, W], the bracket the
+    # first check covered, so no step repeats the check
+    checks = []
+    real = SemilinearProblem.validate_shift
+    monkeypatch.setattr(SemilinearProblem, "validate_shift",
+                        lambda self, *args: checks.append(1) or real(self, *args))
+    g, K, f, _, _ = yamabe_setup()
+    kf, Kf = sm.yamabe_coefficients(f, 0.05)
+    res = yamabe_solve(K, kf, Kf, 3.0, f, 0.05, 0.4)
+    assert res.status == "ok" and res.iterations > 1 and len(checks) == 1
+
+
+def test_monotone_checks_a_shift_again_when_it_changes_or_leaves_the_bracket(monkeypatch):
+    # a logistic run at a fixed shift: the first check covers [0, 1], and the
+    # descent from 1 stays inside it
+    checks = []
+    real = SemilinearProblem.validate_shift
+    monkeypatch.setattr(SemilinearProblem, "validate_shift",
+                        lambda self, *args: checks.append(1) or real(self, *args))
+    g, K, a, b, eig = logistic_setup(1.0 / 8)
+    logistic = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
+    c0 = float(logistic.shift(np.zeros(g.n_interior), np.ones(g.n_interior)).max())
+    problem = dataclasses.replace(logistic, shift=lambda lo, u: np.full_like(u, c0))
+    res = monotone_iterate(problem, GridField.zeros(g), GridField.constant(g, 1.0), tol=1e-9)
+    assert res.status == "ok" and res.iterations > 2 and len(checks) == 1
+    # with lower = 0.9, not a subsolution, the descent falls below lower
+    checks.clear()
+    res = monotone_iterate(problem, GridField.constant(g, 0.9), GridField.constant(g, 1.0),
+                           tol=1e-9)
+    assert not res.bracket_respected and len(checks) > 1
+    # a shift that changes is checked again at each step
+    checks.clear()
+    res = monotone_iterate(logistic, GridField.zeros(g), GridField.constant(g, 1.0), tol=1e-9)
+    assert res.status == "ok" and len(checks) == res.iterations
+
+
+def test_a_tol_below_tol_lin_tightens_the_cg_stop():
+    # the benchmark's Thm 1.4 box takes the CG path; each CG solve stopped at
+    # TOL_LIN = 1e-10 could not carry the run to tol 1e-12
+    g = build_grid([(-4, 4)] * 3, 0.5)
+    K = assemble_stiffness(heisenberg(), g)
+    assert not factor_pays(g)
+    f = GridField.from_function(g, lambda pts: np.exp(-(pts**2).sum(axis=1)))
+    kf, Kf = sm.yamabe_coefficients(f, 0.02)
+    loose = yamabe_solve(K, kf, Kf, 3.0, f, 0.02, 0.4)
+    tight = yamabe_solve(K, kf, Kf, 3.0, f, 0.02, 0.4, tol=1e-12)
+    assert loose.status == tight.status == "ok" and tight.residual <= 1e-12
+    assert tight.cg_iterations > loose.cg_iterations > 0
+    scale = np.abs(tight.solution.values).max()
+    assert np.abs(tight.solution.values - loose.solution.values).max() <= 1e-7 * scale
+
+
+def test_a_shift_that_is_not_definite_is_named(monkeypatch):
+    K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 1.0 / 16)
+    c = np.full(K.grid.n_interior, -1e3)  # below -lam1 = -19.7
+    for band_max in (operators_mod.BAND_MAX_2D, -1):  # the band kernel, then SuperLU
+        monkeypatch.setattr(operators_mod, "BAND_MAX_2D", band_max)
+        with pytest.raises(NotPositiveDefiniteError,
+                           match=r"^K \+ cM is not positive definite at shift in \[-1000, -1000\]"):
+            ShiftedSolver(K, c)
+
+
+def test_shifted_solver_keeps_its_first_ordering_across_shifts(monkeypatch):
+    K, rhs = _shifted_system(heisenberg(), [(-2, 2)] * 3, 0.5)
+    solver = ShiftedSolver(K, 1.0)
+    order = solver.factor.order
+    orders = []
+    real = csgraph.reverse_cuthill_mckee
+    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee",
+                        lambda *args, **kwargs: orders.append(1) or real(*args, **kwargs))
+    solver.set_shift(np.linspace(0.0, 2.0, K.grid.n_interior))
+    assert solver.factor.order is order and orders == []
+    b = solver.weight * rhs  # boundary value 0: no lift
+    assert np.linalg.norm(solver.A @ solver.solve_interior(rhs) - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_yamabe_zero_reaction_constant():
     g, K, f, _, _ = yamabe_setup()
     z = GridField.zeros(g)
@@ -858,27 +939,27 @@ def test_exhaustion_positive_weight_converging():
 
 
 def test_exhaustion_resonance_detected():
+    # just below lam1, K - lam G is definite and the solution blows up; at the
+    # computed lam1 it is singular to rounding, and either failure is right
     box = [(-1, 1)] * 2
     g = build_grid(box, 0.25)
     K = assemble_stiffness(euclidean(2), g)
     lam1 = principal_eigenpair(K, None, mass_matrix(g), tol=1e-12).lam
-    ex = exhaustion_construct(exhaustion_boxes(euclidean(2), lambda pts: np.ones(pts.shape[0]),
-                                               [box], 0.25), lam1)
-    assert ex.statuses == ["resonance"]
+    boxes = exhaustion_boxes(euclidean(2), lambda pts: np.ones(pts.shape[0]), [box], 0.25)
+    ex = exhaustion_construct(boxes, lam1 * (1.0 - 1e-12))
+    assert ex.statuses == ["resonance"] and ex.fields == [None]
+    assert exhaustion_construct(boxes, lam1).statuses[0] in ("resonance", "not-definite")
 
 
 def test_exhaustion_between_the_first_two_eigenvalues_is_not_positive():
     # lam = 8 lies between lam1 = 4.87 and lam2 = 11.81 of this box: K - lam G
-    # is indefinite, its factor is still exact, and the solution changes sign
+    # is indefinite, so the factor refuses it and the box fails
     box = [(-1, 1)] * 2
     ex = exhaustion_construct(exhaustion_boxes(euclidean(2), lambda pts: np.ones(pts.shape[0]),
                                                [box], 0.25), 8.0)
-    assert ex.statuses == ["not-positive"] and ex.fields == [None]
-    assert ex.notes == [
-        "box 1: interior positivity failed (min -3.478e+00); no discrete maximum principle is "
-        "guaranteed",
-        "box 1: u(0) = -3.478e+00 <= 0, normalization impossible",
-    ]
+    assert ex.statuses == ["not-definite"] and ex.fields == [None]
+    assert ex.notes == ["box 1: lam=8 is not below the principal eigenvalue of D_1 "
+                        "(K - lam G is not positive definite)"]
 
 
 def test_exhaustion_boxes_built_once_serve_every_lam():
@@ -907,24 +988,22 @@ def test_exhaustion_factors_k_minus_lam_g_bit_for_bit():
     ex = exhaustion_construct(boxes, 0.6)
     assert ex.statuses == ["ok", "ok"]
     for box, u in zip(boxes, ex.fields):
-        x = factor_spd(box.K.mat - sp.diags(0.6 * box.G)).solve(box.rhs)
+        x = factor_spd(box.K.mat - sp.diags(0.6 * box.G), 2).solve(box.rhs)
         ref = GridField.from_interior(box.grid, x, box.bvec)
         assert np.array_equal(u.values, (ref * (1.0 / float(ref.values[box.origin_id]))).values)
 
 
-def test_exhaustion_reports_an_exactly_singular_factor_as_resonance(monkeypatch):
-    def singular(A):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(sm, "factor_spd", singular)
+def test_exhaustion_fails_each_box_whose_principal_eigenvalue_lam_exceeds():
+    # g = 1: lam1 is 4.87 on D_1 and 1.24 on D_2, so lam = 3 passes D_1 only
     boxes = [[(-1, 1)] * 2, [(-2, 2)] * 2]
     ex = exhaustion_construct(exhaustion_boxes(euclidean(2), lambda pts: np.ones(pts.shape[0]),
-                                               boxes, 0.25), 0.3)
-    assert ex.statuses == ["resonance", "resonance"] and ex.fields == [None, None]
-    assert ex.notes[0] == "box 1: lam=0.3 is a Dirichlet eigenvalue of D_1 (singular system)"
-    rep = verify_thm_1_3(euclidean(2), "1 + 0*x", "1 + 0*x", [0.5], boxes, 0.25, mu=1.0)
+                                               boxes, 0.25), 3.0)
+    assert ex.statuses == ["ok", "not-definite"] and ex.fields[1] is None
+    assert ex.notes == ["box 2: lam=3 is not below the principal eigenvalue of D_2 "
+                        "(K - lam G is not positive definite)"]
+    rep = verify_thm_1_3(euclidean(2), "1 + 0*x", "1 + 0*x", [1.0], boxes, 0.25, mu=3.0)
     assert rep.total == 1 and not rep.passed and rep.cases[0].margin == -1.0
-    assert "Dirichlet eigenvalue of D_2" in rep.cases[0].note
+    assert rep.cases[0].note == ex.notes[0]
 
 
 def test_logistic_without_a_dyadic_subsolution_reports_it():
@@ -1038,7 +1117,7 @@ def test_a_wrong_sign_shift_is_refused_before_any_solve(monkeypatch):
     g, K, a, b, eig = logistic_setup(1.0 / 8)
     problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
     wrong = dataclasses.replace(problem, shift=lambda lo, u: -problem.shift(lo, u))
-    calls = _count_splu(monkeypatch)
+    calls = _count_factors(monkeypatch)
     with pytest.raises(ValueError, match=r"^shift \S+ below the sampled -dF/du \S+ on "
                                          r"\[0, 1\] at node \d+$"):
         monotone_iterate(wrong, GridField.zeros(g), GridField.constant(g, 1.0), max_iter=1)
