@@ -23,7 +23,9 @@ steps onto the endpoint and halfway down the energy along it; a result no
 shorter than the seed returns the seed.
 Every flow, seed commutator legs included, goes through one batched RK2
 integrator: each Gauss-Newton step integrates the controls and their
-Jacobian probes in one batch.
+Jacobian probes in one batch, and each RK2 stage takes sum_j u_j X_j from
+the family's prepared velocity kernel, not from the (B, m, n) coefficient
+tensor.  Edge targets are snapped to nodes one axis at a time.
 
 Every edge corresponds to a genuinely horizontal motion plus an explicit
 time surcharge, so the graph value is an upper bound on d up to the
@@ -148,15 +150,25 @@ class _GraphContext:
         self.w_min = bases.min(initial=np.inf)
 
     def _snap(self, targets_float):
-        """Round to nodes; returns (ids, snap distance, valid mask)."""
-        idx = np.rint((targets_float - self.grid.origin) / self.h).astype(np.int64)
-        valid = np.all((idx >= 0) & (idx < self.dims), axis=1)
-        idx_c = np.clip(idx, 0, self.dims - 1)
-        ids = idx_c @ self.strides
+        """Round to nodes; returns (ids, snap distance, valid mask).
+
+        One axis at a time: round, range-check, clip and add index * stride,
+        then add the squared offset from the node in axis order; one sqrt at
+        the end rounds as norm(axis=1) of the (N, n) offsets does.
+        """
+        N = targets_float.shape[0]
+        ids = np.zeros(N, dtype=np.int64)
+        valid = np.ones(N, dtype=bool)
+        s2 = np.zeros(N)
+        for t, lo, dim, stride in zip(targets_float.T, self.grid.origin, self.dims, self.strides):
+            ik = np.rint((t - lo) / self.h).astype(np.int64)
+            valid &= (ik >= 0) & (ik < dim)
+            np.clip(ik, 0, dim - 1, out=ik)
+            ids += ik * stride
+            off = t - (lo + ik * self.h)
+            s2 += off * off
         valid &= self.ok_node[ids]
-        snapped = self.grid.origin + idx_c * self.h
-        s = np.linalg.norm(targets_float - snapped, axis=1)
-        return ids, s, valid
+        return ids, np.sqrt(s2), valid
 
     def edges_from(self, ps):
         """All edges out of the nodes `ps`, built in one batch.
@@ -246,10 +258,11 @@ def _dijkstra(ctx, source, target=None, rmax=None):
         if len(hit):  # the target pops in this bucket: the search ends there
             bucket, expand, done = bucket[: hit[0] + 1], bucket[: hit[0]], True
         settled[bucket] = True
-        ids, w, kind, info, scale, src, pos = ctx.edges_from(expand)
+        ids, w, kind, info, scale, src, _ = ctx.edges_from(expand)
         nd = dist[expand][src] + w
         keep = np.flatnonzero(nd < dist[ids])
-        order = keep[np.lexsort((pos[keep], src[keep], nd[keep], ids[keep]))]
+        # edges come in (src, pos) order and lexsort is stable: ties keep it
+        order = keep[np.lexsort((nd[keep], ids[keep]))]
         win = order[np.diff(ids[order], prepend=-1) != 0]  # first candidate per target
         t = ids[win]
         dist[t] = nd[win]
@@ -371,8 +384,9 @@ def _resample_controls(seed, segments):
 def _integrate_controls_batch(family, x0, controls, T, substeps=6):
     """RK2 flows from x0 for a batch of control grids; controls (B, S, m).
 
-    Each of the S segments lasts T/S; returns the states at the segment
-    ends, shape (B, S+1, n), with x0 in column 0.
+    Each of the S segments lasts T/S, split into `substeps` midpoint steps
+    whose two velocities come from `family.velocity_batch`; returns the
+    states at the segment ends, shape (B, S+1, n), with x0 in column 0.
     """
     B, S, m = controls.shape
     state = np.tile(np.asarray(x0, dtype=float), (B, 1))
@@ -382,12 +396,8 @@ def _integrate_controls_batch(family, x0, controls, T, substeps=6):
     for si in range(S):
         f = controls[:, si, :]
         for _ in range(substeps):
-            A1 = family.eval_coefficients_batch(state)
-            v1 = np.einsum("bm,bmn->bn", f, A1)
-            mid = state + 0.5 * hdt * v1
-            A2 = family.eval_coefficients_batch(mid)
-            v2 = np.einsum("bm,bmn->bn", f, A2)
-            state = state + hdt * v2
+            mid = state + 0.5 * hdt * family.velocity_batch(state, f)
+            state = state + hdt * family.velocity_batch(mid, f)
         states.append(state)
     return np.stack(states, axis=1)
 

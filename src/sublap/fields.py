@@ -4,6 +4,9 @@ A family is a list of m first-order fields on R^n; field j acts on scalar
 functions as sum_k A[j][k](x) * d/dx_k with polynomial entries A[j][k].
 Polynomial coefficients keep Lie brackets exact, so the bracket-generating
 (rank) check is symbolic-then-numeric rather than finite-difference based.
+Flows need only the velocity sum_j u_j X_j(x): `velocity_batch` evaluates it
+from a per-family plan of the nonzero coefficients, bit for bit as the
+contraction of the full coefficient tensor would.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +164,40 @@ class VectorFieldFamily:
             for k, p in enumerate(row):
                 out[:, j, k] = p.evaluate(pts)
         return out
+
+    @cached_property
+    def _velocity_plan(self):
+        """(j, k, terms) of every nonzero coefficient, j-major; each term is
+        (coefficient, ((axis, exponent), ...)) over its nonzero exponents."""
+        return tuple((j, k, tuple((c, tuple((a, e) for a, e in enumerate(exps) if e))
+                                  for c, exps in p.terms))
+                     for j, row in enumerate(self.coeffs) for k, p in enumerate(row)
+                     if not p.is_zero)
+
+    def velocity_batch(self, points, controls):
+        """sum_j u_j X_j(x) at a batch of points, shape (N, n); controls (N, m).
+
+        Each nonzero coefficient is evaluated term by term, as
+        `Polynomial.evaluate` does, times u_j, and the products are summed
+        over j in order from 0.  For finite controls this is bit-identical to
+        einsum("bm,bmn->bn", controls, eval_coefficients_batch(points)),
+        without building the (N, m, n) tensor.
+        """
+        x = np.asarray(points, dtype=float).T
+        u = np.asarray(controls, dtype=float).T
+        out = np.zeros((self.n, x.shape[1]))
+        for j, k, terms in self._velocity_plan:
+            if terms == ((1.0, ()),):  # u_j * 1.0 is u_j
+                out[k] += u[j]
+                continue
+            val = None
+            for c, powers in terms:
+                term = c
+                for a, e in powers:
+                    term = term * (x[a] if e == 1 else x[a] ** e)  # x ** 1 is x
+                val = term if val is None else val + term
+            out[k] += u[j] * val
+        return out.T
 
     def diffusion_tensor(self, x):
         """a(x) = A(x)^T A(x): symmetric PSD n x n tensor."""

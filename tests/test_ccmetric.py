@@ -434,8 +434,19 @@ def test_refine_stalls_when_the_path_misses_the_endpoint(vertical_seed, monkeypa
     assert "after 1 Gauss-Newton steps" in note and "endpoint miss" in note
 
 
+def _ref_snap(ctx, targets):
+    """Reference: round, clip and measure the (N, n) offsets in one piece."""
+    idx = np.rint((targets - ctx.grid.origin) / ctx.h).astype(np.int64)
+    valid = np.all((idx >= 0) & (idx < ctx.dims), axis=1)
+    idx_c = np.clip(idx, 0, ctx.dims - 1)
+    ids = idx_c @ ctx.strides
+    valid &= ctx.ok_node[ids]
+    s = np.linalg.norm(targets - (ctx.grid.origin + idx_c * ctx.h), axis=1)
+    return ids, s, valid
+
+
 def _ref_snapped_edges(ctx, p, targets, base):
-    ids, s, valid = ctx._snap(targets)
+    ids, s, valid = _ref_snap(ctx, targets)
     valid &= ids != p
     sig = ctx.sigma[ids]
     valid &= (s <= ccm.SNAP_ZERO) | (sig > ctx.sigma_floor)
@@ -661,3 +672,93 @@ def test_controls_integrate_exactly_on_a_constant_family():
     ref = np.array([0.5, -1.0]) + np.cumsum(controls, axis=1) * (2.0 / 5)
     np.testing.assert_allclose(states[:, 1:], ref, rtol=0, atol=1e-14)
     assert (states[:, 0] == (0.5, -1.0)).all()
+
+
+def _ref_velocity(family, points, controls):
+    """Reference: contract the controls with the full coefficient tensor."""
+    return np.einsum("bm,bmn->bn", controls, family.eval_coefficients_batch(points))
+
+
+def _family_of_three_dense_fields():
+    """Three fields on R^2 with no zero coefficient: each velocity sums three products."""
+    def poly(*terms):
+        return Polynomial(2, terms)
+    rows = ((poly((1.0, (0, 0))), poly((0.3, (1, 1)), (-2.0, (0, 0)))),
+            (poly((0.7, (2, 0)), (0.1, (0, 1))), poly((1.0, (0, 1)))),
+            (poly((-1.3, (1, 2))), poly((0.5, (3, 0)), (1.0, (0, 0)))))
+    return VectorFieldFamily(n=2, m=3, coeffs=rows, name="three-dense")
+
+
+_FAMILIES = [heisenberg(), grushin(), euclidean(2), euclidean(3), _family_of_every_axis(),
+             _family_of_three_dense_fields()]
+
+
+@pytest.mark.parametrize("N", [1, 7, 81, 1000])
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda fam: fam.name)
+def test_velocity_kernel_matches_the_coefficient_tensor_bit_for_bit(family, N):
+    rng = np.random.default_rng(N)
+    x = rng.uniform(-2.0, 2.0, (N, family.n))
+    u = rng.standard_normal((N, family.m))
+    x[::3, 0] = -0.0  # signed zeros in the points and controls
+    u[::4, -1] = -0.0
+    got = family.velocity_batch(x, u)
+    ref = _ref_velocity(family, x, u)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _ref_integrate(family, x0, controls, T, substeps):
+    """Reference: RK2 with both stage velocities from the coefficient tensor."""
+    B, S, _ = controls.shape
+    state = np.tile(np.asarray(x0, dtype=float), (B, 1))
+    states = [state]
+    hdt = T / S / substeps
+    for si in range(S):
+        f = controls[:, si, :]
+        for _ in range(substeps):
+            mid = state + 0.5 * hdt * _ref_velocity(family, state, f)
+            state = state + hdt * _ref_velocity(family, mid, f)
+        states.append(state)
+    return np.stack(states, axis=1)
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=lambda fam: fam.name)
+def test_integrated_controls_match_the_coefficient_tensor_rk2_bit_for_bit(family):
+    rng = np.random.default_rng(5)
+    x0 = rng.uniform(-0.5, 0.5, family.n)
+    for B, S, T, substeps in ((1, 3, 1.0, 8), (81, 20, 1.0, ccm.REFINE_SUBSTEPS), (7, 4, 0.3, 6)):
+        controls = rng.standard_normal((B, S, family.m))
+        got = ccm._integrate_controls_batch(family, x0, controls, T, substeps)
+        ref = _ref_integrate(family, x0, controls, T, substeps)
+        assert got.shape == ref.shape == (B, S + 1, family.n)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_snap_matches_the_whole_offset_formula_bit_for_bit(masked):
+    g = build_grid([(-0.3, 0.3), (-0.2, 0.25), (-0.1, 0.1)], 0.05)
+    if masked:
+        g = g.with_mask(mask_domain(g, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2 < 0.04).mask)
+    ctx = ccm._GraphContext(heisenberg(), g, 8, (1, 2), (1,))
+    rng = np.random.default_rng(11)
+    lo, hi = g.origin, g.origin + (np.array(g.dims) - 1) * g.h
+    inside = rng.uniform(lo, hi, (200, 3))
+    faces, far = [], []  # past each face, by under half a cell, half a cell and 3.7 cells
+    for k in range(3):
+        for side, sgn in ((lo, -1.0), (hi, 1.0)):
+            for by in (0.3, 0.5, 3.7):
+                pt = inside[:20].copy()
+                pt[:, k] = side[k] + sgn * by * g.h
+                faces.append(pt)
+                far.append(np.full(20, by > 1))
+    nodes = g.points[rng.choice(g.num_nodes, 50, replace=False)]
+    half = nodes + 0.5 * g.h * rng.choice([-1.0, 0.0, 1.0], nodes.shape)  # half a cell off
+    exterior = g.points[g.mask == EXTERIOR]
+    assert (exterior.size > 0) == masked
+    targets = np.vstack([inside, *faces, nodes, half, exterior])
+    got, ref = ctx._snap(targets), _ref_snap(ctx, targets)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    far = np.concatenate([np.zeros(len(inside), dtype=bool), *far])
+    assert not got[2][: far.size][far].any()
+    if masked:
+        assert not got[2][-exterior.shape[0]:].any()

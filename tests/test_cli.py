@@ -134,7 +134,7 @@ def test_cli_ball_rejects_non_positive_step_scales(tmp_path, capsys):
         "grid": {"box": [[-0.3, 0.3], [-0.3, 0.3], [-0.1, 0.1]], "h": 0.05},
         "center": [0, 0, 0], "radius": 0.1, "directions": 8, "step_scales": [0],
     })
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "ball"]) == 1
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "ball"]) == 2
     assert "step_scales must be finite and > 0, got [0]" in capsys.readouterr().err
 
 
@@ -569,10 +569,10 @@ DIST_2D = {"family": "euclidean(2)", "grid": {"box": [[-0.5, 1.5], [-0.5, 1.5]],
      1, "boxes"),
     (["epspath"], {"family": "euclidean(2)", "grid": GRID_2D, "eps_list": []}, 1, "eps_list"),
     (["ball"], {**BALL_HEIS, "family": "euclidean(2)", "grid": GRID_2D, "center": [0.5, 0.5],
-                "step_scales": []}, 1, "step_scales"),
-    (["ball"], {**BALL_HEIS, "step_scales": []}, 1, "step_scales"),
-    (["distance"], {**DIST_2D, "segments": 0}, 1, "segments"),
-    (["distance"], {**DIST_2D, "segments": -3}, 1, "segments"),
+                "step_scales": []}, 2, "step_scales"),
+    (["ball"], {**BALL_HEIS, "step_scales": []}, 2, "step_scales"),
+    (["distance"], {**DIST_2D, "segments": 0}, 2, "segments"),
+    (["distance"], {**DIST_2D, "segments": -3}, 2, "segments"),
     (["verify", "thm1_4"], {**THM1_4_HEIS, "stability_box": []}, 2, "stability_box"),
     (["probe", "poincare"], {**BALL_HEIS, "corpus_count": 0}, 2, "corpus_count"),
     (["probe", "poincare"], {**BALL_HEIS, "corpus_degree": 0}, 2, "corpus_degree"),
@@ -595,6 +595,36 @@ def test_cli_empty_or_zero_count_value_exits_with_a_one_line_error(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("config error: " if code == 2 else "run failed: ")
     assert key in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["ball"], {**BALL_HEIS, "directions": 1}, "directions must be at least 2, got 1"),
+    (["distance"], {**DIST_2D, "directions": 0}, "directions must be at least 2, got 0"),
+    (["distance"], {**DIST_2D, "segments": 0}, "segments must be at least 1, got 0"),
+    (["ball"], {**BALL_HEIS, "radius": -0.1}, "radius must be finite and >= 0, got -0.1"),
+    (["probe", "poincare"], {**BALL_HEIS, "radius": float("nan")},
+     "radius must be finite and >= 0, got nan"),
+    (["probe", "doubling"], {**BALL_HEIS, "radius": None, "radii": [0.05, 0]},
+     "radii must be finite and > 0, got [0.05, 0]"),
+    (["probe", "doubling"], {**BALL_HEIS, "radius": None, "radii": [float("inf")]},
+     "radii must be finite and > 0, got [inf]"),
+    (["ball"], {**BALL_HEIS, "step_scales": [1, -2]}, "step_scales must be finite and > 0"),
+    (["distance"], {**DIST_2D, "step_scales": [float("nan")]},
+     "step_scales must be finite and > 0"),
+    (["distance"], {**DIST_2D, "tol": 0}, "tol must be > 0, got 0"),
+    (["distance"], {**DIST_2D, "tol": -1e-3}, "tol must be > 0, got -0.001"),
+], ids=["ball-directions", "distance-directions", "distance-segments", "ball-radius",
+        "poincare-radius-nan", "doubling-radii-zero", "doubling-radii-inf", "ball-step_scales",
+        "distance-step_scales-nan", "distance-tol-zero", "distance-tol-negative"])
+def test_cli_out_of_range_cc_value_is_a_config_error_naming_it(tmp_path, capsys, argv, payload,
+                                                                message):
+    # each used to fail the run (exit 1) or, for a tol <= 0, to run a
+    # refinement that can only stall (exit 0)
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 
