@@ -48,10 +48,10 @@ class RunConfig:
     """A validated run.  Its family and grid are resolved when it is made,
     so a bad family name or grid spec, a grid or verify box or a point
     (`x`, `y`, `center`) of another dimension than the family's, a sample
-    count, corpus count, corpus degree or segment count below 1, fewer
-    than 2 directions, a radius that is not finite and >= 0, a `radii` or
-    `step_scales` entry that is not finite and > 0, or a `distance` tol
-    <= 0 is a configuration error."""
+    count, corpus count, corpus degree, segment count, `max_step` or
+    `n_subdomains` below 1, fewer than 2 directions, a radius or `eps_list`
+    entry that is not finite and >= 0, or a tol, `radii` or `step_scales`
+    entry that is not finite and > 0 is a configuration error."""
 
     command: str
     params: dict
@@ -76,19 +76,17 @@ class RunConfig:
                     raise ValueError(f"{name} has {len(value)} {what} but family "
                                      f"{self.family.name!r} acts on R^{self.family.n}")
             for key, least in (("sample_points", 1), ("corpus_count", 1), ("corpus_degree", 1),
-                               ("segments", 1), ("directions", 2)):
+                               ("segments", 1), ("max_step", 1), ("n_subdomains", 1),
+                               ("directions", 2)):
                 if self.params.get(key, least) < least:
                     raise ValueError(f"{key} must be at least {least}, got {self.params[key]}")
-            radius = self.params.get("radius", 0)
-            if not (np.isfinite(radius) and radius >= 0):
-                raise ValueError(f"radius must be finite and >= 0, got {self.params['radius']}")
-            for key in ("radii", "step_scales"):
-                arr = np.asarray(self.params.get(key, (1,)), dtype=float)
-                if not (arr.size and np.all(np.isfinite(arr) & (arr > 0))):
-                    raise ValueError(f"{key} must be finite and > 0, got {list(self.params[key])}")
-            if self.command == "distance" and not self.params["tol"] > 0:
-                # the refinement can only stall below tol <= 0
-                raise ValueError(f"tol must be > 0, got {self.params['tol']}")
+            for key, rule in (("radius", ">="), ("eps_list", ">="), ("tol", ">"), ("radii", ">"),
+                              ("step_scales", ">")):
+                arr = np.asarray(self.params.get(key, 1), dtype=float)
+                fits = np.isfinite(arr) & (arr >= 0 if rule == ">=" else arr > 0)
+                # an empty eps_list is left to fail the run
+                if not (fits.all() and (arr.size or key == "eps_list")):
+                    raise ValueError(f"{key} must be finite and {rule} 0, got {self.params[key]}")
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
 

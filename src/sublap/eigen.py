@@ -215,7 +215,7 @@ def _principal(grid, K, vdiag, mdiag, tol, start, pairs):
         if factor_pays(grid):
             path, unit = "shift-invert ARPACK", "operator applications"
             try:
-                OPinv = factor_spd(shifted_copy(A, sigma, np.float64), grid.n)
+                OPinv = factor_spd(shifted_copy(A, sigma, np.float64))
             except NotPositiveDefiniteError as exc:
                 raise NotPositiveDefiniteError(
                     f"principal eigensolve: A - sigma I is not positive definite at "
@@ -305,8 +305,8 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
 
     lam = inf { f^T K f : f^T G f = 1 } is realized through the pencil
     G w = mu K w: lam = 1 / mu_max, found by ARPACK in generalized mode
-    with K-inverse applications from one `factor_spd` LU of K (SPD); `gdiag`
-    is the weight's diagonal, h^n g on the interior nodes
+    with K-inverse applications from one `factor_spd` Cholesky factor of K
+    (SPD); `gdiag` is the weight's diagonal, h^n g on the interior nodes
     (`assemble_diagonal`).  Errors out when g <= 0 everywhere.
     `iterations` counts the K-solves (the factor's `calls`).  `degenerate`
     is None: the second eigenvalue is not computed.
@@ -320,7 +320,7 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
         mu, w = gdiag[0] / K.mat[0, 0], np.ones(1)
     else:
         try:
-            Kinv = factor_spd(K.mat, grid.n)
+            Kinv = factor_spd(K.mat)
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
                 f"weighted eigensolve: K is not positive definite ({exc})") from exc
@@ -355,8 +355,8 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
 def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     """lambda_1 along the regularization K + eps * K_euclid, eps decreasing.
 
-    eps values must be strictly decreasing and positive; a trailing 0 is
-    accepted and reproduces the direct (unregularized) solve.  Each solve
+    eps values must be finite, strictly decreasing and positive; a trailing
+    0 is accepted and reproduces the direct (unregularized) solve.  Each solve
     computes lam_1 alone (pairs=1) and, after the first, starts from the
     previous eps's lam_1 vector (M does not depend on eps).  The returned
     sequence is checked to be strictly decreasing.
@@ -364,8 +364,8 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise ValueError("eps_list must hold at least one eps")
-    if any(e < 0 for e in eps_list):
-        raise ValueError("eps values must be nonnegative")
+    if not all(0.0 <= e < np.inf for e in eps_list):
+        raise ValueError("eps values must be finite and nonnegative")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps values must be strictly decreasing")
     if any(e == 0.0 for e in eps_list[:-1]):

@@ -26,7 +26,6 @@ from .mesh import EXTERIOR, neighbor_set
 
 SYMMETRY_TOL = 1e-12
 DIRECT_MAX_SEPARATOR = 180  # factor a grid system whose top separator is at most this
-BAND_MAX_2D = 95  # a factored 2-D system with a wider ordered half-band goes to SuperLU
 
 
 @dataclass(eq=False)
@@ -74,7 +73,7 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 
 class _Factor(spla.LinearOperator):
-    def __init__(self, A, dim, order):
+    def __init__(self, A, order):
         super().__init__(float, A.shape)
         self.calls = 0
         A = A.tocsr()
@@ -91,33 +90,16 @@ class _Factor(spla.LinearOperator):
         row, col = rank[coo.row], rank[coo.col]
         keep = (row >= col) & (coo.data != 0)  # the stored lower triangle
         row, col = row[keep], col[keep]
-        band = int((row - col).max(initial=0))
-        self.lu = self.band = None
-        if band_pays(dim, band):
-            ab = np.zeros((band + 1, n), order="F")  # LAPACK factors it in place
-            ab[row - col, col] = coo.data[keep]
-            try:
-                self.band = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
-            except np.linalg.LinAlgError as exc:
-                raise NotPositiveDefiniteError(f"banded Cholesky failed: {exc}") from None
-            self.nnz = self.band.size
-        else:
-            try:
-                self.lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                    options={"SymmetricMode": True})
-            except RuntimeError as exc:  # an exactly zero pivot
-                raise NotPositiveDefiniteError(f"SuperLU: {exc}") from None
-            if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
-                raise NotPositiveDefiniteError("SuperLU interchanged rows at a zero pivot")
-            nonpositive = int(np.sum(self.lu.U.diagonal() <= 0))
-            if nonpositive:
-                raise NotPositiveDefiniteError(f"SuperLU: {nonpositive} of {n} pivots <= 0")
-            self.nnz = self.lu.nnz
+        ab = np.zeros((int((row - col).max(initial=0)) + 1, n), order="F")  # factored in place
+        ab[row - col, col] = coo.data[keep]
+        try:
+            self.band = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError(f"banded Cholesky failed: {exc}") from None
+        self.nnz = self.band.size
 
     def solve(self, b):
         self.calls += 1
-        if self.lu is not None:
-            return self.lu.solve(b)
         x = np.empty(b.shape)
         x[self.order] = cho_solve_banded((self.band, True), b[self.order], check_finite=False)
         return x
@@ -125,24 +107,18 @@ class _Factor(spla.LinearOperator):
     _matvec = solve
 
 
-def factor_spd(A, dim, order=None):
+def factor_spd(A, order=None):
     """One factorization of a symmetric positive definite matrix, as the operator x -> A^{-1} x.
 
-    `dim` is the dimension of the grid that A lives on.  A is put in
-    reverse Cuthill-McKee order (`order`, a permutation of its rows, when
-    given: A + diag(c) keeps the order of A), and `band_pays` picks the
-    kernel from `dim` and the half-band b of the ordered matrix: LAPACK's
-    banded Cholesky (`cholesky_banded`, b + 1 stored diagonals), or SuperLU
-    (symmetric-mode MMD ordering without pivoting) for the wide bands of
-    2-D grids.  Either raises NotPositiveDefiniteError when A is not
-    positive definite: a failed Cholesky step, or on SuperLU a zero pivot,
-    a row interchange or a pivot of U at most 0 (with perm_r == perm_c the
-    pivots are those of an LDL^T factor, whose signs are A's inertia).
-    `solve` is the operator's matvec, `calls` counts both, `band` or `lu`
-    holds the factor, `order` is the ordering used and `nnz` the entries
-    the factor stores.
+    A is put in reverse Cuthill-McKee order (`order`, a permutation of its
+    rows, when given: A + diag(c) keeps the order of A) and factored by
+    LAPACK's banded Cholesky (`cholesky_banded`, b + 1 stored diagonals for
+    the half-band b of the ordered matrix).  A failed Cholesky step raises
+    NotPositiveDefiniteError: A is not positive definite.  `solve` is the
+    operator's matvec, `calls` counts both, `band` holds the factor,
+    `order` is the ordering used and `nnz` the entries the factor stores.
     """
-    return _Factor(A, dim, order)
+    return _Factor(A, order)
 
 
 def factor_pays(grid):
@@ -152,24 +128,14 @@ def factor_pays(grid):
     about s = n^{(d-1)/d} for n unknowns in d dimensions: fill grows like
     n log n in 2-D and n^{4/3} in 3-D (George 1973; Lipton, Rose and Tarjan
     1979), and a box grid's best band is about s wide too, so one nonzero
-    count cannot serve every dimension.  With SuperLU the shifted solves
-    and the eigensolves crossed over between s = 169 and s = 225 (one BLAS
-    thread; see README), so grids with s <= DIRECT_MAX_SEPARATOR factor:
-    every 1-D grid, 2-D grids up to 32,400 unknowns, 3-D up to 2,414.
-    `band_pays` then picks the kernel.
+    count cannot serve every dimension.  Grids with s <=
+    DIRECT_MAX_SEPARATOR factor: every 1-D grid, 2-D grids up to 32,400
+    unknowns, 3-D up to 2,414.  On the band of `factor_spd` (README's
+    table, one BLAS thread) an eigensolve beats LOBPCG in 3-D up to s = 225
+    and in 2-D up to s = 127, not at s = 159, and a Newton run ties Jacobi
+    CG up to s = 169.
     """
     return grid.n_interior ** ((grid.n - 1) / grid.n) <= DIRECT_MAX_SEPARATOR
-
-
-def band_pays(dim, band):
-    """Whether a system that `factor_pays` factors goes to the banded Cholesky (True) or SuperLU.
-
-    A band of half-width b costs n b^2 to factor and n b to solve, and
-    nested dissection n^{3/2} and n log n in 2-D (George 1973).  In 1-D and
-    3-D the ordered band wins at every size `factor_pays` admits; in 2-D
-    SuperLU's solves win past b = BAND_MAX_2D (one BLAS thread; see README).
-    """
-    return dim != 2 or band <= BAND_MAX_2D
 
 
 def shifted_copy(A, sigma, dtype):

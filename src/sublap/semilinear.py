@@ -177,7 +177,7 @@ class ShiftedSolver:
         self.factor = self.jacobi = None
         if factor_pays(self.grid):
             try:
-                self.factor = factor_spd(self.A, self.grid.n, self.order)
+                self.factor = factor_spd(self.A, self.order)
             except NotPositiveDefiniteError as exc:
                 raise NotPositiveDefiniteError(
                     f"K + cM is not positive definite at shift {_shift_text(shift_c)} ({exc})"
@@ -622,7 +622,7 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
         grid, origin_id, rhs, bvec = box.grid, box.origin_id, box.rhs, box.bvec
         A = shifted_copy(box.K.mat, lam * box.G, np.float64)
         try:
-            x = factor_spd(A, grid.n).solve(rhs)
+            x = factor_spd(A).solve(rhs)
         except NotPositiveDefiniteError:
             notes.append(f"box {k}: lam={lam:g} is not below the principal eigenvalue of D_{k} "
                          "(K - lam G is not positive definite)")

@@ -612,8 +612,8 @@ def test_cli_empty_or_zero_count_value_exits_with_a_one_line_error(tmp_path, cap
     (["ball"], {**BALL_HEIS, "step_scales": [1, -2]}, "step_scales must be finite and > 0"),
     (["distance"], {**DIST_2D, "step_scales": [float("nan")]},
      "step_scales must be finite and > 0"),
-    (["distance"], {**DIST_2D, "tol": 0}, "tol must be > 0, got 0"),
-    (["distance"], {**DIST_2D, "tol": -1e-3}, "tol must be > 0, got -0.001"),
+    (["distance"], {**DIST_2D, "tol": 0}, "tol must be finite and > 0, got 0"),
+    (["distance"], {**DIST_2D, "tol": -1e-3}, "tol must be finite and > 0, got -0.001"),
 ], ids=["ball-directions", "distance-directions", "distance-segments", "ball-radius",
         "poincare-radius-nan", "doubling-radii-zero", "doubling-radii-inf", "ball-step_scales",
         "distance-step_scales-nan", "distance-tol-zero", "distance-tol-negative"])
@@ -621,6 +621,34 @@ def test_cli_out_of_range_cc_value_is_a_config_error_naming_it(tmp_path, capsys,
                                                                 message):
     # each used to fail the run (exit 1) or, for a tol <= 0, to run a
     # refinement that can only stall (exit 0)
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+
+@pytest.mark.parametrize("argv, payload, message", [
+    (["eigen"], {"family": "euclidean(2)", "grid": GRID_2D, "tol": -1},
+     "tol must be finite and > 0, got -1"),
+    (["verify", "thm1_2"], {**NO_CASE_CONFIGS["thm1_2"], "tol": float("inf")},
+     "tol must be finite and > 0, got inf"),
+    (["fields", "info"], {"family": "heisenberg", "max_step": 0},
+     "max_step must be at least 1, got 0"),
+    (["verify", "thm1_2"], {**NO_CASE_CONFIGS["thm1_2"], "n_subdomains": 0},
+     "n_subdomains must be at least 1, got 0"),
+    (["epspath"], {"family": "euclidean(2)", "grid": GRID_2D, "eps_list": [float("inf"), 0]},
+     "eps_list must be finite and >= 0, got [inf, 0]"),
+    (["verify", "thm1_4"], {**THM1_4_HEIS, "eps_list": [-0.4]},
+     "eps_list must be finite and >= 0, got [-0.4]"),
+], ids=["eigen-tol", "thm1_2-tol-inf", "fields_info-max_step", "thm1_2-n_subdomains",
+        "epspath-eps_list-inf", "thm1_4-eps_list-negative"])
+def test_cli_out_of_range_solver_value_is_a_config_error_naming_it(tmp_path, capsys, argv,
+                                                                   payload, message):
+    # each used to reach the solver: a tol <= 0 ran the whole solve before
+    # its residual check failed, eps = inf ended in an ARPACK error, and
+    # n_subdomains 0 wrote a report with no case
     cfg = write_config(tmp_path, "c.json", payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
     err = capsys.readouterr().err

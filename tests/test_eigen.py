@@ -199,7 +199,7 @@ def test_weighted_hard_cases_match_dense_oracle(family, box, h, weight):
 
 def test_factor_spd_counts_solves_and_matvecs_alike():
     g, K, M = unit_square_setup(1.0 / 8)
-    op = operators_mod.factor_spd(K.mat, g.n)
+    op = operators_mod.factor_spd(K.mat)
     b = np.arange(1.0, g.n_interior + 1)
     x = spla.splu(K.mat.tocsc()).solve(b)
     assert op.calls == 0 and op.shape == K.shape
@@ -468,6 +468,8 @@ def test_epsilon_path_validates_ordering():
         epsilon_path(euclidean(2), g, None, [0.1, 0.5])
     with pytest.raises(ValueError):
         epsilon_path(euclidean(2), g, None, [0.5, -0.1])
+    with pytest.raises(ValueError, match="^eps values must be finite and nonnegative$"):
+        epsilon_path(euclidean(2), g, None, [np.inf, 0.0])
 
 
 def test_domain_monotonicity_square_scaling():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from sublap.fields import Polynomial, VectorFieldFamily, euclidean, grushin, heisenberg
 from sublap.mesh import GridField, build_grid, mask_domain
-import sublap.operators as operators_mod
 from sublap.operators import (
     SYMMETRY_TOL,
     NotPositiveDefiniteError,
@@ -309,34 +308,29 @@ def pencil(family, box, h, c):
     return g, shifted_copy(K.mat, -c * g.h ** g.n, np.float64)
 
 
-@pytest.mark.parametrize("family,box,h", PENCILS, ids=["2d", "3d"])
-def test_band_cholesky_and_superlu_agree(monkeypatch, family, box, h):
+@pytest.mark.parametrize("family,box,h,band", [
+    (euclidean(2), [(0, 1)] * 2, 1.0 / 32, 31),
+    (heisenberg(), [(-1, 1)] * 3, 0.25, 40),
+    (euclidean(2), [(0, 1)] * 2, 1.0 / 100, 99),  # 9,801 unknowns
+], ids=["2d", "3d", "2d-h100"])
+def test_factor_spd_agrees_with_spsolve(family, box, h, band):
+    # band: the half-band of the matrix in reverse Cuthill-McKee order
     g, A = pencil(family, box, h, 2.0)
     b = np.random.default_rng(4).standard_normal(g.n_interior)
     x = spla.spsolve(A.tocsc(), b)
-    kinds = []
-    for band_max in (10**9, -1):
-        monkeypatch.setattr(operators_mod, "BAND_MAX_2D", band_max)
-        # only a 2-D system can reach SuperLU
-        factor = factor_spd(A, 2)
-        kinds.append(factor.lu is None)
-        assert np.abs(factor.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
-    assert kinds == [True, False]
+    factor = factor_spd(A)
+    assert factor.band.shape == (band + 1, g.n_interior)
+    assert np.abs(factor.solve(b) - x).max() <= 1e-12 * np.abs(x).max()
 
 
-@pytest.mark.parametrize("band_max", [10**9, -1], ids=["band", "superlu"])
-@pytest.mark.parametrize("family,box,h", PENCILS, ids=["2d", "3d"])
-def test_factor_spd_refuses_an_indefinite_matrix(monkeypatch, band_max, family, box, h):
+@pytest.mark.parametrize("family,box,h", PENCILS, ids=["2d-band", "3d-band"])
+def test_factor_spd_refuses_an_indefinite_matrix(family, box, h):
     # c = -100 puts one or more eigenvalues of K + cM below 0
-    monkeypatch.setattr(operators_mod, "BAND_MAX_2D", band_max)
     g, A = pencil(family, box, h, -100.0)
     lams = np.linalg.eigvalsh(A.toarray())
     assert lams[0] < 0 < lams[-1]
-    with pytest.raises(NotPositiveDefiniteError):
-        factor_spd(A, 2)
-    if g.n == 3:
-        with pytest.raises(NotPositiveDefiniteError):
-            factor_spd(A, 3)  # 3-D takes the band whatever BAND_MAX_2D says
+    with pytest.raises(NotPositiveDefiniteError, match="^banded Cholesky failed: "):
+        factor_spd(A)
 
 
 @pytest.mark.parametrize("box,h,family,band_max", [
@@ -348,7 +342,7 @@ def test_reverse_cuthill_mckee_narrows_a_grid_whose_slow_axis_is_short(box, h, f
     g = build_grid(box, h)
     K = assemble_stiffness(family, g)
     natural = int(max(abs(i - j) for i, j in zip(*K.mat.nonzero())))
-    factor = factor_spd(K.mat, g.n)
-    assert factor.lu is None and factor.band.shape[0] - 1 <= band_max < natural
+    factor = factor_spd(K.mat)
+    assert factor.band.shape[0] - 1 <= band_max < natural
     x = factor.solve(np.ones(g.n_interior))
     assert np.linalg.norm(K.mat @ x - 1.0) <= 1e-10 * np.sqrt(g.n_interior)

@@ -366,7 +366,7 @@ def test_factored_solve_on_the_shifted_copy_is_bit_identical_to_csr(monkeypatch,
     x = solver.solve_interior(rhs)
     w = g.h ** g.n
     A = K.mat + 2.0 * w * sp.identity(g.n_interior, format="csr")
-    ref = factor_spd(A, g.n).solve(w * rhs - K.boundary @ np.full(g.n_boundary, 0.4))
+    ref = factor_spd(A).solve(w * rhs - K.boundary @ np.full(g.n_boundary, 0.4))
     assert np.array_equal(x, ref)
 
 
@@ -859,13 +859,15 @@ def test_a_tol_below_tol_lin_tightens_the_cg_stop():
     assert np.abs(tight.solution.values - loose.solution.values).max() <= 1e-7 * scale
 
 
-def test_a_shift_that_is_not_definite_is_named(monkeypatch):
-    K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], 1.0 / 16)
-    c = np.full(K.grid.n_interior, -1e3)  # below -lam1 = -19.7
-    for band_max in (operators_mod.BAND_MAX_2D, -1):  # the band kernel, then SuperLU
-        monkeypatch.setattr(operators_mod, "BAND_MAX_2D", band_max)
+def test_a_shift_that_is_not_definite_is_named():
+    # h = 1/100: 9,801 unknowns on an ordered half-band of 99
+    for h in (1.0 / 16, 1.0 / 100):
+        K, rhs = _shifted_system(euclidean(2), [(0, 1), (0, 1)], h)
+        assert factor_pays(K.grid)
+        c = np.full(K.grid.n_interior, -1e3)  # below -lam1 = -19.7
         with pytest.raises(NotPositiveDefiniteError,
-                           match=r"^K \+ cM is not positive definite at shift in \[-1000, -1000\]"):
+                           match=r"^K \+ cM is not positive definite at shift in \[-1000, -1000\] "
+                                 r"\(banded Cholesky failed: "):
             ShiftedSolver(K, c)
 
 
@@ -988,7 +990,7 @@ def test_exhaustion_factors_k_minus_lam_g_bit_for_bit():
     ex = exhaustion_construct(boxes, 0.6)
     assert ex.statuses == ["ok", "ok"]
     for box, u in zip(boxes, ex.fields):
-        x = factor_spd(box.K.mat - sp.diags(0.6 * box.G), 2).solve(box.rhs)
+        x = factor_spd(box.K.mat - sp.diags(0.6 * box.G)).solve(box.rhs)
         ref = GridField.from_interior(box.grid, x, box.bvec)
         assert np.array_equal(u.values, (ref * (1.0 / float(ref.values[box.origin_id]))).values)
 
