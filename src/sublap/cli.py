@@ -4,7 +4,9 @@ One table, ``COMMANDS``, lists every command with its handler, help text,
 config keys and defaults; the parser, the config check and the dispatch
 are all built from it.  Configs are JSON with a strict per-command schema
 (unknown keys are rejected: a typo in a tolerance name must not silently
-change what a verification run claims).  All artifacts are
+change what a verification run claims).  A second table, ``SCHEMA``, gives
+every config key its kind, elements and range, and ``validate_config``
+checks each given value against it before anything runs.  All artifacts are
 byte-deterministic given the same config and seed: reports carry no
 timestamps, floats are serialized by repr, and plots are written by a
 fixed-order SVG emitter.
@@ -46,12 +48,9 @@ _POINTS = ("x", "y", "center")  # the config keys that hold one point of R^n
 @dataclass(eq=False)
 class RunConfig:
     """A validated run.  Its family and grid are resolved when it is made,
-    so a bad family name or grid spec, a grid or verify box or a point
-    (`x`, `y`, `center`) of another dimension than the family's, a sample
-    count, corpus count, corpus degree, segment count, `max_step` or
-    `n_subdomains` below 1, fewer than 2 directions, a radius or `eps_list`
-    entry that is not finite and >= 0, or a tol, `radii` or `step_scales`
-    entry that is not finite and > 0 is a configuration error."""
+    so a bad family name or grid spec, or a grid or verify box or a point
+    (`x`, `y`, `center`) of another dimension than the family's, is a
+    configuration error."""
 
     command: str
     params: dict
@@ -75,18 +74,6 @@ class RunConfig:
                     what = "coordinates" if name in _POINTS else "axes"
                     raise ValueError(f"{name} has {len(value)} {what} but family "
                                      f"{self.family.name!r} acts on R^{self.family.n}")
-            for key, least in (("sample_points", 1), ("corpus_count", 1), ("corpus_degree", 1),
-                               ("segments", 1), ("max_step", 1), ("n_subdomains", 1),
-                               ("directions", 2)):
-                if self.params.get(key, least) < least:
-                    raise ValueError(f"{key} must be at least {least}, got {self.params[key]}")
-            for key, rule in (("radius", ">="), ("eps_list", ">="), ("tol", ">"), ("radii", ">"),
-                              ("step_scales", ">")):
-                arr = np.asarray(self.params.get(key, 1), dtype=float)
-                fits = np.isfinite(arr) & (arr >= 0 if rule == ">=" else arr > 0)
-                # an empty eps_list is left to fail the run
-                if not (fits.all() and (arr.size or key == "eps_list")):
-                    raise ValueError(f"{key} must be finite and {rule} 0, got {self.params[key]}")
         except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -340,12 +327,10 @@ class Command:
     """A command named "group-leaf" runs as `sublap ... group leaf`.
 
     `required` is a space-separated key list; `optional` maps each
-    optional key to its default, or to None for a key with none; a given
-    value must be of its default's kind (`_kind`), or of the kind `_KINDS`
-    names for a key with no default, where an integer counts as a number.
-    A config gives at most one of the two `exclusive` keys,
-    and a default is filled (and so echoed) unless its key or the key it
-    excludes is given.
+    optional key to its default, or to None for a key with none.  What a
+    key takes, under each command, is its `SCHEMA` entry.  A config gives
+    at most one of the two `exclusive` keys, and a default is filled (and
+    so echoed) unless its key or the key it excludes is given.
     """
 
     handler: object
@@ -393,51 +378,73 @@ COMMANDS = {
                              {"stability_box": None, "tol": 1e-8}),
 }
 
-# the kind of every config key that has no default
-_KINDS = {**dict.fromkeys(("family", "a", "b", "f", "g", "g_plus", "u_expr", "weight",
-                           "k_pattern", "K_pattern"), "string"),
-          **dict.fromkeys(("p", "q", "h", "mu", "theta", "eps", "radius"), "number"),
-          **dict.fromkeys(("x", "y", "center", "radii", "box", "boxes", "stability_box",
-                           "eps_list", "theta_list", "lam_fractions", "mu_factors"), "list"),
-          "grid": "object"}
+
+@dataclass(frozen=True)
+class Key:
+    """A config key's rule: the JSON `kind` of its value (an integer counts as
+    a number), the (what, check) of a list's or an object's `elements`, and
+    the (what, test) `range` of each number or [lo, hi] pair, or a dict from
+    each command that takes the key to its range.  Beyond its rule, every
+    number must be finite and every list non-empty."""
+
+    kind: str
+    elements: tuple = ()
+    range: object = None
 
 
-def _numbers(values):
-    return all(_kind(v) in ("integer", "number") for v in values)
+_TYPES = {"string": str, "integer": int, "number": (int, float), "list": (list, tuple),
+          "object": dict}
 
 
-def _is_box(value):
-    """A list of [lo, hi] number pairs."""
-    return _kind(value) == "list" and all(
-        _kind(side) == "list" and len(side) == 2 and _numbers(side) for side in value)
+def _is(value, kind):
+    """Whether a config value is of the JSON `kind`; a boolean is of none."""
+    return isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
 
 
-# the elements of every list key: what the error names, and the check
-_PAIRS = "[lo, hi] number pairs"
-_ELEMENTS = {**dict.fromkeys(("x", "y", "center", "radii", "step_scales", "eps_list",
-                              "theta_list", "lam_fractions", "mu_factors"), ("numbers", _numbers)),
-             "box": (_PAIRS, _is_box), "stability_box": (_PAIRS, _is_box),
-             "boxes": (f"boxes of {_PAIRS}", lambda boxes: all(map(_is_box, boxes)))}
+_NUMBERS = ("a list of numbers", lambda value: all(_is(v, "number") for v in value))
+_PAIRS = ("a list of [lo, hi] number pairs", lambda value: all(
+    _is(side, "list") and len(side) == 2 and _NUMBERS[1](side) for side in value))
+_BOXES = ("a list of boxes of [lo, hi] number pairs",
+          lambda value: all(_is(box, "list") and _PAIRS[1](box) for box in value))
+_ORDERED = ("[lo, hi] pairs with lo < hi", lambda v: v[:, 0] < v[:, 1])
+_POSITIVE, _NONNEGATIVE = ("> 0", lambda v: v > 0), (">= 0", lambda v: v >= 0)
+_COUNT, _EPS = (">= 1", lambda v: v >= 1), ("in (1/3, 1/2)", lambda v: (v > 1 / 3) & (v < 1 / 2))
+
+# every config key's rule, read by `validate_config` alone
+SCHEMA = {
+    **dict.fromkeys(("family", "potential", "weight", "a", "b", "f", "g", "g_plus", "u_expr",
+                     "k_pattern", "K_pattern"), Key("string")),
+    "grid": Key("object", ("{'box': [[lo, hi], ...], 'h': number}",
+                           lambda value: set(value) == {"box", "h"})),
+    **dict.fromkeys(("sample_points", "max_step", "segments", "corpus_count", "corpus_degree",
+                     "n_subdomains"), Key("integer", range=_COUNT)),
+    "directions": Key("integer", range=(">= 2", lambda v: v >= 2)),
+    **dict.fromkeys(("tol", "h"), Key("number", range=_POSITIVE)),
+    **dict.fromkeys(("radius", "theta"), Key("number", range=_NONNEGATIVE)),
+    **dict.fromkeys(("mu_factor", "q"), Key("number")), "eps": Key("number", range=_EPS),
+    "p": Key("number", range={**dict.fromkeys(("solve-logistic", "solve-yamabe", "verify-prop4_2",
+                                               "verify-thm1_4"), ("> 1", lambda v: v > 1)),
+                              "probe-sobolev": _COUNT}),
+    "mu": Key("number", range={"solve-logistic": None, "verify-thm1_3": _POSITIVE}),
+    **dict.fromkeys(("x", "y", "center", "mu_factors"), Key("list", _NUMBERS)),
+    **dict.fromkeys(("radii", "step_scales"), Key("list", _NUMBERS, _POSITIVE)),
+    "theta_list": Key("list", _NUMBERS, _NONNEGATIVE),
+    "lam_fractions": Key("list", _NUMBERS, ("in (0, 1]", lambda v: (v > 0) & (v <= 1))),
+    "eps_list": Key("list", _NUMBERS, {"verify-thm1_4": _EPS, "epspath": (
+        ">= 0 and strictly decreasing", lambda v: (v >= 0) & (np.diff(v, prepend=np.inf) < 0))}),
+    **dict.fromkeys(("box", "stability_box"), Key("list", _PAIRS, _ORDERED)),
+    "boxes": Key("list", _BOXES, _ORDERED),
+}
 
 _GROUP_HELP = {"fields": "vector field family inspection", "solve": "semilinear solvers",
                "probe": "measure/inequality probes", "verify": "theorem verification suites"}
 
 
-def _kind(value):
-    """The JSON kind of a config value: boolean, integer, number, list, string or object."""
-    if isinstance(value, bool):
-        return "boolean"
-    for kind, types in (("integer", int), ("number", float), ("list", (list, tuple)),
-                        ("string", str), ("object", dict)):
-        if isinstance(value, types):
-            return kind
-    return type(value).__name__
-
-
 def validate_config(command, raw):
     """`raw` with the command's defaults filled; ConfigError if it does not fit.
 
-    A key given as null counts as not given.
+    A key given as null counts as not given.  A given value, and each member
+    of the grid (as `grid.box` and `grid.h`), must meet its `SCHEMA` rule.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -455,23 +462,33 @@ def validate_config(command, raw):
     given = keys & set(spec.exclusive)
     if len(given) > 1:
         raise ConfigError(f"config keys {sorted(given)} exclude each other for {command}")
-    for key, value in params.items():
-        default = spec.optional.get(key)
-        kind, want = _kind(value), _KINDS[key] if default is None else _kind(default)
-        if kind != want and (kind, want) != ("integer", "number"):
-            raise ConfigError(f"config key {key!r} for {command} takes {want} values, "
-                              f"got {value!r}")
-        what, fits = _ELEMENTS.get(key, ("", None))
-        if fits is not None and not fits(value):
-            raise ConfigError(f"config key {key!r} for {command} takes a list of {what}, "
-                              f"got {value!r}")
+    todo = list(params.items())
+    for name, value in todo:  # the grid's members join the list when it is reached
+        rule, what = SCHEMA[name.rpartition(".")[2]], None
+        if not _is(value, rule.kind):
+            what = ("an " if rule.kind in ("integer", "object") else "a ") + rule.kind
+        elif rule.elements and not rule.elements[1](value):
+            what = rule.elements[0]
+        elif rule.kind == "object":
+            todo += [(f"{name}.{sub}", member) for sub, member in value.items()]
+        elif rule.kind != "string":
+            try:  # one array per box of `boxes`, else one; an int past float range is not finite
+                nums = [np.asarray(v, dtype=float)
+                        for v in (value if rule.elements == _BOXES else [value])]
+            except OverflowError:
+                nums = [np.array(np.inf)]
+            ranged = rule.range.get(command) if isinstance(rule.range, dict) else rule.range
+            if rule.kind == "list" and not (nums and all(a.size for a in nums)):
+                what = "non-empty"
+            elif not all(np.isfinite(a).all() for a in nums):
+                what = "finite"
+            elif ranged is not None and not all(ranged[1](a).all() for a in nums):
+                what = ranged[0]
+        if what:
+            raise ConfigError(f"config key {name!r} for {command} must be {what}, got {value!r}")
     taken = (keys | set(spec.exclusive)) if given else keys
     params.update((key, default) for key, default in spec.optional.items()
                   if default is not None and key not in taken)
-    gspec = params.get("grid")
-    if gspec is not None and (set(gspec) != {"box", "h"} or not _is_box(gspec["box"])
-                              or not _numbers([gspec["h"]])):
-        raise ConfigError("grid spec must be {'box': [[lo, hi], ...], 'h': float}")
     return params
 
 
@@ -534,6 +551,13 @@ def _one_blas_thread():
             put(threads)
 
 
+def _seed(text):
+    """`--seed`: a non-negative integer, as numpy's generators take."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sublap",
@@ -541,7 +565,7 @@ def _build_parser():
     )
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--plot", action="store_true", help="emit SVG heatmap slices")
     sub = parser.add_subparsers(dest="cmd", required=True)
     groups = {}

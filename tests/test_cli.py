@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -135,7 +136,7 @@ def test_cli_ball_rejects_non_positive_step_scales(tmp_path, capsys):
         "center": [0, 0, 0], "radius": 0.1, "directions": 8, "step_scales": [0],
     })
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "ball"]) == 2
-    assert "step_scales must be finite and > 0, got [0]" in capsys.readouterr().err
+    assert "config key 'step_scales' for ball must be > 0, got [0]" in capsys.readouterr().err
 
 
 def test_cli_verify_exit_codes(tmp_path):
@@ -152,18 +153,16 @@ def test_cli_verify_exit_codes(tmp_path):
     assert rep["results"]["verification"]["passed"] is True
 
 
-# one config per suite that makes no case
+# one config per suite that makes no case; an empty case list of the
+# other suites is a config error, and tests/test_verify.py runs them empty
 NO_CASE_CONFIGS = {
     "thm1_2": {"family": "heisenberg", "grid": {"box": [[-1, 1]] * 3, "h": 0.5},
                "u_expr": "1 + 0*x"},
-    "prop4_2": {"family": "euclidean(2)", "grid": {"box": [[0, 1], [0, 1]], "h": 0.25},
-                "a": "1 + 0*x", "b": "1 + 0*x", "p": 2.0, "mu_factors": []},
-    "thm1_4": {"family": "heisenberg", "box": [[-2, 2]] * 3, "h": 1.0,
-               "f": "exp(-(x**2 + y**2 + t**2))", "theta_list": [], "eps_list": [0.4],
-               "p": 3.0},
-    "thm1_3": {"family": "euclidean(2)", "g": "1 + 0*x", "g_plus": "1 + 0*x",
-               "lam_fractions": [], "boxes": [[[-1, 1], [-1, 1]]], "h": 0.25},
 }
+PROP4_2_2D = {"family": "euclidean(2)", "grid": {"box": [[0, 1], [0, 1]], "h": 0.25},
+              "a": "1 + 0*x", "b": "1 + 0*x", "p": 2.0, "mu_factors": [2.0]}
+THM1_3_2D = {"family": "euclidean(2)", "g": "1 + 0*x", "g_plus": "1 + 0*x",
+             "lam_fractions": [0.5], "boxes": [[[-1, 1], [-1, 1]]], "h": 0.25}
 
 
 @pytest.mark.parametrize("suite", list(NO_CASE_CONFIGS))
@@ -416,11 +415,13 @@ GRID_2D = {"box": [[0, 1], [0, 1]], "h": 0.25}
 
 
 def minimal_config(command):
-    """Every required key of `command`, with a placeholder of its kind where no value is checked."""
+    """Every required key of `command`, with a placeholder of its kind where any value in
+    its range will do."""
     fixed = {"family": "euclidean(2)", "grid": GRID_2D, "box": GRID_2D["box"],
-             "boxes": [GRID_2D["box"]], **dict.fromkeys(cli._POINTS, [0.5, 0.5])}
+             "boxes": [GRID_2D["box"]], "p": 2, "eps": 0.4, "eps_list": [0.4],
+             **dict.fromkeys(cli._POINTS, [0.5, 0.5])}
     placeholder = {"string": "1", "number": 1, "list": [1]}
-    return {key: fixed[key] if key in fixed else placeholder[cli._KINDS[key]]
+    return {key: fixed[key] if key in fixed else placeholder[cli.SCHEMA[key].kind]
             for key in cli.COMMANDS[command].required.split()}
 
 
@@ -438,6 +439,45 @@ def test_table_entry_parses_validates_and_echoes_its_defaults(command, tmp_path)
     assert validate_config(command, echoed) == echoed
     assert {key: echoed[key] for key in DEFAULTS[command]} == DEFAULTS[command]
     assert set(echoed) == set(minimal_config(command)) | set(DEFAULTS[command])
+
+
+def _schema_entries():
+    """Each key named in the `SCHEMA` literal of cli.py, once per time it is named."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "SCHEMA"]
+    return [elt.value for key, value in zip(table.keys, table.values)
+            for elt in ([key] if key is not None else value.args[0].elts)]
+
+
+def test_schema_and_command_table_agree():
+    taken = {}
+    for command, spec in cli.COMMANDS.items():
+        for key in [*spec.required.split(), *spec.optional]:
+            taken.setdefault(key, set()).add(command)
+    entries = _schema_entries()
+    # one entry per key of every command, and none unused (the grid's box and
+    # h are checked by the entries of box and h, which verify-thm1_4 takes)
+    assert sorted(entries) == sorted(set(entries)) == sorted(taken) == sorted(cli.SCHEMA)
+    for key, rule in cli.SCHEMA.items():
+        if isinstance(rule.range, dict):  # a range per command, for each command taking it
+            assert set(rule.range) == taken[key], key
+    for command, spec in cli.COMMANDS.items():
+        defaults = {key: value for key, value in spec.optional.items() if value is not None}
+        for key, value in defaults.items():  # each default meets its key's rule
+            validate_config(command, {**minimal_config(command), key: value})
+
+
+def test_validate_takes_a_range_from_the_command():
+    sobolev = {"family": "euclidean(2)", "grid": GRID_2D, "center": [0.5, 0.5], "radius": 0.1,
+               "q": 4.0}
+    assert validate_config("probe-sobolev", {**sobolev, "p": 1})["p"] == 1
+    assert validate_config("solve-logistic", {**minimal_config("solve-logistic"),
+                                              "mu": -1.0})["mu"] == -1.0
+    with pytest.raises(ConfigError, match=r"'p' for solve-logistic must be > 1, got 1$"):
+        validate_config("solve-logistic", {**minimal_config("solve-logistic"), "p": 1})
+    with pytest.raises(ConfigError, match=r"'mu' for verify-thm1_3 must be > 0, got -1.0$"):
+        validate_config("verify-thm1_3", {**minimal_config("verify-thm1_3"), "mu": -1.0})
 
 
 def test_no_default_for_a_key_that_a_given_key_excludes():
@@ -537,9 +577,9 @@ def test_cli_verify_box_of_another_dimension_is_a_config_error(tmp_path, capsys,
 @pytest.mark.parametrize("argv, payload, message", [
     (["distance"], {"family": "heisenberg", "grid": {"box": [[-1, 1]] * 3, "h": 0.5},
                     "x": [0, 0, 0], "y": [0, 0, 0.5], "step_scales": 1},
-     "config key 'step_scales' for distance takes list values, got 1"),
+     "config key 'step_scales' for distance must be a list, got 1"),
     (["eigen"], {"family": "euclidean(2)", "grid": GRID_2D, "tol": "abc"},
-     "config key 'tol' for eigen takes number values, got 'abc'"),
+     "config key 'tol' for eigen must be a number, got 'abc'"),
 ], ids=["distance-step_scales", "eigen-tol"])
 def test_cli_value_of_another_kind_than_its_default_is_a_config_error(tmp_path, capsys, argv,
                                                                       payload, message):
@@ -553,7 +593,8 @@ def test_validate_counts_an_integer_as_a_number_and_nothing_else_as_an_integer()
     given = {"family": "euclidean(2)", "grid": GRID_2D, "u_expr": "1"}
     assert validate_config("verify-thm1_2", {**given, "tol": 1})["tol"] == 1
     for bad in (2.0, True, "2", [2]):
-        with pytest.raises(ConfigError, match="'n_subdomains' for verify-thm1_2 takes integer"):
+        with pytest.raises(ConfigError,
+                           match="'n_subdomains' for verify-thm1_2 must be an integer"):
             validate_config("verify-thm1_2", {**given, "n_subdomains": bad})
 
 
@@ -565,9 +606,8 @@ DIST_2D = {"family": "euclidean(2)", "grid": {"box": [[-0.5, 1.5], [-0.5, 1.5]],
 
 
 @pytest.mark.parametrize("argv, payload, code, key", [
-    (["verify", "thm1_3"], {**NO_CASE_CONFIGS["thm1_3"], "lam_fractions": [0.5], "boxes": []},
-     1, "boxes"),
-    (["epspath"], {"family": "euclidean(2)", "grid": GRID_2D, "eps_list": []}, 1, "eps_list"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "boxes": []}, 2, "boxes"),
+    (["epspath"], {"family": "euclidean(2)", "grid": GRID_2D, "eps_list": []}, 2, "eps_list"),
     (["ball"], {**BALL_HEIS, "family": "euclidean(2)", "grid": GRID_2D, "center": [0.5, 0.5],
                 "step_scales": []}, 2, "step_scales"),
     (["ball"], {**BALL_HEIS, "step_scales": []}, 2, "step_scales"),
@@ -580,7 +620,7 @@ DIST_2D = {"family": "euclidean(2)", "grid": {"box": [[-0.5, 1.5], [-0.5, 1.5]],
     (["eigen"], {"family": "euclidean(2)", "grid": GRID_2D, "potential": "x +"}, 1, "'x +'"),
     (["eigen"], {"family": "euclidean(2)", "grid": GRID_2D, "potential": "1/0*x"}, 1,
      "'1/0*x'"),
-    (["verify", "thm1_3"], {**NO_CASE_CONFIGS["thm1_3"], "g": "1+"}, 1, "'1+'"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "g": "1+"}, 1, "'1+'"),
 ], ids=["thm1_3-boxes", "epspath-eps_list", "ball-step_scales-euclidean",
         "ball-step_scales-heisenberg", "distance-segments-0", "distance-segments-negative",
         "thm1_4-stability_box", "poincare-corpus_count", "poincare-corpus_degree",
@@ -599,21 +639,21 @@ def test_cli_empty_or_zero_count_value_exits_with_a_one_line_error(tmp_path, cap
 
 
 @pytest.mark.parametrize("argv, payload, message", [
-    (["ball"], {**BALL_HEIS, "directions": 1}, "directions must be at least 2, got 1"),
-    (["distance"], {**DIST_2D, "directions": 0}, "directions must be at least 2, got 0"),
-    (["distance"], {**DIST_2D, "segments": 0}, "segments must be at least 1, got 0"),
-    (["ball"], {**BALL_HEIS, "radius": -0.1}, "radius must be finite and >= 0, got -0.1"),
+    (["ball"], {**BALL_HEIS, "directions": 1}, "'directions' for ball must be >= 2, got 1"),
+    (["distance"], {**DIST_2D, "directions": 0}, "'directions' for distance must be >= 2, got 0"),
+    (["distance"], {**DIST_2D, "segments": 0}, "'segments' for distance must be >= 1, got 0"),
+    (["ball"], {**BALL_HEIS, "radius": -0.1}, "'radius' for ball must be >= 0, got -0.1"),
     (["probe", "poincare"], {**BALL_HEIS, "radius": float("nan")},
-     "radius must be finite and >= 0, got nan"),
+     "'radius' for probe-poincare must be finite, got nan"),
     (["probe", "doubling"], {**BALL_HEIS, "radius": None, "radii": [0.05, 0]},
-     "radii must be finite and > 0, got [0.05, 0]"),
+     "'radii' for probe-doubling must be > 0, got [0.05, 0]"),
     (["probe", "doubling"], {**BALL_HEIS, "radius": None, "radii": [float("inf")]},
-     "radii must be finite and > 0, got [inf]"),
-    (["ball"], {**BALL_HEIS, "step_scales": [1, -2]}, "step_scales must be finite and > 0"),
+     "'radii' for probe-doubling must be finite, got [inf]"),
+    (["ball"], {**BALL_HEIS, "step_scales": [1, -2]}, "'step_scales' for ball must be > 0"),
     (["distance"], {**DIST_2D, "step_scales": [float("nan")]},
-     "step_scales must be finite and > 0"),
-    (["distance"], {**DIST_2D, "tol": 0}, "tol must be finite and > 0, got 0"),
-    (["distance"], {**DIST_2D, "tol": -1e-3}, "tol must be finite and > 0, got -0.001"),
+     "'step_scales' for distance must be finite"),
+    (["distance"], {**DIST_2D, "tol": 0}, "'tol' for distance must be > 0, got 0"),
+    (["distance"], {**DIST_2D, "tol": -1e-3}, "'tol' for distance must be > 0, got -0.001"),
 ], ids=["ball-directions", "distance-directions", "distance-segments", "ball-radius",
         "poincare-radius-nan", "doubling-radii-zero", "doubling-radii-inf", "ball-step_scales",
         "distance-step_scales-nan", "distance-tol-zero", "distance-tol-negative"])
@@ -628,27 +668,94 @@ def test_cli_out_of_range_cc_value_is_a_config_error_naming_it(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+LOGISTIC_2D = {"family": "euclidean(2)", "grid": GRID_2D, "a": "1 + 0*x", "b": "1 + 0*x",
+               "p": 2.0}
+YAMABE_HEIS = {"family": "heisenberg", "grid": {"box": [[-2, 2]] * 3, "h": 1.0},
+               "f": "exp(-(x**2 + y**2 + t**2))", "theta": 0.02, "eps": 0.4, "p": 3.0}
+_INF, _NAN = float("inf"), float("nan")
+
 
 @pytest.mark.parametrize("argv, payload, message", [
     (["eigen"], {"family": "euclidean(2)", "grid": GRID_2D, "tol": -1},
-     "tol must be finite and > 0, got -1"),
+     "'tol' for eigen must be > 0, got -1"),
     (["verify", "thm1_2"], {**NO_CASE_CONFIGS["thm1_2"], "tol": float("inf")},
-     "tol must be finite and > 0, got inf"),
+     "'tol' for verify-thm1_2 must be finite, got inf"),
     (["fields", "info"], {"family": "heisenberg", "max_step": 0},
-     "max_step must be at least 1, got 0"),
+     "'max_step' for fields-info must be >= 1, got 0"),
     (["verify", "thm1_2"], {**NO_CASE_CONFIGS["thm1_2"], "n_subdomains": 0},
-     "n_subdomains must be at least 1, got 0"),
+     "'n_subdomains' for verify-thm1_2 must be >= 1, got 0"),
     (["epspath"], {"family": "euclidean(2)", "grid": GRID_2D, "eps_list": [float("inf"), 0]},
-     "eps_list must be finite and >= 0, got [inf, 0]"),
+     "'eps_list' for epspath must be finite, got [inf, 0]"),
     (["verify", "thm1_4"], {**THM1_4_HEIS, "eps_list": [-0.4]},
-     "eps_list must be finite and >= 0, got [-0.4]"),
+     "'eps_list' for verify-thm1_4 must be in (1/3, 1/2), got [-0.4]"),
+    (["eigen"], {"family": "euclidean(2)", "grid": {"box": [[0, _INF], [0, 1]], "h": 0.25}},
+     "'grid.box' for eigen must be finite, got [[0, inf], [0, 1]]"),
+    (["solve", "logistic"], {**LOGISTIC_2D, "mu_factor": _NAN},
+     "'mu_factor' for solve-logistic must be finite, got nan"),
+    (["solve", "logistic"], {**LOGISTIC_2D, "mu": _INF},
+     "'mu' for solve-logistic must be finite, got inf"),
+    (["solve", "logistic"], {**LOGISTIC_2D, "p": _INF},
+     "'p' for solve-logistic must be finite, got inf"),
+    (["ball"], {**BALL_HEIS, "center": [_NAN, 0, 0]},
+     "'center' for ball must be finite, got [nan, 0, 0]"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "h": _NAN},
+     "'h' for verify-thm1_3 must be finite, got nan"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "lam_fractions": [_NAN]},
+     "'lam_fractions' for verify-thm1_3 must be finite, got [nan]"),
+    (["eigen"], {"family": "euclidean(2)", "grid": {**GRID_2D, "h": 10**400}},
+     "'grid.h' for eigen must be finite, got 1000"),
+    (["solve", "logistic"], {**LOGISTIC_2D, "p": 0.5},
+     "'p' for solve-logistic must be > 1, got 0.5"),
+    (["solve", "yamabe"], {**YAMABE_HEIS, "p": 1}, "'p' for solve-yamabe must be > 1, got 1"),
+    (["verify", "prop4_2"], {**PROP4_2_2D, "p": 1.0},
+     "'p' for verify-prop4_2 must be > 1, got 1.0"),
+    (["verify", "thm1_4"], {**THM1_4_HEIS, "p": 0.9},
+     "'p' for verify-thm1_4 must be > 1, got 0.9"),
+    (["solve", "yamabe"], {**YAMABE_HEIS, "eps": 0.6},
+     "'eps' for solve-yamabe must be in (1/3, 1/2), got 0.6"),
+    (["solve", "yamabe"], {**YAMABE_HEIS, "theta": -0.05},
+     "'theta' for solve-yamabe must be >= 0, got -0.05"),
+    (["verify", "thm1_4"], {**THM1_4_HEIS, "eps_list": [0.2]},
+     "'eps_list' for verify-thm1_4 must be in (1/3, 1/2), got [0.2]"),
+    (["verify", "thm1_4"], {**THM1_4_HEIS, "theta_list": [-0.02]},
+     "'theta_list' for verify-thm1_4 must be >= 0, got [-0.02]"),
+    (["probe", "sobolev"], {**BALL_HEIS, "q": 4.0, "p": 0.5},
+     "'p' for probe-sobolev must be >= 1, got 0.5"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "lam_fractions": [1.5]},
+     "'lam_fractions' for verify-thm1_3 must be in (0, 1], got [1.5]"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "mu": -1}, "'mu' for verify-thm1_3 must be > 0, got -1"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "h": 0}, "'h' for verify-thm1_3 must be > 0, got 0"),
+    (["epspath"], {"family": "euclidean(2)", "grid": GRID_2D, "eps_list": [0.1, 0.5]},
+     "'eps_list' for epspath must be >= 0 and strictly decreasing, got [0.1, 0.5]"),
+    (["verify", "prop4_2"], {**PROP4_2_2D, "mu_factors": []},
+     "'mu_factors' for verify-prop4_2 must be non-empty, got []"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "lam_fractions": []},
+     "'lam_fractions' for verify-thm1_3 must be non-empty, got []"),
+    (["verify", "thm1_4"], {**THM1_4_HEIS, "theta_list": []},
+     "'theta_list' for verify-thm1_4 must be non-empty, got []"),
+    (["verify", "thm1_4"], {**THM1_4_HEIS, "eps_list": []},
+     "'eps_list' for verify-thm1_4 must be non-empty, got []"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "boxes": [[]]},
+     "'boxes' for verify-thm1_3 must be non-empty, got [[]]"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "boxes": [[[-1, 1], [1, -1]]]},
+     "'boxes' for verify-thm1_3 must be [lo, hi] pairs with lo < hi, got [[[-1, 1], [1, -1]]]"),
 ], ids=["eigen-tol", "thm1_2-tol-inf", "fields_info-max_step", "thm1_2-n_subdomains",
-        "epspath-eps_list-inf", "thm1_4-eps_list-negative"])
+        "epspath-eps_list-inf", "thm1_4-eps_list-negative", "eigen-grid-box-inf",
+        "logistic-mu_factor-nan", "logistic-mu-inf", "logistic-p-inf", "ball-center-nan",
+        "thm1_3-h-nan", "thm1_3-lam_fractions-nan", "eigen-grid-h-huge", "logistic-p", "yamabe-p",
+        "prop4_2-p", "thm1_4-p", "yamabe-eps", "yamabe-theta", "thm1_4-eps_list",
+        "thm1_4-theta_list", "sobolev-p", "thm1_3-lam_fractions", "thm1_3-mu", "thm1_3-h",
+        "epspath-eps_list-increasing", "prop4_2-mu_factors-empty", "thm1_3-lam_fractions-empty",
+        "thm1_4-theta_list-empty", "thm1_4-eps_list-empty", "thm1_3-boxes-empty-box",
+        "thm1_3-boxes-reversed-side"])
 def test_cli_out_of_range_solver_value_is_a_config_error_naming_it(tmp_path, capsys, argv,
                                                                    payload, message):
     # each used to reach the solver: a tol <= 0 ran the whole solve before
-    # its residual check failed, eps = inf ended in an ARPACK error, and
-    # n_subdomains 0 wrote a report with no case
+    # its residual check failed, eps = inf ended in an ARPACK error, an infinite
+    # grid side in an OverflowError traceback, a NaN mu_factor wrote a bare NaN
+    # into report.json, a NaN center failed as "metric ball clipped by the grid
+    # box", other values out of range failed the run, and n_subdomains 0 or an
+    # empty case list wrote a report with no case
     cfg = write_config(tmp_path, "c.json", payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), *argv]) == 2
     err = capsys.readouterr().err
@@ -699,25 +806,18 @@ def test_cli_grid_h_given_as_a_string_is_a_config_error(tmp_path, capsys, h):
                                             "grid": {**GRID_2D, "h": h}})
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "eigen"]) == 2
     assert capsys.readouterr().err == (
-        "config error: grid spec must be {'box': [[lo, hi], ...], 'h': float}\n")
+        f"config error: config key 'grid.h' for eigen must be a number, got {h!r}\n")
     assert not (tmp_path / "o").exists()
 
 
-LOGISTIC_2D = {"family": "euclidean(2)", "grid": GRID_2D, "a": "1 + 0*x", "b": "1 + 0*x",
-               "p": 2.0}
-YAMABE_HEIS = {"family": "heisenberg", "grid": {"box": [[-2, 2]] * 3, "h": 1.0},
-               "f": "exp(-(x**2 + y**2 + t**2))", "theta": 0.02, "eps": 0.4, "p": 3.0}
-
-
 @pytest.mark.parametrize("argv, payload, key", [
-    (["verify", "prop4_2"], {**NO_CASE_CONFIGS["prop4_2"], "mu_factors": "2"}, "mu_factors"),
+    (["verify", "prop4_2"], {**PROP4_2_2D, "mu_factors": "2"}, "mu_factors"),
     (["eigen"], {"family": "euclidean(2)", "grid": GRID_2D, "weight": 5}, "weight"),
     (["solve", "logistic"], {**LOGISTIC_2D, "a": 5}, "a"),
     (["solve", "logistic"], {**LOGISTIC_2D, "p": "two"}, "p"),
     (["solve", "logistic"], {**LOGISTIC_2D, "mu": "abc"}, "mu"),
     (["solve", "yamabe"], {**YAMABE_HEIS, "k_pattern": 7}, "k_pattern"),
-    (["verify", "thm1_3"], {**NO_CASE_CONFIGS["thm1_3"], "lam_fractions": [0.5], "mu": "abc"},
-     "mu"),
+    (["verify", "thm1_3"], {**THM1_3_2D, "mu": "abc"}, "mu"),
     (["epspath"], {"family": "euclidean(2)", "grid": GRID_2D, "eps_list": 0.5}, "eps_list"),
     (["ball"], {**BALL_HEIS, "radius": "big"}, "radius"),
 ], ids=["prop4_2-mu_factors", "eigen-weight", "logistic-a", "logistic-p", "logistic-mu",
@@ -733,7 +833,6 @@ def test_cli_key_with_no_default_of_another_kind_exits_2_naming_it(tmp_path, cap
     assert not (tmp_path / "o").exists()
 
 
-THM1_3_2D = {**NO_CASE_CONFIGS["thm1_3"], "lam_fractions": [0.5]}
 DOUBLING_HEIS = {**{k: v for k, v in BALL_HEIS.items() if k != "radius"}, "radii": [0.05]}
 
 
@@ -741,7 +840,7 @@ DOUBLING_HEIS = {**{k: v for k, v in BALL_HEIS.items() if k != "radius"}, "radii
     (["epspath"], {"family": "euclidean(2)", "grid": GRID_2D, "eps_list": [[0.5]]}, "eps_list"),
     (["verify", "thm1_4"], {**THM1_4_HEIS, "theta_list": ["a"]}, "theta_list"),
     (["verify", "thm1_3"], {**THM1_3_2D, "lam_fractions": [True]}, "lam_fractions"),
-    (["verify", "prop4_2"], {**NO_CASE_CONFIGS["prop4_2"], "mu_factors": ["2"]}, "mu_factors"),
+    (["verify", "prop4_2"], {**PROP4_2_2D, "mu_factors": ["2"]}, "mu_factors"),
     (["probe", "doubling"], {**DOUBLING_HEIS, "radii": ["x"]}, "radii"),
     (["distance"], {**DIST_2D, "x": ["a", 0]}, "x"),
     (["distance"], {**DIST_2D, "y": [1, None]}, "y"),
@@ -810,3 +909,14 @@ def test_cli_distance_between_points_that_snap_to_one_node_is_zero(tmp_path, mon
     header, first, second = (out / "path.csv").read_text().splitlines()
     assert header == "x0,x1,x2,t_cum" and first == second
     assert np.abs(np.array(first.split(","), dtype=float)).max() < 1e-12
+
+
+def test_cli_negative_seed_is_a_usage_error_naming_it(tmp_path, capsys):
+    # it used to fail the run: "run failed: expected non-negative integer"
+    cfg = write_config(tmp_path, "f.json", {"family": "heisenberg"})
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "--out", str(tmp_path / "o"), "--seed", "-1", "fields",
+              "info"])
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -226,3 +226,18 @@ def test_thm_1_2_strict_shift_check_is_two_sided(monkeypatch):
     rep = verify_thm_1_2(euclidean(2), g, "exp(x + y)", n_subdomains=3, seed=1)
     assert honest.passed_count == honest.total == 3
     assert rep.passed_count == 0 and all(c.margin == -1.0 for c in rep.cases)
+
+
+@pytest.mark.parametrize("suite", ["prop4_2", "thm1_3", "thm1_4"])
+def test_suite_with_an_empty_case_list_reports_no_case_and_fails(suite):
+    # the CLI rejects these empty lists; called directly, a suite runs no case
+    g = build_grid([(0, 1), (0, 1)], 0.25)
+    run = {
+        "prop4_2": lambda: verify_prop_4_2(euclidean(2), g, "1 + 0*x", "1 + 0*x", 2.0, []),
+        "thm1_3": lambda: verify_thm_1_3(euclidean(2), "1 + 0*x", "1 + 0*x", [],
+                                         [[(-1, 1)] * 2], 0.25),
+        "thm1_4": lambda: verify_thm_1_4(heisenberg(), [(-2, 2)] * 3, 1.0,
+                                         "exp(-(x**2 + y**2 + t**2))", [], [0.4], 3.0),
+    }[suite]
+    ver = run().to_json_dict()
+    assert ver["summary"] == "0/0" and ver["passed"] is False
