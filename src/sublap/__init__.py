@@ -18,19 +18,17 @@ from .fields import (
     lie_bracket,
     resolve_family,
 )
-from .mesh import GridDomain, GridField, build_grid, integrate, mask_domain
+from .mesh import GridDomain, GridField, build_grid, mask_domain
 from .operators import (
     SparseOperator,
     assemble_diagonal,
     assemble_first_order,
     assemble_stiffness,
     mass_matrix,
-    rayleigh_quotient,
 )
 from .eigen import (
     ConvergenceError,
     EigenResult,
-    domain_monotonicity,
     epsilon_path,
     principal_eigenpair,
     weighted_principal,
@@ -51,17 +49,14 @@ __all__ = [
     "GridField",
     "build_grid",
     "mask_domain",
-    "integrate",
     "SparseOperator",
     "assemble_first_order",
     "assemble_stiffness",
     "assemble_diagonal",
     "mass_matrix",
-    "rayleigh_quotient",
     "EigenResult",
     "ConvergenceError",
     "principal_eigenpair",
     "weighted_principal",
     "epsilon_path",
-    "domain_monotonicity",
 ]

@@ -8,8 +8,9 @@ change what a verification run claims).  A second table, ``SCHEMA``, gives
 every config key its kind, elements and range, and ``validate_config``
 checks each given value against it before anything runs.  All artifacts are
 byte-deterministic given the same config and seed: reports carry no
-timestamps, floats are serialized by repr, and plots are written by a
-fixed-order SVG emitter.
+timestamps, floats are serialized by repr (a NaN or an infinity as null, so
+a report is strict JSON), and plots are written by a fixed-order SVG
+emitter.
 
 Exit codes: 0 success / all checks passed, 1 a verification or solver
 check failed, 2 configuration error.
@@ -21,6 +22,7 @@ import argparse
 import contextlib
 import ctypes
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,11 +88,18 @@ class RunConfig:
         }
 
 
-def _tolist(obj):
-    """`json.dumps` hook: numpy arrays and scalars as Python lists and scalars."""
+def _json_value(obj):
+    """A report value as strict JSON takes it: numpy arrays and scalars as Python
+    lists and scalars, and NaN or an infinity, which JSON has no literal for, as None."""
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+        obj = obj.tolist()
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_value(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(value) for value in obj]
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +529,8 @@ def run(cfg):
         "exit_code": code,
     }
     report = outdir / "report.json"
-    report.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_tolist) + "\n")
+    report.write_text(json.dumps(_json_value(payload), indent=2, sort_keys=True, allow_nan=False)
+                      + "\n")
     return code, report
 
 

@@ -23,7 +23,6 @@ from .mesh import GridField, coarse_grid
 from .operators import (
     NotPositiveDefiniteError,
     SparseOperator,
-    assemble_diagonal,
     assemble_stiffness,
     factor_pays,
     factor_spd,
@@ -76,6 +75,27 @@ class EigenResult:
             "positive": bool(self.positive),
             "degenerate": None if self.degenerate is None else bool(self.degenerate),
         }
+
+
+def _checked_result(grid, K, u, lam, bdiag, vdiag, tol, solver, iterations, unit, **counters):
+    """The EigenResult of (lam, u) for (K - V) u = lam B u, once its residual passes tol.
+
+    The residual is ||(K - V) u - lam B u|| / ||u|| on the interior nodes,
+    with B and V diagonal (`vdiag` None for V = 0); one that is above tol,
+    or NaN, raises ConvergenceError naming `solver`, the residual, tol and
+    `iterations` `unit`.  `counters` are the result's remaining fields.
+    """
+    res_vec = K @ u - lam * (bdiag * u)
+    if vdiag is not None:
+        res_vec -= vdiag * u
+    residual = float(np.linalg.norm(res_vec) / np.linalg.norm(u))
+    if not residual <= tol:
+        raise ConvergenceError(
+            f"{solver} residual {residual:.3e} above tol {tol:.3e} after {iterations} {unit}",
+            lam=lam, residual=residual, iterations=iterations,
+        )
+    return EigenResult(lam=lam, eigenfield=GridField.from_interior(grid, u), residual=residual,
+                       iterations=iterations, positive=bool(np.all(u > 0.0)), **counters)
 
 
 def _m_normalized(u, mdiag):
@@ -275,29 +295,13 @@ def _principal(grid, K, vdiag, mdiag, tol, start, pairs):
     lam = float(lams[0])
     u_int = _m_normalized(Y[:, 0] / np.sqrt(mdiag), mdiag)
     vectors = np.column_stack([u_int, Y[:, 1:] / np.sqrt(mdiag)[:, None]])
-    res_vec = K @ u_int - lam * (mdiag * u_int)
-    res_vec -= vdiag * u_int
-    residual = float(np.linalg.norm(res_vec) / np.linalg.norm(u_int))
-    if not residual <= tol:
-        raise ConvergenceError(
-            f"principal eigensolve ({path}) residual {residual:.3e} above tol {tol:.3e} "
-            f"after {iterations} {unit}",
-            lam=lam, residual=residual, iterations=iterations,
-        )
     degenerate = None
     if pairs == 2:
         degenerate = n > 1 and bool(lams[1] - lam < DEGENERACY_GAP * max(1.0, abs(lam)))
-    return EigenResult(
-        lam=lam,
-        eigenfield=GridField.from_interior(grid, u_int),
-        residual=residual,
-        iterations=iterations,
-        positive=bool(np.all(u_int > 0.0)),
-        degenerate=degenerate,
-        coarse_iterations=coarse_iterations,
-        cg_iterations=cg_iterations,
-        vectors=vectors,
-    )
+    return _checked_result(grid, K, u_int, lam, mdiag, vdiag, tol,
+                           f"principal eigensolve ({path})", iterations, unit,
+                           degenerate=degenerate, coarse_iterations=coarse_iterations,
+                           cg_iterations=cg_iterations, vectors=vectors)
 
 
 def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
@@ -336,20 +340,8 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
         solves = Kinv.calls
     lam = 1.0 / float(mu)
     u = _m_normalized(w, mass_matrix(grid))
-    residual = float(np.linalg.norm(K.mat @ u - lam * (gdiag * u)) / np.linalg.norm(u))
-    if residual > tol:
-        raise ConvergenceError(
-            f"weighted eigensolve residual {residual:.3e} above tol {tol:.3e} "
-            f"after {solves} K-solves",
-            lam=lam, residual=residual, iterations=solves,
-        )
-    return EigenResult(
-        lam=lam,
-        eigenfield=GridField.from_interior(grid, u),
-        residual=residual,
-        iterations=solves,
-        positive=bool(np.all(u > 0.0)),
-    )
+    return _checked_result(grid, K.mat, u, lam, gdiag, None, tol, "weighted eigensolve", solves,
+                           "K-solves")
 
 
 def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
@@ -388,32 +380,3 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     if any(a <= b for a, b in zip(lams, lams[1:])):
         raise ConvergenceError(f"epsilon path not strictly decreasing: {out}", lam=lams[-1])
     return out
-
-
-def _interior_coord_set(grid):
-    pts = grid.points[grid.interior_ids]
-    return {tuple(np.round(p / (grid.h * 0.5)).astype(int)) for p in pts}
-
-
-def domain_monotonicity(family, V, nested_masks, tol=DEFAULT_TOL):
-    """lambda_1 over a nested chain of masked domains; values are non-increasing.
-
-    `V` is a callable potential (or None); masks must share a parent grid
-    and have increasing interior sets.
-    """
-    sets = [_interior_coord_set(g) for g in nested_masks]
-    for a, b in zip(sets, sets[1:]):
-        if not a.issubset(b):
-            raise ValueError("masks are not nested: interior sets must be increasing")
-    lams = []
-    for g in nested_masks:
-        K = assemble_stiffness(family, g)
-        M = mass_matrix(g)
-        Vd = None
-        if V is not None:
-            Vd = assemble_diagonal(GridField.from_function(g, V))
-        lams.append(principal_eigenpair(K, Vd, M, tol=tol).lam)
-    for a, b in zip(lams, lams[1:]):
-        if b > a + 10 * tol * max(1.0, abs(a)):
-            raise ConvergenceError(f"domain monotonicity violated: {lams}")
-    return lams

@@ -38,8 +38,10 @@ _ALLOWED_NODES = (
 def compile_expression(expr, n):
     """Compile an expression string into a callable points (N, n) -> (N,); constants broadcast.
 
-    An expression that does not parse, or whose evaluation raises an
-    ArithmeticError (1/0, an overflowing power), raises ValueError naming it.
+    An expression that does not parse, whose evaluation raises an
+    ArithmeticError (1/0, an overflowing power), or that takes a NaN or
+    infinite value at some point (sqrt(x) at x < 0) raises ValueError naming
+    it, and in the last case the first such point.
     """
     names = {}
     for k in range(n):
@@ -72,12 +74,16 @@ def compile_expression(expr, n):
         for name, k in names.items():
             env[name] = pts[:, k]
         try:
-            out = eval(code, {"__builtins__": {}}, env)
+            with np.errstate(all="ignore"):
+                out = eval(code, {"__builtins__": {}}, env)
         except ArithmeticError as exc:
             raise ValueError(f"expression {expr!r} fails: {exc}") from None
         out = np.asarray(out, dtype=float)
         if out.shape != (pts.shape[0],):
             out = np.broadcast_to(out, (pts.shape[0],)).copy()
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            raise ValueError(f"expression {expr!r} is {out[bad[0]]} at {pts[bad[0]].tolist()}")
         return out
 
     return fn

@@ -199,15 +199,6 @@ class VectorFieldFamily:
             out[k] += u[j] * val
         return out.T
 
-    def diffusion_tensor(self, x):
-        """a(x) = A(x)^T A(x): symmetric PSD n x n tensor."""
-        A = self.eval_coefficients(x)
-        return A.T @ A
-
-    def diffusion_tensor_batch(self, points):
-        A = self.eval_coefficients_batch(points)
-        return np.einsum("pji,pjk->pik", A, A)
-
 
 def lie_bracket(f1, f2):
     """Exact symbolic Lie bracket of two polynomial vector fields.

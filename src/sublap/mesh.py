@@ -222,12 +222,6 @@ class GridField:
     __rmul__ = __mul__
 
 
-def integrate(field):
-    """h^n times the sum over interior nodes (boundary data is Dirichlet)."""
-    g = field.grid
-    return float(g.h ** g.n * field.values[g.interior_ids].sum())
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

@@ -251,15 +251,3 @@ def assemble_diagonal(field):
 def mass_matrix(grid):
     """The diagonal of the mass matrix M = h^n I, a 1-D array over the interior nodes."""
     return np.full(grid.n_interior, grid.h ** grid.n)
-
-
-def rayleigh_quotient(K, Vdiag, M, f):
-    """(f^T K f - f^T V f) / (f^T M f) over interior values of f; V, M diagonal vectors."""
-    fi = f.values[K.grid.interior_ids]
-    den = fi @ (M * fi)
-    if den <= 0.0:
-        raise ValueError("zero-norm f: f^T M f must be positive")
-    num = fi @ (K.mat @ fi)
-    if Vdiag is not None:
-        num -= fi @ (Vdiag * fi)
-    return float(num / den)

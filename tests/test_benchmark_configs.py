@@ -2,9 +2,12 @@
 changing it, must pass the CLI's config checks at every size, a smoke-size
 pass of every workload must pass the benchmark's own output checks, and
 tools/bench_outputs.py must run every CLI command and write the same output
-tree twice, which tools/compare_outputs.py then finds identical."""
+tree twice, which tools/compare_outputs.py then finds identical and equal to
+the checked-in record of tools/record_outputs.py."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -24,6 +27,23 @@ _spec = importlib.util.spec_from_file_location("compare_outputs",
                                                ROOT / "tools" / "compare_outputs.py")
 compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
+_spec = importlib.util.spec_from_file_location("record_outputs",
+                                               ROOT / "tools" / "record_outputs.py")
+record_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record_outputs)
+
+
+def _strict_json(data):
+    """A report parsed as strict JSON: NaN, Infinity and -Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"{name} is not strict JSON")
+    return json.loads(data, parse_constant=refuse)
+
+
+def _sums(path):
+    """{file: sha256} of a SHA256SUMS file."""
+    return {name: digest for digest, name in
+            (line.split("  ", 1) for line in path.read_text().splitlines())}
 
 
 @pytest.mark.parametrize("workload", wl.WORKLOADS)
@@ -68,11 +88,26 @@ def test_bench_outputs_writes_one_identical_tree_per_run(tmp_path):
     names = [cmd.name for cmd in runs]
     assert len(set(names)) == len(names) and {path.parts[0] for path in trees[0]} == set(names)
     assert all(Path(name, "report.json") in trees[0] for name in names)
+    reports = {path: _strict_json(data) for path, data in trees[0].items()
+               if path.name == "report.json"}
     # one run, at least, of every CLI command
-    assert {json.loads(trees[0][Path(name, "report.json")])["config"]["command"]
+    assert {reports[Path(name, "report.json")]["config"]["command"]
             for name in names} == set(COMMANDS)
     assert Path("yamabe", "solution.svg") in trees[0]
     assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    # every report byte for byte, and every other file by its sha256, as recorded
+    record = tmp_path / "record"
+    record_outputs.write_record(tmp_path / "a", record)
+    summary = io.StringIO()
+    with contextlib.redirect_stdout(summary):
+        differing = compare_outputs.main([str(record_outputs.RECORD), str(record)])
+    recorded, fresh = _sums(record_outputs.RECORD / "SHA256SUMS"), _sums(record / "SHA256SUMS")
+    moved = sorted(name for name in recorded.keys() | fresh.keys()
+                   if recorded.get(name) != fresh.get(name))
+    assert not differing, (
+        f"smoke outputs differ from {record_outputs.RECORD} (if on purpose, run "
+        f"`python3 tools/record_outputs.py`):\n{summary.getvalue()}"
+        f"sha256 changed: {moved}")
 
 
 def test_bench_outputs_names_every_run_that_exits_non_zero(tmp_path, monkeypatch, capsys):

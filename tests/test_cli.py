@@ -435,7 +435,7 @@ def test_table_entry_parses_validates_and_echoes_its_defaults(command, tmp_path)
     assert args.command == command
     params = validate_config(command, minimal_config(command))
     cfg = cli.RunConfig(command=command, params=params, out=tmp_path)
-    echoed = json.loads(json.dumps(cfg.echo(), default=cli._tolist))["params"]
+    echoed = json.loads(json.dumps(cli._json_value(cfg.echo())))["params"]
     assert validate_config(command, echoed) == echoed
     assert {key: echoed[key] for key in DEFAULTS[command]} == DEFAULTS[command]
     assert set(echoed) == set(minimal_config(command)) | set(DEFAULTS[command])
@@ -524,14 +524,17 @@ def _old_jsonify(obj):
 
 
 def test_report_hook_writes_the_bytes_of_the_old_serializer():
+    # ... except that NaN and the infinities, which strict JSON lacks, are null
     payload = {"b": np.bool_(True), "i": np.int64(-7), "f": np.float64(0.1) * 3,
                "nan": float("nan"), "f32": np.float32(1.5), "t": (1, np.int32(2)),
                "a": {"nested": np.arange(6, dtype=float).reshape(2, 3) / 7,
-                     "flags": np.array([True, False])}}
-    new = json.dumps(payload, indent=2, sort_keys=True, default=cli._tolist)
-    assert new == json.dumps(_old_jsonify(payload), indent=2, sort_keys=True)
+                     "flags": np.array([True, False]), "inf": np.array([np.inf, -np.inf])}}
+    new = json.dumps(cli._json_value(payload), indent=2, sort_keys=True, allow_nan=False)
+    old = _old_jsonify(payload)
+    old["nan"], old["a"]["inf"] = None, [None, None]
+    assert new == json.dumps(old, indent=2, sort_keys=True)
     with pytest.raises(TypeError, match="set is not JSON serializable"):
-        json.dumps({"s": {1}}, default=cli._tolist)
+        json.dumps(cli._json_value({"s": {1}}))
 
 
 @pytest.mark.parametrize("grid, family, message", [
@@ -778,6 +781,42 @@ def test_cli_expression_with_a_huge_power_fails_at_once(tmp_path):
     assert proc.stderr.startswith("run failed: expression 'x + 9**9**9' fails: ")
     assert proc.stderr.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["weight", "potential"])
+def test_cli_expression_with_a_non_finite_value_fails_in_one_line(tmp_path, key):
+    # sqrt(x) is NaN where x < 0: the run used to print a RuntimeWarning and
+    # two LAPACK lines, then fail with "ARPACK error -9999"; a child process
+    # shows what numpy and LAPACK write to stderr themselves
+    cfg = write_config(tmp_path, "e.json", {"family": "euclidean(2)",
+                                            "grid": {"box": [[-1, 1], [-1, 1]], "h": 0.25},
+                                            key: "sqrt(x)"})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "sublap.cli", "--config", str(cfg), "--out",
+                           str(tmp_path / "o"), "eigen"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "run failed: expression 'sqrt(x)' is nan at [-1.0, -1.0]\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _no_constant(name):
+    raise AssertionError(f"report holds {name}, which strict JSON has no literal for")
+
+
+def test_cli_report_writes_a_nan_result_as_null(tmp_path):
+    # the barrier check fails before any step, with residual NaN, which the
+    # report used to hold as a bare NaN
+    cfg = write_config(tmp_path, "y.json", {
+        "family": "euclidean(2)", "grid": {"box": [[-2, 2], [-2, 2]], "h": 0.5},
+        "f": "exp(-(x**2 + y**2))", "theta": 5, "eps": 0.4, "p": 3})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "solve", "yamabe"]) == 1
+    text = (tmp_path / "o" / "report.json").read_text()
+    report = json.loads(text, parse_constant=_no_constant)
+    assert report["results"]["yamabe"]["residual"] is None
+    assert '"residual": null,' in text and report["exit_code"] == 1
 
 
 DIST_HEIS = {"family": "heisenberg", "grid": {"box": [[-1, 1]] * 3, "h": 0.5},

@@ -14,7 +14,7 @@ import sublap.operators as operators_mod
 from sublap.cli import main
 from sublap.eigen import (
     ConvergenceError,
-    domain_monotonicity,
+    DEFAULT_TOL,
     epsilon_path,
     principal_eigenpair,
     weighted_principal,
@@ -28,7 +28,6 @@ from sublap.operators import (
     assemble_diagonal,
     assemble_stiffness,
     mass_matrix,
-    rayleigh_quotient,
     shifted_copy,
 )
 from sublap.verify import verify_thm_1_2
@@ -274,6 +273,17 @@ def test_weighted_reports_a_residual_above_tol():
     assert err.value.lam == pytest.approx(weighted_principal(K, M).lam, rel=1e-9)
 
 
+def test_weighted_refuses_a_nan_residual(monkeypatch):
+    # a NaN residual is not within tol: the weighted solve used to return it
+    g, K, M = unit_square_setup(1.0 / 8)
+    monkeypatch.setattr(spla, "eigsh", lambda *args, **kwargs: (
+        np.ones(1), np.full((K.shape[0], 1), np.nan)))
+    with pytest.raises(ConvergenceError, match=r"^weighted eigensolve residual nan above tol "
+                                               r"1\.000e-08 after 0 K-solves$") as err:
+        weighted_principal(K, assemble_diagonal(GridField.constant(g, 1.0)))
+    assert np.isnan(err.value.residual) and err.value.lam == 1.0
+
+
 def test_weighted_result_reports_degenerate_null():
     # the pencil solve computes no second eigenvalue
     g, K, M = unit_square_setup(1.0 / 8)
@@ -294,8 +304,8 @@ def test_variational_lower_bound():
     lam = principal_eigenpair(K, None, M, tol=1e-10).lam
     rng = np.random.default_rng(12)
     for _ in range(50):
-        f = GridField(g, rng.standard_normal(g.num_nodes))
-        assert rayleigh_quotient(K, None, M, f) >= lam - 1e-8
+        f = rng.standard_normal(g.num_nodes)[g.interior_ids]
+        assert f @ (K.mat @ f) / (f @ (M * f)) >= lam - 1e-8
 
 
 def test_epsilon_path_euclidean_scaling_identity():
@@ -470,6 +480,35 @@ def test_epsilon_path_validates_ordering():
         epsilon_path(euclidean(2), g, None, [0.5, -0.1])
     with pytest.raises(ValueError, match="^eps values must be finite and nonnegative$"):
         epsilon_path(euclidean(2), g, None, [np.inf, 0.0])
+
+
+def _interior_coord_set(grid):
+    pts = grid.points[grid.interior_ids]
+    return {tuple(np.round(p / (grid.h * 0.5)).astype(int)) for p in pts}
+
+
+def domain_monotonicity(family, V, nested_masks, tol=DEFAULT_TOL):
+    """lambda_1 over a nested chain of masked domains; values are non-increasing.
+
+    `V` is a callable potential (or None); masks must share a parent grid
+    and have increasing interior sets.
+    """
+    sets = [_interior_coord_set(g) for g in nested_masks]
+    for a, b in zip(sets, sets[1:]):
+        if not a.issubset(b):
+            raise ValueError("masks are not nested: interior sets must be increasing")
+    lams = []
+    for g in nested_masks:
+        K = assemble_stiffness(family, g)
+        M = mass_matrix(g)
+        Vd = None
+        if V is not None:
+            Vd = assemble_diagonal(GridField.from_function(g, V))
+        lams.append(principal_eigenpair(K, Vd, M, tol=tol).lam)
+    for a, b in zip(lams, lams[1:]):
+        if b > a + 10 * tol * max(1.0, abs(a)):
+            raise ConvergenceError(f"domain monotonicity violated: {lams}")
+    return lams
 
 
 def test_domain_monotonicity_square_scaling():

@@ -37,33 +37,6 @@ def test_grushin_degenerate_on_axis():
     assert np.array_equal(A, np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
-def test_diffusion_tensor_euclidean_identity():
-    for n in (1, 2, 3):
-        a = euclidean(n).diffusion_tensor(np.linspace(0.1, 0.9, n))
-        assert np.array_equal(a, np.eye(n))
-
-
-def test_diffusion_tensor_heisenberg_value():
-    a = heisenberg().diffusion_tensor([1.0, 2.0, 0.0])
-    expected = np.array([[1.0, 0.0, -1.0], [0.0, 1.0, 0.5], [-1.0, 0.5, 1.25]])
-    assert np.allclose(a, expected, atol=0, rtol=0)
-
-
-def test_diffusion_tensor_grushin_rank_one_on_axis():
-    a = grushin().diffusion_tensor([0.0, 0.7])
-    assert np.array_equal(a, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert np.linalg.matrix_rank(a) == 1
-
-
-def test_diffusion_equals_ata_random_points():
-    rng = np.random.default_rng(7)
-    for fam in (euclidean(3), heisenberg(), grushin()):
-        pts = rng.uniform(-2, 2, size=(100, fam.n))
-        for x in pts:
-            A = fam.eval_coefficients(x)
-            assert np.allclose(fam.diffusion_tensor(x), A.T @ A, rtol=0, atol=1e-15)
-
-
 def test_bracket_constant_fields_commute():
     fam = euclidean(2)
     br = lie_bracket(fam.coeffs[0], fam.coeffs[1])

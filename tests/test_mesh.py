@@ -16,7 +16,6 @@ from sublap.mesh import (
     coarse_grid,
     field_from_csv,
     field_to_csv,
-    integrate,
     mask_domain,
     neighbor_set,
 )
@@ -136,37 +135,6 @@ def test_mask_covers_predicate_set_exactly():
         for b in np.flatnonzero(sub.mask == BOUNDARY)
     )
     assert adj == sub.n_boundary
-
-
-def test_integrate_constant():
-    g = build_grid([(0, 1), (0, 1)], 1.0 / 64)
-    val = integrate(GridField.constant(g, 1.0))
-    assert abs(val - 1.0) <= 2.0 / 64
-
-
-def test_integrate_linear_refinement_first_order():
-    errs = []
-    for h in (1.0 / 16, 1.0 / 32, 1.0 / 64):
-        g = build_grid([(0, 1), (0, 1)], h)
-        f = GridField.from_function(g, lambda pts: pts[:, 0])
-        errs.append(abs(integrate(f) - 0.5))
-    for e0, e1 in zip(errs, errs[1:]):
-        assert 1.5 <= e0 / e1 <= 2.5
-
-
-def test_integrate_zero():
-    g = build_grid([(0, 1), (0, 1)], 0.25)
-    assert integrate(GridField.zeros(g)) == 0.0
-
-
-def test_integrate_linearity():
-    g = build_grid([(0, 1), (0, 1)], 0.125)
-    rng = np.random.default_rng(0)
-    f = GridField(g, rng.standard_normal(g.num_nodes))
-    gfld = GridField(g, rng.standard_normal(g.num_nodes))
-    lhs = integrate(GridField(g, 2.5 * f.values + 1.5 * gfld.values))
-    rhs = 2.5 * integrate(f) + 1.5 * integrate(gfld)
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
 
 
 def test_exterior_values_pinned_to_zero():
