@@ -107,17 +107,16 @@ def unit_controls(m, directions):
 class _GraphContext:
     """Per-(family, grid) data shared by distance and ball queries."""
 
-    def __init__(self, family, grid, directions, comm_scales, step_scales=(1,)):
-        for name, scales in (("step_scales", step_scales), ("comm_scales", comm_scales)):
-            arr = np.asarray(scales, dtype=float)
-            if not (arr.size and np.all(np.isfinite(arr) & (arr > 0))):
-                raise ValueError(f"{name} must be finite and > 0, got {list(scales)}")
+    def __init__(self, family, grid, directions, step_scales):
+        scales = np.asarray(step_scales, dtype=float)
+        if not (scales.size and np.all(np.isfinite(scales) & (scales > 0))):
+            raise ValueError(f"step_scales must be finite and > 0, got {list(step_scales)}")
         self.family = family
         self.grid = grid
         self.h = grid.h
         self.coords = grid.points
         self.F = unit_controls(family.m, directions)
-        self.step_scales = np.asarray(step_scales, dtype=float)
+        self.step_scales = scales
         # nonzero brackets [X_i, X_j], i < j
         self.pairs, brackets = [], []
         for i in range(family.m):
@@ -144,7 +143,7 @@ class _GraphContext:
         self.dims = np.array(grid.dims, dtype=np.int64)
         self.strides = grid.strides
         self.ok_node = grid.mask != EXTERIOR
-        self.comm_s = np.sqrt(np.array(comm_scales, dtype=float) * self.h) if self.pairs else np.array([])
+        self.comm_s = np.sqrt(np.array(COMM_SCALES, dtype=float) * self.h) if self.pairs else np.array([])
         # no edge is shorter than its base duration (snap surcharges are >= 0)
         bases = np.concatenate([self.step_scales * self.h, 4.0 * self.comm_s])
         self.w_min = bases.min(initial=np.inf)
@@ -353,7 +352,7 @@ def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS, step_sc
     for pt in (x, y):
         if np.any(pt < lo - 1e-12) or np.any(pt > hi + 1e-12):
             raise ValueError(f"point {pt} outside the grid box")
-    ctx = _GraphContext(family, grid, directions, COMM_SCALES, step_scales)
+    ctx = _GraphContext(family, grid, directions, step_scales)
     src = grid.nearest_node(x)
     tgt = grid.nearest_node(y)
     if src == tgt:
@@ -485,7 +484,7 @@ def metric_ball(family, center, R, grid, directions=DEFAULT_DIRECTIONS, step_sca
     hn = grid.h ** grid.n
     if R == 0.0:
         return BallResult(grid, cid, 0.0, np.array([cid]), np.zeros(1), hn)
-    ctx = _GraphContext(family, grid, directions, COMM_SCALES, step_scales)
+    ctx = _GraphContext(family, grid, directions, step_scales)
     dist, settled, _ = _dijkstra(ctx, cid, rmax=R)
     ids = np.flatnonzero(np.isfinite(dist) & (dist <= R))
     if np.any(grid.is_outer_face(ids)):

@@ -124,23 +124,17 @@ def _color(v):
     return "#fde725"
 
 
-def emit_plot(fieldobj, slice_spec=None, cell=8):
-    """Deterministic SVG heatmap of a 2-D axis-aligned slice of a field."""
-    grid = fieldobj.grid
-    vals = fieldobj.values.reshape(grid.dims)
-    if grid.n == 2:
-        plane = vals
-    else:
-        if slice_spec is None:
-            raise ValueError("slice spec (axis, index) required for fields with n > 2")
-        axis, index = slice_spec
-        if not 0 <= axis < grid.n:
-            raise ValueError(f"slice axis {axis} out of range")
-        if not 0 <= index < grid.dims[axis]:
-            raise ValueError(f"slice index {index} out of range for axis {axis}")
-        plane = np.take(vals, index, axis=axis)
-        while plane.ndim > 2:
-            plane = np.take(plane, plane.shape[-1] // 2, axis=-1)
+def emit_plot(fieldobj):
+    """Deterministic SVG heatmap of a field, 8 pixels a node.
+
+    It draws the first two axes (one row on a 1-D grid) at the middle node
+    of every later axis.
+    """
+    cell = 8
+    plane = fieldobj.values.reshape(fieldobj.grid.dims)
+    while plane.ndim > 2:
+        plane = np.take(plane, plane.shape[-1] // 2, axis=-1)
+    plane = np.atleast_2d(plane)
     ny, nx = plane.shape
     if nx == 0 or ny == 0:
         raise ValueError("zero-size field slice")
@@ -429,7 +423,9 @@ SCHEMA = {
                      "n_subdomains"), Key("integer", range=_COUNT)),
     "directions": Key("integer", range=(">= 2", lambda v: v >= 2)),
     **dict.fromkeys(("tol", "h"), Key("number", range=_POSITIVE)),
-    **dict.fromkeys(("radius", "theta"), Key("number", range=_NONNEGATIVE)),
+    "radius": Key("number", range={"ball": _NONNEGATIVE, "probe-poincare": _POSITIVE,
+                                   "probe-sobolev": _POSITIVE}),
+    "theta": Key("number", range=_NONNEGATIVE),
     **dict.fromkeys(("mu_factor", "q"), Key("number")), "eps": Key("number", range=_EPS),
     "p": Key("number", range={**dict.fromkeys(("solve-logistic", "solve-yamabe", "verify-prop4_2",
                                                "verify-thm1_4"), ("> 1", lambda v: v > 1)),
@@ -519,8 +515,7 @@ def run(cfg):
             continue
         field_to_csv(obj, path)
         if cfg.plot:
-            spec = None if obj.grid.n == 2 else (obj.grid.n - 1, obj.grid.dims[-1] // 2)
-            (outdir / f"{name}.svg").write_text(emit_plot(obj, spec))
+            (outdir / f"{name}.svg").write_text(emit_plot(obj))
             names.append(f"{name}.svg")
     payload = {
         "config": cfg.echo(),

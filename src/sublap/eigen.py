@@ -22,7 +22,6 @@ from . import fields as vf
 from .mesh import GridField, coarse_grid
 from .operators import (
     NotPositiveDefiniteError,
-    SparseOperator,
     assemble_stiffness,
     factor_pays,
     factor_spd,
@@ -350,8 +349,10 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     eps values must be finite, strictly decreasing and positive; a trailing
     0 is accepted and reproduces the direct (unregularized) solve.  Each solve
     computes lam_1 alone (pairs=1) and, after the first, starts from the
-    previous eps's lam_1 vector (M does not depend on eps).  The returned
-    sequence is checked to be strictly decreasing.
+    previous eps's lam_1 vector (M does not depend on eps).  The solves run
+    on the CSR sum K + eps K_euclid itself: both terms were checked
+    symmetric when assembled, and their sum is exactly as symmetric.  The
+    returned sequence is checked to be strictly decreasing.
     """
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
@@ -365,13 +366,13 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     K = assemble_stiffness(family, grid)
     K_euc = assemble_stiffness(vf.euclidean(family.n), grid)
     M = mass_matrix(grid)
+    vdiag = np.zeros(grid.n_interior) if Vdiag is None else Vdiag
     out = []
     res = None
     for eps in eps_list:
         mat = (K.mat + eps * K_euc.mat).tocsr() if eps else K.mat
-        Keps = SparseOperator(grid=grid, mat=mat)
         try:
-            res = principal_eigenpair(Keps, Vdiag, M, tol=tol, start=res, pairs=1)
+            res = _principal(grid, mat, vdiag, M, tol, res, 1)
         except ConvergenceError as exc:
             raise ConvergenceError(f"epsilon path at eps={eps:g}: {exc}", lam=exc.lam,
                                    residual=exc.residual, iterations=exc.iterations) from exc

@@ -73,16 +73,14 @@ class NotPositiveDefiniteError(np.linalg.LinAlgError):
 
 
 class _Factor(spla.LinearOperator):
-    def __init__(self, A, order):
+    def __init__(self, A):
         super().__init__(float, A.shape)
         self.calls = 0
         A = A.tocsr()
-        if order is None:
-            # imported on first use: a run that factors nothing, such as the
-            # CC metric's, does not load csgraph (about 1 MB)
-            from scipy.sparse.csgraph import reverse_cuthill_mckee
-            order = reverse_cuthill_mckee(A, symmetric_mode=True)
-        self.order = order
+        # imported on first use: a run that factors nothing, such as the CC
+        # metric's, does not load csgraph (about 1 MB)
+        from scipy.sparse.csgraph import reverse_cuthill_mckee
+        self.order = order = reverse_cuthill_mckee(A, symmetric_mode=True)
         n = A.shape[0]
         rank = np.empty(n, dtype=np.intp)
         rank[order] = np.arange(n)
@@ -107,18 +105,18 @@ class _Factor(spla.LinearOperator):
     _matvec = solve
 
 
-def factor_spd(A, order=None):
+def factor_spd(A):
     """One factorization of a symmetric positive definite matrix, as the operator x -> A^{-1} x.
 
-    A is put in reverse Cuthill-McKee order (`order`, a permutation of its
-    rows, when given: A + diag(c) keeps the order of A) and factored by
-    LAPACK's banded Cholesky (`cholesky_banded`, b + 1 stored diagonals for
-    the half-band b of the ordered matrix).  A failed Cholesky step raises
-    NotPositiveDefiniteError: A is not positive definite.  `solve` is the
-    operator's matvec, `calls` counts both, `band` holds the factor,
-    `order` is the ordering used and `nnz` the entries the factor stores.
+    A is put in reverse Cuthill-McKee order, which depends on its pattern
+    alone, and factored by LAPACK's banded Cholesky (`cholesky_banded`,
+    b + 1 stored diagonals for the half-band b of the ordered matrix).  A
+    failed Cholesky step raises NotPositiveDefiniteError: A is not positive
+    definite.  `solve` is the operator's matvec, `calls` counts both, `band`
+    holds the factor, `order` is the ordering used and `nnz` the entries the
+    factor stores.
     """
-    return _Factor(A, order)
+    return _Factor(A)
 
 
 def factor_pays(grid):

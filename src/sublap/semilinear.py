@@ -127,13 +127,11 @@ class ShiftedSolver:
     copy that `operators.shifted_copy` stores by diagonals on box grids:
     its matvecs are bit-identical to those of CSR K + c h^n I, and cheaper.
     On grids that `operators.factor_pays` factors, A is factored
-    (`factor_spd`, in the ordering of the first shift's factor: every A has
-    K's pattern) and every solve is a pair of triangular solves; a shift
+    (`factor_spd`) and every solve is a pair of triangular solves; a shift
     that leaves A not positive definite raises NotPositiveDefiniteError
-    naming the shift's range.  Other
-    systems run CG preconditioned by diag(A)^{-1} (Jacobi), because the fill
-    of the factors, and with it the time and memory of factoring, outgrows
-    what CG saves.
+    naming the shift's range.  Other systems run CG preconditioned by
+    diag(A)^{-1} (Jacobi), because the fill of the factors, and with it the
+    time and memory of factoring, outgrows what CG saves.
     The first CG solve starts from the boundary value as a constant (the
     exact solution when c = 0 and the source is zero; K annihilates
     constants); later solves warm-start from the previous solution,
@@ -160,7 +158,6 @@ class ShiftedSolver:
         self.lift = K.boundary @ self.bvec
         self.shifts = []
         self.cg_iterations = 0
-        self.order = None  # the ordering of every factor, taken from the first
         self.set_shift(shift_c)
 
     def set_shift(self, shift_c):
@@ -177,12 +174,11 @@ class ShiftedSolver:
         self.factor = self.jacobi = None
         if factor_pays(self.grid):
             try:
-                self.factor = factor_spd(self.A, self.order)
+                self.factor = factor_spd(self.A)
             except NotPositiveDefiniteError as exc:
                 raise NotPositiveDefiniteError(
                     f"K + cM is not positive definite at shift {_shift_text(shift_c)} ({exc})"
                 ) from exc
-            self.order = self.factor.order
         else:
             self.jacobi = sp.diags(1.0 / self.A.diagonal())
         self.shifts.append(shift_c if vector else float(shift_c))
@@ -277,15 +273,16 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     maximum principle) are recorded in the result notes rather than
     silently ignored.
 
-    The iterate is kept as its interior vector.  Every iterate carries the
-    boundary value, so the boundary parts of the bracket gaps are fixed and
-    taken once; only the first step also compares it with upper's trace.
+    The iterate is kept on every node, its boundary holding the boundary
+    value, so each bracket gap, the monotone gap and the step is one max
+    over the non-exterior nodes; step 1 compares it with upper itself.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     g = problem.grid
     active = g.mask != 0  # non-exterior
-    if np.any(lower.values[active] > upper.values[active] + 1e-14):
+    lower_a, upper_a = lower.values[active], upper.values[active]
+    if np.any(lower_a > upper_a + 1e-14):
         raise ValueError("bracket violated: lower > upper somewhere")
     ids = g.interior_ids
     lower_i, upper_i = lower.values[ids], upper.values[ids]
@@ -301,16 +298,8 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
         notes.append(f"upper field fails the discrete supersolution check by {v_sup:.3e} at node {n_sup}")
 
     solver = ShiftedSolver(problem.K, c, problem.boundary_value, cg_tol=min(TOL_LIN, tol / 10))
-    bvec, lift = solver.bvec, solver.lift
     w = g.h ** g.n
-    # the gaps off the interior: lower - u and u - upper on the boundary at
-    # every step, and u_1 - u_0 (on the boundary, and on the exterior for
-    # the step size) at step 1 only
-    lo_bnd = float((lower.values[g.boundary_ids] - bvec).max(initial=-np.inf))
-    hi_bnd = float((bvec - upper.values[g.boundary_ids]).max(initial=-np.inf))
-    step_off = float(np.abs(GridField.from_interior(g, upper_i, bvec).values - upper.values).max())
-    bvec_abs = float(np.abs(bvec).max(initial=0.0))
-    ui = upper_i
+    ui, ua = upper_i, upper_a  # the iterate on the interior and on every non-exterior node
     Fu = problem.reaction(ui)  # F(u): the next right-hand side and the residual's reaction
     scale = max(float(np.abs(upper.values).max()), 1.0)
     mono_slack = 1e3 * TOL_LIN * scale
@@ -325,34 +314,28 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
                 problem.validate_shift(c, lower_i, ui)
                 checked_c, checked_top = c, ui
             solver.set_shift(c)
-        x = solver.solve_interior(c * ui + Fu)
-        diff = x - ui
+        ui = solver.solve_interior(c * ui + Fu)
+        prev, ua = ua, GridField.from_interior(g, ui, solver.bvec).values[active]
+        diff = ua - prev
         inc = float(diff.max())
-        if it == 1:
-            inc = max(inc, hi_bnd)
         max_inc = max(max_inc, inc)
         if inc > mono_slack:
             steps_monotone = False
-            prev = upper if it == 1 else GridField.from_interior(g, ui, bvec)
-            gap = (GridField.from_interior(g, x, bvec).values - prev.values)[active]
-            node = int(np.flatnonzero(active)[np.argmax(gap)])
+            node = int(np.flatnonzero(active)[np.argmax(diff)])
             notes.append(f"monotone descent violated by {inc:.3e} at node {node}, step {it}")
-        lo_viol = max(float((lower_i - x).max()), lo_bnd)
-        hi_viol = max(float((x - upper_i).max()), hi_bnd)
+        lo_viol = float((lower_a - ua).max())
+        hi_viol = float((ua - upper_a).max())
         if max(lo_viol, hi_viol) > mono_slack:
             bracket_ok = False
             notes.append(
                 f"bracket violated at step {it}: below-lower {lo_viol:.3e}, above-upper {hi_viol:.3e}"
             )
         step = float(np.abs(diff).max())
-        if it == 1:
-            step = max(step, step_off)
-        ui = x
         Fu = problem.reaction(ui)
         un = np.linalg.norm(ui)
-        r = float(np.linalg.norm(problem.K.mat @ ui + lift - w * Fu))
+        r = float(np.linalg.norm(problem.K.mat @ ui + solver.lift - w * Fu))
         residual = float(r / un) if un > 0 else r
-        rel_step = step / max(float(np.abs(ui).max()), bvec_abs, 1e-300)
+        rel_step = step / max(float(np.abs(ua).max()), 1e-300)
         converged = residual <= tol and rel_step <= tol
         if converged:
             break
@@ -364,7 +347,7 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
         what = f"residual {residual:.3e}" if residual > tol else f"relative step {rel_step:.3e}"
         notes.append(f"{what} above tol {tol:.3e} after {it} iterations")
     return BracketSolveResult(
-        solution=GridField.from_interior(g, ui, bvec),
+        solution=GridField.from_interior(g, ui, solver.bvec),
         lower=lower,
         upper=upper,
         residual=residual,

@@ -540,11 +540,7 @@ def _graph_queries(draw):
     usable = np.flatnonzero(grid.mask != EXTERIOR)
     source = int(usable[draw(st.integers(0, usable.size - 1))])
     scales = st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]), min_size=1, max_size=3)
-    ctx = ccm._GraphContext(
-        family, grid, draw(st.integers(2, 16)),
-        draw(st.lists(st.sampled_from([1, 2, 4, 8, 16]), min_size=1, max_size=3)),
-        draw(scales),
-    )
+    ctx = ccm._GraphContext(family, grid, draw(st.integers(2, 16)), draw(scales))
     if draw(st.booleans()):
         query = {"rmax": draw(st.floats(0.0, 1.0))}
     else:
@@ -569,7 +565,7 @@ def test_bucketed_dijkstra_matches_heap_dijkstra(case):
 
 def test_batched_edges_match_per_node_edges():
     g = build_grid([(-0.3, 0.3), (-0.3, 0.3), (-0.1, 0.1)], 0.05)
-    ctx = ccm._GraphContext(heisenberg(), g, 16, (1, 2, 4), (1, 2))
+    ctx = ccm._GraphContext(heisenberg(), g, 16, (1, 2))
     nodes = np.array([g.nearest_node(p) for p in ((0, 0, 0), (0.25, -0.3, 0.1), (0.1, 0.1, -0.05))])
     ids, w, kind, info, scale, src, pos = ctx.edges_from(nodes)
     for r, p in enumerate(nodes):
@@ -593,7 +589,7 @@ def test_graph_build_evaluates_coefficients_once(monkeypatch):
 
     monkeypatch.setattr(type(heis), "eval_coefficients_batch", counted)
     g = build_grid([(-0.3, 0.3), (-0.3, 0.3), (-0.1, 0.1)], 0.05)
-    ctx = ccm._GraphContext(heis, g, 16, (1, 2, 4), (1, 2))
+    ctx = ccm._GraphContext(heis, g, 16, (1, 2))
     assert g.num_nodes == 13 * 13 * 5 and calls == [13 * 13]
     sigma = np.linalg.svd(evaluate(heis, g.points), compute_uv=False).min(axis=1)
     assert ctx.sigma.tobytes() == sigma.tobytes()
@@ -613,7 +609,7 @@ def _family_of_every_axis():
                          ids=lambda fam: fam.name)
 def test_graph_build_matches_evaluation_at_every_node(family):
     g = build_grid([(-0.3, 0.3), (-0.2, 0.25), (-0.1, 0.1)][: family.n], 0.05)
-    ctx = ccm._GraphContext(family, g, 8, (1, 2), (1,))
+    ctx = ccm._GraphContext(family, g, 8, (1,))
     A = family.eval_coefficients_batch(g.points)
     sigma = np.linalg.svd(A, compute_uv=False).min(axis=1)
     assert ctx.A_all.shape == A.shape and ctx.A_all.tobytes() == A.tobytes()
@@ -630,19 +626,17 @@ def test_graph_build_matches_evaluation_at_every_node(family):
 
 @pytest.mark.parametrize("scales", [
     {"step_scales": (0,)}, {"step_scales": (1, -1)}, {"step_scales": (np.inf,)},
-    {"comm_scales": (1, 0)}, {"comm_scales": (np.nan,)},
 ])
 def test_non_positive_scales_rejected(scales):
-    # commutator scales are a code constant, so only the graph context takes them
+    # commutator scales are a code constant (COMM_SCALES); step scales come from the caller
     heis = heisenberg()
     g = build_grid([(-0.3, 0.3), (-0.3, 0.3), (-0.1, 0.1)], 0.05)
     with pytest.raises(ValueError, match="must be finite and > 0"):
-        ccm._GraphContext(heis, g, 8, **{"comm_scales": ccm.COMM_SCALES, **scales})
-    if "step_scales" in scales:
-        with pytest.raises(ValueError, match="must be finite and > 0"):
-            cc_distance_graph(heis, g, (0, 0, 0), (0.2, 0.1, 0), directions=8, **scales)
-        with pytest.raises(ValueError, match="must be finite and > 0"):
-            metric_ball(heis, (0, 0, 0), 0.1, g, directions=8, **scales)
+        ccm._GraphContext(heis, g, 8, **scales)
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        cc_distance_graph(heis, g, (0, 0, 0), (0.2, 0.1, 0), directions=8, **scales)
+    with pytest.raises(ValueError, match="must be finite and > 0"):
+        metric_ball(heis, (0, 0, 0), 0.1, g, directions=8, **scales)
 
 
 @pytest.mark.parametrize("box", [[(-1, 1), (0, 2)], [(-1, 1), (0, 1), (-0.5, 0.5)]])
@@ -738,7 +732,7 @@ def test_snap_matches_the_whole_offset_formula_bit_for_bit(masked):
     g = build_grid([(-0.3, 0.3), (-0.2, 0.25), (-0.1, 0.1)], 0.05)
     if masked:
         g = g.with_mask(mask_domain(g, lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2 < 0.04).mask)
-    ctx = ccm._GraphContext(heisenberg(), g, 8, (1, 2), (1,))
+    ctx = ccm._GraphContext(heisenberg(), g, 8, (1,))
     rng = np.random.default_rng(11)
     lo, hi = g.origin, g.origin + (np.array(g.dims) - 1) * g.h
     inside = rng.uniform(lo, hi, (200, 3))

@@ -337,15 +337,24 @@ def test_emit_plot_deterministic():
     assert emit_plot(f) == emit_plot(f)
 
 
-def test_emit_plot_3d_requires_slice():
-    g = build_grid([(0, 1)] * 3, 0.25)
-    f = GridField.constant(g, 1.0)
-    with pytest.raises(ValueError, match="slice"):
-        emit_plot(f)
-    svg = emit_plot(f, (2, 1))
-    assert "<rect" in svg
-    with pytest.raises(ValueError, match="out of range"):
-        emit_plot(f, (2, 99))
+def test_emit_plot_3d_draws_the_middle_slice():
+    g = build_grid([(0, 1), (0, 1.5), (0, 0.5)], 0.25)
+    vals = np.random.default_rng(5).standard_normal(g.num_nodes)
+    plane = vals.reshape(g.dims)[:, :, g.dims[2] // 2]
+    g2 = build_grid([(0, 1), (0, 1.5)], 0.25)
+    assert emit_plot(GridField(g, vals)) == emit_plot(GridField(g2, plane.ravel()))
+
+
+def test_cli_eigen_plot_on_a_1d_grid_draws_one_row(tmp_path):
+    # it used to fail with "not enough values to unpack" and leave the CSV behind
+    cfg = write_config(tmp_path, "e.json", {"family": "euclidean(1)",
+                                            "grid": {"box": [[0, 1]], "h": 0.125}})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "--plot", "eigen"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["artifacts"] == ["eigenfield.csv", "eigenfield.svg"]
+    svg = (out / "eigenfield.svg").read_text()
+    assert svg.count("<rect") == 9 and svg.count('y="0"') == 9 and 'height="8" viewBox' in svg
 
 
 def test_emit_plot_eigenfield_single_interior_max(tmp_path):
@@ -648,6 +657,10 @@ def test_cli_empty_or_zero_count_value_exits_with_a_one_line_error(tmp_path, cap
     (["ball"], {**BALL_HEIS, "radius": -0.1}, "'radius' for ball must be >= 0, got -0.1"),
     (["probe", "poincare"], {**BALL_HEIS, "radius": float("nan")},
      "'radius' for probe-poincare must be finite, got nan"),
+    (["probe", "poincare"], {**BALL_HEIS, "radius": 0},
+     "'radius' for probe-poincare must be > 0, got 0"),
+    (["probe", "sobolev"], {**BALL_HEIS, "radius": 0, "q": 4.0, "p": 2.0},
+     "'radius' for probe-sobolev must be > 0, got 0"),
     (["probe", "doubling"], {**BALL_HEIS, "radius": None, "radii": [0.05, 0]},
      "'radii' for probe-doubling must be > 0, got [0.05, 0]"),
     (["probe", "doubling"], {**BALL_HEIS, "radius": None, "radii": [float("inf")]},
@@ -658,7 +671,7 @@ def test_cli_empty_or_zero_count_value_exits_with_a_one_line_error(tmp_path, cap
     (["distance"], {**DIST_2D, "tol": 0}, "'tol' for distance must be > 0, got 0"),
     (["distance"], {**DIST_2D, "tol": -1e-3}, "'tol' for distance must be > 0, got -0.001"),
 ], ids=["ball-directions", "distance-directions", "distance-segments", "ball-radius",
-        "poincare-radius-nan", "doubling-radii-zero", "doubling-radii-inf", "ball-step_scales",
+        "poincare-radius-nan", "poincare-radius-zero", "sobolev-radius-zero", "doubling-radii-zero", "doubling-radii-inf", "ball-step_scales",
         "distance-step_scales-nan", "distance-tol-zero", "distance-tol-negative"])
 def test_cli_out_of_range_cc_value_is_a_config_error_naming_it(tmp_path, capsys, argv, payload,
                                                                 message):

@@ -407,11 +407,11 @@ def test_lobpcg_stop_rule_meets_the_final_residual_check(monkeypatch, tol):
     cold = principal_eigenpair(K, Vd, M, tol=tol)
     solves = []
 
-    def recorded(*args, **kwargs):
-        solves.append(principal_eigenpair(*args, **kwargs))
+    def recorded(*args, real=eigen_mod._principal):
+        solves.append(real(*args))
         return solves[-1]
 
-    monkeypatch.setattr(eigen_mod, "principal_eigenpair", recorded)
+    monkeypatch.setattr(eigen_mod, "_principal", recorded)
     path = epsilon_path(heisenberg(), g, Vd, [0.5, 0.25, 0.1, 0.01, 0.0], tol=tol)
     assert cold.residual <= tol and cold.degenerate is False
     assert len(solves) == 5
@@ -444,13 +444,13 @@ def test_epsilon_path_failure_names_eps(monkeypatch):
     # only the warm-started solves are cut short, so the path fails at its second eps
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
 
-    def short_when_warm(*args, start=None, **kwargs):
+    def short_when_warm(grid, K, vdiag, mdiag, tol, start, pairs, real=eigen_mod._principal):
         if start is not None:
-            kwargs.update(tol=1e-14)
+            tol = 1e-14
             monkeypatch.setattr(eigen_mod, "MAX_ITER", 1)
-        return principal_eigenpair(*args, start=start, **kwargs)
+        return real(grid, K, vdiag, mdiag, tol, start, pairs)
 
-    monkeypatch.setattr(eigen_mod, "principal_eigenpair", short_when_warm)
+    monkeypatch.setattr(eigen_mod, "_principal", short_when_warm)
     g = build_grid([(0, 1), (0, 1)], 1.0 / 16)
     with pytest.raises(ConvergenceError, match=r"^epsilon path at eps=0\.25: principal eigensolve "
                                                r"\(LOBPCG\) residual") as err:
@@ -459,12 +459,12 @@ def test_epsilon_path_failure_names_eps(monkeypatch):
 
 
 def test_epsilon_path_not_decreasing_lists_the_pairs(monkeypatch):
-    def flat(*args, **kwargs):
-        res = principal_eigenpair(*args, **kwargs)
+    def flat(*args, real=eigen_mod._principal):
+        res = real(*args)
         res.lam = 1.0
         return res
 
-    monkeypatch.setattr(eigen_mod, "principal_eigenpair", flat)
+    monkeypatch.setattr(eigen_mod, "_principal", flat)
     g = build_grid([(0, 1), (0, 1)], 1.0 / 8)
     with pytest.raises(ConvergenceError, match=r"not strictly decreasing: \[\(0\.5, 1\.0\), "
                                                r"\(0\.25, 1\.0\)\]") as err:

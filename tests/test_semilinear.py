@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -869,20 +868,6 @@ def test_a_shift_that_is_not_definite_is_named():
                            match=r"^K \+ cM is not positive definite at shift in \[-1000, -1000\] "
                                  r"\(banded Cholesky failed: "):
             ShiftedSolver(K, c)
-
-
-def test_shifted_solver_keeps_its_first_ordering_across_shifts(monkeypatch):
-    K, rhs = _shifted_system(heisenberg(), [(-2, 2)] * 3, 0.5)
-    solver = ShiftedSolver(K, 1.0)
-    order = solver.factor.order
-    orders = []
-    real = csgraph.reverse_cuthill_mckee
-    monkeypatch.setattr(csgraph, "reverse_cuthill_mckee",
-                        lambda *args, **kwargs: orders.append(1) or real(*args, **kwargs))
-    solver.set_shift(np.linspace(0.0, 2.0, K.grid.n_interior))
-    assert solver.factor.order is order and orders == []
-    b = solver.weight * rhs  # boundary value 0: no lift
-    assert np.linalg.norm(solver.A @ solver.solve_interior(rhs) - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_yamabe_zero_reaction_constant():

@@ -8,7 +8,8 @@ and OpenMP capped at one thread and ``--seed 1`` for the seeded commands.
 Then ``untimed`` lists the commands that no benchmark workload times
 (``fields info``, ``solve yamabe``, ``probe sobolev``, ``probe doubling``)
 at fixed configs, ``solve yamabe`` with ``--plot``, so every CLI command
-runs at least once.  The run named ``<name>`` writes to
+runs at least once, and ``eigen`` on a 1-D grid with ``--plot``, whose
+plot is one row.  The run named ``<name>`` writes to
 ``<out-dir>/<name>/``, so that ``diff -r`` of two output directories
 compares every report, field file and plot of two checkouts, or of two
 runs of one.  The configs go to a temporary directory, not under
@@ -42,7 +43,10 @@ class Run(NamedTuple):
 
 
 def untimed(size):
-    """The commands no benchmark workload runs, on Heisenberg grids near the ball workload's."""
+    """The commands no benchmark workload runs, on Heisenberg grids near the ball workload's.
+
+    Last comes a 1-D ``eigen`` run with ``--plot``, which no workload makes.
+    """
     full = size == "full"
     R = 0.4
     tmax = R * R / 16
@@ -59,6 +63,9 @@ def untimed(size):
         }, plot=True),
         Run("sobolev", ("probe", "sobolev"), {**ball, "radius": R, "q": 4.0, "p": 2.0}),
         Run("doubling", ("probe", "doubling"), {**ball, "radii": [R / 4, R / 2]}),
+        Run("eigen_1d", ("eigen",), {"family": "euclidean(1)",
+                                     "grid": {"box": [[0, 1]], "h": 1 / 64 if full else 1 / 16}},
+            plot=True),
     ]
 
 
