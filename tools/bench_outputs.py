@@ -7,12 +7,12 @@ this process, through ``<checkout>/src``'s ``sublap.cli.main``, with BLAS
 and OpenMP capped at one thread and ``--seed 1`` for the seeded commands.
 Then ``untimed`` lists the commands that no benchmark workload times
 (``fields info``, ``solve yamabe``, ``probe sobolev``, ``probe doubling``)
-at fixed configs, ``solve yamabe`` with ``--plot``, so every CLI command
-runs at least once, and ``eigen`` on a 1-D grid with ``--plot``, whose
-plot is one row.  The run named ``<name>`` writes to
-``<out-dir>/<name>/``, so that ``diff -r`` of two output directories
-compares every report, field file and plot of two checkouts, or of two
-runs of one.  The configs go to a temporary directory, not under
+at fixed configs, ``solve yamabe`` with ``--plot`` at theta = 0.05 and at
+theta = 0, so every CLI command runs at least once, and ``eigen`` on a 1-D
+grid with ``--plot``, whose plot is one row.  The run named ``<name>``
+writes to ``<out-dir>/<name>/``, so that ``diff -r`` of two output
+directories compares every report, field file and plot of two checkouts,
+or of two runs of one.  The configs go to a temporary directory, not under
 ``<out-dir>``.  A run that exits non-zero is named on stderr as
 ``<name>: exit <code>``.  Exits 0 when every command exited 0, 1 otherwise.
 """
@@ -45,7 +45,9 @@ class Run(NamedTuple):
 def untimed(size):
     """The commands no benchmark workload runs, on Heisenberg grids near the ball workload's.
 
-    Last comes a 1-D ``eigen`` run with ``--plot``, which no workload makes.
+    ``solve yamabe`` runs twice with ``--plot``, at theta = 0.05 and at
+    theta = 0 (``yamabe_theta0``, the barrier pair with C = 0).  Last comes
+    a 1-D ``eigen`` run with ``--plot``, which no workload makes.
     """
     full = size == "full"
     R = 0.4
@@ -54,13 +56,13 @@ def untimed(size):
                  "h": R * R / (24 if full else 12)}
     ball = {"family": "heisenberg", "grid": ball_grid, "center": [0, 0, 0], "directions": 16,
             "step_scales": [1]}
+    yamabe = {"family": "heisenberg", "grid": {"box": [[-2, 2]] * 3, "h": 0.5 if full else 1.0},
+              "f": "exp(-(x**2 + y**2 + t**2))", "theta": 0.05, "eps": 0.4, "p": 3.0}
     return [
         Run("fields_info", ("fields", "info"), {"family": "heisenberg", "sample_points": 5},
             seeded=True),
-        Run("yamabe", ("solve", "yamabe"), {
-            "family": "heisenberg", "grid": {"box": [[-2, 2]] * 3, "h": 0.5 if full else 1.0},
-            "f": "exp(-(x**2 + y**2 + t**2))", "theta": 0.05, "eps": 0.4, "p": 3.0,
-        }, plot=True),
+        Run("yamabe", ("solve", "yamabe"), yamabe, plot=True),
+        Run("yamabe_theta0", ("solve", "yamabe"), {**yamabe, "theta": 0.0}, plot=True),
         Run("sobolev", ("probe", "sobolev"), {**ball, "radius": R, "q": 4.0, "p": 2.0}),
         Run("doubling", ("probe", "doubling"), {**ball, "radii": [R / 4, R / 2]}),
         Run("eigen_1d", ("eigen",), {"family": "euclidean(1)",
