@@ -310,7 +310,7 @@ def _reconstruct(ctx, source, target, parents):
             legs = np.zeros((1, 4, m))
             for li, (fld, sgn) in enumerate(order):
                 legs[0, li, fld] = sgn
-            ends = _integrate_controls_batch(ctx.family, ctx.coords[prev], legs, 4.0 * s, substeps=8)
+            ends = _integrate_controls_batch(ctx.family, ctx.coords[prev], legs, 4.0 * s, 8)
             extra = float(p_dur[cur]) - 4.0 * s  # snap surcharge on the last leg
             controls.extend(legs[0])
             durations.extend([s, s, s, s + extra])
@@ -344,7 +344,11 @@ def _path_defect(family, waypoints, controls, durations):
 
 
 def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS, step_scales=(1,)):
-    """Dijkstra upper bound on d(x, y) and the realizing path."""
+    """Dijkstra upper bound on d(x, y) and the realizing path.
+
+    x and y, which must lie in the grid box, are snapped to their nearest
+    nodes, so the bound and the path are those between the two nodes.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     lo = grid.origin
@@ -380,7 +384,7 @@ def _resample_controls(seed, segments):
     return seed.controls[idx].copy()
 
 
-def _integrate_controls_batch(family, x0, controls, T, substeps=6):
+def _integrate_controls_batch(family, x0, controls, T, substeps):
     """RK2 flows from x0 for a batch of control grids; controls (B, S, m).
 
     Each of the S segments lasts T/S, split into `substeps` midpoint steps
@@ -544,15 +548,15 @@ def _horizontal_gradients(family, ball, corpus):
     return nodes.size, fields
 
 
-def poincare_probe(family, ball, corpus, R):
-    """ratio_i = sum_B |u_i - mean| / (R * sum_B |X u_i|); C_est = max ratio."""
+def poincare_probe(family, ball, corpus):
+    """ratio_i = sum_B |u_i - mean| / (R * sum_B |X u_i|), R = ball.radius; C_est = max ratio."""
     n_rows, fields = _horizontal_gradients(family, ball, corpus)
     if n_rows == 0:
         raise ValueError("ball contains no gradient quadrature rows")
     ratios = []
     skipped = []
     for label, _, vals, grads in fields:
-        den = float(R * grads.sum())
+        den = float(ball.radius * grads.sum())
         num = float(np.abs(vals - vals.mean()).sum())
         if den <= 1e-14 * max(1.0, num):
             skipped.append(f"{label}: zero horizontal gradient on the ball")

@@ -37,7 +37,7 @@ from .eigen import DEFAULT_TOL, epsilon_path, principal_eigenpair, weighted_prin
 from .expressions import compile_expression
 from .fields import hormander_rank, lie_bracket, resolve_family
 from .mesh import GridField, build_grid, field_to_csv
-from .operators import assemble_diagonal, assemble_stiffness, mass_matrix
+from .operators import assemble_diagonal, assemble_stiffness
 
 
 class ConfigError(ValueError):
@@ -136,8 +136,6 @@ def emit_plot(fieldobj):
         plane = np.take(plane, plane.shape[-1] // 2, axis=-1)
     plane = np.atleast_2d(plane)
     ny, nx = plane.shape
-    if nx == 0 or ny == 0:
-        raise ValueError("zero-size field slice")
     vmin = float(plane.min())
     vmax = float(plane.max())
     span = vmax - vmin
@@ -213,8 +211,7 @@ def _run_eigen(cfg, p):
     if "weight" in p:
         res = weighted_principal(K, assemble_diagonal(_field(cfg, p["weight"])), tol=tol)
     else:
-        res = principal_eigenpair(K, assemble_diagonal(_field(cfg, p["potential"])),
-                                  mass_matrix(cfg.grid), tol=tol)
+        res = principal_eigenpair(K, assemble_diagonal(_field(cfg, p["potential"])), tol=tol)
     return {"eigen": res.to_json_dict()}, 0, [("eigenfield", res.eigenfield)]
 
 
@@ -281,7 +278,7 @@ def _run_ball(cfg, p):
 def _run_probe_poincare(cfg, p):
     corpus = cc.random_polynomial_corpus(cfg.grid, int(p["corpus_count"]),
                                          degree=int(p["corpus_degree"]), seed=cfg.seed)
-    rep = cc.poincare_probe(cfg.family, _ball(cfg, p), corpus, float(p["radius"]))
+    rep = cc.poincare_probe(cfg.family, _ball(cfg, p), corpus)
     return {"poincare": rep.to_json_dict()}, 0, []
 
 

@@ -63,7 +63,7 @@ class EigenResult:
     # and not in the report
     cg_iterations: int = 0
     # M-orthonormal lam_1 (and lam_2) vectors on the interior nodes, columns in
-    # that order; a principal_eigenpair result passes them on as `start`
+    # that order; a _principal result passes them on as `start`
     vectors: np.ndarray = field(default=None, repr=False)
 
     def to_json_dict(self):
@@ -103,11 +103,11 @@ def _m_normalized(u, mdiag):
     return -u if u[np.argmax(np.abs(u))] < 0 else u
 
 
-def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
-    """Smallest eigenvalue of (K - V) u = lam M u, M diagonal positive.
+def principal_eigenpair(K, Vdiag, *, tol=DEFAULT_TOL, pairs=2):
+    """Smallest eigenvalue of (K - V) u = lam M u, M the lumped mass h^n I.
 
-    `Vdiag` (None for V = 0) and `M` are the diagonals of V and M as 1-D
-    arrays over the interior nodes (`assemble_diagonal`, `mass_matrix`).  The
+    `Vdiag` (None for V = 0) is the diagonal of V as a 1-D array over the
+    interior nodes (`assemble_diagonal`); M is `mass_matrix(K.grid)`.  The
     pencil A = M^{-1/2} (K - V) M^{-1/2} is built in one entrywise step:
     each stored k_ij of K is multiplied by s_i s_j with s = M^{-1/2}, on
     K's own pattern, and V/M is taken off the diagonal.  Floating-point
@@ -141,11 +141,7 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
     the tolerance 0.5 * tol / (max(M) (||A||_inf - sigma)), which bounds
     ||A y - lam y|| the same way.
 
-    `start` is an earlier result of this function on the same grid, for a
-    nearby pencil with the same M, with at least `pairs` vectors: LOBPCG
-    starts from its first `pairs` vectors and ARPACK from its lam_1
-    vector; the exact dense `eigh` needs no start.  Without one, a
-    two-pair LOBPCG solve starts from the same pencil solved on the grid of
+    A two-pair LOBPCG solve starts from the same pencil solved on the grid of
     every other node (`mesh.coarse_grid`: K_c = P^T K P, V_c and M_c the
     row-summed P^T V P and P^T M P) at COARSE_TOL_FACTOR * tol, its two
     eigenvectors plus a seeded random part of relative size COARSE_NOISE,
@@ -163,13 +159,8 @@ def principal_eigenpair(K, Vdiag, M, tol=DEFAULT_TOL, start=None, pairs=2):
     if pairs not in (1, 2):
         raise ValueError(f"pairs must be 1 or 2, got {pairs!r}")
     grid = K.grid
-    if start is not None and (start.eigenfield.grid is not grid or start.vectors is None
-                              or start.vectors.shape[0] != grid.n_interior
-                              or start.vectors.shape[1] < pairs):
-        raise ValueError(f"start must be a principal_eigenpair result on the same grid "
-                         f"with at least {pairs} vectors")
-    return _principal(grid, K.mat, np.zeros(grid.n_interior) if Vdiag is None else Vdiag, M,
-                      tol, start, pairs)
+    return _principal(grid, K.mat, np.zeros(grid.n_interior) if Vdiag is None else Vdiag,
+                      mass_matrix(grid), tol, None, pairs)
 
 
 def _start_noise(shape):
@@ -210,9 +201,13 @@ def _coarse_start(grid, K, vdiag, mdiag, tol):
 
 
 def _principal(grid, K, vdiag, mdiag, tol, start, pairs):
-    """principal_eigenpair on validated arguments, K in CSR; the coarse levels recurse here."""
-    if np.any(mdiag <= 0):
-        raise ValueError("M must have a positive diagonal")
+    """principal_eigenpair on validated arguments, K in CSR; the coarse levels recurse here.
+
+    `mdiag` (h^n, or a coarse level's row sums of P^T M P) is positive.
+    `start` is None or an earlier result on the same grid and M with at
+    least `pairs` vectors: LOBPCG starts from its first `pairs` vectors,
+    ARPACK from its lam_1 vector, and the dense `eigh` needs none.
+    """
     # A = M^{-1/2} (K - V) M^{-1/2}: k_ij s_i s_j on K's pattern, as symmetric as K
     s = 1.0 / np.sqrt(mdiag)
     data = np.repeat(s, np.diff(K.indptr)) * s[K.indices]
@@ -346,8 +341,8 @@ def weighted_principal(K, gdiag, tol=DEFAULT_TOL):
 def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     """lambda_1 along the regularization K + eps * K_euclid, eps decreasing.
 
-    eps values must be finite, strictly decreasing and positive; a trailing
-    0 is accepted and reproduces the direct (unregularized) solve.  Each solve
+    eps values must be finite, nonnegative and strictly decreasing, so only
+    the last one can be 0, which reproduces the direct (unregularized) solve.  Each solve
     computes lam_1 alone (pairs=1) and, after the first, starts from the
     previous eps's lam_1 vector (M does not depend on eps).  The solves run
     on the CSR sum K + eps K_euclid itself: both terms were checked
@@ -361,8 +356,6 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
         raise ValueError("eps values must be finite and nonnegative")
     if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps values must be strictly decreasing")
-    if any(e == 0.0 for e in eps_list[:-1]):
-        raise ValueError("only the final eps may be zero")
     K = assemble_stiffness(family, grid)
     K_euc = assemble_stiffness(vf.euclidean(family.n), grid)
     M = mass_matrix(grid)

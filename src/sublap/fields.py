@@ -224,8 +224,8 @@ def lie_bracket(f1, f2):
     return tuple(out)
 
 
-def _matrix_rank(columns, tol):
-    """Rank by column-pivoted QR with threshold relative to the largest column norm."""
+def _matrix_rank(columns):
+    """Rank by column-pivoted QR with threshold TAU_RANK relative to the largest column norm."""
     M = np.column_stack(columns)
     norms = np.linalg.norm(M, axis=0)
     top = norms.max()
@@ -233,15 +233,16 @@ def _matrix_rank(columns, tol):
         return 0
     R = scipy.linalg.qr(M, mode="r", pivoting=True)[0]
     diag = np.abs(np.diag(R))
-    return int(np.sum(diag > tol * top))
+    return int(np.sum(diag > TAU_RANK * top))
 
 
-def hormander_rank(family, x, max_step, tol=TAU_RANK):
+def hormander_rank(family, x, max_step):
     """Span dimension of the fields and their iterated brackets at x.
 
     Returns (rank, step) where step is the smallest bracket length
     achieving rank n, or the string "exceeded" if max_step brackets do
-    not suffice.  Left-normed brackets [X_i, [X_j, ...]] are enough to
+    not suffice; the rank counts QR pivots above TAU_RANK times the largest
+    column norm.  Left-normed brackets [X_i, [X_j, ...]] are enough to
     span the generated Lie algebra, so only those are formed.
     """
     if max_step < 1:
@@ -262,7 +263,7 @@ def hormander_rank(family, x, max_step, tol=TAU_RANK):
             level = new
             collected.extend(new)
         cols = [np.array([p.evaluate(x) for p in vec]) for vec in collected]
-        rank = _matrix_rank(cols, tol) if cols else 0
+        rank = _matrix_rank(cols) if cols else 0
         if rank == family.n:
             step_found = step
             break

@@ -1,4 +1,4 @@
-"""Uniform grids over boxes, domain masks, field sampling and quadrature.
+"""Uniform grids over boxes, domain masks, field sampling and CSV serialization.
 
 Nodes are laid out in C order over `dims`; node classes are interior,
 Dirichlet boundary, or exterior.  Every interior node has all 2n axis

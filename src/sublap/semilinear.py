@@ -445,17 +445,18 @@ def barriers(K, f, C, eps):
     """The Poisson barriers (V, W, worst) with far-field boundary value eps.
 
     The lower barrier V solves K V = -C M f and must meet 0 < V <= eps;
-    the upper W solves K W = C M f and must meet eps <= W < 1.  Only V is
-    solved for: K annihilates constants (every row of each B_j is a
-    difference v - v, boundary columns included), so V + W solves the
-    source-free problem with trace 2 eps, whose solution is the constant
-    2 eps, and W = 2 eps - V.  So W's bounds follow from V's (eps < 1/2),
-    and only V's are measured: `worst` = max(V - eps, -V) over the
-    interior, at least 0 when V misses them, which means C is too large
-    for this box and f.  That is reported, not raised.
+    the upper W solves K W = C M f and must meet eps <= W < 1 (C >= 0;
+    both are eps up to rounding at C = 0).  Only V is solved for: K
+    annihilates constants (every row of each B_j is a difference v - v,
+    boundary columns included), so V + W solves the source-free problem
+    with trace 2 eps, whose solution is the constant 2 eps, and
+    W = 2 eps - V.  So W's bounds follow from V's (eps < 1/2), and only
+    V's are measured: `worst` = max(V - eps, -V) over the interior, at
+    least 0 when V misses them, which means C is too large for this box
+    and f.  That is reported, not raised.
     """
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if C < 0:
+        raise ValueError("C must be nonnegative")
     if not (1.0 / 3.0 < eps < 0.5):
         raise ValueError("eps must lie in (1/3, 1/2)")
     g = K.grid
@@ -502,10 +503,10 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
 
     Requires |k| <= theta f and |Kcap| <= theta f nodewise.  Barriers come
     from the Poisson problems with C = 2 theta (the proof's choice
-    theta = theta1/3, C = 2 theta1/3); the solution is trapped between them
-    and carries boundary trace eps.  When the lower barrier V misses
-    0 < V <= eps (and with it W = 2 eps - V misses eps <= W < 1) the status
-    is "bracket-construction-failed".
+    theta = theta1/3, C = 2 theta1/3; both are eps at theta = 0); the
+    solution is trapped between them and carries boundary trace eps.  When
+    the lower barrier V misses 0 < V <= eps (and with it W = 2 eps - V
+    misses eps <= W < 1) the status is "bracket-construction-failed".
     """
     if p <= 1:
         raise ValueError("p must exceed 1")
@@ -517,11 +518,7 @@ def yamabe_solve(K, kfield, Kfield, p, f, theta, eps, tol=1e-8):
     if np.any(np.abs(Kfield.values) > theta * fv + tol_dom):
         raise ValueError("|Kcap| <= theta f violated")
     zero = GridField.zeros(g)
-    if theta == 0.0:
-        C = 1e-300  # degenerate barrier pair: both solve the homogeneous problem
-    else:
-        C = 2.0 * theta
-    V, W, worst = barriers(K, f, C, eps)
+    V, W, worst = barriers(K, f, 2.0 * theta, eps)
     vi = V.values[g.interior_ids]
     if not (np.all(vi > 0.0) and np.all(vi <= eps + 1e-10 * max(1.0, eps))):
         return BracketSolveResult(

@@ -20,7 +20,7 @@ from . import semilinear as sm
 from .eigen import principal_eigenpair, weighted_principal
 from .expressions import compile_expression
 from .mesh import GridField, build_grid, mask_domain
-from .operators import assemble_diagonal, assemble_stiffness, mass_matrix
+from .operators import assemble_diagonal, assemble_stiffness
 
 MARGIN_H_FACTOR = 10.0
 SUBBOX_MIN_FRAC = 0.35  # smallest side of a random subbox, as a fraction of the box side
@@ -133,12 +133,11 @@ def verify_thm_1_2(family, grid, u_expr, n_subdomains=20, seed=0, tol=1e-8):
         if g_sub.n_interior < 4:
             continue
         K_sub = assemble_stiffness(family, g_sub)
-        M_sub = mass_matrix(g_sub)
         V_sub = assemble_diagonal(GridField(g_sub, V.values))
-        lam = principal_eigenpair(K_sub, V_sub, M_sub, tol=tol).lam
+        lam = principal_eigenpair(K_sub, V_sub, tol=tol).lam
         bump = 0.5
         V_bump = assemble_diagonal(GridField(g_sub, V.values - bump))
-        lam_strict = principal_eigenpair(K_sub, V_bump, M_sub, tol=tol).lam
+        lam_strict = principal_eigenpair(K_sub, V_bump, tol=tol).lam
         cfg = {
             "suite": "thm_1_2",
             "family": family.name,
@@ -276,16 +275,27 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
     first passing case on the larger box and reports the max-norm change on
     the inner half-box as a truncation diagnostic; a rerun that does not
     end with status "ok" adds a failing case instead, and with no passing
-    case a note says the rerun was skipped.
+    case a note says the rerun was skipped.  A stability box whose h-grid
+    lacks a node of the inner half-box (to 1e-9 h) raises ValueError first.
     """
     n = len(box)
     f_fn = compile_expression(f_expr, n)
 
-    def setup(b):  # grid, K and f on the box b
-        g = build_grid(b, h)
-        return g, assemble_stiffness(family, g), GridField.from_function(g, f_fn)
+    def setup(g):  # K and f on the grid g
+        return assemble_stiffness(family, g), GridField.from_function(g, f_fn)
 
-    grid, K, f = setup(box)
+    grid = build_grid(box, h)
+    if stability_box is not None:
+        half = 0.5 * np.array(box, dtype=float)
+        pts = grid.points
+        sel = np.all((pts >= half[:, 0] - 1e-12) & (pts <= half[:, 1] + 1e-12), axis=1)
+        ids_small = np.flatnonzero(sel & (grid.mask == 2))
+        big = build_grid(stability_box, h)
+        ids_big = big.nearest_node(pts[ids_small])
+        if np.abs(big.points[ids_big] - pts[ids_small]).max(initial=0.0) > 1e-9 * h:
+            raise ValueError(f"stability_box {stability_box} does not hold every node of the "
+                             f"inner half-box of box {box} as a node of its grid")
+    K, f = setup(grid)
     cases = []
     first_solution = None
     for theta in theta_list:
@@ -328,19 +338,15 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
     elif stability_box is not None:
         cfg, u_small = first_solution
         theta, eps = cfg["theta"], cfg["eps"]
-        big, Kb, fb = setup(stability_box)
+        Kb, fb = setup(big)
         res_b = sm.yamabe_solve(Kb, *sm.yamabe_coefficients(fb, theta), p, fb, theta, eps, tol=tol)
         if res_b.status != "ok":
             notes.append(f"stability rerun on stability_box ended with status {res_b.status!r}")
             cfg = {**cfg, "box": [list(map(float, side)) for side in stability_box]}
             cases.append(CaseResult(cfg, -1.0, "; ".join([f"status={res_b.status}"] + res_b.notes)))
         else:
-            half = 0.5 * np.array(box, dtype=float)
-            pts = grid.points
-            sel = np.all((pts >= half[:, 0] - 1e-12) & (pts <= half[:, 1] + 1e-12), axis=1)
-            ids_small = np.flatnonzero(sel & (grid.mask == 2))
             vals_small = u_small.values[ids_small]
-            vals_big = res_b.solution.values[big.nearest_node(pts[ids_small])]
+            vals_big = res_b.solution.values[ids_big]
             change = float(np.abs(vals_big - vals_small).max()
                            / max(np.abs(vals_small).max(), 1e-300))
             notes.append(f"truncation change on inner half-box: {change!r}")

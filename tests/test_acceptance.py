@@ -34,7 +34,7 @@ def test_criterion_01_euclidean_ground_truth():
     g = sl.build_grid([(0, 1), (0, 1)], 1.0 / 64)
     K = sl.assemble_stiffness(sl.euclidean(2), g)
     M = sl.mass_matrix(g)
-    res = sl.principal_eigenpair(K, None, M, tol=1e-8)
+    res = sl.principal_eigenpair(K, None, tol=1e-8)
     elapsed = time.perf_counter() - t0
     target = 2 * np.pi**2
     rel = abs(res.lam - target) / target
@@ -52,11 +52,11 @@ def test_criterion_02_potential_shift_identity():
     g = sl.build_grid([(0, 1), (0, 1)], 1.0 / 32)
     K = sl.assemble_stiffness(sl.euclidean(2), g)
     M = sl.mass_matrix(g)
-    lam0 = sl.principal_eigenpair(K, None, M, tol=1e-11).lam
+    lam0 = sl.principal_eigenpair(K, None, tol=1e-11).lam
     worst = 0.0
     for c in (-3.0, 0.0, 5.0):
         Vd = sl.assemble_diagonal(sl.GridField.constant(g, c))
-        lam = sl.principal_eigenpair(K, Vd, M, tol=1e-11).lam
+        lam = sl.principal_eigenpair(K, Vd, tol=1e-11).lam
         worst = max(worst, abs(lam - (lam0 - c)))
     assert worst <= 1e-10
     report("2 (potential shift)", f"worst |lam(V=c) - (lam0 - c)| = {worst:.2e}")
@@ -81,7 +81,7 @@ def test_criterion_03_epsilon_path():
     assert all(a > b for a, b in zip(lams, lams[1:]))
     K = sl.assemble_stiffness(heis, g)
     M = sl.mass_matrix(g)
-    direct = sl.principal_eigenpair(K, None, M, tol=1e-9).lam
+    direct = sl.principal_eigenpair(K, None, tol=1e-9).lam
     assert abs(lams[-1] - direct) <= 1e-8
     # dense generalized eigensolve cross-check on a 9^3 grid
     g9 = sl.build_grid([(-1, 1)] * 3, 0.25)
@@ -312,7 +312,7 @@ def test_criterion_09_probes():
             ball = cc.metric_ball(sl.euclidean(2), (0, 0), R, gb,
                                   directions=32, step_scales=(1, 2, 3))
             corpus = cc.random_polynomial_corpus(gb, 12, degree=2, seed=21)
-            rep = cc.poincare_probe(sl.euclidean(2), ball, corpus, R)
+            rep = cc.poincare_probe(sl.euclidean(2), ball, corpus)
             cs[(R, h)] = rep.C_est
     vals = list(cs.values())
     spread = (max(vals) - min(vals)) / max(vals)

@@ -252,7 +252,7 @@ def test_heisenberg_single_grid_doubling_finite():
 def test_poincare_constant_skipped():
     g = build_grid([(-0.65, 0.65), (-0.65, 0.65)], 0.02)
     ball = metric_ball(euclidean(2), (0, 0), 0.5, g, directions=16)
-    rep = poincare_probe(euclidean(2), ball, [GridField.constant(g, 2.0)], 0.5)
+    rep = poincare_probe(euclidean(2), ball, [GridField.constant(g, 2.0)])
     assert rep.ratios == []
     assert len(rep.skipped) == 1
 
@@ -263,7 +263,7 @@ def test_poincare_linear_field_stable_under_refinement():
         g = build_grid([(-0.65, 0.65), (-0.65, 0.65)], h)
         ball = metric_ball(euclidean(2), (0, 0), 0.5, g, directions=32, step_scales=(1, 2, 3))
         u = GridField.from_function(g, lambda pts: pts[:, 0])
-        rep = poincare_probe(euclidean(2), ball, [u], 0.5)
+        rep = poincare_probe(euclidean(2), ball, [u])
         vals.append(rep.ratios[0][1])
     assert abs(vals[0] - vals[1]) < 0.10 * abs(vals[1])
 
@@ -278,7 +278,7 @@ def test_poincare_heisenberg_corpus_stability():
         g = build_grid(box, h)
         ball = metric_ball(heis, (0, 0, 0), R, g, directions=16, step_scales=(1,))
         corpus = random_polynomial_corpus(g, 20, degree=2, seed=42)
-        rep = poincare_probe(heis, ball, corpus, R)
+        rep = poincare_probe(heis, ball, corpus)
         vals.append(rep.C_est)
     assert abs(vals[0] - vals[1]) < 0.35 * max(vals)
 
@@ -662,7 +662,8 @@ def test_controls_integrate_exactly_on_a_constant_family():
     # with constant coefficients the flow is x0 + (T/S) sum_s u_s A
     rng = np.random.default_rng(3)
     controls = rng.standard_normal((4, 5, 2))
-    states = ccm._integrate_controls_batch(euclidean(2), (0.5, -1.0), controls, 2.0)
+    states = ccm._integrate_controls_batch(euclidean(2), (0.5, -1.0), controls, 2.0,
+                                           ccm.REFINE_SUBSTEPS)
     ref = np.array([0.5, -1.0]) + np.cumsum(controls, axis=1) * (2.0 / 5)
     np.testing.assert_allclose(states[:, 1:], ref, rtol=0, atol=1e-14)
     assert (states[:, 0] == (0.5, -1.0)).all()

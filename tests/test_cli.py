@@ -365,7 +365,7 @@ def test_emit_plot_eigenfield_single_interior_max(tmp_path):
 
     g = build_grid([(0, 1), (0, 1)], 1.0 / 16)
     K = assemble_stiffness(euclidean(2), g)
-    res = principal_eigenpair(K, None, mass_matrix(g), tol=1e-9)
+    res = principal_eigenpair(K, None, tol=1e-9)
     vals = res.eigenfield.values.reshape(g.dims)
     n_max = 0
     for i in range(1, g.dims[0] - 1):
@@ -583,6 +583,17 @@ def test_cli_verify_box_of_another_dimension_is_a_config_error(tmp_path, capsys,
     cfg = write_config(tmp_path, "v.json", payload)
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify", suite]) == 2
     assert f"config error: {message} but family 'heisenberg' acts on R^3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_thm1_4_stability_box_off_the_inner_half_box_nodes_fails_the_run(tmp_path, capsys):
+    # it used to exit 0 with a truncation change measured at clipped nodes
+    cfg = write_config(tmp_path, "v.json", {**THM1_4_HEIS, "box": [[-4, 4]] * 3,
+                                            "stability_box": [[-1, 1]] * 3})
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o"), "verify", "thm1_4"]) == 1
+    assert capsys.readouterr().err == (
+        "run failed: stability_box [[-1, 1], [-1, 1], [-1, 1]] does not hold every node of the "
+        "inner half-box of box [[-4, 4], [-4, 4], [-4, 4]] as a node of its grid\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -69,7 +69,7 @@ def test_principal_matches_exact_discrete_eigenvalue():
     # the 5-point stencil eigenvalue on the unit square is known in closed
     # form: (8/h^2) sin^2(pi h / 2)
     g, K, M = unit_square_setup(1.0 / 32)
-    res = principal_eigenpair(K, None, M, tol=1e-10)
+    res = principal_eigenpair(K, None, tol=1e-10)
     exact = (8.0 / g.h**2) * np.sin(np.pi * g.h / 2) ** 2
     assert abs(res.lam - exact) < 1e-8
     assert res.residual <= 1e-10
@@ -79,7 +79,7 @@ def test_principal_matches_exact_discrete_eigenvalue():
 
 def test_eigenfield_m_normalized_and_sign_fixed():
     g, K, M = unit_square_setup(1.0 / 16)
-    res = principal_eigenpair(K, None, M, tol=1e-10)
+    res = principal_eigenpair(K, None, tol=1e-10)
     u = res.eigenfield.values[g.interior_ids]
     assert abs(u @ (M * u) - 1.0) < 1e-10
     assert u[np.argmax(np.abs(u))] > 0
@@ -87,10 +87,10 @@ def test_eigenfield_m_normalized_and_sign_fixed():
 
 def test_potential_shift_identity():
     g, K, M = unit_square_setup(1.0 / 32)
-    lam0 = principal_eigenpair(K, None, M, tol=1e-11).lam
+    lam0 = principal_eigenpair(K, None, tol=1e-11).lam
     for c in (-3.0, 0.0, 5.0):
         Vd = assemble_diagonal(GridField.constant(g, c))
-        lam = principal_eigenpair(K, Vd, M, tol=1e-11).lam
+        lam = principal_eigenpair(K, Vd, tol=1e-11).lam
         assert abs(lam - (lam0 - c)) < 1e-10
 
 
@@ -98,7 +98,7 @@ def test_principal_matches_dense_on_heisenberg():
     g = build_grid([(-1, 1)] * 3, 0.25)
     K = assemble_stiffness(heisenberg(), g)
     M = mass_matrix(g)
-    res = principal_eigenpair(K, None, M, tol=1e-9)
+    res = principal_eigenpair(K, None, tol=1e-9)
     lam_dense = dense_smallest(K, None, M)
     assert abs(res.lam - lam_dense) < 1e-8
     assert res.positive
@@ -112,7 +112,7 @@ def test_heisenberg_self_convergence_richardson():
         g = build_grid([(-1, 1)] * 3, h)
         K = assemble_stiffness(heisenberg(), g)
         M = mass_matrix(g)
-        lams.append(principal_eigenpair(K, None, M, tol=1e-9).lam)
+        lams.append(principal_eigenpair(K, None, tol=1e-9).lam)
     rich1 = 2 * lams[1] - lams[0]
     rich2 = 2 * lams[2] - lams[1]
     assert abs(rich1 - rich2) < 0.02 * abs(rich2)
@@ -124,9 +124,9 @@ def test_non_convergence_reported(monkeypatch):
     monkeypatch.setattr(eigen_mod, "MAX_ITER", 1)
     with pytest.raises(ConvergenceError, match=r"\(shift-invert ARPACK\) did not converge after "
                                                r"\d+ operator applications$"):
-        principal_eigenpair(K, None, M, tol=1e-14)
+        principal_eigenpair(K, None, tol=1e-14)
     monkeypatch.setattr(eigen_mod, "MAX_ITER", 2)
-    assert principal_eigenpair(K, None, M, tol=1e-14).residual <= 1e-14
+    assert principal_eigenpair(K, None, tol=1e-14).residual <= 1e-14
 
 
 @pytest.mark.parametrize("h", [0.5, 0.25], ids=["one-unknown", "nine-unknowns"])
@@ -134,7 +134,7 @@ def test_principal_small_systems_match_dense_oracle(h):
     # below DENSE_MAX_N unknowns the pencil goes to a dense eigh
     g, K, M = unit_square_setup(h)
     Vd = assemble_diagonal(GridField.from_function(g, lambda pts: 3.0 * pts[:, 0]))
-    res = principal_eigenpair(K, Vd, M, tol=1e-10)
+    res = principal_eigenpair(K, Vd, tol=1e-10)
     assert K.shape[0] < eigen_mod.DENSE_MAX_N and res.iterations == 0
     assert abs(res.lam - dense_smallest(K, Vd, M)) <= 1e-10 * max(1.0, abs(res.lam))
     assert res.positive and not res.degenerate
@@ -147,13 +147,13 @@ def test_lobpcg_non_convergence_names_path_residual_and_iterations(monkeypatch):
     g, K, M = unit_square_setup(1.0 / 16)
     with pytest.raises(ConvergenceError, match=r"\(LOBPCG\) residual .* after \d+ iterations "
                                                r"\(\d+ inner CG steps\)$") as err:
-        principal_eigenpair(K, None, M, tol=1e-14)
+        principal_eigenpair(K, None, tol=1e-14)
     assert err.value.residual > 1e-14 and 1 <= err.value.iterations <= 2
 
 
 def test_weighted_unit_weight_reduces_to_unweighted():
     g, K, M = unit_square_setup(1.0 / 16)
-    direct = principal_eigenpair(K, None, M, tol=1e-10).lam
+    direct = principal_eigenpair(K, None, tol=1e-10).lam
     G = assemble_diagonal(GridField.constant(g, 1.0))
     w = weighted_principal(K, G, tol=1e-10)
     assert abs(w.lam - direct) < 1e-8
@@ -216,7 +216,7 @@ def test_eigensolves_name_a_factor_that_is_not_definite():
     neg = SparseOperator(grid=g, mat=-K.mat)
     with pytest.raises(NotPositiveDefiniteError, match=r"^principal eigensolve: A - sigma I is "
                                                        r"not positive definite at sigma = -\S+, "):
-        principal_eigenpair(neg, None, M)
+        principal_eigenpair(neg, None)
     with pytest.raises(NotPositiveDefiniteError,
                        match=r"^weighted eigensolve: K is not positive definite \("):
         weighted_principal(neg, assemble_diagonal(GridField.constant(g, 1.0)))
@@ -229,7 +229,7 @@ def test_direct_eigensolve_iterations_are_its_factor_calls(monkeypatch, solver):
     monkeypatch.setattr(eigen_mod, "factor_spd", lambda *args: made.append(real(*args)) or made[-1])
     g, K, M = unit_square_setup(1.0 / 8)
     if solver == "principal":
-        res = principal_eigenpair(K, None, M)
+        res = principal_eigenpair(K, None)
     else:
         res = weighted_principal(K, assemble_diagonal(GridField.constant(g, 1.0)))
     assert len(made) == 1 and res.iterations == made[0].calls > 0
@@ -301,7 +301,7 @@ def test_weighted_nonpositive_weight_rejected():
 
 def test_variational_lower_bound():
     g, K, M = unit_square_setup(1.0 / 16)
-    lam = principal_eigenpair(K, None, M, tol=1e-10).lam
+    lam = principal_eigenpair(K, None, tol=1e-10).lam
     rng = np.random.default_rng(12)
     for _ in range(50):
         f = rng.standard_normal(g.num_nodes)[g.interior_ids]
@@ -310,7 +310,7 @@ def test_variational_lower_bound():
 
 def test_epsilon_path_euclidean_scaling_identity():
     g, K, M = unit_square_setup(1.0 / 16)
-    lam0 = principal_eigenpair(K, None, M, tol=1e-11).lam
+    lam0 = principal_eigenpair(K, None, tol=1e-11).lam
     path = epsilon_path(euclidean(2), g, None, [0.5, 0.25, 0.1], tol=1e-11)
     for eps, lam in path:
         assert abs(lam - (1 + eps) * lam0) < 1e-8 * max(1.0, lam0)
@@ -337,30 +337,28 @@ def test_epsilon_path_heisenberg_decreasing_with_dense_crosscheck(monkeypatch, m
         assert abs(lam - dense_smallest(Keps, None, M)) < 1e-8
 
 
-def heisenberg_eps_operators(h):
-    """M and eps -> symmetrized K + eps * K_euclid on the Heisenberg cube (-1, 1)^3."""
-    g = build_grid([(-1, 1)] * 3, h)
-    K = assemble_stiffness(heisenberg(), g)
-    K_euc = assemble_stiffness(euclidean(3), g)
-    from sublap.operators import SparseOperator
-
-    def at(eps):
-        mat = (K.mat + eps * K_euc.mat).tocsr()
-        return SparseOperator(grid=g, mat=((mat + mat.T) * 0.5).tocsr())
-    return mass_matrix(g), at
+def record_principal(monkeypatch):
+    """The list that every later eigen._principal call appends its result to."""
+    solves = []
+    real = eigen_mod._principal
+    monkeypatch.setattr(eigen_mod, "_principal", lambda *args: solves.append(real(*args)) or solves[-1])
+    return solves
 
 
 def test_warm_start_matches_cold_in_fewer_lobpcg_steps(monkeypatch):
+    # the epsilon path starts each solve after the first from the previous
+    # eps's vector; a path of eps = 0.1 alone solves it cold
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
-    M, at = heisenberg_eps_operators(1.0 / 8)
-    prev = principal_eigenpair(at(0.25), None, M, tol=1e-9)
-    cold = principal_eigenpair(at(0.1), None, M, tol=1e-9)
-    warm = principal_eigenpair(at(0.1), None, M, tol=1e-9, start=prev)
+    solves = record_principal(monkeypatch)
+    g = build_grid([(-1, 1)] * 3, 1.0 / 8)
+    epsilon_path(heisenberg(), g, None, [0.25, 0.1], tol=1e-9)
+    epsilon_path(heisenberg(), g, None, [0.1], tol=1e-9)
+    _, warm, cold = solves
     assert abs(warm.lam - cold.lam) <= 1e-10 * abs(cold.lam)
     assert warm.iterations < cold.iterations
     # the start vectors are M-orthonormal and stay out of the report and the repr
-    V = warm.vectors
-    assert np.allclose(V.T @ (M[:, None] * V), np.eye(2), atol=1e-12)
+    V, M = warm.vectors, mass_matrix(g)
+    assert np.allclose(V.T @ (M[:, None] * V), np.eye(1), atol=1e-12)
     assert np.array_equal(V[:, 0], warm.eigenfield.values[warm.eigenfield.grid.interior_ids])
     assert "vectors" not in warm.to_json_dict() and "vectors" not in repr(warm)
 
@@ -371,20 +369,15 @@ def test_pairs_validated_sets_the_vector_columns_and_degenerate(monkeypatch, max
     g, K, M = unit_square_setup(1.0 / 16)
     for bad in (0, 3):
         with pytest.raises(ValueError, match="pairs must be 1 or 2"):
-            principal_eigenpair(K, None, M, pairs=bad)
-    one = principal_eigenpair(K, None, M, tol=1e-10, pairs=1)
-    two = principal_eigenpair(K, None, M, tol=1e-10)
+            principal_eigenpair(K, None, pairs=bad)
+    one = principal_eigenpair(K, None, tol=1e-10, pairs=1)
+    two = principal_eigenpair(K, None, tol=1e-10)
     assert one.vectors.shape == (g.n_interior, 1) and two.vectors.shape == (g.n_interior, 2)
     assert abs(one.lam - two.lam) <= 1e-10 * two.lam
     # pairs=1 never computes lambda_2, so its report must not claim "false"
     assert one.degenerate is None and two.degenerate is False
     assert json.dumps(one.to_json_dict()).endswith('"degenerate": null}')
     assert json.dumps(two.to_json_dict()).endswith('"degenerate": false}')
-    # a lambda_1-only result cannot start a two-pair solve, but it starts a one-pair solve
-    with pytest.raises(ValueError, match="same grid with at least 2 vectors"):
-        principal_eigenpair(K, None, M, start=one)
-    warm = principal_eigenpair(K, None, M, tol=1e-10, start=one, pairs=1)
-    assert abs(warm.lam - one.lam) <= 1e-10 * one.lam
 
 
 @functools.lru_cache(maxsize=1)
@@ -404,40 +397,14 @@ def test_lobpcg_stop_rule_meets_the_final_residual_check(monkeypatch, tol):
     # residual of the final check by tol / 2 on any eps and potential
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     g, K, Vd, M, exact = heisenberg_potential_pencil()
-    cold = principal_eigenpair(K, Vd, M, tol=tol)
-    solves = []
-
-    def recorded(*args, real=eigen_mod._principal):
-        solves.append(real(*args))
-        return solves[-1]
-
-    monkeypatch.setattr(eigen_mod, "_principal", recorded)
+    cold = principal_eigenpair(K, Vd, tol=tol)
+    solves = record_principal(monkeypatch)
     path = epsilon_path(heisenberg(), g, Vd, [0.5, 0.25, 0.1, 0.01, 0.0], tol=tol)
     assert cold.residual <= tol and cold.degenerate is False
     assert len(solves) == 5
     assert all(r.residual <= tol and r.degenerate is None for r in solves)
     for lam in (cold.lam, path[-1][1]):
         assert abs(lam - exact) <= 1e-10 * abs(exact)
-
-
-@SOLVER_PATHS
-def test_start_from_another_grid_rejected(monkeypatch, max_separator):
-    monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", max_separator)
-    g, K, M = unit_square_setup(1.0 / 8)
-    # another h, and the same grid built twice, are other grids
-    for h in (1.0 / 16, 1.0 / 8):
-        _, K2, M2 = unit_square_setup(h)
-        other = principal_eigenpair(K2, None, M2, tol=1e-9)
-        with pytest.raises(ValueError, match="same grid"):
-            principal_eigenpair(K, None, M, start=other)
-    res = principal_eigenpair(K, None, M, tol=1e-9)
-    res.vectors = res.vectors[:-1]
-    with pytest.raises(ValueError, match="same grid"):
-        principal_eigenpair(K, None, M, start=res)
-    # a weighted result carries no start vectors
-    weighted = weighted_principal(K, assemble_diagonal(GridField(g, np.ones(g.num_nodes))))
-    with pytest.raises(ValueError, match="same grid"):
-        principal_eigenpair(K, None, M, start=weighted)
 
 
 def test_epsilon_path_failure_names_eps(monkeypatch):
@@ -504,7 +471,7 @@ def domain_monotonicity(family, V, nested_masks, tol=DEFAULT_TOL):
         Vd = None
         if V is not None:
             Vd = assemble_diagonal(GridField.from_function(g, V))
-        lams.append(principal_eigenpair(K, Vd, M, tol=tol).lam)
+        lams.append(principal_eigenpair(K, Vd, tol=tol).lam)
     for a, b in zip(lams, lams[1:]):
         if b > a + 10 * tol * max(1.0, abs(a)):
             raise ConvergenceError(f"domain monotonicity violated: {lams}")
@@ -561,10 +528,10 @@ def check_degeneracy_flag():
         g, lambda pts: (pts[:, 0] <= 0.4375 + 1e-12) | (pts[:, 0] >= 0.5625 - 1e-12)
     )
     K = assemble_stiffness(euclidean(2), two)
-    res = principal_eigenpair(K, None, mass_matrix(two), tol=1e-9)
+    res = principal_eigenpair(K, None, tol=1e-9)
     assert res.degenerate
     K1 = assemble_stiffness(euclidean(2), g)
-    res1 = principal_eigenpair(K1, None, mass_matrix(g), tol=1e-9)
+    res1 = principal_eigenpair(K1, None, tol=1e-9)
     assert not res1.degenerate
 
 
@@ -617,7 +584,7 @@ def thm_1_2_pencil(lo, hi, bump):
 
 
 def check_against_dense(K, Vd, M):
-    lam = principal_eigenpair(K, Vd, M).lam
+    lam = principal_eigenpair(K, Vd).lam
     exact = dense_smallest(K, Vd, M)
     assert abs(lam - exact) <= 1e-9 * max(1.0, abs(exact))
 
@@ -656,8 +623,8 @@ def test_principal_matches_dense_oracle_property(max_separator, pencil):
 @pytest.mark.parametrize("potential", [False, True], ids=["no-potential", "potential"])
 def test_pencil_scaling_with_a_varying_mass_matches_dense_oracle(monkeypatch, max_separator,
                                                                  potential):
-    # only the coarse levels pass a non-constant M; here it is given directly,
-    # on a non-dyadic h where s = M^{-1/2} is inexact, and every pencil a
+    # only the coarse levels pass a non-constant M; here it goes to _principal
+    # directly, on a non-dyadic h where s = M^{-1/2} is inexact, and every pencil a
     # solver receives (this level's and the coarse ones') is exactly symmetric
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", max_separator)
     seen = []
@@ -671,7 +638,8 @@ def test_pencil_scaling_with_a_varying_mass_matches_dense_oracle(monkeypatch, ma
         g, lambda pts: 1.0 + 0.5 * pts[:, 0] + 0.3 * pts[:, 1] ** 2))
     Vd = assemble_diagonal(GridField.from_function(
         g, lambda pts: 5.0 * pts[:, 0] - 2.0 * pts[:, 1])) if potential else None
-    res = principal_eigenpair(K, Vd, M, tol=1e-9)
+    res = eigen_mod._principal(g, K.mat, np.zeros(g.n_interior) if Vd is None else Vd, M, 1e-9,
+                               None, 2)
     exact = dense_smallest(K, Vd, M)
     assert abs(res.lam - exact) <= 1e-9 * max(1.0, abs(exact))
     assert res.residual <= 1e-9 and res.positive
@@ -709,9 +677,9 @@ def test_coarse_start_matches_the_old_start_in_fewer_steps(monkeypatch, mask):
     # start taken away it falls back to [ones, seeded random]
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     K, Vd, M = heisenberg_cube_pencil(1.0 / 8, mask)
-    new = principal_eigenpair(K, Vd, M, tol=1e-9)
+    new = principal_eigenpair(K, Vd, tol=1e-9)
     monkeypatch.setattr(eigen_mod, "_coarse_start", lambda *args: (None, 0))
-    old = principal_eigenpair(K, Vd, M, tol=1e-9)
+    old = principal_eigenpair(K, Vd, tol=1e-9)
     assert abs(new.lam - old.lam) <= 1e-10 * abs(old.lam)
     assert new.residual <= 1e-9 and new.degenerate is False and new.positive
     assert new.iterations < old.iterations
@@ -727,7 +695,7 @@ def test_one_pair_solves_keep_the_ones_start(monkeypatch):
     # a one-column block from the 2h grid took more steps than ones
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     K, Vd, M = heisenberg_cube_pencil(1.0 / 8)
-    res = principal_eigenpair(K, Vd, M, tol=1e-9, pairs=1)
+    res = principal_eigenpair(K, Vd, tol=1e-9, pairs=1)
     assert res.coarse_iterations == 0 and res.residual <= 1e-9
 
 
@@ -743,7 +711,7 @@ def test_even_node_count_keeps_the_old_start(monkeypatch):
         return lobpcg(A, X0, **kwargs)
 
     monkeypatch.setattr(spla, "lobpcg", recorded)
-    res = principal_eigenpair(assemble_stiffness(heisenberg(), g), None, mass_matrix(g), tol=1e-9)
+    res = principal_eigenpair(assemble_stiffness(heisenberg(), g), None, tol=1e-9)
     X = np.column_stack([np.ones(g.n_interior),
                          np.random.default_rng(0x5EC).standard_normal(g.n_interior)])
     assert len(calls) == 1 and np.array_equal(calls[0], X)
@@ -759,7 +727,7 @@ def test_coarse_level_failure_names_the_stage_residual_and_steps(monkeypatch):
                                                r"principal eigensolve \(LOBPCG\) residual .* "
                                                r"after \d+ iterations "
                                                r"\(\d+ inner CG steps\)$") as err:
-        principal_eigenpair(K, None, M, tol=1e-12)
+        principal_eigenpair(K, None, tol=1e-12)
     assert err.value.residual > 1e-12 * eigen_mod.COARSE_TOL_FACTOR
     assert 1 <= err.value.iterations <= 2
 
@@ -781,7 +749,7 @@ def test_lobpcg_on_the_csr_copy_matches_shift_invert(monkeypatch):
     # a ball's stencil spreads over 123 diagonals: the preconditioner runs
     # on the float32 CSR copy there
     K, Vd, M = heisenberg_cube_pencil(1.0 / 8, lambda pts: np.sum(pts**2, axis=1) <= 0.81)
-    direct = principal_eigenpair(K, Vd, M, tol=1e-9)
+    direct = principal_eigenpair(K, Vd, tol=1e-9)
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     storage = []
 
@@ -791,7 +759,7 @@ def test_lobpcg_on_the_csr_copy_matches_shift_invert(monkeypatch):
         return copy
 
     monkeypatch.setattr(eigen_mod, "shifted_copy", recorded)
-    res = principal_eigenpair(K, Vd, M, tol=1e-9)
+    res = principal_eigenpair(K, Vd, tol=1e-9)
     assert storage[0] == "csr" and res.residual <= 1e-9
     assert abs(res.lam - direct.lam) <= 1e-9
 
@@ -802,10 +770,10 @@ def test_a_2d_pencil_above_the_old_nonzero_limit_takes_shift_invert(monkeypatch)
     factored = []
     monkeypatch.setattr(eigen_mod, "factor_spd",
                         lambda A, *rest, real=eigen_mod.factor_spd: factored.append(A) or real(A, *rest))
-    direct = principal_eigenpair(K, None, M, tol=1e-9)
+    direct = principal_eigenpair(K, None, tol=1e-9)
     assert len(factored) == 1 and direct.cg_iterations == 0 and direct.coarse_iterations == 0
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
-    lobpcg = principal_eigenpair(K, None, M, tol=1e-9)
+    lobpcg = principal_eigenpair(K, None, tol=1e-9)
     assert lobpcg.cg_iterations > 0
     assert abs(direct.lam - lobpcg.lam) <= 1e-9 * lobpcg.lam
 
@@ -813,7 +781,7 @@ def test_a_2d_pencil_above_the_old_nonzero_limit_takes_shift_invert(monkeypatch)
 def test_lobpcg_solves_repeat_bit_for_bit(monkeypatch):
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
     K, Vd, M = heisenberg_cube_pencil(1.0 / 8)
-    first, second = (principal_eigenpair(K, Vd, M, tol=1e-9) for _ in range(2))
+    first, second = (principal_eigenpair(K, Vd, tol=1e-9) for _ in range(2))
     assert first.lam == second.lam and np.array_equal(first.vectors, second.vectors)
     assert first.cg_iterations == second.cg_iterations > 0
 
@@ -830,9 +798,9 @@ def test_cg_iterations_count_the_preconditioner_steps_of_lobpcg_only(monkeypatch
 
     monkeypatch.setattr(spla, "cg", counted)
     g, K, M = unit_square_setup(1.0 / 16)
-    assert principal_eigenpair(K, None, M).cg_iterations == 0 and not steps
+    assert principal_eigenpair(K, None).cg_iterations == 0 and not steps
     monkeypatch.setattr(operators_mod, "DIRECT_MAX_SEPARATOR", -1)
-    res = principal_eigenpair(K, None, M, pairs=1)  # one level: no coarse start
+    res = principal_eigenpair(K, None, pairs=1)  # one level: no coarse start
     assert res.cg_iterations == len(steps) > 0
     assert "cg_iterations" not in res.to_json_dict()
 
@@ -848,5 +816,5 @@ def test_lobpcg_preconditioner_maps_zero_to_zero(monkeypatch):
 
     monkeypatch.setattr(spla, "lobpcg", recorded)
     g, K, M = unit_square_setup(1.0 / 16)
-    assert principal_eigenpair(K, None, M, pairs=1).residual <= 1e-8
+    assert principal_eigenpair(K, None, pairs=1).residual <= 1e-8
     assert len(images) == 1 and images[0].dtype == np.float64 and not np.any(images[0])

@@ -265,9 +265,14 @@ def test_yamabe_barriers_share_one_factorization(monkeypatch):
     # invalid barrier data is refused before anything is factored
     with pytest.raises(ValueError, match="eps must lie"):
         yamabe_solve(K, kf, Kf, 3.0, f, 0.05, 0.6)
-    with pytest.raises(ValueError, match="C must be positive"):
-        barriers(K, f, 0.0, 0.4)
+    with pytest.raises(ValueError, match="C must be nonnegative"):
+        barriers(K, f, -1.0, 0.4)
     assert len(calls) == 2
+    # C = 0 (theta = 0) is the source-free problem: both barriers are eps
+    V, W, worst = barriers(K, f, 0.0, 0.4)
+    for barrier in (V, W):
+        np.testing.assert_allclose(barrier.values, 0.4, rtol=0, atol=1e-12)
+    assert worst <= 1e-12
 
 
 def test_no_factorization_above_threshold(monkeypatch):
@@ -310,7 +315,7 @@ def test_shifted_and_eigen_solves_take_the_same_path(monkeypatch, box, h, factor
     shifted = ShiftedSolver(K, 1.0)
     shifted.solve_interior(np.ones(g.n_interior))
     calls = _count_factors(monkeypatch)
-    eig = principal_eigenpair(K, None, mass_matrix(g), pairs=1)  # one level: no coarse start
+    eig = principal_eigenpair(K, None, pairs=1)  # one level: no coarse start
     assert (shifted.factor is not None) is (len(calls) == 1) is (eig.cg_iterations == 0) is factored
 
 
@@ -931,7 +936,7 @@ def test_exhaustion_resonance_detected():
     box = [(-1, 1)] * 2
     g = build_grid(box, 0.25)
     K = assemble_stiffness(euclidean(2), g)
-    lam1 = principal_eigenpair(K, None, mass_matrix(g), tol=1e-12).lam
+    lam1 = principal_eigenpair(K, None, tol=1e-12).lam
     boxes = exhaustion_boxes(euclidean(2), lambda pts: np.ones(pts.shape[0]), [box], 0.25)
     ex = exhaustion_construct(boxes, lam1 * (1.0 - 1e-12))
     assert ex.statuses == ["resonance"] and ex.fields == [None]

@@ -151,6 +151,21 @@ def test_thm_1_4_truncation_stability_note():
     assert change < 0.05
 
 
+@pytest.mark.parametrize("stability_box", [[(-1, 1)] * 3, [(-4.5, 4.5)] * 3],
+                         ids=["inside-the-half-box", "nodes-offset"])
+def test_thm_1_4_refuses_a_stability_box_off_the_inner_half_box_nodes(monkeypatch, stability_box):
+    # the inner half-box of (-4, 4)^3 at h = 1 has nodes at -2, ..., 2; the
+    # rerun used to compare them with the nodes nearest to them, clipped into
+    # (-1, 1)^3 or offset by h/2, and pass
+    import sublap.semilinear as sm
+
+    monkeypatch.setattr(sm, "yamabe_solve", lambda *args, **kwargs: pytest.fail("solved"))
+    with pytest.raises(ValueError, match=r"^stability_box \[\(-.*\)\] does not hold every node of "
+                                         r"the inner half-box of box \[\(-4, 4\), "):
+        verify_thm_1_4(heisenberg(), [(-4, 4)] * 3, 1.0, "exp(-(x**2 + y**2 + t**2))",
+                       [0.05], [0.4], 3.0, stability_box=stability_box)
+
+
 def test_thm_1_4_notes_a_skipped_stability_rerun():
     # theta too large for the barriers: no case passes, so nothing is rerun
     rep = verify_thm_1_4(
