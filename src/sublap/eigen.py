@@ -342,9 +342,9 @@ def epsilon_path(family, grid, Vdiag, eps_list, tol=DEFAULT_TOL):
     """lambda_1 along the regularization K + eps * K_euclid, eps decreasing.
 
     eps values must be finite, nonnegative and strictly decreasing, so only
-    the last one can be 0, which reproduces the direct (unregularized) solve.  Each solve
-    computes lam_1 alone (pairs=1) and, after the first, starts from the
-    previous eps's lam_1 vector (M does not depend on eps).  The solves run
+    the last can be 0, which reproduces the direct (unregularized) solve.
+    Each solve computes lam_1 alone (pairs=1) and, after the first, starts
+    from the previous eps's lam_1 vector (M does not depend on eps).  The solves run
     on the CSR sum K + eps K_euclid itself: both terms were checked
     symmetric when assembled, and their sum is exactly as symmetric.  The
     returned sequence is checked to be strictly decreasing.

@@ -33,7 +33,6 @@ def test_criterion_01_euclidean_ground_truth():
     t0 = time.perf_counter()
     g = sl.build_grid([(0, 1), (0, 1)], 1.0 / 64)
     K = sl.assemble_stiffness(sl.euclidean(2), g)
-    M = sl.mass_matrix(g)
     res = sl.principal_eigenpair(K, None, tol=1e-8)
     elapsed = time.perf_counter() - t0
     target = 2 * np.pi**2
@@ -51,7 +50,6 @@ def test_criterion_01_euclidean_ground_truth():
 def test_criterion_02_potential_shift_identity():
     g = sl.build_grid([(0, 1), (0, 1)], 1.0 / 32)
     K = sl.assemble_stiffness(sl.euclidean(2), g)
-    M = sl.mass_matrix(g)
     lam0 = sl.principal_eigenpair(K, None, tol=1e-11).lam
     worst = 0.0
     for c in (-3.0, 0.0, 5.0):
@@ -80,7 +78,6 @@ def test_criterion_03_epsilon_path():
     lams = [lam for _, lam in path]
     assert all(a > b for a, b in zip(lams, lams[1:]))
     K = sl.assemble_stiffness(heis, g)
-    M = sl.mass_matrix(g)
     direct = sl.principal_eigenpair(K, None, tol=1e-9).lam
     assert abs(lams[-1] - direct) <= 1e-8
     # dense generalized eigensolve cross-check on a 9^3 grid

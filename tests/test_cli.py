@@ -361,7 +361,7 @@ def test_emit_plot_eigenfield_single_interior_max(tmp_path):
     # the plotted ground state has exactly one strict local maximum
     from sublap.eigen import principal_eigenpair
     from sublap.fields import euclidean
-    from sublap.operators import assemble_stiffness, mass_matrix
+    from sublap.operators import assemble_stiffness
 
     g = build_grid([(0, 1), (0, 1)], 1.0 / 16)
     K = assemble_stiffness(euclidean(2), g)

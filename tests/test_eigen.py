@@ -111,7 +111,6 @@ def test_heisenberg_self_convergence_richardson():
     for h in (1.0 / 4, 1.0 / 8, 1.0 / 16):
         g = build_grid([(-1, 1)] * 3, h)
         K = assemble_stiffness(heisenberg(), g)
-        M = mass_matrix(g)
         lams.append(principal_eigenpair(K, None, tol=1e-9).lam)
     rich1 = 2 * lams[1] - lams[0]
     rich2 = 2 * lams[2] - lams[1]
@@ -467,7 +466,6 @@ def domain_monotonicity(family, V, nested_masks, tol=DEFAULT_TOL):
     lams = []
     for g in nested_masks:
         K = assemble_stiffness(family, g)
-        M = mass_matrix(g)
         Vd = None
         if V is not None:
             Vd = assemble_diagonal(GridField.from_function(g, V))

@@ -24,7 +24,6 @@ from sublap.operators import (
     assemble_stiffness,
     factor_pays,
     factor_spd,
-    mass_matrix,
 )
 import sublap.semilinear as sm
 from sublap.semilinear import (

@@ -13,7 +13,7 @@ import sublap.operators as operators
 import sublap.semilinear as semilinear
 from sublap.fields import euclidean
 from sublap.mesh import build_grid
-from sublap.operators import assemble_stiffness, mass_matrix
+from sublap.operators import assemble_stiffness
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
