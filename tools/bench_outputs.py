@@ -8,8 +8,9 @@ and OpenMP capped at one thread and ``--seed 1`` for the seeded commands.
 Then ``untimed`` lists the commands that no benchmark workload times
 (``fields info``, ``solve yamabe``, ``probe sobolev``, ``probe doubling``)
 at fixed configs, ``solve yamabe`` with ``--plot`` at theta = 0.05 and at
-theta = 0, so every CLI command runs at least once, and ``eigen`` on a 1-D
-grid with ``--plot``, whose plot is one row.  The run named ``<name>``
+theta = 0, so every CLI command runs at least once, ``eigen`` on a 1-D
+grid with ``--plot``, whose plot is one row, and ``eigen`` on a grid large
+enough to take the LOBPCG path at both sizes.  The run named ``<name>``
 writes to ``<out-dir>/<name>/``, so that ``diff -r`` of two output
 directories compares every report, field file and plot of two checkouts,
 or of two runs of one.  The configs go to a temporary directory, not under
@@ -46,8 +47,11 @@ def untimed(size):
     """The commands no benchmark workload runs, on Heisenberg grids near the ball workload's.
 
     ``solve yamabe`` runs twice with ``--plot``, at theta = 0.05 and at
-    theta = 0 (``yamabe_theta0``, the barrier pair with C = 0).  Last comes
-    a 1-D ``eigen`` run with ``--plot``, which no workload makes.
+    theta = 0 (``yamabe_theta0``, the barrier pair with C = 0).  Then comes
+    a 1-D ``eigen`` run with ``--plot``, which no workload makes.  Last,
+    ``eigen_lobpcg`` runs ``eigen`` at h = 1/8 on (-1, 1)^3 (3,375 unknowns),
+    which takes the LOBPCG path with a factored 2h coarse start at both
+    sizes: every smoke-size workload eigensolve is factored or dense.
     """
     full = size == "full"
     R = 0.4
@@ -68,6 +72,8 @@ def untimed(size):
         Run("eigen_1d", ("eigen",), {"family": "euclidean(1)",
                                      "grid": {"box": [[0, 1]], "h": 1 / 64 if full else 1 / 16}},
             plot=True),
+        Run("eigen_lobpcg", ("eigen",), {"family": "heisenberg",
+                                         "grid": {"box": [[-1, 1]] * 3, "h": 1 / 8}}),
     ]
 
 
