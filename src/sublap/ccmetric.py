@@ -54,6 +54,7 @@ DEFAULT_DIRECTIONS = 32
 COMM_SCALES = (1, 2, 4, 8, 16)  # commutator loop areas in units of h
 REFINE_STEPS = 100        # Gauss-Newton steps of the refinement before it gives up
 REFINE_SUBSTEPS = 6       # RK2 substeps per control piece in the refinement
+LOOP_SUBSTEPS = 8         # RK2 substeps per leg of a commutator loop in a graph path
 
 
 class CCUnreachableError(RuntimeError):
@@ -144,9 +145,17 @@ class _GraphContext:
         self.strides = grid.strides
         self.ok_node = grid.mask != EXTERIOR
         self.comm_s = np.sqrt(np.array(COMM_SCALES, dtype=float) * self.h) if self.pairs else np.array([])
+        # One node's edge positions: step edges by scale, then direction; then
+        # commutator loops by pair, sign and scale.  `info` is the direction,
+        # or 2 * pair + sign; a loop of side `scale` lasts 4 * scale.
+        D, C, loops = self.F.shape[0], self.comm_s.size, 2 * len(self.pairs)
+        self.edge_kind = np.repeat(np.array([0, 1], dtype=np.int8), [scales.size * D, loops * C])
+        self.edge_info = np.concatenate([np.tile(np.arange(D, dtype=np.int32), scales.size),
+                                         np.repeat(np.arange(loops, dtype=np.int32), C)])
+        self.edge_scale = np.concatenate([np.repeat(scales * self.h, D), np.tile(self.comm_s, loops)])
+        self.edge_base = np.where(self.edge_kind == 1, 4.0 * self.edge_scale, self.edge_scale)
         # no edge is shorter than its base duration (snap surcharges are >= 0)
-        bases = np.concatenate([self.step_scales * self.h, 4.0 * self.comm_s])
-        self.w_min = bases.min(initial=np.inf)
+        self.w_min = self.edge_base.min()
 
     def _snap(self, targets_float):
         """Round to nodes; returns (ids, snap distance, valid mask).
@@ -172,47 +181,37 @@ class _GraphContext:
     def edges_from(self, ps):
         """All edges out of the nodes `ps`, built in one batch.
 
-        Returns (target ids, durations, kind, info, scale, src, pos): `src`
-        is the edge's row in `ps` and `pos` its position among one node's
-        edges (step edges by scale, then direction; then commutator loops by
-        pair, sign and scale); edges come out ordered by (src, pos).  A
-        snapped edge pays its snap distance over sigma_min(A) at the target
-        on top of its base duration; self-loops and targets whose sigma_min
-        is below the floor are dropped.
+        Returns (target ids, durations, src, pos): `src` is the edge's row in
+        `ps` and `pos` its edge position, which indexes `edge_kind`,
+        `edge_info`, `edge_scale` and `edge_base`; edges come out ordered by
+        (src, pos).  A snapped edge pays its snap distance over sigma_min(A)
+        at the target on top of its base duration; self-loops and targets
+        whose sigma_min is below the floor are dropped.
         """
         ps = np.asarray(ps, dtype=np.int64)
-        B, n = ps.size, self.grid.n
-        D, C = self.F.shape[0], self.comm_s.size
+        B, n, E = ps.size, self.grid.n, self.edge_kind.size
         x = self.coords[ps][:, None, :]                      # (B, 1, n)
         vel = self.F @ self.A_all[ps]                        # (B, D, n)
-        parts = []  # (ends (B, k, n), live (B, k), kind, info, scale) per edge family
-        for mult in self.step_scales:
-            dt = mult * self.h
-            parts.append((x + dt * vel, np.ones((B, D), dtype=bool), np.zeros(D, dtype=np.int8),
-                          np.arange(D, dtype=np.int32), np.full(D, dt)))
-        for pi, bvals in enumerate(self.bracket_vals):
+        ends = [x + dt * vel for dt in self.step_scales * self.h]
+        live = [np.ones((B, self.step_scales.size * self.F.shape[0]), dtype=bool)]
+        for bvals in self.bracket_vals:
             b = bvals[ps]
             # a stacked `@` rounds like the per-node norm(b)
             nb = np.sqrt((b[:, None, :] @ b[:, :, None])[:, 0, 0])
             reach = nb * self.comm_s[-1] ** 2 >= 0.25 * self.h  # loop can reach the next node level
-            live = np.repeat(reach[:, None], C, axis=1)
             disp = (self.comm_s**2)[None, :, None] * b[:, None, :]  # (B, C, n)
-            for neg in (0, 1):
-                parts.append((x - disp if neg else x + disp, live, np.ones(C, dtype=np.int8),
-                              np.full(C, pi * 2 + neg, dtype=np.int32), self.comm_s))
-        ends, live, kind, info, scale = zip(*parts)
-        kind, info, scale = (np.concatenate(col) for col in (kind, info, scale))
-        E = kind.size
-        base = np.where(kind == 1, 4.0 * scale, scale)   # a loop of side s lasts 4s
+            ends += [x + disp, x - disp]
+            live.append(np.repeat(reach[:, None], 2 * self.comm_s.size, axis=1))
         ids, s, valid = self._snap(np.concatenate(ends, axis=1).reshape(-1, n))
         valid &= np.concatenate(live, axis=1).ravel()
         valid &= ids != np.repeat(ps, E)
         sig = self.sigma[ids]
         valid &= (s <= SNAP_ZERO) | (sig > self.sigma_floor)
-        w = np.tile(base, B) + np.where(s <= SNAP_ZERO, 0.0, s / np.maximum(sig, self.sigma_floor))
+        w = np.tile(self.edge_base, B) + np.where(s <= SNAP_ZERO, 0.0,
+                                                  s / np.maximum(sig, self.sigma_floor))
         sel = np.flatnonzero(valid)
         src, pos = np.divmod(sel, E)
-        return ids[sel], w[sel], kind[pos], info[pos], scale[pos], src, pos
+        return ids[sel], w[sel], src, pos
 
 
 def _dijkstra(ctx, source, target=None, rmax=None):
@@ -224,17 +223,17 @@ def _dijkstra(ctx, source, target=None, rmax=None):
     edges are built and relaxed in one batch.  A node improved by several
     candidates keeps the least in (duration, the source's pop order
     (dist, id), edge position): the order in which a one-node-at-a-time
-    heap Dijkstra applies them, so dist and the parent arrays match it
-    exactly.  With `rmax`, nodes beyond it stay unsettled; with `target`,
-    the search stops once the target is settled.
+    heap Dijkstra applies them, so dist and the parents match it exactly.
+    With `rmax`, nodes beyond it stay unsettled; with `target`, the search
+    stops once the target is settled.  Returns dist, settled and the
+    parents (parent node, edge position, edge duration) of every improved
+    node; the context's edge table gives each edge's kind, info and scale.
     """
     N = ctx.grid.num_nodes
     dist = np.full(N, np.inf)
     settled = np.zeros(N, dtype=bool)
     parent = np.full(N, -1, dtype=np.int64)
-    p_kind = np.zeros(N, dtype=np.int8)
-    p_info = np.zeros(N, dtype=np.int32)
-    p_scale = np.zeros(N)
+    p_pos = np.zeros(N, dtype=np.int64)
     p_dur = np.zeros(N)
     dist[source] = 0.0
     front = np.array([source], dtype=np.int64)
@@ -257,7 +256,7 @@ def _dijkstra(ctx, source, target=None, rmax=None):
         if len(hit):  # the target pops in this bucket: the search ends there
             bucket, expand, done = bucket[: hit[0] + 1], bucket[: hit[0]], True
         settled[bucket] = True
-        ids, w, kind, info, scale, src, _ = ctx.edges_from(expand)
+        ids, w, src, pos = ctx.edges_from(expand)
         nd = dist[expand][src] + w
         keep = np.flatnonzero(nd < dist[ids])
         # edges come in (src, pos) order and lexsort is stable: ties keep it
@@ -266,20 +265,18 @@ def _dijkstra(ctx, source, target=None, rmax=None):
         t = ids[win]
         dist[t] = nd[win]
         parent[t] = expand[src[win]]
-        p_kind[t] = kind[win]
-        p_info[t] = info[win]
-        p_scale[t] = scale[win]
+        p_pos[t] = pos[win]
         p_dur[t] = w[win]
         new = t[~on_front[t]]
         on_front[new] = True
         front = np.concatenate([front, new])
         if done:
             break
-    return dist, settled, (parent, p_kind, p_info, p_scale, p_dur)
+    return dist, settled, (parent, p_pos, p_dur)
 
 
 def _reconstruct(ctx, source, target, parents):
-    parent, p_kind, p_info, p_scale, p_dur = parents
+    parent, p_pos, p_dur = parents
     chain = []
     node = target
     while node != source:
@@ -294,23 +291,19 @@ def _reconstruct(ctx, source, target, parents):
     controls = []
     durations = []
     for prev, cur in zip(chain, chain[1:]):
-        kind = p_kind[cur]
-        if kind == 0:
-            f = ctx.F[p_info[cur]]
-            controls.append(f)
+        pos = p_pos[cur]
+        if ctx.edge_kind[pos] == 0:
+            controls.append(ctx.F[ctx.edge_info[pos]])
             durations.append(float(p_dur[cur]))
             waypoints.append(ctx.coords[cur].copy())
         else:
-            pi, neg = divmod(int(p_info[cur]), 2)
-            i, j = ctx.pairs[pi]
-            s = float(p_scale[cur])
-            order = [(i, 1.0), (j, 1.0), (i, -1.0), (j, -1.0)]
-            if neg:
-                order = [(j, 1.0), (i, 1.0), (j, -1.0), (i, -1.0)]
+            pi, neg = divmod(int(ctx.edge_info[pos]), 2)
+            i, j = ctx.pairs[pi][::-1] if neg else ctx.pairs[pi]
+            s = float(ctx.edge_scale[pos])
             legs = np.zeros((1, 4, m))
-            for li, (fld, sgn) in enumerate(order):
-                legs[0, li, fld] = sgn
-            ends = _integrate_controls_batch(ctx.family, ctx.coords[prev], legs, 4.0 * s, 8)
+            legs[0, range(4), [i, j, i, j]] = [1.0, 1.0, -1.0, -1.0]
+            ends = _integrate_controls_batch(ctx.family, ctx.coords[prev], legs, 4.0 * s,
+                                             LOOP_SUBSTEPS)
             extra = float(p_dur[cur]) - 4.0 * s  # snap surcharge on the last leg
             controls.extend(legs[0])
             durations.extend([s, s, s, s + extra])
@@ -348,6 +341,8 @@ def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS, step_sc
 
     x and y, which must lie in the grid box, are snapped to their nearest
     nodes, so the bound and the path are those between the two nodes.
+    Distinct points that snap to one node raise ValueError: their distance
+    is below the grid's resolution.  x == y gives 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -360,6 +355,9 @@ def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS, step_sc
     src = grid.nearest_node(x)
     tgt = grid.nearest_node(y)
     if src == tgt:
+        if np.any(x != y):
+            raise ValueError(f"x = {x.tolist()} and y = {y.tolist()} both snap to node "
+                             f"{grid.points[src].tolist()} at h = {grid.h!r}; refine the grid")
         return 0.0, PathResult(
             T=0.0, waypoints=np.array([grid.points[src]] * 2),
             controls=np.zeros((1, family.m)), durations=np.zeros(1), defect=0.0,
@@ -478,7 +476,11 @@ class BallResult:
 
 
 def metric_ball(family, center, R, grid, directions=DEFAULT_DIRECTIONS, step_scales=(1, 2, 3)):
-    """Single-source Dijkstra ball {d_hat <= R}; volume = h^n * node count."""
+    """Single-source Dijkstra ball {d_hat <= R}; volume = h^n * node count.
+
+    The ball is centred at the node nearest `center`, which may lie up to h
+    away from it.
+    """
     if R < 0:
         raise ValueError("radius must be nonnegative")
     center = np.asarray(center, dtype=float)

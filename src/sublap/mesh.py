@@ -226,11 +226,6 @@ class GridField:
 # serialization
 
 
-def _csv_header(n):
-    names = [f"i{k}" for k in range(n)] + [f"x{k}" for k in range(n)]
-    return ",".join(names + ["value"])
-
-
 def field_to_csv(field, path_or_buf):
     """CSV rows: index tuple, coordinates, value.
 
@@ -250,31 +245,10 @@ def field_to_csv(field, path_or_buf):
     slab = len(tail_idx)
     is_path = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
     with open(path_or_buf, "w") if is_path else contextlib.nullcontext(path_or_buf) as buf:
-        buf.write(_csv_header(g.n) + "\n")
+        buf.write(",".join([f"i{k}" for k in range(g.n)] + [f"x{k}" for k in range(g.n)]
+                           + ["value"]) + "\n")
         for a, (head_idx, head_x) in enumerate(heads):
             distinct, which = np.unique(bits[a * slab : (a + 1) * slab], return_inverse=True)
             val_text = [repr(v) for v in distinct.view(np.float64).tolist()]
             buf.write("".join(f"{head_idx}{ti},{head_x}{tx},{val_text[v]}\n"
                               for ti, tx, v in zip(tail_idx, tail_x, which.tolist())))
-
-
-def field_from_csv(grid, path_or_buf):
-    """Read a field_to_csv file; its header, row count and every row's index
-    and coordinates must match `grid` exactly."""
-    is_path = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    with open(path_or_buf) if is_path else contextlib.nullcontext(path_or_buf) as buf:
-        text = buf.read()
-    header, *lines = text.strip().splitlines()
-    if header != _csv_header(grid.n):
-        raise ValueError(f"CSV header {header!r} does not describe a {grid.n}-dimensional grid")
-    if len(lines) != grid.num_nodes:
-        raise ValueError(f"file holds {len(lines)} rows, grid has {grid.num_nodes} nodes")
-    table = np.array([line.split(",") for line in lines], dtype=float)
-    if table.shape[1:] != (2 * grid.n + 1,):
-        raise ValueError(f"CSV rows must hold {2 * grid.n + 1} fields")
-    expected = np.column_stack([*np.unravel_index(np.arange(grid.num_nodes), grid.dims), grid.points])
-    bad = np.flatnonzero(np.any(table[:, :-1] != expected, axis=1))
-    if bad.size:
-        raise ValueError(f"CSV row {bad[0]}: index or coordinates differ from grid node {bad[0]}")
-    return GridField(grid, table[:, -1])
-

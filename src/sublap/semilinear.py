@@ -542,43 +542,34 @@ class ExhaustionResult:
         return all(s == "ok" for s in self.statuses)
 
 
-@dataclass(eq=False)
-class ExhaustionBox:
-    """The lam-independent part of one box D_k: its grid, K, weight and datum k."""
-
-    grid: object
-    origin_id: int
-    K: object               # stiffness SparseOperator
-    G: np.ndarray           # diagonal weight h^n g on the interior nodes
-    bvec: np.ndarray        # boundary datum, k on every boundary node
-    rhs: np.ndarray         # -K_boundary @ bvec
-
-
 def exhaustion_boxes(family, g_fn, box_list, h):
-    """Grid, stiffness and weight of every box, built once for any number of lam."""
+    """(K, G) of every box, built once for any number of lam.
+
+    K is the stiffness operator on the box's grid (`K.grid`) and G the
+    diagonal weight h^n g on its interior nodes.  Each box must contain the
+    next-smaller one and have 0 as a grid node.
+    """
     for i, box in enumerate(box_list[:-1]):
         nxt = box_list[i + 1]
         for (lo, hi), (lo2, hi2) in zip(box, nxt):
             if lo2 > lo or hi2 < hi:
                 raise ValueError("box_list must be increasing (each box contained in the next)")
     boxes = []
-    for k, box in enumerate(box_list, start=1):
+    for box in box_list:
         grid = build_grid(box, h)
-        origin_id = grid.nearest_node(np.zeros(grid.n))
-        if np.linalg.norm(grid.points[origin_id]) > 1e-9 * h:
+        if np.linalg.norm(grid.points[grid.nearest_node(np.zeros(grid.n))]) > 1e-9 * h:
             raise ValueError("0 must be a grid node of every box")
-        K = assemble_stiffness(family, grid)
-        G = assemble_diagonal(GridField.from_function(grid, g_fn))
-        bvec = np.full(grid.n_boundary, float(k))
-        rhs = -K.boundary @ bvec
-        boxes.append(ExhaustionBox(grid, origin_id, K, G, bvec, rhs))
+        boxes.append((assemble_stiffness(family, grid),
+                      assemble_diagonal(GridField.from_function(grid, g_fn))))
     return boxes
 
 
 def exhaustion_construct(boxes, lam, tol=1e-10):
     """Solve H u = lam g u on growing boxes D_k with boundary datum k.
 
-    `boxes` comes from exhaustion_boxes; only these solves depend on lam.
+    `boxes` are the (K, G) pairs of exhaustion_boxes; only these solves
+    depend on lam.  Box k's datum is k on every boundary node, which enters
+    the right-hand side as -K_boundary @ datum.
     Each solution is checked for interior positivity, normalized to
     u(0) = 1, and compared with its predecessor on the smallest box; the
     successive max differences are the convergence diagnostic.
@@ -598,9 +589,11 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
     fields_out = []
     statuses = []
     notes = []
-    for k, box in enumerate(boxes, start=1):
-        grid, origin_id, rhs, bvec = box.grid, box.origin_id, box.rhs, box.bvec
-        A = shifted_copy(box.K.mat, lam * box.G, np.float64)
+    for k, (K, G) in enumerate(boxes, start=1):
+        grid = K.grid
+        bvec = np.full(grid.n_boundary, float(k))
+        rhs = -K.boundary @ bvec
+        A = shifted_copy(K.mat, lam * G, np.float64)
         try:
             x = factor_spd(A).solve(rhs)
         except NotPositiveDefiniteError:
@@ -629,7 +622,7 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
                 f"box {k}: interior positivity failed (min {u.values[grid.interior_ids].min():.3e}); "
                 "no discrete maximum principle is guaranteed"
             )
-        u0 = float(u.values[origin_id])
+        u0 = float(u.values[grid.nearest_node(np.zeros(grid.n))])
         if u0 <= 0:
             status = "not-positive"
             notes.append(f"box {k}: u(0) = {u0:.3e} <= 0, normalization impossible")
@@ -638,7 +631,7 @@ def exhaustion_construct(boxes, lam, tol=1e-10):
             continue
         fields_out.append(u * (1.0 / u0))
         statuses.append(status)
-    base = boxes[0].grid
+    base = boxes[0][0].grid
     base_pts = base.points[base.interior_ids]
     on_base = [None if u is None else u.values[u.grid.nearest_node(base_pts)] for u in fields_out]
     diffs = [float(np.abs(b - a).max()) for a, b in zip(on_base, on_base[1:])

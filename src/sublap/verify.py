@@ -175,7 +175,7 @@ def verify_thm_1_3(family, g_expr, g_plus_expr, lam_fractions, box_list, h,
     g_fn = compile_expression(g_expr, n)
     gp_fn = compile_expression(g_plus_expr, n)
     boxes = sm.exhaustion_boxes(family, g_fn, box_list, h)
-    big = boxes[-1].grid
+    big = boxes[-1][0].grid
     gv = g_fn(big.points)
     gpv = gp_fn(big.points)
     if np.any(gv > gpv + 1e-12):

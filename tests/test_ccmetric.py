@@ -160,6 +160,17 @@ def test_euclidean_lower_bound():
     assert min(cs) > 1.0 - 1e-9
 
 
+def test_distance_from_a_node_to_itself_is_zero_and_below_the_grid_refused():
+    heis = heisenberg()
+    g = build_grid([(-0.1, 0.1), (-0.1, 0.1), (-0.05, 0.05)], 0.01)
+    d, path = cc_distance_graph(heis, g, (0, 0, 0), (0, 0, 0))
+    assert d == 0.0 and path.T == 0.0
+    assert np.abs(path.waypoints).max() < 1e-12 and path.waypoints.shape == (2, 3)
+    # d((0, 0, 0), (0, 0, 0.004)) = sqrt(4 pi 0.004) = 0.224, but both snap to one node
+    with pytest.raises(ValueError, match=r"both snap to node .* at h = 0\.01; refine the grid"):
+        cc_distance_graph(heis, g, (0, 0, 0), (0, 0, 0.004))
+
+
 def test_metric_ball_disk_volume():
     g = build_grid([(-0.65, 0.65), (-0.65, 0.65)], 0.01)
     ball = metric_ball(euclidean(2), (0, 0), 0.5, g, directions=64, step_scales=(1, 2, 3))
@@ -517,10 +528,18 @@ def _ref_dijkstra(ctx, source, target=None, rmax=None):
     return dist, settled, (parent, p_kind, p_info, p_scale, p_dur)
 
 
-def _assert_same_search(got, ref):
-    for a, b in zip((got[0], got[1], *got[2]), (ref[0], ref[1], *ref[2])):
+def _assert_same_search(ctx, got, ref):
+    dist, settled, (parent, p_pos, p_dur) = got
+    ref_dist, ref_settled, (ref_parent, *ref_edge, ref_dur) = ref
+    for a, b in zip((dist, settled, parent, p_dur), (ref_dist, ref_settled, ref_parent, ref_dur)):
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
+    # the reference keeps each parent edge's kind, info and scale itself
+    reached = parent >= 0
+    for table, b in zip((ctx.edge_kind, ctx.edge_info, ctx.edge_scale), ref_edge):
+        a = table[p_pos[reached]]
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b[reached].tobytes()
 
 
 @st.composite
@@ -553,7 +572,7 @@ def _graph_queries(draw):
 def test_bucketed_dijkstra_matches_heap_dijkstra(case):
     family, ctx, source, query = case
     got = ccm._dijkstra(ctx, source, **query)
-    _assert_same_search(got, _ref_dijkstra(ctx, source, **query))
+    _assert_same_search(ctx, got, _ref_dijkstra(ctx, source, **query))
     # every edge's planar displacement is at most its duration (sigma_min(A) = 1,
     # commutator loops are closed in the (x, y) plane), so reached nodes keep
     # the euclidean / planar lower bound
@@ -567,12 +586,14 @@ def test_batched_edges_match_per_node_edges():
     g = build_grid([(-0.3, 0.3), (-0.3, 0.3), (-0.1, 0.1)], 0.05)
     ctx = ccm._GraphContext(heisenberg(), g, 16, (1, 2))
     nodes = np.array([g.nearest_node(p) for p in ((0, 0, 0), (0.25, -0.3, 0.1), (0.1, 0.1, -0.05))])
-    ids, w, kind, info, scale, src, pos = ctx.edges_from(nodes)
+    ids, w, src, pos = ctx.edges_from(nodes)
     for r, p in enumerate(nodes):
         ref = _ref_edges_from(ctx, p)
         mine = src == r
         assert np.all(np.diff(pos[mine]) > 0)
-        for a, b in zip((ids[mine], w[mine], kind[mine], info[mine], scale[mine]), ref):
+        at = pos[mine]
+        for a, b in zip((ids[mine], w[mine], ctx.edge_kind[at], ctx.edge_info[at],
+                         ctx.edge_scale[at]), ref):
             assert a.tobytes() == b.tobytes()
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from sublap import cli
 from sublap.cli import ConfigError, emit_plot, main, validate_config
-from sublap.mesh import GridField, build_grid, field_from_csv
+from sublap.mesh import GridField, build_grid
 
 
 def write_config(tmp_path, name, payload):
@@ -257,7 +257,8 @@ def test_cli_ball_indicator_byte_determinism(tmp_path, node_by_node_csv):
         outs.append((out / "ball_indicator.csv").read_bytes())
     assert outs[0] == outs[1]
     grid = build_grid([(-0.33, 0.33), (-0.33, 0.33), (-0.02, 0.02)], 0.02)
-    indicator = field_from_csv(grid, tmp_path / "o1" / "ball_indicator.csv")
+    table = np.loadtxt(tmp_path / "o1" / "ball_indicator.csv", delimiter=",", skiprows=1)
+    indicator = GridField(grid, table[:, -1])
     assert set(np.unique(indicator.values)) == {0.0, 1.0}
     ref = io.StringIO()
     node_by_node_csv(indicator, ref)
@@ -945,12 +946,15 @@ def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert trees[0] == trees[1] and set(trees[0]) == {"report.json", "eigenfield.csv"}
 
 
-def test_cli_distance_between_points_that_snap_to_one_node_is_zero(tmp_path, monkeypatch):
-    # x and y 0.01 apart on a grid of h = 0.1: no graph search and no refinement
+def test_cli_distance_between_distinct_points_that_snap_to_one_node_fails_the_run(
+        tmp_path, monkeypatch, capsys):
+    # y sits 0.004 above x on a grid of h = 0.01, so both snap to the origin
+    # node; d(x, y) = sqrt(4 pi 0.004) = 0.224, not 0.  No graph search and
+    # no refinement run.
     cfg = write_config(tmp_path, "d.json", {
         "family": "heisenberg",
-        "grid": {"box": [[-0.3, 1.3], [-0.3, 1.3], [-0.3, 0.3]], "h": 0.1},
-        "x": [0, 0, 0], "y": [0.01, 0, 0]})
+        "grid": {"box": [[-0.1, 0.1], [-0.1, 0.1], [-0.05, 0.05]], "h": 0.01},
+        "x": [0, 0, 0], "y": [0, 0, 0.004]})
     out = tmp_path / "out"
     calls = []
 
@@ -964,14 +968,11 @@ def test_cli_distance_between_points_that_snap_to_one_node_is_zero(tmp_path, mon
 
     for name in ("_dijkstra", "_integrate_controls_batch"):
         monkeypatch.setattr(cli.cc, name, counted(name))
-    assert main(["--config", str(cfg), "--out", str(out), "distance"]) == 0
+    assert main(["--config", str(cfg), "--out", str(out), "distance"]) == 1
     assert calls == []
-    dist = json.loads((out / "report.json").read_text())["results"]["distance"]
-    assert dist == {"graph_upper_bound": 0.0, "refined": 0.0, "defect": 0.0, "stalled": False,
-                    "notes": []}
-    header, first, second = (out / "path.csv").read_text().splitlines()
-    assert header == "x0,x1,x2,t_cum" and first == second
-    assert np.abs(np.array(first.split(","), dtype=float)).max() < 1e-12
+    assert ("run failed: x = [0.0, 0.0, 0.0] and y = [0.0, 0.0, 0.004] both snap to node"
+            in capsys.readouterr().err)
+    assert not (out / "report.json").exists()
 
 
 def test_cli_negative_seed_is_a_usage_error_naming_it(tmp_path, capsys):

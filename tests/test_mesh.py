@@ -14,7 +14,6 @@ from sublap.mesh import (
     GridField,
     build_grid,
     coarse_grid,
-    field_from_csv,
     field_to_csv,
     mask_domain,
     neighbor_set,
@@ -151,8 +150,11 @@ def test_field_csv_round_trip():
     buf = io.StringIO()
     field_to_csv(f, buf)
     buf.seek(0)
-    back = field_from_csv(g, buf)
-    assert np.array_equal(back.values, f.values)
+    assert buf.readline() == "i0,i1,x0,x1,value\n"
+    table = np.loadtxt(buf, delimiter=",")
+    nodes = np.column_stack([*np.unravel_index(np.arange(g.num_nodes), g.dims), g.points])
+    assert np.array_equal(table[:, :-1], nodes)
+    assert np.array_equal(table[:, -1], f.values)
 
 
 def _csv_test_values(g, kind):
@@ -188,38 +190,6 @@ def test_field_csv_matches_node_by_node_writer(tmp_path, node_by_node_csv, box, 
             assert buf.getvalue() == ref.getvalue()
             field_to_csv(f, tmp_path / "f.csv")
             assert (tmp_path / "f.csv").read_bytes() == ref.getvalue().encode()
-
-
-def _csv_lines(field):
-    buf = io.StringIO()
-    field_to_csv(field, buf)
-    return buf.getvalue().splitlines(keepends=True)
-
-
-def test_field_from_csv_rejects_another_dimension():
-    g = build_grid([(0, 1), (0, 1)], 0.25)
-    lines = _csv_lines(GridField.zeros(g))
-    with pytest.raises(ValueError, match="does not describe a 3-dimensional grid"):
-        field_from_csv(build_grid([(0, 1)] * 3, 0.25), io.StringIO("".join(lines)))
-
-
-def test_field_from_csv_rejects_a_missing_row():
-    g = build_grid([(0, 1), (0, 1)], 0.25)
-    lines = _csv_lines(GridField.zeros(g))
-    with pytest.raises(ValueError, match="file holds 24 rows, grid has 25 nodes"):
-        field_from_csv(g, io.StringIO("".join(lines[:-1])))
-
-
-def test_field_from_csv_rejects_coordinates_off_the_grid():
-    g = build_grid([(0, 1), (0, 1)], 0.25)
-    lines = _csv_lines(GridField.zeros(g))
-    assert lines[8] == "1,2,0.25,0.5,0.0\n"  # data row 7, node 7
-    lines[8] = f"1,2,0.25,{float(np.nextafter(0.5, 1.0))!r},0.0\n"
-    with pytest.raises(ValueError, match="CSV row 7: index or coordinates differ from grid node 7"):
-        field_from_csv(g, io.StringIO("".join(lines)))
-    shifted = build_grid([(0.5, 1.5), (0, 1)], 0.25)  # same dims, another origin
-    with pytest.raises(ValueError, match="CSV row 0"):
-        field_from_csv(shifted, io.StringIO("".join(_csv_lines(GridField.zeros(g)))))
 
 
 @pytest.mark.parametrize("build", [GridField.from_function, mask_domain])

@@ -959,7 +959,7 @@ def test_exhaustion_boxes_built_once_serve_every_lam():
 
     boxes = [[(-1, 1)] * 2, [(-2, 2)] * 2]
     built = exhaustion_boxes(euclidean(2), g_fn, boxes, 0.25)
-    assert [b.bvec[0] for b in built] == [1.0, 2.0]
+    assert [K.grid.dims for K, _ in built] == [(9, 9), (17, 17)]
     for lam in (0.2, 0.6):
         fresh = exhaustion_construct(exhaustion_boxes(euclidean(2), g_fn, boxes, 0.25), lam)
         reused = exhaustion_construct(built, lam)
@@ -975,13 +975,15 @@ def test_exhaustion_factors_k_minus_lam_g_bit_for_bit():
         return 1.0 - 2.0 * np.exp(-((pts[:, 0] - 1.5) ** 2 + pts[:, 1] ** 2))
 
     boxes = exhaustion_boxes(euclidean(2), g_fn, [[(-1, 1)] * 2, [(-2, 2)] * 2], 0.25)
-    assert any(b.G.min() < 0.0 < b.G.max() for b in boxes)
+    assert any(G.min() < 0.0 < G.max() for _, G in boxes)
     ex = exhaustion_construct(boxes, 0.6)
     assert ex.statuses == ["ok", "ok"]
-    for box, u in zip(boxes, ex.fields):
-        x = factor_spd(box.K.mat - sp.diags(0.6 * box.G)).solve(box.rhs)
-        ref = GridField.from_interior(box.grid, x, box.bvec)
-        assert np.array_equal(u.values, (ref * (1.0 / float(ref.values[box.origin_id]))).values)
+    for k, ((K, G), u) in enumerate(zip(boxes, ex.fields), start=1):
+        bvec = np.full(K.grid.n_boundary, float(k))  # box k's datum is k
+        x = factor_spd(K.mat - sp.diags(0.6 * G)).solve(-K.boundary @ bvec)
+        ref = GridField.from_interior(K.grid, x, bvec)
+        origin = K.grid.nearest_node(np.zeros(2))
+        assert np.array_equal(u.values, (ref * (1.0 / float(ref.values[origin]))).values)
 
 
 def test_exhaustion_fails_each_box_whose_principal_eigenvalue_lam_exceeds():
