@@ -9,8 +9,9 @@ Then ``untimed`` lists the commands that no benchmark workload times
 (``fields info``, ``solve yamabe``, ``probe sobolev``, ``probe doubling``)
 at fixed configs, ``solve yamabe`` with ``--plot`` at theta = 0.05 and at
 theta = 0, so every CLI command runs at least once, ``eigen`` on a 1-D
-grid with ``--plot``, whose plot is one row, and ``eigen`` on a grid large
-enough to take the LOBPCG path at both sizes.  The run named ``<name>``
+grid with ``--plot``, whose plot is one row, ``eigen`` on a grid large
+enough to take the LOBPCG path at both sizes, a weighted ``eigen`` and an
+``epspath`` on a factored grid.  The run named ``<name>``
 writes to ``<out-dir>/<name>/``, so that ``diff -r`` of two output
 directories compares every report, field file and plot of two checkouts,
 or of two runs of one.  The configs go to a temporary directory, not under
@@ -52,6 +53,10 @@ def untimed(size):
     ``eigen_lobpcg`` runs ``eigen`` at h = 1/8 on (-1, 1)^3 (3,375 unknowns),
     which takes the LOBPCG path with a factored 2h coarse start at both
     sizes: every smoke-size workload eigensolve is factored or dense.
+    ``eigen_weight`` takes the weighted pencil of ``eigen`` with a weight
+    that changes sign, and ``epspath_factored`` runs ``epspath`` at
+    h = 1/4 on (-1, 1)^3 (343 unknowns), where each shift-invert solve
+    after the first starts from the last eigenvector.
     """
     full = size == "full"
     R = 0.4
@@ -74,6 +79,12 @@ def untimed(size):
             plot=True),
         Run("eigen_lobpcg", ("eigen",), {"family": "heisenberg",
                                          "grid": {"box": [[-1, 1]] * 3, "h": 1 / 8}}),
+        Run("eigen_weight", ("eigen",), {"family": "euclidean(2)",
+                                         "grid": {"box": [[-1, 1]] * 2, "h": 1 / 8},
+                                         "weight": "1 - 2*exp(-4*((x - 0.3)**2 + y**2))"}),
+        Run("epspath_factored", ("epspath",), {"family": "heisenberg",
+                                               "grid": {"box": [[-1, 1]] * 3, "h": 1 / 4},
+                                               "eps_list": [0.5, 0.1, 0.0]}),
     ]
 
 
