@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Polynomial, lie_bracket
-from .mesh import EXTERIOR, GridField
+from .fields import Polynomial
+from .mesh import BOUNDARY, EXTERIOR, GridField
 from .operators import assemble_first_order
 
 SIGMA_FLOOR = 1e-8        # relative floor on sigma_min(A) before an edge is rejected
@@ -119,13 +119,8 @@ class _GraphContext:
         self.F = unit_controls(family.m, directions)
         self.step_scales = scales
         # nonzero brackets [X_i, X_j], i < j
-        self.pairs, brackets = [], []
-        for i in range(family.m):
-            for j in range(i + 1, family.m):
-                br = lie_bracket(family.coeffs[i], family.coeffs[j])
-                if not all(p.is_zero for p in br):
-                    self.pairs.append((i, j))
-                    brackets.append(br)
+        self.pairs = [ij for ij, br in family.brackets.items() if not all(p.is_zero for p in br)]
+        brackets = [family.brackets[ij] for ij in self.pairs]
         # Coefficients, sigma_min and brackets vary only along the axes some
         # polynomial mentions: evaluate them at index 0 of every other axis
         # and gather the values back to all nodes.
@@ -336,24 +331,31 @@ def _path_defect(family, waypoints, controls, durations):
     return max(float(np.linalg.norm(row)) for row in gap)
 
 
+def _domain_node(grid, pt):
+    """The point's nearest node; ValueError if it is outside the box or the node exterior."""
+    pt = np.asarray(pt, dtype=float)
+    hi = grid.origin + (np.array(grid.dims) - 1) * grid.h
+    if np.any(pt < grid.origin - 1e-12) or np.any(pt > hi + 1e-12):
+        raise ValueError(f"point {pt.tolist()} outside the grid box")
+    node = grid.nearest_node(pt)
+    if grid.mask[node] == EXTERIOR:
+        raise ValueError(f"point {pt.tolist()} snaps to the exterior node "
+                         f"{grid.points[node].tolist()}, outside the domain")
+    return node
+
+
 def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS, step_scales=(1,)):
     """Dijkstra upper bound on d(x, y) and the realizing path.
 
-    x and y, which must lie in the grid box, are snapped to their nearest
-    nodes, so the bound and the path are those between the two nodes.
-    Distinct points that snap to one node raise ValueError: their distance
-    is below the grid's resolution.  x == y gives 0.
+    x and y are snapped to their nearest nodes, so the bound and the path
+    are those between the two nodes.  A point outside the grid box, or
+    whose node is exterior to the domain, raises ValueError before any
+    graph is built, and so do distinct points that snap to one node: their
+    distance is below the grid's resolution.  x == y gives 0.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    lo = grid.origin
-    hi = grid.origin + (np.array(grid.dims) - 1) * grid.h
-    for pt in (x, y):
-        if np.any(pt < lo - 1e-12) or np.any(pt > hi + 1e-12):
-            raise ValueError(f"point {pt} outside the grid box")
-    ctx = _GraphContext(family, grid, directions, step_scales)
-    src = grid.nearest_node(x)
-    tgt = grid.nearest_node(y)
+    src, tgt = _domain_node(grid, x), _domain_node(grid, y)
     if src == tgt:
         if np.any(x != y):
             raise ValueError(f"x = {x.tolist()} and y = {y.tolist()} both snap to node "
@@ -362,6 +364,7 @@ def cc_distance_graph(family, grid, x, y, directions=DEFAULT_DIRECTIONS, step_sc
             T=0.0, waypoints=np.array([grid.points[src]] * 2),
             controls=np.zeros((1, family.m)), durations=np.zeros(1), defect=0.0,
         )
+    ctx = _GraphContext(family, grid, directions, step_scales)
     dist, settled, parents = _dijkstra(ctx, src, target=tgt)
     if not np.isfinite(dist[tgt]):
         reached = dist[settled]
@@ -468,7 +471,6 @@ def cc_distance_refine(family, seed, segments=24, tol=1e-3):
 @dataclass(eq=False)
 class BallResult:
     grid: object
-    center_id: int
     radius: float
     node_ids: np.ndarray
     dist: np.ndarray      # distances for node_ids, same order
@@ -478,24 +480,19 @@ class BallResult:
 def metric_ball(family, center, R, grid, directions=DEFAULT_DIRECTIONS, step_scales=(1, 2, 3)):
     """Single-source Dijkstra ball {d_hat <= R}; volume = h^n * node count.
 
-    The ball is centred at the node nearest `center`, which may lie up to h
-    away from it.
+    The ball is centred at the node nearest `center`, up to h away from it,
+    and refused with ValueError if that node is exterior (or `center` is
+    outside the grid box) or if the ball holds a boundary node (clipped).
     """
     if R < 0:
         raise ValueError("radius must be nonnegative")
-    center = np.asarray(center, dtype=float)
-    cid = grid.nearest_node(center)
-    if np.linalg.norm(grid.points[cid] - center) > grid.h:
-        raise ValueError("center too far from any grid node")
-    hn = grid.h ** grid.n
-    if R == 0.0:
-        return BallResult(grid, cid, 0.0, np.array([cid]), np.zeros(1), hn)
+    cid = _domain_node(grid, center)
     ctx = _GraphContext(family, grid, directions, step_scales)
-    dist, settled, _ = _dijkstra(ctx, cid, rmax=R)
-    ids = np.flatnonzero(np.isfinite(dist) & (dist <= R))
-    if np.any(grid.is_outer_face(ids)):
-        raise ValueError("metric ball clipped by the grid box; enlarge the box")
-    return BallResult(grid, cid, float(R), ids, dist[ids], hn * ids.size)
+    dist = _dijkstra(ctx, cid, rmax=R)[0]
+    ids = np.flatnonzero(dist <= R)
+    if np.any(grid.mask[ids] == BOUNDARY):
+        raise ValueError("metric ball clipped by the domain boundary; enlarge the domain")
+    return BallResult(grid, float(R), ids, dist[ids], grid.h ** grid.n * ids.size)
 
 
 def doubling_estimate(family, center, radii, grid, directions=DEFAULT_DIRECTIONS,
@@ -503,7 +500,7 @@ def doubling_estimate(family, center, radii, grid, directions=DEFAULT_DIRECTIONS
     """|B(2R)| / |B(R)| for each R, plus the max ratio C1.
 
     Both balls of every R are counted on one metric ball of radius 2 max R,
-    so its center and grid box are checked as `metric_ball` checks them.
+    so its center and the domain boundary are checked as `metric_ball` checks them.
     """
     radii = sorted(float(r) for r in radii)
     if not radii or radii[0] <= 0:
@@ -600,10 +597,10 @@ def random_polynomial_corpus(grid, count, degree=2, seed=0):
     return [GridField(grid, poly.evaluate(grid.points)) for poly in polys]
 
 
-def ball_bump(ball, power=2):
-    """Compactly supported bump ((1 - (d/R)^2)_+)^power built from ball distances."""
+def ball_bump(ball):
+    """Compactly supported bump ((1 - (d/R)^2)_+)^2 built from ball distances."""
     grid = ball.grid
     vals = np.zeros(grid.num_nodes)
     t = 1.0 - (ball.dist / max(ball.radius, 1e-300)) ** 2
-    vals[ball.node_ids] = np.maximum(t, 0.0) ** power
+    vals[ball.node_ids] = np.maximum(t, 0.0) ** 2
     return GridField(grid, vals)

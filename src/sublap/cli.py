@@ -35,7 +35,7 @@ from . import semilinear as sm
 from . import verify as vfy
 from .eigen import DEFAULT_TOL, epsilon_path, principal_eigenpair, weighted_principal
 from .expressions import compile_expression
-from .fields import hormander_rank, lie_bracket, resolve_family
+from .fields import hormander_rank, resolve_family
 from .mesh import GridField, build_grid, field_to_csv
 from .operators import assemble_diagonal, assemble_stiffness
 
@@ -186,11 +186,8 @@ def _run_fields_info(cfg, p):
     rng = np.random.default_rng(cfg.seed)
     pts = rng.uniform(-1.0, 1.0, size=(int(p["sample_points"]), family.n))
     ranks = [hormander_rank(family, x, int(p["max_step"])) for x in pts]
-    brackets = {}
-    for i in range(family.m):
-        for j in range(i + 1, family.m):
-            br = lie_bracket(family.coeffs[i], family.coeffs[j])
-            brackets[f"[X{i + 1},X{j + 1}]"] = [poly.to_term_list() for poly in br]
+    brackets = {f"[X{i + 1},X{j + 1}]": [poly.to_term_list() for poly in br]
+                for (i, j), br in family.brackets.items()}
     results = {
         "name": family.name,
         "n": family.n,

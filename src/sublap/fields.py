@@ -166,6 +166,12 @@ class VectorFieldFamily:
         return out
 
     @cached_property
+    def brackets(self):
+        """{(i, j): [X_i, X_j]} for every pair i < j, in that order."""
+        return {(i, j): lie_bracket(self.coeffs[i], self.coeffs[j])
+                for i in range(self.m) for j in range(i + 1, self.m)}
+
+    @cached_property
     def _velocity_plan(self):
         """(j, k, terms) of every nonzero coefficient, j-major; each term is
         (coefficient, ((axis, exponent), ...)) over its nonzero exponents."""

@@ -8,7 +8,6 @@ one-sided closure.
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass, field
 
@@ -65,15 +64,6 @@ class GridDomain:
         idx = np.clip(idx, 0, np.array(self.dims) - 1)
         ids = idx @ self.strides
         return ids if ids.ndim else int(ids)
-
-    def is_outer_face(self, node_ids):
-        """True per node when some index sits on the outermost grid layer."""
-        node_ids = np.asarray(node_ids)
-        multi = np.unravel_index(node_ids, self.dims)
-        hit = np.zeros(node_ids.shape, dtype=bool)
-        for k in range(self.n):
-            hit |= (multi[k] == 0) | (multi[k] == self.dims[k] - 1)
-        return hit
 
     def with_mask(self, mask):
         return GridDomain(origin=self.origin, h=self.h, dims=self.dims, mask=mask)
@@ -226,8 +216,8 @@ class GridField:
 # serialization
 
 
-def field_to_csv(field, path_or_buf):
-    """CSV rows: index tuple, coordinates, value.
+def field_to_csv(field, path):
+    """Write the CSV rows index tuple, coordinates, value to the file `path`.
 
     Each index and coordinate is formatted once per axis value, and the
     trailing axes are joined once.  Rows go out one axis-0 slab at a time
@@ -243,8 +233,7 @@ def field_to_csv(field, path_or_buf):
     heads = [(f"{i},", f"{x},") for i, x in zip(idx_text[0], x_text[0])] if lead else [("", "")]
     bits = field.values.view(np.int64)
     slab = len(tail_idx)
-    is_path = isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__")
-    with open(path_or_buf, "w") if is_path else contextlib.nullcontext(path_or_buf) as buf:
+    with open(path, "w") as buf:
         buf.write(",".join([f"i{k}" for k in range(g.n)] + [f"x{k}" for k in range(g.n)]
                            + ["value"]) + "\n")
         for a, (head_idx, head_x) in enumerate(heads):

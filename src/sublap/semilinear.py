@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .expressions import compile_expression
-from .mesh import GridField, build_grid
+from .mesh import EXTERIOR, GridField, build_grid
 from .operators import (NotPositiveDefiniteError, assemble_diagonal, assemble_stiffness,
                         factor_pays, factor_spd, shifted_copy)
 
@@ -253,7 +253,7 @@ def check_sub_super(problem, u, sign):
             int(problem.grid.interior_ids[worst]))
 
 
-def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE):
+def monotone_iterate(problem, lower, upper, tol=1e-8):
     """Descend from the supersolution; iterates stay in [lower, upper].
 
     Each step solves (K + c_k M) u_{k+1} = M (c_k u_k + F(u_k)) with the
@@ -267,20 +267,18 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     The run stops only once the residual is at most tol and the last step
     also meets ||u_{k+1} - u_k||_inf <= tol ||u_{k+1}||_inf: for Newton's
     steps the error left is about that step squared, which the residual
-    alone does not bound.  It gives up once a step is within 4 ulps of the
-    bracket's scale.  Monotone descent and bracket preservation are
-    asserted at every step; violations (possible without a discrete
-    maximum principle) are recorded in the result notes rather than
-    silently ignored.
+    alone does not bound.  It gives up after MAX_ITER_MONOTONE steps, or
+    once a step is within 4 ulps of the bracket's scale.  Monotone descent
+    and bracket preservation are asserted at every step; violations
+    (possible without a discrete maximum principle) are recorded in the
+    result notes rather than silently ignored.
 
     The iterate is kept on every node, its boundary holding the boundary
     value, so each bracket gap, the monotone gap and the step is one max
     over the non-exterior nodes; step 1 compares it with upper itself.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
     g = problem.grid
-    active = g.mask != 0  # non-exterior
+    active = g.mask != EXTERIOR
     lower_a, upper_a = lower.values[active], upper.values[active]
     if np.any(lower_a > upper_a + 1e-14):
         raise ValueError("bracket violated: lower > upper somewhere")
@@ -306,7 +304,7 @@ def monotone_iterate(problem, lower, upper, tol=1e-8, max_iter=MAX_ITER_MONOTONE
     steps_monotone = True
     max_inc = 0.0
     bracket_ok = True
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER_MONOTONE + 1):
         if it > 1:
             c = problem.shift(lower_i, ui)
             if not (np.array_equal(c, checked_c) and np.all(lower_i <= ui)

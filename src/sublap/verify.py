@@ -19,7 +19,7 @@ import numpy as np
 from . import semilinear as sm
 from .eigen import principal_eigenpair, weighted_principal
 from .expressions import compile_expression
-from .mesh import GridField, build_grid, mask_domain
+from .mesh import EXTERIOR, INTERIOR, GridField, build_grid, mask_domain
 from .operators import assemble_diagonal, assemble_stiffness
 
 MARGIN_H_FACTOR = 10.0
@@ -107,7 +107,7 @@ def verify_thm_1_2(family, grid, u_expr, n_subdomains=20, seed=0, tol=1e-8):
     lambda_1 must be lambda_1(D) + 0.5 to within 1e-6 * max(1, |lambda_1(D)|).
     """
     u = GridField.from_function(grid, compile_expression(u_expr, grid.n))
-    if np.any(u.values[grid.mask != 0] <= 0.0):
+    if np.any(u.values[grid.mask != EXTERIOR] <= 0.0):
         raise ValueError("u_expr must be positive on the box")
     K = assemble_stiffness(family, grid)
     w = grid.h ** grid.n
@@ -289,7 +289,7 @@ def verify_thm_1_4(family, box, h, f_expr, theta_list, eps_list, p, tol=1e-8,
         half = 0.5 * np.array(box, dtype=float)
         pts = grid.points
         sel = np.all((pts >= half[:, 0] - 1e-12) & (pts <= half[:, 1] + 1e-12), axis=1)
-        ids_small = np.flatnonzero(sel & (grid.mask == 2))
+        ids_small = np.flatnonzero(sel & (grid.mask == INTERIOR))
         big = build_grid(stability_box, h)
         ids_big = big.nearest_node(pts[ids_small])
         if np.abs(big.points[ids_big] - pts[ids_small]).max(initial=0.0) > 1e-9 * h:

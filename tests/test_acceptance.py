@@ -10,8 +10,6 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import sublap as sl
 from sublap import ccmetric as cc
@@ -126,38 +124,7 @@ def test_criterion_04_thm_1_2_suite():
 # 5. Lemma 4.1 / Prop 4.2
 
 
-def damped_newton_logistic(K, a, b, mu, p, u0, tol=1e-12, max_iter=100):
-    g = K.grid
-    w = g.h ** g.n
-    av = a.values[g.interior_ids]
-    bv = b.values[g.interior_ids]
-    u = u0.values[g.interior_ids].copy()
-
-    def res_of(u):
-        return K.mat @ u - w * (mu * u * (av - bv * np.abs(u) ** (p - 1.0)))
-
-    r = res_of(u)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * max(np.linalg.norm(u), 1.0):
-            break
-        J = K.mat - sp.diags(w * mu * (av - p * bv * np.abs(u) ** (p - 1.0)))
-        step = spla.spsolve(J.tocsc(), r)
-        alpha = 1.0
-        for _ in range(30):
-            cand = u - alpha * step
-            rc = res_of(cand)
-            if np.linalg.norm(rc) < np.linalg.norm(r):
-                u, r = cand, rc
-                break
-            alpha *= 0.5
-        else:
-            break
-    vals = np.zeros(g.num_nodes)
-    vals[g.interior_ids] = u
-    return sl.GridField(g, vals)
-
-
-def test_criterion_05_logistic():
+def test_criterion_05_logistic(damped_newton_logistic):
     g = sl.build_grid([(0, 1), (0, 1)], 1.0 / 32)
     K = sl.assemble_stiffness(sl.euclidean(2), g)
     a = sl.GridField.constant(g, 1.0)

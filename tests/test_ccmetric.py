@@ -190,6 +190,35 @@ def test_metric_ball_clip_error():
         metric_ball(euclidean(2), (0, 0), 0.6, g)
 
 
+def _disk_grid():
+    """[-1, 1]^2 at h = 0.05 masked to the disk |p| <= 0.5."""
+    return mask_domain(build_grid([(-1, 1), (-1, 1)], 0.05),
+                       lambda pts: np.linalg.norm(pts, axis=1) <= 0.5)
+
+
+def test_metric_ball_clipped_by_a_masked_domain():
+    # the box is far away, but the disk's boundary clips a ball of radius
+    # 0.8 (it used to return 313 nodes, volume 0.7825 < pi 0.8^2)
+    with pytest.raises(ValueError, match="clipped"):
+        metric_ball(euclidean(2), (0, 0), 0.8, _disk_grid(), directions=32, step_scales=(1,))
+
+
+def test_metric_ball_centre_outside_a_masked_domain_refused():
+    # (0.9, 0.9) lies in the box but its node is exterior to the disk
+    with pytest.raises(ValueError, match=r"point \[0\.9, 0\.9\] snaps to the exterior node"):
+        metric_ball(euclidean(2), (0.9, 0.9), 0.3, _disk_grid(), directions=32, step_scales=(1,))
+
+
+def test_distance_endpoint_outside_a_masked_domain_refused_before_the_graph(monkeypatch):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("graph built")
+
+    monkeypatch.setattr(ccm, "_GraphContext", no_graph)
+    for x, y in (((0.9, 0.9), (0, 0)), ((0, 0), (0.9, 0.9))):
+        with pytest.raises(ValueError, match=r"point \[0\.9, 0\.9\] snaps to the exterior node"):
+            cc_distance_graph(euclidean(2), _disk_grid(), x, y, directions=32)
+
+
 def test_ball_nesting():
     g = build_grid([(-0.7, 0.7), (-0.7, 0.7)], 0.02)
     b1 = metric_ball(euclidean(2), (0, 0), 0.3, g, directions=16)
@@ -221,7 +250,7 @@ def test_doubling_counts_one_ball_at_twice_the_largest_radius():
     expected = [(R, np.count_nonzero(ball.dist <= 2 * R) / np.count_nonzero(ball.dist <= R))
                 for R in radii]
     assert ratios == expected and C1 == max(r for _, r in expected)
-    with pytest.raises(ValueError, match="too far"):
+    with pytest.raises(ValueError, match="outside the grid box"):
         doubling_estimate(heis, (0.8, 0, 0), radii, g, directions=8, step_scales=(1,))
     with pytest.raises(ValueError, match="clipped"):
         doubling_estimate(heis, (0, 0, 0), [0.3], g, directions=8, step_scales=(1,))
@@ -298,7 +327,7 @@ def test_sobolev_bump_matches_direct_quadrature():
     g = build_grid([(-0.65, 0.65), (-0.65, 0.65)], 0.02)
     fam = euclidean(2)
     ball = metric_ball(fam, (0, 0), 0.5, g, directions=32, step_scales=(1, 2, 3))
-    bump = ball_bump(ball, power=2)
+    bump = ball_bump(ball)
     rep = sobolev_probe(fam, ball, [bump], 4.0, 2.0)
     assert len(rep.ratios) == 1
     # independent oracle: recompute both averages with hand-rolled forward
@@ -314,7 +343,6 @@ def test_sobolev_bump_matches_direct_quadrature():
     in_ball[ball.node_ids] = True
     sel = in_ball.copy()
     # forward rows exclude the far faces, mirroring the operator row set
-    outer = g.is_outer_face(np.arange(g.num_nodes))
     multi = np.unravel_index(np.arange(g.num_nodes), dims)
     far = (multi[0] == dims[0] - 1) | (multi[1] == dims[1] - 1)
     sel &= ~far
@@ -330,7 +358,8 @@ def test_sobolev_corpus_bounded_under_refinement():
     for h in (0.02, 0.01):
         g = build_grid([(-0.65, 0.65), (-0.65, 0.65)], h)
         ball = metric_ball(fam, (0, 0), 0.5, g, directions=32, step_scales=(1, 2, 3))
-        bumps = [ball_bump(ball, power=p) for p in (1, 2, 3)]
+        # ((1 - (d/R)^2)_+)^p for p = 1, 2, 3 from the squared bump
+        bumps = [GridField(g, ball_bump(ball).values ** (p / 2)) for p in (1, 2, 3)]
         rep = sobolev_probe(fam, ball, bumps, 4.0, 2.0)
         vals.append(rep.C_est)
     assert abs(vals[0] - vals[1]) < 0.20 * max(vals)

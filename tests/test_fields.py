@@ -57,6 +57,15 @@ def test_bracket_grushin_is_dy():
     assert br[1].terms == ((1.0, (0, 0)),)
 
 
+@pytest.mark.parametrize("family", [euclidean(3), heisenberg(), grushin()], ids=lambda f: f.name)
+def test_family_brackets_are_the_pairwise_lie_brackets(family):
+    pairs = [(i, j) for i in range(family.m) for j in range(i + 1, family.m)]
+    assert list(family.brackets) == pairs
+    for i, j in pairs:
+        assert family.brackets[(i, j)] == lie_bracket(family.coeffs[i], family.coeffs[j])
+    assert family.brackets is family.brackets  # built once
+
+
 def _random_poly_field(rng, n, degree=2):
     out = []
     for _ in range(n):

@@ -44,39 +44,6 @@ from sublap.semilinear import (
 from sublap.verify import verify_prop_4_2, verify_thm_1_3
 
 
-def damped_newton_logistic(K, a, b, mu, p, u0, tol=1e-12, max_iter=100):
-    """Independent oracle: damped Newton on K u - M F(u) = 0."""
-    g = K.grid
-    w = g.h ** g.n
-    av = a.values[g.interior_ids]
-    bv = b.values[g.interior_ids]
-    u = u0.values[g.interior_ids].copy()
-
-    def res(u):
-        return K.mat @ u - w * (mu * u * (av - bv * np.abs(u) ** (p - 1.0)))
-
-    r = res(u)
-    for _ in range(max_iter):
-        if np.linalg.norm(r) <= tol * max(np.linalg.norm(u), 1.0):
-            break
-        dF = mu * (av - p * bv * np.abs(u) ** (p - 1.0))
-        J = K.mat - sp.diags(w * dF)
-        step = spla.spsolve(J.tocsc(), r)
-        alpha = 1.0
-        for _ in range(30):
-            cand = u - alpha * step
-            rc = res(cand)
-            if np.linalg.norm(rc) < np.linalg.norm(r):
-                u, r = cand, rc
-                break
-            alpha *= 0.5
-        else:
-            break
-    vals = np.zeros(g.num_nodes)
-    vals[g.interior_ids] = u
-    return GridField(g, vals)
-
-
 def test_linear_solve_zero():
     g = build_grid([(0, 1), (0, 1)], 0.25)
     K = assemble_stiffness(euclidean(2), g)
@@ -402,7 +369,7 @@ def test_monotone_linear_reaction_is_linear_solve():
     assert np.abs(res.solution.values - direct.values).max() < 1e-8
 
 
-def test_monotone_evaluates_reaction_once_per_iterate():
+def test_monotone_evaluates_reaction_once_per_iterate(monkeypatch):
     # F(u) of each iterate is both its residual's reaction and the next
     # step's right-hand side, so each further step costs one evaluation; the
     # shift check's six (three difference quotients) are paid once, since the
@@ -419,14 +386,13 @@ def test_monotone_evaluates_reaction_once_per_iterate():
     problem = SemilinearProblem(K=K, reaction=counted, shift=lambda lo, u: c)
     lower, upper = GridField.zeros(g), GridField.constant(g, 1.0)
     counts = []
-    for max_iter in (1, 5):
+    for steps in (1, 5):
         calls.clear()
-        res = monotone_iterate(problem, lower, upper, tol=1e-14, max_iter=max_iter)
-        assert res.iterations == max_iter
+        monkeypatch.setattr(sm, "MAX_ITER_MONOTONE", steps)
+        res = monotone_iterate(problem, lower, upper, tol=1e-14)
+        assert res.iterations == steps
         counts.append(len(calls))
     assert counts[1] - counts[0] == 4 * 1
-    with pytest.raises(ValueError, match="max_iter"):
-        monotone_iterate(problem, lower, upper, max_iter=0)
 
 
 def test_lipschitz_validation():
@@ -522,9 +488,9 @@ def logistic_setup(h=1.0 / 16):
     return g, K, a, b, weighted_principal(K, assemble_diagonal(a), tol=1e-10)
 
 
-def test_monotone_stops_when_its_step_stagnates_below_an_unreachable_tol():
+def test_monotone_stops_when_its_step_stagnates_below_an_unreachable_tol(monkeypatch):
     # at tol 1e-30 the residual floors at round-off; the iteration stops once
-    # its step is within 4 ulps of the bracket's scale, long before max_iter,
+    # its step is within 4 ulps of the bracket's scale, long before step 2000,
     # also where round-off leaves the descent cycling at a step of 1 ulp.
     # The shift is held at the logistic shift's top on [0, 1], so the
     # descent is linear.
@@ -532,8 +498,8 @@ def test_monotone_stops_when_its_step_stagnates_below_an_unreachable_tol():
     logistic = logistic_problem(K, a, b, 4 * eig.lam, 2.0)
     c0 = float(logistic.shift(np.zeros(g.n_interior), np.ones(g.n_interior)).max())
     problem = dataclasses.replace(logistic, shift=lambda lo, u: np.full_like(u, c0))
-    res = monotone_iterate(problem, GridField.zeros(g), GridField.constant(g, 1.0),
-                           tol=1e-30, max_iter=2000)
+    monkeypatch.setattr(sm, "MAX_ITER_MONOTONE", 2000)
+    res = monotone_iterate(problem, GridField.zeros(g), GridField.constant(g, 1.0), tol=1e-30)
     assert res.status == "no-convergence" and 10 < res.iterations < 2000
     assert res.residual < 1e-12
     assert [n for n in res.notes if "stagnated" in n] == [
@@ -555,7 +521,7 @@ def test_logistic_supercritical_positive_bounded():
     assert res.bracket_respected
 
 
-def test_logistic_matches_damped_newton():
+def test_logistic_matches_damped_newton(damped_newton_logistic):
     g, K, a, b, eig = logistic_setup()
     res = logistic_solve(K, a, b, 2 * eig.lam, 2.0, eig, tol=1e-10)
     newton = damped_newton_logistic(K, a, b, 2 * eig.lam, 2.0, res.solution)
@@ -587,7 +553,8 @@ def test_monotone_descent_recorded():
 
 
 @pytest.mark.parametrize("bvalue,trace,mask_of_node", [(0.0, 0.05, 2), (0.3, -0.5, 1)])
-def test_step_one_violation_notes_match_a_full_grid_reference(bvalue, trace, mask_of_node):
+def test_step_one_violation_notes_match_a_full_grid_reference(monkeypatch, bvalue, trace,
+                                                              mask_of_node):
     # upper = 0.05 inside is not a supersolution of H u = 40 u (1 - u), so
     # step 1 rises above it; with upper's trace far below the boundary value
     # a boundary node rises most.  The reference takes the gaps on full-grid
@@ -601,7 +568,8 @@ def test_step_one_violation_notes_match_a_full_grid_reference(bvalue, trace, mas
                                   shift=lambda lo, u: np.zeros_like(u))
     upper = GridField.from_interior(g, np.full(g.n_interior, 0.05), trace)
     lower = GridField.from_interior(g, np.zeros(g.n_interior), min(trace, 0.0))
-    res = monotone_iterate(problem, lower, upper, max_iter=1)
+    monkeypatch.setattr(sm, "MAX_ITER_MONOTONE", 1)
+    res = monotone_iterate(problem, lower, upper)
     active = g.mask != 0
     c = np.zeros(g.n_interior)
     ui = upper.values[g.interior_ids]
@@ -794,18 +762,20 @@ def test_yamabe_shift_meets_the_one_sided_bound(p):
     assert len(shifts) == 1 and np.array_equal(shifts[0], bound)
 
 
-def test_yamabe_run_cut_at_four_steps_names_the_relative_step():
+def test_yamabe_run_cut_at_four_steps_names_the_relative_step(monkeypatch):
     # the `solve yamabe` config: the fourth step meets the residual bound but
     # not the step bound, and a fifth meets both
     g, K, f, _, _ = yamabe_setup()
     kf, Kf = sm.yamabe_coefficients(f, 0.05)
     V, W, _ = barriers(K, f, 0.1, 0.4)
     problem = yamabe_problem(K, kf, Kf, 3.0, 0.4, W)
-    res = monotone_iterate(problem, V, W, tol=1e-8, max_iter=4)
+    monkeypatch.setattr(sm, "MAX_ITER_MONOTONE", 4)
+    res = monotone_iterate(problem, V, W, tol=1e-8)
     assert res.status == "no-convergence" and res.residual <= 1e-8 and len(res.shifts) == 1
     assert re.fullmatch(r"relative step \S+ above tol 1\.000e-08 after 4 iterations",
                         res.notes[-1])
-    res = monotone_iterate(problem, V, W, tol=1e-8, max_iter=5)
+    monkeypatch.setattr(sm, "MAX_ITER_MONOTONE", 5)
+    res = monotone_iterate(problem, V, W, tol=1e-8)
     assert res.status == "ok" and res.iterations == 5 and len(res.shifts) == 1
 
 
@@ -1065,7 +1035,8 @@ def test_prop4_2_near_threshold_runs_stay_under_20_newton_steps(monkeypatch):
         assert res.iterations <= 20
 
 
-def test_prop4_2_near_threshold_runs_lie_within_1e_8_of_a_newton_reference(monkeypatch):
+def test_prop4_2_near_threshold_runs_lie_within_1e_8_of_a_newton_reference(monkeypatch,
+                                                                           damped_newton_logistic):
     # with a scalar shift the runs stopped 5.2e-5 from the solution, and
     # Newton stopped on the residual alone 1.5e-8: near the bifurcation the
     # linearization's smallest eigenvalue is about mu - mu1, so a residual
@@ -1111,9 +1082,10 @@ def test_a_wrong_sign_shift_is_refused_before_any_solve(monkeypatch):
     problem = logistic_problem(K, a, b, 2 * eig.lam, 2.0)
     wrong = dataclasses.replace(problem, shift=lambda lo, u: -problem.shift(lo, u))
     calls = _count_factors(monkeypatch)
+    monkeypatch.setattr(sm, "MAX_ITER_MONOTONE", 1)
     with pytest.raises(ValueError, match=r"^shift \S+ below the sampled -dF/du \S+ on "
                                          r"\[0, 1\] at node \d+$"):
-        monotone_iterate(wrong, GridField.zeros(g), GridField.constant(g, 1.0), max_iter=1)
+        monotone_iterate(wrong, GridField.zeros(g), GridField.constant(g, 1.0))
     assert calls == []
 
 

@@ -109,9 +109,7 @@ def test_prop_4_2_fails_a_case_whose_solves_do_not_converge(monkeypatch):
     # both runs of each supercritical case stop after one step
     import sublap.semilinear as sm
 
-    real = sm.monotone_iterate
-    monkeypatch.setattr(sm, "monotone_iterate",
-                        lambda *args, **kwargs: real(*args, **{**kwargs, "max_iter": 1}))
+    monkeypatch.setattr(sm, "MAX_ITER_MONOTONE", 1)
     g = build_grid([(0, 1), (0, 1)], 1.0 / 8)
     rep = verify_prop_4_2(euclidean(2), g, "1 + 0*x", "1 + 0*x", 2.0, [0.5, 2.0])
     assert rep.total == 2 and rep.cases[0].passed and not rep.passed
@@ -122,9 +120,7 @@ def test_prop_4_2_fails_a_case_whose_solves_do_not_converge(monkeypatch):
 def test_thm_1_4_fails_a_case_whose_solve_does_not_converge(monkeypatch):
     import sublap.semilinear as sm
 
-    real = sm.monotone_iterate
-    monkeypatch.setattr(sm, "monotone_iterate",
-                        lambda *args, **kwargs: real(*args, **{**kwargs, "max_iter": 1}))
+    monkeypatch.setattr(sm, "MAX_ITER_MONOTONE", 1)
     rep = verify_thm_1_4(
         heisenberg(), [(-2, 2)] * 3, 0.5, "exp(-(x**2 + y**2 + t**2))", [0.05], [0.4], 3.0,
     )
