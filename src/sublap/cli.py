@@ -248,6 +248,8 @@ def _run_distance(cfg, p):
                                  tol=float(p["tol"]))
     results = {
         "distance": {
+            "x_node": seed_path.waypoints[0],
+            "y_node": seed_path.waypoints[-1],
             "graph_upper_bound": d_graph,
             "refined": path.T,
             "defect": path.defect,
@@ -327,7 +329,9 @@ class Command:
     optional key to its default, or to None for a key with none.  What a
     key takes, under each command, is its `SCHEMA` entry.  A config gives
     at most one of the two `exclusive` keys, and a default is filled (and
-    so echoed) unless its key or the key it excludes is given.
+    so echoed) unless its key or the key it excludes is given.  `flags`
+    names the flags among --seed and --plot that the command reads; the
+    other is a usage error.
     """
 
     handler: object
@@ -335,36 +339,42 @@ class Command:
     required: str
     optional: dict
     exclusive: tuple = ()
+    flags: tuple = ()
 
 
 _GRAPH = {"directions": cc.DEFAULT_DIRECTIONS, "step_scales": (1, 2, 3)}
 
 COMMANDS = {
     "fields-info": Command(_run_fields_info, "Lie brackets and sampled Hormander ranks",
-                           "family", {"sample_points": 5, "max_step": 3}),
+                           "family", {"sample_points": 5, "max_step": 3}, flags=("--seed",)),
     "eigen": Command(_run_eigen, "principal Dirichlet eigenvalue", "family grid",
                      {"potential": "0", "weight": None, "tol": DEFAULT_TOL},
-                     ("weight", "potential")),
+                     ("weight", "potential"), flags=("--plot",)),
     "epspath": Command(_run_epspath, "epsilon-regularization eigenvalue path",
                        "family grid eps_list", {"potential": "0", "tol": DEFAULT_TOL}),
     "solve-logistic": Command(_run_solve_logistic, "logistic equation", "family grid a b p",
-                              {"mu": None, "mu_factor": 2.0, "tol": 1e-8}, ("mu", "mu_factor")),
+                              {"mu": None, "mu_factor": 2.0, "tol": 1e-8}, ("mu", "mu_factor"),
+                              flags=("--plot",)),
     "solve-yamabe": Command(_run_solve_yamabe, "Yamabe-type equation",
                             "family grid f theta eps p",
-                            {"k_pattern": None, "K_pattern": None, "tol": 1e-8}),
+                            {"k_pattern": None, "K_pattern": None, "tol": 1e-8},
+                            flags=("--plot",)),
     "distance": Command(_run_distance, "Carnot-Caratheodory distance estimate",
                         "family grid x y", {**_GRAPH, "step_scales": (1,), "segments": 24,
                                             "tol": 1e-8}),
-    "ball": Command(_run_ball, "metric ball and volume", "family grid center radius", _GRAPH),
+    "ball": Command(_run_ball, "metric ball and volume", "family grid center radius", _GRAPH,
+                    flags=("--plot",)),
     "probe-poincare": Command(_run_probe_poincare, "Poincare ratios of a polynomial corpus",
                               "family grid center radius",
-                              {**_GRAPH, "corpus_count": 12, "corpus_degree": 2}),
+                              {**_GRAPH, "corpus_count": 12, "corpus_degree": 2},
+                              flags=("--seed",)),
     "probe-sobolev": Command(_run_probe_sobolev, "Sobolev ratio of a ball bump",
                              "family grid center radius q p", _GRAPH),
     "probe-doubling": Command(_run_probe_doubling, "doubling ratios of metric balls",
                               "family grid center radii", _GRAPH),
     "verify-thm1_2": Command(_run_verify_thm1_2, "Thm 1.2: positive principal eigenvalue",
-                             "family grid u_expr", {"n_subdomains": 20, "tol": 1e-8}),
+                             "family grid u_expr", {"n_subdomains": 20, "tol": 1e-8},
+                             flags=("--seed",)),
     "verify-thm1_3": Command(_run_verify_thm1_3, "Thm 1.3: every lambda in (0, mu] principal",
                              "family g g_plus lam_fractions boxes h",
                              {"mu": None, "tol": 1e-8}),
@@ -564,8 +574,10 @@ def _build_parser():
     )
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--seed", type=_seed, default=0)
-    parser.add_argument("--plot", action="store_true", help="emit SVG heatmap slices")
+    parser.add_argument("--seed", type=_seed, help="seed of fields info, probe poincare and "
+                        "verify thm1_2 (default 0)")
+    parser.add_argument("--plot", action="store_true", help="emit SVG heatmap slices (eigen, "
+                        "solve logistic, solve yamabe, ball)")
     sub = parser.add_subparsers(dest="cmd", required=True)
     groups = {}
     for name, spec in COMMANDS.items():
@@ -581,13 +593,17 @@ def _build_parser():
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for flag, given in (("--seed", args.seed is not None), ("--plot", args.plot)):
+        if given and flag not in COMMANDS[args.command].flags:
+            parser.error(f"{flag} is not read by {args.command.replace('-', ' ')}")
     try:
         if args.config is None:
             raise ConfigError("--config is required")
         raw = json.loads(Path(args.config).read_text())
         cfg = RunConfig(command=args.command, params=validate_config(args.command, raw),
-                        out=args.out, seed=args.seed, plot=args.plot)
+                        out=args.out, seed=args.seed or 0, plot=args.plot)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

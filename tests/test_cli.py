@@ -70,6 +70,21 @@ def test_cli_distance(tmp_path):
     assert (out / "path.csv").exists()
 
 
+def test_cli_distance_reports_the_nodes_it_measured_between(tmp_path):
+    # x and y lie off the nodes; the report used to name neither node
+    box, h = [[-0.2, 0.2], [-0.2, 0.2], [-0.06, 0.06]], 0.01
+    cfg = write_config(tmp_path, "dist.json", {
+        "family": "heisenberg", "grid": {"box": box, "h": h},
+        "x": [0.003, -0.002, 0.001], "y": [0, 0, 0.046], "directions": 16})
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out), "distance"]) == 0
+    dist = json.loads((out / "report.json").read_text())["results"]["distance"]
+    grid = build_grid(box, h)
+    assert dist["x_node"] == grid.points[grid.nearest_node([0.003, -0.002, 0.001])].tolist()
+    assert dist["y_node"] == grid.points[grid.nearest_node([0, 0, 0.046])].tolist()
+    assert np.allclose([dist["x_node"], dist["y_node"]], [[0, 0, 0], [0, 0, 0.05]], atol=1e-12)
+
+
 def test_cli_distance_reports_refinement_stall(tmp_path):
     # one constant control cannot reach a vertical target
     cfg = write_config(tmp_path, "dist.json", {
@@ -231,14 +246,14 @@ _DISK = {"family": "euclidean(2)", "grid": {"box": [[-1, 1], [-1, 1]], "h": 0.1}
     (["probe", "sobolev"], {**_DISK, "q": 4.0, "p": 2.0}, "sobolev"),
     (["probe", "doubling"], {**{k: v for k, v in _DISK.items() if k != "radius"},
                              "radii": [0.2, 0.4]}, "doubling"),
-    (["probe", "poincare"], {**_DISK, "corpus_count": 3}, "poincare"),
+    (["--seed", "3", "probe", "poincare"], {**_DISK, "corpus_count": 3}, "poincare"),
 ], ids=["solve-yamabe", "probe-sobolev", "probe-doubling", "probe-poincare"])
 def test_cli_command_end_to_end_writes_the_same_bytes_twice(tmp_path, argv, payload, key):
     cfg = write_config(tmp_path, "c.json", payload)
     outs = []
     for name in ("o1", "o2"):
         out = tmp_path / name
-        assert main(["--config", str(cfg), "--out", str(out), "--seed", "3"] + argv) == 0
+        assert main(["--config", str(cfg), "--out", str(out)] + argv) == 0
         outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
     assert key in json.loads(outs[0]["report.json"])["results"]
     assert outs[0] == outs[1]
@@ -973,6 +988,20 @@ def test_cli_distance_between_distinct_points_that_snap_to_one_node_fails_the_ru
     assert ("run failed: x = [0.0, 0.0, 0.0] and y = [0.0, 0.0, 0.004] both snap to node"
             in capsys.readouterr().err)
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--plot"]], ids=["seed", "plot"])
+def test_cli_flag_the_command_does_not_read_is_a_usage_error_naming_both(tmp_path, capsys, flag):
+    # `--seed 5` used to be echoed in report.json, and `--plot` to draw nothing
+    unread = [name for name, spec in cli.COMMANDS.items() if flag[0] not in spec.flags]
+    assert len(unread) == {"--seed": 11, "--plot": 10}[flag[0]]  # 3 read --seed, 4 --plot
+    for name in unread:
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "o"), *flag,
+                  *name.split("-")])
+        assert exc.value.code == 2
+        assert f"error: {flag[0]} is not read by {name.replace('-', ' ')}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_negative_seed_is_a_usage_error_naming_it(tmp_path, capsys):
