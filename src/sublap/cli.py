@@ -574,10 +574,8 @@ def _build_parser():
     )
     parser.add_argument("--config", type=Path, help="JSON config file")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--seed", type=_seed, help="seed of fields info, probe poincare and "
-                        "verify thm1_2 (default 0)")
-    parser.add_argument("--plot", action="store_true", help="emit SVG heatmap slices (eigen, "
-                        "solve logistic, solve yamabe, ball)")
+    parser.add_argument("--seed", type=_seed)
+    parser.add_argument("--plot", action="store_true", help="emit SVG heatmap slices")
     sub = parser.add_subparsers(dest="cmd", required=True)
     groups = {}
     for name, spec in COMMANDS.items():

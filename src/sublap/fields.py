@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg
@@ -168,8 +169,8 @@ class VectorFieldFamily:
     @cached_property
     def brackets(self):
         """{(i, j): [X_i, X_j]} for every pair i < j, in that order."""
-        return {(i, j): lie_bracket(self.coeffs[i], self.coeffs[j])
-                for i in range(self.m) for j in range(i + 1, self.m)}
+        return MappingProxyType({(i, j): lie_bracket(self.coeffs[i], self.coeffs[j])
+                                 for i in range(self.m) for j in range(i + 1, self.m)})
 
     @cached_property
     def _velocity_plan(self):
